@@ -99,7 +99,10 @@ struct RuntimeConfig
      * simulated cycles either way.
      */
     bool traceEnabled = false;
-    /** Per-thread trace ring capacity, in events. */
+    /**
+     * Per-thread trace ring capacity, in events: a cap, not an
+     * up-front allocation (rings grow to it as events arrive).
+     */
     std::size_t traceCapacity = 1u << 16;
 
     /**

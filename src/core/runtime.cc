@@ -868,6 +868,10 @@ Runtime::publishMetrics()
         reg->counter("pm.txn_aborts").inc(txm->aborts());
     }
 
+    // Telemetry lost to trace-ring wrap (traced runs only).
+    if (sink)
+        reg->counter("trace.dropped_events").inc(sink->totalDropped());
+
     // Simulator shape.
     reg->counter("sim.total_cycles").inc(mach.maxClock());
     reg->gauge("sim.threads").set(mach.threadCount());

@@ -36,10 +36,14 @@ class MemImage
     /** Virtual base of the simulated DRAM arena. */
     static constexpr std::uint64_t dramVirtBase = 0x7f0000000000ULL;
 
-    // Sized so typical workload footprints need at most a couple of
-    // rehashes; table geometry is host-side only (peek of an unused
-    // slot is 0 at any capacity).
-    MemImage() { grow(1u << 16); }
+    // Host memory grows with use, not with a guessed footprint: the
+    // table starts at smallSlots (~17 KB, enough for crash worlds and
+    // oracle images of a few hundred words), its first growth jumps
+    // straight to fullSlots, and later ones double. Any image past
+    // ~700 words therefore sees the same capacity sequence and 0.7
+    // load factor as a table that started at fullSlots. Geometry is
+    // host-side only (peek of an unused slot is 0 at any capacity).
+    MemImage() { grow(smallSlots); }
 
     void
     poke(std::uint64_t addr, std::uint64_t value)
@@ -47,7 +51,7 @@ class MemImage
         std::size_t i = slotOf(addr);
         if (!used[i]) {
             if ((nUsed + 1) * 10 > cap * 7) { // keep load below 0.7
-                grow(cap * 2);
+                grow(cap < fullSlots ? fullSlots : cap * 2);
                 i = slotOf(addr);
             }
             used[i] = 1;
@@ -66,6 +70,9 @@ class MemImage
 
     std::size_t wordCount() const { return nUsed; }
 
+    /** Table slots: host-side geometry, never visible to peek(). */
+    std::size_t slotCount() const { return cap; }
+
     /** Is this pointer value a PMO ObjectID (pool id != 0)? */
     static bool
     isPmoPointer(std::uint64_t v)
@@ -74,6 +81,9 @@ class MemImage
     }
 
   private:
+    static constexpr std::size_t smallSlots = 1u << 10;
+    static constexpr std::size_t fullSlots = 1u << 16;
+
     static std::uint64_t
     mix(std::uint64_t x)
     {

@@ -181,8 +181,8 @@ class LineTable
     {
         std::uint64_t line = 0;
         std::uint8_t n = 0;
-        std::uint64_t addr[kInline];
-        std::uint64_t val[kInline];
+        std::uint64_t addr[kInline]{};
+        std::uint64_t val[kInline]{};
         std::vector<std::pair<std::uint64_t, std::uint64_t>> spill;
     };
 

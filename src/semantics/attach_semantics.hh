@@ -80,7 +80,7 @@ class AttachSemantics
      * EW-Conscious model has time-bounded windows to enforce; the
      * other semantics have no sweeper and return nothing.
      */
-    virtual std::vector<SweepOutcome> onSweep(Cycles t) { return {}; }
+    virtual std::vector<SweepOutcome> onSweep(Cycles) { return {}; }
 
     /** Factory. @p ew_limit only matters for EW-Conscious. */
     static std::unique_ptr<AttachSemantics>

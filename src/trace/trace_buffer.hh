@@ -8,10 +8,13 @@
  *     store plus two counter increments, fully inlined here so that
  *     emitting modules (sim, pm) need no link dependency on the
  *     trace library;
- *   - bounded memory: when a buffer wraps, the oldest events are
- *     overwritten and counted in an explicit drop counter — recent
- *     history survives, and consumers (the auditor) can tell a
- *     complete trace from a truncated one;
+ *   - memory grows with use up to a fixed cap: a buffer's slots
+ *     grow geometrically as events arrive and never past its
+ *     capacity, so a short run pays for the events it emits, not for
+ *     the capacity; once full, the oldest events are overwritten and
+ *     counted in an explicit drop counter — recent history survives,
+ *     and consumers (the auditor) can tell a complete trace from a
+ *     truncated one;
  *   - a true no-op when disabled: modules hold a nullable sink
  *     pointer and emit nothing (and charge nothing) without one.
  */
@@ -30,12 +33,17 @@
 namespace terp {
 namespace trace {
 
-/** Fixed-capacity overwrite-oldest ring buffer of events. */
+/**
+ * Fixed-capacity overwrite-oldest ring buffer of events. Slots are
+ * allocated on demand (doubling, clamped to the capacity); the ring
+ * starts wrapping only once it holds capacity() events, so every
+ * observer below reads exactly as if all slots existed up front.
+ */
 class TraceBuffer
 {
   public:
     explicit TraceBuffer(std::size_t capacity)
-        : slots(capacity ? capacity : 1)
+        : cap(capacity ? capacity : 1)
     {
     }
 
@@ -43,7 +51,15 @@ class TraceBuffer
     void
     push(const Event &e)
     {
-        slots[static_cast<std::size_t>(writes % slots.size())] = e;
+        if (writes < cap) {
+            if (slots.size() == slots.capacity())
+                slots.reserve(std::min(
+                    cap, std::max<std::size_t>(minSlots,
+                                               2 * slots.size())));
+            slots.push_back(e);
+        } else {
+            slots[static_cast<std::size_t>(writes % cap)] = e;
+        }
         ++writes;
     }
 
@@ -54,18 +70,13 @@ class TraceBuffer
     std::uint64_t
     dropped() const
     {
-        return writes > slots.size() ? writes - slots.size() : 0;
+        return writes > cap ? writes - cap : 0;
     }
 
     /** Events currently retained. */
-    std::size_t
-    size() const
-    {
-        return writes < slots.size() ? static_cast<std::size_t>(writes)
-                                     : slots.size();
-    }
+    std::size_t size() const { return slots.size(); }
 
-    std::size_t capacity() const { return slots.size(); }
+    std::size_t capacity() const { return cap; }
 
     /** Retained events, oldest first. */
     std::vector<Event>
@@ -75,13 +86,16 @@ class TraceBuffer
         out.reserve(size());
         std::uint64_t first = dropped();
         for (std::uint64_t i = first; i < writes; ++i)
-            out.push_back(
-                slots[static_cast<std::size_t>(i % slots.size())]);
+            out.push_back(slots[static_cast<std::size_t>(i % cap)]);
         return out;
     }
 
   private:
-    std::vector<Event> slots;
+    /** First allocation: a couple of KB. */
+    static constexpr std::size_t minSlots = 64;
+
+    std::size_t cap;
+    std::vector<Event> slots; //!< size() == min(writes, cap)
     std::uint64_t writes = 0;
 };
 

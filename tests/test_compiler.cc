@@ -131,6 +131,8 @@ TEST(Analysis, DiamondDominators)
     EXPECT_EQ(an.ipdom(entry), join);
     EXPECT_EQ(an.idom(then_b), entry);
     EXPECT_EQ(an.ipdom(then_b), join);
+    EXPECT_EQ(an.idom(else_b), entry);
+    EXPECT_EQ(an.ipdom(else_b), join);
     EXPECT_EQ(an.idom(entry), noBlock);
 }
 
@@ -176,8 +178,9 @@ TEST(Analysis, TripCountFallsBackTo1000)
     const Function &f = m.function(0);
     Analysis an = analyze(f);
     for (BlockId bb = 0; bb < f.blockCount(); ++bb) {
-        if (an.isLoopHeader(bb))
+        if (an.isLoopHeader(bb)) {
             EXPECT_EQ(an.tripCount(bb), assumedLoopTrips);
+        }
     }
 }
 

@@ -62,6 +62,54 @@ TEST(MemImage, PeekPokeDefaultZero)
     EXPECT_EQ(img.wordCount(), 1u);
 }
 
+TEST(MemImage, RoundTripsAcrossEveryGrowth)
+{
+    // Word i's key: 0 first, then alternating DRAM offsets and
+    // ObjectIDs with pool bits set; all distinct.
+    auto key = [](std::uint64_t i) -> std::uint64_t {
+        if (i == 0)
+            return 0;
+        return i % 2 ? Oid(static_cast<PmoId>(1 + i % 5), 8 * i).raw
+                     : 8 * i;
+    };
+    auto value = [](std::uint64_t i, std::uint64_t round) {
+        return i * 0x9e3779b97f4a7c15ULL + round + 1;
+    };
+
+    MemImage img;
+    // Starts small; the 717th word (load 0.7 of 1 Ki slots) jumps
+    // straight to 64 Ki, then the table doubles at the same load.
+    const struct
+    {
+        std::uint64_t words;
+        std::size_t slots;
+    } steps[] = {
+        {0, 1u << 10},      {1, 1u << 10},       {716, 1u << 10},
+        {717, 1u << 16},    {45875, 1u << 16},   {45876, 1u << 17},
+        {91750, 1u << 17},  {91751, 1u << 18},   {100000, 1u << 18},
+    };
+    std::uint64_t n = 0;
+    for (const auto &st : steps) {
+        for (; n < st.words; ++n)
+            img.poke(key(n), value(n, 0));
+        ASSERT_EQ(img.wordCount(), st.words);
+        ASSERT_EQ(img.slotCount(), st.slots) << st.words << " words";
+        for (std::uint64_t i = 0; i < n; ++i)
+            ASSERT_EQ(img.peek(key(i)), value(i, 0)) << "word " << i;
+        // Keys not (yet) poked read 0 at every size, key 0 included.
+        for (std::uint64_t i = n; i < n + 64; ++i)
+            ASSERT_EQ(img.peek(key(i)), 0u) << "absent word " << i;
+        EXPECT_EQ(img.peek(Oid(9, 8).raw), 0u);
+    }
+    // Overwrites keep the word count and the geometry.
+    for (std::uint64_t i = 0; i < n; i += 7)
+        img.poke(key(i), value(i, 1));
+    EXPECT_EQ(img.wordCount(), n);
+    EXPECT_EQ(img.slotCount(), 1u << 18);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(img.peek(key(i)), value(i, i % 7 == 0 ? 1 : 0));
+}
+
 TEST(MemImage, PmoPointerDiscrimination)
 {
     EXPECT_TRUE(MemImage::isPmoPointer(Oid(1, 0).raw));
@@ -217,8 +265,9 @@ TEST_P(AllocatorPropertyTest, RandomAllocFreeNeverOverlaps)
             std::uint64_t hi = lo + a.blockSize(o);
             // No overlap with any live block.
             auto next = live.lower_bound(lo);
-            if (next != live.end())
+            if (next != live.end()) {
                 ASSERT_GE(next->first, hi);
+            }
             if (next != live.begin()) {
                 auto prev = std::prev(next);
                 ASSERT_LE(prev->second, lo);

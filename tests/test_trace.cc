@@ -1,16 +1,19 @@
 /**
  * @file
  * Tests for the src/trace subsystem: ring-buffer wrap/drop
- * semantics, the no-op guarantee when tracing is disabled, the event
- * taxonomy emitted by the runtime, sweeper-path event ordering, event
- * ordering under the multi-threaded SPEC surrogate, and the timeline
- * auditor's differential check against EwTracker across every scheme
- * and both attach-semantics styles.
+ * semantics (against a fixed-array model of the lazily grown ring),
+ * exported drop telemetry, the no-op guarantee when tracing is
+ * disabled, the event taxonomy emitted by the runtime, sweeper-path
+ * event ordering, event ordering under the multi-threaded SPEC
+ * surrogate, and the timeline auditor's differential check against
+ * EwTracker across every scheme and both attach-semantics styles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "core/runtime.hh"
 #include "pm/pmo_manager.hh"
@@ -140,6 +143,160 @@ TEST(TraceSink, DropAccountingAggregates)
     EXPECT_EQ(s.totalEmitted(), 5u);
     EXPECT_EQ(s.totalDropped(), 3u);
     EXPECT_FALSE(s.complete());
+}
+
+namespace {
+
+/**
+ * Fixed-array reference for the ring: every slot exists up front and
+ * write w lands in slot w % cap, which is what the lazily grown ring
+ * must be indistinguishable from.
+ */
+struct RefRing
+{
+    explicit RefRing(std::size_t cap) : slots(cap) {}
+
+    void
+    push(const Event &e)
+    {
+        slots[writes % slots.size()] = e;
+        ++writes;
+    }
+
+    std::uint64_t
+    dropped() const
+    {
+        return writes > slots.size() ? writes - slots.size() : 0;
+    }
+
+    std::vector<Event>
+    events() const
+    {
+        std::vector<Event> out;
+        for (std::uint64_t i = dropped(); i < writes; ++i)
+            out.push_back(slots[i % slots.size()]);
+        return out;
+    }
+
+    std::vector<Event> slots;
+    std::uint64_t writes = 0;
+};
+
+std::vector<std::uint64_t>
+seqsOf(const std::vector<Event> &es)
+{
+    std::vector<std::uint64_t> out;
+    for (const Event &e : es)
+        out.push_back(e.seq);
+    return out;
+}
+
+} // namespace
+
+TEST(TraceBuffer, LazyRingMatchesFixedArrayModel)
+{
+    for (std::size_t cap : {1, 2, 3, 7, 64, 1000}) {
+        for (std::size_t n :
+             {std::size_t{0}, std::size_t{1}, cap - 1, cap, cap + 1,
+              2 * cap + 3}) {
+            SCOPED_TRACE("capacity " + std::to_string(cap) +
+                         ", writes " + std::to_string(n));
+            trace::TraceBuffer b(cap);
+            RefRing ref(cap);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                Event e;
+                e.seq = i;
+                e.ts = 3 * i;
+                e.pmo = i % 5;
+                e.arg = ~i;
+                b.push(e);
+                ref.push(e);
+            }
+            EXPECT_EQ(b.capacity(), cap);
+            EXPECT_EQ(b.written(), n);
+            EXPECT_EQ(b.dropped(), ref.dropped());
+            EXPECT_EQ(b.size(), std::min(n, cap));
+            std::vector<Event> got = b.events(), want = ref.events();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].seq, want[i].seq);
+                EXPECT_EQ(got[i].ts, want[i].ts);
+                EXPECT_EQ(got[i].pmo, want[i].pmo);
+                EXPECT_EQ(got[i].arg, want[i].arg);
+            }
+
+            // The sink over three tids: each ring keeps its own newest
+            // min(n, cap) events, merged back into global seq order.
+            const std::uint32_t tids[] = {
+                0, 1, trace::TraceSink::sweeperTid};
+            trace::TraceSink s(cap);
+            std::map<std::uint32_t, RefRing> refs;
+            for (std::uint32_t t : tids)
+                refs.emplace(t, RefRing(cap));
+            std::uint64_t seq = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                for (std::uint32_t t : tids) {
+                    Event e;
+                    e.seq = seq++;
+                    refs.at(t).push(e);
+                    s.emit(t, EventKind::SweepTick, i);
+                }
+            }
+            std::vector<Event> wantMerged;
+            for (const auto &[t, r] : refs) {
+                (void)t;
+                std::vector<Event> es = r.events();
+                wantMerged.insert(wantMerged.end(), es.begin(),
+                                  es.end());
+            }
+            std::sort(wantMerged.begin(), wantMerged.end(),
+                      [](const Event &a, const Event &b) {
+                          return a.seq < b.seq;
+                      });
+            EXPECT_EQ(seqsOf(s.merged()), seqsOf(wantMerged));
+            EXPECT_EQ(s.totalEmitted(), 3 * n);
+            EXPECT_EQ(s.totalDropped(), 3 * ref.dropped());
+            for (const auto &[t, buf] : s.buffers()) {
+                EXPECT_EQ(buf.capacity(), cap) << "tid " << t;
+                EXPECT_EQ(buf.size(), std::min(n, cap)) << "tid " << t;
+            }
+        }
+    }
+}
+
+TEST(TraceMetrics, DroppedEventsExported)
+{
+    // A ring of 8 events per thread wraps on any real run; the
+    // registry reports exactly what the rings lost.
+    workloads::WhisperParams p;
+    p.sections = 20;
+    workloads::RunResult r = workloads::runWhisper(
+        "hashmap", RuntimeConfig::tt().withTrace(8), p);
+    ASSERT_NE(r.trace, nullptr);
+    ASSERT_NE(r.metrics, nullptr)
+        << "metrics disabled (TERP_METRICS set?)";
+    std::uint64_t retained = 0;
+    for (const auto &[tid, buf] : r.trace->buffers()) {
+        (void)tid;
+        retained += buf.size();
+    }
+    const metrics::Counter *dropped =
+        r.metrics->findCounter("trace.dropped_events");
+    ASSERT_NE(dropped, nullptr);
+    EXPECT_GT(dropped->value(), 0u);
+    EXPECT_EQ(dropped->value(), r.trace->totalEmitted() - retained);
+    EXPECT_EQ(dropped->value(), r.trace->totalDropped());
+}
+
+TEST(TraceMetrics, UntracedRunPublishesNoDropCounter)
+{
+    workloads::WhisperParams p;
+    p.sections = 5;
+    workloads::RunResult r =
+        workloads::runWhisper("echo", RuntimeConfig::tt(), p);
+    ASSERT_NE(r.metrics, nullptr)
+        << "metrics disabled (TERP_METRICS set?)";
+    EXPECT_EQ(r.metrics->findCounter("trace.dropped_events"), nullptr);
 }
 
 // ------------------------------------------- disabled = true no-op
@@ -303,8 +460,9 @@ TEST(TraceSweeper, TtSweepEventsOnSweeperTrack)
     std::vector<Event> es = r.trace->merged();
     EXPECT_GT(countKind(es, EventKind::SweepTick), 0u);
     for (const Event &e : es) {
-        if (e.kind == EventKind::SweepTick)
+        if (e.kind == EventKind::SweepTick) {
             EXPECT_EQ(e.tid, trace::TraceSink::sweeperTid);
+        }
     }
     ASSERT_NE(r.traceAudit, nullptr);
     EXPECT_TRUE(r.traceAudit->ok) << r.traceAudit->summary();
@@ -336,8 +494,9 @@ TEST(TraceOrdering, FourThreadSpecSurrogate)
         if (e.tid >= 4)
             continue;
         auto it = lastTs.find(e.tid);
-        if (it != lastTs.end())
+        if (it != lastTs.end()) {
             EXPECT_GE(e.ts, it->second) << "tid " << e.tid;
+        }
         lastTs[e.tid] = e.ts;
         ++perTid[e.tid];
     }

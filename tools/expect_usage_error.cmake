@@ -1,0 +1,15 @@
+# Runs TOOL with ARGS ('|'-separated) and fails unless it exits with
+# the usage-error status 2 within 30 s: a bad flag value must be
+# rejected up front, not wrap into an endless run or an abort.
+#
+#   cmake -DTOOL=<exe> -DARGS=<a|b|...> -P expect_usage_error.cmake
+string(REPLACE "|" ";" args "${ARGS}")
+execute_process(COMMAND "${TOOL}" ${args}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    TIMEOUT 30)
+if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "expected exit status 2, got '${rc}'\n${err}")
+endif()
+message(STATUS "rejected as expected: ${err}")

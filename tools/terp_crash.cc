@@ -16,17 +16,19 @@
  *   --workload W    all (default) or one of: bank hashmap txnest
  *                   txpair schedule
  *   --seed N        first seed (default 0)
- *   --seeds N       seeds per cell (default 1; schedule workloads
- *                   generate a fresh schedule per seed)
+ *   --seeds N       seeds per cell, >= 1 (default 1; schedule
+ *                   workloads generate a fresh schedule per seed)
  *   --txns N        bank transfers / hashmap inserts (default 12)
- *   --events N      schedule length in ops (default 40)
+ *   --events N      schedule length in ops, >= 1 (default 40)
  *   --ew US         EW target in microseconds (default 5)
  *   --json          one JSON summary object per cell on stdout
  *
  * Exit status: 0 when every crash point recovered cleanly, 1 on any
- * violation, 2 on usage errors.
+ * violation, 2 on usage errors (counts must be plain decimal
+ * digits).
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,6 +36,7 @@
 
 #include "check/crash.hh"
 #include "check/fuzzer.hh"
+#include "cli.hh"
 
 using namespace terp;
 
@@ -89,13 +92,13 @@ main(int argc, char **argv)
             opt.seed = std::strtoull(val().c_str(), nullptr, 0);
         } else if (a == "--seeds") {
             seeds = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-crash", a, val(), 1, UINT_MAX));
         } else if (a == "--txns") {
             opt.txns = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-crash", a, val(), 0, UINT_MAX));
         } else if (a == "--events") {
             opt.events = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-crash", a, val(), 1, UINT_MAX));
         } else if (a == "--ew") {
             ewUs = std::strtod(val().c_str(), nullptr);
         } else if (a == "--json") {

@@ -293,6 +293,7 @@ printReport(const Doc &doc)
         {"persistence", "pm."},
         {"interpreter", "interp."},
         {"simulator", "sim."},
+        {"tracing", "trace."},
     };
     for (const auto &g : kGroups) {
         header = false;

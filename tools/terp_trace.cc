@@ -14,24 +14,28 @@
  * Options:
  *   --out FILE      Chrome-trace JSON output (default terp-trace.json)
  *   --jsonl FILE    also write JSONL (one event per line)
- *   --threads N     SPEC thread count (default 1)
+ *   --threads N     SPEC thread count, 1..1024 (default 1)
  *   --sections N    WHISPER transactions (default 200)
- *   --scale F       SPEC iteration scale (default 1.0)
+ *   --scale F       SPEC iteration scale, > 0 (default 1.0)
  *   --ew US         EW target in microseconds (default 40)
  *   --tew US        TEW target in microseconds (default 2)
- *   --capacity N    per-thread ring capacity in events (default 64Ki)
+ *   --capacity N    per-thread ring capacity in events, >= 1
+ *                   (default 64Ki; the ring grows to it on demand)
  *
- * Exit status is nonzero if the timeline auditor finds any
- * divergence between the trace replay and the runtime's EwTracker.
+ * Exit status is 1 if the timeline auditor finds any divergence
+ * between the trace replay and the runtime's EwTracker, 2 on usage
+ * errors (counts must be plain decimal digits).
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 
+#include "cli.hh"
 #include "trace/export.hh"
 #include "workloads/spec.hh"
 #include "workloads/whisper.hh"
@@ -127,17 +131,19 @@ main(int argc, char **argv)
         else if (a == "--jsonl")
             jsonl = val();
         else if (a == "--threads")
-            threads = static_cast<unsigned>(std::atoi(val()));
+            threads = static_cast<unsigned>(
+                cli::count("terp-trace", a, val(), 1, 1024));
         else if (a == "--sections")
-            sections = static_cast<std::uint64_t>(std::atoll(val()));
+            sections = cli::count("terp-trace", a, val(), 0, UINT64_MAX);
         else if (a == "--scale")
-            scale = std::atof(val());
+            scale = cli::positive("terp-trace", a, val());
         else if (a == "--ew")
             ewUs = std::atof(val());
         else if (a == "--tew")
             tewUs = std::atof(val());
         else if (a == "--capacity")
-            capacity = static_cast<std::size_t>(std::atoll(val()));
+            capacity = static_cast<std::size_t>(
+                cli::count("terp-trace", a, val(), 1, SIZE_MAX));
         else
             return usage();
     }
