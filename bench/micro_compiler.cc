@@ -12,9 +12,7 @@
 #include "compiler/interp.hh"
 #include "compiler/pass.hh"
 #include "compiler/verifier.hh"
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
-#include "sim/machine.hh"
+#include "core/domain.hh"
 
 using namespace terp;
 using namespace terp::compiler;
@@ -106,13 +104,10 @@ BM_InterpreterThroughput(benchmark::State &state)
 
     std::uint64_t instrs = 0;
     for (auto _ : state) {
-        sim::Machine mach;
-        pm::PmoManager pmos;
-        core::Runtime rt(mach, pmos,
-                         core::RuntimeConfig::unprotected());
+        core::ShardDomain d(core::DomainConfig{});
         pm::MemImage img;
-        Interpreter in(m, rt, mach, img, 0);
-        sim::ThreadContext &tc = mach.spawnThread();
+        Interpreter in(m, d.runtime(), d.machine(), img, 0);
+        sim::ThreadContext &tc = d.machine().spawnThread();
         while (in.step(tc)) {
         }
         instrs += in.instructionsExecuted();

@@ -15,10 +15,8 @@
 #include "compiler/interp.hh"
 #include "compiler/pass.hh"
 #include "compiler/verifier.hh"
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
+#include "core/domain.hh"
 #include "semantics/poset.hh"
-#include "sim/machine.hh"
 
 using namespace terp;
 using namespace terp::compiler;
@@ -26,8 +24,13 @@ using namespace terp::compiler;
 int
 main()
 {
+    // ---- one simulated process under TT protection -------------------
+    core::DomainConfig dc;
+    dc.runtime = core::RuntimeConfig::tt();
+    core::ShardDomain process(dc);
+    pm::PmoManager &pmos = process.pmos();
+
     // ---- build a program ------------------------------------------
-    pm::PmoManager pmos;
     pm::PmoId ledger = pmos.create("ledger", 4 * MiB).id();
     pm::PmoId index = pmos.create("index", 1 * MiB).id();
 
@@ -89,16 +92,14 @@ main()
                 mod.dump().c_str());
 
     // ---- execute under TT protection --------------------------------
-    sim::Machine mach;
-    core::Runtime rt(mach, pmos, core::RuntimeConfig::tt());
+    sim::Machine &mach = process.machine();
     pm::MemImage img;
-    Interpreter interp(mod, rt, mach, img, entry);
+    Interpreter interp(mod, process.runtime(), mach, img, entry);
     mach.spawnThread();
-    std::vector<sim::Job *> jobs{&interp};
-    mach.run(jobs, [&](Cycles now) { rt.onSweep(now); });
-    rt.finalize();
+    process.runJobs({&interp});
+    process.finalize();
 
-    core::OverheadReport rep = rt.report();
+    core::OverheadReport rep = process.runtime().report();
     std::printf("=== execution under TT ===\n");
     std::printf("instructions: %llu, time %.1f us, faults %llu\n",
                 (unsigned long long)interp.instructionsExecuted(),

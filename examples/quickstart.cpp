@@ -8,9 +8,7 @@
 
 #include <cstdio>
 
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
-#include "sim/machine.hh"
+#include "core/domain.hh"
 
 using namespace terp;
 
@@ -50,21 +48,24 @@ class MiniJob : public sim::Job
 int
 main()
 {
-    // 1. A simulated machine and a persistent memory object.
-    sim::Machine machine;
-    pm::PmoManager pmos;
-    pm::Pmo &pmo = pmos.create("quickstart.data", 64 * MiB);
+    // 1. One simulated process protected by a TERP runtime: EW
+    //    target 40 us, TEW target 2 us, with conditional
+    //    instructions and window combining (scheme TT).
+    core::DomainConfig dc;
+    dc.runtime = core::RuntimeConfig::tt();
+    core::ShardDomain process(dc);
+    sim::Machine &machine = process.machine();
+    core::Runtime &rt = process.runtime();
 
-    // 2. A TERP runtime: EW target 40 us, TEW target 2 us, with
-    //    conditional instructions and window combining (scheme TT).
-    core::Runtime rt(machine, pmos, core::RuntimeConfig::tt());
+    // 2. A persistent memory object in that process.
+    pm::Pmo &pmo = process.pmos().create("quickstart.data", 64 * MiB);
 
-    // 3. Run a workload under protection.
+    // 3. Run a workload under protection; the domain fires the
+    //    hardware sweeper on its hookPeriod grid.
     MiniJob job(rt, pmo.id());
     machine.spawnThread();
-    std::vector<sim::Job *> jobs{&job};
-    machine.run(jobs, [&](Cycles now) { rt.onSweep(now); });
-    rt.finalize();
+    process.runJobs({&job});
+    process.finalize();
 
     // 4. Inspect what the protection did.
     core::OverheadReport rep = rt.report();

@@ -12,11 +12,7 @@
 #include "check/recovery_oracle.hh"
 #include "check/schedule.hh"
 #include "common/rng.hh"
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
 #include "pm/tx_manager.hh"
-#include "sim/machine.hh"
-#include "trace/audit.hh"
 
 namespace terp {
 namespace check {
@@ -58,7 +54,7 @@ acct(unsigned i)
 void
 bankWorkload(World &w, Ledger &led, const CrashOptions &opt)
 {
-    sim::ThreadContext &tc = w.mach.thread(0);
+    sim::ThreadContext &tc = w.machine().thread(0);
     const pm::Oid seq(1, 0x800);
 
     std::vector<std::pair<pm::Oid, std::uint64_t>> init;
@@ -68,7 +64,7 @@ bankWorkload(World &w, Ledger &led, const CrashOptions &opt)
     runTxn(w, led, tc, 1, init);
 
     Rng rng(99 + opt.seed);
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     for (unsigned t = 0; t < opt.txns; ++t) {
         unsigned a = static_cast<unsigned>(rng.nextBelow(8));
         unsigned b = static_cast<unsigned>(rng.nextBelow(7));
@@ -88,7 +84,7 @@ bankWorkload(World &w, Ledger &led, const CrashOptions &opt)
 void
 checkBankInvariant(World &w, std::vector<std::string> &out)
 {
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     std::uint64_t sum = 0;
     for (unsigned i = 0; i < 8; ++i)
         sum += ctl.persistedLoad(acct(i));
@@ -110,12 +106,12 @@ checkBankInvariant(World &w, std::vector<std::string> &out)
 void
 hashmapWorkload(World &w, Ledger &led, const CrashOptions &opt)
 {
-    sim::ThreadContext &tc = w.mach.thread(0);
+    sim::ThreadContext &tc = w.machine().thread(0);
     constexpr std::uint64_t bucketsOff = 4096;
     constexpr unsigned nBuckets = 16;
     constexpr std::uint64_t heapOff = 8192;
 
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     Rng rng(7 + opt.seed);
     for (unsigned t = 0; t < opt.txns; ++t) {
         std::uint64_t key = 0x1000 + t;
@@ -140,7 +136,7 @@ hashmapWorkload(World &w, Ledger &led, const CrashOptions &opt)
 void
 checkHashmapInvariant(World &w, std::vector<std::string> &out)
 {
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     constexpr std::uint64_t bucketsOff = 4096;
     constexpr unsigned nBuckets = 16;
     for (unsigned b = 0; b < nBuckets; ++b) {
@@ -182,9 +178,9 @@ checkHashmapInvariant(World &w, std::vector<std::string> &out)
 void
 txnestWorkload(World &w, Ledger &led, const CrashOptions &opt)
 {
-    sim::ThreadContext &tc = w.mach.thread(0);
-    pm::TxManager &txm = *w.rt->tx();
-    const pm::PersistController &ctl = w.dom.controller();
+    sim::ThreadContext &tc = w.machine().thread(0);
+    pm::TxManager &txm = *w.runtime().tx();
+    const pm::PersistController &ctl = w.persistence()->controller();
     const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000), seq(1, 0x800);
 
     Rng rng(41 + opt.seed);
@@ -207,10 +203,10 @@ txnestWorkload(World &w, Ledger &led, const CrashOptions &opt)
         protOpen(w, tc, 2);
         txm.begin(tc, 0, {1, 2},
                   redo ? pm::TxKind::Redo : pm::TxKind::Undo);
-        w.rt->access(tc, acctA, /*write=*/true);
+        w.runtime().access(tc, acctA, /*write=*/true);
         txm.write(tc, 0, acctA, newA);
         txm.begin(tc, 0, {2}); // nested level: locks already held
-        w.rt->access(tc, acctB, /*write=*/true);
+        w.runtime().access(tc, acctB, /*write=*/true);
         txm.write(tc, 0, acctB, newB);
         txm.write(tc, 0, seq, t + 1);
         if (doAbort)
@@ -228,7 +224,7 @@ txnestWorkload(World &w, Ledger &led, const CrashOptions &opt)
 void
 checkTxnestInvariant(World &w, std::vector<std::string> &out)
 {
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     std::uint64_t sum = ctl.persistedLoad(pm::Oid(1, 0x1000)) +
                         ctl.persistedLoad(pm::Oid(2, 0x1000));
     // Before the init transaction commits, both accounts are 0.
@@ -252,10 +248,10 @@ checkTxnestInvariant(World &w, std::vector<std::string> &out)
 void
 txpairWorkload(World &w, Ledger &led, const CrashOptions &opt)
 {
-    sim::ThreadContext &tc0 = w.mach.thread(0);
-    sim::ThreadContext &tc1 = w.mach.thread(1);
-    pm::TxManager &txm = *w.rt->tx();
-    const pm::PersistController &ctl = w.dom.controller();
+    sim::ThreadContext &tc0 = w.machine().thread(0);
+    sim::ThreadContext &tc1 = w.machine().thread(1);
+    pm::TxManager &txm = *w.runtime().tx();
+    const pm::PersistController &ctl = w.persistence()->controller();
     auto xOf = [](pm::PmoId p) { return pm::Oid(p, 0x1000); };
     auto yOf = [](pm::PmoId p) { return pm::Oid(p, 0x1040); };
     auto seqOf = [](pm::PmoId p) { return pm::Oid(p, 0x800); };
@@ -286,9 +282,9 @@ txpairWorkload(World &w, Ledger &led, const CrashOptions &opt)
                   redo1 ? pm::TxKind::Redo : pm::TxKind::Undo);
         // Interleave the two write-sets boundary-by-boundary.
         for (unsigned j = 0; j < 3; ++j) {
-            w.rt->access(tc0, w0[j].first, /*write=*/true);
+            w.runtime().access(tc0, w0[j].first, /*write=*/true);
             txm.write(tc0, 0, w0[j].first, w0[j].second);
-            w.rt->access(tc1, w1[j].first, /*write=*/true);
+            w.runtime().access(tc1, w1[j].first, /*write=*/true);
             txm.write(tc1, 1, w1[j].first, w1[j].second);
         }
         if (abort0)
@@ -311,7 +307,7 @@ txpairWorkload(World &w, Ledger &led, const CrashOptions &opt)
 void
 checkTxpairInvariant(World &w, std::vector<std::string> &out)
 {
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     for (pm::PmoId p = 1; p <= 2; ++p) {
         std::uint64_t sum =
             ctl.persistedLoad(pm::Oid(p, 0x1000)) +
@@ -365,13 +361,15 @@ struct ScheduleReplay
             f = std::max(f, t);
     }
 
+    /** Fire every boundary <= @p t; floors rise to the last one. */
     void
     sweeps(Cycles t)
     {
-        Cycles before = w.nextHook;
+        if (w.nextSweepTick() > t)
+            return;
         w.advanceSweeps(t);
-        if (w.nextHook != before)
-            raiseFloors(w.nextHook - w.hookPeriod);
+        raiseFloors(w.nextSweepTick() -
+                    w.machine().config().hookPeriod);
     }
 
     bool
@@ -380,7 +378,7 @@ struct ScheduleReplay
     {
         if (w.cfg.basicBlocking && depth[tid][pmo] > 0)
             return false; // nested basic attach is invalid
-        if (w.rt->regionBegin(tc, pmo, mode) ==
+        if (w.runtime().regionBegin(tc, pmo, mode) ==
             core::GuardResult::Blocked)
             return false;
         ++depth[tid][pmo];
@@ -393,7 +391,7 @@ struct ScheduleReplay
     {
         if (depth[tid][pmo] == 0 || tc.now() < endFloor[pmo])
             return;
-        w.rt->regionEnd(tc, pmo);
+        w.runtime().regionEnd(tc, pmo);
         --depth[tid][pmo];
     }
 
@@ -402,12 +400,12 @@ struct ScheduleReplay
     {
         for (const Op &op : s.ops) {
             if (op.kind == OpKind::Sweep) {
-                w.rt->onSweep(w.nextHook);
-                raiseFloors(w.nextHook);
-                w.nextHook += w.hookPeriod;
+                const Cycles b = w.nextSweepTick();
+                w.sweepTo(b);
+                raiseFloors(b);
                 continue;
             }
-            sim::ThreadContext &tc = w.mach.thread(op.tid);
+            sim::ThreadContext &tc = w.machine().thread(op.tid);
             sweeps(tc.now());
             if (tc.blocked())
                 continue;
@@ -436,7 +434,7 @@ struct ScheduleReplay
           case OpKind::ManualBegin:
             if (w.cfg.insertion == core::Insertion::Manual &&
                 !manualActive[op.pmo]) {
-                w.rt->manualBegin(tc, op.pmo, op.mode);
+                w.runtime().manualBegin(tc, op.pmo, op.mode);
                 manualActive[op.pmo] = true;
                 endFloor[op.pmo] =
                     std::max(endFloor[op.pmo], tc.now());
@@ -447,20 +445,20 @@ struct ScheduleReplay
             if (w.cfg.insertion == core::Insertion::Manual &&
                 manualActive[op.pmo] &&
                 tc.now() >= endFloor[op.pmo]) {
-                w.rt->manualEnd(tc, op.pmo);
+                w.runtime().manualEnd(tc, op.pmo);
                 manualActive[op.pmo] = false;
             }
             break;
 
           case OpKind::Access:
-            (void)w.rt->tryAccess(tc, pm::Oid(op.pmo, op.offset),
+            (void)w.runtime().tryAccess(tc, pm::Oid(op.pmo, op.offset),
                                   op.write);
             break;
 
           case OpKind::Range:
             for (std::uint64_t off = op.offset;
                  off < op.offset + op.bytes; off += lineSize) {
-                (void)w.rt->tryAccess(tc, pm::Oid(op.pmo, off),
+                (void)w.runtime().tryAccess(tc, pm::Oid(op.pmo, off),
                                       op.write);
             }
             break;
@@ -471,7 +469,7 @@ struct ScheduleReplay
             if (!tryBegin(tc, op.tid, op.pmo, op.mode))
                 break;
             for (unsigned j = 0; j < op.accesses; ++j)
-                (void)w.rt->tryAccess(
+                (void)w.runtime().tryAccess(
                     tc, pm::Oid(op.pmo, op.offset + j * lineSize),
                     op.write);
             tryEnd(tc, op.tid, op.pmo);
@@ -497,7 +495,7 @@ struct ScheduleReplay
                 w.cfg.insertion == core::Insertion::Auto &&
                 !opened && tc.blocked())
                 break; // begin blocked: the txn never starts
-            pm::UndoLog *log = w.dom.findLog(op.pmo);
+            pm::UndoLog *log = w.persistence()->findLog(op.pmo);
             led.inFlight.clear();
             for (const auto &[oid, v] : writes) {
                 (void)v;
@@ -517,15 +515,15 @@ struct ScheduleReplay
           }
 
           case OpKind::CrashRecover: {
-            sweeps(w.mach.maxClock());
-            Cycles at = w.mach.maxClock();
-            for (unsigned i = 0; i < w.mach.threadCount(); ++i) {
-                sim::ThreadContext &t = w.mach.thread(i);
+            sweeps(w.machine().maxClock());
+            Cycles at = w.machine().maxClock();
+            for (unsigned i = 0; i < w.machine().threadCount(); ++i) {
+                sim::ThreadContext &t = w.machine().thread(i);
                 if (!t.done && !t.blocked() && t.now() < at)
                     t.syncTo(at, sim::Charge::Other);
             }
-            w.rt->crash(at);
-            (void)w.rt->recover(tc);
+            w.runtime().crash(at);
+            (void)w.runtime().recover(tc);
             for (auto &d : depth)
                 std::fill(d.begin(), d.end(), 0u);
             std::fill(manualActive.begin(), manualActive.end(),
@@ -644,7 +642,7 @@ enumerateCrashPoints(const CrashOptions &opt)
         std::vector<std::string> v;
         try {
             runWorkload(w, led, opt, &sched);
-            res.boundaries = w.dom.controller().boundaryCount();
+            res.boundaries = w.persistence()->controller().boundaryCount();
             checkDurable(w, led, v);
             checkWorkloadInvariant(w, opt, v);
         } catch (const std::exception &e) {
@@ -665,7 +663,7 @@ enumerateCrashPoints(const CrashOptions &opt)
         bool crashed = false;
         pm::PersistBoundary kind = pm::PersistBoundary::Store;
 
-        w.dom.controller().armFault(n);
+        w.persistence()->controller().armFault(n);
         try {
             runWorkload(w, led, opt, &sched);
         } catch (const pm::PowerFailure &pf) {
@@ -686,13 +684,13 @@ enumerateCrashPoints(const CrashOptions &opt)
 
         if (v.empty()) {
             try {
-                Cycles at = w.mach.maxClock();
-                w.rt->crash(at);
+                Cycles at = w.machine().maxClock();
+                w.runtime().crash(at);
                 // Recovery runs after the failure instant.
-                sim::ThreadContext &rtc = w.mach.thread(0);
+                sim::ThreadContext &rtc = w.machine().thread(0);
                 if (rtc.now() < at)
                     rtc.syncTo(at, sim::Charge::Other);
-                (void)w.rt->recover(rtc);
+                (void)w.runtime().recover(rtc);
                 checkDurable(w, led, v);
                 checkWorkloadInvariant(w, opt, v);
                 probeAndDrain(w, led, v);

@@ -8,11 +8,8 @@
 #include "check/oracle.hh"
 #include "check/tx_oracle.hh"
 #include "common/units.hh"
-#include "core/runtime.hh"
-#include "pm/persist.hh"
-#include "pm/pmo_manager.hh"
+#include "core/domain.hh"
 #include "pm/tx_manager.hh"
-#include "sim/machine.hh"
 #include "trace/audit.hh"
 
 namespace terp {
@@ -26,18 +23,15 @@ class Replay
     Replay(const Schedule &sched, const core::RuntimeConfig &config,
            std::vector<std::string> &complaints)
         : s(sched), cfg(config), out(complaints),
-          rt(mach, pmos, cfg.withTrace()),
-          oracle(cfg, sched.threads),
-          hookPeriod(mach.config().hookPeriod), nextHook(hookPeriod)
+          domain(domainConfig(cfg)), oracle(cfg, sched.threads)
     {
         for (unsigned p = 0; p < s.pmos; ++p) {
             std::ostringstream name;
             name << "fuzz-p" << p;
-            pmos.create(name.str(), s.pmoSize);
+            domain.pmos().create(name.str(), s.pmoSize);
         }
         for (unsigned t = 0; t < s.threads; ++t)
             mach.spawnThread();
-        rt.attachPersistence(&dom);
         // The log region lives far above the data range the
         // schedule's accesses can reach (offsets < pmoSize).
         for (unsigned p = 1; p <= s.pmos; ++p)
@@ -51,8 +45,7 @@ class Replay
             const Op &op = s.ops[opIdx];
             if (op.kind == OpKind::Sweep) {
                 // Force the next sweeper boundary to fire now.
-                fireSweep(nextHook);
-                nextHook += hookPeriod;
+                fireNextSweep();
                 continue;
             }
             sim::ThreadContext &tc = mach.thread(op.tid);
@@ -85,19 +78,26 @@ class Replay
     static constexpr std::uint64_t logOff =
         pm::TxManager::undoLogOff;
 
+    static core::DomainConfig
+    domainConfig(const core::RuntimeConfig &cfg)
+    {
+        core::DomainConfig dc;
+        dc.runtime = cfg.withTrace();
+        dc.persistence = true;
+        return dc;
+    }
+
     const Schedule &s;
     core::RuntimeConfig cfg;
     std::vector<std::string> &out;
-    sim::Machine mach;
-    pm::PmoManager pmos;
-    core::Runtime rt;
+    core::ShardDomain domain;
+    sim::Machine &mach = domain.machine();
+    core::Runtime &rt = domain.runtime();
+    pm::PersistDomain &dom = *domain.persistence();
     SpecOracle oracle;
-    pm::PersistDomain dom;
     /** Transaction-layer spec mirror (durable image included). */
     TxOracle txo{pm::TxManager::undoLogOff,
                  pm::TxManager::redoLogOff};
-    Cycles hookPeriod;
-    Cycles nextHook;
     std::size_t opIdx = 0;
     bool draining = false;
 
@@ -131,35 +131,34 @@ class Replay
     Probe
     preOp(const sim::ThreadContext &tc) const
     {
-        return {tc.now(), rt.counters().get("attach_syscalls"),
-                rt.counters().get("detach_syscalls")};
+        const core::OverheadReport r = rt.report();
+        return {tc.now(), r.attachSyscalls, r.detachSyscalls};
     }
 
     Observed
     postOp(const sim::ThreadContext &tc, const Probe &p) const
     {
-        return {p.t0, tc.now(),
-                rt.counters().get("attach_syscalls") - p.att0,
-                rt.counters().get("detach_syscalls") - p.det0};
+        const core::OverheadReport r = rt.report();
+        return {p.t0, tc.now(), r.attachSyscalls - p.att0,
+                r.detachSyscalls - p.det0};
     }
 
     void
     advanceSweeps(Cycles t)
     {
-        while (nextHook <= t) {
-            fireSweep(nextHook);
-            nextHook += hookPeriod;
-        }
+        while (domain.nextSweepTick() <= t)
+            fireNextSweep();
     }
 
     /**
-     * Fire one sweeper boundary: plan with the oracle, simulate the
-     * thread-clock charges independently, run the real sweep, then
-     * compare clocks and mapped state.
+     * Fire the next sweeper boundary: plan with the oracle, simulate
+     * the thread-clock charges independently, run the real sweep,
+     * then compare clocks and mapped state.
      */
     void
-    fireSweep(Cycles now)
+    fireNextSweep()
     {
+        const Cycles now = domain.nextSweepTick();
         std::vector<std::string> tmp;
         std::vector<PlannedSweep> plan = oracle.planSweep(now, tmp);
         flush(tmp);
@@ -178,6 +177,8 @@ class Replay
                    << plan.size() << " actions but only "
                    << ordered.size() << " PMOs are CB-resident";
                 complain(os.str());
+                // Step past the boundary without sweeping.
+                domain.sweepTo(now, [](Cycles) { return false; });
                 return;
             }
         } else {
@@ -218,7 +219,7 @@ class Replay
             }
         }
 
-        rt.onSweep(now);
+        domain.sweepTo(now);
 
         for (unsigned i = 0; i < n; ++i) {
             if (mach.thread(i).now() != clk[i]) {
@@ -759,10 +760,7 @@ class Replay
             mach.thread(i).done = true;
         }
         Cycles tEnd = mach.maxClock();
-        while (nextHook <= tEnd) {
-            fireSweep(nextHook);
-            nextHook += hookPeriod;
-        }
+        advanceSweeps(tEnd);
         for (unsigned i = 0; i < n; ++i) {
             if (mach.thread(i).now() != clk[i]) {
                 std::ostringstream os;

@@ -9,33 +9,34 @@
 namespace terp {
 namespace check {
 
+namespace {
+
+core::DomainConfig
+worldConfig(const core::RuntimeConfig &cfg)
+{
+    core::DomainConfig dc;
+    dc.runtime = cfg;
+    dc.persistence = true;
+    return dc;
+}
+
+} // namespace
+
 CrashWorld::CrashWorld(const core::RuntimeConfig &config,
                        unsigned pmoCount, unsigned threads,
                        std::uint64_t pmo_bytes, std::uint64_t log_off)
-    : cfg(config), nPmos(pmoCount), pmoBytes(pmo_bytes),
-      hookPeriod(mach.config().hookPeriod), nextHook(hookPeriod)
+    : core::ShardDomain(worldConfig(config)), cfg(config),
+      nPmos(pmoCount), pmoBytes(pmo_bytes)
 {
     for (unsigned p = 0; p < nPmos; ++p) {
         std::ostringstream name;
         name << "crash-p" << p;
-        pmos.create(name.str(), pmoBytes);
+        pmos().create(name.str(), pmoBytes);
     }
-    rt = std::make_unique<core::Runtime>(mach, pmos, cfg);
-    rt->attachPersistence(&dom);
     for (unsigned p = 1; p <= nPmos; ++p)
-        dom.openLog(p, log_off);
+        persistence()->openLog(p, log_off);
     for (unsigned t = 0; t < threads; ++t)
-        mach.spawnThread();
-}
-
-void
-CrashWorld::advanceSweeps(Cycles t)
-{
-    while (nextHook <= t) {
-        if (!sweepGate || sweepGate(nextHook))
-            rt->onSweep(nextHook);
-        nextHook += hookPeriod;
-    }
+        machine().spawnThread();
 }
 
 void
@@ -53,23 +54,23 @@ runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
     bool manual = w.cfg.insertion == core::Insertion::Manual;
     bool autoIns = w.cfg.insertion == core::Insertion::Auto;
     if (manual)
-        w.rt->manualBegin(tc, pmo, pm::Mode::ReadWrite);
+        w.runtime().manualBegin(tc, pmo, pm::Mode::ReadWrite);
     else if (autoIns)
-        w.rt->regionBegin(tc, pmo, pm::Mode::ReadWrite);
+        w.runtime().regionBegin(tc, pmo, pm::Mode::ReadWrite);
 
-    pm::UndoLog *log = w.dom.findLog(pmo);
+    pm::UndoLog *log = w.persistence()->findLog(pmo);
     log->begin(tc);
     for (const auto &[oid, v] : writes) {
         if (touchData)
-            w.rt->access(tc, oid, /*write=*/true);
+            w.runtime().access(tc, oid, /*write=*/true);
         log->write(tc, oid, v);
     }
     log->commit(tc);
 
     if (manual)
-        w.rt->manualEnd(tc, pmo);
+        w.runtime().manualEnd(tc, pmo);
     else if (autoIns)
-        w.rt->regionEnd(tc, pmo);
+        w.runtime().regionEnd(tc, pmo);
 
     // Only reached when the commit became durable.
     for (const auto &[oid, v] : writes)
@@ -83,7 +84,7 @@ void
 checkDurable(CrashWorld &w, const Ledger &led,
              std::vector<std::string> &out)
 {
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     // Keys of open TxManager transactions are judged by the flight
     // rule below (which still pins them to the committed value for
     // an undo transaction, but admits all-new for a redo one whose
@@ -173,18 +174,18 @@ void
 protOpen(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo)
 {
     if (w.cfg.insertion == core::Insertion::Manual)
-        w.rt->manualBegin(tc, pmo, pm::Mode::ReadWrite);
+        w.runtime().manualBegin(tc, pmo, pm::Mode::ReadWrite);
     else if (w.cfg.insertion == core::Insertion::Auto)
-        w.rt->regionBegin(tc, pmo, pm::Mode::ReadWrite);
+        w.runtime().regionBegin(tc, pmo, pm::Mode::ReadWrite);
 }
 
 void
 protClose(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo)
 {
     if (w.cfg.insertion == core::Insertion::Manual)
-        w.rt->manualEnd(tc, pmo);
+        w.runtime().manualEnd(tc, pmo);
     else if (w.cfg.insertion == core::Insertion::Auto)
-        w.rt->regionEnd(tc, pmo);
+        w.runtime().regionEnd(tc, pmo);
 }
 
 void
@@ -198,14 +199,11 @@ drainIdleWindows(CrashWorld &w, const char *when,
     // behind the thread clocks, and every lastRealAttach is bounded
     // by maxClock, so sweeping to maxClock + target (plus slack for
     // the delayed-detach grace) provably covers every idle window.
-    Cycles target = w.mach.maxClock() + w.cfg.ewTarget +
-                    16 * w.hookPeriod;
-    while (w.nextHook <= target) {
-        w.rt->onSweep(w.nextHook);
-        w.nextHook += w.hookPeriod;
-    }
+    Cycles target = w.machine().maxClock() + w.cfg.ewTarget +
+                    16 * w.machine().config().hookPeriod;
+    w.sweepTo(target);
     for (unsigned p = 1; p <= w.nPmos; ++p) {
-        if (w.rt->mapped(p)) {
+        if (w.runtime().mapped(p)) {
             std::ostringstream os;
             os << "exposure: PMO " << p
                << " still mapped after the idle sweeper drained "
@@ -218,12 +216,12 @@ drainIdleWindows(CrashWorld &w, const char *when,
 void
 checkLogsRetired(CrashWorld &w, std::vector<std::string> &out)
 {
-    for (const auto &[pmo, log] : w.dom.logs()) {
+    for (const auto &[pmo, log] : w.persistence()->logs()) {
         (void)pmo;
         if (log->recoveryPending())
             out.push_back("recovery left an in-flight log record");
     }
-    for (const auto &[pmo, log] : w.dom.redoLogs()) {
+    for (const auto &[pmo, log] : w.persistence()->redoLogs()) {
         (void)pmo;
         if (log->recoveryPending())
             out.push_back("recovery left an in-flight redo record");
@@ -243,8 +241,9 @@ probeAndDrain(CrashWorld &w, Ledger &led,
     // Liveness: the recovered image must accept a new transaction.
     // Sync the probe thread past the fired hooks first so its window
     // opens after any the sweeper just closed.
-    sim::ThreadContext &tc = w.mach.thread(0);
-    Cycles drained = w.nextHook - w.hookPeriod;
+    sim::ThreadContext &tc = w.machine().thread(0);
+    Cycles drained =
+        w.nextSweepTick() - w.machine().config().hookPeriod;
     if (tc.now() < drained)
         tc.syncTo(drained, sim::Charge::Other);
     runTxn(w, led, tc, 1,
@@ -254,11 +253,11 @@ probeAndDrain(CrashWorld &w, Ledger &led,
     // The probe's own window must drain the same way.
     drainIdleWindows(w, "the probe transaction", out);
 
-    Cycles tEnd = w.mach.maxClock();
-    w.rt->finalize();
-    if (auto sink = w.rt->traceSink()) {
+    Cycles tEnd = w.machine().maxClock();
+    w.runtime().finalize();
+    if (auto sink = w.runtime().traceSink()) {
         trace::AuditReport rep =
-            trace::auditTimeline(*sink, tEnd, w.rt->exposure());
+            trace::auditTimeline(*sink, tEnd, w.runtime().exposure());
         for (const std::string &m : rep.mismatches)
             out.push_back("trace audit: " + m);
         if (!rep.ok && rep.mismatches.empty())

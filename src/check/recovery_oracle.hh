@@ -1,8 +1,8 @@
 /**
  * @file
- * The reusable half of the crash-point machinery: a simulated
- * process (machine + runtime + persistence domain), the committed-
- * image ledger, and the recovery invariants —
+ * The reusable half of the crash-point machinery: the oracle's
+ * context over one simulated process, the committed-image ledger,
+ * and the recovery invariants —
  *
  *   - atomicity: the durable image equals the image after exactly
  *     the transactions whose commit completed;
@@ -11,72 +11,60 @@
  *     normal idle path within the window target and no PMO stays
  *     mapped.
  *
- * Historically these lived inside check/crash.cc's anonymous
- * namespace and were exercised once per World (single modeled crash
- * per run). The energy-harvesting harness (src/energy) re-runs them
- * at *every* cycle of a thousands-of-power-cycles run, so they are
- * hoisted here, unchanged in behaviour, for both drivers to share.
+ * Two drivers share them: check/crash.cc's crash-point enumerator
+ * (one modeled crash per world) and the energy-harvesting harness
+ * (src/energy), which re-runs them at every cycle of a
+ * thousands-of-power-cycles run.
  */
 
 #ifndef TERP_CHECK_RECOVERY_ORACLE_HH
 #define TERP_CHECK_RECOVERY_ORACLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/units.hh"
-#include "core/runtime.hh"
-#include "pm/persist.hh"
-#include "pm/pmo_manager.hh"
-#include "sim/machine.hh"
+#include "core/domain.hh"
 
 namespace terp {
 namespace check {
 
 /**
- * One simulated process: machine, runtime, persistence domain. The
- * free-running sweeper is driven through advanceSweeps() on a
- * hook-period grid, exactly as the batch harnesses wire it.
+ * The oracle's context over one simulated process: a
+ * core::ShardDomain with persistence, plus the shape the checks need
+ * (scheme config, PMO count and size) and the sweep gate the driver
+ * models execution under. The domain owns the process and the only
+ * sweep cursor.
  */
-struct CrashWorld
+struct CrashWorld : core::ShardDomain
 {
-    sim::Machine mach;
-    pm::PmoManager pmos;
     core::RuntimeConfig cfg;
-    pm::PersistDomain dom;
-    std::unique_ptr<core::Runtime> rt;
     unsigned nPmos;
     std::uint64_t pmoBytes;
-    Cycles hookPeriod;
-    Cycles nextHook;
 
     /**
-     * Optional per-tick gate consulted by advanceSweeps(): return
-     * false to skip that tick (the hook grid still advances). The
-     * energy harness uses this for sweeper energy budgeting — a tick
-     * the backup reserve cannot afford simply doesn't fire. Unset
-     * (the default), every tick fires, as the single-crash driver
-     * expects. drainIdleWindows() deliberately bypasses the gate:
-     * the drain is the oracle's verification instrument, not part of
-     * the modeled execution.
+     * Gate for the modeled execution's sweeps (advanceSweeps()). The
+     * energy harness uses it for sweeper energy budgeting; unset,
+     * every tick fires, as the single-crash driver expects.
+     * drainIdleWindows() deliberately bypasses it: the drain is the
+     * oracle's verification instrument, not part of the modeled
+     * execution.
      */
-    std::function<bool(Cycles)> sweepGate;
+    SweepGate sweepGate;
 
     /**
      * Create @p pmoCount PMOs of @p pmo_bytes each (named
-     * "crash-p<i>"), attach a persistence domain with an undo log at
-     * @p log_off per PMO, and spawn @p threads threads.
+     * "crash-p<i>"), open an undo log at @p log_off per PMO, and
+     * spawn @p threads threads.
      */
     CrashWorld(const core::RuntimeConfig &config, unsigned pmoCount,
                unsigned threads, std::uint64_t pmo_bytes,
                std::uint64_t log_off);
 
-    /** Fire the free-running sweeper up to time @p t. */
-    void advanceSweeps(Cycles t);
+    /** Fire the free-running sweeper up to time @p t, gated. */
+    void advanceSweeps(Cycles t) { sweepTo(t, sweepGate); }
 };
 
 /**

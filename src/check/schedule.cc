@@ -478,13 +478,6 @@ reproducerSnippet(const Schedule &s, const std::string &scheme,
         factory = "ttNoCombining";
     else if (scheme == "basic")
         factory = "basicSemantics";
-    os << "sim::Machine mach;\n";
-    os << "pm::PmoManager pmos;\n";
-    for (unsigned p = 0; p < s.pmos; ++p)
-        os << "pmos.create(\"p" << p + 1 << "\", " << s.pmoSize
-           << ");\n"; // create() hands out ids 1..N in order
-    os << "core::Runtime rt(mach, pmos, core::RuntimeConfig::"
-       << factory << "(" << s.ewTarget << "));\n";
     bool persist = std::any_of(
         s.ops.begin(), s.ops.end(), [](const Op &op) {
             return op.kind == OpKind::TxPut ||
@@ -494,14 +487,22 @@ reproducerSnippet(const Schedule &s, const std::string &scheme,
                    op.kind == OpKind::TxCommit ||
                    op.kind == OpKind::TxAbort;
         });
-    if (persist) {
-        os << "pm::PersistDomain dom;\n";
-        os << "rt.attachPersistence(&dom);\n";
-    }
+    os << "core::DomainConfig dc;\n";
+    os << "dc.runtime = core::RuntimeConfig::" << factory << "("
+       << s.ewTarget << ");\n";
+    if (persist)
+        os << "dc.persistence = true;\n";
+    os << "core::ShardDomain d(dc);\n";
+    os << "sim::Machine &mach = d.machine();\n";
+    os << "core::Runtime &rt = d.runtime();\n";
+    if (persist)
+        os << "pm::PersistDomain &dom = *d.persistence();\n";
+    for (unsigned p = 0; p < s.pmos; ++p)
+        os << "d.pmos().create(\"p" << p + 1 << "\", " << s.pmoSize
+           << ");\n"; // create() hands out ids 1..N in order
     for (unsigned t = 0; t < s.threads; ++t)
         os << "auto &t" << t << " = mach.spawnThread();\n";
-    os << "// fire rt.onSweep at every " << "hookPeriod"
-       << " boundary of the acting thread's clock between ops\n";
+    os << "// before each op: d.sweepTo(<acting thread>.now());\n";
     for (const Op &op : s.ops) {
         switch (op.kind) {
           case OpKind::Work:
@@ -556,7 +557,7 @@ reproducerSnippet(const Schedule &s, const std::string &scheme,
                << ");\n";
             break;
           case OpKind::Sweep:
-            os << "rt.onSweep(/* next boundary */);\n";
+            os << "d.sweepTo(d.nextSweepTick());\n";
             break;
           case OpKind::TxBegin:
             os << "rt.tx()->begin(t" << op.tid << ", " << op.tid
@@ -581,7 +582,7 @@ reproducerSnippet(const Schedule &s, const std::string &scheme,
             break;
         }
     }
-    os << "rt.finalize();\n";
+    os << "d.finalize();\n";
     return os.str();
 }
 

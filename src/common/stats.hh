@@ -1,16 +1,13 @@
 /**
  * @file
- * Lightweight statistics: scalar counters, interval accumulators and
- * bucketed histograms used by the runtime, simulator and benchmark
- * harnesses.
+ * Lightweight statistics: the Summary alias and the
+ * sample-retaining bucketed Histogram the benchmark harnesses use.
  */
 
 #ifndef TERP_COMMON_STATS_HH
 #define TERP_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "metrics/metric.hh"
@@ -64,34 +61,6 @@ class Histogram
     std::vector<std::uint64_t> counts;
     std::vector<double> samples; //!< retained for percentiles
     std::uint64_t total = 0;
-};
-
-/**
- * A named bag of counters. Modules register additive counters under
- * string keys; harnesses pretty-print or diff them.
- */
-class CounterSet
-{
-  public:
-    void
-    inc(const std::string &key, std::uint64_t by = 1)
-    {
-        vals[key] += by;
-    }
-
-    std::uint64_t
-    get(const std::string &key) const
-    {
-        auto it = vals.find(key);
-        return it == vals.end() ? 0 : it->second;
-    }
-
-    const std::map<std::string, std::uint64_t> &all() const { return vals; }
-
-    void reset() { vals.clear(); }
-
-  private:
-    std::map<std::string, std::uint64_t> vals;
 };
 
 } // namespace terp

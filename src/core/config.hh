@@ -114,12 +114,6 @@ struct RuntimeConfig
      * pointer is null and each site costs one predictable branch.
      */
     bool metricsEnabled = true;
-    /**
-     * Snapshot-sampler period in cycles; 0 disables the time-series.
-     * Sampling happens at sweeper-tick granularity, so periods below
-     * the machine's hookPeriod sample every tick.
-     */
-    Cycles metricsSamplePeriod = 0;
 
     /** Fluent helper: same config with tracing switched on. */
     RuntimeConfig
@@ -128,16 +122,6 @@ struct RuntimeConfig
         RuntimeConfig c = *this;
         c.traceEnabled = true;
         c.traceCapacity = capacity;
-        return c;
-    }
-
-    /** Fluent helper: metrics with a snapshot time-series. */
-    RuntimeConfig
-    withMetricsSampling(Cycles period) const
-    {
-        RuntimeConfig c = *this;
-        c.metricsEnabled = true;
-        c.metricsSamplePeriod = period;
         return c;
     }
 

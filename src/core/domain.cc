@@ -18,20 +18,19 @@ ShardDomain::ShardDomain(const DomainConfig &cfg)
     TERP_ASSERT(hookPeriod > 0, "ShardDomain: zero hook period");
     if (dom)
         rt->attachPersistence(dom.get());
-    if (auto reg = rt->metricsRegistry())
-        reg->setLabel("shard", std::to_string(id));
 }
 
 void
-ShardDomain::sweepTo(Cycles t)
+ShardDomain::sweepTo(Cycles t, const SweepGate &gate)
 {
-    while (nextHook <= t) {
+    for (; nextHook <= t; nextHook += hookPeriod) {
+        if (gate && !gate(nextHook))
+            continue;
         if (auto sink = rt->traceSink()) {
             sink->emit(trace::TraceSink::sweeperTid,
                        trace::EventKind::SweepTick, nextHook);
         }
         rt->onSweep(nextHook);
-        nextHook += hookPeriod;
     }
 }
 

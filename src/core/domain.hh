@@ -1,40 +1,30 @@
 /**
  * @file
- * Shard runtime domains — the enabling refactor for terp-serve.
+ * One simulated process: the only place a core::Runtime is built.
  *
- * Historically every workload hand-assembled the same quartet
- * (Machine, PmoManager, optional PersistDomain, Runtime) and wired
- * the sweeper hook into Machine::run itself. That pattern bakes in
- * two batch-run assumptions a long-lived multi-tenant server cannot
- * make:
+ * A ShardDomain owns one complete protection stack — Machine,
+ * PmoManager (with its placement RNG), optional PersistDomain and the
+ * Runtime over them (circular buffer, sweeper, EwTracker) — and the
+ * single cursor that decides when the hardware sweep timer fires.
+ * Every driver goes through it: the batch workloads and figure
+ * harnesses (runJobs), terp-serve's request pipeline and the
+ * crash/differential/energy checkers (sweepTo), so the rule for
+ * which hookPeriod boundaries fire — including "not while the power
+ * is off" (recover) — lives in one place.
  *
- *   1. there is exactly one runtime domain per process, so nothing
- *      states which circular buffer / sweeper / EwTracker /
- *      persistence controller a PMO belongs to — it is "the" one;
- *   2. the sweeper only advances inside Machine::run, so a driver
- *      that steps threads itself (the serve request pipeline) has no
- *      way to fire the hardware timer deterministically.
- *
- * ShardDomain makes the ownership explicit: one instance owns one
- * complete protection stack — its own circular buffer and sweeper
- * (inside its Runtime), its own exposure tracker, its own placement
- * RNG (inside its PmoManager) and its own persistence controller —
- * so a fleet of shards proceeds concurrently with no shared mutable
- * state. Cross-shard coordination is limited, by construction, to
- * merging metrics registries and to whatever simulated-clock
- * agreement the driver imposes (terp-serve uses epoch barriers).
- *
- * The sweeper drive is hoisted here too: runJobs() reproduces the
- * exact Machine::run + hook pattern of the batch harnesses (a
- * 1-shard domain is cycle-identical to the hand-assembled Runtime —
- * held down by tests/test_serve.cc), while sweepTo() exposes the
- * same boundary-by-boundary firing rule to manual drivers.
+ * Shards share no mutable state, so a fleet proceeds concurrently;
+ * cross-shard coordination is limited to merging metrics registries
+ * and whatever simulated-clock agreement the driver imposes
+ * (terp-serve uses epoch barriers). A domain driven through runJobs
+ * is cycle-identical to Machine::run with Runtime::onSweep as its
+ * hook (held down by tests/test_serve.cc).
  */
 
 #ifndef TERP_CORE_DOMAIN_HH
 #define TERP_CORE_DOMAIN_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -60,7 +50,7 @@ struct DomainConfig
      * this type exists to rule out.
      */
     std::uint64_t placementSeed = 42;
-    /** Shard index within the fleet (labels metrics and traces). */
+    /** Shard index within the fleet. */
     unsigned shardId = 0;
     /** Construct a persistence domain and attach it to the runtime. */
     bool persistence = false;
@@ -93,14 +83,26 @@ class ShardDomain
     // ---- sweeper drive ----------------------------------------------
 
     /**
-     * Fire the shard's hardware sweep timer at every hookPeriod
-     * boundary <= @p t that has not fired yet. Idempotent per
-     * boundary; callers may invoke it as often as convenient (before
-     * each request, between micro-ops, during a held window) and the
-     * tick sequence stays identical — which is what makes the serve
-     * pipeline's results independent of host worker count.
+     * Optional per-boundary predicate for sweepTo(): return false to
+     * skip that tick. The cursor still moves past a skipped boundary
+     * — the timer fired, the sweeper could not act on it — which is
+     * how the energy harness models a tick the backup reserve cannot
+     * afford.
      */
-    void sweepTo(Cycles t);
+    using SweepGate = std::function<bool(Cycles)>;
+
+    /**
+     * Fire the shard's hardware sweep timer at every hookPeriod
+     * boundary <= @p t that has not fired yet, emitting one SweepTick
+     * trace event per tick that runs. Idempotent per boundary;
+     * callers may invoke it as often as convenient (before each
+     * request, between micro-ops, during a held window) and the tick
+     * sequence stays identical — which is what makes the serve
+     * pipeline's results independent of host worker count. To fire
+     * exactly the next boundary, whatever the clocks say, call
+     * sweepTo(nextSweepTick()).
+     */
+    void sweepTo(Cycles t, const SweepGate &gate = nullptr);
 
     /** The next boundary sweepTo() would fire. */
     Cycles nextSweepTick() const { return nextHook; }

@@ -74,10 +74,6 @@ Runtime::Runtime(sim::Machine &machine, pm::PmoManager &pmos,
         mSweepTickNs = &reg->histogram("host.sweep_tick_ns");
         if (cfg.windowCombining)
             mCbOccupancy = &reg->gauge("cb.occupancy");
-        if (cfg.metricsSamplePeriod > 0) {
-            sampler = std::make_unique<metrics::Sampler>(
-                *reg, cfg.metricsSamplePeriod);
-        }
     }
 }
 
@@ -660,8 +656,6 @@ Runtime::onSweep(Cycles now)
     if (cfg.scheme == Scheme::Unprotected)
         return;
 
-    if (sampler)
-        sampler->tick(now);
     // Host-side tick latency, sampled every 64th tick: the clock
     // read costs more than an uneventful sweep, so timing every tick
     // would mostly profile the profiler.
@@ -779,7 +773,7 @@ Runtime::publishMetrics()
     if (!reg)
         return;
 
-    // Event counters, under the same names counters() reports.
+    // Event counters, under their runtime.* names.
     static const char *const ctrNames[numCounters] = {
         "runtime.attach_syscalls", "runtime.detach_syscalls",
         "runtime.randomizations",  "runtime.cond_ops",
@@ -800,10 +794,6 @@ Runtime::publishMetrics()
     reg->counter("runtime.cycles_cond").inc(rep.cond);
     reg->counter("runtime.cycles_other").inc(rep.other);
 
-    // Silent-vs-real operation split (Table 3). The integer operands
-    // are the exact ones report() divides, so a consumer recomputing
-    // silent/(silent+full) reproduces silentFraction bit-for-bit.
-    std::uint64_t silent = 0, full = 0;
     if (cfg.windowCombining) {
         const arch::CircularBuffer::Stats &cs = cb.stats();
         reg->counter("cb.condat_case1").inc(cs.case1);
@@ -814,18 +804,13 @@ Runtime::publishMetrics()
         reg->counter("cb.conddt_case6").inc(cs.case6);
         reg->counter("cb.sweep_detach").inc(cs.sweepDetach);
         reg->counter("cb.sweep_randomize").inc(cs.sweepRandomize);
-        silent = cs.case2 + cs.case3 + cs.case4 + cs.case6;
-        full = cs.case1 + cs.case5;
-    } else if (cfg.condInstructions) {
-        silent = ctr[ctrCondSilentNocb];
-        full = ctr[ctrCondFullNocb];
-    } else if (cfg.scheme == Scheme::TM &&
-               cfg.insertion == Insertion::Auto) {
-        silent = ctr[ctrPermSyscalls];
-        full = ctr[ctrAttachSyscalls] + ctr[ctrDetachSyscalls];
     }
-    reg->counter("runtime.silent_ops").inc(silent);
-    reg->counter("runtime.full_ops").inc(full);
+    // Silent-vs-real operation split (Table 3): the exact operands
+    // report() divides, so a consumer recomputing
+    // silent/(silent+full) reproduces silentFraction bit-for-bit.
+    const SilentSplit split = silentSplit();
+    reg->counter("runtime.silent_ops").inc(split.silent);
+    reg->counter("runtime.full_ops").inc(split.full);
     reg->gauge("runtime.silent_fraction").set(rep.silentFraction);
 
     // Persistence substrate.
@@ -1045,19 +1030,30 @@ Runtime::recover(sim::ThreadContext &tc)
 
 // ------------------------------------------------------------ reports
 
-const CounterSet &
-Runtime::counters() const
+Runtime::SilentSplit
+Runtime::silentSplit() const
 {
-    static const char *const names[numCounters] = {
-        "attach_syscalls", "detach_syscalls", "randomizations",
-        "cond_ops",        "nested_regions",  "cond_silent_nocb",
-        "cond_full_nocb",  "perm_syscalls",   "basic_blocks",
-    };
-    counts.reset();
-    for (unsigned i = 0; i < numCounters; ++i)
-        if (ctr[i])
-            counts.inc(names[i], ctr[i]);
-    return counts;
+    SilentSplit sp;
+    if (cfg.windowCombining) {
+        // Silent = conditional calls that did not become a system
+        // call: cases 2,3 (attach) and 4,6 (detach).
+        const arch::CircularBuffer::Stats &cs = cb.stats();
+        sp.silent = cs.case2 + cs.case3 + cs.case4 + cs.case6;
+        sp.full = cs.case1 + cs.case5;
+    } else if (cfg.condInstructions) {
+        // Without the CB, "silent" = conditional ops that avoided a
+        // mapping-changing system call.
+        sp.silent = ctr[ctrCondSilentNocb];
+        sp.full = ctr[ctrCondFullNocb];
+    } else if (cfg.scheme == Scheme::TM &&
+               cfg.insertion == Insertion::Auto) {
+        // TM elides mapping syscalls too (the EW-conscious rule in
+        // software): a lowered op that only touched the thread
+        // permission is a silent call for Table 3's purposes.
+        sp.silent = ctr[ctrPermSyscalls];
+        sp.full = ctr[ctrAttachSyscalls] + ctr[ctrDetachSyscalls];
+    }
+    return sp;
 }
 
 OverheadReport
@@ -1078,29 +1074,11 @@ Runtime::report() const
     r.detachSyscalls = ctr[ctrDetachSyscalls];
     r.randomizations = ctr[ctrRandomizations];
     r.condOps = ctr[ctrCondOps];
-    if (cfg.windowCombining) {
-        r.silentFraction = cb.stats().silentFraction();
-    } else if (cfg.condInstructions) {
-        // Without the CB, "silent" = conditional ops that avoided a
-        // mapping-changing system call.
-        std::uint64_t silent = ctr[ctrCondSilentNocb];
-        std::uint64_t full = ctr[ctrCondFullNocb];
-        if (silent + full > 0) {
-            r.silentFraction = static_cast<double>(silent) /
-                               static_cast<double>(silent + full);
-        }
-    } else if (cfg.scheme == Scheme::TM &&
-               cfg.insertion == Insertion::Auto) {
-        // TM elides mapping syscalls too (the EW-conscious rule in
-        // software): a lowered op that only touched the thread
-        // permission is a silent call for Table 3's purposes.
-        std::uint64_t silent = ctr[ctrPermSyscalls];
-        std::uint64_t full = ctr[ctrAttachSyscalls] +
-                             ctr[ctrDetachSyscalls];
-        if (silent + full > 0) {
-            r.silentFraction = static_cast<double>(silent) /
-                               static_cast<double>(silent + full);
-        }
+    r.nestedRegions = ctr[ctrNestedRegions];
+    const SilentSplit sp = silentSplit();
+    if (sp.silent + sp.full > 0) {
+        r.silentFraction = static_cast<double>(sp.silent) /
+                           static_cast<double>(sp.silent + sp.full);
     }
     return r;
 }

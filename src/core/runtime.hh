@@ -25,10 +25,8 @@
 #include "arch/circular_buffer.hh"
 #include "arch/mpk.hh"
 #include "arch/perm_matrix.hh"
-#include "common/stats.hh"
 #include "core/config.hh"
 #include "metrics/registry.hh"
-#include "metrics/sampler.hh"
 #include "pm/pmo_manager.hh"
 #include "semantics/ew_tracker.hh"
 #include "sim/machine.hh"
@@ -74,6 +72,8 @@ struct OverheadReport
     std::uint64_t detachSyscalls = 0;
     std::uint64_t randomizations = 0;
     std::uint64_t condOps = 0;
+    /** Region entries that nested inside an already-held region. */
+    std::uint64_t nestedRegions = 0;
     double silentFraction = 0.0;
 };
 
@@ -202,15 +202,6 @@ class Runtime
     const arch::CircularBuffer &circularBuffer() const { return cb; }
 
     /**
-     * Named counter view. Internally the hot paths bump an
-     * enum-indexed array (a string-keyed map lookup per region op
-     * showed up in profiles); this materializes the familiar
-     * CounterSet on demand, with the same keys and the same
-     * only-touched-counters-present contents as before.
-     */
-    const CounterSet &counters() const;
-
-    /**
      * The event sink, shared so it can outlive the runtime (run
      * results keep it for export/audit). Null unless
      * config.traceEnabled.
@@ -272,16 +263,26 @@ class Runtime
     metrics::Counter *mSweepPmoScans = nullptr;
     metrics::Gauge *mCbOccupancy = nullptr;
     metrics::LogHistogram *mSweepTickNs = nullptr;
-    std::unique_ptr<metrics::Sampler> sampler;
     std::uint64_t sweepTickSeq = 0;
 
     /** Final counter/gauge roll-up into the registry (finalize()). */
     void publishMetrics();
 
     /**
+     * Table 3's silent-vs-full split of the scheme's protection
+     * operations: the integer operands of report().silentFraction,
+     * which publishMetrics() exports as runtime.silent_ops/full_ops.
+     */
+    struct SilentSplit
+    {
+        std::uint64_t silent = 0, full = 0;
+    };
+    SilentSplit silentSplit() const;
+
+    /**
      * Counters bumped on the region-entry/exit and syscall paths.
      * These fire millions of times per run, so they are a dense
-     * enum-indexed array; counters() translates to named keys.
+     * enum-indexed array; report() and publishMetrics() read them.
      */
     enum Counter : unsigned
     {
@@ -297,7 +298,6 @@ class Runtime
         numCounters,
     };
     std::uint64_t ctr[numCounters] = {};
-    mutable CounterSet counts; //!< materialized on demand
 
     /** Software view of mapped PMOs (for schemes without the CB). */
     struct MapState

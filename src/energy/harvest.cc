@@ -85,14 +85,14 @@ struct Harness
         w.sweepGate = [this](Cycles t) {
             if (cap.belowSweepReserve()) {
                 ++res.sweepsSkipped;
-                w.rt->exposureMut().setEnergyDark(true, t);
+                w.runtime().exposureMut().setEnergyDark(true, t);
                 return false;
             }
             ++res.sweepsRun;
-            w.rt->exposureMut().setEnergyDark(false, t);
+            w.runtime().exposureMut().setEnergyDark(false, t);
             return true;
         };
-        reg = w.rt->metricsRegistry();
+        reg = w.runtime().metricsRegistry();
         if (reg) {
             cPowerCycles = &reg->counter("energy.power_cycles");
             cCheckpoints = &reg->counter("energy.checkpoints");
@@ -108,7 +108,7 @@ struct Harness
     void
     settleEnergy()
     {
-        Cycles now = w.mach.maxClock();
+        Cycles now = w.machine().maxClock();
         if (now > energyClock) {
             cap.drain(now - energyClock);
             energyClock = now;
@@ -132,7 +132,7 @@ struct Harness
     nextBankWrites()
     {
         const pm::Oid seq(1, 0x800);
-        const pm::PersistController &ctl = w.dom.controller();
+        const pm::PersistController &ctl = w.persistence()->controller();
         if (!inited) {
             std::vector<std::pair<pm::Oid, std::uint64_t>> init;
             for (unsigned i = 0; i < 8; ++i)
@@ -164,8 +164,8 @@ struct Harness
     void
     runTxmixTxn(sim::ThreadContext &tc)
     {
-        pm::TxManager &txm = *w.rt->tx();
-        const pm::PersistController &ctl = w.dom.controller();
+        pm::TxManager &txm = *w.runtime().tx();
+        const pm::PersistController &ctl = w.persistence()->controller();
         const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000),
             seq(1, 0x800);
         bool init = !inited;
@@ -183,10 +183,10 @@ struct Harness
         check::protOpen(w, tc, 2);
         txm.begin(tc, 0, {1, 2},
                   redo ? pm::TxKind::Redo : pm::TxKind::Undo);
-        w.rt->access(tc, acctA, /*write=*/true);
+        w.runtime().access(tc, acctA, /*write=*/true);
         txm.write(tc, 0, acctA, newA);
         txm.begin(tc, 0, {2}); // nested level: locks already held
-        w.rt->access(tc, acctB, /*write=*/true);
+        w.runtime().access(tc, acctB, /*write=*/true);
         txm.write(tc, 0, acctB, newB);
         txm.write(tc, 0, seq, s);
         if (doAbort)
@@ -215,7 +215,7 @@ struct Harness
     bool
     runOneTxn(sim::ThreadContext &tc)
     {
-        pm::PersistController &ctl = w.dom.controller();
+        pm::PersistController &ctl = w.persistence()->controller();
 
         bool armed = false;
         try {
@@ -247,7 +247,7 @@ struct Harness
                 }
             }
 
-            Cycles c0 = w.mach.maxClock();
+            Cycles c0 = w.machine().maxClock();
             std::uint64_t b0 = ctl.boundaryCount();
             ++attempts;
             if (txmix) {
@@ -267,7 +267,7 @@ struct Harness
             scratchPending = true;
 
             settleEnergy();
-            estCycles = w.mach.maxClock() - c0;
+            estCycles = w.machine().maxClock() - c0;
             estBoundaries = ctl.boundaryCount() - b0;
         } catch (const pm::PowerFailure &) {
             ++res.interrupted;
@@ -294,7 +294,7 @@ struct Harness
     void
     resolveFlights()
     {
-        const pm::PersistController &ctl = w.dom.controller();
+        const pm::PersistController &ctl = w.persistence()->controller();
         for (auto it = led.flight.begin(); it != led.flight.end();) {
             const check::TxFlight &fl = it->second;
             bool allNew = fl.ambiguous && !fl.keys.empty();
@@ -318,7 +318,7 @@ struct Harness
     void
     checkWorkloadInvariant(std::vector<std::string> &v)
     {
-        const pm::PersistController &ctl = w.dom.controller();
+        const pm::PersistController &ctl = w.persistence()->controller();
         if (txmix) {
             std::uint64_t sum =
                 ctl.persistedLoad(pm::Oid(1, 0x1000)) +
@@ -352,7 +352,7 @@ struct Harness
     checkScratch(std::vector<std::string> &v)
     {
         std::uint64_t cur =
-            w.dom.controller().persistedLoad(scratchOid);
+            w.persistence()->controller().persistedLoad(scratchOid);
         if (cur < lastDurableScratch) {
             std::ostringstream os;
             os << "scratch: durable counter regressed "
@@ -372,8 +372,9 @@ struct Harness
     void
     probe(std::vector<std::string> &v)
     {
-        sim::ThreadContext &tc = w.mach.thread(0);
-        Cycles drained = w.nextHook - w.hookPeriod;
+        sim::ThreadContext &tc = w.machine().thread(0);
+        Cycles drained = w.nextSweepTick() -
+                         w.machine().config().hookPeriod;
         if (tc.now() < drained)
             tc.syncTo(drained, sim::Charge::Other);
         check::runTxn(w, led, tc, 1,
@@ -386,7 +387,7 @@ struct Harness
     void
     audit(std::vector<std::string> &v)
     {
-        auto sink = w.rt->traceSink();
+        auto sink = w.runtime().traceSink();
         if (!sink)
             return;
         if (!sink->complete()) {
@@ -395,7 +396,7 @@ struct Harness
             return;
         }
         trace::AuditReport rep = trace::auditTimeline(
-            *sink, w.mach.maxClock(), w.rt->exposure());
+            *sink, w.machine().maxClock(), w.runtime().exposure());
         for (const std::string &m : rep.mismatches)
             v.push_back("trace audit: " + m);
         if (!rep.ok && rep.mismatches.empty())
@@ -412,25 +413,25 @@ struct Harness
     void
     powerFail()
     {
-        pm::PersistController &ctl = w.dom.controller();
+        pm::PersistController &ctl = w.persistence()->controller();
         // A fault plan armed for the execution that just died must
         // not fire inside recovery.
         if (ctl.faultArmed())
             ctl.disarmFault();
 
-        Cycles at = w.mach.maxClock();
-        for (unsigned i = 0; i < w.mach.threadCount(); ++i) {
-            sim::ThreadContext &t = w.mach.thread(i);
+        Cycles at = w.machine().maxClock();
+        for (unsigned i = 0; i < w.machine().threadCount(); ++i) {
+            sim::ThreadContext &t = w.machine().thread(i);
             if (!t.done && !t.blocked() && t.now() < at)
                 t.syncTo(at, sim::Charge::Other);
         }
-        auto sink = w.rt->traceSink();
+        auto sink = w.runtime().traceSink();
         if (sink) {
             sink->emit(trace::TraceSink::kernelTid,
                        trace::EventKind::PowerFail, at, trace::noPmo,
                        cap.storedUnits());
         }
-        w.rt->crash(at);
+        w.crash(at);
         if (gStored)
             gStored->set(static_cast<double>(cap.storedUnits()));
 
@@ -440,25 +441,20 @@ struct Harness
         res.offCycles += off;
         if (hOff)
             hOff->record(off);
-        // The machine is dark: the hook grid advances over the gap
-        // without firing.
-        while (w.nextHook <= resume)
-            w.nextHook += w.hookPeriod;
         if (sink) {
             sink->emit(trace::TraceSink::kernelTid,
                        trace::EventKind::Recharge, resume,
                        trace::noPmo, off);
         }
 
-        sim::ThreadContext &rtc = w.mach.thread(0);
-        if (rtc.now() < resume)
-            rtc.syncTo(resume, sim::Charge::Other);
         energyClock = resume;
         // The capacitor is recharged: recovery-reopened windows are
         // the sweeper's to close again, not energy-dark. All windows
         // are closed here, so the flush inside is a no-op.
-        w.rt->exposureMut().setEnergyDark(false, resume);
-        unsigned n = w.rt->recover(rtc);
+        w.runtime().exposureMut().setEnergyDark(false, resume);
+        // The machine was dark: recover() moves the sweep cursor past
+        // the gap without firing, then replays the logs at resume.
+        unsigned n = w.recover(w.machine().thread(0), resume);
         res.recoveredLogs += n;
         settleEnergy(); // recovery dips into the fresh charge
 
@@ -467,7 +463,7 @@ struct Harness
         if (hRecoveryEw) {
             // Recovery-reopened exposure: attach at resume, closed by
             // the idle drain — one sample per replayed PMO.
-            Cycles closed = w.mach.maxClock();
+            Cycles closed = w.machine().maxClock();
             for (unsigned i = 0; i < n; ++i)
                 hRecoveryEw->record(closed - resume);
         }
@@ -491,13 +487,13 @@ struct Harness
         for (const std::string &m : v)
             addViolation(m);
         // Verification cycles are free.
-        energyClock = w.mach.maxClock();
+        energyClock = w.machine().maxClock();
     }
 
     HarvestResult
     run()
     {
-        sim::ThreadContext &tc = w.mach.thread(0);
+        sim::ThreadContext &tc = w.machine().thread(0);
         while (res.powerCycles < opt.powerCycles &&
                res.violations.size() <= opt.maxViolations) {
             if (cap.failed() || cap.runway() == 0) {
@@ -512,18 +508,18 @@ struct Harness
                 powerFail();
         }
 
-        w.rt->finalize();
+        w.runtime().finalize();
         if (opt.oracle && opt.auditEvery) {
             std::vector<std::string> v;
             audit(v);
             for (const std::string &m : v)
                 addViolation(m);
         }
-        res.simCycles = w.mach.maxClock();
-        res.exposure = w.rt->exposure().metricsAll(
-            res.simCycles, w.mach.threadCount());
+        res.simCycles = w.machine().maxClock();
+        res.exposure = w.runtime().exposure().metricsAll(
+            res.simCycles, w.machine().threadCount());
         for (unsigned c = 0; c < semantics::numBlameCauses; ++c)
-            res.blame[c] = w.rt->exposure().blameTotalAll(
+            res.blame[c] = w.runtime().exposure().blameTotalAll(
                 static_cast<semantics::BlameCause>(c));
         if (gStored)
             gStored->set(static_cast<double>(cap.storedUnits()));

@@ -8,12 +8,16 @@ namespace metrics {
 
 namespace {
 
-/** JSON string escaping (names are tame, but be correct anyway). */
+/**
+ * @p s as a JSON string literal, quotes included (names are tame,
+ * but be correct anyway).
+ */
 std::string
-jsonEscape(const std::string &s)
+jsonQuoted(const std::string &s)
 {
     std::string out;
-    out.reserve(s.size());
+    out.reserve(s.size() + 2);
+    out += '"';
     for (char c : s) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -23,6 +27,7 @@ jsonEscape(const std::string &s)
           default: out += c;
         }
     }
+    out += '"';
     return out;
 }
 
@@ -69,15 +74,17 @@ toJson(const Registry &reg, const std::string &indent)
     if (!reg.labels().empty()) {
         std::vector<std::string> items;
         for (const auto &[k, v] : reg.labels()) {
-            items.push_back("\"" + jsonEscape(k) + "\": \"" +
-                            jsonEscape(v) + "\"");
+            std::string item = jsonQuoted(k);
+            item += ": ";
+            item += jsonQuoted(v);
+            items.push_back(item);
         }
         emitSection(os, ind, "labels", items, firstSection);
     }
 
     std::vector<std::string> counters, gauges, summaries, histograms;
     for (const auto &[name, e] : reg.entries()) {
-        std::string key = "\"" + jsonEscape(name) + "\": ";
+        std::string key = jsonQuoted(name) + ": ";
         switch (e.kind) {
           case Kind::Counter:
             counters.push_back(key +
@@ -123,25 +130,6 @@ toJson(const Registry &reg, const std::string &indent)
     emitSection(os, ind, "gauges", gauges, firstSection);
     emitSection(os, ind, "summaries", summaries, firstSection);
     emitSection(os, ind, "histograms", histograms, firstSection);
-
-    if (!reg.series().empty()) {
-        if (!firstSection)
-            os << ",\n";
-        firstSection = false;
-        os << ind << "  \"series\": [\n";
-        const auto &rows = reg.series();
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            os << ind << "    {\"at\": " << rows[i].at
-               << ", \"values\": {";
-            for (std::size_t j = 0; j < rows[i].values.size(); ++j) {
-                const auto &[n, v] = rows[i].values[j];
-                os << (j ? ", " : "") << "\"" << jsonEscape(n)
-                   << "\": " << fmtDouble(v);
-            }
-            os << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";
-        }
-        os << ind << "  ]";
-    }
 
     os << "\n" << ind << "}";
     return os.str();

@@ -23,8 +23,7 @@ namespace metrics {
  *   "gauges": {"cb.occupancy": {"value": 2, "hwm": 7}, ...},
  *   "summaries": {name: {"count","sum","min","max","mean"}, ...},
  *   "histograms": {name: {"count","sum","min","max","mean",
- *                         "p50","p90","p99"}, ...},
- *   "series": [{"at": 12345, "values": {name: v, ...}}, ...]
+ *                         "p50","p90","p99"}, ...}
  * }
  * Keys ascend; integers print exactly; doubles use %.17g (lossless
  * round-trip). @p indent prefixes every line (so the document can be

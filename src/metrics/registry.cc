@@ -240,22 +240,6 @@ Registry::merge(const Registry &other,
     }
 }
 
-void
-Registry::snapshot(Cycles at)
-{
-    SeriesRow row;
-    row.at = at;
-    for (const auto &[name, e] : map) {
-        if (e.kind == Kind::Counter) {
-            row.values.emplace_back(
-                name, static_cast<double>(e.counter.value()));
-        } else if (e.kind == Kind::Gauge) {
-            row.values.emplace_back(name, e.gauge.value());
-        }
-    }
-    rows.push_back(std::move(row));
-}
-
 namespace {
 
 std::uint64_t

@@ -1,8 +1,8 @@
 /**
  * @file
  * The metrics registry: a named collection of Counter / Gauge /
- * Summary / LogHistogram instruments with label support, cross-run
- * merging, and an embedded snapshot time-series.
+ * Summary / LogHistogram instruments with label support and
+ * cross-run merging.
  *
  * Ownership and threading model: each Runtime owns one Registry and
  * is driven by one host thread, so registration and recording are
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/units.hh"
 #include "metrics/metric.hh"
 
 namespace terp {
@@ -85,14 +84,6 @@ class Registry
         std::unique_ptr<LogHistogram> hist; //!< only for Histogram
     };
 
-    /** One snapshot row of the embedded time-series. */
-    struct SeriesRow
-    {
-        Cycles at = 0;
-        /** (name, value) of every counter/gauge at the instant. */
-        std::vector<std::pair<std::string, double>> values;
-    };
-
     Registry() = default;
 
     // ---- registration (get-or-create; panics on a kind clash) ------
@@ -132,25 +123,12 @@ class Registry
      * given, filters source entries by name; @p inject_labels lists
      * keys of @p other's registry labels to bake into each merged
      * name (e.g. "scheme", so runs of different schemes stay
-     * distinct in the aggregate). The embedded time-series is
-     * per-run and never merged.
+     * distinct in the aggregate).
      */
     void merge(const Registry &other,
                const std::function<bool(const std::string &)> &keep =
                    nullptr,
                const std::vector<std::string> &inject_labels = {});
-
-    // ---- snapshot time-series ---------------------------------------
-
-    /**
-     * Append one time-series row capturing every counter and gauge
-     * at simulated time @p at (histograms/summaries are cumulative
-     * and cheap to query at the end; the series exists to show how
-     * the scalar posture evolves).
-     */
-    void snapshot(Cycles at);
-
-    const std::vector<SeriesRow> &series() const { return rows; }
 
   private:
     Entry &getOrCreate(const std::string &name, Kind kind);
@@ -158,7 +136,6 @@ class Registry
 
     std::map<std::string, Entry> map;
     std::map<std::string, std::string> tags;
-    std::vector<SeriesRow> rows;
 };
 
 /**

@@ -4,9 +4,7 @@
 #include "compiler/builder.hh"
 #include "compiler/interp.hh"
 #include "compiler/pass.hh"
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
-#include "sim/machine.hh"
+#include "core/domain.hh"
 
 namespace terp {
 namespace security {
@@ -90,10 +88,12 @@ runFtpAttack(const core::RuntimeConfig &cfg, unsigned list_len,
     const unsigned rounds = 2 * list_len;
     const std::uint64_t seed = 20220402;
 
-    sim::Machine mach;
-    pm::PmoManager pmos(seed);
-    pm::Pmo &p = pmos.create("ftp.data", 8 * MiB);
-    core::Runtime rt(mach, pmos, cfg);
+    core::DomainConfig dc;
+    dc.runtime = cfg;
+    dc.placementSeed = seed;
+    core::ShardDomain d(dc);
+    sim::Machine &mach = d.machine();
+    pm::Pmo &p = d.pmos().create("ftp.data", 8 * MiB);
     pm::MemImage img;
 
     // Victim state: a linked list of (next, prop) nodes, linked by
@@ -152,12 +152,11 @@ runFtpAttack(const core::RuntimeConfig &cfg, unsigned list_len,
     pc.tewLetThreshold = cfg.tewTarget;
     compiler::runInsertionPass(mod, pc);
 
-    compiler::Interpreter interp(mod, rt, mach, img, entry);
+    compiler::Interpreter interp(mod, d.runtime(), mach, img, entry);
     interp.trapFaults = true;
     mach.spawnThread();
-    std::vector<sim::Job *> jobs{&interp};
-    mach.run(jobs, [&](Cycles now) { rt.onSweep(now); });
-    rt.finalize();
+    d.runJobs({&interp});
+    d.finalize();
 
     // Inspect the list.
     DopResult res;
@@ -165,7 +164,7 @@ runFtpAttack(const core::RuntimeConfig &cfg, unsigned list_len,
     res.listLength = list_len;
     res.roundsExecuted = rounds;
     res.accessFaults = interp.faultCount();
-    res.randomizations = rt.counters().get("randomizations");
+    res.randomizations = d.runtime().report().randomizations;
     res.totalUs = cyclesToUs(mach.maxClock());
     for (unsigned i = 0; i < list_len; ++i) {
         std::uint64_t prop =

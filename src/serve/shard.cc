@@ -38,6 +38,8 @@ ServeShard::ServeShard(const ServeConfig &cfg_, unsigned shard,
     : cfg(cfg_), dom(domainConfig(cfg_, shard)),
       stream(std::move(stream_))
 {
+    if (auto reg = dom.runtime().metricsRegistry())
+        reg->setLabel("shard", std::to_string(shard));
     // Tenant PMOs: local index l holds global tenant l*shards+shard.
     auto &ewt = dom.runtime().exposureMut();
     for (unsigned l = 0; l < cfg.pmosPerShard; ++l) {

@@ -5,9 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
-#include "sim/machine.hh"
+#include "core/domain.hh"
 
 namespace terp {
 namespace workloads {
@@ -139,16 +137,16 @@ std::vector<double>
 runAllocWorkload(const AllocProfile &profile, std::uint64_t objects,
                  std::uint64_t seed)
 {
-    sim::Machine mach;
-    pm::PmoManager pmos(seed);
-    pm::Pmo &p = pmos.create("alloc." + profile.name, 64 * MiB);
-    core::Runtime rt(mach, pmos,
-                     core::RuntimeConfig::unprotected());
+    core::DomainConfig dc;
+    dc.runtime = core::RuntimeConfig::unprotected();
+    dc.placementSeed = seed;
+    core::ShardDomain d(dc);
+    pm::Pmo &p = d.pmos().create("alloc." + profile.name, 64 * MiB);
 
-    AllocJob job(rt, pmos, p.id(), profile, objects, seed ^ 0x5a5a);
-    mach.spawnThread();
-    std::vector<sim::Job *> jobs{&job};
-    mach.run(jobs);
+    AllocJob job(d.runtime(), d.pmos(), p.id(), profile, objects,
+                 seed ^ 0x5a5a);
+    d.machine().spawnThread();
+    d.runJobs({&job});
     return job.deadTimes();
 }
 

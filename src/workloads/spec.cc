@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "compiler/builder.hh"
+#include "core/domain.hh"
 
 namespace terp {
 namespace workloads {
@@ -551,19 +552,21 @@ RunResult
 runSpec(const std::string &name, const core::RuntimeConfig &cfg,
         const SpecParams &params)
 {
-    sim::Machine mach;
-    pm::PmoManager pmos(params.seed);
+    core::DomainConfig dc;
+    dc.runtime = cfg;
+    dc.placementSeed = params.seed;
+    core::ShardDomain d(dc);
+    sim::Machine &mach = d.machine();
+    core::Runtime &rt = d.runtime();
 
     compiler::PassConfig pc;
     pc.ewLetThreshold = cfg.ewTarget;
     pc.tewLetThreshold = cfg.tewTarget;
-    SpecProgram prog = buildSpec(name, pmos, pc, params);
+    SpecProgram prog = buildSpec(name, d.pmos(), pc, params);
 
     pm::MemImage img;
     Rng rng(params.seed ^ 0xabcdef);
     prog.setup(img, rng);
-
-    core::Runtime rt(mach, pmos, cfg);
 
     std::vector<std::unique_ptr<compiler::Interpreter>> interps;
     std::vector<sim::Job *> jobs;
@@ -574,8 +577,8 @@ runSpec(const std::string &name, const core::RuntimeConfig &cfg,
             std::vector<std::uint64_t>{t, params.threads}));
         jobs.push_back(interps.back().get());
     }
-    mach.run(jobs, [&](Cycles now) { rt.onSweep(now); });
-    rt.finalize();
+    d.runJobs(jobs);
+    d.finalize();
 
     RunResult r;
     r.name = name;

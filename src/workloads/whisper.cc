@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "common/logging.hh"
+#include "core/domain.hh"
 #include "pm/palloc.hh"
 
 namespace terp {
@@ -623,19 +624,20 @@ RunResult
 runWhisper(const std::string &name, const core::RuntimeConfig &cfg,
            const WhisperParams &params)
 {
-    sim::MachineConfig mc;
-    mc.hookPeriod = params.sweepPeriod;
-    sim::Machine mach(mc);
-    pm::PmoManager pmos(params.seed);
-    pm::Pmo &p = pmos.create("whisper." + name, params.pmoSize);
-    core::Runtime rt(mach, pmos, cfg);
+    core::DomainConfig dc;
+    dc.runtime = cfg;
+    dc.machine.hookPeriod = params.sweepPeriod;
+    dc.placementSeed = params.seed;
+    core::ShardDomain d(dc);
+    sim::Machine &mach = d.machine();
+    core::Runtime &rt = d.runtime();
+    pm::Pmo &p = d.pmos().create("whisper." + name, params.pmoSize);
     pm::MemImage img;
 
-    auto job = makeJob(name, rt, mach, pmos, img, p.id(), params);
+    auto job = makeJob(name, rt, mach, d.pmos(), img, p.id(), params);
     mach.spawnThread();
-    std::vector<sim::Job *> jobs{job.get()};
-    mach.run(jobs, [&](Cycles now) { rt.onSweep(now); });
-    rt.finalize();
+    d.runJobs({job.get()});
+    d.finalize();
 
     RunResult r;
     r.name = name;

@@ -232,17 +232,3 @@ TEST(Histogram, RejectsNonAscendingBounds)
 {
     EXPECT_THROW(Histogram({2.0, 1.0}), std::logic_error);
 }
-
-TEST(CounterSet, IncrementAndQuery)
-{
-    CounterSet c;
-    EXPECT_EQ(c.get("x"), 0u);
-    c.inc("x");
-    c.inc("x", 4);
-    c.inc("y", 2);
-    EXPECT_EQ(c.get("x"), 5u);
-    EXPECT_EQ(c.get("y"), 2u);
-    EXPECT_EQ(c.all().size(), 2u);
-    c.reset();
-    EXPECT_EQ(c.get("x"), 0u);
-}

@@ -19,6 +19,7 @@
 #include "energy/harvest.hh"
 #include "pm/persist.hh"
 #include "pm/tx_manager.hh"
+#include "trace/event.hh"
 
 using namespace terp;
 
@@ -43,7 +44,7 @@ makeWorld(const std::string &scheme, unsigned pmos, unsigned threads)
 void
 resolveFlights(check::CrashWorld &w, check::Ledger &led)
 {
-    const pm::PersistController &ctl = w.dom.controller();
+    const pm::PersistController &ctl = w.persistence()->controller();
     for (auto it = led.flight.begin(); it != led.flight.end();) {
         const check::TxFlight &fl = it->second;
         bool allNew = fl.ambiguous && !fl.keys.empty();
@@ -69,14 +70,15 @@ void
 recoverAndCheck(check::CrashWorld &w, check::Ledger &led,
                 std::uint64_t probeTag)
 {
-    sim::ThreadContext &tc = w.mach.thread(0);
-    w.rt->recover(tc);
+    sim::ThreadContext &tc = w.machine().thread(0);
+    w.runtime().recover(tc);
     std::vector<std::string> v;
     check::checkLogsRetired(w, v);
     check::drainIdleWindows(w, "recovery", v);
     resolveFlights(w, led);
     check::checkDurable(w, led, v);
-    Cycles drained = w.nextHook - w.hookPeriod;
+    Cycles drained = w.nextSweepTick() -
+                     w.machine().config().hookPeriod;
     if (tc.now() < drained)
         tc.syncTo(drained, sim::Charge::Other);
     check::runTxn(w, led, tc, 1,
@@ -280,9 +282,9 @@ TEST_P(TxPowerFail, MidCommitEveryBoundary)
 {
     const pm::TxKind kind = GetParam();
     check::CrashWorld w = makeWorld("tt", 2, 1);
-    pm::PersistController &ctl = w.dom.controller();
-    pm::TxManager &txm = *w.rt->tx();
-    sim::ThreadContext &tc = w.mach.thread(0);
+    pm::PersistController &ctl = w.persistence()->controller();
+    pm::TxManager &txm = *w.runtime().tx();
+    sim::ThreadContext &tc = w.machine().thread(0);
     check::Ledger led;
     const pm::Oid a(1, 0x100), b(2, 0x100);
     std::uint64_t round = 0;
@@ -295,9 +297,9 @@ TEST_P(TxPowerFail, MidCommitEveryBoundary)
         check::protOpen(w, tc, 1);
         check::protOpen(w, tc, 2);
         ASSERT_TRUE(txm.begin(tc, 0, {1, 2}, kind));
-        w.rt->access(tc, a, /*write=*/true);
+        w.runtime().access(tc, a, /*write=*/true);
         txm.write(tc, 0, a, va);
-        w.rt->access(tc, b, /*write=*/true);
+        w.runtime().access(tc, b, /*write=*/true);
         txm.write(tc, 0, b, vb);
         bool ok = txm.commit(tc, 0);
         check::protClose(w, tc, 2);
@@ -323,7 +325,7 @@ TEST_P(TxPowerFail, MidCommitEveryBoundary)
             txn();
         } catch (const pm::PowerFailure &) {
             failed = true;
-            w.rt->crash(w.mach.maxClock());
+            w.runtime().crash(w.machine().maxClock());
             recoverAndCheck(w, led, round);
         }
         if (HasFatalFailure())
@@ -355,8 +357,8 @@ TEST(RepeatedCycles, DoubleCrashWithoutRecoverIsWellDefined)
     // state (nothing mapped, no open windows, no open transactions),
     // and recovery afterwards behaves exactly as after one crash.
     check::CrashWorld w = makeWorld("tt", 2, 1);
-    pm::PersistController &ctl = w.dom.controller();
-    sim::ThreadContext &tc = w.mach.thread(0);
+    pm::PersistController &ctl = w.persistence()->controller();
+    sim::ThreadContext &tc = w.machine().thread(0);
     check::Ledger led;
 
     // Leave an undo transaction durably in flight.
@@ -370,13 +372,13 @@ TEST(RepeatedCycles, DoubleCrashWithoutRecoverIsWellDefined)
     } catch (const pm::PowerFailure &) {
     }
 
-    Cycles at = w.mach.maxClock();
-    w.rt->crash(at);
-    w.rt->crash(at);      // brown-out: again, same instant
-    w.rt->crash(at + 64); // and later, still without recovery
-    EXPECT_FALSE(w.rt->mapped(1));
-    EXPECT_FALSE(w.rt->mapped(2));
-    EXPECT_FALSE(w.rt->tx()->anyActive());
+    Cycles at = w.machine().maxClock();
+    w.runtime().crash(at);
+    w.runtime().crash(at);      // brown-out: again, same instant
+    w.runtime().crash(at + 64); // and later, still without recovery
+    EXPECT_FALSE(w.runtime().mapped(1));
+    EXPECT_FALSE(w.runtime().mapped(2));
+    EXPECT_FALSE(w.runtime().tx()->anyActive());
 
     recoverAndCheck(w, led, 0xdc);
 }
@@ -387,8 +389,8 @@ TEST(RepeatedCycles, BrownOutDuringRecovery)
     // recovered world crashes and the next recovery attempt must
     // complete the rollback (the undo walk is idempotent).
     check::CrashWorld w = makeWorld("tt", 2, 1);
-    pm::PersistController &ctl = w.dom.controller();
-    sim::ThreadContext &tc = w.mach.thread(0);
+    pm::PersistController &ctl = w.persistence()->controller();
+    sim::ThreadContext &tc = w.machine().thread(0);
     check::Ledger led;
 
     check::runTxn(w, led, tc, 1, {{pm::Oid(1, 0x40), 0x51}});
@@ -407,8 +409,8 @@ TEST(RepeatedCycles, BrownOutDuringRecovery)
             if (ctl.faultArmed())
                 ctl.disarmFault();
         } catch (const pm::PowerFailure &) {
-            w.rt->crash(w.mach.maxClock());
-            pending = w.dom.findLog(1)->recoveryPending();
+            w.runtime().crash(w.machine().maxClock());
+            pending = w.persistence()->findLog(1)->recoveryPending();
             if (!pending)
                 recoverAndCheck(w, led, 0xb00 + nth);
         }
@@ -421,10 +423,10 @@ TEST(RepeatedCycles, BrownOutDuringRecovery)
     ctl.armFault(ctl.boundaryCount() + 1);
     bool interrupted = false;
     try {
-        w.rt->recover(tc);
+        w.runtime().recover(tc);
     } catch (const pm::PowerFailure &) {
         interrupted = true;
-        w.rt->crash(w.mach.maxClock());
+        w.runtime().crash(w.machine().maxClock());
     }
     EXPECT_TRUE(interrupted);
 
@@ -442,21 +444,21 @@ TEST(RepeatedCycles, RecoverMorePendingLogsThanCbEntries)
     // resolve a delayed-detach victim, exactly as the sweep would.
     const unsigned kPmos = arch::CircularBuffer::capacity + 8;
     check::CrashWorld w = makeWorld("tt", kPmos, 1);
-    pm::PersistController &ctl = w.dom.controller();
-    sim::ThreadContext &tc = w.mach.thread(0);
+    pm::PersistController &ctl = w.persistence()->controller();
+    sim::ThreadContext &tc = w.machine().thread(0);
 
     for (pm::PmoId p = 1; p <= kPmos; ++p) {
-        pm::UndoLog *log = w.dom.findLog(p);
+        pm::UndoLog *log = w.persistence()->findLog(p);
         ASSERT_NE(log, nullptr);
         log->begin(tc);
         log->write(tc, pm::Oid(p, 0x40), 0x7000 + p);
     }
-    w.rt->crash(w.mach.maxClock());
+    w.runtime().crash(w.machine().maxClock());
     for (pm::PmoId p = 1; p <= kPmos; ++p)
-        ASSERT_TRUE(w.dom.findLog(p)->recoveryPending()) << p;
+        ASSERT_TRUE(w.persistence()->findLog(p)->recoveryPending()) << p;
 
     unsigned recovered = 0;
-    EXPECT_NO_THROW(recovered = w.rt->recover(tc));
+    EXPECT_NO_THROW(recovered = w.runtime().recover(tc));
     EXPECT_EQ(recovered, kPmos);
 
     std::vector<std::string> v;
@@ -482,9 +484,9 @@ TEST(RepeatedCycles, UndoAndRedoPendingOnSamePmo)
     for (const char *scheme : {"tt", "tm"}) {
         SCOPED_TRACE(scheme);
         check::CrashWorld w = makeWorld(scheme, 1, 1);
-        pm::PersistController &ctl = w.dom.controller();
-        sim::ThreadContext &tc = w.mach.thread(0);
-        pm::RedoLog &redo = w.dom.openRedoLog(1, 1ULL << 33);
+        pm::PersistController &ctl = w.persistence()->controller();
+        sim::ThreadContext &tc = w.machine().thread(0);
+        pm::RedoLog &redo = w.persistence()->openRedoLog(1, 1ULL << 33);
         std::uint64_t expect80 = 0;
 
         // Walk a fault point across the redo commit until the crash
@@ -493,7 +495,7 @@ TEST(RepeatedCycles, UndoAndRedoPendingOnSamePmo)
         bool both = false;
         std::uint64_t nth = 0;
         while (!both && ++nth <= 64) {
-            pm::UndoLog *undo = w.dom.findLog(1);
+            pm::UndoLog *undo = w.persistence()->findLog(1);
             undo->begin(tc);
             undo->write(tc, pm::Oid(1, 0x40), 0x9100 + nth);
             ctl.armFault(ctl.boundaryCount() + nth);
@@ -508,15 +510,15 @@ TEST(RepeatedCycles, UndoAndRedoPendingOnSamePmo)
             } catch (const pm::PowerFailure &) {
                 failed = true;
             }
-            w.rt->crash(w.mach.maxClock());
-            bool undoPending = w.dom.findLog(1)->recoveryPending();
+            w.runtime().crash(w.machine().maxClock());
+            bool undoPending = w.persistence()->findLog(1)->recoveryPending();
             bool redoPending = redo.recoveryPending();
             EXPECT_EQ(undoPending, failed) << "nth=" << nth;
             if (redoPending)
                 expect80 = 0x9200 + nth;
             both = undoPending && redoPending;
             if (!both) {
-                w.rt->recover(tc);
+                w.runtime().recover(tc);
                 std::vector<std::string> v;
                 check::checkLogsRetired(w, v);
                 check::drainIdleWindows(w, "the scan cycle", v);
@@ -526,7 +528,7 @@ TEST(RepeatedCycles, UndoAndRedoPendingOnSamePmo)
         }
         ASSERT_TRUE(both) << "no boundary left both logs pending";
 
-        EXPECT_NO_THROW(w.rt->recover(tc));
+        EXPECT_NO_THROW(w.runtime().recover(tc));
         // Undo rolled back, redo rolled forward — on one window.
         EXPECT_EQ(ctl.persistedLoad(pm::Oid(1, 0x40)), 0u);
         EXPECT_EQ(ctl.persistedLoad(pm::Oid(1, 0x80)), expect80);
@@ -597,6 +599,106 @@ TEST(DomainCycles, ShardDomainPowerCyclesRealignSweepCursor)
     dom.finalize();
 }
 
+// ------------------------------------------------- one sweep cursor
+
+namespace {
+
+/** A traced one-thread TT domain with persistence. */
+core::DomainConfig
+cursorDomainConfig()
+{
+    core::DomainConfig dc;
+    dc.runtime = core::RuntimeConfig::tt(usToCycles(5)).withTrace();
+    dc.machine.cores = 1;
+    dc.persistence = true;
+    return dc;
+}
+
+/** Boundaries at which the domain's sweep timer actually ran. */
+std::vector<Cycles>
+firedTicks(const core::ShardDomain &d)
+{
+    std::vector<Cycles> ts;
+    for (const trace::Event &e : d.runtime().traceSink()->merged())
+        if (e.kind == trace::EventKind::SweepTick)
+            ts.push_back(e.ts);
+    return ts;
+}
+
+} // namespace
+
+TEST(DomainCycles, GatedSweepSkipsExactlyTheRefusedBoundaries)
+{
+    core::ShardDomain dom(cursorDomainConfig());
+    const Cycles period = dom.machine().config().hookPeriod;
+    std::vector<Cycles> offered, want;
+    dom.sweepTo(10 * period, [&](Cycles b) {
+        offered.push_back(b);
+        return (b / period) % 3 != 0; // refuse every third boundary
+    });
+    std::vector<Cycles> grid;
+    for (Cycles k = 1; k <= 10; ++k) {
+        grid.push_back(k * period);
+        if (k % 3 != 0)
+            want.push_back(k * period);
+    }
+    // Every boundary is offered once, in order; refused ones don't
+    // run, and the cursor still moves past them.
+    EXPECT_EQ(offered, grid);
+    EXPECT_EQ(firedTicks(dom), want);
+    EXPECT_EQ(dom.nextSweepTick(), 11 * period);
+
+    // A refused boundary is gone, not deferred: an ungated sweep to
+    // the same time fires nothing.
+    dom.sweepTo(10 * period);
+    EXPECT_EQ(firedTicks(dom), want);
+}
+
+TEST(DomainCycles, SweepToNextTickFiresExactlyOne)
+{
+    core::ShardDomain dom(cursorDomainConfig());
+    const Cycles period = dom.machine().config().hookPeriod;
+    dom.machine().spawnThread(); // its clock stays at 0 throughout
+    for (std::size_t i = 1; i <= 5; ++i) {
+        const Cycles b = dom.nextSweepTick();
+        dom.sweepTo(b);
+        const std::vector<Cycles> fired = firedTicks(dom);
+        ASSERT_EQ(fired.size(), i);
+        EXPECT_EQ(fired.back(), b);
+        EXPECT_EQ(dom.nextSweepTick(), b + period);
+    }
+}
+
+TEST(DomainCycles, RecoverLandsWhereTheHarvestLoopDid)
+{
+    // recover(tc, resume) must put the cursor where the energy
+    // harness's old dark-period loop did — `while (next <= resume)
+    // next += period` from the pre-crash cursor — for a resume on
+    // the grid, off it, and before the cursor (a zero-length outage
+    // that must not re-fire anything).
+    const Cycles period = cursorDomainConfig().machine.hookPeriod;
+    const Cycles cursorAt = 7 * period; // where sweepTo leaves it
+    for (Cycles resume :
+         {Cycles(40 * period), Cycles(40 * period + 1),
+          Cycles(41 * period - 1), Cycles(6 * period + period / 2),
+          Cycles(cursorAt)}) {
+        core::ShardDomain dom(cursorDomainConfig());
+        sim::ThreadContext &tc = dom.machine().spawnThread();
+        dom.sweepTo(cursorAt - 1);
+        ASSERT_EQ(dom.nextSweepTick(), cursorAt);
+        Cycles want = dom.nextSweepTick();
+        while (want <= resume)
+            want += period;
+
+        const std::size_t before = firedTicks(dom).size();
+        dom.crash(std::min(resume, cursorAt - 1));
+        EXPECT_EQ(dom.recover(tc, resume), 0u);
+        EXPECT_EQ(dom.nextSweepTick(), want) << resume;
+        EXPECT_EQ(firedTicks(dom).size(), before) << resume;
+        EXPECT_GE(tc.now(), resume);
+    }
+}
+
 TEST(RepeatedCycles, CrashWakesBlockedWaiter)
 {
     // Basic semantics: thread 1 blocks on thread 0's exclusive
@@ -604,24 +706,24 @@ TEST(RepeatedCycles, CrashWakesBlockedWaiter)
     // waiting on, so the waiter must be woken and its retry must
     // succeed against the post-recovery world.
     check::CrashWorld w = makeWorld("basic", 1, 2);
-    sim::ThreadContext &t0 = w.mach.thread(0);
-    sim::ThreadContext &t1 = w.mach.thread(1);
+    sim::ThreadContext &t0 = w.machine().thread(0);
+    sim::ThreadContext &t1 = w.machine().thread(1);
 
-    ASSERT_EQ(w.rt->regionBegin(t0, 1, pm::Mode::ReadWrite),
+    ASSERT_EQ(w.runtime().regionBegin(t0, 1, pm::Mode::ReadWrite),
               core::GuardResult::Ok);
-    ASSERT_EQ(w.rt->regionBegin(t1, 1, pm::Mode::ReadWrite),
+    ASSERT_EQ(w.runtime().regionBegin(t1, 1, pm::Mode::ReadWrite),
               core::GuardResult::Blocked);
     ASSERT_TRUE(t1.blocked());
 
-    w.rt->crash(w.mach.maxClock());
+    w.runtime().crash(w.machine().maxClock());
     EXPECT_FALSE(t1.blocked());
-    EXPECT_FALSE(w.rt->mapped(1));
-    w.rt->recover(t0);
+    EXPECT_FALSE(w.runtime().mapped(1));
+    w.runtime().recover(t0);
 
     // Both threads can enter again post-recovery.
-    ASSERT_EQ(w.rt->regionBegin(t1, 1, pm::Mode::ReadWrite),
+    ASSERT_EQ(w.runtime().regionBegin(t1, 1, pm::Mode::ReadWrite),
               core::GuardResult::Ok);
-    w.rt->regionEnd(t1, 1);
+    w.runtime().regionEnd(t1, 1);
     std::vector<std::string> v;
     check::drainIdleWindows(w, "the retried region", v);
     for (const std::string &m : v)

@@ -203,7 +203,9 @@ struct FleetRig
     {
         for (unsigned i = 0; i < n; ++i)
             ids.push_back(
-                pmos.create("p" + std::to_string(i), 64 * KiB).id());
+                pmos.create(std::string("p").append(std::to_string(i)),
+                            64 * KiB)
+                    .id());
         rt = std::make_unique<core::Runtime>(
             mach, pmos, core::RuntimeConfig::mm(usToCycles(40)));
         mach.spawnThread();

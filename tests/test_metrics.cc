@@ -2,7 +2,7 @@
  * @file
  * Unit tests for src/metrics: the empty-sample conventions, registry
  * registration and kind checking, histogram quantile error bounds
- * against an exact sort, snapshot monotonicity, merge commutativity,
+ * against an exact sort, merge commutativity,
  * the JSON/Prometheus exporters, and the end-to-end cross-check that
  * the metrics-derived EW/TEW statistics agree cycle-for-cycle with
  * semantics::EwTracker via the trace auditor.
@@ -21,7 +21,6 @@
 #include "metrics/json.hh"
 #include "metrics/metric.hh"
 #include "metrics/registry.hh"
-#include "metrics/sampler.hh"
 #include "trace/audit.hh"
 #include "workloads/whisper.hh"
 
@@ -246,55 +245,6 @@ TEST(Registry, LabeledKeepsKeysSorted)
     EXPECT_EQ(ls["scheme"], "tt");
 }
 
-TEST(Registry, SnapshotSeriesIsMonotonic)
-{
-    Registry r;
-    Counter &c = r.counter("n");
-    Gauge &g = r.gauge("level");
-    c.inc(5);
-    g.set(2);
-    r.snapshot(100);
-    c.inc(5);
-    g.set(1);
-    r.snapshot(200);
-    c.inc(1);
-    r.snapshot(300);
-
-    const auto &rows = r.series();
-    ASSERT_EQ(rows.size(), 3u);
-    double prevCounter = -1;
-    Cycles prevAt = 0;
-    for (const auto &row : rows) {
-        EXPECT_GT(row.at, prevAt);
-        prevAt = row.at;
-        for (const auto &[name, v] : row.values) {
-            if (name == "n") {
-                EXPECT_GE(v, prevCounter); // counters never regress
-                prevCounter = v;
-            }
-        }
-    }
-    EXPECT_DOUBLE_EQ(prevCounter, 11.0);
-}
-
-TEST(Sampler, OneSnapshotPerPeriodWithCatchUp)
-{
-    Registry r;
-    r.counter("c").inc();
-    Sampler s(r, 100);
-    s.tick(50); // before the first boundary
-    EXPECT_EQ(s.samples(), 0u);
-    s.tick(100);
-    EXPECT_EQ(s.samples(), 1u);
-    s.tick(150); // same period
-    EXPECT_EQ(s.samples(), 1u);
-    s.tick(730); // long gap: one catch-up, not five
-    EXPECT_EQ(s.samples(), 2u);
-    s.tick(800); // next boundary resumes after the gap
-    EXPECT_EQ(s.samples(), 3u);
-    EXPECT_EQ(r.series().size(), 3u);
-}
-
 TEST(Registry, MergeIsCommutative)
 {
     auto build = [](std::uint64_t k, const char *scheme) {
@@ -345,7 +295,6 @@ TEST(Export, JsonRoundTripsThroughParser)
     r.summary("s.windows").add(10);
     r.histogram("h.lat").record(500);
     r.histogram("h.lat").record(1500);
-    r.snapshot(42);
 
     std::string error;
     auto doc = parseJson(toJson(r), error);
@@ -368,10 +317,6 @@ TEST(Export, JsonRoundTripsThroughParser)
     EXPECT_EQ(h->get("min")->asU64(), 500u);
     EXPECT_EQ(h->get("max")->asU64(), 1500u);
 
-    const JsonValue *series = doc->get("series");
-    ASSERT_NE(series, nullptr);
-    ASSERT_EQ(series->array.size(), 1u);
-    EXPECT_EQ(series->array[0].get("at")->asU64(), 42u);
 }
 
 TEST(Export, JsonParserRejectsMalformedInput)
@@ -488,24 +433,6 @@ TEST(MetricsEndToEnd, DisabledConfigYieldsNoRegistry)
     workloads::RunResult r = workloads::runWhisper(
         "echo", core::RuntimeConfig::tt().withoutMetrics(), p);
     EXPECT_EQ(r.metrics, nullptr);
-}
-
-TEST(MetricsEndToEnd, SamplerProducesTimeSeries)
-{
-    workloads::WhisperParams p;
-    p.sections = 40;
-    workloads::RunResult r = workloads::runWhisper(
-        "echo",
-        core::RuntimeConfig::tt().withMetricsSampling(10 *
-                                                      cyclesPerUs),
-        p);
-    ASSERT_NE(r.metrics, nullptr);
-    EXPECT_GT(r.metrics->series().size(), 2u);
-    Cycles prev = 0;
-    for (const auto &row : r.metrics->series()) {
-        EXPECT_GT(row.at, prev);
-        prev = row.at;
-    }
 }
 
 // ------------------------------ Prometheus label-value escaping

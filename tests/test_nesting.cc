@@ -58,7 +58,7 @@ TEST(Nesting, InnerPairsAreSilentUnderTt)
     OverheadReport rep = r.rt->report();
     EXPECT_EQ(rep.attachSyscalls, 1u);
     EXPECT_EQ(rep.condOps, 4u);
-    EXPECT_EQ(r.rt->counters().get("nested_regions"), 1u);
+    EXPECT_EQ(r.rt->report().nestedRegions, 1u);
 }
 
 TEST(Nesting, DeepNestsUnwindCorrectly)
@@ -107,7 +107,7 @@ TEST(Nesting, IndependentPmosDoNotNest)
     pm::PmoId other = r.pmos.create("other", 1 * MiB).id();
     r.rt->regionBegin(*r.tc, r.pmo, pm::Mode::ReadWrite);
     r.rt->regionBegin(*r.tc, other, pm::Mode::ReadWrite);
-    EXPECT_EQ(r.rt->counters().get("nested_regions"), 0u);
+    EXPECT_EQ(r.rt->report().nestedRegions, 0u);
     r.rt->regionEnd(*r.tc, other);
     r.rt->regionEnd(*r.tc, r.pmo);
 }

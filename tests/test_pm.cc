@@ -351,7 +351,8 @@ TEST(PmoManager, AttachedPmosNeverOverlap)
 {
     PmoManager m(9);
     for (int i = 0; i < 16; ++i) {
-        Pmo &p = m.create("p" + std::to_string(i), 16 * MiB);
+        Pmo &p = m.create(std::string("p").append(std::to_string(i)),
+                          16 * MiB);
         m.mapRandomized(p);
     }
     for (unsigned i = 1; i <= 16; ++i) {

@@ -176,7 +176,8 @@ TEST(ShardDomain, OneShardCycleIdenticalToBatchRuntime)
     std::vector<std::unique_ptr<BatchJob>> batchJobs;
     std::vector<sim::Job *> batchPtrs;
     for (unsigned t = 0; t < kThreads; ++t) {
-        pm::Pmo &p = pmos.create("b" + std::to_string(t), 1 * MiB);
+        pm::Pmo &p = pmos.create(
+            std::string("b").append(std::to_string(t)), 1 * MiB);
         mach.spawnThread();
         batchJobs.push_back(
             std::make_unique<BatchJob>(rt, p.id(), kSteps));
@@ -195,7 +196,8 @@ TEST(ShardDomain, OneShardCycleIdenticalToBatchRuntime)
     std::vector<sim::Job *> domPtrs;
     for (unsigned t = 0; t < kThreads; ++t) {
         pm::Pmo &p =
-            dom.pmos().create("b" + std::to_string(t), 1 * MiB);
+            dom.pmos().create(std::string("b").append(std::to_string(t)),
+                              1 * MiB);
         dom.machine().spawnThread();
         domJobs.push_back(std::make_unique<BatchJob>(
             dom.runtime(), p.id(), kSteps));

@@ -100,7 +100,7 @@ main(int argc, char **argv)
             opt.events = static_cast<unsigned>(
                 cli::count("terp-crash", a, val(), 1, UINT_MAX));
         } else if (a == "--ew") {
-            ewUs = std::strtod(val().c_str(), nullptr);
+            ewUs = cli::positive("terp-crash", a, val());
         } else if (a == "--json") {
             json = true;
         } else if (a == "--help" || a == "-h") {

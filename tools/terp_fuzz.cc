@@ -18,8 +18,8 @@
  *   --first-seed N  first seed (default 0; replay a report with
  *                   --first-seed <seed> --seeds 1)
  *   --events N      events per schedule (default 40)
- *   --threads N     threads per schedule (default 3)
- *   --pmos N        PMOs per schedule (default 2)
+ *   --threads N     threads per schedule (default 3, at most 64)
+ *   --pmos N        PMOs per schedule (default 2, at most 32)
  *   --ew US         EW target in microseconds (default 5; floor 5)
  *   --crash         mix undo-log transactions and crash/recover
  *                   steps into the schedules
@@ -34,16 +34,26 @@
  * divergence, 2 on usage errors.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "arch/circular_buffer.hh"
 #include "check/fuzzer.hh"
+#include "cli.hh"
 
 using namespace terp;
 
 namespace {
+
+/**
+ * Schedule shape caps. PMOs: TT keeps every live PMO in the 32-entry
+ * circular buffer, so more would overflow it by construction.
+ */
+constexpr unsigned kMaxThreads = 64;
+constexpr unsigned kMaxPmos = arch::CircularBuffer::capacity;
 
 int
 usage()
@@ -90,20 +100,20 @@ main(int argc, char **argv)
             scheme = val();
         } else if (a == "--seeds") {
             opt.seeds = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-fuzz", a, val(), 1, UINT_MAX));
         } else if (a == "--first-seed") {
             opt.firstSeed = std::strtoull(val().c_str(), nullptr, 0);
         } else if (a == "--events") {
             opt.gen.events = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-fuzz", a, val(), 1, UINT_MAX));
         } else if (a == "--threads") {
             opt.gen.threads = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-fuzz", a, val(), 1, kMaxThreads));
         } else if (a == "--pmos") {
             opt.gen.pmos = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-fuzz", a, val(), 1, kMaxPmos));
         } else if (a == "--ew") {
-            ewUs = std::strtod(val().c_str(), nullptr);
+            ewUs = cli::positive("terp-fuzz", a, val());
         } else if (a == "--crash") {
             opt.gen.persistOps = true;
         } else if (a == "--txn") {

@@ -20,7 +20,8 @@
  *   --scheme S        all (default) or one of: mm tm tt ttnc basic
  *   --workload W      bank (default) or txmix
  *   --caps LIST       comma-separated capacitor sizes in energy
- *                     units (default 600,1000,2000,4000)
+ *                     units, each 1..1000000 (default
+ *                     600,1000,2000,4000)
  *   --cycles N        power cycles per cell (default 200)
  *   --seed N          workload seed (default 0)
  *   --ew US           EW target in microseconds (default 5)
@@ -38,6 +39,7 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "check/fuzzer.hh"
+#include "cli.hh"
 #include "energy/harvest.hh"
 #include "history.hh"
 
@@ -72,6 +75,12 @@ usage()
     return 2;
 }
 
+/**
+ * Largest accepted capacitor: a power cycle's length grows with the
+ * charge, so this bounds one cell to minutes, not days.
+ */
+constexpr std::uint64_t kMaxCapUnits = 1000000;
+
 std::vector<std::uint64_t>
 parseCaps(const std::string &list)
 {
@@ -81,8 +90,9 @@ parseCaps(const std::string &list)
         std::size_t comma = list.find(',', pos);
         if (comma == std::string::npos)
             comma = list.size();
-        caps.push_back(std::strtoull(
-            list.substr(pos, comma - pos).c_str(), nullptr, 0));
+        caps.push_back(cli::count("terp-harvest", "--caps",
+                                  list.substr(pos, comma - pos), 1,
+                                  kMaxCapUnits));
         pos = comma + 1;
     }
     return caps;
@@ -160,14 +170,14 @@ main(int argc, char **argv)
             capsArg = val();
         } else if (a == "--cycles") {
             cycles = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-harvest", a, val(), 1, UINT_MAX));
         } else if (a == "--seed") {
             seed = std::strtoull(val().c_str(), nullptr, 0);
         } else if (a == "--ew") {
-            ewUs = std::strtod(val().c_str(), nullptr);
+            ewUs = cli::positive("terp-harvest", a, val());
         } else if (a == "--audit") {
             audit = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+                cli::count("terp-harvest", a, val(), 0, UINT_MAX));
         } else if (a == "--json") {
             json = true;
         } else if (a == "--golden") {
@@ -185,7 +195,7 @@ main(int argc, char **argv)
     }
 
     std::vector<std::uint64_t> caps = parseCaps(capsArg);
-    if (caps.empty() || cycles == 0)
+    if (caps.empty())
         return usage();
     std::vector<std::string> schemes =
         scheme == "all" ? check::allSchemes()

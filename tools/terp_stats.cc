@@ -40,6 +40,7 @@
  * or (for --diff) any difference, 2 on usage/IO errors.
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -49,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "metrics/export.hh"
 #include "metrics/json.hh"
 #include "metrics/registry.hh"
@@ -792,7 +794,8 @@ main(int argc, char **argv)
         } else if (a.rfind("--write-golden=", 0) == 0) {
             writeGoldenPath = a.substr(15);
         } else if (a.rfind("--sections=", 0) == 0) {
-            sections = std::strtoull(a.c_str() + 11, nullptr, 10);
+            sections = cli::count("terp-stats", "--sections",
+                                  a.substr(11), 1, UINT_MAX);
         } else if (a.rfind("--seed=", 0) == 0) {
             seed = std::strtoull(a.c_str() + 7, nullptr, 10);
         } else if (a == "--json") {
