@@ -1,5 +1,6 @@
 #include "check/fuzzer.hh"
 
+#include <optional>
 #include <stdexcept>
 
 #include "check/shrink.hh"
@@ -16,17 +17,12 @@ allSchemes()
 core::RuntimeConfig
 schemeConfig(const std::string &name, Cycles ew)
 {
-    if (name == "mm")
-        return core::RuntimeConfig::mm(ew);
-    if (name == "tm")
-        return core::RuntimeConfig::tm(ew);
-    if (name == "tt")
-        return core::RuntimeConfig::tt(ew);
-    if (name == "ttnc")
-        return core::RuntimeConfig::ttNoCombining(ew);
-    if (name == "basic")
-        return core::RuntimeConfig::basicSemantics(ew);
-    throw std::invalid_argument("unknown scheme: " + name);
+    std::optional<core::RuntimeConfig> cfg;
+    if (name != "unprotected")
+        cfg = core::configForScheme(name, ew);
+    if (!cfg)
+        throw std::invalid_argument("unknown scheme: " + name);
+    return *cfg;
 }
 
 FuzzResult

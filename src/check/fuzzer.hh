@@ -24,8 +24,9 @@ std::vector<std::string> allSchemes();
 /**
  * Runtime configuration for a scheme name: "mm", "tm", "tt",
  * "ttnc" (TT without the circular buffer) or "basic" (blocking
- * Basic-semantics ablation). Throws std::invalid_argument on an
- * unknown name.
+ * Basic-semantics ablation), as core::configForScheme builds it.
+ * Throws std::invalid_argument on an unknown name and on
+ * "unprotected", which has nothing to check.
  */
 core::RuntimeConfig schemeConfig(const std::string &name, Cycles ew);
 

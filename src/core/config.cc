@@ -104,6 +104,24 @@ RuntimeConfig::basicSemantics(Cycles ew)
     return c;
 }
 
+std::optional<RuntimeConfig>
+configForScheme(const std::string &tag, Cycles ew, Cycles tew)
+{
+    if (tag == "unprotected")
+        return RuntimeConfig::unprotected();
+    if (tag == "mm")
+        return RuntimeConfig::mm(ew);
+    if (tag == "tm")
+        return RuntimeConfig::tm(ew, tew);
+    if (tag == "tt")
+        return RuntimeConfig::tt(ew, tew);
+    if (tag == "ttnc")
+        return RuntimeConfig::ttNoCombining(ew, tew);
+    if (tag == "basic")
+        return RuntimeConfig::basicSemantics(ew);
+    return std::nullopt;
+}
+
 std::string
 RuntimeConfig::describe() const
 {

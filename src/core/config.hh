@@ -18,6 +18,7 @@
 #define TERP_CORE_CONFIG_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "common/units.hh"
@@ -42,8 +43,9 @@ struct RuntimeConfig;
  * Short lowercase tag naming the *configured* scheme, including the
  * Fig-11 ablations the Scheme enum alone cannot distinguish:
  * "unprotected", "mm", "tm", "tt", "ttnc" (TT without the circular
- * buffer) or "basic" (blocking ablation). Matches the terp-trace /
- * terp-stats CLI spellings; used as the `scheme` metrics label.
+ * buffer) or "basic" (blocking ablation). These are the tools'
+ * --scheme spellings (configForScheme() is the inverse) and the
+ * `scheme` metrics label.
  */
 const char *schemeTag(const RuntimeConfig &cfg);
 
@@ -158,6 +160,16 @@ struct RuntimeConfig
 
     std::string describe() const;
 };
+
+/**
+ * The inverse of schemeTag(): the configuration a scheme tag names,
+ * built with EW target @p ew and TEW target @p tew (each used only
+ * by the schemes that take it), or nullopt for an unknown tag. The
+ * one table behind every tool's --scheme flag.
+ */
+std::optional<RuntimeConfig>
+configForScheme(const std::string &tag, Cycles ew = target::defaultEw,
+                Cycles tew = target::defaultTew);
 
 } // namespace core
 } // namespace terp

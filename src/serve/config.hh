@@ -118,9 +118,9 @@ struct ServeConfig
     /**
      * Per-tenant exposure budget for SLO burn-rate alerting: the
      * fraction of wall-clock each tenant PMO is *allowed* to sit
-     * exposed (mapped). 0 disables budgets, burn gauges and the
-     * shed-advice hook entirely — attribution stays on, alerting is
-     * opt-in, and the default posture report is unchanged.
+     * exposed (mapped). 0 disables budgets and burn gauges entirely
+     * — attribution stays on, alerting is opt-in, and the default
+     * posture report is unchanged.
      */
     double tenantEwBudget = 0.0;
     /**
@@ -132,9 +132,8 @@ struct ServeConfig
      *   burn = (exposed cycles in window / window) / tenantEwBudget
      * is published as serve.slo_burn{tenant=...,win="fast"|"slow"}
      * gauges (the gauge high-water mark keeps the peak). A tenant
-     * whose fast AND slow burn both exceed 1.0 is in alert: admits
-     * for it bump serve.shed_advised — advisory only, nothing is
-     * actually shed (the decision hook is a stub by design).
+     * whose fast AND slow burn both exceed 1.0 is over budget; the
+     * alerting rule lives with whoever scrapes the gauges.
      */
     Cycles burnFast = 50 * cyclesPerUs;
     Cycles burnSlow = 400 * cyclesPerUs;

@@ -82,7 +82,6 @@ ServeShard::ServeShard(const ServeConfig &cfg_, unsigned shard,
                 burn[l].slow = &reg->gauge(
                     metrics::labeled(base, "win", "slow"));
             }
-            mShedAdvised = &reg->counter("serve.shed_advised");
         }
         ewt.setCloseHook(
             [this](pm::PmoId pmo, Cycles closeAt, Cycles len) {
@@ -98,8 +97,6 @@ ServeShard::admit(const Request &req)
     if (mArrived)
         mArrived->inc();
     unsigned l = static_cast<unsigned>(req.globalPmo / cfg.shards);
-    if (shedAdvised(l) && mShedAdvised)
-        mShedAdvised->inc();
     if (queue.size() >= cfg.queueCapacity) {
         // Backpressure: shed, observably. The session's later
         // requests still arrive (open-loop clients don't wait).
@@ -285,32 +282,23 @@ ServeShard::onWindowClose(pm::PmoId pmo, Cycles closeAt, Cycles len)
     // Tumbling buckets aligned to t=0; a window is charged whole to
     // the bucket containing its close time (windows longer than the
     // bucket can legitimately push burn past 1/budget — that's the
-    // alert firing, not an accounting bug).
+    // budget being blown, not an accounting bug).
     auto bump = [&](std::uint64_t &bucket, Cycles &sumC, Cycles win,
                     metrics::Gauge *g) {
         if (win == 0)
-            return 0.0;
+            return;
         std::uint64_t now = closeAt / win;
         if (now != bucket) {
             bucket = now;
             sumC = 0;
         }
         sumC += len;
-        double rate = static_cast<double>(sumC) /
-                      static_cast<double>(win) / cfg.tenantEwBudget;
         if (g)
-            g->set(rate);
-        return rate;
+            g->set(static_cast<double>(sumC) / static_cast<double>(win) /
+                   cfg.tenantEwBudget);
     };
-    double f = bump(b.fastBucket, b.fastSum, cfg.burnFast, b.fast);
-    double s = bump(b.slowBucket, b.slowSum, cfg.burnSlow, b.slow);
-    b.alert = f > 1.0 && s > 1.0;
-}
-
-bool
-ServeShard::shedAdvised(unsigned localIdx) const
-{
-    return localIdx < burn.size() && burn[localIdx].alert;
+    bump(b.fastBucket, b.fastSum, cfg.burnFast, b.fast);
+    bump(b.slowBucket, b.slowSum, cfg.burnSlow, b.slow);
 }
 
 void

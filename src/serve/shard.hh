@@ -130,7 +130,7 @@ class ServeShard
      */
     std::vector<char> manualHeld;
 
-    // ---- exposure provenance + burn-rate alerting ----------------
+    // ---- exposure provenance + burn-rate gauges -------------------
     /**
      * Per-tenant queued-request counts: while a tenant has requests
      * waiting in the shard queue, its open-but-unheld exposure spans
@@ -151,12 +151,10 @@ class ServeShard
         std::uint64_t slowBucket = 0;
         Cycles fastSum = 0;
         Cycles slowSum = 0;
-        bool alert = false; //!< both windows burning > 1.0
         metrics::Gauge *fast = nullptr;
         metrics::Gauge *slow = nullptr;
     };
     std::vector<BurnState> burn;
-    metrics::Counter *mShedAdvised = nullptr;
 
     ShardSummary sum;
 
@@ -175,12 +173,6 @@ class ServeShard
     void complete(Worker &w);
     /** EwTracker close hook: advance the tenant's burn windows. */
     void onWindowClose(pm::PmoId pmo, Cycles closeAt, Cycles len);
-    /**
-     * Shed-decision hook, advisory stub: true when the tenant's fast
-     * AND slow burn both exceed 1.0. Admits for such a tenant bump
-     * serve.shed_advised; nothing is actually shed.
-     */
-    bool shedAdvised(unsigned localIdx) const;
 };
 
 } // namespace serve

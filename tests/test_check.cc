@@ -177,6 +177,8 @@ TEST(CheckHarness, EverySchemeHasAConfig)
     }
     EXPECT_THROW(check::schemeConfig("bogus", 1),
                  std::invalid_argument);
+    EXPECT_THROW(check::schemeConfig("unprotected", 1),
+                 std::invalid_argument);
 }
 
 TEST(CheckHarness, OracleMapsSchemesToSpecModels)

@@ -372,3 +372,17 @@ TEST_P(SchemeSmokeTest, GuardedAccessesNeverFault)
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeSmokeTest,
                          ::testing::Range(0, 6));
+
+// ------------------------------------------------------ scheme table
+
+TEST(SchemeTable, ConfigForSchemeInvertsSchemeTag)
+{
+    for (const char *tag :
+         {"unprotected", "mm", "tm", "tt", "ttnc", "basic"}) {
+        std::optional<RuntimeConfig> cfg = configForScheme(tag);
+        ASSERT_TRUE(cfg.has_value()) << tag;
+        EXPECT_STREQ(schemeTag(*cfg), tag);
+    }
+    EXPECT_FALSE(configForScheme("bogus").has_value());
+    EXPECT_FALSE(configForScheme("TT").has_value());
+}

@@ -11,9 +11,9 @@
  * simulation work, not terminal I/O.
  *
  * Simulated-cycle totals are deterministic per figure, so they
- * double as a regression oracle: --golden compares them against a
- * checked-in summary and fails on any drift, catching accidental
- * semantic changes from performance work.
+ * double as a regression oracle: --golden compares the rendered
+ * summary against a checked-in one and fails on any drift, catching
+ * accidental semantic changes from performance work.
  *
  * Usage:
  *   terp-bench [--quick] [--jobs=N] [--repeat=N] [--out=FILE]
@@ -28,8 +28,9 @@
  *                      simulated work must be identical across
  *                      passes — a mismatch is reported as drift
  *   --out=FILE         JSON output path (default BENCH_terp.json)
- *   --golden=FILE      fail (exit 1) if per-figure sims or simulated
- *                      cycles differ from FILE
+ *   --golden=FILE      fail (exit 1) unless the per-figure summary
+ *                      (sims and simulated cycles) equals FILE
+ *                      byte for byte
  *   --write-golden=FILE  write the per-figure summary to FILE
  *   --metrics-prom=FILE  also export the aggregated metrics registry
  *                      in Prometheus text format
@@ -42,18 +43,23 @@
  * percentiles, silent-operation fractions, sweeper activity — next
  * to the performance numbers. tools/terp-stats reads it back.
  *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--jobs=4` or `--jobs 4`); tools/cli.hh holds the value, usage
+ * and golden rules all seven tools share.
+ *
  * Exit status: 0 on success, 1 on golden drift, 2 on usage errors.
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <fcntl.h>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
+#include "cli.hh"
 #include "harness.hh"
 #include "history.hh"
 #include "metrics/export.hh"
@@ -137,16 +143,11 @@ runSilenced(int (*fn)(int, char **), int argc, char **argv)
     return rc;
 }
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: terp-bench [--quick] [--jobs=N] [--repeat=N]"
-                 " [--out=FILE] [--golden=FILE]\n"
-                 "                  [--write-golden=FILE]"
-                 " [--metrics-prom=FILE] [--history=FILE]\n");
-    return 2;
-}
+const char kUsage[] =
+    "usage: terp-bench [--quick] [--jobs=N] [--repeat=N]"
+    " [--out=FILE] [--golden=FILE]\n"
+    "                  [--write-golden=FILE]"
+    " [--metrics-prom=FILE] [--history=FILE]\n";
 
 } // namespace
 
@@ -162,32 +163,26 @@ main(int argc, char **argv)
     std::string promPath;
     std::string historyPath;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--quick") {
+    cli::Args args("terp-bench", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--quick"))
             quick = true;
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            long v = std::atol(a.c_str() + 7);
-            jobs = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else if (a.rfind("--repeat=", 0) == 0) {
-            long v = std::atol(a.c_str() + 9);
-            repeat = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else if (a.rfind("--out=", 0) == 0) {
-            outPath = a.substr(6);
-        } else if (a.rfind("--golden=", 0) == 0) {
-            goldenPath = a.substr(9);
-        } else if (a.rfind("--write-golden=", 0) == 0) {
-            writeGoldenPath = a.substr(15);
-        } else if (a.rfind("--metrics-prom=", 0) == 0) {
-            promPath = a.substr(15);
-        } else if (a.rfind("--history=", 0) == 0) {
-            historyPath = a.substr(10);
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
+        else if (args.is("--jobs"))
+            jobs = static_cast<unsigned>(args.count(1, 1024));
+        else if (args.is("--repeat"))
+            repeat = static_cast<unsigned>(args.count(1, UINT_MAX));
+        else if (args.is("--out"))
+            outPath = args.str();
+        else if (args.is("--golden"))
+            goldenPath = args.str();
+        else if (args.is("--write-golden"))
+            writeGoldenPath = args.str();
+        else if (args.is("--metrics-prom"))
+            promPath = args.str();
+        else if (args.is("--history"))
+            historyPath = args.str();
+        else
+            args.unknown();
     }
 
     const std::string jobsFlag = "--jobs=" + std::to_string(jobs);
@@ -201,6 +196,9 @@ main(int argc, char **argv)
     bool repeatDrift = false;
 
     for (unsigned pass = 0; pass < repeat; ++pass) {
+        // Every pass re-runs the same simulated work, so the metrics
+        // section describes one pass, as the stats golden expects.
+        bench::globalMetrics() = metrics::Registry();
         const auto passStart = std::chrono::steady_clock::now();
         const bench::SimTally passBefore = bench::tallySnapshot();
         if (repeat > 1)
@@ -243,8 +241,8 @@ main(int argc, char **argv)
                 if (r.sims != best.sims ||
                     r.simCycles != best.simCycles) {
                     std::fprintf(stderr,
-                                 "terp-bench: DRIFT across passes in "
-                                 "%s\n",
+                                 "terp-bench: simulated work differs "
+                                 "across passes in %s\n",
                                  fig.name);
                     repeatDrift = true;
                 }
@@ -275,53 +273,36 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "terp-bench: WARNING: simulated work drifted "
                      "across repeat passes; results suspect\n");
-    // Note: the metrics registry accumulates across passes (counters
-    // end up N x a single pass; quantile sketches just see N copies
-    // of the same samples). History/JSON throughput uses per-pass
-    // sims over best-of-N wall, so repeat does not skew it.
-
     // ---- JSON summary --------------------------------------------
-    if (FILE *f = std::fopen(outPath.c_str(), "w")) {
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"git_rev\": \"%s\",\n",
-                     bench::gitRev().c_str());
-        std::fprintf(f, "  \"host_threads\": %u,\n",
-                     std::thread::hardware_concurrency());
-        std::fprintf(f, "  \"jobs\": %u,\n", jobs);
-        std::fprintf(f, "  \"quick\": %s,\n",
-                     quick ? "true" : "false");
-        std::fprintf(f, "  \"repeat\": %u,\n", repeat);
-        std::fprintf(f, "  \"total_wall_s\": %.3f,\n", totalS);
-        std::fprintf(f, "  \"total_sims\": %llu,\n",
-                     (unsigned long long)total.sims);
-        std::fprintf(f, "  \"total_sims_per_s\": %.2f,\n",
-                     totalS > 0 ? total.sims / totalS : 0.0);
-        std::fprintf(f, "  \"figures\": [\n");
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const FigResult &r = results[i];
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", \"wall_s\": %.3f, "
-                         "\"sims\": %llu, \"sim_cycles\": %llu, "
-                         "\"sims_per_s\": %.2f}%s\n",
-                         r.name.c_str(), r.wallS,
-                         (unsigned long long)r.sims,
-                         (unsigned long long)r.simCycles,
-                         r.wallS > 0 ? r.sims / r.wallS : 0.0,
-                         i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"metrics\": %s\n",
-                     metrics::toJson(bench::globalMetrics(), "  ")
-                         .c_str());
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "terp-bench: wrote %s (%.2fs total)\n",
-                     outPath.c_str(), totalS);
-    } else {
-        std::fprintf(stderr, "terp-bench: cannot write %s\n",
-                     outPath.c_str());
-        return 2;
+    std::string json = cli::format(
+        "{\n"
+        "  \"git_rev\": \"%s\",\n"
+        "  \"host_threads\": %u,\n"
+        "  \"jobs\": %u,\n"
+        "  \"quick\": %s,\n"
+        "  \"repeat\": %u,\n"
+        "  \"total_wall_s\": %.3f,\n"
+        "  \"total_sims\": %llu,\n"
+        "  \"total_sims_per_s\": %.2f,\n"
+        "  \"figures\": [\n",
+        bench::gitRev().c_str(), std::thread::hardware_concurrency(), jobs,
+        quick ? "true" : "false", repeat, totalS,
+        (unsigned long long)total.sims,
+        totalS > 0 ? total.sims / totalS : 0.0);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const FigResult &r = results[i];
+        json += cli::format("    {\"name\": \"%s\", \"wall_s\": %.3f, "
+                            "\"sims\": %llu, \"sim_cycles\": %llu, "
+                            "\"sims_per_s\": %.2f}%s\n",
+                            r.name.c_str(), r.wallS,
+                            (unsigned long long)r.sims,
+                            (unsigned long long)r.simCycles,
+                            r.wallS > 0 ? r.sims / r.wallS : 0.0,
+                            i + 1 < results.size() ? "," : "");
     }
+    json += "  ],\n  \"metrics\": " +
+            metrics::toJson(bench::globalMetrics(), "  ") + "\n}\n";
+    cli::writeText("terp-bench", outPath, json);
 
     if (!historyPath.empty()) {
         bench::HistoryRecord rec;
@@ -338,92 +319,20 @@ main(int argc, char **argv)
                      historyPath.c_str());
     }
 
-    if (!promPath.empty()) {
-        FILE *f = std::fopen(promPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "terp-bench: cannot write %s\n",
-                         promPath.c_str());
-            return 2;
-        }
-        std::string prom =
-            metrics::toPrometheus(bench::globalMetrics());
-        std::fwrite(prom.data(), 1, prom.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "terp-bench: wrote %s\n",
-                     promPath.c_str());
-    }
+    if (!promPath.empty())
+        cli::writeText("terp-bench", promPath,
+                       metrics::toPrometheus(bench::globalMetrics()));
 
     // ---- golden summary (simulated work only; no wall-clock) ------
-    if (!writeGoldenPath.empty()) {
-        FILE *f = std::fopen(writeGoldenPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "terp-bench: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        std::fprintf(f, "# terp-bench golden summary: "
-                        "<figure> <sims> <sim_cycles>\n");
-        for (const FigResult &r : results)
-            std::fprintf(f, "%s %llu %llu\n", r.name.c_str(),
-                         (unsigned long long)r.sims,
-                         (unsigned long long)r.simCycles);
-        std::fclose(f);
-        std::fprintf(stderr, "terp-bench: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-
-    if (!goldenPath.empty()) {
-        FILE *f = std::fopen(goldenPath.c_str(), "r");
-        if (!f) {
-            std::fprintf(stderr, "terp-bench: cannot read golden %s\n",
-                         goldenPath.c_str());
-            return 2;
-        }
-        bool drift = false;
-        std::size_t seen = 0;
-        char line[256];
-        while (std::fgets(line, sizeof(line), f)) {
-            if (line[0] == '#' || line[0] == '\n')
-                continue;
-            char name[64];
-            unsigned long long sims = 0, cycles = 0;
-            if (std::sscanf(line, "%63s %llu %llu", name, &sims,
-                            &cycles) != 3)
-                continue;
-            ++seen;
-            const FigResult *match = nullptr;
-            for (const FigResult &r : results)
-                if (r.name == name)
-                    match = &r;
-            if (!match) {
-                std::fprintf(stderr,
-                             "terp-bench: golden names unknown "
-                             "figure '%s'\n",
-                             name);
-                drift = true;
-            } else if (match->sims != sims ||
-                       match->simCycles != cycles) {
-                std::fprintf(
-                    stderr,
-                    "terp-bench: DRIFT in %s: sims %llu -> %llu, "
-                    "sim_cycles %llu -> %llu\n",
-                    name, sims, (unsigned long long)match->sims,
-                    cycles, (unsigned long long)match->simCycles);
-                drift = true;
-            }
-        }
-        std::fclose(f);
-        if (seen != results.size()) {
-            std::fprintf(stderr,
-                         "terp-bench: golden covers %zu of %zu "
-                         "figures\n",
-                         seen, results.size());
-            drift = true;
-        }
-        if (drift)
-            return 1;
-        std::fprintf(stderr,
-                     "terp-bench: simulated cycles match golden\n");
-    }
+    std::string golden =
+        "# terp-bench golden summary: <figure> <sims> <sim_cycles>\n";
+    for (const FigResult &r : results)
+        golden += cli::format("%s %llu %llu\n", r.name.c_str(),
+                              (unsigned long long)r.sims,
+                              (unsigned long long)r.simCycles);
+    if (!writeGoldenPath.empty())
+        cli::writeText("terp-bench", writeGoldenPath, golden);
+    if (!goldenPath.empty())
+        return cli::checkGolden("terp-bench", goldenPath, golden);
     return 0;
 }

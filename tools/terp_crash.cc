@@ -23,6 +23,10 @@
  *   --ew US         EW target in microseconds (default 5)
  *   --json          one JSON summary object per cell on stdout
  *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--seed=7` or `--seed 7`); tools/cli.hh holds the value, usage
+ * and golden rules all seven tools share.
+ *
  * Exit status: 0 when every crash point recovered cleanly, 1 on any
  * violation, 2 on usage errors (counts must be plain decimal
  * digits).
@@ -30,7 +34,6 @@
 
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -42,18 +45,12 @@ using namespace terp;
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-crash [--scheme all|mm|tm|tt|ttnc|basic]\n"
-        "                  [--workload all|bank|hashmap|txnest|\n"
-        "                   txpair|schedule]\n"
-        "                  [--seed N] [--seeds N] [--txns N]\n"
-        "                  [--events N] [--ew US] [--json]\n");
-    return 2;
-}
+const char kUsage[] =
+    "usage: terp-crash [--scheme all|mm|tm|tt|ttnc|basic]\n"
+    "                  [--workload all|bank|hashmap|txnest|\n"
+    "                   txpair|schedule]\n"
+    "                  [--seed N] [--seeds N] [--txns N]\n"
+    "                  [--events N] [--ew US] [--json]\n";
 
 } // namespace
 
@@ -67,48 +64,26 @@ main(int argc, char **argv)
     double ewUs = 5.0;
     bool json = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::string inl;
-        std::size_t eq = a.find('=');
-        if (eq != std::string::npos) {
-            inl = a.substr(eq + 1);
-            a = a.substr(0, eq);
-        }
-        auto val = [&]() -> std::string {
-            if (!inl.empty())
-                return inl;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--scheme") {
-            scheme = val();
-        } else if (a == "--workload") {
-            workload = val();
-        } else if (a == "--seed") {
-            opt.seed = std::strtoull(val().c_str(), nullptr, 0);
-        } else if (a == "--seeds") {
-            seeds = static_cast<unsigned>(
-                cli::count("terp-crash", a, val(), 1, UINT_MAX));
-        } else if (a == "--txns") {
-            opt.txns = static_cast<unsigned>(
-                cli::count("terp-crash", a, val(), 0, UINT_MAX));
-        } else if (a == "--events") {
-            opt.events = static_cast<unsigned>(
-                cli::count("terp-crash", a, val(), 1, UINT_MAX));
-        } else if (a == "--ew") {
-            ewUs = cli::positive("terp-crash", a, val());
-        } else if (a == "--json") {
+    cli::Args args("terp-crash", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--scheme"))
+            scheme = args.str();
+        else if (args.is("--workload"))
+            workload = args.str();
+        else if (args.is("--seed"))
+            opt.seed = args.seed();
+        else if (args.is("--seeds"))
+            seeds = static_cast<unsigned>(args.count(1, UINT_MAX));
+        else if (args.is("--txns"))
+            opt.txns = static_cast<unsigned>(args.count(0, UINT_MAX));
+        else if (args.is("--events"))
+            opt.events = static_cast<unsigned>(args.count(1, UINT_MAX));
+        else if (args.is("--ew"))
+            ewUs = args.positive();
+        else if (args.is("--json"))
             json = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
+        else
+            args.unknown();
     }
 
     opt.ewTarget = usToCycles(ewUs);

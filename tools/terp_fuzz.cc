@@ -30,14 +30,16 @@
  *   --shrink        minimize divergent schedules (greedy deletion)
  *   --no-shrink     report the raw divergent schedule
  *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--seed=7` or `--seed 7`); tools/cli.hh holds the value, usage
+ * and golden rules all seven tools share.
+ *
  * Exit status: 0 when every schedule is divergence-free, 1 on any
  * divergence, 2 on usage errors.
  */
 
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "arch/circular_buffer.hh"
@@ -55,18 +57,11 @@ namespace {
 constexpr unsigned kMaxThreads = 64;
 constexpr unsigned kMaxPmos = arch::CircularBuffer::capacity;
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: terp-fuzz [--scheme all|mm|tm|tt|ttnc|basic]"
-                 " [--seeds N]\n"
-                 "                 [--first-seed N] [--events N] "
-                 "[--threads N] [--pmos N]\n"
-                 "                 [--ew US] [--crash] [--txn] "
-                 "[--shrink|--no-shrink]\n");
-    return 2;
-}
+const char kUsage[] =
+    "usage: terp-fuzz [--scheme all|mm|tm|tt|ttnc|basic] [--seeds N]\n"
+    "                 [--first-seed N] [--events N] [--threads N] "
+    "[--pmos N]\n"
+    "                 [--ew US] [--crash] [--txn] [--shrink|--no-shrink]\n";
 
 } // namespace
 
@@ -78,56 +73,33 @@ main(int argc, char **argv)
     std::string scheme = "all";
     double ewUs = 5.0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        // Accept both "--flag value" and "--flag=value".
-        std::string inl;
-        std::size_t eq = a.find('=');
-        if (eq != std::string::npos) {
-            inl = a.substr(eq + 1);
-            a = a.substr(0, eq);
-        }
-        auto val = [&]() -> std::string {
-            if (!inl.empty())
-                return inl;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--scheme") {
-            scheme = val();
-        } else if (a == "--seeds") {
-            opt.seeds = static_cast<unsigned>(
-                cli::count("terp-fuzz", a, val(), 1, UINT_MAX));
-        } else if (a == "--first-seed") {
-            opt.firstSeed = std::strtoull(val().c_str(), nullptr, 0);
-        } else if (a == "--events") {
-            opt.gen.events = static_cast<unsigned>(
-                cli::count("terp-fuzz", a, val(), 1, UINT_MAX));
-        } else if (a == "--threads") {
-            opt.gen.threads = static_cast<unsigned>(
-                cli::count("terp-fuzz", a, val(), 1, kMaxThreads));
-        } else if (a == "--pmos") {
-            opt.gen.pmos = static_cast<unsigned>(
-                cli::count("terp-fuzz", a, val(), 1, kMaxPmos));
-        } else if (a == "--ew") {
-            ewUs = cli::positive("terp-fuzz", a, val());
-        } else if (a == "--crash") {
+    cli::Args args("terp-fuzz", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--scheme"))
+            scheme = args.str();
+        else if (args.is("--seeds"))
+            opt.seeds = static_cast<unsigned>(args.count(1, UINT_MAX));
+        else if (args.is("--first-seed"))
+            opt.firstSeed = args.seed();
+        else if (args.is("--events"))
+            opt.gen.events = static_cast<unsigned>(args.count(1, UINT_MAX));
+        else if (args.is("--threads"))
+            opt.gen.threads =
+                static_cast<unsigned>(args.count(1, kMaxThreads));
+        else if (args.is("--pmos"))
+            opt.gen.pmos = static_cast<unsigned>(args.count(1, kMaxPmos));
+        else if (args.is("--ew"))
+            ewUs = args.positive();
+        else if (args.is("--crash"))
             opt.gen.persistOps = true;
-        } else if (a == "--txn") {
+        else if (args.is("--txn"))
             opt.gen.txnOps = true;
-        } else if (a == "--shrink") {
+        else if (args.is("--shrink"))
             opt.shrink = true;
-        } else if (a == "--no-shrink") {
+        else if (args.is("--no-shrink"))
             opt.shrink = false;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
+        else
+            args.unknown();
     }
 
     opt.gen.ewTarget = usToCycles(ewUs);

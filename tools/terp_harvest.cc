@@ -28,11 +28,15 @@
  *   --audit N         trace-audit stride in power cycles (default
  *                     25; 0 disables)
  *   --json            one JSON object per cell on stdout
- *   --golden=FILE     fail (exit 1) if the deterministic per-cell
- *                     summary differs from FILE
+ *   --golden=FILE     fail (exit 1) unless the deterministic per-cell
+ *                     summary equals FILE byte for byte
  *   --write-golden=FILE  write the per-cell summary to FILE
  *   --history=PATH    append one throughput record (metric label
  *                     cycles_per_s) to the benchmark history
+ *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--seed=7` or `--seed 7`); tools/cli.hh holds the value, usage
+ * and golden rules all seven tools share.
  *
  * Exit status: 0 when every cell passed its oracle, 1 on any
  * violation or golden drift, 2 on usage errors.
@@ -41,8 +45,6 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,18 +64,12 @@ struct CellResult
     energy::HarvestResult res;
 };
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-harvest [--scheme all|mm|tm|tt|ttnc|basic]\n"
-        "                    [--workload bank|txmix] [--caps LIST]\n"
-        "                    [--cycles N] [--seed N] [--ew US]\n"
-        "                    [--audit N] [--json] [--golden=FILE]\n"
-        "                    [--write-golden=FILE] [--history=PATH]\n");
-    return 2;
-}
+const char kUsage[] =
+    "usage: terp-harvest [--scheme all|mm|tm|tt|ttnc|basic]\n"
+    "                    [--workload bank|txmix] [--caps LIST]\n"
+    "                    [--cycles N] [--seed N] [--ew US]\n"
+    "                    [--audit N] [--json] [--golden=FILE]\n"
+    "                    [--write-golden=FILE] [--history=PATH]\n";
 
 /**
  * Largest accepted capacitor: a power cycle's length grows with the
@@ -102,9 +98,7 @@ std::string
 cellJson(const std::string &workload, const CellResult &c)
 {
     const energy::HarvestResult &r = c.res;
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
+    return cli::format(
         "{\"scheme\": \"%s\", \"workload\": \"%s\", "
         "\"cap_units\": %llu, \"power_cycles\": %u, "
         "\"committed\": %llu, \"interrupted\": %llu, "
@@ -125,9 +119,7 @@ cellJson(const std::string &workload, const CellResult &c)
         (unsigned long long)r.recoveredLogs,
         (unsigned long long)r.simCycles,
         (unsigned long long)r.offCycles, r.exposure.ewAvgUs,
-        r.exposure.ewMaxUs, r.exposure.tewAvgUs,
-        r.violations.size());
-    return buf;
+        r.exposure.ewMaxUs, r.exposure.tewAvgUs, r.violations.size());
 }
 
 } // namespace
@@ -145,58 +137,37 @@ main(int argc, char **argv)
     bool json = false;
     std::string goldenPath, writeGoldenPath, historyPath;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::string inl;
-        std::size_t eq = a.find('=');
-        if (eq != std::string::npos) {
-            inl = a.substr(eq + 1);
-            a = a.substr(0, eq);
-        }
-        auto val = [&]() -> std::string {
-            if (!inl.empty())
-                return inl;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--scheme") {
-            scheme = val();
-        } else if (a == "--workload") {
-            workload = val();
-        } else if (a == "--caps") {
-            capsArg = val();
-        } else if (a == "--cycles") {
-            cycles = static_cast<unsigned>(
-                cli::count("terp-harvest", a, val(), 1, UINT_MAX));
-        } else if (a == "--seed") {
-            seed = std::strtoull(val().c_str(), nullptr, 0);
-        } else if (a == "--ew") {
-            ewUs = cli::positive("terp-harvest", a, val());
-        } else if (a == "--audit") {
-            audit = static_cast<unsigned>(
-                cli::count("terp-harvest", a, val(), 0, UINT_MAX));
-        } else if (a == "--json") {
+    cli::Args args("terp-harvest", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--scheme"))
+            scheme = args.str();
+        else if (args.is("--workload"))
+            workload = args.str();
+        else if (args.is("--caps"))
+            capsArg = args.str();
+        else if (args.is("--cycles"))
+            cycles = static_cast<unsigned>(args.count(1, UINT_MAX));
+        else if (args.is("--seed"))
+            seed = args.seed();
+        else if (args.is("--ew"))
+            ewUs = args.positive();
+        else if (args.is("--audit"))
+            audit = static_cast<unsigned>(args.count(0, UINT_MAX));
+        else if (args.is("--json"))
             json = true;
-        } else if (a == "--golden") {
-            goldenPath = val();
-        } else if (a == "--write-golden") {
-            writeGoldenPath = val();
-        } else if (a == "--history") {
-            historyPath = val();
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
+        else if (args.is("--golden"))
+            goldenPath = args.str();
+        else if (args.is("--write-golden"))
+            writeGoldenPath = args.str();
+        else if (args.is("--history"))
+            historyPath = args.str();
+        else
+            args.unknown();
     }
 
     std::vector<std::uint64_t> caps = parseCaps(capsArg);
     if (caps.empty())
-        return usage();
+        args.usage();
     std::vector<std::string> schemes =
         scheme == "all" ? check::allSchemes()
                         : std::vector<std::string>{scheme};
@@ -312,92 +283,22 @@ main(int argc, char **argv)
     }
 
     // ---- golden summary (simulated work only; no wall clock) ------
-    if (!writeGoldenPath.empty()) {
-        FILE *f = std::fopen(writeGoldenPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "terp-harvest: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        std::fprintf(f,
-                     "# terp-harvest golden summary: <scheme> "
-                     "<workload> <cap> <power_cycles> <committed> "
-                     "<interrupted> <sim_cycles>\n");
-        for (const CellResult &c : cells)
-            std::fprintf(f, "%s %s %llu %u %llu %llu %llu\n",
-                         c.scheme.c_str(), workload.c_str(),
-                         (unsigned long long)c.capUnits,
-                         c.res.powerCycles,
-                         (unsigned long long)c.res.committed,
-                         (unsigned long long)c.res.interrupted,
-                         (unsigned long long)c.res.simCycles);
-        std::fclose(f);
-        std::fprintf(stderr, "terp-harvest: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-
+    std::string golden = "# terp-harvest golden summary: <scheme> "
+                         "<workload> <cap> <power_cycles> <committed> "
+                         "<interrupted> <sim_cycles>\n";
+    for (const CellResult &c : cells)
+        golden += cli::format("%s %s %llu %u %llu %llu %llu\n",
+                              c.scheme.c_str(), workload.c_str(),
+                              (unsigned long long)c.capUnits,
+                              c.res.powerCycles,
+                              (unsigned long long)c.res.committed,
+                              (unsigned long long)c.res.interrupted,
+                              (unsigned long long)c.res.simCycles);
+    if (!writeGoldenPath.empty())
+        cli::writeText("terp-harvest", writeGoldenPath, golden);
     if (!goldenPath.empty()) {
-        FILE *f = std::fopen(goldenPath.c_str(), "r");
-        if (!f) {
-            std::fprintf(stderr,
-                         "terp-harvest: cannot read golden %s\n",
-                         goldenPath.c_str());
-            return 2;
-        }
-        bool drift = false;
-        std::size_t seen = 0;
-        char line[256];
-        while (std::fgets(line, sizeof(line), f)) {
-            if (line[0] == '#' || line[0] == '\n')
-                continue;
-            char sc[64], wl[64];
-            unsigned long long cap = 0, pc = 0, com = 0, intr = 0,
-                               sim = 0;
-            if (std::sscanf(line, "%63s %63s %llu %llu %llu %llu %llu",
-                            sc, wl, &cap, &pc, &com, &intr,
-                            &sim) != 7)
-                continue;
-            ++seen;
-            const CellResult *match = nullptr;
-            for (const CellResult &c : cells)
-                if (c.scheme == sc && workload == wl &&
-                    c.capUnits == cap)
-                    match = &c;
-            if (!match) {
-                std::fprintf(stderr,
-                             "terp-harvest: golden names unknown "
-                             "cell '%s %s %llu'\n",
-                             sc, wl, cap);
-                drift = true;
-            } else if (match->res.powerCycles != pc ||
-                       match->res.committed != com ||
-                       match->res.interrupted != intr ||
-                       match->res.simCycles != sim) {
-                std::fprintf(
-                    stderr,
-                    "terp-harvest: DRIFT in %s %llu: cycles "
-                    "%llu -> %u, committed %llu -> %llu, "
-                    "interrupted %llu -> %llu, sim_cycles "
-                    "%llu -> %llu\n",
-                    sc, cap, pc, match->res.powerCycles, com,
-                    (unsigned long long)match->res.committed, intr,
-                    (unsigned long long)match->res.interrupted, sim,
-                    (unsigned long long)match->res.simCycles);
-                drift = true;
-            }
-        }
-        std::fclose(f);
-        if (seen != cells.size()) {
-            std::fprintf(stderr,
-                         "terp-harvest: golden covers %zu of %zu "
-                         "cells\n",
-                         seen, cells.size());
-            drift = true;
-        }
-        if (drift)
-            return 1;
-        std::fprintf(stderr,
-                     "terp-harvest: simulated cycles match golden\n");
+        if (int rc = cli::checkGolden("terp-harvest", goldenPath, golden))
+            return rc;
     }
     return anyViolation ? 1 : 0;
 }

@@ -38,8 +38,7 @@
  *   --ew-budget=F        per-tenant exposure budget (fraction of
  *                        wall-clock a tenant PMO may sit exposed)
  *                        for SLO burn-rate alerting; publishes
- *                        serve.slo_burn{tenant,win} gauges and the
- *                        serve.shed_advised advisory counter
+ *                        serve.slo_burn{tenant,win} gauges
  *                        (default 0 = off)
  *   --txn-writes=N       end every request with one durable
  *                        TxManager transaction of N writes on its
@@ -54,15 +53,19 @@
  *                        latency} to the bench history (JSON lines)
  *   --quiet              suppress the report on stdout
  *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--seed=7` or `--seed 7`); tools/cli.hh holds the value, usage
+ * and golden rules all seven tools share.
+ *
  * Exit status: 0 on success, 1 on golden drift, 2 on usage errors.
  */
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "cli.hh"
 #include "history.hh"
 #include "metrics/export.hh"
 #include "serve/report.hh"
@@ -72,44 +75,18 @@ using namespace terp;
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-serve [--quick] [--seed=S] [--shards=K]"
-        " [--workers=N]\n"
-        "                  [--sessions=C] [--requests=R]"
-        " [--scheme=NAME] [--slow=FRAC]\n"
-        "                  [--ew-budget=F]\n"
-        "                  [--txn-writes=N]\n"
-        "                  [--queue-cap=Q] [--out=FILE]"
-        " [--golden=FILE]\n"
-        "                  [--write-golden=FILE]"
-        " [--metrics-prom=FILE]\n"
-        "                  [--history=FILE] [--quiet]\n");
-    return 2;
-}
-
-bool
-applyScheme(serve::ServeConfig &cfg, const std::string &name)
-{
-    if (name == "tt")
-        cfg.runtime = core::RuntimeConfig::tt();
-    else if (name == "tm")
-        cfg.runtime = core::RuntimeConfig::tm();
-    else if (name == "mm")
-        cfg.runtime = core::RuntimeConfig::mm();
-    else if (name == "ttnc")
-        cfg.runtime = core::RuntimeConfig::ttNoCombining();
-    else if (name == "basic")
-        cfg.runtime = core::RuntimeConfig::basicSemantics();
-    else if (name == "unprotected")
-        cfg.runtime = core::RuntimeConfig::unprotected();
-    else
-        return false;
-    return true;
-}
+const char kUsage[] =
+    "usage: terp-serve [--quick] [--seed=S] [--shards=K]"
+    " [--workers=N]\n"
+    "                  [--sessions=C] [--requests=R]"
+    " [--scheme=NAME] [--slow=FRAC]\n"
+    "                  [--ew-budget=F]\n"
+    "                  [--txn-writes=N]\n"
+    "                  [--queue-cap=Q] [--out=FILE]"
+    " [--golden=FILE]\n"
+    "                  [--write-golden=FILE]"
+    " [--metrics-prom=FILE]\n"
+    "                  [--history=FILE] [--quiet]\n";
 
 std::uint64_t
 fleetP99(const serve::FleetResult &res, const char *name)
@@ -131,65 +108,48 @@ main(int argc, char **argv)
     std::string outPath = "SERVE_terp.json";
     std::string goldenPath, writeGoldenPath, promPath, historyPath;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--quick") {
+    cli::Args args("terp-serve", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--quick")) {
             cfg = serve::ServeConfig::quick();
-        } else if (a.rfind("--seed=", 0) == 0) {
-            cfg.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-        } else if (a.rfind("--shards=", 0) == 0) {
-            long v = std::atol(a.c_str() + 9);
-            if (v < 1)
-                return usage();
-            cfg.shards = static_cast<unsigned>(v);
-        } else if (a.rfind("--workers=", 0) == 0) {
-            long v = std::atol(a.c_str() + 10);
-            workers = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else if (a.rfind("--sessions=", 0) == 0) {
-            cfg.sessions =
-                static_cast<unsigned>(std::atol(a.c_str() + 11));
-        } else if (a.rfind("--requests=", 0) == 0) {
+        } else if (args.is("--seed")) {
+            cfg.seed = args.seed();
+        } else if (args.is("--shards")) {
+            cfg.shards = static_cast<unsigned>(args.count(1, 4096));
+        } else if (args.is("--workers")) {
+            workers = static_cast<unsigned>(args.count(1, 1024));
+        } else if (args.is("--sessions")) {
+            cfg.sessions = static_cast<unsigned>(args.count(0, 1000000));
+        } else if (args.is("--requests")) {
             cfg.requestsPerSession =
-                static_cast<unsigned>(std::atol(a.c_str() + 11));
-        } else if (a.rfind("--scheme=", 0) == 0) {
-            if (!applyScheme(cfg, a.substr(9))) {
-                std::fprintf(stderr, "unknown scheme '%s'\n",
-                             a.c_str() + 9);
-                return usage();
-            }
-        } else if (a.rfind("--slow=", 0) == 0) {
-            cfg.slowFraction = std::atof(a.c_str() + 7);
-        } else if (a.rfind("--ew-budget=", 0) == 0) {
-            cfg.tenantEwBudget = std::atof(a.c_str() + 12);
-            if (cfg.tenantEwBudget < 0)
-                return usage();
-        } else if (a.rfind("--txn-writes=", 0) == 0) {
-            cfg.txnWrites =
-                static_cast<unsigned>(std::atol(a.c_str() + 13));
+                static_cast<unsigned>(args.count(0, 1000000));
+        } else if (args.is("--scheme")) {
+            cfg.runtime = cli::scheme("terp-serve", args.str());
+        } else if (args.is("--slow")) {
+            cfg.slowFraction = args.real(0, 1);
+        } else if (args.is("--ew-budget")) {
+            cfg.tenantEwBudget = args.real(0, HUGE_VAL);
+        } else if (args.is("--txn-writes")) {
+            cfg.txnWrites = static_cast<unsigned>(args.count(0, UINT_MAX));
             if (cfg.txnWrites > 0)
                 cfg.persistence = true;
-        } else if (a.rfind("--queue-cap=", 0) == 0) {
-            long v = std::atol(a.c_str() + 12);
-            if (v < 1)
-                return usage();
-            cfg.queueCapacity = static_cast<unsigned>(v);
-        } else if (a.rfind("--out=", 0) == 0) {
-            outPath = a.substr(6);
-        } else if (a.rfind("--golden=", 0) == 0) {
-            goldenPath = a.substr(9);
-        } else if (a.rfind("--write-golden=", 0) == 0) {
-            writeGoldenPath = a.substr(15);
-        } else if (a.rfind("--metrics-prom=", 0) == 0) {
-            promPath = a.substr(15);
-        } else if (a.rfind("--history=", 0) == 0) {
-            historyPath = a.substr(10);
-        } else if (a == "--quiet") {
+        } else if (args.is("--queue-cap")) {
+            cfg.queueCapacity =
+                static_cast<unsigned>(args.count(1, UINT_MAX));
+        } else if (args.is("--out")) {
+            outPath = args.str();
+        } else if (args.is("--golden")) {
+            goldenPath = args.str();
+        } else if (args.is("--write-golden")) {
+            writeGoldenPath = args.str();
+        } else if (args.is("--metrics-prom")) {
+            promPath = args.str();
+        } else if (args.is("--history")) {
+            historyPath = args.str();
+        } else if (args.is("--quiet")) {
             quiet = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
+            args.unknown();
         }
     }
 
@@ -206,17 +166,8 @@ main(int argc, char **argv)
     std::fprintf(stderr, "terp-serve: done in %.2fs\n",
                  res.wallSeconds);
 
-    if (!outPath.empty()) {
-        std::ofstream f(outPath);
-        if (!f) {
-            std::fprintf(stderr, "terp-serve: cannot write %s\n",
-                         outPath.c_str());
-            return 2;
-        }
-        f << serve::toJson(res, workers);
-        std::fprintf(stderr, "terp-serve: wrote %s\n",
-                     outPath.c_str());
-    }
+    if (!outPath.empty())
+        cli::writeText("terp-serve", outPath, serve::toJson(res, workers));
 
     if (!promPath.empty()) {
         if (!res.fleet) {
@@ -225,15 +176,8 @@ main(int argc, char **argv)
                          promPath.c_str());
             return 2;
         }
-        std::ofstream f(promPath);
-        if (!f) {
-            std::fprintf(stderr, "terp-serve: cannot write %s\n",
-                         promPath.c_str());
-            return 2;
-        }
-        f << metrics::toPrometheus(*res.fleet);
-        std::fprintf(stderr, "terp-serve: wrote %s\n",
-                     promPath.c_str());
+        cli::writeText("terp-serve", promPath,
+                       metrics::toPrometheus(*res.fleet));
     }
 
     if (!historyPath.empty()) {
@@ -258,35 +202,9 @@ main(int argc, char **argv)
                      historyPath.c_str());
     }
 
-    if (!writeGoldenPath.empty()) {
-        std::ofstream f(writeGoldenPath);
-        if (!f) {
-            std::fprintf(stderr, "terp-serve: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        f << report;
-        std::fprintf(stderr, "terp-serve: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-
-    if (!goldenPath.empty()) {
-        std::ifstream f(goldenPath);
-        if (!f) {
-            std::fprintf(stderr, "terp-serve: cannot read golden %s\n",
-                         goldenPath.c_str());
-            return 2;
-        }
-        std::ostringstream want;
-        want << f.rdbuf();
-        if (want.str() != report) {
-            std::fprintf(stderr,
-                         "terp-serve: DRIFT: report differs from "
-                         "golden %s\n",
-                         goldenPath.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "terp-serve: report matches golden\n");
-    }
+    if (!writeGoldenPath.empty())
+        cli::writeText("terp-serve", writeGoldenPath, report);
+    if (!goldenPath.empty())
+        return cli::checkGolden("terp-serve", goldenPath, report);
     return 0;
 }

@@ -36,6 +36,10 @@
  *                            excluded — they are wall-clock noise
  *   --write-golden=FILE      write the golden
  *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--seed=7` or `--seed 7`); tools/cli.hh holds the value, usage
+ * and golden rules all seven tools share.
+ *
  * Exit status: 0 on success, 1 on cross-check failure, golden drift
  * or (for --diff) any difference, 2 on usage/IO errors.
  */
@@ -465,44 +469,6 @@ goldenText(const Doc &doc)
     return os.str();
 }
 
-int
-checkGolden(const std::string &got, const std::string &path)
-{
-    std::string want, error;
-    if (!readFile(path, want, error)) {
-        std::fprintf(stderr, "terp-stats: %s\n", error.c_str());
-        return 2;
-    }
-    if (got == want) {
-        std::fprintf(stderr, "terp-stats: metrics match golden %s\n",
-                     path.c_str());
-        return 0;
-    }
-    // Report the first differing lines for a usable CI message.
-    std::istringstream a(want), b(got);
-    std::string la, lb;
-    unsigned lineNo = 0, shown = 0;
-    for (;;) {
-        bool ha = static_cast<bool>(std::getline(a, la));
-        bool hb = static_cast<bool>(std::getline(b, lb));
-        if (!ha && !hb)
-            break;
-        ++lineNo;
-        if (ha && hb && la == lb)
-            continue;
-        std::fprintf(stderr,
-                     "terp-stats: DRIFT at line %u:\n  golden: %s\n"
-                     "  actual: %s\n",
-                     lineNo, ha ? la.c_str() : "<eof>",
-                     hb ? lb.c_str() : "<eof>");
-        if (++shown >= 5) {
-            std::fprintf(stderr, "terp-stats: (more drift elided)\n");
-            break;
-        }
-    }
-    return 1;
-}
-
 // --------------------------------------------------------------- diff
 
 int
@@ -629,26 +595,6 @@ diffDocs(const Doc &a, const Doc &b)
 
 // ---------------------------------------------------------- run mode
 
-bool
-schemeConfig(const std::string &tag, core::RuntimeConfig &cfg)
-{
-    if (tag == "unprotected")
-        cfg = core::RuntimeConfig::unprotected();
-    else if (tag == "mm")
-        cfg = core::RuntimeConfig::mm();
-    else if (tag == "tm")
-        cfg = core::RuntimeConfig::tm();
-    else if (tag == "tt")
-        cfg = core::RuntimeConfig::tt();
-    else if (tag == "ttnc")
-        cfg = core::RuntimeConfig::ttNoCombining();
-    else if (tag == "basic")
-        cfg = core::RuntimeConfig::basicSemantics();
-    else
-        return false;
-    return true;
-}
-
 /**
  * Cross-check the three observability paths on a finished run: the
  * metrics histograms must agree cycle-for-cycle (count, sum, min,
@@ -751,24 +697,18 @@ crossCheck(const workloads::RunResult &r)
     return failures;
 }
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-stats run <workload> <scheme> [--sections=N]"
-        " [--seed=N]\n"
-        "       terp-stats --from=FILE\n"
-        "       terp-stats --diff A B\n"
-        "options: [--json] [--prom] [--blame] [--golden=FILE]"
-        " [--write-golden=FILE]\n"
-        "  --blame: print the exposure blame report instead of the\n"
-        "           posture report; --golden/--write-golden then\n"
-        "           apply to the blame report text\n"
-        "workloads: echo ycsb tpcc ctree hashmap redis\n"
-        "schemes: unprotected mm tm tt ttnc basic\n");
-    return 2;
-}
+const char kUsage[] =
+    "usage: terp-stats run <workload> <scheme> [--sections=N]"
+    " [--seed=N]\n"
+    "       terp-stats --from=FILE\n"
+    "       terp-stats --diff A B\n"
+    "options: [--json] [--prom] [--blame] [--golden=FILE]"
+    " [--write-golden=FILE]\n"
+    "  --blame: print the exposure blame report instead of the\n"
+    "           posture report; --golden/--write-golden then\n"
+    "           apply to the blame report text\n"
+    "workloads: echo ycsb tpcc ctree hashmap redis\n"
+    "schemes: unprotected mm tm tt ttnc basic\n";
 
 } // namespace
 
@@ -780,37 +720,31 @@ main(int argc, char **argv)
     bool emitJson = false, emitProm = false, blame = false;
     std::uint64_t sections = 400, seed = 1234;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--from=", 0) == 0) {
-            fromPath = a.substr(7);
-        } else if (a == "--diff") {
-            if (i + 2 >= argc)
-                return usage();
-            diffPaths = {argv[i + 1], argv[i + 2]};
-            i += 2;
-        } else if (a.rfind("--golden=", 0) == 0) {
-            goldenPath = a.substr(9);
-        } else if (a.rfind("--write-golden=", 0) == 0) {
-            writeGoldenPath = a.substr(15);
-        } else if (a.rfind("--sections=", 0) == 0) {
-            sections = cli::count("terp-stats", "--sections",
-                                  a.substr(11), 1, UINT_MAX);
-        } else if (a.rfind("--seed=", 0) == 0) {
-            seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-        } else if (a == "--json") {
+    cli::Args args("terp-stats", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.positional()) {
+            positional.push_back(args.arg());
+        } else if (args.is("--from")) {
+            fromPath = args.str();
+        } else if (args.is("--diff")) {
+            std::string a = args.str();
+            diffPaths = {a, args.str()};
+        } else if (args.is("--golden")) {
+            goldenPath = args.str();
+        } else if (args.is("--write-golden")) {
+            writeGoldenPath = args.str();
+        } else if (args.is("--sections")) {
+            sections = args.count(1, UINT_MAX);
+        } else if (args.is("--seed")) {
+            seed = args.seed();
+        } else if (args.is("--json")) {
             emitJson = true;
-        } else if (a == "--prom") {
+        } else if (args.is("--prom")) {
             emitProm = true;
-        } else if (a == "--blame") {
+        } else if (args.is("--blame")) {
             blame = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else if (a.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
         } else {
-            positional.push_back(a);
+            args.unknown();
         }
     }
 
@@ -832,27 +766,19 @@ main(int argc, char **argv)
 
     if (!fromPath.empty()) {
         if (!positional.empty())
-            return usage();
+            args.usage();
         if (!docFromFile(fromPath, doc, error)) {
             std::fprintf(stderr, "terp-stats: %s\n", error.c_str());
             return 2;
         }
     } else if (positional.size() == 3 && positional[0] == "run") {
         const std::string &workload = positional[1];
-        core::RuntimeConfig cfg;
-        if (!schemeConfig(positional[2], cfg)) {
-            std::fprintf(stderr, "unknown scheme '%s'\n",
-                         positional[2].c_str());
-            return usage();
-        }
+        core::RuntimeConfig cfg = cli::scheme("terp-stats", positional[2]);
         bool known = false;
         for (const std::string &n : workloads::whisperNames())
             known = known || n == workload;
-        if (!known) {
-            std::fprintf(stderr, "unknown workload '%s'\n",
-                         workload.c_str());
-            return usage();
-        }
+        if (!known)
+            args.fail("unknown workload '" + workload + "'");
         workloads::WhisperParams p;
         p.sections = sections;
         p.seed = seed;
@@ -873,7 +799,7 @@ main(int argc, char **argv)
             return 2;
         }
     } else {
-        return usage();
+        args.usage();
     }
 
     if (emitJson) {
@@ -904,20 +830,10 @@ main(int argc, char **argv)
     // With --blame the golden is the blame report text itself; the
     // default golden keeps blame metrics excluded either way.
     std::string golden = blame ? blameText(doc) : goldenText(doc);
-    if (!writeGoldenPath.empty()) {
-        std::ofstream out(writeGoldenPath, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "terp-stats: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        out << golden;
-        std::fprintf(stderr, "terp-stats: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
+    if (!writeGoldenPath.empty())
+        cli::writeText("terp-stats", writeGoldenPath, golden);
     if (!goldenPath.empty()) {
-        int rc = checkGolden(golden, goldenPath);
-        if (rc != 0)
+        if (int rc = cli::checkGolden("terp-stats", goldenPath, golden))
             return rc;
     }
     return failures > 0 ? 1 : 0;

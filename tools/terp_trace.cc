@@ -22,6 +22,10 @@
  *   --capacity N    per-thread ring capacity in events, >= 1
  *                   (default 64Ki; the ring grows to it on demand)
  *
+ * A flag's value may follow '=' or come as the next argument
+ * (`--sections=4` or `--sections 4`); tools/cli.hh holds the value
+ * and usage rules all seven tools share.
+ *
  * Exit status is 1 if the timeline auditor finds any divergence
  * between the trace replay and the runtime's EwTracker, 2 on usage
  * errors (counts must be plain decimal digits).
@@ -30,10 +34,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cli.hh"
 #include "trace/export.hh"
@@ -50,50 +53,51 @@ contains(const std::vector<std::string> &v, const std::string &s)
     return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-core::RuntimeConfig
-schemeConfig(const std::string &scheme, Cycles ew, Cycles tew)
-{
-    if (scheme == "unprotected")
-        return core::RuntimeConfig::unprotected();
-    if (scheme == "mm")
-        return core::RuntimeConfig::mm(ew);
-    if (scheme == "tm")
-        return core::RuntimeConfig::tm(ew, tew);
-    if (scheme == "tt")
-        return core::RuntimeConfig::tt(ew, tew);
-    if (scheme == "ttnc")
-        return core::RuntimeConfig::ttNoCombining(ew, tew);
-    if (scheme == "basic")
-        return core::RuntimeConfig::basicSemantics(ew);
-    std::fprintf(stderr, "unknown scheme '%s' (try: unprotected mm "
-                         "tm tt ttnc basic)\n",
-                 scheme.c_str());
-    std::exit(2);
-}
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: terp-trace <workload> <scheme> [--out FILE] "
-                 "[--jsonl FILE]\n"
-                 "                  [--threads N] [--sections N] "
-                 "[--scale F]\n"
-                 "                  [--ew US] [--tew US] "
-                 "[--capacity N]\n"
-                 "       terp-trace list\n");
-    return 2;
-}
+const char kUsage[] =
+    "usage: terp-trace <workload> <scheme> [--out FILE] [--jsonl FILE]\n"
+    "                  [--threads N] [--sections N] [--scale F]\n"
+    "                  [--ew US] [--tew US] [--capacity N]\n"
+    "       terp-trace list\n";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
+    std::vector<std::string> positional;
+    std::string out = "terp-trace.json";
+    std::string jsonl;
+    unsigned threads = 1;
+    std::uint64_t sections = 200;
+    double scale = 1.0;
+    double ewUs = 40.0, tewUs = 2.0;
+    std::size_t capacity = trace::TraceSink::defaultCapacity;
 
-    if (std::string(argv[1]) == "list") {
+    cli::Args args("terp-trace", argc, argv, kUsage);
+    while (args.next()) {
+        if (args.positional())
+            positional.push_back(args.arg());
+        else if (args.is("--out"))
+            out = args.str();
+        else if (args.is("--jsonl"))
+            jsonl = args.str();
+        else if (args.is("--threads"))
+            threads = static_cast<unsigned>(args.count(1, 1024));
+        else if (args.is("--sections"))
+            sections = args.count(0, UINT64_MAX);
+        else if (args.is("--scale"))
+            scale = args.positive();
+        else if (args.is("--ew"))
+            ewUs = args.positive();
+        else if (args.is("--tew"))
+            tewUs = args.positive();
+        else if (args.is("--capacity"))
+            capacity = static_cast<std::size_t>(args.count(1, SIZE_MAX));
+        else
+            args.unknown();
+    }
+
+    if (positional.size() == 1 && positional[0] == "list") {
         std::printf("WHISPER workloads:");
         for (const std::string &n : workloads::whisperNames())
             std::printf(" %s", n.c_str());
@@ -104,52 +108,13 @@ main(int argc, char **argv)
                     "basic\n");
         return 0;
     }
-    if (argc < 3)
-        return usage();
+    if (positional.size() != 2)
+        args.usage();
+    const std::string &workload = positional[0];
+    const std::string &scheme = positional[1];
 
-    std::string workload = argv[1];
-    std::string scheme = argv[2];
-    std::string out = "terp-trace.json";
-    std::string jsonl;
-    unsigned threads = 1;
-    std::uint64_t sections = 200;
-    double scale = 1.0;
-    double ewUs = 40.0, tewUs = 2.0;
-    std::size_t capacity = trace::TraceSink::defaultCapacity;
-
-    for (int i = 3; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--out")
-            out = val();
-        else if (a == "--jsonl")
-            jsonl = val();
-        else if (a == "--threads")
-            threads = static_cast<unsigned>(
-                cli::count("terp-trace", a, val(), 1, 1024));
-        else if (a == "--sections")
-            sections = cli::count("terp-trace", a, val(), 0, UINT64_MAX);
-        else if (a == "--scale")
-            scale = cli::positive("terp-trace", a, val());
-        else if (a == "--ew")
-            ewUs = std::atof(val());
-        else if (a == "--tew")
-            tewUs = std::atof(val());
-        else if (a == "--capacity")
-            capacity = static_cast<std::size_t>(
-                cli::count("terp-trace", a, val(), 1, SIZE_MAX));
-        else
-            return usage();
-    }
-
-    core::RuntimeConfig cfg =
-        schemeConfig(scheme, usToCycles(ewUs), usToCycles(tewUs));
+    core::RuntimeConfig cfg = cli::scheme(
+        "terp-trace", scheme, usToCycles(ewUs), usToCycles(tewUs));
     cfg.traceEnabled = true;
     cfg.traceCapacity = capacity;
 
