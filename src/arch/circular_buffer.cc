@@ -183,16 +183,6 @@ CircularBuffer::residentPmos() const
     return out;
 }
 
-unsigned
-CircularBuffer::liveEntries() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries)
-        if (e.valid)
-            ++n;
-    return n;
-}
-
 void
 CircularBuffer::evict(pm::PmoId pmo)
 {

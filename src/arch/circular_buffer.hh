@@ -103,7 +103,7 @@ class CircularBuffer
     Cycles timestamp(pm::PmoId pmo) const;
 
     /** Number of live entries. */
-    unsigned liveEntries() const;
+    unsigned liveEntries() const { return nLive; }
 
     /** Ids of all resident PMOs, in entry order (sweep visit order). */
     std::vector<pm::PmoId> residentPmos() const;

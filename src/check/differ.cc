@@ -846,11 +846,12 @@ class Replay
 
     void
     compareSummary(const char *what, pm::PmoId pmo,
-                   const Summary *got, const Summary *want)
+                   const metrics::Summary *got,
+                   const metrics::Summary *want)
     {
-        Summary empty;
-        const Summary &g = got ? *got : empty;
-        const Summary &w = want ? *want : empty;
+        metrics::Summary empty;
+        const metrics::Summary &g = got ? *got : empty;
+        const metrics::Summary &w = want ? *want : empty;
         if (g.count() == w.count() && g.sum() == w.sum() &&
             g.min() == w.min() && g.max() == w.max()) {
             return;

@@ -624,14 +624,14 @@ SpecOracle::finalize(Cycles tEnd)
     }
 }
 
-const Summary *
+const metrics::Summary *
 SpecOracle::ewSummary(pm::PmoId pmo) const
 {
     auto it = ps.find(pmo);
     return it == ps.end() ? nullptr : &it->second.ew;
 }
 
-const Summary *
+const metrics::Summary *
 SpecOracle::tewSummary(pm::PmoId pmo) const
 {
     auto it = ps.find(pmo);

@@ -27,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "core/config.hh"
 #include "core/runtime.hh"
+#include "metrics/metric.hh"
 #include "semantics/attach_semantics.hh"
 
 namespace terp {
@@ -138,8 +138,8 @@ class SpecOracle
     void finalize(Cycles tEnd);
 
     /** Expected window summaries for the whole run. */
-    const Summary *ewSummary(pm::PmoId pmo) const;
-    const Summary *tewSummary(pm::PmoId pmo) const;
+    const metrics::Summary *ewSummary(pm::PmoId pmo) const;
+    const metrics::Summary *tewSummary(pm::PmoId pmo) const;
     /** PMOs the oracle ever saw a window for. */
     std::vector<pm::PmoId> pmosSeen() const;
 
@@ -186,8 +186,8 @@ class SpecOracle
         bool manualHeld = false;
         std::map<unsigned, pm::Mode> holders;
         std::map<unsigned, Cycles> tewOpen;
-        Summary ew;
-        Summary tew;
+        metrics::Summary ew;
+        metrics::Summary tew;
         bool everSeen = false;
 
         // -- blame mirror: independent copy of the tracker's segment

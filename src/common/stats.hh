@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics: the Summary alias and the
- * sample-retaining bucketed Histogram the benchmark harnesses use.
+ * The sample-retaining bucketed Histogram the benchmark harnesses
+ * use (fig08 and security/dead_time).
  */
 
 #ifndef TERP_COMMON_STATS_HH
@@ -10,21 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "metrics/metric.hh"
-
 namespace terp {
-
-/**
- * Running scalar summary (count / sum / min / max / mean) over
- * uint64 samples such as exposure-window lengths in cycles.
- *
- * Canonically defined in metrics/metric.hh so every consumer — the
- * EwTracker, the trace auditor's window tallies, the differential
- * oracle and the metrics registry — shares one implementation with
- * one set of empty-sample conventions (min()==0, mean()==0.0 on
- * n==0). This alias keeps the historical spelling.
- */
-using Summary = metrics::Summary;
 
 /**
  * Histogram over explicit bucket upper bounds. A sample lands in the

@@ -29,11 +29,20 @@ JsonValue::asU64() const
 
 namespace {
 
+/**
+ * Deepest array/object nesting accepted. The parser recurses once per
+ * level, so an unbounded input (a user file for terp-stats --from)
+ * could otherwise exhaust the stack; the repo's own exports nest at
+ * most a handful of levels.
+ */
+constexpr unsigned maxDepth = 256;
+
 /** Recursive-descent parser over a string + cursor. */
 struct Parser
 {
     const std::string &s;
     std::size_t i = 0;
+    unsigned depth = 0; //!< open arrays/objects around the cursor
     std::string err;
 
     explicit Parser(const std::string &text) : s(text) {}
@@ -89,8 +98,14 @@ struct Parser
                   case 'b': out += '\b'; break;
                   case 'f': out += '\f'; break;
                   case 'u':
-                    // The repo's own exports never emit \u; accept
-                    // and keep the escape verbatim.
+                    // The repo's own exports never emit \u; check
+                    // the four hex digits and keep the escape
+                    // verbatim.
+                    for (std::size_t k = 0; k < 4; ++k)
+                        if (i + k >= s.size() ||
+                            !std::isxdigit(
+                                static_cast<unsigned char>(s[i + k])))
+                            return fail("bad \\u escape");
                     out += "\\u";
                     break;
                   default: return fail("bad escape");
@@ -105,6 +120,53 @@ struct Parser
         return true;
     }
 
+    /** Number per RFC 8259: -?digits(.digits)?([eE][+-]?digits)? */
+    bool
+    parseNumber(JsonValue &v)
+    {
+        std::size_t start = i;
+        auto digits = [&] {
+            std::size_t from = i;
+            while (i < s.size() &&
+                   std::isdigit(static_cast<unsigned char>(s[i])))
+                ++i;
+            return i > from;
+        };
+        if (i < s.size() && s[i] == '-')
+            ++i;
+        if (!digits())
+            return fail(i == start ? "unexpected character"
+                                   : "expected digit");
+        if (i < s.size() && s[i] == '.') {
+            ++i;
+            if (!digits())
+                return fail("expected digit");
+        }
+        if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+            ++i;
+            if (i < s.size() && (s[i] == '-' || s[i] == '+'))
+                ++i;
+            if (!digits())
+                return fail("expected digit");
+        }
+        v.type = JsonValue::Type::Number;
+        v.raw = s.substr(start, i - start);
+        v.number = std::strtod(v.raw.c_str(), nullptr);
+        return true;
+    }
+
+    /** An array or object: bounds the recursion depth. */
+    bool
+    parseNested(JsonValue &v)
+    {
+        if (depth == maxDepth)
+            return fail("nesting too deep");
+        ++depth;
+        bool ok = s[i] == '{' ? parseObject(v) : parseArray(v);
+        --depth;
+        return ok;
+    }
+
     bool
     parseValue(JsonValue &v)
     {
@@ -112,53 +174,8 @@ struct Parser
         if (i >= s.size())
             return fail("unexpected end of input");
         char c = s[i];
-        if (c == '{') {
-            ++i;
-            v.type = JsonValue::Type::Object;
-            skipWs();
-            if (i < s.size() && s[i] == '}') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return false;
-                JsonValue member;
-                if (!parseValue(member))
-                    return false;
-                v.object[key] = std::move(member);
-                skipWs();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++i;
-            v.type = JsonValue::Type::Array;
-            skipWs();
-            if (i < s.size() && s[i] == ']') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                JsonValue item;
-                if (!parseValue(item))
-                    return false;
-                v.array.push_back(std::move(item));
-                skipWs();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                return consume(']');
-            }
-        }
+        if (c == '{' || c == '[')
+            return parseNested(v);
         if (c == '"') {
             v.type = JsonValue::Type::String;
             return parseString(v.str);
@@ -180,21 +197,60 @@ struct Parser
             i += 4;
             return true;
         }
-        // Number.
-        std::size_t start = i;
-        if (i < s.size() && (s[i] == '-' || s[i] == '+'))
+        return parseNumber(v);
+    }
+
+    bool
+    parseObject(JsonValue &v)
+    {
+        ++i;
+        v.type = JsonValue::Type::Object;
+        skipWs();
+        if (i < s.size() && s[i] == '}') {
             ++i;
-        while (i < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[i])) ||
-                s[i] == '.' || s[i] == 'e' || s[i] == 'E' ||
-                s[i] == '-' || s[i] == '+'))
+            return true;
+        }
+        for (;;) {
+            std::string key;
+            if (!parseString(key))
+                return false;
+            if (!consume(':'))
+                return false;
+            JsonValue member;
+            if (!parseValue(member))
+                return false;
+            v.object[key] = std::move(member);
+            skipWs();
+            if (i < s.size() && s[i] == ',') {
+                ++i;
+                continue;
+            }
+            return consume('}');
+        }
+    }
+
+    bool
+    parseArray(JsonValue &v)
+    {
+        ++i;
+        v.type = JsonValue::Type::Array;
+        skipWs();
+        if (i < s.size() && s[i] == ']') {
             ++i;
-        if (i == start)
-            return fail("unexpected character");
-        v.type = JsonValue::Type::Number;
-        v.raw = s.substr(start, i - start);
-        v.number = std::strtod(v.raw.c_str(), nullptr);
-        return true;
+            return true;
+        }
+        for (;;) {
+            JsonValue item;
+            if (!parseValue(item))
+                return false;
+            v.array.push_back(std::move(item));
+            skipWs();
+            if (i < s.size() && s[i] == ',') {
+                ++i;
+                continue;
+            }
+            return consume(']');
+        }
     }
 };
 

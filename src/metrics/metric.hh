@@ -15,9 +15,9 @@
  * Empty-sample conventions (unit-tested, relied on by the trace
  * auditor and the exporters): with no recorded samples, min() == 0,
  * max() == 0, mean() == 0.0 and quantile(q) == 0 for every q. The
- * old ad-hoc copies of these types (trace::WindowTally, the
- * common/stats Summary) disagreed on min(); they are now aliases of
- * the types here.
+ * old ad-hoc copies of these types disagreed on min(); the EwTracker,
+ * the spec oracle and the trace auditor (trace::WindowTally) all use
+ * Summary from here.
  */
 
 #ifndef TERP_METRICS_METRIC_HH

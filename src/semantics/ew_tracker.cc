@@ -218,21 +218,24 @@ EwTracker::closeBlame(PerPmo &s, pm::PmoId pmo, Cycles t)
         s.blame[c] += causeLen[c];
         if (!reg)
             continue;
-        const char *cause =
-            blameCauseName(static_cast<BlameCause>(c));
-        reg->histogram(
-               metrics::labeled("exposure.blame_cycles", "cause",
-                                cause))
-            .record(causeLen[c]);
-        reg->counter(metrics::labeled("exposure.blame_total", "cause",
-                                      cause))
-            .inc(causeLen[c]);
+        if (!hBlame[c]) {
+            const char *cause =
+                blameCauseName(static_cast<BlameCause>(c));
+            hBlame[c] = &reg->histogram(metrics::labeled(
+                "exposure.blame_cycles", "cause", cause));
+            cBlame[c] = &reg->counter(metrics::labeled(
+                "exposure.blame_total", "cause", cause));
+        }
+        hBlame[c]->record(causeLen[c]);
+        cBlame[c]->inc(causeLen[c]);
         if (pmo < tenantOf.size() && !tenantOf[pmo].empty()) {
-            reg->counter(metrics::labeled(
-                             metrics::labeled("exposure.blame_total",
-                                              "cause", cause),
-                             "tenant", tenantOf[pmo]))
-                .inc(causeLen[c]);
+            if (!s.tenantBlame[c])
+                s.tenantBlame[c] = &reg->counter(metrics::labeled(
+                    metrics::labeled(
+                        "exposure.blame_total", "cause",
+                        blameCauseName(static_cast<BlameCause>(c))),
+                    "tenant", tenantOf[pmo]));
+            s.tenantBlame[c]->inc(causeLen[c]);
         }
     }
     s.segs.clear();
@@ -316,6 +319,26 @@ EwTracker::setTenant(pm::PmoId pmo, const std::string &tenant)
     if (pmo >= tenantOf.size())
         tenantOf.resize(pmo + 1);
     tenantOf[pmo] = tenant;
+    if (pmo < perPmo.size())
+        for (metrics::Counter *&c : perPmo[pmo].tenantBlame)
+            c = nullptr;
+}
+
+void
+EwTracker::enableMetrics(metrics::Registry *r)
+{
+    reg = r;
+    hEwAll = hTewAll = nullptr;
+    cSloEw = cSloTew = nullptr;
+    for (unsigned c = 0; c < numBlameCauses; ++c) {
+        hBlame[c] = nullptr;
+        cBlame[c] = nullptr;
+    }
+    for (PerPmo &s : perPmo) {
+        s.hEw = s.hTew = nullptr;
+        for (metrics::Counter *&c : s.tenantBlame)
+            c = nullptr;
+    }
 }
 
 Cycles
@@ -341,14 +364,20 @@ EwTracker::recordEw(PerPmo &s, pm::PmoId pmo, Cycles len)
     s.ew.add(len);
     if (sloEw > 0 && len > sloEw) {
         ++ewViolations;
-        if (reg)
-            reg->counter("exposure.slo_violations{win=\"ew\"}").inc();
+        if (reg) {
+            if (!cSloEw)
+                cSloEw = &reg->counter("exposure.slo_violations{win=\"ew\"}");
+            cSloEw->inc();
+        }
     }
     if (reg) {
-        reg->histogram(metrics::labeled("exposure.ew_cycles", "pmo",
-                                        std::to_string(pmo)))
-            .record(len);
-        reg->histogram("exposure.ew_cycles{pmo=\"all\"}").record(len);
+        if (!s.hEw)
+            s.hEw = &reg->histogram(metrics::labeled(
+                "exposure.ew_cycles", "pmo", std::to_string(pmo)));
+        if (!hEwAll)
+            hEwAll = &reg->histogram("exposure.ew_cycles{pmo=\"all\"}");
+        s.hEw->record(len);
+        hEwAll->record(len);
     }
 }
 
@@ -358,14 +387,21 @@ EwTracker::recordTew(PerPmo &s, pm::PmoId pmo, Cycles len)
     s.tew.add(len);
     if (sloTew > 0 && len > sloTew) {
         ++tewViolations;
-        if (reg)
-            reg->counter("exposure.slo_violations{win=\"tew\"}").inc();
+        if (reg) {
+            if (!cSloTew)
+                cSloTew =
+                    &reg->counter("exposure.slo_violations{win=\"tew\"}");
+            cSloTew->inc();
+        }
     }
     if (reg) {
-        reg->histogram(metrics::labeled("exposure.tew_cycles", "pmo",
-                                        std::to_string(pmo)))
-            .record(len);
-        reg->histogram("exposure.tew_cycles{pmo=\"all\"}").record(len);
+        if (!s.hTew)
+            s.hTew = &reg->histogram(metrics::labeled(
+                "exposure.tew_cycles", "pmo", std::to_string(pmo)));
+        if (!hTewAll)
+            hTewAll = &reg->histogram("exposure.tew_cycles{pmo=\"all\"}");
+        s.hTew->record(len);
+        hTewAll->record(len);
     }
 }
 
@@ -397,8 +433,8 @@ EwTracker::threadOpenSince(unsigned tid, pm::PmoId pmo) const
 namespace {
 
 ExposureMetrics
-fromSummaries(const Summary &ew, const Summary &tew, Cycles total,
-              unsigned threads)
+fromSummaries(const metrics::Summary &ew, const metrics::Summary &tew,
+              Cycles total, unsigned threads)
 {
     ExposureMetrics m;
     m.ewCount = ew.count();
@@ -461,14 +497,14 @@ EwTracker::metricsAll(Cycles total, unsigned threads) const
     return acc;
 }
 
-const Summary *
+const metrics::Summary *
 EwTracker::ewSummaryFor(pm::PmoId pmo) const
 {
     const PerPmo *s = stateIfSeen(pmo);
     return s ? &s->ew : nullptr;
 }
 
-const Summary *
+const metrics::Summary *
 EwTracker::tewSummaryFor(pm::PmoId pmo) const
 {
     const PerPmo *s = stateIfSeen(pmo);

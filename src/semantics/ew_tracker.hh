@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/units.hh"
+#include "metrics/metric.hh"
 #include "metrics/registry.hh"
 #include "pm/oid.hh"
 
@@ -113,8 +113,8 @@ class EwTracker
      * comparison (the trace auditor cross-checks these). Null if the
      * PMO was never seen.
      */
-    const Summary *ewSummaryFor(pm::PmoId pmo) const;
-    const Summary *tewSummaryFor(pm::PmoId pmo) const;
+    const metrics::Summary *ewSummaryFor(pm::PmoId pmo) const;
+    const metrics::Summary *tewSummaryFor(pm::PmoId pmo) const;
 
     /**
      * Publish every closed window into @p r as log-bucketed length
@@ -126,8 +126,14 @@ class EwTracker
      * cross-check test validate the registry against this tracker.
      * Pass null to detach. Windows closed before the call are not
      * backfilled, so enable before the first event.
+     *
+     * Instruments are resolved on first use and cached as pointers
+     * (the registry keeps them at stable addresses), so a window
+     * close builds no name string; an instrument still appears in
+     * the registry only once something is recorded into it. Calling
+     * this drops every cached pointer.
      */
-    void enableMetrics(metrics::Registry *r) { reg = r; }
+    void enableMetrics(metrics::Registry *r);
 
     /**
      * Exposure SLOs: count every closed window longer than the
@@ -207,7 +213,10 @@ class EwTracker
      */
     void resetTransientCauses();
 
-    /** Label the PMO's tenant for per-tenant blame counters. */
+    /**
+     * Label the PMO's tenant for per-tenant blame counters. Later
+     * closes count toward the new tenant only.
+     */
     void setTenant(pm::PmoId pmo, const std::string &tenant);
 
     /**
@@ -248,8 +257,8 @@ class EwTracker
 
     struct PerPmo
     {
-        Summary ew;                        //!< closed process windows
-        Summary tew;                       //!< closed thread windows
+        metrics::Summary ew;  //!< closed process windows
+        metrics::Summary tew; //!< closed thread windows
         Cycles openSince = 0;
         bool open = false;
         bool seen = false; //!< any event ever recorded for this PMO
@@ -269,6 +278,12 @@ class EwTracker
         std::uint8_t idleCause = noCause; //!< BlameCause or noCause
         /** Closed-window blame totals, indexed by BlameCause. */
         Cycles blame[numBlameCauses] = {};
+
+        // -- instrument handles, filled on first record (null = not yet)
+        metrics::LogHistogram *hEw = nullptr;  //!< ew_cycles{pmo=N}
+        metrics::LogHistogram *hTew = nullptr; //!< tew_cycles{pmo=N}
+        /** blame_total{cause=,tenant=}, indexed by BlameCause. */
+        metrics::Counter *tenantBlame[numBlameCauses] = {};
     };
 
     /** Dense per-PMO state (PmoIds are small sequential ints). */
@@ -295,6 +310,15 @@ class EwTracker
 
     std::vector<PerPmo> perPmo; //!< indexed by PmoId; .seen gates use
     metrics::Registry *reg = nullptr; //!< null = no metrics
+
+    // Tracker-wide instrument handles, filled on first record.
+    metrics::LogHistogram *hEwAll = nullptr;  //!< ew_cycles{pmo="all"}
+    metrics::LogHistogram *hTewAll = nullptr; //!< tew_cycles{pmo="all"}
+    metrics::Counter *cSloEw = nullptr;  //!< slo_violations{win="ew"}
+    metrics::Counter *cSloTew = nullptr; //!< slo_violations{win="tew"}
+    /** blame_cycles{cause=} / blame_total{cause=}, by BlameCause. */
+    metrics::LogHistogram *hBlame[numBlameCauses] = {};
+    metrics::Counter *cBlame[numBlameCauses] = {};
     Cycles sloEw = 0;   //!< EW SLO threshold; 0 = off
     Cycles sloTew = 0;  //!< TEW SLO threshold; 0 = off
     std::uint64_t ewViolations = 0;

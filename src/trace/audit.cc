@@ -35,7 +35,7 @@ describe(const Event &e)
 
 void
 compareTally(AuditReport &r, const char *what, std::uint64_t pmo,
-             const WindowTally &got, const Summary *want)
+             const WindowTally &got, const metrics::Summary *want)
 {
     std::uint64_t wc = want ? want->count() : 0;
     std::uint64_t ws = want ? want->sum() : 0;

@@ -10,6 +10,7 @@
 #include "arch/circular_buffer.hh"
 #include "arch/mpk.hh"
 #include "arch/perm_matrix.hh"
+#include "common/rng.hh"
 
 using namespace terp;
 using namespace terp::arch;
@@ -247,6 +248,48 @@ TEST(CircularBuffer, EvictRemovesEntry)
     cb.evict(1);
     EXPECT_FALSE(cb.resident(1));
     EXPECT_EQ(cb.liveEntries(), 0u);
+}
+
+/**
+ * liveEntries() is the O(1) nLive count the cb.occupancy gauge reads
+ * on every conditional attach and sweep tick; it must equal a scan of
+ * the valid entries after every kind of mutation.
+ */
+TEST(CircularBuffer, LiveEntriesMatchesScanUnderRandomOps)
+{
+    constexpr pm::PmoId pmos = 24; // below capacity: allocate never fails
+    constexpr Cycles maxEw = 40;
+    Rng rng(0xcb0cc);
+    CircularBuffer cb;
+    Cycles now = 0;
+    for (int op = 0; op < 20000; ++op) {
+        now += rng.nextBelow(8);
+        pm::PmoId pmo = static_cast<pm::PmoId>(rng.nextBelow(pmos));
+        switch (rng.nextBelow(4)) {
+          case 0:
+            cb.condAttach(pmo, now);
+            break;
+          case 1:
+            if (cb.counter(pmo) > 0)
+                cb.condDetach(pmo, now, maxEw);
+            break;
+          case 2:
+            cb.sweep(now, maxEw);
+            break;
+          default:
+            if (rng.nextBelow(4) == 0)
+                cb.evict(pmo);
+            break;
+        }
+        ASSERT_EQ(cb.liveEntries(), cb.residentPmos().size())
+            << "after op " << op;
+    }
+    // The sequence reached every path that adds or drops an entry.
+    const CircularBuffer::Stats &st = cb.stats();
+    EXPECT_GT(st.case1, 0u);
+    EXPECT_GT(st.case5, 0u);
+    EXPECT_GT(st.sweepDetach, 0u);
+    EXPECT_GT(st.sweepRandomize, 0u);
 }
 
 class CbThreadCountTest : public ::testing::TestWithParam<unsigned>

@@ -12,6 +12,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "metrics/metric.hh"
 
 using namespace terp;
 
@@ -179,7 +180,7 @@ TEST(Zipf, ZeroThetaIsNearUniform)
 
 TEST(Summary, TracksMinMaxMeanCount)
 {
-    Summary s;
+    metrics::Summary s;
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.min(), 0u);
     s.add(10);

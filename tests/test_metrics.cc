@@ -17,10 +17,12 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/domain.hh"
 #include "metrics/export.hh"
 #include "metrics/json.hh"
 #include "metrics/metric.hh"
 #include "metrics/registry.hh"
+#include "semantics/ew_tracker.hh"
 #include "trace/audit.hh"
 #include "workloads/whisper.hh"
 
@@ -330,6 +332,105 @@ TEST(Export, JsonParserRejectsMalformedInput)
                         error),
               nullptr);
     EXPECT_TRUE(error.empty());
+
+    // Numbers need digits: a lone sign, a bare point, an empty
+    // fraction or exponent are all malformed.
+    for (const char *bad : {"-", "[-]", "1.", "[1.]", "-.5", ".5", "1e",
+                            "1e+", "+1", "[1.e3]"}) {
+        EXPECT_EQ(parseJson(bad, error), nullptr) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+    for (const char *good : {"-0", "-1.5e+3", "2E-2", "[0.25]"})
+        EXPECT_NE(parseJson(good, error), nullptr) << good << error;
+
+    // \u takes exactly four hex digits.
+    for (const char *bad : {"\"\\uZZZZ\"", "\"\\u12\"", "\"\\u12G4\""}) {
+        EXPECT_EQ(parseJson(bad, error), nullptr) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+    EXPECT_NE(parseJson("\"\\u00e9\"", error), nullptr) << error;
+
+    // Nesting is capped at 256 levels instead of recursing until the
+    // stack runs out.
+    auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NE(parseJson(nested(256), error), nullptr) << error;
+    EXPECT_EQ(parseJson(nested(257), error), nullptr);
+    EXPECT_EQ(error.rfind("nesting too deep at offset ", 0), 0u) << error;
+    EXPECT_EQ(parseJson(nested(200000), error), nullptr);
+    EXPECT_EQ(error, "nesting too deep at offset 256");
+    std::string objects;
+    for (int k = 0; k < 200000; ++k)
+        objects += "{\"k\":";
+    EXPECT_EQ(parseJson(objects, error), nullptr);
+    EXPECT_EQ(error.rfind("nesting too deep", 0), 0u) << error;
+}
+
+/**
+ * Seeded mutation fuzz of the parser terp-stats runs on user files:
+ * byte flips, truncations, duplicated spans and long runs of '[' or
+ * '{' spliced into a real export. Every input must come back as a
+ * value or as null with an error; a crash fails the whole binary.
+ */
+TEST(Export, JsonParserSurvivesMutatedExports)
+{
+    Registry r;
+    r.setLabel("scheme", "tt");
+    r.counter("runtime.full_ops").inc(6982);
+    r.gauge("cb.occupancy").set(3);
+    r.summary("s.windows").add(10);
+    for (std::uint64_t v = 1; v < 5000000; v = v * 3 + 7) {
+        r.histogram(labeled("exposure.ew_cycles", "pmo", "all"))
+            .record(v);
+        r.histogram(labeled("exposure.blame_cycles", "cause",
+                            "sweeper_lag"))
+            .record(v / 2);
+    }
+    const std::string doc = toJson(r);
+    std::string error;
+    ASSERT_NE(parseJson(doc, error), nullptr) << error;
+
+    Rng rng(0x15011);
+    unsigned rejected = 0;
+    constexpr int kMutations = 2000;
+    for (int n = 0; n < kMutations; ++n) {
+        std::string m = doc;
+        const unsigned edits = 1 + static_cast<unsigned>(rng.nextBelow(3));
+        for (unsigned e = 0; e < edits && !m.empty(); ++e) {
+            std::size_t at = rng.nextBelow(m.size());
+            switch (rng.nextBelow(4)) {
+              case 0: // flip one byte
+                m[at] = static_cast<char>(m[at] ^
+                                          (1u << rng.nextBelow(8)));
+                break;
+              case 1: // truncate
+                m.resize(at);
+                break;
+              case 2: { // duplicate a span in place
+                std::size_t len =
+                    1 + rng.nextBelow(std::min<std::size_t>(
+                            64, m.size() - at));
+                m.insert(at, m.substr(at, len));
+                break;
+              }
+              default: { // a run of openers, up to 100k long
+                std::size_t len = 1 + rng.nextBelow(100000);
+                m.insert(at, len, rng.nextBool(0.5) ? '[' : '{');
+                break;
+              }
+            }
+        }
+        std::unique_ptr<JsonValue> v = parseJson(m, error);
+        if (v) {
+            EXPECT_TRUE(error.empty()) << "mutation " << n;
+        } else {
+            EXPECT_FALSE(error.empty()) << "mutation " << n;
+            ++rejected;
+        }
+    }
+    // Most mutations break the document; the fuzz is not vacuous.
+    EXPECT_GT(rejected, kMutations / 2);
 }
 
 TEST(Export, PrometheusFormat)
@@ -433,6 +534,132 @@ TEST(MetricsEndToEnd, DisabledConfigYieldsNoRegistry)
     workloads::RunResult r = workloads::runWhisper(
         "echo", core::RuntimeConfig::tt().withoutMetrics(), p);
     EXPECT_EQ(r.metrics, nullptr);
+}
+
+// ------------------------------------- EwTracker instrument handles
+
+namespace {
+
+/** Closed-window count of @p name in @p r (0 when absent). */
+std::uint64_t
+histCount(const Registry &r, const std::string &name)
+{
+    const LogHistogram *h = r.findHistogram(name);
+    return h ? h->count() : 0;
+}
+
+/** Value of counter @p name in @p r (0 when absent). */
+std::uint64_t
+counterValue(const Registry &r, const std::string &name)
+{
+    const Counter *c = r.findCounter(name);
+    return c ? c->value() : 0;
+}
+
+/** One process window [t, t + len) held by thread 0 throughout. */
+void
+heldWindow(semantics::EwTracker &t, pm::PmoId pmo, Cycles at, Cycles len)
+{
+    t.processOpen(pmo, at);
+    t.threadOpen(0, pmo, at);
+    t.threadClose(0, pmo, at + len);
+    t.processClose(pmo, at + len);
+}
+
+std::string
+tenantBlame(const std::string &tenant)
+{
+    return labeled(labeled("exposure.blame_total", "cause", "app_hold"),
+                   "tenant", tenant);
+}
+
+} // namespace
+
+TEST(EwTrackerHandles, TenantChangeMovesLaterBlameOnly)
+{
+    Registry r;
+    semantics::EwTracker t;
+    t.enableMetrics(&r);
+    t.setTenant(0, "alpha");
+    heldWindow(t, 0, 0, 100);
+    t.setTenant(0, "beta");
+    heldWindow(t, 0, 200, 30);
+    heldWindow(t, 0, 300, 20);
+
+    EXPECT_EQ(counterValue(r, tenantBlame("alpha")), 100u);
+    EXPECT_EQ(counterValue(r, tenantBlame("beta")), 50u);
+    EXPECT_EQ(counterValue(r, labeled("exposure.blame_total", "cause",
+                                      "app_hold")),
+              150u);
+
+    // Clearing the tenant stops per-tenant counting altogether.
+    t.setTenant(0, "");
+    heldWindow(t, 0, 400, 7);
+    EXPECT_EQ(counterValue(r, tenantBlame("alpha")), 100u);
+    EXPECT_EQ(counterValue(r, tenantBlame("beta")), 50u);
+    EXPECT_EQ(r.findCounter(tenantBlame("")), nullptr);
+}
+
+TEST(EwTrackerHandles, FreshRegistryTakesLaterWindowsOnly)
+{
+    Registry first, second;
+    semantics::EwTracker t;
+    t.setSlo(5, 5);
+    t.setTenant(0, "alpha");
+    t.enableMetrics(&first);
+    heldWindow(t, 0, 0, 10);
+
+    t.enableMetrics(&second);
+    heldWindow(t, 0, 100, 10);
+    heldWindow(t, 0, 200, 10);
+
+    // Every instrument class a close touches: per-PMO and "all"
+    // histograms, both SLO counters, cause and tenant blame.
+    const std::string names[] = {
+        labeled("exposure.ew_cycles", "pmo", "0"),
+        labeled("exposure.ew_cycles", "pmo", "all"),
+        labeled("exposure.tew_cycles", "pmo", "0"),
+        labeled("exposure.tew_cycles", "pmo", "all"),
+        labeled("exposure.blame_cycles", "cause", "app_hold"),
+    };
+    for (const std::string &n : names) {
+        EXPECT_EQ(histCount(first, n), 1u) << n;
+        EXPECT_EQ(histCount(second, n), 2u) << n;
+    }
+    const std::string counters[] = {
+        "exposure.slo_violations{win=\"ew\"}",
+        "exposure.slo_violations{win=\"tew\"}",
+    };
+    for (const std::string &n : counters) {
+        EXPECT_EQ(counterValue(first, n), 1u) << n;
+        EXPECT_EQ(counterValue(second, n), 2u) << n;
+    }
+    EXPECT_EQ(counterValue(first, tenantBlame("alpha")), 10u);
+    EXPECT_EQ(counterValue(second, tenantBlame("alpha")), 20u);
+
+    // Detaching stops recording without touching either registry.
+    t.enableMetrics(nullptr);
+    heldWindow(t, 0, 300, 10);
+    EXPECT_EQ(histCount(second, names[0]), 2u);
+    EXPECT_EQ(t.ewSummaryFor(0)->count(), 4u);
+}
+
+TEST(EwTrackerHandles, RunThatClosesNoWindowExportsNoExposure)
+{
+    core::DomainConfig dc;
+    dc.runtime = core::RuntimeConfig::tt();
+    dc.machine.cores = 1;
+    core::ShardDomain dom(dc);
+    dom.pmos().create("idle", 64 * KiB);
+    dom.machine().spawnThread();
+    dom.sweepTo(10 * dom.machine().config().hookPeriod);
+    dom.finalize();
+
+    std::shared_ptr<Registry> r = dom.runtime().metricsRegistry();
+    ASSERT_NE(r, nullptr) << "metrics disabled (TERP_METRICS set?)";
+    ASSERT_NE(r->findCounter("sweeper.ticks"), nullptr);
+    for (const auto &[name, e] : r->entries())
+        EXPECT_NE(baseName(name).rfind("exposure.", 0), 0u) << name;
 }
 
 // ------------------------------ Prometheus label-value escaping
