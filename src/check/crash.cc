@@ -1,13 +1,11 @@
 #include "check/crash.hh"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "check/differ.hh"
 #include "check/fuzzer.hh"
 #include "check/recovery_oracle.hh"
 #include "check/schedule.hh"
@@ -19,22 +17,25 @@ namespace check {
 
 namespace {
 
-constexpr std::uint64_t logOff = 1ULL << 32;
 constexpr std::uint64_t pmoSize = 64 * KiB;
 
 /**
  * The world, ledger, transaction driver, and recovery invariants live
- * in check/recovery_oracle.{hh,cc}, shared with the energy-harvesting
- * harness. The enumeration below is their single-crash driver.
+ * in check/recovery_oracle.{hh,cc}, shared with the schedule executor
+ * and the energy-harvesting harness. The enumeration below is their
+ * single-crash driver.
  */
 using World = CrashWorld;
 
-World
-makeWorld(const CrashOptions &opt, unsigned pmoCount, unsigned threads)
+/**
+ * One enumeration cell: its options and, for the schedule workload,
+ * the schedule every run of the cell replays.
+ */
+struct Cell
 {
-    return World(schemeConfig(opt.scheme, opt.ewTarget).withTrace(),
-                 pmoCount, threads, pmoSize, logOff);
-}
+    const CrashOptions &opt;
+    Schedule sched;
+};
 
 // ------------------------------------------------------- workloads
 
@@ -52,7 +53,8 @@ acct(unsigned i)
  * even for a transfer of an amount that round-trips).
  */
 void
-bankWorkload(World &w, Ledger &led, const CrashOptions &opt)
+bankWorkload(World &w, Ledger &led, const Cell &c,
+             std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
     const pm::Oid seq(1, 0x800);
@@ -63,9 +65,9 @@ bankWorkload(World &w, Ledger &led, const CrashOptions &opt)
     init.push_back({seq, 1});
     runTxn(w, led, tc, 1, init);
 
-    Rng rng(99 + opt.seed);
+    Rng rng(99 + c.opt.seed);
     const pm::PersistController &ctl = w.persistence()->controller();
-    for (unsigned t = 0; t < opt.txns; ++t) {
+    for (unsigned t = 0; t < c.opt.txns; ++t) {
         unsigned a = static_cast<unsigned>(rng.nextBelow(8));
         unsigned b = static_cast<unsigned>(rng.nextBelow(7));
         if (b >= a)
@@ -104,7 +106,8 @@ checkBankInvariant(World &w, std::vector<std::string> &out)
  * inconsistent (a half-linked record) if torn by a crash.
  */
 void
-hashmapWorkload(World &w, Ledger &led, const CrashOptions &opt)
+hashmapWorkload(World &w, Ledger &led, const Cell &c,
+                std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
     constexpr std::uint64_t bucketsOff = 4096;
@@ -112,8 +115,8 @@ hashmapWorkload(World &w, Ledger &led, const CrashOptions &opt)
     constexpr std::uint64_t heapOff = 8192;
 
     const pm::PersistController &ctl = w.persistence()->controller();
-    Rng rng(7 + opt.seed);
-    for (unsigned t = 0; t < opt.txns; ++t) {
+    Rng rng(7 + c.opt.seed);
+    for (unsigned t = 0; t < c.opt.txns; ++t) {
         std::uint64_t key = 0x1000 + t;
         std::uint64_t rec = heapOff + 64ULL * t;
         pm::Oid head(1, bucketsOff +
@@ -176,15 +179,16 @@ checkHashmapInvariant(World &w, std::vector<std::string> &out)
  * sequences (including the redo ambiguity window).
  */
 void
-txnestWorkload(World &w, Ledger &led, const CrashOptions &opt)
+txnestWorkload(World &w, Ledger &led, const Cell &c,
+               std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
     pm::TxManager &txm = *w.runtime().tx();
     const pm::PersistController &ctl = w.persistence()->controller();
     const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000), seq(1, 0x800);
 
-    Rng rng(41 + opt.seed);
-    for (unsigned t = 0; t < opt.txns; ++t) {
+    Rng rng(41 + c.opt.seed);
+    for (unsigned t = 0; t < c.opt.txns; ++t) {
         bool init = t == 0;
         bool redo = !init && rng.nextBelow(2) == 1;
         bool doAbort = !init && rng.nextBelow(100) < 20;
@@ -246,7 +250,8 @@ checkTxnestInvariant(World &w, std::vector<std::string> &out)
  * independently (each all-or-nothing on its own).
  */
 void
-txpairWorkload(World &w, Ledger &led, const CrashOptions &opt)
+txpairWorkload(World &w, Ledger &led, const Cell &c,
+               std::vector<std::string> &)
 {
     sim::ThreadContext &tc0 = w.machine().thread(0);
     sim::ThreadContext &tc1 = w.machine().thread(1);
@@ -256,8 +261,8 @@ txpairWorkload(World &w, Ledger &led, const CrashOptions &opt)
     auto yOf = [](pm::PmoId p) { return pm::Oid(p, 0x1040); };
     auto seqOf = [](pm::PmoId p) { return pm::Oid(p, 0x800); };
 
-    Rng rng(17 + opt.seed);
-    for (unsigned t = 0; t < opt.txns; ++t) {
+    Rng rng(17 + c.opt.seed);
+    for (unsigned t = 0; t < c.opt.txns; ++t) {
         bool init = t == 0;
         bool redo0 = !init && rng.nextBelow(2) == 1;
         bool redo1 = !init && rng.nextBelow(2) == 1;
@@ -322,267 +327,59 @@ checkTxpairInvariant(World &w, std::vector<std::string> &out)
     }
 }
 
-/**
- * schedule: replay a generated fuzz schedule (persistOps on) with a
- * deliberately conservative skip policy — the goal is reaching crash
- * points from many protection states, not differential precision
- * (that is the differ's job). All bookends are explicit; RAII guards
- * are banned on this path.
- */
-struct ScheduleReplay
+/** schedule: the cell's generated fuzz schedule, on the one executor. */
+void
+scheduleWorkload(World &w, Ledger &led, const Cell &c,
+                 std::vector<std::string> &replay)
 {
-    World &w;
-    Ledger &led;
-    const Schedule &s;
-    //! region nesting we opened, per [tid][pmo]
-    std::vector<std::vector<unsigned>> depth;
-    std::vector<bool> manualActive; //!< per pmo (1-based)
-    /**
-     * Earliest time an End may close each PMO: a lagging thread's
-     * close below the latest window (re)open would rewind the
-     * exposure tracker. Sweeper hooks may reopen at the hook time,
-     * so every fired hook raises the floor for all PMOs.
-     */
-    std::vector<Cycles> endFloor;
+    replaySchedule(c.sched, w, led, replay);
+}
 
-    ScheduleReplay(World &world, Ledger &ledger, const Schedule &sched)
-        : w(world), led(ledger), s(sched),
-          depth(sched.threads,
-                std::vector<unsigned>(sched.pmos + 1, 0)),
-          manualActive(sched.pmos + 1, false),
-          endFloor(sched.pmos + 1, 0)
-    {
-    }
-
-    void
-    raiseFloors(Cycles t)
-    {
-        for (Cycles &f : endFloor)
-            f = std::max(f, t);
-    }
-
-    /** Fire every boundary <= @p t; floors rise to the last one. */
-    void
-    sweeps(Cycles t)
-    {
-        if (w.nextSweepTick() > t)
-            return;
-        w.advanceSweeps(t);
-        raiseFloors(w.nextSweepTick() -
-                    w.machine().config().hookPeriod);
-    }
-
-    bool
-    tryBegin(sim::ThreadContext &tc, unsigned tid, pm::PmoId pmo,
-             pm::Mode mode)
-    {
-        if (w.cfg.basicBlocking && depth[tid][pmo] > 0)
-            return false; // nested basic attach is invalid
-        if (w.runtime().regionBegin(tc, pmo, mode) ==
-            core::GuardResult::Blocked)
-            return false;
-        ++depth[tid][pmo];
-        endFloor[pmo] = std::max(endFloor[pmo], tc.now());
-        return true;
-    }
-
-    void
-    tryEnd(sim::ThreadContext &tc, unsigned tid, pm::PmoId pmo)
-    {
-        if (depth[tid][pmo] == 0 || tc.now() < endFloor[pmo])
-            return;
-        w.runtime().regionEnd(tc, pmo);
-        --depth[tid][pmo];
-    }
-
-    void
-    run()
-    {
-        for (const Op &op : s.ops) {
-            if (op.kind == OpKind::Sweep) {
-                const Cycles b = w.nextSweepTick();
-                w.sweepTo(b);
-                raiseFloors(b);
-                continue;
-            }
-            sim::ThreadContext &tc = w.machine().thread(op.tid);
-            sweeps(tc.now());
-            if (tc.blocked())
-                continue;
-            step(op, tc);
-        }
-    }
-
-    void
-    step(const Op &op, sim::ThreadContext &tc)
-    {
-        switch (op.kind) {
-          case OpKind::Work:
-            tc.work(op.work);
-            break;
-
-          case OpKind::Begin:
-            if (w.cfg.insertion == core::Insertion::Auto)
-                tryBegin(tc, op.tid, op.pmo, op.mode);
-            break;
-
-          case OpKind::End:
-            if (w.cfg.insertion == core::Insertion::Auto)
-                tryEnd(tc, op.tid, op.pmo);
-            break;
-
-          case OpKind::ManualBegin:
-            if (w.cfg.insertion == core::Insertion::Manual &&
-                !manualActive[op.pmo]) {
-                w.runtime().manualBegin(tc, op.pmo, op.mode);
-                manualActive[op.pmo] = true;
-                endFloor[op.pmo] =
-                    std::max(endFloor[op.pmo], tc.now());
-            }
-            break;
-
-          case OpKind::ManualEnd:
-            if (w.cfg.insertion == core::Insertion::Manual &&
-                manualActive[op.pmo] &&
-                tc.now() >= endFloor[op.pmo]) {
-                w.runtime().manualEnd(tc, op.pmo);
-                manualActive[op.pmo] = false;
-            }
-            break;
-
-          case OpKind::Access:
-            (void)w.runtime().tryAccess(tc, pm::Oid(op.pmo, op.offset),
-                                  op.write);
-            break;
-
-          case OpKind::Range:
-            for (std::uint64_t off = op.offset;
-                 off < op.offset + op.bytes; off += lineSize) {
-                (void)w.runtime().tryAccess(tc, pm::Oid(op.pmo, off),
-                                      op.write);
-            }
-            break;
-
-          case OpKind::Guarded: {
-            if (w.cfg.insertion != core::Insertion::Auto)
-                break;
-            if (!tryBegin(tc, op.tid, op.pmo, op.mode))
-                break;
-            for (unsigned j = 0; j < op.accesses; ++j)
-                (void)w.runtime().tryAccess(
-                    tc, pm::Oid(op.pmo, op.offset + j * lineSize),
-                    op.write);
-            tryEnd(tc, op.tid, op.pmo);
-            break;
-          }
-
-          case OpKind::TxPut: {
-            std::vector<std::pair<pm::Oid, std::uint64_t>> writes;
-            for (unsigned j = 0; j < op.accesses; ++j)
-                writes.push_back(
-                    {pm::Oid(op.pmo, op.offset + j * op.bytes),
-                     (static_cast<std::uint64_t>(led.done) << 8) |
-                         j});
-            // Bookend with the region we can, but never touch the
-            // data through the protection path: the protection state
-            // at an arbitrary schedule point is not ours to assume.
-            bool opened =
-                w.cfg.insertion == core::Insertion::Auto
-                    ? tryBegin(tc, op.tid, op.pmo,
-                               pm::Mode::ReadWrite)
-                    : false;
-            if (w.cfg.basicBlocking &&
-                w.cfg.insertion == core::Insertion::Auto &&
-                !opened && tc.blocked())
-                break; // begin blocked: the txn never starts
-            pm::UndoLog *log = w.persistence()->findLog(op.pmo);
-            led.inFlight.clear();
-            for (const auto &[oid, v] : writes) {
-                (void)v;
-                led.inFlight.push_back(oid.raw);
-            }
-            log->begin(tc);
-            for (const auto &[oid, v] : writes)
-                log->write(tc, oid, v);
-            log->commit(tc);
-            for (const auto &[oid, v] : writes)
-                led.image[oid.raw] = v;
-            led.inFlight.clear();
-            ++led.done;
-            if (opened)
-                tryEnd(tc, op.tid, op.pmo);
-            break;
-          }
-
-          case OpKind::CrashRecover: {
-            sweeps(w.machine().maxClock());
-            Cycles at = w.machine().maxClock();
-            for (unsigned i = 0; i < w.machine().threadCount(); ++i) {
-                sim::ThreadContext &t = w.machine().thread(i);
-                if (!t.done && !t.blocked() && t.now() < at)
-                    t.syncTo(at, sim::Charge::Other);
-            }
-            w.runtime().crash(at);
-            (void)w.runtime().recover(tc);
-            for (auto &d : depth)
-                std::fill(d.begin(), d.end(), 0u);
-            std::fill(manualActive.begin(), manualActive.end(),
-                      false);
-            raiseFloors(at);
-            break;
-          }
-
-          case OpKind::Sweep:
-            break; // handled in run()
-
-          case OpKind::TxBegin:
-          case OpKind::TxWrite:
-          case OpKind::TxCommit:
-          case OpKind::TxAbort:
-            // The schedule workload generates with txnOps off (its
-            // transactions are the self-contained TxPut above, which
-            // the crash ledger can account); manager ops only appear
-            // in differ-driven schedules.
-            break;
-        }
-    }
+/**
+ * The crash workloads: the world each one runs in, the run the
+ * enumerator repeats once per crash point, and the invariant checked
+ * on the recovered durable image (null: the atomicity oracle alone).
+ * The schedule workload's shape is also the shape its schedule is
+ * generated for.
+ */
+struct Workload
+{
+    const char *name;
+    unsigned pmos;
+    unsigned threads;
+    bool generated; //!< runs a schedule generated per seed
+    void (*run)(World &, Ledger &, const Cell &,
+                std::vector<std::string> &replay);
+    void (*check)(World &, std::vector<std::string> &);
 };
 
-void
-scheduleWorkload(World &w, Ledger &led, const Schedule &s)
+const Workload workloads[] = {
+    {"bank", 1, 1, false, bankWorkload, checkBankInvariant},
+    {"hashmap", 1, 1, false, hashmapWorkload, checkHashmapInvariant},
+    {"txnest", 2, 1, false, txnestWorkload, checkTxnestInvariant},
+    {"txpair", 2, 2, false, txpairWorkload, checkTxpairInvariant},
+    {"schedule", 2, 3, true, scheduleWorkload, nullptr},
+};
+
+const Workload &
+findWorkload(const std::string &name)
 {
-    ScheduleReplay r(w, led, s);
-    r.run();
+    for (const Workload &wl : workloads)
+        if (name == wl.name)
+            return wl;
+    throw std::invalid_argument("unknown workload: " + name);
 }
 
+/** Record one run's violations, the executor's complaints first. */
 void
-runWorkload(World &w, Ledger &led, const CrashOptions &opt,
-            const Schedule *sched)
+record(CrashResult &res, std::uint64_t point, pm::PersistBoundary kind,
+       const std::vector<std::string> &replay,
+       const std::vector<std::string> &v)
 {
-    if (opt.workload == "bank")
-        bankWorkload(w, led, opt);
-    else if (opt.workload == "hashmap")
-        hashmapWorkload(w, led, opt);
-    else if (opt.workload == "txnest")
-        txnestWorkload(w, led, opt);
-    else if (opt.workload == "txpair")
-        txpairWorkload(w, led, opt);
-    else
-        scheduleWorkload(w, led, *sched);
-}
-
-void
-checkWorkloadInvariant(World &w, const CrashOptions &opt,
-                       std::vector<std::string> &out)
-{
-    if (opt.workload == "bank")
-        checkBankInvariant(w, out);
-    else if (opt.workload == "hashmap")
-        checkHashmapInvariant(w, out);
-    else if (opt.workload == "txnest")
-        checkTxnestInvariant(w, out);
-    else if (opt.workload == "txpair")
-        checkTxpairInvariant(w, out);
+    for (const std::string &m : replay)
+        res.violations.push_back({point, kind, "replay: " + m});
+    for (const std::string &m : v)
+        res.violations.push_back({point, kind, m});
 }
 
 std::string
@@ -603,69 +400,74 @@ jsonEscape(const std::string &s)
 
 } // namespace
 
+std::vector<std::string>
+crashWorkloads()
+{
+    std::vector<std::string> names;
+    for (const Workload &wl : workloads)
+        names.push_back(wl.name);
+    return names;
+}
+
 CrashResult
 enumerateCrashPoints(const CrashOptions &opt)
 {
-    if (opt.workload != "bank" && opt.workload != "hashmap" &&
-        opt.workload != "txnest" && opt.workload != "txpair" &&
-        opt.workload != "schedule")
-        throw std::invalid_argument("unknown workload: " +
-                                    opt.workload);
-
-    CrashResult res;
-    Schedule sched;
-    unsigned pmoCount = 1, threads = 1;
-    if (opt.workload == "txnest") {
-        pmoCount = 2;
-    } else if (opt.workload == "txpair") {
-        pmoCount = 2;
-        threads = 2;
-    }
-    if (opt.workload == "schedule") {
+    const Workload &wl = findWorkload(opt.workload);
+    // Every world runs at its schedule's EW target, which the
+    // generator may raise above the requested one (the executor
+    // refuses a world that does not match). A hand-written workload
+    // has an empty schedule at the requested target.
+    Cell cell{opt, {}};
+    cell.sched.ewTarget = opt.ewTarget;
+    if (wl.generated) {
         GenParams gp;
+        gp.threads = wl.threads;
+        gp.pmos = wl.pmos;
         gp.persistOps = true;
         gp.events = opt.events;
         gp.ewTarget = opt.ewTarget;
         gp.pmoSize = pmoSize;
-        sched =
-            generate(opt.seed, schemeConfig(opt.scheme, opt.ewTarget),
-                     gp);
-        pmoCount = sched.pmos;
-        threads = sched.threads;
+        cell.sched = generate(
+            opt.seed, schemeConfig(opt.scheme, opt.ewTarget), gp);
     }
+    auto makeWorld = [&] {
+        return World(
+            schemeConfig(opt.scheme, cell.sched.ewTarget).withTrace(),
+            wl.pmos, wl.threads, pmoSize, pm::TxManager::undoLogOff);
+    };
 
+    CrashResult res;
     // Baseline: no fault. Counts the boundaries and sanity-checks
     // the oracle machinery against an uninterrupted run.
     {
-        World w = makeWorld(opt, pmoCount, threads);
+        World w = makeWorld();
         Ledger led;
-        std::vector<std::string> v;
+        std::vector<std::string> replay, v;
         try {
-            runWorkload(w, led, opt, &sched);
+            wl.run(w, led, cell, replay);
             res.boundaries = w.persistence()->controller().boundaryCount();
             checkDurable(w, led, v);
-            checkWorkloadInvariant(w, opt, v);
+            if (wl.check)
+                wl.check(w, v);
         } catch (const std::exception &e) {
             v.push_back(std::string("baseline run died: ") +
                         e.what());
         }
-        for (const std::string &m : v)
-            res.violations.push_back(
-                {0, pm::PersistBoundary::Store, m});
+        record(res, 0, pm::PersistBoundary::Store, replay, v);
         if (!res.violations.empty() || res.boundaries == 0)
             return res;
     }
 
     for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
-        World w = makeWorld(opt, pmoCount, threads);
+        World w = makeWorld();
         Ledger led;
-        std::vector<std::string> v;
+        std::vector<std::string> replay, v;
         bool crashed = false;
         pm::PersistBoundary kind = pm::PersistBoundary::Store;
 
         w.persistence()->controller().armFault(n);
         try {
-            runWorkload(w, led, opt, &sched);
+            wl.run(w, led, cell, replay);
         } catch (const pm::PowerFailure &pf) {
             crashed = true;
             kind = pf.kind;
@@ -692,15 +494,15 @@ enumerateCrashPoints(const CrashOptions &opt)
                     rtc.syncTo(at, sim::Charge::Other);
                 (void)w.runtime().recover(rtc);
                 checkDurable(w, led, v);
-                checkWorkloadInvariant(w, opt, v);
+                if (wl.check)
+                    wl.check(w, v);
                 probeAndDrain(w, led, v);
             } catch (const std::exception &e) {
                 v.push_back(std::string("recovery died: ") +
                             e.what());
             }
         }
-        for (const std::string &m : v)
-            res.violations.push_back({n, kind, m});
+        record(res, n, kind, replay, v);
     }
     return res;
 }

@@ -49,8 +49,13 @@ struct CrashOptions
      *           undo/redo kinds, ~20% inner aborts;
      * txpair:   two threads, disjoint-PMO transactions with
      *           interleaved writes and staggered commits;
-     * schedule: a generated fuzz schedule (persistOps on) replayed
-     *           with explicit — never RAII — protection bookends.
+     * schedule: a generated fuzz schedule (persistOps on) run on the
+     *           one schedule executor (check/differ.hh). Its skip
+     *           rules are the spec oracle's, and the spec and
+     *           TxManager oracles check every crash point's replayed
+     *           prefix ("replay: " violations).
+     *
+     * crashWorkloads() lists the names.
      */
     std::string workload = "bank";
     std::uint64_t seed = 0; //!< schedule seed / transfer rng seed
@@ -75,7 +80,13 @@ struct CrashResult
     bool ok() const { return violations.empty(); }
 };
 
-/** Crash at every persist boundary of the workload and validate. */
+/** The workload names CrashOptions::workload accepts. */
+std::vector<std::string> crashWorkloads();
+
+/**
+ * Crash at every persist boundary of the workload and validate.
+ * Throws std::invalid_argument on an unknown workload or scheme.
+ */
 CrashResult enumerateCrashPoints(const CrashOptions &opt);
 
 /** One-object JSON summary of a finished enumeration. */

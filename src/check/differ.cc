@@ -4,13 +4,13 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "check/oracle.hh"
+#include "check/recovery_oracle.hh"
 #include "check/tx_oracle.hh"
 #include "common/units.hh"
-#include "core/domain.hh"
 #include "pm/tx_manager.hh"
-#include "trace/audit.hh"
 
 namespace terp {
 namespace check {
@@ -20,22 +20,21 @@ namespace {
 class Replay
 {
   public:
-    Replay(const Schedule &sched, const core::RuntimeConfig &config,
+    Replay(const Schedule &sched, CrashWorld &world, Ledger &ledger,
            std::vector<std::string> &complaints)
-        : s(sched), cfg(config), out(complaints),
-          domain(domainConfig(cfg)), oracle(cfg, sched.threads)
+        : s(sched), w(world), led(ledger), out(complaints),
+          oracle(cfg, mach.threadCount())
     {
-        for (unsigned p = 0; p < s.pmos; ++p) {
-            std::ostringstream name;
-            name << "fuzz-p" << p;
-            domain.pmos().create(name.str(), s.pmoSize);
-        }
-        for (unsigned t = 0; t < s.threads; ++t)
-            mach.spawnThread();
-        // The log region lives far above the data range the
-        // schedule's accesses can reach (offsets < pmoSize).
-        for (unsigned p = 1; p <= s.pmos; ++p)
-            dom.openLog(p, logOff);
+        if (cfg.ewTarget == s.ewTarget && w.nPmos >= s.pmos &&
+            mach.threadCount() >= s.threads && w.pmoBytes >= s.pmoSize)
+            return;
+        std::ostringstream os;
+        os << "world (EW " << cfg.ewTarget << ", " << w.nPmos
+           << " PMOs of " << w.pmoBytes << " B, " << mach.threadCount()
+           << " threads) does not fit the schedule (EW " << s.ewTarget
+           << ", " << s.pmos << " PMOs of " << s.pmoSize << " B, "
+           << s.threads << " threads)";
+        throw std::invalid_argument(os.str());
     }
 
     void
@@ -62,10 +61,104 @@ class Replay
             probe(op);
             checkBlockedMirror();
         }
-        drain();
     }
 
     std::size_t currentOp() const { return opIdx; }
+
+    /**
+     * End of run: mark every thread done, let the sweeper drain
+     * delayed detaches up to the final clock (nobody may be charged
+     * any more), then close the books and compare them.
+     */
+    void
+    drain()
+    {
+        draining = true;
+        unsigned n = mach.threadCount();
+        std::vector<Cycles> clk(n);
+        for (unsigned i = 0; i < n; ++i) {
+            clk[i] = mach.thread(i).now();
+            mach.thread(i).done = true;
+        }
+        Cycles tEnd = mach.maxClock();
+        advanceSweeps(tEnd);
+        for (unsigned i = 0; i < n; ++i) {
+            if (mach.thread(i).now() != clk[i]) {
+                std::ostringstream os;
+                os << "drain sweep charged finished thread " << i
+                   << " (" << clk[i] << " -> "
+                   << mach.thread(i).now() << ")";
+                complain(os.str());
+            }
+        }
+
+        rt.finalize();
+        oracle.finalize(tEnd);
+
+        bool hasTxLocks = false;
+        for (const Op &op : s.ops) {
+            if (op.kind == OpKind::TxBegin ||
+                op.kind == OpKind::TxWrite ||
+                op.kind == OpKind::TxCommit ||
+                op.kind == OpKind::TxAbort) {
+                hasTxLocks = true;
+                break;
+            }
+        }
+        for (pm::PmoId p = 1; p <= s.pmos; ++p) {
+            compareSummary("EW", p, rt.exposure().ewSummaryFor(p),
+                           oracle.ewSummary(p));
+            compareSummary("TEW", p, rt.exposure().tewSummaryFor(p),
+                           oracle.tewSummary(p));
+            // Blame attribution: the oracle's mirror must predict
+            // the tracker's per-cause totals exactly. TxManager lock
+            // contention installs hold-cause overrides the mirror
+            // does not model, so schedules with locking txn ops only
+            // get the (always-on) trace-audit recomputation below.
+            if (hasTxLocks)
+                continue;
+            for (unsigned c = 0; c < semantics::numBlameCauses; ++c) {
+                auto cause = static_cast<semantics::BlameCause>(c);
+                Cycles got = rt.exposure().blameTotal(p, cause);
+                Cycles want = oracle.blameTotal(p, cause);
+                if (got == want)
+                    continue;
+                std::ostringstream os;
+                os << "blame for PMO " << p << " cause "
+                   << semantics::blameCauseName(cause)
+                   << ": runtime " << got << ", oracle " << want;
+                complain(os.str());
+            }
+        }
+
+        double got = rt.report().silentFraction;
+        double want = oracle.expectedSilentFraction();
+        if (std::fabs(got - want) > 1e-9) {
+            std::ostringstream os;
+            os << "silent fraction " << got << ", oracle expects "
+               << want;
+            complain(os.str());
+        }
+
+        // Every value a committed transaction wrote must be durable.
+        // Open (shrinker-truncated) transactions only dirty the
+        // volatile image, so the persisted image is checkable even
+        // when the schedule ends mid-transaction.
+        pm::PersistController &ctl = dom.controller();
+        for (const auto &[raw, val] : txo.committed()) {
+            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) != val) {
+                std::ostringstream os;
+                os << "committed value not durable at end of run "
+                      "(raw 0x"
+                   << std::hex << raw << ")";
+                complain(os.str());
+            }
+        }
+
+        std::vector<std::string> tmp;
+        auditTrace(w, tEnd, tmp);
+        flush(tmp);
+    }
 
   private:
     struct Probe
@@ -75,25 +168,14 @@ class Replay
         std::uint64_t det0 = 0;
     };
 
-    static constexpr std::uint64_t logOff =
-        pm::TxManager::undoLogOff;
-
-    static core::DomainConfig
-    domainConfig(const core::RuntimeConfig &cfg)
-    {
-        core::DomainConfig dc;
-        dc.runtime = cfg.withTrace();
-        dc.persistence = true;
-        return dc;
-    }
-
     const Schedule &s;
-    core::RuntimeConfig cfg;
+    CrashWorld &w;
+    Ledger &led;
     std::vector<std::string> &out;
-    core::ShardDomain domain;
-    sim::Machine &mach = domain.machine();
-    core::Runtime &rt = domain.runtime();
-    pm::PersistDomain &dom = *domain.persistence();
+    const core::RuntimeConfig &cfg = w.cfg;
+    sim::Machine &mach = w.machine();
+    core::Runtime &rt = w.runtime();
+    pm::PersistDomain &dom = *w.persistence();
     SpecOracle oracle;
     /** Transaction-layer spec mirror (durable image included). */
     TxOracle txo{pm::TxManager::undoLogOff,
@@ -146,7 +228,7 @@ class Replay
     void
     advanceSweeps(Cycles t)
     {
-        while (domain.nextSweepTick() <= t)
+        while (w.nextSweepTick() <= t)
             fireNextSweep();
     }
 
@@ -158,7 +240,7 @@ class Replay
     void
     fireNextSweep()
     {
-        const Cycles now = domain.nextSweepTick();
+        const Cycles now = w.nextSweepTick();
         std::vector<std::string> tmp;
         std::vector<PlannedSweep> plan = oracle.planSweep(now, tmp);
         flush(tmp);
@@ -178,7 +260,7 @@ class Replay
                    << ordered.size() << " PMOs are CB-resident";
                 complain(os.str());
                 // Step past the boundary without sweeping.
-                domain.sweepTo(now, [](Cycles) { return false; });
+                w.sweepTo(now, [](Cycles) { return false; });
                 return;
             }
         } else {
@@ -219,7 +301,7 @@ class Replay
             }
         }
 
-        domain.sweepTo(now);
+        w.sweepTo(now);
 
         for (unsigned i = 0; i < n; ++i) {
             if (mach.thread(i).now() != clk[i]) {
@@ -597,10 +679,18 @@ class Replay
         Probe pr = preOp(tc);
         TxEffects e = txo.onTxPut(op.pmo, writes);
 
+        led.inFlight.clear();
+        for (const auto &[raw, val] : writes)
+            led.inFlight.push_back(raw);
         log->begin(tc);
         for (const auto &[raw, val] : writes)
             log->write(tc, pm::Oid::fromRaw(raw), val);
         log->commit(tc);
+        // Only reached when the commit became durable.
+        for (const auto &[raw, val] : writes)
+            led.image[raw] = val;
+        led.inFlight.clear();
+        ++led.done;
 
         checkTxEffects("txn", e, true, postOp(tc, pr),
                        ctl.clwbCount() - clwb0,
@@ -744,106 +834,6 @@ class Replay
         }
     }
 
-    /**
-     * End of run: mark every thread done, let the sweeper drain
-     * delayed detaches up to the final clock (nobody may be charged
-     * any more), then close the books and compare them.
-     */
-    void
-    drain()
-    {
-        draining = true;
-        unsigned n = mach.threadCount();
-        std::vector<Cycles> clk(n);
-        for (unsigned i = 0; i < n; ++i) {
-            clk[i] = mach.thread(i).now();
-            mach.thread(i).done = true;
-        }
-        Cycles tEnd = mach.maxClock();
-        advanceSweeps(tEnd);
-        for (unsigned i = 0; i < n; ++i) {
-            if (mach.thread(i).now() != clk[i]) {
-                std::ostringstream os;
-                os << "drain sweep charged finished thread " << i
-                   << " (" << clk[i] << " -> "
-                   << mach.thread(i).now() << ")";
-                complain(os.str());
-            }
-        }
-
-        rt.finalize();
-        oracle.finalize(tEnd);
-
-        bool hasTxLocks = false;
-        for (const Op &op : s.ops) {
-            if (op.kind == OpKind::TxBegin ||
-                op.kind == OpKind::TxWrite ||
-                op.kind == OpKind::TxCommit ||
-                op.kind == OpKind::TxAbort) {
-                hasTxLocks = true;
-                break;
-            }
-        }
-        for (pm::PmoId p = 1; p <= s.pmos; ++p) {
-            compareSummary("EW", p, rt.exposure().ewSummaryFor(p),
-                           oracle.ewSummary(p));
-            compareSummary("TEW", p, rt.exposure().tewSummaryFor(p),
-                           oracle.tewSummary(p));
-            // Blame attribution: the oracle's mirror must predict
-            // the tracker's per-cause totals exactly. TxManager lock
-            // contention installs hold-cause overrides the mirror
-            // does not model, so schedules with locking txn ops only
-            // get the (always-on) trace-audit recomputation below.
-            if (hasTxLocks)
-                continue;
-            for (unsigned c = 0; c < semantics::numBlameCauses; ++c) {
-                auto cause = static_cast<semantics::BlameCause>(c);
-                Cycles got = rt.exposure().blameTotal(p, cause);
-                Cycles want = oracle.blameTotal(p, cause);
-                if (got == want)
-                    continue;
-                std::ostringstream os;
-                os << "blame for PMO " << p << " cause "
-                   << semantics::blameCauseName(cause)
-                   << ": runtime " << got << ", oracle " << want;
-                complain(os.str());
-            }
-        }
-
-        double got = rt.report().silentFraction;
-        double want = oracle.expectedSilentFraction();
-        if (std::fabs(got - want) > 1e-9) {
-            std::ostringstream os;
-            os << "silent fraction " << got << ", oracle expects "
-               << want;
-            complain(os.str());
-        }
-
-        // Every value a committed transaction wrote must be durable.
-        // Open (shrinker-truncated) transactions only dirty the
-        // volatile image, so the persisted image is checkable even
-        // when the schedule ends mid-transaction.
-        pm::PersistController &ctl = dom.controller();
-        for (const auto &[raw, val] : txo.committed()) {
-            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) != val) {
-                std::ostringstream os;
-                os << "committed value not durable at end of run "
-                      "(raw 0x"
-                   << std::hex << raw << ")";
-                complain(os.str());
-            }
-        }
-
-        if (auto sink = rt.traceSink()) {
-            trace::AuditReport rep =
-                trace::auditTimeline(*sink, tEnd, rt.exposure());
-            for (const std::string &m : rep.mismatches)
-                complain("trace audit: " + m);
-            if (!rep.ok && rep.mismatches.empty())
-                complain("trace audit failed without detail");
-        }
-    }
-
     void
     compareSummary(const char *what, pm::PmoId pmo,
                    const metrics::Summary *got,
@@ -874,10 +864,19 @@ runSchedule(const Schedule &s, const core::RuntimeConfig &cfgIn)
     DiffResult res;
     core::RuntimeConfig cfg = cfgIn;
     cfg.ewTarget = s.ewTarget;
+    std::unique_ptr<CrashWorld> world;
+    Ledger led;
     std::unique_ptr<Replay> replay;
     try {
-        replay = std::make_unique<Replay>(s, cfg, res.complaints);
+        // The log region lives far above the data range the
+        // schedule's accesses can reach (offsets < pmoSize).
+        world = std::make_unique<CrashWorld>(
+            cfg.withTrace(), s.pmos, s.threads, s.pmoSize,
+            pm::TxManager::undoLogOff);
+        replay = std::make_unique<Replay>(s, *world, led,
+                                          res.complaints);
         replay->run();
+        replay->drain();
     } catch (const std::exception &e) {
         std::ostringstream os;
         os << "crash";
@@ -889,6 +888,13 @@ runSchedule(const Schedule &s, const core::RuntimeConfig &cfgIn)
     }
     res.ok = res.complaints.empty();
     return res;
+}
+
+void
+replaySchedule(const Schedule &s, CrashWorld &world, Ledger &led,
+               std::vector<std::string> &complaints)
+{
+    Replay(s, world, led, complaints).run();
 }
 
 } // namespace check

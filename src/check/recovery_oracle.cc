@@ -42,8 +42,7 @@ CrashWorld::CrashWorld(const core::RuntimeConfig &config,
 void
 runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
        pm::PmoId pmo,
-       const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes,
-       bool touchData)
+       const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes)
 {
     led.inFlight.clear();
     for (const auto &[oid, v] : writes) {
@@ -51,26 +50,15 @@ runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
         led.inFlight.push_back(oid.raw);
     }
 
-    bool manual = w.cfg.insertion == core::Insertion::Manual;
-    bool autoIns = w.cfg.insertion == core::Insertion::Auto;
-    if (manual)
-        w.runtime().manualBegin(tc, pmo, pm::Mode::ReadWrite);
-    else if (autoIns)
-        w.runtime().regionBegin(tc, pmo, pm::Mode::ReadWrite);
-
+    protOpen(w, tc, pmo);
     pm::UndoLog *log = w.persistence()->findLog(pmo);
     log->begin(tc);
     for (const auto &[oid, v] : writes) {
-        if (touchData)
-            w.runtime().access(tc, oid, /*write=*/true);
+        w.runtime().access(tc, oid, /*write=*/true);
         log->write(tc, oid, v);
     }
     log->commit(tc);
-
-    if (manual)
-        w.runtime().manualEnd(tc, pmo);
-    else if (autoIns)
-        w.runtime().regionEnd(tc, pmo);
+    protClose(w, tc, pmo);
 
     // Only reached when the commit became durable.
     for (const auto &[oid, v] : writes)
@@ -255,14 +243,21 @@ probeAndDrain(CrashWorld &w, Ledger &led,
 
     Cycles tEnd = w.machine().maxClock();
     w.runtime().finalize();
-    if (auto sink = w.runtime().traceSink()) {
-        trace::AuditReport rep =
-            trace::auditTimeline(*sink, tEnd, w.runtime().exposure());
-        for (const std::string &m : rep.mismatches)
-            out.push_back("trace audit: " + m);
-        if (!rep.ok && rep.mismatches.empty())
-            out.push_back("trace audit failed without detail");
-    }
+    auditTrace(w, tEnd, out);
+}
+
+void
+auditTrace(CrashWorld &w, Cycles tEnd, std::vector<std::string> &out)
+{
+    auto sink = w.runtime().traceSink();
+    if (!sink)
+        return;
+    trace::AuditReport rep =
+        trace::auditTimeline(*sink, tEnd, w.runtime().exposure());
+    for (const std::string &m : rep.mismatches)
+        out.push_back("trace audit: " + m);
+    if (!rep.ok && rep.mismatches.empty())
+        out.push_back("trace audit failed without detail");
 }
 
 } // namespace check

@@ -11,10 +11,11 @@
  *     normal idle path within the window target and no PMO stays
  *     mapped.
  *
- * Two drivers share them: check/crash.cc's crash-point enumerator
- * (one modeled crash per world) and the energy-harvesting harness
- * (src/energy), which re-runs them at every cycle of a
- * thousands-of-power-cycles run.
+ * Three drivers share them: check/crash.cc's crash-point enumerator
+ * (one modeled crash per world), the schedule executor in
+ * check/differ.cc (every schedule replays on a CrashWorld), and the
+ * energy-harvesting harness (src/energy), which re-runs them at
+ * every cycle of a thousands-of-power-cycles run.
  */
 
 #ifndef TERP_CHECK_RECOVERY_ORACLE_HH
@@ -111,8 +112,7 @@ struct Ledger
  */
 void runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
             pm::PmoId pmo,
-            const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes,
-            bool touchData = true);
+            const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes);
 
 /**
  * The atomicity oracle: every committed transaction's effects are
@@ -156,6 +156,14 @@ void checkLogsRetired(CrashWorld &w, std::vector<std::string> &out);
  */
 void probeAndDrain(CrashWorld &w, Ledger &led,
                    std::vector<std::string> &out);
+
+/**
+ * Recompute the world's exposure windows up to @p tEnd from its trace
+ * and report every disagreement with the EwTracker as "trace audit:
+ * ..." (a no-op when tracing is off).
+ */
+void auditTrace(CrashWorld &w, Cycles tEnd,
+                std::vector<std::string> &out);
 
 } // namespace check
 } // namespace terp

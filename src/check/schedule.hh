@@ -11,10 +11,12 @@
  * and the basic-blocking ablation additionally exercises the
  * block-on-attach path.
  *
- * The replayer (differ.hh) skips ops that are ill-formed in the
- * state the run actually reached (e.g. an End whose Begin blocked),
- * so any op sequence — including every subsequence, which is what
- * the shrinker relies on — is a valid schedule.
+ * One executor runs schedules (differ.hh), for the fuzzer and for
+ * terp-crash's schedule workload alike. It skips ops that are
+ * ill-formed in the state the run actually reached (e.g. an End whose
+ * Begin blocked), asking the spec oracle's predicates, so any op
+ * sequence — including every subsequence, which is what the shrinker
+ * relies on — is a valid schedule.
  */
 
 #ifndef TERP_CHECK_SCHEDULE_HH

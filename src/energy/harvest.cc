@@ -10,7 +10,7 @@
 #include "common/rng.hh"
 #include "metrics/registry.hh"
 #include "pm/tx_manager.hh"
-#include "trace/audit.hh"
+#include "trace/trace_buffer.hh"
 
 namespace terp {
 namespace energy {
@@ -395,12 +395,7 @@ struct Harness
                         "traceCapacity or auditEvery");
             return;
         }
-        trace::AuditReport rep = trace::auditTimeline(
-            *sink, w.machine().maxClock(), w.runtime().exposure());
-        for (const std::string &m : rep.mismatches)
-            v.push_back("trace audit: " + m);
-        if (!rep.ok && rep.mismatches.empty())
-            v.push_back("trace audit failed without detail");
+        check::auditTrace(w, w.machine().maxClock(), v);
     }
 
     /**

@@ -4,8 +4,8 @@
  * volatile protection state, Runtime::recover replaying undo logs and
  * handing the recovery mapping to the EW-conscious sweeper, the
  * regression for the sweeper ignoring idle manually-inserted PMOs,
- * and smoke coverage of the crash-point enumeration harness behind
- * tools/terp-crash.
+ * smoke coverage of the crash-point enumeration harness behind
+ * tools/terp-crash, and the schedule executor's world check.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,9 @@
 #include <algorithm>
 
 #include "check/crash.hh"
+#include "check/differ.hh"
 #include "check/fuzzer.hh"
+#include "check/recovery_oracle.hh"
 #include "core/runtime.hh"
 #include "pm/persist.hh"
 #include "pm/pmo_manager.hh"
@@ -205,6 +207,86 @@ TEST(CrashEnumeration, RejectsUnknownWorkload)
     opt.workload = "nonesuch";
     EXPECT_THROW(check::enumerateCrashPoints(opt),
                  std::invalid_argument);
+}
+
+TEST(CrashEnumeration, EveryListedWorkloadEnumerates)
+{
+    std::vector<std::string> names = check::crashWorkloads();
+    EXPECT_EQ(names.size(), 5u);
+    for (const std::string &wl : names) {
+        check::CrashOptions opt;
+        opt.scheme = "tt";
+        opt.workload = wl;
+        opt.txns = 1;
+        opt.events = 16;
+        check::CrashResult r = check::enumerateCrashPoints(opt);
+        EXPECT_TRUE(r.ok()) << wl;
+        EXPECT_EQ(r.pointsRun, r.boundaries) << wl;
+    }
+}
+
+/**
+ * Under the basic ablation a schedule's blocked begin must not strand
+ * its thread's later transactions: seeds 9, 12 and 14 used to
+ * enumerate no crash point at all, and 32 seeds reached 901.
+ */
+TEST(CrashEnumeration, BasicSchedulesReachTheirTransactions)
+{
+    check::CrashOptions opt;
+    opt.scheme = "basic";
+    opt.workload = "schedule";
+    std::uint64_t total = 0;
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+        opt.seed = seed;
+        check::CrashResult r = check::enumerateCrashPoints(opt);
+        for (const check::CrashViolation &v : r.violations)
+            ADD_FAILURE() << "seed " << seed << " point " << v.point
+                          << ": " << v.detail;
+        if (seed == 9 || seed == 12 || seed == 14) {
+            EXPECT_GT(r.boundaries, 0u) << "seed " << seed;
+        }
+        total += r.boundaries;
+    }
+    EXPECT_GE(total, 1800u);
+}
+
+/**
+ * The executor refuses a world that does not match its schedule. The
+ * generator raises a two-PMO schedule's EW target above 5 us, so a
+ * world built at the requested target would replay the schedule
+ * under the wrong window.
+ */
+TEST(ScheduleExecutor, RejectsWorldThatDoesNotMatchSchedule)
+{
+    check::GenParams gp;
+    gp.pmos = 2;
+    gp.threads = 3;
+    gp.persistOps = true;
+    core::RuntimeConfig cfg = check::schemeConfig("tt", ewTarget);
+    check::Schedule s = check::generate(1, cfg, gp);
+    ASSERT_GT(s.ewTarget, ewTarget);
+
+    auto replayOn = [&](Cycles ew, unsigned pmos, unsigned threads,
+                        std::uint64_t pmoBytes) {
+        check::CrashWorld w(check::schemeConfig("tt", ew).withTrace(),
+                            pmos, threads, pmoBytes, logOff);
+        check::Ledger led;
+        std::vector<std::string> complaints;
+        check::replaySchedule(s, w, led, complaints);
+        return complaints;
+    };
+    EXPECT_THROW(replayOn(ewTarget, 2, 3, s.pmoSize),
+                 std::invalid_argument);
+    EXPECT_THROW(replayOn(s.ewTarget, 1, 3, s.pmoSize),
+                 std::invalid_argument);
+    EXPECT_THROW(replayOn(s.ewTarget, 2, 2, s.pmoSize),
+                 std::invalid_argument);
+    EXPECT_THROW(replayOn(s.ewTarget, 2, 3, s.pmoSize / 2),
+                 std::invalid_argument);
+    std::vector<std::string> clean =
+        replayOn(s.ewTarget, 2, 3, s.pmoSize);
+    for (const std::string &m : clean)
+        ADD_FAILURE() << m;
 }
 
 TEST(CrashEnumeration, JsonSummaryRoundTrip)

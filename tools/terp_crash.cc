@@ -91,10 +91,8 @@ main(int argc, char **argv)
         scheme == "all" ? check::allSchemes()
                         : std::vector<std::string>{scheme};
     std::vector<std::string> workloads =
-        workload == "all"
-            ? std::vector<std::string>{"bank", "hashmap", "txnest",
-                                     "txpair", "schedule"}
-            : std::vector<std::string>{workload};
+        workload == "all" ? check::crashWorkloads()
+                          : std::vector<std::string>{workload};
 
     std::uint64_t firstSeed = opt.seed;
     bool anyViolation = false;
