@@ -1,6 +1,10 @@
 #include "common/rng.hh"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -96,10 +100,22 @@ Rng::split()
 double
 ZipfGenerator::zeta(std::uint64_t n, double theta)
 {
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    return sum;
+    // The sum takes n pow calls (about 1.3 ms for YCSB's 64 Ki items)
+    // and every generator of one (n, theta) needs the same value, so it
+    // is computed once per process. Generators are built concurrently
+    // by harness and serve workers, hence the lock.
+    static std::mutex mu;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, double> memo;
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, fresh] = memo.try_emplace(
+        {n, std::bit_cast<std::uint64_t>(theta)}, 0.0);
+    if (fresh) {
+        double sum = 0.0;
+        for (std::uint64_t i = 1; i <= n; ++i)
+            sum += 1.0 / std::pow(static_cast<double>(i), theta);
+        it->second = sum;
+    }
+    return it->second;
 }
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n_, double theta_,

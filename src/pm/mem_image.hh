@@ -13,9 +13,12 @@
  * The store is a linear-probing open-addressing table (peek/poke sit
  * directly on the interpreter's Load/Store path, where the previous
  * std::unordered_map's bucket chasing and prime rehashing showed up
- * in profiles). Slots never move between grows and values don't
- * depend on insertion order, so the substitution is observationally
- * identical.
+ * in profiles). Each slot holds its {key, value} pair in 16 bytes,
+ * so a probe touches one cache line. Key 0 marks an empty slot;
+ * address 0 is an ordinary word kept beside the table, so no 64-bit
+ * address is reserved. Slots never move between grows and values
+ * don't depend on insertion order, so the substitution is
+ * observationally identical.
  */
 
 #ifndef TERP_PM_MEM_IMAGE_HH
@@ -37,7 +40,7 @@ class MemImage
     static constexpr std::uint64_t dramVirtBase = 0x7f0000000000ULL;
 
     // Host memory grows with use, not with a guessed footprint: the
-    // table starts at smallSlots (~17 KB, enough for crash worlds and
+    // table starts at smallSlots (16 KB, enough for crash worlds and
     // oracle images of a few hundred words), its first growth jumps
     // straight to fullSlots, and later ones double. Any image past
     // ~700 words therefore sees the same capacity sequence and 0.7
@@ -48,24 +51,30 @@ class MemImage
     void
     poke(std::uint64_t addr, std::uint64_t value)
     {
-        std::size_t i = slotOf(addr);
-        if (!used[i]) {
-            if ((nUsed + 1) * 10 > cap * 7) { // keep load below 0.7
-                grow(cap < fullSlots ? fullSlots : cap * 2);
-                i = slotOf(addr);
+        if (addr == 0) {
+            if (!hasZero) {
+                reserveWord();
+                hasZero = true;
             }
-            used[i] = 1;
-            keys[i] = addr;
-            ++nUsed;
+            zeroVal = value;
+            return;
         }
-        vals[i] = value;
+        std::size_t i = slotOf(addr);
+        if (slots[i].key == 0) {
+            if (reserveWord())
+                i = slotOf(addr);
+            slots[i].key = addr;
+        }
+        slots[i].val = value;
     }
 
     std::uint64_t
     peek(std::uint64_t addr) const
     {
-        std::size_t i = slotOf(addr);
-        return used[i] ? vals[i] : 0;
+        if (addr == 0)
+            return zeroVal;
+        // An empty slot's value is 0, so a miss needs no branch.
+        return slots[slotOf(addr)].val;
     }
 
     std::size_t wordCount() const { return nUsed; }
@@ -84,6 +93,12 @@ class MemImage
     static constexpr std::size_t smallSlots = 1u << 10;
     static constexpr std::size_t fullSlots = 1u << 16;
 
+    struct Slot
+    {
+        std::uint64_t key; //!< 0: empty
+        std::uint64_t val;
+    };
+
     static std::uint64_t
     mix(std::uint64_t x)
     {
@@ -95,41 +110,47 @@ class MemImage
         return x;
     }
 
-    /** First slot holding @p addr, or the empty slot to claim. */
+    /** First slot holding @p addr (nonzero), or the empty slot to claim. */
     std::size_t
     slotOf(std::uint64_t addr) const
     {
         std::size_t i = mix(addr) & (cap - 1);
-        while (used[i] && keys[i] != addr)
+        while (slots[i].key != addr && slots[i].key != 0)
             i = (i + 1) & (cap - 1);
         return i;
+    }
+
+    /**
+     * Count one new word, growing first if it would push the load
+     * past 0.7. Address 0 counts too, so the capacity sequence is that
+     * of a table holding every word. @return true if the table grew.
+     */
+    bool
+    reserveWord()
+    {
+        bool grew = (nUsed + 1) * 10 > cap * 7;
+        if (grew)
+            grow(cap < fullSlots ? fullSlots : cap * 2);
+        ++nUsed;
+        return grew;
     }
 
     void
     grow(std::size_t new_cap)
     {
-        std::vector<std::uint64_t> ok = std::move(keys);
-        std::vector<std::uint64_t> ov = std::move(vals);
-        std::vector<std::uint8_t> ou = std::move(used);
+        std::vector<Slot> old = std::move(slots);
         cap = new_cap;
-        keys.assign(cap, 0);
-        vals.assign(cap, 0);
-        used.assign(cap, 0);
-        for (std::size_t i = 0; i < ok.size(); ++i) {
-            if (!ou[i])
-                continue;
-            std::size_t j = slotOf(ok[i]);
-            used[j] = 1;
-            keys[j] = ok[i];
-            vals[j] = ov[i];
-        }
+        slots.assign(cap, Slot{0, 0});
+        for (const Slot &s : old)
+            if (s.key != 0)
+                slots[slotOf(s.key)] = s;
     }
 
     std::size_t cap = 0;
     std::size_t nUsed = 0;
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> vals;
-    std::vector<std::uint8_t> used;
+    std::vector<Slot> slots;
+    bool hasZero = false;
+    std::uint64_t zeroVal = 0; //!< the word at address 0
 };
 
 } // namespace pm

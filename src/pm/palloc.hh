@@ -4,6 +4,13 @@
  * one PMO (Table I of the paper). First-fit free list with
  * coalescing; all metadata is host-side for simplicity, as the paper
  * never measures allocator persistence itself.
+ *
+ * The free space is a bump tail [tail, capacity) plus the holes below
+ * it. A hole that reaches the tail merges back into it, so the holes
+ * in address order followed by the tail are exactly the coalesced
+ * first-fit free list, and an allocator that never frees never
+ * touches the hole map. Live blocks sit in a flat open-addressing
+ * table keyed by offset.
  */
 
 #ifndef TERP_PM_PALLOC_HH
@@ -11,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "pm/oid.hh"
 
@@ -51,23 +59,34 @@ class PoolAllocator
     std::uint64_t blockSize(Oid oid) const;
 
     std::uint64_t liveBytes() const { return live; }
-    std::uint64_t liveBlocks() const
-    {
-        return static_cast<std::uint64_t>(allocated.size());
-    }
+    std::uint64_t liveBlocks() const { return nLive; }
     std::uint64_t allocCount() const { return nAllocs; }
     std::uint64_t freeCount() const { return nFrees; }
 
   private:
+    /** A live block; len 0 marks an empty slot (blocks are >= 16). */
+    struct Block
+    {
+        std::uint64_t off = 0;
+        std::uint64_t len = 0;
+    };
+
     PmoId pool;
     std::uint64_t capacity;
-    std::map<std::uint64_t, std::uint64_t> freeList;  //!< offset -> len
-    std::map<std::uint64_t, std::uint64_t> allocated; //!< offset -> len
+    std::uint64_t tail;                          //!< free from here up
+    std::map<std::uint64_t, std::uint64_t> holes; //!< below tail: off -> len
+    std::vector<Block> blocks; //!< linear probing, power-of-two size
+    std::uint64_t nLive = 0;
     std::uint64_t live = 0;
     std::uint64_t nAllocs = 0;
     std::uint64_t nFrees = 0;
 
     static std::uint64_t align(std::uint64_t v) { return (v + 15) & ~15ULL; }
+
+    std::size_t home(std::uint64_t off) const;
+    /** Slot holding @p off, or the empty slot where it would go. */
+    std::size_t slotOf(std::uint64_t off) const;
+    void addBlock(std::uint64_t off, std::uint64_t len);
 };
 
 } // namespace pm

@@ -1,6 +1,8 @@
 #include "workloads/whisper.hh"
 
+#include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/domain.hh"
@@ -125,6 +127,15 @@ class WhisperJob : public sim::Job
         }
     }
 
+    /** Writes each non-null chain head to its 8-byte slot from @p off. */
+    void
+    pokeHeads(std::uint64_t off, const std::vector<std::uint64_t> &heads)
+    {
+        for (std::size_t i = 0; i < heads.size(); ++i)
+            if (heads[i] != 0)
+                poke(pm::Oid(pmo, off + i * 8), heads[i]);
+    }
+
     pm::PoolAllocator &alloc() { return pmos.allocator(pmo); }
 
     core::Runtime &rt;
@@ -176,9 +187,22 @@ class HashmapJob : public WhisperJob
     {
         alloc().reservePrefix(bucketsOff + nBuckets * 8);
         // The PMO already holds the map from previous runs: populate
-        // without charging simulated time.
-        for (std::uint64_t i = 0; i < 50000; ++i)
-            hostInsert(rng.nextBelow(keyspace), rng.next());
+        // without charging simulated time. Chains build in host-side
+        // heads; each bucket word is written once at the end.
+        std::vector<std::uint64_t> heads(nBuckets, 0);
+        for (std::uint64_t i = 0; i < 50000; ++i) {
+            // Value before key: the draw order the recorded outputs use.
+            std::uint64_t val = rng.next();
+            std::uint64_t key = rng.nextBelow(keyspace);
+            pm::Oid rec = alloc().pmalloc(recordSize);
+            TERP_ASSERT(!rec.isNull(), "hashmap pool exhausted");
+            std::uint64_t &head = heads[bucketOf(key)];
+            poke(rec, key);
+            poke(rec.plus(8), head);
+            poke(rec.plus(16), val);
+            head = rec.raw;
+        }
+        pokeHeads(bucketsOff, heads);
     }
 
   protected:
@@ -220,23 +244,16 @@ class HashmapJob : public WhisperJob
   private:
     std::uint64_t keyspace;
 
+    static std::uint64_t
+    bucketOf(std::uint64_t key)
+    {
+        return mix64(key) & (nBuckets - 1);
+    }
+
     pm::Oid
     bucketOid(std::uint64_t key) const
     {
-        std::uint64_t b = mix64(key) & (nBuckets - 1);
-        return pm::Oid(pmo, bucketsOff + b * 8);
-    }
-
-    void
-    hostInsert(std::uint64_t key, std::uint64_t val)
-    {
-        pm::Oid rec = alloc().pmalloc(recordSize);
-        TERP_ASSERT(!rec.isNull(), "hashmap pool exhausted");
-        pm::Oid head = bucketOid(key);
-        poke(rec, key);
-        poke(rec.plus(8), peek(head));
-        poke(rec.plus(16), val);
-        poke(head, rec.raw);
+        return pm::Oid(pmo, bucketsOff + bucketOf(key) * 8);
     }
 
     void
@@ -270,8 +287,26 @@ class CtreeJob : public WhisperJob
         : WhisperJob(rt, mach, pmos, img, pmo, shape, p),
           keyspace(1u << 20)
     {
-        for (std::uint64_t i = 0; i < 50000; ++i)
-            hostInsert(rng.nextBelow(keyspace));
+        // The PMO already holds the tree that 50k one-at-a-time
+        // inserts build; lay it out in bulk, charging no simulated time.
+        std::vector<std::uint64_t> keys(50000);
+        for (std::uint64_t &k : keys)
+            k = rng.nextBelow(keyspace);
+        InsertionBst t = buildInsertionBst(keys);
+        std::vector<pm::Oid> node(t.keys.size());
+        for (std::size_t i = 0; i < node.size(); ++i) {
+            node[i] = alloc().pmalloc(nodeSize);
+            TERP_ASSERT(!node[i].isNull());
+            poke(node[i], t.keys[i]);
+        }
+        for (std::size_t i = 0; i < node.size(); ++i) {
+            if (t.left[i] != InsertionBst::none)
+                poke(node[i].plus(8), node[t.left[i]].raw);
+            if (t.right[i] != InsertionBst::none)
+                poke(node[i].plus(16), node[t.right[i]].raw);
+        }
+        if (t.root != InsertionBst::none)
+            poke(pm::Oid(pmo, rootOff), node[t.root].raw);
     }
 
   protected:
@@ -311,26 +346,6 @@ class CtreeJob : public WhisperJob
 
   private:
     std::uint64_t keyspace;
-
-    void
-    hostInsert(std::uint64_t key)
-    {
-        pm::Oid root(pmo, rootOff);
-        std::uint64_t cur = peek(root);
-        pm::Oid link = root;
-        while (cur != 0) {
-            pm::Oid n = pm::Oid::fromRaw(cur);
-            std::uint64_t k = peek(n);
-            if (k == key)
-                return;
-            link = key < k ? n.plus(8) : n.plus(16);
-            cur = peek(link);
-        }
-        pm::Oid n = alloc().pmalloc(nodeSize);
-        TERP_ASSERT(!n.isNull());
-        poke(n, key);
-        poke(link, n.raw);
-    }
 };
 
 // -------------------------------------------------------------- ycsb
@@ -495,15 +510,18 @@ class RedisJob : public WhisperJob
         : WhisperJob(rt, mach, pmos, img, pmo, shape, p)
     {
         alloc().reservePrefix(dictOff + dictSlots * 8);
+        // Prefilled dict, chained in host-side heads like hashmap's.
+        std::vector<std::uint64_t> heads(dictSlots, 0);
         for (std::uint64_t i = 0; i < 20000; ++i) {
             std::uint64_t key = rng.nextBelow(100000);
             pm::Oid e = alloc().pmalloc(48);
             TERP_ASSERT(!e.isNull());
-            pm::Oid slot = slotOid(key);
+            std::uint64_t &head = heads[slotOf(key)];
             poke(e, key);
-            poke(e.plus(8), peek(slot));
-            poke(slot, e.raw);
+            poke(e.plus(8), head);
+            head = e.raw;
         }
+        pokeHeads(dictOff, heads);
     }
 
   protected:
@@ -554,10 +572,16 @@ class RedisJob : public WhisperJob
     }
 
   private:
+    static std::uint64_t
+    slotOf(std::uint64_t key)
+    {
+        return mix64(key) & (dictSlots - 1);
+    }
+
     pm::Oid
     slotOid(std::uint64_t key) const
     {
-        return pm::Oid(pmo, dictOff + (mix64(key) & (dictSlots - 1)) * 8);
+        return pm::Oid(pmo, dictOff + slotOf(key) * 8);
     }
 };
 
@@ -611,6 +635,56 @@ makeJob(const std::string &name, core::Runtime &rt,
 }
 
 } // namespace
+
+InsertionBst
+buildInsertionBst(const std::vector<std::uint64_t> &keys)
+{
+    TERP_ASSERT(keys.size() < InsertionBst::none);
+    // Sorting (key, draw index) puts each key's first draw at the head
+    // of its run of equal keys.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> byKey(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        byKey[i] = {keys[i], static_cast<std::uint32_t>(i)};
+    std::sort(byKey.begin(), byKey.end());
+    std::vector<std::uint32_t> nodeOfDraw(keys.size(), InsertionBst::none);
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < byKey.size(); ++i)
+        if (i == 0 || byKey[i].first != byKey[i - 1].first) {
+            nodeOfDraw[byKey[i].second] = 0;
+            ++distinct;
+        }
+    // Nodes are numbered in first-insertion order.
+    InsertionBst t;
+    t.keys.reserve(distinct);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        if (nodeOfDraw[i] != InsertionBst::none) {
+            nodeOfDraw[i] = static_cast<std::uint32_t>(t.keys.size());
+            t.keys.push_back(keys[i]);
+        }
+    t.left.assign(distinct, InsertionBst::none);
+    t.right.assign(distinct, InsertionBst::none);
+
+    // Cartesian tree in key order, earlier insertion nearer the root:
+    // the stack holds the right spine of the tree built so far.
+    std::vector<std::uint32_t> spine;
+    for (const auto &kd : byKey) {
+        std::uint32_t n = nodeOfDraw[kd.second];
+        if (n == InsertionBst::none) // a repeat of its key
+            continue;
+        std::uint32_t last = InsertionBst::none;
+        while (!spine.empty() && spine.back() > n) {
+            last = spine.back();
+            spine.pop_back();
+        }
+        t.left[n] = last;
+        if (!spine.empty())
+            t.right[spine.back()] = n;
+        spine.push_back(n);
+    }
+    if (!spine.empty())
+        t.root = spine.front();
+    return t;
+}
 
 const std::vector<std::string> &
 whisperNames()

@@ -18,6 +18,7 @@
 #ifndef TERP_WORKLOADS_WHISPER_HH
 #define TERP_WORKLOADS_WHISPER_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,6 +77,23 @@ const std::vector<std::string> &whisperNames();
 RunResult runWhisper(const std::string &name,
                      const core::RuntimeConfig &cfg,
                      const WhisperParams &params = {});
+
+/**
+ * The binary search tree that inserting @p keys one at a time into an
+ * empty tree builds, a repeated key being skipped: ctree's prefill.
+ * It is the Cartesian tree on (key, first insertion index), so one
+ * sort and one stack pass build it, with no root-to-leaf walk per key.
+ */
+struct InsertionBst
+{
+    static constexpr std::uint32_t none = ~0u;
+    /** Distinct keys in first-insertion order; node i holds keys[i]. */
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> left, right; //!< child node, or none
+    std::uint32_t root = none;
+};
+
+InsertionBst buildInsertionBst(const std::vector<std::uint64_t> &keys);
 
 /**
  * Overhead of a protected run relative to an unprotected run of the

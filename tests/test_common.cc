@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -174,6 +176,31 @@ TEST(Zipf, ZeroThetaIsNearUniform)
         if (z.next() < 10)
             ++low;
     EXPECT_NEAR(low / double(total), 0.10, 0.02);
+}
+
+TEST(Zipf, ConcurrentGeneratorsMatchOneBuiltAlone)
+{
+    // Generators of one (n, theta) share one normalisation constant;
+    // building them on many threads at once must not change a draw.
+    auto draws = [](std::uint64_t n, double theta) {
+        ZipfGenerator z(n, theta, 11);
+        std::vector<std::uint64_t> v(2000);
+        for (auto &x : v)
+            x = z.next();
+        return v;
+    };
+    const std::uint64_t sizes[] = {1000, 4096, 65536, 77777};
+    std::vector<std::vector<std::uint64_t>> got(16);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        pool.emplace_back([&, t] {
+            got[t] = draws(sizes[t % 4], t % 8 < 4 ? 0.99 : 0.5);
+        });
+    for (auto &th : pool)
+        th.join();
+    for (std::size_t t = 0; t < got.size(); ++t)
+        EXPECT_EQ(got[t], draws(sizes[t % 4], t % 8 < 4 ? 0.99 : 0.5))
+            << t;
 }
 
 // ------------------------------------------------------------- stats

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "pm/mem_image.hh"
@@ -110,6 +113,81 @@ TEST(MemImage, RoundTripsAcrossEveryGrowth)
         ASSERT_EQ(img.peek(key(i)), value(i, i % 7 == 0 ? 1 : 0));
 }
 
+TEST(MemImage, ExtremeKeysAndZeroValuesAreOrdinaryWords)
+{
+    // Address 0 and ~0 are both valid store targets, and a poke of 0
+    // creates a word like any other.
+    MemImage img;
+    img.poke(0, 0);
+    EXPECT_EQ(img.wordCount(), 1u);
+    EXPECT_EQ(img.peek(0), 0u);
+    img.poke(~0ULL, 0);
+    img.poke(0x40, 0);
+    EXPECT_EQ(img.wordCount(), 3u);
+    img.poke(0, 7);
+    img.poke(~0ULL, 9);
+    EXPECT_EQ(img.wordCount(), 3u);
+    EXPECT_EQ(img.peek(~0ULL - 8), 0u);
+    // Both survive growth to the full table and beyond.
+    for (std::uint64_t i = 1; i <= 50000; ++i)
+        img.poke(16 * i + 8, i);
+    EXPECT_EQ(img.wordCount(), 50003u);
+    EXPECT_EQ(img.slotCount(), 1u << 17);
+    EXPECT_EQ(img.peek(0), 7u);
+    EXPECT_EQ(img.peek(~0ULL), 9u);
+    EXPECT_EQ(img.peek(0x40), 0u);
+    img.poke(0, 0);
+    EXPECT_EQ(img.peek(0), 0u);
+    EXPECT_EQ(img.wordCount(), 50003u);
+}
+
+TEST(MemImage, KeysSharingAHomeSlotSurviveGrowth)
+{
+    // MemImage's slot hash, so the keys below share one home slot at
+    // every capacity up to 128 Ki and build the longest probe runs a
+    // table can have. (Were the table's hash to change, the test would
+    // still check every value, only on shorter runs.)
+    auto mix = [](std::uint64_t x) {
+        x ^= x >> 33;
+        x *= 0xff51afd7ed558ccdULL;
+        x ^= x >> 33;
+        x *= 0xc4ceb9fe1a85ec53ULL;
+        x ^= x >> 33;
+        return x;
+    };
+    const std::uint64_t mask = (1u << 17) - 1;
+    std::vector<std::uint64_t> shared;
+    for (std::uint64_t k = 8; shared.size() < 64; k += 8)
+        if ((mix(k) & mask) == (mix(8) & mask))
+            shared.push_back(k);
+    // The first 48 are poked, the last 16 never are.
+    const std::size_t poked = 48;
+
+    MemImage img;
+    std::uint64_t filler = 1ULL << 40;
+    std::size_t next = 0;
+    auto check = [&](std::size_t slots) {
+        ASSERT_EQ(img.slotCount(), slots);
+        for (std::size_t i = 0; i < next; ++i)
+            ASSERT_EQ(img.peek(shared[i]), shared[i] ^ 0x5a) << i;
+        for (std::size_t i = poked; i < shared.size(); ++i)
+            ASSERT_EQ(img.peek(shared[i]), 0u) << i;
+    };
+    // Interleave 16 shared keys with fillers up to each growth point.
+    for (std::size_t words : {700u, 45000u, 91000u}) {
+        for (std::size_t j = 0; j < 16; ++j, ++next)
+            img.poke(shared[next], shared[next] ^ 0x5a);
+        while (img.wordCount() < words)
+            img.poke(filler += 8, 1);
+        check(words < 717 ? 1u << 10 : words < 45876 ? 1u << 16 : 1u << 17);
+        img.poke(filler += 8, 1);
+        img.poke(filler += 8, 1);
+    }
+    while (img.wordCount() < 91751)
+        img.poke(filler += 8, 1);
+    check(1u << 18);
+}
+
 TEST(MemImage, PmoPointerDiscrimination)
 {
     EXPECT_TRUE(MemImage::isPmoPointer(Oid(1, 0).raw));
@@ -207,6 +285,8 @@ TEST(PoolAllocator, ExhaustionReturnsNull)
     PoolAllocator a(1, 1 * KiB);
     Oid x = a.pmalloc(2 * KiB);
     EXPECT_TRUE(x.isNull());
+    EXPECT_TRUE(a.pmalloc(~0ULL).isNull());
+    EXPECT_EQ(a.liveBlocks(), 0u);
 }
 
 TEST(PoolAllocator, DoubleFreePanics)
@@ -288,6 +368,192 @@ TEST_P(AllocatorPropertyTest, RandomAllocFreeNeverOverlaps)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 42, 97));
+
+/**
+ * First-fit reference model written without the allocator's code: one
+ * map of coalesced free ranges, the space up to the end of the pool
+ * included, and one map of live blocks.
+ */
+class FirstFitModel
+{
+  public:
+    static constexpr std::uint64_t none = ~0ULL;
+
+    FirstFitModel(std::uint64_t cap, std::uint64_t reserve) : cap(cap)
+    {
+        std::uint64_t start = std::min(round16(reserve), cap);
+        if (start < cap)
+            free[start] = cap - start;
+    }
+
+    std::uint64_t
+    malloc(std::uint64_t size)
+    {
+        size = round16(std::max<std::uint64_t>(size, 1));
+        for (auto [off, len] : free) {
+            if (len < size)
+                continue;
+            free.erase(off);
+            if (len > size)
+                free[off + size] = len - size;
+            blocks[off] = size;
+            return off;
+        }
+        return none;
+    }
+
+    void
+    release(std::uint64_t off)
+    {
+        std::uint64_t len = blocks.at(off);
+        blocks.erase(off);
+        auto it = free.emplace(off, len).first;
+        auto nx = std::next(it);
+        if (nx != free.end() && off + len == nx->first) {
+            it->second += nx->second;
+            free.erase(nx);
+        }
+        if (it != free.begin()) {
+            auto pv = std::prev(it);
+            if (pv->first + pv->second == it->first) {
+                pv->second += it->second;
+                free.erase(it);
+            }
+        }
+    }
+
+    void
+    reservePrefix(std::uint64_t up_to)
+    {
+        up_to = round16(up_to);
+        std::map<std::uint64_t, std::uint64_t> kept;
+        for (auto [off, len] : free) {
+            std::uint64_t lo = std::max(off, up_to);
+            if (lo < off + len)
+                kept[lo] = off + len - lo;
+        }
+        free = kept;
+    }
+
+    std::uint64_t
+    liveBytes() const
+    {
+        std::uint64_t n = 0;
+        for (auto [off, len] : blocks)
+            n += len;
+        return n;
+    }
+
+    /** The length of a random free range: an exact-fit request. */
+    std::uint64_t
+    someHole(Rng &rng) const
+    {
+        if (free.empty())
+            return 16;
+        auto it = free.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.nextBelow(free.size())));
+        return it->second;
+    }
+
+    std::uint64_t cap;
+    std::map<std::uint64_t, std::uint64_t> free;   //!< off -> len
+    std::map<std::uint64_t, std::uint64_t> blocks; //!< off -> len
+
+  private:
+    static std::uint64_t round16(std::uint64_t v) { return (v + 15) / 16 * 16; }
+};
+
+class AllocatorModelTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(AllocatorModelTest, MatchesFirstFitModel)
+{
+    Rng rng(GetParam());
+    // Small pools exhaust and refill; odd sizes leave a tail that no
+    // 16-byte block fills.
+    const std::uint64_t caps[] = {2 * KiB, 8 * KiB, 64 * KiB + 8,
+                                  256 * KiB};
+    const std::uint64_t cap = caps[GetParam() % 4];
+    const std::uint64_t reserve = rng.nextBelow(100);
+    PoolAllocator a(3, cap, reserve);
+    FirstFitModel m(cap, reserve);
+
+    // Every other seed reserves a prefix: inside the pool, at its end
+    // or past it.
+    if (GetParam() % 2) {
+        const std::uint64_t ups[] = {rng.nextBelow(cap / 2), cap,
+                                     cap + 40, 0};
+        std::uint64_t up = ups[GetParam() / 2 % 4];
+        a.reservePrefix(up);
+        m.reservePrefix(up);
+    }
+
+    std::vector<std::uint64_t> held; // live offsets in model order
+    std::uint64_t lastFreed = FirstFitModel::none;
+    for (int step = 0; step < 3000; ++step) {
+        double roll = rng.nextDouble();
+        if (held.empty() || roll < 0.55) {
+            std::uint64_t size = rng.nextBool(0.2)
+                                     ? std::max<std::uint64_t>(
+                                           m.someHole(rng), 16) -
+                                           rng.nextBelow(16)
+                                     : rng.nextRange(1, 700);
+            if (rng.nextBool(0.02))
+                size = cap; // never fits
+            Oid o = a.pmalloc(size);
+            std::uint64_t want = m.malloc(size);
+            if (want == FirstFitModel::none) {
+                ASSERT_TRUE(o.isNull()) << "step " << step;
+            } else {
+                ASSERT_EQ(o, Oid(3, want)) << "step " << step;
+                ASSERT_EQ(a.blockSize(o), m.blocks.at(want));
+                held.push_back(want);
+            }
+        } else {
+            // Free a random block, or the one ending at the tail.
+            std::size_t i = rng.nextBelow(held.size());
+            if (roll > 0.9)
+                i = static_cast<std::size_t>(
+                    std::max_element(held.begin(), held.end()) -
+                    held.begin());
+            lastFreed = held[i];
+            a.pfree(Oid(3, lastFreed));
+            m.release(lastFreed);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+            ASSERT_EQ(a.blockSize(Oid(3, lastFreed)), 0u);
+        }
+        ASSERT_EQ(a.liveBytes(), m.liveBytes()) << "step " << step;
+        ASSERT_EQ(a.liveBlocks(), m.blocks.size()) << "step " << step;
+    }
+    for (auto [off, len] : m.blocks)
+        EXPECT_EQ(a.blockSize(Oid(3, off)), len);
+    EXPECT_EQ(a.allocCount() - a.freeCount(), held.size());
+
+    if (lastFreed != FirstFitModel::none &&
+        !m.blocks.count(lastFreed)) {
+        EXPECT_THROW(a.pfree(Oid(3, lastFreed)), std::logic_error);
+    }
+    if (!held.empty()) {
+        EXPECT_THROW(a.pfree(Oid(4, held[0])), std::logic_error);
+    }
+    // Freeing everything leaves one free range: the whole pool above
+    // the reserved prefix is again one block.
+    for (std::uint64_t off : held) {
+        a.pfree(Oid(3, off));
+        m.release(off);
+    }
+    EXPECT_LE(m.free.size(), 1u);
+    std::uint64_t whole = m.free.empty() ? 0 : m.free.begin()->second;
+    if (whole >= 16) {
+        Oid o = a.pmalloc(whole & ~15ULL);
+        EXPECT_EQ(o, Oid(3, m.malloc(whole & ~15ULL)));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorModelTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 // ------------------------------------------------------------ manager
 

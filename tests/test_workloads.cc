@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "compiler/verifier.hh"
 #include "workloads/alloc.hh"
 #include "workloads/spec.hh"
@@ -124,6 +127,74 @@ TEST(Whisper, UnknownNamePanics)
 {
     EXPECT_THROW(runWhisper("nosuch", core::RuntimeConfig::tt()),
                  std::logic_error);
+}
+
+// ------------------------------------------------- ctree bulk prefill
+
+namespace {
+
+/** The tree one-at-a-time insertion builds, walking from the root. */
+InsertionBst
+insertOneByOne(const std::vector<std::uint64_t> &keys)
+{
+    InsertionBst t;
+    for (std::uint64_t k : keys) {
+        std::uint32_t *link = &t.root;
+        while (*link != InsertionBst::none && t.keys[*link] != k)
+            link = k < t.keys[*link] ? &t.left[*link] : &t.right[*link];
+        if (*link != InsertionBst::none)
+            continue; // repeated key
+        auto n = static_cast<std::uint32_t>(t.keys.size());
+        *link = n; // before the push_backs below move the vectors
+        t.keys.push_back(k);
+        t.left.push_back(InsertionBst::none);
+        t.right.push_back(InsertionBst::none);
+    }
+    return t;
+}
+
+void
+expectSameTree(const std::vector<std::uint64_t> &keys)
+{
+    InsertionBst want = insertOneByOne(keys);
+    InsertionBst got = buildInsertionBst(keys);
+    EXPECT_EQ(got.keys, want.keys); // allocation order
+    EXPECT_EQ(got.root, want.root);
+    EXPECT_EQ(got.left, want.left);
+    EXPECT_EQ(got.right, want.right);
+}
+
+} // namespace
+
+TEST(CtreePrefill, BulkBuildMatchesInsertionOnRandomKeys)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed);
+        // Small keyspaces repeat keys often, large ones rarely.
+        std::uint64_t space = seed % 2 ? 64 : 1u << 20;
+        std::vector<std::uint64_t> keys(seed * 500);
+        for (std::uint64_t &k : keys)
+            k = rng.nextBelow(space);
+        SCOPED_TRACE(seed);
+        expectSameTree(keys);
+    }
+}
+
+TEST(CtreePrefill, BulkBuildMatchesInsertionOnDegenerateInputs)
+{
+    std::vector<std::uint64_t> sorted(1500);
+    std::iota(sorted.begin(), sorted.end(), 7);
+    std::vector<std::uint64_t> reversed(sorted.rbegin(), sorted.rend());
+    std::vector<std::uint64_t> equal(300, 42);
+    std::vector<std::uint64_t> extremes = {~0ULL, 0, ~0ULL, 1, 0};
+    for (const auto &keys : {sorted, reversed, equal, extremes,
+                             std::vector<std::uint64_t>{},
+                             std::vector<std::uint64_t>{5}})
+        expectSameTree(keys);
+    InsertionBst t = buildInsertionBst(equal);
+    EXPECT_EQ(t.keys.size(), 1u);
+    EXPECT_EQ(t.root, 0u);
+    EXPECT_EQ(buildInsertionBst({}).root, InsertionBst::none);
 }
 
 // --------------------------------------------------------------- spec
