@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -7,21 +8,71 @@
 namespace terp {
 namespace sim {
 
+namespace {
+
+constexpr std::uint64_t nibbleOnes = 0x1111111111111111ULL;
+/** Every way in way order: rank r holds way r. */
+constexpr std::uint64_t identityOrder = 0xFEDCBA9876543210ULL;
+/** Largest tag whose tag + 1 still fits a 32-bit way. */
+constexpr std::uint64_t maxTag = 0xFFFFFFFEULL;
+
+/** Rank of way in a recency word. Each of the 16 nibbles holds a
+ *  distinct way number, so exactly one matches; the borrow trick
+ *  flags the lowest zero nibble of ord ^ way exactly. */
+unsigned
+rankOf(std::uint64_t ord, unsigned way)
+{
+    const std::uint64_t x = ord ^ (way * nibbleOnes);
+    const std::uint64_t zero = (x - nibbleOnes) & ~x & (8 * nibbleOnes);
+    return static_cast<unsigned>(std::countr_zero(zero)) >> 2;
+}
+
+/** Move the way at rank r to rank 0; ranks below r shift back one. */
+std::uint64_t
+toFront(std::uint64_t ord, unsigned r)
+{
+    const unsigned s = 4 * r;
+    const std::uint64_t below = ord & ((1ULL << s) - 1);
+    const std::uint64_t above = ord & ((~0ULL << s) << 4);
+    return above | (below << 4) | ((ord >> s) & 15);
+}
+
+/** Move the way at rank r to rank last; ranks r+1..last shift
+ *  forward one. Ranks past last (unused ways) stay put. */
+std::uint64_t
+toBack(std::uint64_t ord, unsigned r, unsigned last)
+{
+    const unsigned s = 4 * r;
+    const unsigned e = 4 * last;
+    const std::uint64_t below = ord & ((1ULL << s) - 1);
+    const std::uint64_t between =
+        (ord >> 4) & ((1ULL << e) - 1) & ~((1ULL << s) - 1);
+    const std::uint64_t above = ord & ((~0ULL << e) << 4);
+    return below | between | (((ord >> s) & 15) << e) | above;
+}
+
+} // namespace
+
 Cache::Cache(std::uint64_t size_bytes, unsigned ways,
              std::uint64_t line_bytes)
     : nWays(ways)
 {
     TERP_ASSERT(std::has_single_bit(line_bytes));
     TERP_ASSERT(ways > 0);
+    TERP_ASSERT(ways <= maxWays,
+                "cache associativity above 16 ways does not fit the "
+                "4-bit recency ranks");
     lineShiftBits = static_cast<std::uint64_t>(
         std::countr_zero(line_bytes));
     nSets = size_bytes / (line_bytes * ways);
     TERP_ASSERT(nSets > 0 && std::has_single_bit(nSets),
                 "cache geometry must give a power-of-two set count");
     setShiftBits = static_cast<unsigned>(std::countr_zero(nSets));
-    const std::size_t n = nSets * ways;
+    strideShiftBits =
+        static_cast<unsigned>(std::countr_zero(std::bit_ceil(ways)));
+    const std::size_t n = nSets << strideShiftBits;
     tags.assign(n, 0);
-    lru.assign(n, 0);
+    order.assign(nSets, identityOrder);
     validBits.assign((n + 63) / 64, 0);
 }
 
@@ -30,48 +81,56 @@ Cache::accessSlow(std::uint64_t line_addr)
 {
     const std::uint64_t set_idx = line_addr & (nSets - 1);
     const std::uint64_t tag = line_addr >> setShiftBits;
-    const std::size_t base = set_idx * nWays;
-    ++useClock;
+    TERP_ASSERT(tag <= maxTag, "cache tag ", tag,
+                " does not fit in 32 bits (line address ", line_addr,
+                ")");
+    const auto key = static_cast<std::uint32_t>(tag + 1);
+    const std::size_t base = set_idx << strideShiftBits;
+    std::uint32_t *set_tags = &tags[base];
+    std::uint64_t &ord = order[set_idx];
+    mruLineAddr = line_addr;
 
-    std::size_t victim = base;
-    bool victimValid = isValid(base);
     for (unsigned w = 0; w < nWays; ++w) {
-        const std::size_t i = base + w;
-        const bool v = isValid(i);
-        if (v && tags[i] == tag) {
-            lru[i] = useClock;
+        if (set_tags[w] == key) {
+            ord = toFront(ord, rankOf(ord, w));
             ++nHits;
-            mruIdx = i;
-            mruLineAddr = line_addr;
-            mruTag = tag;
             return true;
         }
-        if (!v) {
-            victim = i;
-            victimValid = false;
-        } else if (victimValid && lru[i] < lru[victim]) {
-            victim = i;
-        }
     }
-    if (!victimValid) {
+    // Empty ways sit behind every valid way, so the last rank is an
+    // empty way if the set has one, else the least recently used.
+    const unsigned last = nWays - 1;
+    const unsigned victim = (ord >> (4 * last)) & 15;
+    if (set_tags[victim] == 0) {
         ++nValid;
-        setValid(victim);
+        setValid(base + victim);
     }
-    tags[victim] = tag;
-    lru[victim] = useClock;
+    set_tags[victim] = key;
+    ord = toFront(ord, last);
     ++nMisses;
-    mruIdx = victim;
-    mruLineAddr = line_addr;
-    mruTag = tag;
     return false;
+}
+
+void
+Cache::dropSlot(std::size_t i)
+{
+    const std::size_t set_idx = i >> strideShiftBits;
+    const auto way = static_cast<unsigned>(
+        i & ((std::size_t{1} << strideShiftBits) - 1));
+    std::uint64_t &ord = order[set_idx];
+    ord = toBack(ord, rankOf(ord, way), nWays - 1);
+    tags[i] = 0;
+    clearValid(i);
+    --nValid;
 }
 
 void
 Cache::invalidateAll()
 {
-    if (nValid > 0)
-        for (auto &w : validBits)
-            w = 0;
+    // Every way becomes empty, so any recency order is valid and the
+    // order words are left as they are.
+    std::fill(tags.begin(), tags.end(), 0);
+    std::fill(validBits.begin(), validBits.end(), 0);
     nValid = 0;
     mruLineAddr = ~0ULL;
 }
@@ -85,23 +144,27 @@ Cache::invalidateRange(std::uint64_t lo, std::uint64_t hi)
                 "invalidateRange bounds must be line-aligned");
     if (hi <= lo || nValid == 0)
         return;
-    mruLineAddr = ~0ULL;
 
     const std::uint64_t first_line = lo >> lineShiftBits;
     const std::uint64_t last_line = (hi - 1) >> lineShiftBits;
     const std::uint64_t span = last_line - first_line + 1;
+    if (mruLineAddr >= first_line && mruLineAddr <= last_line)
+        mruLineAddr = ~0ULL;
 
     if (span < nSets) {
         // Narrow range: only the sets the range maps to can hold a
         // matching line, so probe those directly by set index.
         for (std::uint64_t la = first_line; la <= last_line; ++la) {
-            const std::size_t base = (la & (nSets - 1)) * nWays;
             const std::uint64_t tag = la >> setShiftBits;
+            if (tag > maxTag)
+                break; // never resident, nor is any line above it
+            const auto key = static_cast<std::uint32_t>(tag + 1);
+            const std::size_t base = (la & (nSets - 1))
+                                     << strideShiftBits;
             for (unsigned w = 0; w < nWays; ++w) {
-                const std::size_t i = base + w;
-                if (isValid(i) && tags[i] == tag) {
-                    clearValid(i);
-                    --nValid;
+                if (tags[base + w] == key) {
+                    dropSlot(base + w);
+                    break;
                 }
             }
         }
@@ -109,7 +172,7 @@ Cache::invalidateRange(std::uint64_t lo, std::uint64_t hi)
     }
 
     // Wide range: every set is in play. Walk the validity bitmap so
-    // only live lines are visited — 64 empty lines cost one word
+    // only live lines are visited — 64 empty slots cost one word
     // test.
     for (std::size_t wi = 0; wi < validBits.size(); ++wi) {
         std::uint64_t word = validBits[wi];
@@ -118,13 +181,11 @@ Cache::invalidateRange(std::uint64_t lo, std::uint64_t hi)
                 static_cast<unsigned>(std::countr_zero(word));
             word &= word - 1;
             const std::size_t i = (wi << 6) | b;
-            const std::uint64_t set_idx = i / nWays;
+            const std::uint64_t set_idx = i >> strideShiftBits;
             const std::uint64_t line_addr =
-                (tags[i] << setShiftBits) | set_idx;
-            if (line_addr >= first_line && line_addr <= last_line) {
-                clearValid(i);
-                --nValid;
-            }
+                ((std::uint64_t{tags[i]} - 1) << setShiftBits) | set_idx;
+            if (line_addr >= first_line && line_addr <= last_line)
+                dropSlot(i);
         }
     }
 }

@@ -4,24 +4,41 @@
  *
  * The model tracks tags only (no data) and answers hit/miss queries;
  * the Machine composes an L1D per core with a shared L2 and charges
- * the Table II latencies.
+ * the Table II latencies, and TlbHierarchy reuses it for both TLB
+ * levels.
  *
- * Host-side fast paths keep the model cycle-exact while cutting the
- * work per simulated access (see DESIGN.md §9):
- *  - a one-entry MRU hint in front of the set scan: a repeat access
- *    to the most recently hit line performs exactly the same state
- *    transition (LRU stamp, hit count) without walking the ways;
- *  - structure-of-arrays storage with a packed validity bitmap, so
- *    wide invalidations scan 1 bit per line (skipping 64 empty lines
- *    per word) instead of a 24-byte record per line;
- *  - invalidateRange only probes the sets a narrow range can map to,
- *    and skips entirely when no lines are valid.
+ * Layout (see DESIGN.md §9). Each set keeps its tags in one
+ * contiguous slot of bit_ceil(ways) 32-bit words, 64-byte aligned, so
+ * a set scan touches one host cache line (a 16-way L2 set is exactly
+ * 64 bytes). A way holds tag + 1, and 0 marks an empty way. Beside the
+ * tags, each set has one 64-bit recency word that lists its ways from
+ * most to least recently used, 4 bits per way (hence at most 16
+ * ways). A hit moves its way to rank 0; a miss fills the way at the
+ * last rank and moves it to rank 0; an invalidated way moves to the
+ * last rank. Empty ways therefore always sit behind every valid way,
+ * so a miss fills an empty way if there is one and otherwise evicts
+ * the least recently used line. That is exactly the replacement of a
+ * per-line timestamp LRU that fills empty ways first, and tags are
+ * stored exactly (a tag that does not fit in 32 bits is an assertion
+ * failure, never an alias), so the hit/miss sequence, and every
+ * simulated cycle, is the same as with timestamps.
+ *
+ * Host-side shortcuts, none of which is model state:
+ *  - a one-line MRU hint: the line of the last access is at rank 0 of
+ *    its set, so a repeat access is a compare and a hit count, with
+ *    no recency write. Invalidating that line clears the hint;
+ *  - a validity bitmap, one bit per way slot, so a wide invalidation
+ *    visits only live lines, skipping 64 empty slots per word test;
+ *  - invalidateRange probes only the sets a narrow range can map to,
+ *    and returns at once when no line is valid.
  */
 
 #ifndef TERP_SIM_CACHE_HH
 #define TERP_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/units.hh"
@@ -33,9 +50,12 @@ namespace sim {
 class Cache
 {
   public:
+    /** Largest associativity the 4-bit recency ranks can order. */
+    static constexpr unsigned maxWays = 16;
+
     /**
      * @param size_bytes Total capacity in bytes.
-     * @param ways       Associativity.
+     * @param ways       Associativity, 1 to maxWays.
      * @param line_bytes Line size in bytes (default 64).
      */
     Cache(std::uint64_t size_bytes, unsigned ways,
@@ -49,10 +69,9 @@ class Cache
     access(std::uint64_t paddr)
     {
         const std::uint64_t line_addr = paddr >> lineShiftBits;
-        // MRU fast path: same line as the last hit, still resident.
-        if (line_addr == mruLineAddr && isValid(mruIdx) &&
-            tags[mruIdx] == mruTag) {
-            lru[mruIdx] = ++useClock;
+        // MRU fast path: the last line accessed is resident and
+        // already at rank 0, so a hit changes nothing but the count.
+        if (line_addr == mruLineAddr) {
             ++nHits;
             return true;
         }
@@ -73,32 +92,41 @@ class Cache
     std::uint64_t sets() const { return nSets; }
 
   private:
+    /** Allocator that starts the tag array on a host cache line. */
+    template <class T>
+    struct LineAligned
+    {
+        using value_type = T;
+        static constexpr std::align_val_t align{64};
+        LineAligned() = default;
+        template <class U> LineAligned(const LineAligned<U> &) {}
+        T *
+        allocate(std::size_t n)
+        {
+            return static_cast<T *>(::operator new(n * sizeof(T), align));
+        }
+        void deallocate(T *p, std::size_t) { ::operator delete(p, align); }
+        bool operator==(const LineAligned &) const { return true; }
+    };
+
     std::uint64_t lineShiftBits;
     std::uint64_t nSets;
-    unsigned setShiftBits; //!< log2(nSets)
+    unsigned setShiftBits;    //!< log2(nSets)
     unsigned nWays;
+    unsigned strideShiftBits; //!< log2(bit_ceil(nWays)): slots per set
 
-    // Structure-of-arrays line storage, row-major by set: line i is
-    // way (i % nWays) of set (i / nWays). Validity is one bit per
-    // line so range invalidations can skip 64 lines per word.
-    std::vector<std::uint64_t> tags;
-    std::vector<std::uint64_t> lru; //!< larger = more recently used
+    // Way slot i is way (i & (stride - 1)) of set (i >> strideShift).
+    // Slots past nWays in a set stay 0 and their bits stay clear.
+    std::vector<std::uint32_t, LineAligned<std::uint32_t>> tags;
+    std::vector<std::uint64_t> order; //!< per set, rank r in bits 4r..
     std::vector<std::uint64_t> validBits;
 
     std::uint64_t nValid = 0; //!< currently valid lines
-    std::uint64_t useClock = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
 
-    // One-entry MRU hint (host-side shortcut only; no model state).
-    std::size_t mruIdx = 0;
-    std::uint64_t mruLineAddr = ~0ULL;
-    std::uint64_t mruTag = 0;
+    std::uint64_t mruLineAddr = ~0ULL; //!< host-side hint only
 
-    bool isValid(std::size_t i) const
-    {
-        return (validBits[i >> 6] >> (i & 63)) & 1;
-    }
     void setValid(std::size_t i)
     {
         validBits[i >> 6] |= 1ULL << (i & 63);
@@ -109,6 +137,7 @@ class Cache
     }
 
     bool accessSlow(std::uint64_t line_addr);
+    void dropSlot(std::size_t i);
 };
 
 } // namespace sim

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/cache.hh"
 #include "sim/machine.hh"
 #include "sim/thread.hh"
@@ -73,10 +77,10 @@ TEST(Cache, InvalidateRangeIsSelective)
 
 TEST(Cache, InvalidationClearsMruHint)
 {
-    // The SoA fast path caches the last-hit (line, way). Both
-    // invalidation entry points must drop that hint (or the hint's
-    // isValid re-check must catch it): after invalidating the hinted
-    // line, the very next access to it must miss.
+    // The fast path hits on the last line accessed without looking
+    // at the set. Both invalidation entry points must drop that hint
+    // when they drop its line: after invalidating the hinted line,
+    // the very next access to it must miss.
     Cache c(64 * KiB, 8);
     c.access(0x1000);
     EXPECT_TRUE(c.access(0x1000)); // hint now points at 0x1000
@@ -101,7 +105,187 @@ TEST(Cache, RejectsBadGeometry)
 {
     // 3 sets is not a power of two.
     EXPECT_THROW(Cache(3 * 64 * 2, 2), std::logic_error);
+    EXPECT_THROW(Cache(4 * KiB, 0), std::logic_error);
+    // The recency word ranks at most 16 ways; 17 is refused even
+    // though 17 ways x 1 set is a power-of-two set count.
+    EXPECT_THROW(Cache(17 * 64, 17), std::logic_error);
+    EXPECT_THROW(Cache(32 * 64, 32), std::logic_error);
+    Cache widest(16 * 64, 16);
+    EXPECT_EQ(widest.sets(), 1u);
 }
+
+TEST(Cache, OversizedTagIsRefusedNotAliased)
+{
+    // 16 sets, so tag = paddr >> 10. Ways store tag + 1 in 32 bits.
+    Cache c(4 * KiB, 4);
+    const std::uint64_t max_tag = 0xFFFFFFFEULL;
+    auto addr = [](std::uint64_t tag, std::uint64_t set) {
+        return ((tag << 4) | set) << 6;
+    };
+    // The largest storable tag is an ordinary line.
+    EXPECT_FALSE(c.access(addr(max_tag, 3)));
+    EXPECT_TRUE(c.access(addr(max_tag, 3)));
+    EXPECT_FALSE(c.access(addr(0, 3)));
+    // Tags 2^32 - 1 and 2^32 would wrap tag + 1 onto the empty marker
+    // and onto tag 0's key; both must fail loudly.
+    EXPECT_THROW(c.access(addr(max_tag + 1, 3)), std::logic_error);
+    EXPECT_THROW(c.access(addr(max_tag + 2, 3)), std::logic_error);
+    EXPECT_THROW(c.access(addr(1ULL << 40, 0)), std::logic_error);
+    // The refused accesses left no trace: both lines still hit, and
+    // only the three accepted lookups above were counted.
+    EXPECT_EQ(c.hits() + c.misses(), 3u);
+    EXPECT_TRUE(c.access(addr(0, 3)));
+    EXPECT_TRUE(c.access(addr(max_tag, 3)));
+    // A range reaching past the storable tags drops what it covers.
+    c.invalidateRange(addr(max_tag, 0), addr(max_tag + 4, 0));
+    EXPECT_FALSE(c.access(addr(max_tag, 3)));
+    EXPECT_TRUE(c.access(addr(0, 3)));
+}
+
+// Reference model: each set is a list of resident tags from most to
+// least recently used, at most `ways` long.
+class RecencyListModel
+{
+  public:
+    RecencyListModel(std::uint64_t nsets, unsigned ways)
+        : ways(ways), setsOf(nsets)
+    {
+    }
+
+    bool
+    access(std::uint64_t line)
+    {
+        auto &set = setsOf[line % setsOf.size()];
+        const std::uint64_t tag = line / setsOf.size();
+        auto it = std::find(set.begin(), set.end(), tag);
+        const bool hit = it != set.end();
+        if (hit)
+            set.erase(it);
+        else if (set.size() == ways)
+            set.pop_back();
+        set.insert(set.begin(), tag);
+        ++(hit ? hits : misses);
+        return hit;
+    }
+
+    void
+    invalidateLines(std::uint64_t first, std::uint64_t last)
+    {
+        for (std::size_t s = 0; s < setsOf.size(); ++s) {
+            std::erase_if(setsOf[s], [&](std::uint64_t tag) {
+                const std::uint64_t line = tag * setsOf.size() + s;
+                return line >= first && line <= last;
+            });
+        }
+    }
+
+    void
+    invalidateAll()
+    {
+        for (auto &set : setsOf)
+            set.clear();
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    std::size_t ways;
+    std::vector<std::vector<std::uint64_t>> setsOf;
+};
+
+class CacheModelTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(CacheModelTest, MatchesRecencyListModel)
+{
+    struct Geometry
+    {
+        std::uint64_t size;
+        unsigned ways;
+    };
+    const Geometry geometries[] = {
+        {32 * KiB, 8},         // L1D
+        {1 * MiB, 16},         // L2
+        {64 * lineSize, 4},    // L1 TLB
+        {1536 * lineSize, 6},  // L2 TLB
+        {4 * KiB, 1},          // direct mapped
+        {4 * KiB, 16},         // 4 sets x 16 ways
+        {16 * lineSize, 16},   // one set, widest
+        {3 * lineSize, 3},     // one set, padded slots
+    };
+    const std::uint64_t max_tag = 0xFFFFFFFEULL;
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(::testing::Message()
+                     << g.size << " bytes, " << g.ways << " ways");
+        Rng rng(GetParam() * 131 + g.ways);
+        Cache c(g.size, g.ways);
+        const std::uint64_t nsets = c.sets();
+        RecencyListModel m(nsets, g.ways);
+        // A few hot sets see more tags than they have ways, so they
+        // hit, evict and refill; cold lines land anywhere. Some tags
+        // sit just below the largest storable one.
+        std::uint64_t hot[4];
+        for (auto &h : hot)
+            h = rng.nextBelow(nsets);
+        auto pick_tag = [&]() -> std::uint64_t {
+            const std::uint64_t t = rng.nextBelow(2 * g.ways + 2);
+            return rng.nextBelow(16) == 0 ? max_tag - t : t;
+        };
+        std::uint64_t prev = 0;
+        for (int op = 0; op < 6000; ++op) {
+            const std::uint64_t kind = rng.nextBelow(100);
+            if (kind < 88) {
+                std::uint64_t line;
+                if (kind < 15)
+                    line = prev; // the MRU fast path
+                else if (kind < 70)
+                    line = pick_tag() * nsets + hot[rng.nextBelow(4)];
+                else
+                    line = pick_tag() * nsets + rng.nextBelow(nsets);
+                const bool want = m.access(line);
+                ASSERT_EQ(c.access(line * lineSize + rng.nextBelow(64)),
+                          want)
+                    << "op " << op << " line " << line;
+                prev = line;
+            } else if (kind < 99) {
+                // Narrow (span < sets), wide (span >= sets) or empty,
+                // starting near a recent line.
+                const std::uint64_t back = rng.nextBelow(4);
+                const std::uint64_t first =
+                    prev >= back ? prev - back : 0;
+                std::uint64_t span;
+                switch (rng.nextBelow(3)) {
+                case 0:
+                    span = rng.nextBelow(std::min<std::uint64_t>(
+                        nsets, 2 * g.ways + 2));
+                    break;
+                case 1:
+                    span = nsets + rng.nextBelow(3 * nsets);
+                    break;
+                default:
+                    span = (max_tag + 2) * nsets; // everything
+                    break;
+                }
+                if (span > 0)
+                    m.invalidateLines(first, first + span - 1);
+                c.invalidateRange(first * lineSize,
+                                  (first + span) * lineSize);
+            } else {
+                m.invalidateAll();
+                c.invalidateAll();
+            }
+        }
+        EXPECT_EQ(c.hits(), m.hits);
+        EXPECT_EQ(c.misses(), m.misses);
+        EXPECT_GT(m.hits, 500u);
+        EXPECT_GT(m.misses, 500u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CacheModelTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 struct CacheGeometry
 {
@@ -166,6 +350,81 @@ TEST(Tlb, ShootdownRangeForcesRewalk)
     EXPECT_EQ(t.lookup(0x4000).where, TlbResult::Where::Walk);
     EXPECT_EQ(t.lookup(0x400000).where, TlbResult::Where::L1);
 }
+
+// The L1 TLB has 16 sets and the L2 TLB 256, so a shootdown of under
+// 16 pages takes the narrow per-set probe in both levels, 16 to 255
+// pages the wide bitmap walk in L1 only, and 256 or more the wide walk
+// in both.
+class TlbShootdownSpanTest : public ::testing::TestWithParam<std::uint64_t>
+{
+  protected:
+    static std::uint64_t va(std::uint64_t page) { return page * pageSize; }
+
+    // Where a lookup of page would land, without disturbing t.
+    static TlbResult::Where
+    where(const TlbHierarchy &t, std::uint64_t page)
+    {
+        TlbHierarchy probe = t;
+        return probe.lookup(va(page)).where;
+    }
+
+    // Leave page in the L2 TLB only: four later pages in its L1 set
+    // (far from any range under test) push it out of the 4-way L1.
+    static void
+    loadL2Only(TlbHierarchy &t, std::uint64_t page)
+    {
+        t.lookup(va(page));
+        for (std::uint64_t k = 1; k <= 4; ++k)
+            t.lookup(va((1ULL << 24) + page % 16 + 16 * k));
+    }
+};
+
+TEST_P(TlbShootdownSpanTest, RewalksExactlyTheRange)
+{
+    const std::uint64_t span = GetParam();
+    const std::uint64_t lo = 1024;
+    const std::uint64_t end = lo + span;
+    const std::uint64_t in_l2[] = {lo + 1, lo + span / 2};
+    const std::uint64_t out_l2[] = {lo - 2, end + 1};
+    const std::uint64_t in_l1[] = {lo, end - 1};
+    const std::uint64_t out_l1[] = {lo - 1, end};
+
+    TlbHierarchy t;
+    for (std::uint64_t p : in_l2)
+        loadL2Only(t, p);
+    for (std::uint64_t p : out_l2)
+        loadL2Only(t, p);
+    for (std::uint64_t p : in_l1)
+        t.lookup(va(p));
+    for (std::uint64_t p : out_l1)
+        t.lookup(va(p));
+    for (std::uint64_t p : in_l2)
+        ASSERT_EQ(where(t, p), TlbResult::Where::L2) << "page " << p;
+    for (std::uint64_t p : out_l2)
+        ASSERT_EQ(where(t, p), TlbResult::Where::L2) << "page " << p;
+    for (std::uint64_t p : in_l1)
+        ASSERT_EQ(where(t, p), TlbResult::Where::L1) << "page " << p;
+    for (std::uint64_t p : out_l1)
+        ASSERT_EQ(where(t, p), TlbResult::Where::L1) << "page " << p;
+
+    t.shootdownRange(va(lo), va(end));
+    for (std::uint64_t p : in_l1)
+        EXPECT_EQ(where(t, p), TlbResult::Where::Walk) << "page " << p;
+    for (std::uint64_t p : in_l2)
+        EXPECT_EQ(where(t, p), TlbResult::Where::Walk) << "page " << p;
+    for (std::uint64_t p : out_l1)
+        EXPECT_EQ(where(t, p), TlbResult::Where::L1) << "page " << p;
+    for (std::uint64_t p : out_l2)
+        EXPECT_EQ(where(t, p), TlbResult::Where::L2) << "page " << p;
+    // A range that ends mid-page still covers that page.
+    t.shootdownRange(va(lo - 1), va(lo - 1) + 8);
+    EXPECT_EQ(where(t, lo - 1), TlbResult::Where::Walk);
+    EXPECT_EQ(where(t, end), TlbResult::Where::L1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Spans, TlbShootdownSpanTest,
+                         ::testing::Values(4, 15, 16, 100, 255, 256,
+                                           600));
 
 TEST(Tlb, ShootdownAll)
 {
