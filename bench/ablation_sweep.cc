@@ -11,7 +11,7 @@
  *  3. TEW-insertion-granularity ablation: the compiler's TEW
  *     threshold vs the measured thread exposure and cond overhead.
  *
- * Usage: ablation_sweep [sections] [--jobs=N]
+ * Size: 250 WHISPER sections, 40 under --quick.
  */
 
 #include <cstdio>
@@ -26,13 +26,11 @@ using namespace terp;
 using namespace terp::workloads;
 using namespace terp::bench;
 
-int
-terp::bench::run_ablation(int argc, char **argv)
+void
+terp::bench::ablation(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     WhisperParams p;
-    p.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 250));
+    p.sections = quick ? 40 : 250;
 
     const double ewTargets[] = {10.0, 20.0, 40.0, 80.0, 160.0, 320.0};
     const double sweepPeriods[] = {0.5, 1.0, 2.0, 4.0, 8.0};
@@ -83,62 +81,53 @@ terp::bench::run_ablation(int argc, char **argv)
     pool.run();
 
     // ---- 1. EW target sweep ----------------------------------------
-    std::printf("=== Ablation 1: EW target sweep (ycsb) — security "
-                "vs overhead ===\n");
-    std::printf("%-8s %10s %10s %12s %16s\n", "EW(us)", "overhead",
-                "EWavg(us)", "ER%", "P(success)/win");
+    std::fprintf(out, "=== Ablation 1: EW target sweep (ycsb) — security "
+                 "vs overhead ===\n");
+    std::fprintf(out, "%-8s %10s %10s %12s %16s\n", "EW(us)", "overhead",
+                 "EWavg(us)", "ER%", "P(success)/win");
     for (std::size_t i = 0; i < std::size(ewTargets); ++i) {
         const double ew = ewTargets[i];
         const RunResult &r = ewRuns[i];
         security::AttackScenario s;
         s.ewUs = ew;
         s.accessibleFraction = r.exposure.ter;
-        std::printf("%-8.0f %9.1f%% %10.1f %11.1f%% %15.5f%%\n", ew,
-                    100 * overheadVsBase(r, base), r.exposure.ewAvgUs,
-                    100 * r.exposure.er,
-                    security::successProbabilityPercent(s));
+        std::fprintf(out, "%-8.0f %9.1f%% %10.1f %11.1f%% %15.5f%%\n", ew,
+                     100 * overheadVsBase(r, base), r.exposure.ewAvgUs,
+                     100 * r.exposure.er,
+                     security::successProbabilityPercent(s));
     }
-    std::printf("=> larger windows cost less but linearly enlarge "
-                "the probe budget per placement.\n\n");
+    std::fprintf(out, "=> larger windows cost less but linearly enlarge "
+                 "the probe budget per placement.\n\n");
 
     // ---- 2. sweep period sensitivity ---------------------------------
-    std::printf("=== Ablation 2: hardware sweep period vs window "
-                "overshoot (hashmap, 40us EW) ===\n");
-    std::printf("%-12s %12s %12s %10s\n", "period(us)", "EWavg(us)",
-                "EWmax(us)", "overhead");
+    std::fprintf(out, "=== Ablation 2: hardware sweep period vs window "
+                 "overshoot (hashmap, 40us EW) ===\n");
+    std::fprintf(out, "%-12s %12s %12s %10s\n", "period(us)", "EWavg(us)",
+                 "EWmax(us)", "overhead");
     for (std::size_t i = 0; i < std::size(sweepPeriods); ++i) {
         const RunResult &r = perRuns[i];
-        std::printf("%-12.1f %12.1f %12.1f %9.1f%%\n",
-                    sweepPeriods[i], r.exposure.ewAvgUs,
-                    r.exposure.ewMaxUs,
-                    100 * overheadVsBase(r, hbase));
+        std::fprintf(out, "%-12.1f %12.1f %12.1f %9.1f%%\n",
+                     sweepPeriods[i], r.exposure.ewAvgUs,
+                     r.exposure.ewMaxUs,
+                     100 * overheadVsBase(r, hbase));
     }
-    std::printf("=> windows close at most ~1 sweep period + one "
-                "region past the 40us deadline; a coarser timer "
-                "trades overshoot for fewer sweeps.\n\n");
+    std::fprintf(out, "=> windows close at most ~1 sweep period + one "
+                 "region past the 40us deadline; a coarser timer "
+                 "trades overshoot for fewer sweeps.\n\n");
 
     // ---- 3. TEW threshold ablation -----------------------------------
-    std::printf("=== Ablation 3: TEW target vs thread exposure "
-                "(tpcc, 40us EW) ===\n");
-    std::printf("%-10s %10s %10s %10s\n", "TEW(us)", "TEWavg",
-                "TER%", "overhead");
+    std::fprintf(out, "=== Ablation 3: TEW target vs thread exposure "
+                 "(tpcc, 40us EW) ===\n");
+    std::fprintf(out, "%-10s %10s %10s %10s\n", "TEW(us)", "TEWavg",
+                 "TER%", "overhead");
     for (std::size_t i = 0; i < std::size(tewTargets); ++i) {
         const RunResult &r = tewRuns[i];
-        std::printf("%-10.1f %10.2f %9.1f%% %9.1f%%\n", tewTargets[i],
-                    r.exposure.tewAvgUs, 100 * r.exposure.ter,
-                    100 * overheadVsBase(r, tbase));
+        std::fprintf(out, "%-10.1f %10.2f %9.1f%% %9.1f%%\n", tewTargets[i],
+                     r.exposure.tewAvgUs, 100 * r.exposure.ter,
+                     100 * overheadVsBase(r, tbase));
     }
-    std::printf("=> the TEW target does not change the runtime cost "
-                "structure (the permission toggles are 27-cycle\n"
-                "   instructions either way); it bounds how long a "
-                "compromised thread can act, cf. Fig 8's 2us pick.\n");
-    return 0;
+    std::fprintf(out, "=> the TEW target does not change the runtime cost "
+                 "structure (the permission toggles are 27-cycle\n"
+                 "   instructions either way); it bounds how long a "
+                 "compromised thread can act, cf. Fig 8's 2us pick.\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_ablation(argc, argv);
-}
-#endif

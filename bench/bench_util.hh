@@ -7,32 +7,12 @@
 #define TERP_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "core/runtime.hh"
-#include "trace/export.hh"
 #include "workloads/whisper.hh"
 
 namespace terp {
 namespace bench {
-
-/** Percent string helper. */
-inline std::string
-pct(double fraction, int prec = 1)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.*f", prec, 100.0 * fraction);
-    return buf;
-}
-
-/** Overhead of a run vs its baseline, as a fraction. */
-inline double
-overhead(const workloads::RunResult &r,
-         const workloads::RunResult &base)
-{
-    return workloads::overheadVsBase(r, base);
-}
 
 /** Per-category overhead fractions of base time (stacked bars). */
 struct Breakdown
@@ -56,76 +36,29 @@ breakdown(const workloads::RunResult &r,
     d.cond = static_cast<double>(r.report.cond) / b;
     // "Other" absorbs permission-matrix checks plus residual work
     // inflation (TLB refills after shootdowns etc.).
-    d.total = overhead(r, base);
+    d.total = workloads::overheadVsBase(r, base);
     double accounted = d.attach + d.detach + d.rand + d.cond;
     d.other = d.total > accounted ? d.total - accounted : 0.0;
     return d;
 }
 
 inline void
-printBreakdownHeader(const char *first_col)
+printBreakdownHeader(std::FILE *out, const char *first_col)
 {
-    std::printf("%-10s %-12s %8s %8s %8s %8s %8s %9s\n", first_col,
-                "scheme", "Attach%", "Detach%", "Rand%", "Cond%",
-                "Other%", "Total%");
+    std::fprintf(out, "%-10s %-12s %8s %8s %8s %8s %8s %9s\n",
+                 first_col, "scheme", "Attach%", "Detach%", "Rand%",
+                 "Cond%", "Other%", "Total%");
 }
 
 inline void
-printBreakdownRow(const std::string &name, const std::string &scheme,
-                  const Breakdown &d)
+printBreakdownRow(std::FILE *out, const std::string &name,
+                  const std::string &scheme, const Breakdown &d)
 {
-    std::printf("%-10s %-12s %8.1f %8.1f %8.1f %8.1f %8.1f %9.1f\n",
-                name.c_str(), scheme.c_str(), 100 * d.attach,
-                100 * d.detach, 100 * d.rand, 100 * d.cond,
-                100 * d.other, 100 * d.total);
-}
-
-/** Parse an optional numeric CLI override (argv[i] or fallback). */
-inline double
-argOr(int argc, char **argv, int i, double fallback)
-{
-    if (argc > i)
-        return std::atof(argv[i]);
-    return fallback;
-}
-
-/**
- * Extract an optional `--trace=DIR` flag, removing it from argv so
- * positional argOr() parsing is unaffected. Returns the directory
- * (empty when the flag is absent). When set, harnesses should run
- * with cfg.withTrace() and drop one Chrome-trace JSON per run into
- * DIR via dumpTrace().
- */
-inline std::string
-traceDirArg(int &argc, char **argv)
-{
-    std::string dir;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--trace=", 0) == 0)
-            dir = a.substr(8);
-        else
-            argv[w++] = argv[i];
-    }
-    argc = w;
-    return dir;
-}
-
-/** Write one run's Chrome trace as DIR/LABEL.json (if traced). */
-inline void
-dumpTrace(const workloads::RunResult &r, const std::string &dir,
-          const std::string &label)
-{
-    if (dir.empty() || !r.trace)
-        return;
-    std::string path = dir + "/" + label + ".json";
-    if (!trace::writeChromeTraceFile(*r.trace, path, label))
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
-    if (r.traceAudit && !r.traceAudit->ok)
-        std::fprintf(stderr, "warning: %s: %s\n", label.c_str(),
-                     r.traceAudit->summary().c_str());
+    std::fprintf(out,
+                 "%-10s %-12s %8.1f %8.1f %8.1f %8.1f %8.1f %9.1f\n",
+                 name.c_str(), scheme.c_str(), 100 * d.attach,
+                 100 * d.detach, 100 * d.rand, 100 * d.cond,
+                 100 * d.other, 100 * d.total);
 }
 
 } // namespace bench

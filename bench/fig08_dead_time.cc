@@ -8,43 +8,40 @@
  * 95% of cases the dead time is 2 us or larger, so a 2 us TEW
  * removes ~95% of the data-only attack surface.
  *
- * Usage: fig08_dead_time [objects_per_profile] [--jobs=N]
+ * Size: 400 objects per allocation profile, 50 under --quick.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/stats.hh"
 #include "harness.hh"
 #include "security/dead_time.hh"
 #include "workloads/alloc.hh"
 
 using namespace terp;
 
-int
-terp::bench::run_fig08(int argc, char **argv)
+void
+terp::bench::fig08(bool quick, unsigned jobs, std::FILE *out)
 {
-    // The dead-time figure is a single pooled computation; --jobs is
-    // accepted for interface uniformity but there is nothing to fan
-    // out.
-    (void)bench::jobsArg(argc, argv);
-    auto objects = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 400));
+    // The dead-time figure is a single pooled computation; there is
+    // nothing to fan out over @p jobs.
+    (void)jobs;
+    const std::uint64_t objects = quick ? 50 : 400;
 
-    std::printf("=== Fig 8: distribution of heap-object dead times "
-                "(last write -> free) ===\n");
-    std::printf("workloads: %zu profiles x %llu objects\n\n",
-                workloads::allocProfiles().size(),
-                (unsigned long long)objects);
+    std::fprintf(out, "=== Fig 8: distribution of heap-object dead times "
+                 "(last write -> free) ===\n");
+    std::fprintf(out, "workloads: %zu profiles x %llu objects\n\n",
+                 workloads::allocProfiles().size(),
+                 (unsigned long long)objects);
 
     auto pooled = workloads::runAllAllocWorkloads(objects, 1234);
 
     security::DeadTimeAnalysis analysis;
     analysis.addAll(pooled);
-    const Histogram &h = analysis.histogram();
+    const security::Histogram &h = analysis.histogram();
 
-    std::printf("%-16s %10s %8s\n", "dead time (us)", "count",
-                "percent");
+    std::fprintf(out, "%-16s %10s %8s\n", "dead time (us)", "count",
+                 "percent");
     double lo = 0.0;
     for (std::size_t i = 0; i < h.bucketCount(); ++i) {
         char label[32];
@@ -55,30 +52,21 @@ terp::bench::run_fig08(int argc, char **argv)
         } else {
             std::snprintf(label, sizeof(label), "> %g", lo);
         }
-        std::printf("%-16s %10llu %7.1f%%\n", label,
-                    (unsigned long long)h.bucket(i),
-                    100.0 * h.fraction(i));
+        std::fprintf(out, "%-16s %10llu %7.1f%%\n", label,
+                     (unsigned long long)h.bucket(i),
+                     100.0 * h.fraction(i));
     }
 
     double above2 = analysis.surfaceReduction(2.0);
-    std::printf("\nsamples           : %llu\n",
-                (unsigned long long)analysis.sampleCount());
-    std::printf("median dead time  : %.1f us\n", analysis.medianUs());
-    std::printf("dead time >= 2 us : %.1f%%  (paper: ~95%%)\n",
-                100.0 * above2);
-    std::printf("=> a 2 us TEW target removes ~%.0f%% of the "
-                "data-only attack surface\n",
-                100.0 * above2);
-    std::printf("recommended TEW for 95%% coverage: %.1f us "
-                "(paper picks 2 us)\n",
-                analysis.recommendTew(0.95));
-    return 0;
+    std::fprintf(out, "\nsamples           : %llu\n",
+                 (unsigned long long)analysis.sampleCount());
+    std::fprintf(out, "median dead time  : %.1f us\n", analysis.medianUs());
+    std::fprintf(out, "dead time >= 2 us : %.1f%%  (paper: ~95%%)\n",
+                 100.0 * above2);
+    std::fprintf(out, "=> a 2 us TEW target removes ~%.0f%% of the "
+                 "data-only attack surface\n",
+                 100.0 * above2);
+    std::fprintf(out, "recommended TEW for 95%% coverage: %.1f us "
+                 "(paper picks 2 us)\n",
+                 analysis.recommendTew(0.95));
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig08(argc, argv);
-}
-#endif

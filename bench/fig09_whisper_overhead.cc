@@ -4,11 +4,8 @@
  * MM(40us), TM(40us) and TT at 40/80/160us EW targets (TEW 2us),
  * broken into Attach / Detach / Rand / Cond / Other components.
  *
- * Usage: fig09_whisper_overhead [sections] [--trace=DIR] [--jobs=N]
- *
- * With --trace=DIR, every protected run also records an event trace
- * and drops DIR/<prog>-<scheme>.json for Perfetto. Tracing charges
- * no cycles, so the printed numbers are identical either way.
+ * Size: 400 sections per workload, 40 under --quick. For a Perfetto
+ * trace of one cell, run `terp-trace <prog> <scheme> --ew N`.
  */
 
 #include <cstdio>
@@ -22,32 +19,27 @@ using namespace terp;
 using namespace terp::workloads;
 using namespace terp::bench;
 
-int
-terp::bench::run_fig09(int argc, char **argv)
+void
+terp::bench::fig09(bool quick, unsigned jobs, std::FILE *out)
 {
-    std::string traceDir = bench::traceDirArg(argc, argv);
-    unsigned jobs = bench::jobsArg(argc, argv);
     WhisperParams p;
-    p.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 400));
+    p.sections = quick ? 40 : 400;
 
-    std::printf("=== Fig 9: WHISPER overheads vs unprotected "
-                "(TEW 2us) ===\n\n");
-    printBreakdownHeader("prog");
+    std::fprintf(out, "=== Fig 9: WHISPER overheads vs unprotected "
+                 "(TEW 2us) ===\n\n");
+    printBreakdownHeader(out, "prog");
 
     struct SchemeDef
     {
         const char *name;
-        const char *slug; // filesystem-friendly, for --trace output
         core::RuntimeConfig cfg;
     };
     const SchemeDef schemes[] = {
-        {"MM(40us)", "mm40", core::RuntimeConfig::mm(usToCycles(40))},
-        {"TM(40us)", "tm40", core::RuntimeConfig::tm(usToCycles(40))},
-        {"TT(40us)", "tt40", core::RuntimeConfig::tt(usToCycles(40))},
-        {"TT(80us)", "tt80", core::RuntimeConfig::tt(usToCycles(80))},
-        {"TT(160us)", "tt160",
-         core::RuntimeConfig::tt(usToCycles(160))},
+        {"MM(40us)", core::RuntimeConfig::mm(usToCycles(40))},
+        {"TM(40us)", core::RuntimeConfig::tm(usToCycles(40))},
+        {"TT(40us)", core::RuntimeConfig::tt(usToCycles(40))},
+        {"TT(80us)", core::RuntimeConfig::tt(usToCycles(80))},
+        {"TT(160us)", core::RuntimeConfig::tt(usToCycles(160))},
     };
     const std::size_t ns = std::size(schemes);
     const std::vector<std::string> &names = whisperNames();
@@ -62,10 +54,8 @@ terp::bench::run_fig09(int argc, char **argv)
         });
         for (std::size_t j = 0; j < ns; ++j) {
             pool.add([&, i, j] {
-                core::RuntimeConfig cfg = traceDir.empty()
-                                              ? schemes[j].cfg
-                                              : schemes[j].cfg.withTrace();
-                cells[i * ns + j] = runWhisperCounted(names[i], cfg, p);
+                cells[i * ns + j] =
+                    runWhisperCounted(names[i], schemes[j].cfg, p);
             });
         }
     }
@@ -74,32 +64,20 @@ terp::bench::run_fig09(int argc, char **argv)
     std::vector<double> avg_total(ns, 0.0);
     for (std::size_t i = 0; i < names.size(); ++i) {
         for (std::size_t j = 0; j < ns; ++j) {
-            const RunResult &r = cells[i * ns + j];
-            dumpTrace(r, traceDir,
-                      names[i] + "-" + schemes[j].slug);
-            Breakdown d = breakdown(r, base[i]);
-            printBreakdownRow(names[i], schemes[j].name, d);
+            Breakdown d = breakdown(cells[i * ns + j], base[i]);
+            printBreakdownRow(out, names[i], schemes[j].name, d);
             avg_total[j] += d.total;
         }
-        std::printf("\n");
+        std::fprintf(out, "\n");
     }
 
-    std::printf("--- averages over the six workloads ---\n");
+    std::fprintf(out, "--- averages over the six workloads ---\n");
     for (std::size_t j = 0; j < ns; ++j) {
-        std::printf("%-10s avg total overhead: %5.1f%%\n",
-                    schemes[j].name,
-                    100.0 * avg_total[j] /
-                        static_cast<double>(names.size()));
+        std::fprintf(out, "%-10s avg total overhead: %5.1f%%\n",
+                     schemes[j].name,
+                     100.0 * avg_total[j] /
+                         static_cast<double>(names.size()));
     }
-    std::printf("\npaper: MM(40us) ~20%%, TM(40us) ~30%% (1.5x MM), "
-                "TT(40us) ~6%%, decreasing with larger EW targets.\n");
-    return 0;
+    std::fprintf(out, "\npaper: MM(40us) ~20%%, TM(40us) ~30%% (1.5x MM), "
+                 "TT(40us) ~6%%, decreasing with larger EW targets.\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig09(argc, argv);
-}
-#endif

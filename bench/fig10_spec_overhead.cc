@@ -4,7 +4,7 @@
  * MM(40us), TM(2us TEW, all system calls) and TT at 40/80/160us EW
  * targets, with the Attach/Detach/Rand/Cond/Other breakdown.
  *
- * Usage: fig10_spec_overhead [scale] [--jobs=N]
+ * Size: SPEC scale 1.0, 0.1 under --quick.
  */
 
 #include <cstdio>
@@ -18,16 +18,15 @@ using namespace terp;
 using namespace terp::workloads;
 using namespace terp::bench;
 
-int
-terp::bench::run_fig10(int argc, char **argv)
+void
+terp::bench::fig10(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     SpecParams p;
-    p.scale = bench::argOr(argc, argv, 1, 1.0);
+    p.scale = quick ? 0.1 : 1.0;
 
-    std::printf("=== Fig 10: SPEC single-thread overheads vs "
-                "unprotected ===\n\n");
-    printBreakdownHeader("prog");
+    std::fprintf(out, "=== Fig 10: SPEC single-thread overheads vs "
+                 "unprotected ===\n\n");
+    printBreakdownHeader(out, "prog");
 
     struct SchemeDef
     {
@@ -65,29 +64,20 @@ terp::bench::run_fig10(int argc, char **argv)
     for (std::size_t i = 0; i < names.size(); ++i) {
         for (std::size_t j = 0; j < ns; ++j) {
             Breakdown d = breakdown(cells[i * ns + j], base[i]);
-            printBreakdownRow(names[i], schemes[j].name, d);
+            printBreakdownRow(out, names[i], schemes[j].name, d);
             avg_total[j] += d.total;
         }
-        std::printf("\n");
+        std::fprintf(out, "\n");
     }
 
-    std::printf("--- averages over the five kernels ---\n");
+    std::fprintf(out, "--- averages over the five kernels ---\n");
     for (std::size_t j = 0; j < ns; ++j) {
-        std::printf("%-10s avg total overhead: %6.1f%%\n",
-                    schemes[j].name,
-                    100.0 * avg_total[j] /
-                        static_cast<double>(names.size()));
+        std::fprintf(out, "%-10s avg total overhead: %6.1f%%\n",
+                     schemes[j].name,
+                     100.0 * avg_total[j] /
+                         static_cast<double>(names.size()));
     }
-    std::printf("\npaper: MM ~156%%, TM >300%%, TT 14.8%% at 40us "
-                "falling to 7.6%% at 160us; lbm highest among TT "
-                "(two PMOs active throughout).\n");
-    return 0;
+    std::fprintf(out, "\npaper: MM ~156%%, TM >300%%, TT 14.8%% at 40us "
+                 "falling to 7.6%% at 160us; lbm highest among TT "
+                 "(two PMOs active throughout).\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig10(argc, argv);
-}
-#endif

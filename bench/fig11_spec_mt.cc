@@ -6,7 +6,7 @@
  * "+Cond" (conditional instructions without the circular buffer) and
  * "+CB" (full TT with window combining).
  *
- * Usage: fig11_spec_mt [scale] [threads] [--jobs=N]
+ * Size: SPEC scale 0.5 at 4 threads, scale 0.1 under --quick.
  */
 
 #include <cstdio>
@@ -20,18 +20,16 @@ using namespace terp;
 using namespace terp::workloads;
 using namespace terp::bench;
 
-int
-terp::bench::run_fig11(int argc, char **argv)
+void
+terp::bench::fig11(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     SpecParams p;
-    p.scale = bench::argOr(argc, argv, 1, 0.5);
-    p.threads =
-        static_cast<unsigned>(bench::argOr(argc, argv, 2, 4));
+    p.scale = quick ? 0.1 : 0.5;
+    p.threads = 4;
 
-    std::printf("=== Fig 11: %u-thread SPEC overheads vs "
-                "unprotected ===\n\n",
-                p.threads);
+    std::fprintf(out, "=== Fig 11: %u-thread SPEC overheads vs "
+                 "unprotected ===\n\n",
+                 p.threads);
 
     struct SchemeDef
     {
@@ -68,35 +66,26 @@ terp::bench::run_fig11(int argc, char **argv)
     pool.run();
 
     // Print phase: the original serial loops, reading the slots.
-    printBreakdownHeader("prog");
+    printBreakdownHeader(out, "prog");
     std::vector<double> avg_total(ns, 0.0);
     for (std::size_t i = 0; i < names.size(); ++i) {
         for (std::size_t j = 0; j < ns; ++j) {
             Breakdown d = breakdown(cells[i * ns + j], base[i]);
-            printBreakdownRow(names[i], schemes[j].name, d);
+            printBreakdownRow(out, names[i], schemes[j].name, d);
             avg_total[j] += d.total;
         }
-        std::printf("\n");
+        std::fprintf(out, "\n");
     }
 
-    std::printf("--- averages over the five kernels ---\n");
+    std::fprintf(out, "--- averages over the five kernels ---\n");
     for (std::size_t j = 0; j < ns; ++j) {
-        std::printf("%-11s avg total overhead: %7.1f%%\n",
-                    schemes[j].name,
-                    100.0 * avg_total[j] /
-                        static_cast<double>(names.size()));
+        std::fprintf(out, "%-11s avg total overhead: %7.1f%%\n",
+                     schemes[j].name,
+                     100.0 * avg_total[j] /
+                         static_cast<double>(names.size()));
     }
-    std::printf("\npaper: Basic semantics ~800-1000%% (one thread "
-                "attaches at a time), +Cond and TM in the hundreds "
-                "of percent, +CB (full TERP) at or below ~15%%, "
-                "falling with larger EW targets.\n");
-    return 0;
+    std::fprintf(out, "\npaper: Basic semantics ~800-1000%% (one thread "
+                 "attaches at a time), +Cond and TM in the hundreds "
+                 "of percent, +CB (full TERP) at or below ~15%%, "
+                 "falling with larger EW targets.\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig11(argc, argv);
-}
-#endif

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -10,24 +9,6 @@
 
 namespace terp {
 namespace bench {
-
-unsigned
-jobsArg(int &argc, char **argv)
-{
-    unsigned jobs = 1;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--jobs=", 0) == 0) {
-            long v = std::atol(a.c_str() + 7);
-            jobs = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else {
-            argv[w++] = argv[i];
-        }
-    }
-    argc = w;
-    return jobs;
-}
 
 namespace {
 std::atomic<std::uint64_t> tallySims{0};

@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel work-queue runner for the table/figure regeneration
- * harnesses.
+ * The paper's figure/table suite (kFigures) and the parallel
+ * work-queue runner its figures share.
  *
  * Every cell of a figure (one workload under one scheme) is an
  * independent Machine + Runtime simulation with no shared mutable
@@ -10,13 +10,12 @@
  *  1. compute — every simulation is enqueued on a ParallelRunner and
  *     writes its RunResult into a pre-indexed slot; a --jobs=N pool
  *     of std::threads drains the queue in arbitrary order;
- *  2. print — the original serial loops run unchanged, reading the
- *     slots.
+ *  2. print — serial loops read the slots and write the table.
  *
  * Because each simulation is internally seeded and deterministic and
- * the print phase is untouched, stdout is byte-identical to the old
- * serial harnesses for every value of N (the golden test in
- * tests/test_bench_harness.cc holds this invariant down).
+ * the print phase is serial, every table is byte-identical for every
+ * value of N (tests/test_bench_harness.cc compares fig11 at 1 and 8
+ * jobs; the Tables.terp-bench ctest pins the quick suite's text).
  *
  * The counted wrappers additionally feed a process-wide tally of
  * simulations and simulated cycles, which tools/terp-bench reads to
@@ -28,6 +27,7 @@
 #define TERP_BENCH_HARNESS_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -39,26 +39,34 @@
 namespace terp {
 namespace bench {
 
-// Entry points of the figure/table harnesses. Each .cc also builds
-// as a standalone executable with its own main() unless
-// TERP_BENCH_NO_MAIN is defined (the terp_bench_suite library sets
-// it so tools/terp-bench can drive the whole suite in-process).
-int run_fig08(int argc, char **argv);
-int run_fig09(int argc, char **argv);
-int run_fig10(int argc, char **argv);
-int run_fig11(int argc, char **argv);
-int run_table3(int argc, char **argv);
-int run_table4(int argc, char **argv);
-int run_table5(int argc, char **argv);
-int run_table6(int argc, char **argv);
-int run_ablation(int argc, char **argv);
-
 /**
- * Extract an optional `--jobs=N` flag, removing it from argv so the
- * positional argOr() parsing is unaffected (same contract as
- * traceDirArg). Returns N clamped to at least 1; default 1.
+ * One figure or table of the paper's evaluation: runs its
+ * simulations on a @p jobs-thread ParallelRunner and writes the
+ * table to @p out. @p quick selects the reduced CI size; each
+ * figure's full and quick sizes are constants in its own .cc.
  */
-unsigned jobsArg(int &argc, char **argv);
+void fig08(bool quick, unsigned jobs, std::FILE *out);
+void fig09(bool quick, unsigned jobs, std::FILE *out);
+void fig10(bool quick, unsigned jobs, std::FILE *out);
+void fig11(bool quick, unsigned jobs, std::FILE *out);
+void table3(bool quick, unsigned jobs, std::FILE *out);
+void table4(bool quick, unsigned jobs, std::FILE *out);
+void table5(bool quick, unsigned jobs, std::FILE *out);
+void table6(bool quick, unsigned jobs, std::FILE *out);
+void ablation(bool quick, unsigned jobs, std::FILE *out);
+
+struct Figure
+{
+    const char *name;
+    void (*fn)(bool quick, unsigned jobs, std::FILE *out);
+};
+
+/** The suite, in the order tools/terp-bench runs and prints it. */
+inline constexpr Figure kFigures[] = {
+    {"fig08", fig08},   {"fig09", fig09},   {"fig10", fig10},
+    {"fig11", fig11},   {"table3", table3}, {"table4", table4},
+    {"table5", table5}, {"table6", table6}, {"ablation", ablation},
+};
 
 /** Snapshot of the process-wide simulation tally. */
 struct SimTally

@@ -5,7 +5,7 @@
  * (TT) silent fraction, exposure window, exposure rate, thread
  * exposure window and thread exposure rate.
  *
- * Usage: table3_whisper [sections] [--jobs=N]
+ * Size: 400 sections per workload, 40 under --quick.
  */
 
 #include <cstdio>
@@ -19,13 +19,11 @@ using namespace terp;
 using namespace terp::workloads;
 using namespace terp::bench;
 
-int
-terp::bench::run_table3(int argc, char **argv)
+void
+terp::bench::table3(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     WhisperParams p;
-    p.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 400));
+    p.sections = quick ? 40 : 400;
 
     const std::vector<std::string> &names = whisperNames();
     std::vector<RunResult> mmRuns(names.size());
@@ -43,16 +41,16 @@ terp::bench::run_table3(int argc, char **argv)
     }
     pool.run();
 
-    std::printf("=== Table III: WHISPER results, target EW 40us, "
-                "TEW 2us ===\n");
-    std::printf("(hardware: 32-entry circular buffer, %u bytes "
-                "on-chip state)\n\n",
-                arch::CircularBuffer::storageBytes);
-    std::printf("%-8s | %-18s %6s || %6s | %-18s %6s %6s %6s\n",
-                "Prog.", "MERR(MM) EW us", "ER%", "Silent",
-                "TERP(TT) EW us", "ER%", "TEW", "TER%");
-    std::printf("%-8s | %-18s %6s || %6s | %-18s %6s %6s %6s\n", "",
-                "avg/max", "", "%", "avg/max", "", "(us)", "");
+    std::fprintf(out, "=== Table III: WHISPER results, target EW 40us, "
+                 "TEW 2us ===\n");
+    std::fprintf(out, "(hardware: 32-entry circular buffer, %u bytes "
+                 "on-chip state)\n\n",
+                 arch::CircularBuffer::storageBytes);
+    std::fprintf(out, "%-8s | %-18s %6s || %6s | %-18s %6s %6s %6s\n",
+                 "Prog.", "MERR(MM) EW us", "ER%", "Silent",
+                 "TERP(TT) EW us", "ER%", "TEW", "TER%");
+    std::fprintf(out, "%-8s | %-18s %6s || %6s | %-18s %6s %6s %6s\n", "",
+                 "avg/max", "", "%", "avg/max", "", "(us)", "");
 
     double sum_mm_ew = 0, sum_mm_er = 0, max_mm_ew = 0;
     double sum_sil = 0, sum_tt_ew = 0, sum_tt_er = 0;
@@ -68,8 +66,8 @@ terp::bench::run_table3(int argc, char **argv)
                       mm.exposure.ewAvgUs, mm.exposure.ewMaxUs);
         std::snprintf(ttew, sizeof(ttew), "%.1f/%.1f",
                       tt.exposure.ewAvgUs, tt.exposure.ewMaxUs);
-        std::printf(
-            "%-8s | %-18s %6.1f || %6.1f | %-18s %6.1f %6.2f %6.1f\n",
+        std::fprintf(
+            out, "%-8s | %-18s %6.1f || %6.1f | %-18s %6.1f %6.2f %6.1f\n",
             name.c_str(), mmew, 100 * mm.exposure.er,
             100 * tt.report.silentFraction, ttew,
             100 * tt.exposure.er, tt.exposure.tewAvgUs,
@@ -92,23 +90,14 @@ terp::bench::run_table3(int argc, char **argv)
                   max_mm_ew);
     std::snprintf(ttavg, sizeof(ttavg), "%.1f/%.1f", sum_tt_ew / n,
                   max_tt_ew);
-    std::printf(
-        "%-8s | %-18s %6.1f || %6.1f | %-18s %6.1f %6.2f %6.1f\n",
+    std::fprintf(
+        out, "%-8s | %-18s %6.1f || %6.1f | %-18s %6.1f %6.2f %6.1f\n",
         "Avg.", mmavg, 100 * sum_mm_er / n, 100 * sum_sil / n, ttavg,
         100 * sum_tt_er / n, sum_tew / n, 100 * sum_ter / n);
 
-    std::printf("\npaper Avg.: MM EW 14.5/34.3 ER 24.5%% | silent "
-                "88.8%% | TT EW 39.4/40.0 ER 53.2%% TEW 1.2us TER "
-                "3.4%%\n");
-    std::printf("shape checks: TT EW pinned at the target while MM "
-                "EW varies; TEW < 2us; TER << ER.\n");
-    return 0;
+    std::fprintf(out, "\npaper Avg.: MM EW 14.5/34.3 ER 24.5%% | silent "
+                 "88.8%% | TT EW 39.4/40.0 ER 53.2%% TEW 1.2us TER "
+                 "3.4%%\n");
+    std::fprintf(out, "shape checks: TT EW pinned at the target while MM "
+                 "EW varies; TEW < 2us; TER << ER.\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table3(argc, argv);
-}
-#endif

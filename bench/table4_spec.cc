@@ -5,7 +5,7 @@
  * windows and rate, TERP (TT) silent fraction, exposure window,
  * exposure rate, TEW and TER.
  *
- * Usage: table4_spec [scale] [--jobs=N]
+ * Size: SPEC scale 1.0, 0.1 under --quick.
  */
 
 #include <cstdio>
@@ -18,12 +18,11 @@ using namespace terp;
 using namespace terp::workloads;
 using namespace terp::bench;
 
-int
-terp::bench::run_table4(int argc, char **argv)
+void
+terp::bench::table4(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     SpecParams p;
-    p.scale = bench::argOr(argc, argv, 1, 1.0);
+    p.scale = quick ? 0.1 : 1.0;
 
     const std::vector<std::string> &names = specNames();
     std::vector<RunResult> mmRuns(names.size());
@@ -41,10 +40,10 @@ terp::bench::run_table4(int argc, char **argv)
     }
     pool.run();
 
-    std::printf("=== Table IV: SPEC results on 40us EW "
-                "(avg over all PMOs) ===\n\n");
-    std::printf(
-        "%-8s %5s | %-16s %6s || %6s | %-14s %6s %6s %6s\n", "Prog.",
+    std::fprintf(out, "=== Table IV: SPEC results on 40us EW "
+                 "(avg over all PMOs) ===\n\n");
+    std::fprintf(
+        out, "%-8s %5s | %-16s %6s || %6s | %-14s %6s %6s %6s\n", "Prog.",
         "#PMO", "MM EW us avg/max", "ER%", "Silent", "TT EW avg us",
         "ER%", "TEW", "TER%");
 
@@ -59,13 +58,13 @@ terp::bench::run_table4(int argc, char **argv)
         char mmew[32];
         std::snprintf(mmew, sizeof(mmew), "%.1f/%.1f",
                       mm.exposure.ewAvgUs, mm.exposure.ewMaxUs);
-        std::printf("%-8s %5u | %-16s %6.1f || %6.1f | %-14.1f "
-                    "%6.1f %6.2f %6.1f\n",
-                    name.c_str(), specPmoCount(name), mmew,
-                    100 * mm.exposure.er,
-                    100 * tt.report.silentFraction,
-                    tt.exposure.ewAvgUs, 100 * tt.exposure.er,
-                    tt.exposure.tewAvgUs, 100 * tt.exposure.ter);
+        std::fprintf(out, "%-8s %5u | %-16s %6.1f || %6.1f | %-14.1f "
+                     "%6.1f %6.2f %6.1f\n",
+                     name.c_str(), specPmoCount(name), mmew,
+                     100 * mm.exposure.er,
+                     100 * tt.report.silentFraction,
+                     tt.exposure.ewAvgUs, 100 * tt.exposure.er,
+                     tt.exposure.tewAvgUs, 100 * tt.exposure.ter);
         s_pmo += specPmoCount(name);
         s_mm_ew += mm.exposure.ewAvgUs;
         s_mm_er += mm.exposure.er;
@@ -77,25 +76,16 @@ terp::bench::run_table4(int argc, char **argv)
         ++n;
     }
 
-    std::printf("%-8s %5.1f | %13.1f avg %6.1f || %6.1f | %-14.1f "
-                "%6.1f %6.2f %6.1f\n",
-                "Avg.", s_pmo / n, s_mm_ew / n, 100 * s_mm_er / n,
-                100 * s_sil / n, s_tt_ew / n, 100 * s_tt_er / n,
-                s_tew / n, 100 * s_ter / n);
+    std::fprintf(out, "%-8s %5.1f | %13.1f avg %6.1f || %6.1f | %-14.1f "
+                 "%6.1f %6.2f %6.1f\n",
+                 "Avg.", s_pmo / n, s_mm_ew / n, 100 * s_mm_er / n,
+                 100 * s_sil / n, s_tt_ew / n, 100 * s_tt_er / n,
+                 s_tew / n, 100 * s_ter / n);
 
-    std::printf("\npaper Avg.: 3.6 PMOs | MM EW 4.4/25.4 ER 27.2%% | "
-                "silent 96.8%% | TT EW 39.7 ER 38.1%% TEW 1.02us TER "
-                "10.0%%\n");
-    std::printf("shape checks: ~97%% of calls silent; TT EW pinned "
-                "at the target; higher PMO count => lower ER (xz "
-                "lowest).\n");
-    return 0;
+    std::fprintf(out, "\npaper Avg.: 3.6 PMOs | MM EW 4.4/25.4 ER 27.2%% | "
+                 "silent 96.8%% | TT EW 39.7 ER 38.1%% TEW 1.02us TER "
+                 "10.0%%\n");
+    std::fprintf(out, "shape checks: ~97%% of calls silent; TT EW pinned "
+                 "at the target; higher PMO count => lower ER (xz "
+                 "lowest).\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table4(argc, argv);
-}
-#endif

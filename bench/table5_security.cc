@@ -7,7 +7,7 @@
  * Monte-Carlo probing simulation at reduced entropy, and fed with
  * the thread exposure rate measured from the WHISPER TT runs.
  *
- * Usage: table5_security [sections] [--jobs=N]
+ * Size: 200 WHISPER sections per workload, 40 under --quick.
  */
 
 #include <cstdio>
@@ -20,13 +20,11 @@
 using namespace terp;
 using namespace terp::security;
 
-int
-terp::bench::run_table5(int argc, char **argv)
+void
+terp::bench::table5(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     workloads::WhisperParams wp;
-    wp.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 200));
+    wp.sections = quick ? 40 : 200;
 
     // Measure the fraction of an exposure window during which a
     // compromised thread actually holds permission under TERP.
@@ -48,20 +46,20 @@ terp::bench::run_table5(int argc, char **argv)
         ter_sum += r.exposure.ter;
     double accessible = ter_sum / static_cast<double>(names.size());
 
-    std::printf("=== Table V: attack success probability per "
-                "exposure window, 1 GB PMO ===\n");
-    std::printf("measured WHISPER TT thread exposure rate: %.3f "
-                "(paper: 0.034)\n\n",
-                accessible);
+    std::fprintf(out, "=== Table V: attack success probability per "
+                 "exposure window, 1 GB PMO ===\n");
+    std::fprintf(out, "measured WHISPER TT thread exposure rate: %.3f "
+                 "(paper: 0.034)\n\n",
+                 accessible);
 
     const char *attacks[] = {"Stack buffer overflow",
                              "Heap overflow", "Format string",
                              "Integer overflow"};
-    std::printf("%-24s | %-27s | %-27s\n", "",
-                "MERR (40us EW)", "TERP (40us EW, 2us TEW)");
-    std::printf("%-24s | %8s %8s %8s | %8s %8s %8s\n",
-                "Each attack time", "x us", "1us", "0.1us", "x us",
-                "1us", "0.1us");
+    std::fprintf(out, "%-24s | %-27s | %-27s\n", "",
+                 "MERR (40us EW)", "TERP (40us EW, 2us TEW)");
+    std::fprintf(out, "%-24s | %8s %8s %8s | %8s %8s %8s\n",
+                 "Each attack time", "x us", "1us", "0.1us", "x us",
+                 "1us", "0.1us");
 
     AttackScenario merr;
     AttackScenario terp;
@@ -76,8 +74,8 @@ terp::bench::run_table5(int argc, char **argv)
         terp.attackTimeUs = 0.1;
         double m01 = successProbabilityPercent(merr);
         double t01 = successProbabilityPercent(terp);
-        std::printf(
-            "%-24s | %6.4f/x %8.4f %8.3f | %7.5f/x %8.5f %8.4f\n",
+        std::fprintf(
+            out, "%-24s | %6.4f/x %8.4f %8.3f | %7.5f/x %8.5f %8.4f\n",
             atk, m1, m1, m01, t1, t1, t01);
     }
 
@@ -85,16 +83,16 @@ terp::bench::run_table5(int argc, char **argv)
     terp.attackTimeUs = 1.0;
     double ratio = successProbabilityPercent(merr) /
                    successProbabilityPercent(terp);
-    std::printf("\nTERP success probability is %.0fx smaller than "
-                "MERR (paper: ~30x).\n",
-                ratio);
-    std::printf("paper row: MERR 0.015/x%% | TERP 0.0005/x%%\n\n");
+    std::fprintf(out, "\nTERP success probability is %.0fx smaller than "
+                 "MERR (paper: ~30x).\n",
+                 ratio);
+    std::fprintf(out, "paper row: MERR 0.015/x%% | TERP 0.0005/x%%\n\n");
 
     // Monte-Carlo validation at reduced entropy (10 bits) so the
     // rates are measurable in reasonable time. The Rng is seeded, so
     // this stays deterministic and runs serially in the print phase.
-    std::printf("--- Monte-Carlo validation (entropy reduced to "
-                "2^10 slots, 40us EW) ---\n");
+    std::fprintf(out, "--- Monte-Carlo validation (entropy reduced to "
+                 "2^10 slots, 40us EW) ---\n");
     Rng rng(424242);
     for (double frac : {1.0, accessible}) {
         AttackScenario s;
@@ -102,21 +100,12 @@ terp::bench::run_table5(int argc, char **argv)
         s.accessibleFraction = frac;
         double analytic = successProbabilityPercent(s);
         double measured = monteCarloSuccessPercent(s, 40000, rng);
-        std::printf("accessible=%4.1f%% : analytic %.3f%%  "
-                    "measured %.3f%%\n",
-                    100 * frac, analytic, measured);
+        std::fprintf(out, "accessible=%4.1f%% : analytic %.3f%%  "
+                     "measured %.3f%%\n",
+                     100 * frac, analytic, measured);
     }
-    std::printf("\nexpected windows to breach at full entropy: MERR "
-                "%.0f, TERP %.0f\n",
-                expectedWindowsToBreach(merr),
-                expectedWindowsToBreach(terp));
-    return 0;
+    std::fprintf(out, "\nexpected windows to breach at full entropy: MERR "
+                 "%.0f, TERP %.0f\n",
+                 expectedWindowsToBreach(merr),
+                 expectedWindowsToBreach(terp));
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table5(argc, argv);
-}
-#endif

@@ -7,7 +7,8 @@
  * 1-TER of gadget time; MERR leaves ER exposed), plus the Fig 12
  * data-only attack outcome per scheme.
  *
- * Usage: table6_gadgets [sections] [scale] [--jobs=N]
+ * Size: 200 WHISPER sections and SPEC scale 0.5; 40 sections and
+ * scale 0.1 under --quick.
  */
 
 #include <cstdio>
@@ -22,15 +23,13 @@
 using namespace terp;
 using namespace terp::security;
 
-int
-terp::bench::run_table6(int argc, char **argv)
+void
+terp::bench::table6(bool quick, unsigned jobs, std::FILE *out)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
     workloads::WhisperParams wp;
-    wp.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 200));
+    wp.sections = quick ? 40 : 200;
     workloads::SpecParams sp;
-    sp.scale = bench::argOr(argc, argv, 2, 0.5);
+    sp.scale = quick ? 0.1 : 0.5;
 
     const std::vector<std::string> &wNames =
         workloads::whisperNames();
@@ -79,27 +78,27 @@ terp::bench::run_table6(int argc, char **argv)
         pool.add([&, k] { dop[k] = runFtpAttack(dopCfgs[k]); });
     pool.run();
 
-    std::printf("=== Table VI: gadget disarm analysis ===\n\n");
+    std::fprintf(out, "=== Table VI: gadget disarm analysis ===\n\n");
 
     // ---- static census over instrumented SPEC kernels ------------
     // The kernels are access-dominated, so most static gadget SITES
     // sit inside a pair; the security claim is temporal (the pair is
     // open only a sliver of the time), which the time-weighted rates
     // below capture -- they are what the paper's 96.6%/89.98% mean.
-    std::printf("--- static census (instrumented SPEC kernels) ---\n");
-    std::printf("%-8s %8s %12s %12s\n", "prog", "gadgets",
-                "TERP-disarm%", "MERR-disarm%");
+    std::fprintf(out, "--- static census (instrumented SPEC kernels) ---\n");
+    std::fprintf(out, "%-8s %8s %12s %12s\n", "prog", "gadgets",
+                 "TERP-disarm%", "MERR-disarm%");
     for (std::size_t i = 0; i < sNames.size(); ++i) {
         const GadgetCensus &c = census[i];
-        std::printf("%-8s %8llu %11.1f%% %11.1f%%\n",
-                    sNames[i].c_str(),
-                    (unsigned long long)c.totalGadgets,
-                    100 * c.terpDisarmRate(),
-                    100 * c.merrDisarmRate());
+        std::fprintf(out, "%-8s %8llu %11.1f%% %11.1f%%\n",
+                     sNames[i].c_str(),
+                     (unsigned long long)c.totalGadgets,
+                     100 * c.terpDisarmRate(),
+                     100 * c.merrDisarmRate());
     }
 
     // ---- time-weighted rates from measured exposure ---------------
-    std::printf("\n--- time-weighted disarm rates (measured) ---\n");
+    std::fprintf(out, "\n--- time-weighted disarm rates (measured) ---\n");
     double w_ter = 0, w_er = 0;
     for (std::size_t i = 0; i < wNames.size(); ++i) {
         w_ter += wTt[i].exposure.ter;
@@ -107,11 +106,11 @@ terp::bench::run_table6(int argc, char **argv)
     }
     w_ter /= static_cast<double>(wNames.size());
     w_er /= static_cast<double>(wNames.size());
-    std::printf("WHISPER: TERP disarms %.1f%% of gadget time "
-                "(paper 96.6%%); MERR keeps %.1f%% exposed "
-                "(paper 24.5%%)\n",
-                100 * terpTimeWeightedDisarmRate(w_ter),
-                100 * merrTimeWeightedKeptRate(w_er));
+    std::fprintf(out, "WHISPER: TERP disarms %.1f%% of gadget time "
+                 "(paper 96.6%%); MERR keeps %.1f%% exposed "
+                 "(paper 24.5%%)\n",
+                 100 * terpTimeWeightedDisarmRate(w_ter),
+                 100 * merrTimeWeightedKeptRate(w_er));
 
     double s_ter = 0, s_er = 0;
     for (std::size_t i = 0; i < sNames.size(); ++i) {
@@ -120,36 +119,27 @@ terp::bench::run_table6(int argc, char **argv)
     }
     s_ter /= static_cast<double>(sNames.size());
     s_er /= static_cast<double>(sNames.size());
-    std::printf("SPEC   : TERP disarms %.1f%% of gadget time "
-                "(paper 89.98%%); MERR keeps %.1f%% exposed "
-                "(paper 27.2%%)\n",
-                100 * terpTimeWeightedDisarmRate(s_ter),
-                100 * merrTimeWeightedKeptRate(s_er));
+    std::fprintf(out, "SPEC   : TERP disarms %.1f%% of gadget time "
+                 "(paper 89.98%%); MERR keeps %.1f%% exposed "
+                 "(paper 27.2%%)\n",
+                 100 * terpTimeWeightedDisarmRate(s_ter),
+                 100 * merrTimeWeightedKeptRate(s_er));
 
     // ---- the Fig 12 attack as the "gadgets within a pair" case ----
-    std::printf("\n--- Fig 12 data-only attack outcome ---\n");
-    std::printf("%-14s %12s %10s %8s\n", "scheme", "corrupted",
-                "faults", "rand");
+    std::fprintf(out, "\n--- Fig 12 data-only attack outcome ---\n");
+    std::fprintf(out, "%-14s %12s %10s %8s\n", "scheme", "corrupted",
+                 "faults", "rand");
     for (std::size_t k = 0; k < 3; ++k) {
         const DopResult &r = dop[k];
-        std::printf("%-14s %6llu/%-5llu %10llu %8llu\n",
-                    core::schemeName(dopCfgs[k].scheme),
-                    (unsigned long long)r.nodesCorrupted,
-                    (unsigned long long)r.listLength,
-                    (unsigned long long)r.accessFaults,
-                    (unsigned long long)r.randomizations);
+        std::fprintf(out, "%-14s %6llu/%-5llu %10llu %8llu\n",
+                     core::schemeName(dopCfgs[k].scheme),
+                     (unsigned long long)r.nodesCorrupted,
+                     (unsigned long long)r.listLength,
+                     (unsigned long long)r.accessFaults,
+                     (unsigned long long)r.randomizations);
     }
-    std::printf("\ninteractive data-only attacks are impossible "
-                "within an EW (network RTT >> 40us); non-interactive "
-                "probing finds the PMO with ~0.01%% probability per "
-                "window.\n");
-    return 0;
+    std::fprintf(out, "\ninteractive data-only attacks are impossible "
+                 "within an EW (network RTT >> 40us); non-interactive "
+                 "probing finds the PMO with ~0.01%% probability per "
+                 "window.\n");
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table6(argc, argv);
-}
-#endif

@@ -1,8 +1,5 @@
 #include "compiler/interp.hh"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -22,96 +19,17 @@ envFlag(const char *name, bool dflt)
     return !(v[0] == '0' && v[1] == '\0');
 }
 
-/** Opcode universe of the pair profiler (real ops + opAddRun). */
-constexpr unsigned kPairOps = static_cast<unsigned>(Op::Nop) + 2;
-
-/**
- * TERP_FUSE_PROFILE=1: dynamic adjacent-opcode-pair histogram — the
- * measurement behind the superinstruction selection (DESIGN.md §14).
- * Every dispatched instruction with a predecessor in the same decoded
- * block counts the (predecessor, self) pair; totals aggregate over
- * all interpreters of the process and dump to stderr at exit.
- * Profiling forces fusion off so the counts describe the unfused
- * instruction stream.
- */
-struct PairProfile
-{
-    std::atomic<std::uint64_t> count[kPairOps][kPairOps] = {};
-
-    ~PairProfile()
-    {
-        struct Row
-        {
-            std::uint64_t n;
-            unsigned a, b;
-        };
-        std::vector<Row> rows;
-        std::uint64_t total = 0;
-        for (unsigned a = 0; a < kPairOps; ++a) {
-            for (unsigned b = 0; b < kPairOps; ++b) {
-                std::uint64_t n =
-                    count[a][b].load(std::memory_order_relaxed);
-                if (n) {
-                    rows.push_back({n, a, b});
-                    total += n;
-                }
-            }
-        }
-        std::sort(rows.begin(), rows.end(),
-                  [](const Row &x, const Row &y) { return x.n > y.n; });
-        auto name = [](unsigned o) {
-            return o < static_cast<unsigned>(Op::Nop) + 1
-                       ? opName(static_cast<Op>(o))
-                       : "AddRun";
-        };
-        std::fprintf(stderr,
-                     "TERP_FUSE_PROFILE: %llu adjacent pairs\n",
-                     static_cast<unsigned long long>(total));
-        for (std::size_t i = 0; i < rows.size() && i < 24; ++i) {
-            std::fprintf(
-                stderr, "  %12llu  %5.2f%%  %s,%s\n",
-                static_cast<unsigned long long>(rows[i].n),
-                100.0 * static_cast<double>(rows[i].n) /
-                    static_cast<double>(total ? total : 1),
-                name(rows[i].a), name(rows[i].b));
-        }
-    }
-};
-
-PairProfile &
-pairProfile()
-{
-    static PairProfile p;
-    return p;
-}
-
-bool
-pairProfileEnabled()
-{
-    static const bool on = envFlag("TERP_FUSE_PROFILE", false);
-    return on;
-}
-
-void
-notePair(Op a, Op b)
-{
-    pairProfile()
-        .count[static_cast<unsigned>(a)][static_cast<unsigned>(b)]
-        .fetch_add(1, std::memory_order_relaxed);
-}
-
 /**
  * TERP_FUSE=0 keeps the unfused interpreter alive for differential
- * testing (and is implied by profiling, whose histogram must
- * describe the unfused stream). Decode-time only: existing decoded
- * images are unaffected by later env changes.
+ * testing. Decode-time only: existing decoded images are unaffected
+ * by later env changes.
  */
 bool
 fusionEnabled()
 {
     // Re-read per call (decode-time only, so this is cold): the
     // differential tests flip TERP_FUSE between in-process runs.
-    return envFlag("TERP_FUSE", true) && !pairProfileEnabled();
+    return envFlag("TERP_FUSE", true);
 }
 
 } // namespace
@@ -429,7 +347,6 @@ Interpreter::step(sim::ThreadContext &tc)
     const DInstr *code = frp->code;
     std::uint64_t *regs = frp->regs.data();
     const DInstr *inp = nullptr;
-    const bool prof = pairProfileEnabled();
 
 #define TERP_RELOAD()                                                  \
     do {                                                               \
@@ -485,8 +402,6 @@ Interpreter::step(sim::ThreadContext &tc)
             goto quantum_end;                                          \
         ++budget;                                                      \
         inp = &code[idx];                                              \
-        if (__builtin_expect(prof, 0) && idx != 0)                     \
-            notePair(code[idx - 1].op, inp->op);                       \
         goto *jt[static_cast<unsigned>(inp->op)];                      \
     } while (0)
 #define TERP_NEXT()                                                    \
@@ -510,8 +425,6 @@ Interpreter::step(sim::ThreadContext &tc)
             goto quantum_end;
         ++budget;
         inp = &code[idx];
-        if (prof && idx != 0)
-            notePair(code[idx - 1].op, inp->op);
         switch (inp->op) {
 #endif
 

@@ -124,7 +124,7 @@ class Interpreter : public sim::Job
      * remaining from that member, so a quantum boundary that splits
      * a run resumes into another O(1) dispatch instead of decaying
      * to one-add-per-dispatch for the rest of the run (the dominant
-     * pair in the TERP_FUSE_PROFILE histogram — 89% of dispatches —
+     * pair in the measured opcode-pair profile — 89% of dispatches —
      * was exactly that decay). Under TERP_FUSE=0 only the head is
      * rewritten, which is the pre-fusion behaviour.
      */
@@ -134,7 +134,7 @@ class Interpreter : public sim::Job
     /**
      * Fused superinstructions: decode-time peephole rewrites of the
      * dominant adjacent opcode sequences of the SPEC surrogates,
-     * selected from the TERP_FUSE_PROFILE pair histogram (DESIGN.md
+     * selected from a measured opcode-pair profile (DESIGN.md
      * §14). Only the head of a matched sequence is rewritten; the
      * constituents keep their original opcodes, so every mid-sequence
      * resume point (quantum boundary, fault) stays addressable and

@@ -2,11 +2,10 @@
  * @file
  * Tests for the parallel benchmark harness (bench/harness.*):
  *
- *  - the golden invariant behind every figure harness: running the
- *    reduced Fig 11 matrix at --jobs=8 produces byte-identical
- *    stdout (and therefore identical simulated-cycle results) to
- *    --jobs=1, where --jobs=1 is the original serial code path;
- *  - --jobs flag extraction and the simulation tally;
+ *  - the invariant behind every figure: the quick Fig 11 matrix at
+ *    8 jobs prints byte-identical text (and therefore identical
+ *    simulated-cycle results) to 1 job, the inline serial path;
+ *  - the simulation tally;
  *  - ParallelRunner ordering, exception propagation, and a seeded
  *    differential-fuzz pass so the runtime structures the optimized
  *    benches exercise stay pinned to the Section-IV oracle.
@@ -16,13 +15,9 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
-#include <fcntl.h>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "check/fuzzer.hh"
@@ -32,76 +27,29 @@ using namespace terp;
 
 namespace {
 
-/** Run @p fn with stdout captured to a string (fd-level, so C stdio
- *  from the figure harnesses is included). */
-template <typename Fn>
+/** The quick Fig 11 table as printed with @p jobs workers. */
 std::string
-captureStdout(Fn &&fn)
+fig11Text(unsigned jobs)
 {
-    std::fflush(stdout);
-    char path[] = "/tmp/terp_bench_capture_XXXXXX";
-    int tmp = mkstemp(path);
-    EXPECT_GE(tmp, 0);
-    int saved = dup(STDOUT_FILENO);
-    EXPECT_GE(saved, 0);
-    dup2(tmp, STDOUT_FILENO);
-    close(tmp);
-    fn();
-    std::fflush(stdout);
-    dup2(saved, STDOUT_FILENO);
-    close(saved);
-
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream body;
-    body << in.rdbuf();
-    std::remove(path);
-    return body.str();
-}
-
-std::string
-runFig11(const char *jobsFlag)
-{
-    return captureStdout([&] {
-        // Reduced matrix: tiny scale, 2 simulated threads.
-        std::vector<std::string> args = {"fig11", "0.05", "2",
-                                         jobsFlag};
-        std::vector<char *> argv;
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-        bench::run_fig11(static_cast<int>(args.size()), argv.data());
-    });
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *out = open_memstream(&buf, &len);
+    EXPECT_NE(out, nullptr);
+    bench::fig11(true, jobs, out);
+    std::fclose(out);
+    std::string text(buf, len);
+    std::free(buf);
+    return text;
 }
 
 TEST(BenchHarness, Fig11ParallelMatchesSerialByteForByte)
 {
-    const std::string serial = runFig11("--jobs=1");
-    const std::string parallel = runFig11("--jobs=8");
+    const std::string serial = fig11Text(1);
+    const std::string parallel = fig11Text(8);
     // Sanity: the run actually produced the figure.
     EXPECT_NE(serial.find("=== Fig 11"), std::string::npos);
     EXPECT_NE(serial.find("avg total overhead"), std::string::npos);
     EXPECT_EQ(serial, parallel);
-}
-
-TEST(BenchHarness, JobsArgStripsFlagAndClamps)
-{
-    std::vector<std::string> args = {"prog", "0.5", "--jobs=7", "4"};
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    int argc = static_cast<int>(argv.size());
-    EXPECT_EQ(bench::jobsArg(argc, argv.data()), 7u);
-    ASSERT_EQ(argc, 3);
-    EXPECT_STREQ(argv[1], "0.5");
-    EXPECT_STREQ(argv[2], "4");
-
-    std::vector<std::string> none = {"prog", "--jobs=0"};
-    std::vector<char *> nargv;
-    for (std::string &a : none)
-        nargv.push_back(a.data());
-    int nargc = static_cast<int>(nargv.size());
-    EXPECT_EQ(bench::jobsArg(nargc, nargv.data()), 1u);
-    EXPECT_EQ(nargc, 1);
 }
 
 TEST(BenchHarness, TallyCountsSimulations)

@@ -12,7 +12,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "metrics/metric.hh"
 
@@ -219,44 +218,4 @@ TEST(Summary, TracksMinMaxMeanCount)
     EXPECT_DOUBLE_EQ(s.mean(), 20.0);
     s.reset();
     EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(Histogram, BucketPlacement)
-{
-    Histogram h({1.0, 2.0, 4.0});
-    h.add(0.5); // bucket 0 (<=1)
-    h.add(1.0); // bucket 0 (inclusive upper bound)
-    h.add(1.5); // bucket 1
-    h.add(4.0); // bucket 2
-    h.add(9.0); // overflow
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 1u);
-    EXPECT_EQ(h.bucket(3), 1u); // overflow bucket
-    EXPECT_EQ(h.totalCount(), 5u);
-}
-
-TEST(Histogram, FractionsAndPercentiles)
-{
-    Histogram h({10.0, 100.0});
-    for (int i = 1; i <= 100; ++i)
-        h.add(i);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.10);
-    EXPECT_NEAR(h.fractionAbove(50.0), 0.5, 1e-9);
-    EXPECT_NEAR(h.percentile(50.0), 50.0, 1.0);
-    EXPECT_NEAR(h.percentile(95.0), 95.0, 1.0);
-}
-
-TEST(Histogram, Log2BucketsCoverRange)
-{
-    Histogram h = Histogram::log2Buckets(0.5, 1024.0);
-    // 0.5, 1, 2, ..., 1024 -> 12 bounds.
-    EXPECT_EQ(h.bounds().size(), 12u);
-    EXPECT_DOUBLE_EQ(h.bounds().front(), 0.5);
-    EXPECT_DOUBLE_EQ(h.bounds().back(), 1024.0);
-}
-
-TEST(Histogram, RejectsNonAscendingBounds)
-{
-    EXPECT_THROW(Histogram({2.0, 1.0}), std::logic_error);
 }

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the security analysis: the Table V attack model, the
- * Table VI gadget census and the Fig 12 data-only attack simulation.
+ * Table VI gadget census, the Fig 12 data-only attack simulation and
+ * the Fig 8 dead-time histogram.
  */
 
 #include <gtest/gtest.h>
 
 #include "compiler/builder.hh"
 #include "security/attack_model.hh"
+#include "security/dead_time.hh"
 #include "security/dop.hh"
 #include "security/gadget.hh"
 
@@ -202,3 +204,45 @@ TEST_P(DopEwTest, SmallerWindowsStopMerrEarlier)
 
 INSTANTIATE_TEST_SUITE_P(Windows, DopEwTest,
                          ::testing::Values(20.0, 40.0, 80.0));
+
+// ------------------------------------------------- dead-time histogram
+
+TEST(Histogram, BucketPlacement)
+{
+    Histogram h({1.0, 2.0, 4.0});
+    h.add(0.5); // bucket 0 (<=1)
+    h.add(1.0); // bucket 0 (inclusive upper bound)
+    h.add(1.5); // bucket 1
+    h.add(4.0); // bucket 2
+    h.add(9.0); // overflow
+    EXPECT_EQ(h.bucket(0), 2u);
+    EXPECT_EQ(h.bucket(1), 1u);
+    EXPECT_EQ(h.bucket(2), 1u);
+    EXPECT_EQ(h.bucket(3), 1u); // overflow bucket
+    EXPECT_EQ(h.totalCount(), 5u);
+}
+
+TEST(Histogram, FractionsAndPercentiles)
+{
+    Histogram h({10.0, 100.0});
+    for (int i = 1; i <= 100; ++i)
+        h.add(i);
+    EXPECT_DOUBLE_EQ(h.fraction(0), 0.10);
+    EXPECT_NEAR(h.fractionAbove(50.0), 0.5, 1e-9);
+    EXPECT_NEAR(h.percentile(50.0), 50.0, 1.0);
+    EXPECT_NEAR(h.percentile(95.0), 95.0, 1.0);
+}
+
+TEST(Histogram, Log2BucketsCoverRange)
+{
+    Histogram h = Histogram::log2Buckets(0.5, 1024.0);
+    // 0.5, 1, 2, ..., 1024 -> 12 bounds.
+    EXPECT_EQ(h.bounds().size(), 12u);
+    EXPECT_DOUBLE_EQ(h.bounds().front(), 0.5);
+    EXPECT_DOUBLE_EQ(h.bounds().back(), 1024.0);
+}
+
+TEST(Histogram, RejectsNonAscendingBounds)
+{
+    EXPECT_THROW(Histogram({2.0, 1.0}), std::logic_error);
+}

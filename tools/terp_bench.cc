@@ -5,10 +5,10 @@
  * per-figure wall-clock, simulation counts, simulated cycles and
  * sims/sec, plus host thread count and the git revision.
  *
- * The figure harnesses print their tables to stdout; terp-bench
- * redirects stdout to /dev/null while each figure runs (progress
- * goes to stderr, the JSON to a file), so the tool measures the
- * simulation work, not terminal I/O.
+ * Each figure of bench/harness.hh's kFigures prints its table to
+ * stdout (once, on the first pass); progress goes to stderr and the
+ * JSON to a file. The quick suite's stdout is pinned byte for byte
+ * by bench/golden/tables_quick.txt.
  *
  * Simulated-cycle totals are deterministic per figure, so they
  * double as a regression oracle: --golden compares the rendered
@@ -53,10 +53,10 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <fcntl.h>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "cli.hh"
@@ -67,26 +67,6 @@
 using namespace terp;
 
 namespace {
-
-struct FigSpec
-{
-    const char *name;
-    int (*fn)(int, char **);
-    // Positional args for --quick; full runs use the defaults.
-    std::vector<std::string> quickArgs;
-};
-
-const FigSpec kFigures[] = {
-    {"fig08", bench::run_fig08, {"50"}},
-    {"fig09", bench::run_fig09, {"40"}},
-    {"fig10", bench::run_fig10, {"0.1"}},
-    {"fig11", bench::run_fig11, {"0.1"}},
-    {"table3", bench::run_table3, {"40"}},
-    {"table4", bench::run_table4, {"0.1"}},
-    {"table5", bench::run_table5, {"40"}},
-    {"table6", bench::run_table6, {"40", "0.1"}},
-    {"ablation", bench::run_ablation, {"40"}},
-};
 
 struct FigResult
 {
@@ -117,30 +97,6 @@ aggregateEwP99()
             worst = p;
     }
     return worst;
-}
-
-/** Run @p fn with stdout pointed at /dev/null, restoring it after. */
-int
-runSilenced(int (*fn)(int, char **), int argc, char **argv)
-{
-    std::fflush(stdout);
-    int saved = dup(STDOUT_FILENO);
-    int devnull = open("/dev/null", O_WRONLY);
-    if (saved < 0 || devnull < 0) {
-        // Can't redirect; run loudly rather than not at all.
-        if (saved >= 0)
-            close(saved);
-        if (devnull >= 0)
-            close(devnull);
-        return fn(argc, argv);
-    }
-    dup2(devnull, STDOUT_FILENO);
-    close(devnull);
-    int rc = fn(argc, argv);
-    std::fflush(stdout);
-    dup2(saved, STDOUT_FILENO);
-    close(saved);
-    return rc;
 }
 
 const char kUsage[] =
@@ -185,7 +141,6 @@ main(int argc, char **argv)
             args.unknown();
     }
 
-    const std::string jobsFlag = "--jobs=" + std::to_string(jobs);
     std::vector<FigResult> results;
     // Best-of-N convention (see bench/history.hh): wall-clock fields
     // are the minimum over passes, simulated work the (identical)
@@ -194,6 +149,11 @@ main(int argc, char **argv)
     double bestPassS = 0;
     std::uint64_t passSims = 0;
     bool repeatDrift = false;
+    // Later passes rerun identical work; their tables are discarded
+    // so stdout carries the suite once.
+    const std::unique_ptr<std::FILE, int (*)(std::FILE *)> devNull(
+        repeat > 1 ? std::fopen("/dev/null", "w") : nullptr,
+        std::fclose);
 
     for (unsigned pass = 0; pass < repeat; ++pass) {
         // Every pass re-runs the same simulated work, so the metrics
@@ -205,27 +165,12 @@ main(int argc, char **argv)
             std::fprintf(stderr, "terp-bench: pass %u/%u\n", pass + 1,
                          repeat);
 
-        for (std::size_t fi = 0;
-             fi < sizeof(kFigures) / sizeof(kFigures[0]); ++fi) {
-            const FigSpec &fig = kFigures[fi];
-            // Rebuild a mutable argv per figure: name, positionals,
-            // jobs.
-            std::vector<std::string> args;
-            args.push_back(fig.name);
-            if (quick)
-                for (const std::string &a : fig.quickArgs)
-                    args.push_back(a);
-            args.push_back(jobsFlag);
-            std::vector<char *> cargv;
-            for (std::string &a : args)
-                cargv.push_back(a.data());
-            cargv.push_back(nullptr);
-
-            std::fprintf(stderr, "terp-bench: %-8s ...", fig.name);
+        std::FILE *out = pass == 0 || !devNull ? stdout : devNull.get();
+        for (std::size_t fi = 0; fi < std::size(bench::kFigures); ++fi) {
+            const bench::Figure &fig = bench::kFigures[fi];
             const bench::SimTally before = bench::tallySnapshot();
             const auto t0 = std::chrono::steady_clock::now();
-            runSilenced(fig.fn, static_cast<int>(args.size()),
-                        cargv.data());
+            fig.fn(quick, jobs, out);
             const auto t1 = std::chrono::steady_clock::now();
             const bench::SimTally after = bench::tallySnapshot();
 
@@ -249,8 +194,12 @@ main(int argc, char **argv)
                 if (r.wallS < best.wallS)
                     best.wallS = r.wallS;
             }
-            std::fprintf(stderr, " %6.2fs  %3llu sims  %llu cycles\n",
-                         r.wallS, (unsigned long long)r.sims,
+            // One line after the run, so the table on stdout never
+            // lands inside it on a shared terminal.
+            std::fprintf(stderr,
+                         "terp-bench: %-8s ... %6.2fs  %3llu sims  "
+                         "%llu cycles\n",
+                         fig.name, r.wallS, (unsigned long long)r.sims,
                          (unsigned long long)r.simCycles);
         }
 
