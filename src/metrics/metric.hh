@@ -16,8 +16,7 @@
  * auditor and the exporters): with no recorded samples, min() == 0,
  * max() == 0, mean() == 0.0 and quantile(q) == 0 for every q. The
  * old ad-hoc copies of these types disagreed on min(); the EwTracker,
- * the spec oracle and the trace auditor (trace::WindowTally) all use
- * Summary from here.
+ * the spec oracle and the trace auditor all use Summary from here.
  */
 
 #ifndef TERP_METRICS_METRIC_HH

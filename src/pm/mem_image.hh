@@ -25,10 +25,23 @@
 #define TERP_PM_MEM_IMAGE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace terp {
 namespace pm {
+
+/** 64-bit finalizer that scrambles a word or line key for hashing. */
+inline std::uint64_t
+mixKey(std::uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+}
 
 /** Shared word-addressed memory image. */
 class MemImage
@@ -51,13 +64,19 @@ class MemImage
     void
     poke(std::uint64_t addr, std::uint64_t value)
     {
+        exchange(addr, value);
+    }
+
+    /** Store @p value at @p addr; @return the word it replaced. */
+    std::uint64_t
+    exchange(std::uint64_t addr, std::uint64_t value)
+    {
         if (addr == 0) {
             if (!hasZero) {
                 reserveWord();
                 hasZero = true;
             }
-            zeroVal = value;
-            return;
+            return std::exchange(zeroVal, value);
         }
         std::size_t i = slotOf(addr);
         if (slots[i].key == 0) {
@@ -65,7 +84,7 @@ class MemImage
                 i = slotOf(addr);
             slots[i].key = addr;
         }
-        slots[i].val = value;
+        return std::exchange(slots[i].val, value);
     }
 
     std::uint64_t
@@ -99,22 +118,11 @@ class MemImage
         std::uint64_t val;
     };
 
-    static std::uint64_t
-    mix(std::uint64_t x)
-    {
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdULL;
-        x ^= x >> 33;
-        x *= 0xc4ceb9fe1a85ec53ULL;
-        x ^= x >> 33;
-        return x;
-    }
-
     /** First slot holding @p addr (nonzero), or the empty slot to claim. */
     std::size_t
     slotOf(std::uint64_t addr) const
     {
-        std::size_t i = mix(addr) & (cap - 1);
+        std::size_t i = mixKey(addr) & (cap - 1);
         while (slots[i].key != addr && slots[i].key != 0)
             i = (i + 1) & (cap - 1);
         return i;

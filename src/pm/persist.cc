@@ -69,8 +69,23 @@ void
 PersistController::store(Oid oid, std::uint64_t value)
 {
     noteBoundary(PersistBoundary::Store);
-    vol.poke(oid.raw, value);
-    dirty.upsert(lineKeyOf(oid.raw), oid.raw, value);
+    const std::uint64_t prev = vol.exchange(oid.raw, value);
+    SideTable::Line &l = side.get(lineKeyOf(oid.raw));
+    l.dirty = true;
+    for (SideTable::Word &w : l.words) {
+        if (w.addr == oid.raw) {
+            // The word's first store since the line's CLWB: that
+            // write-back holds the value this store replaces.
+            if (l.pending && !w.hasWb) {
+                w.wb = prev;
+                w.hasWb = true;
+            }
+            return;
+        }
+    }
+    // First store since the word was durable, so prev is its durable
+    // value (and what a pending write-back of the line holds).
+    l.words.push_back({oid.raw, prev, prev, l.pending});
 }
 
 std::uint64_t
@@ -82,7 +97,11 @@ PersistController::load(Oid oid) const
 std::uint64_t
 PersistController::persistedLoad(Oid oid) const
 {
-    return dur.peek(oid.raw);
+    if (const SideTable::Line *l = side.find(lineKeyOf(oid.raw)))
+        for (const SideTable::Word &w : l->words)
+            if (w.addr == oid.raw)
+                return w.old;
+    return vol.peek(oid.raw);
 }
 
 void
@@ -92,7 +111,17 @@ PersistController::clwb(sim::ThreadContext &tc, Oid oid)
     tc.work(clwbCost);
     ++nClwb;
     // No-op when the line is already clean.
-    dirty.moveLine(lineKeyOf(oid.raw), pending);
+    SideTable::Line *l = side.find(lineKeyOf(oid.raw));
+    if (!l || !l->dirty)
+        return;
+    // The write-back captures every word as it stands now.
+    l->dirty = false;
+    for (SideTable::Word &w : l->words)
+        w.hasWb = false;
+    if (!l->pending) {
+        l->pending = true;
+        pendingList.push_back(l->line);
+    }
 }
 
 void
@@ -101,12 +130,22 @@ PersistController::sfence(sim::ThreadContext &tc)
     noteBoundary(PersistBoundary::Sfence);
     ++nFence;
     tc.work(drainCostPerLine *
-            static_cast<Cycles>(pending.size()));
-    pending.forEachWord(
-        [this](std::uint64_t addr, std::uint64_t val) {
-            dur.poke(addr, val);
-        });
-    pending.clear();
+            static_cast<Cycles>(pendingList.size()));
+    for (std::uint64_t line : pendingList) {
+        // Each word's write-back value becomes durable: a word stored
+        // again since the CLWB keeps its record with wb as the new
+        // durable value; every other word is durable as vol holds it.
+        SideTable::Line &l = *side.find(line);
+        l.pending = false;
+        std::size_t kept = 0;
+        for (const SideTable::Word &w : l.words)
+            if (w.hasWb)
+                l.words[kept++] = {w.addr, w.wb, w.wb, false};
+        l.words.resize(kept);
+        if (kept == 0)
+            side.erase(line);
+    }
+    pendingList.clear();
 }
 
 void
@@ -121,9 +160,12 @@ void
 PersistController::crash()
 {
     // Unflushed and unfenced updates are lost with power.
-    dirty.clear();
-    pending.clear();
-    vol = dur;
+    side.forEach([this](const SideTable::Line &l) {
+        for (const SideTable::Word &w : l.words)
+            vol.poke(w.addr, w.old);
+    });
+    side.clear();
+    pendingList.clear();
 }
 
 // --------------------------------------------------------- UndoLog

@@ -10,8 +10,11 @@
  * followed by a store fence (SFENCE) — plus an undo-log transaction
  * layer on top.
  *
- * The PersistController keeps two images: the volatile view every
- * access sees, and the persisted view that survives a crash().
+ * The PersistController keeps one image, the volatile view every
+ * access sees, plus a side table of the lines that are not yet
+ * durable, which holds the durable value of each word stored in
+ * them. The persisted view, what survives a crash(), is the image
+ * overlaid with the table.
  * Recovery rolls incomplete transactions back from the persisted
  * undo log.
  */
@@ -23,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/units.hh"
@@ -72,197 +76,150 @@ class PowerFailure : public std::runtime_error
 };
 
 /**
- * Per-line word sets for the persist queues (dirty, pending),
- * replacing the nested std::map<line, std::map<addr, val>> whose
- * double red-black walk plus node allocation dominated the store
- * fast path. Layout mirrors MemImage's open addressing: a pow-2
- * hash index of line keys probed linearly, pointing into a dense
- * bucket vector iterated in insertion order. A 64-byte line holds at
- * most 8 aligned words, so each bucket keeps 8 (addr, value) slots
- * inline; unaligned word keys (more than 8 distinct addrs per line)
- * spill to a per-bucket vector that stays empty in practice.
+ * The lines that are not yet durable, keyed by line. A record holds,
+ * for every word stored since the line was last durable, the word's
+ * durable value (old) and, while the line is pending, the value its
+ * CLWB captured for a word stored again afterwards (wb). Together
+ * with the volatile image this is the whole persistence state: a
+ * word without a record is durable as it stands.
  *
- * Observational equivalence with the nested map: size() is the
- * distinct-line count (the fence charge operand), upsert keeps one
- * slot per distinct addr (last value wins), and every effect
- * downstream of iteration — dur.poke per (addr, value), merging a
- * line into the other queue — is commutative over distinct addrs, so
- * insertion-order iteration is indistinguishable from key order.
+ * Linear probing over in-place records with backward-shift erase,
+ * so there are no tombstones. Erased records keep their word
+ * vectors' capacity and swap through the probe chain, so steady
+ * store/fence churn allocates nothing.
  */
-class LineTable
+class SideTable
 {
   public:
-    LineTable() { index.assign(kMinCap, empty); }
-
-    /** Distinct lines held (the SFENCE drain-charge operand). */
-    std::size_t size() const { return buckets.size(); }
-
-    /** Insert or overwrite one word of @p line. */
-    void
-    upsert(std::uint64_t line, std::uint64_t addr, std::uint64_t value)
+    /** One word stored since its line was last durable. */
+    struct Word
     {
-        Bucket &b = bucketFor(line);
-        for (unsigned i = 0; i < b.n; ++i) {
-            if (b.addr[i] == addr) {
-                b.val[i] = value;
-                return;
-            }
-        }
-        if (b.n < kInline) {
-            b.addr[b.n] = addr;
-            b.val[b.n] = value;
-            ++b.n;
-            return;
-        }
-        for (auto &sp : b.spill) {
-            if (sp.first == addr) {
-                sp.second = value;
-                return;
-            }
-        }
-        b.spill.emplace_back(addr, value);
+        std::uint64_t addr;
+        std::uint64_t old; //!< durable value
+        std::uint64_t wb;  //!< value the pending write-back holds
+        bool hasWb;        //!< stored again after the line's CLWB
+    };
+
+    /** One not-yet-durable line. */
+    struct Line
+    {
+        std::uint64_t line = none;
+        bool dirty = false;   //!< stored since its last CLWB
+        bool pending = false; //!< CLWB issued, not yet fenced
+        std::vector<Word> words;
+    };
+
+    SideTable() : slots(minSlots) {}
+
+    /** Lines held. */
+    std::size_t size() const { return used; }
+
+    /** The record of @p line, or null. */
+    Line *
+    find(std::uint64_t line)
+    {
+        Line &l = slots[slotOf(line)];
+        return l.line == line ? &l : nullptr;
     }
 
-    /**
-     * Merge every word of @p line into @p dst and drop the line from
-     * this table (the CLWB dirty -> pending hand-off). No-op when
-     * the line is absent.
-     */
-    void
-    moveLine(std::uint64_t line, LineTable &dst)
+    const Line *
+    find(std::uint64_t line) const
     {
-        const std::size_t slot = findSlot(line);
-        if (index[slot] == empty || index[slot] == dead)
-            return;
-        const std::uint32_t pos = index[slot];
-        {
-            Bucket &b = buckets[pos];
-            for (unsigned i = 0; i < b.n; ++i)
-                dst.upsert(line, b.addr[i], b.val[i]);
-            for (const auto &sp : b.spill)
-                dst.upsert(line, sp.first, sp.second);
-        }
-        // Swap-pop the bucket and repoint the moved bucket's index.
-        index[slot] = dead;
-        if (pos != buckets.size() - 1) {
-            buckets[pos] = std::move(buckets.back());
-            index[findSlot(buckets[pos].line)] = pos;
-        }
-        buckets.pop_back();
+        return const_cast<SideTable *>(this)->find(line);
     }
 
-    /** Visit every (addr, value) word, in line insertion order. */
+    /** The record of @p line, inserted clean and empty if absent. */
+    Line &
+    get(std::uint64_t line)
+    {
+        std::size_t i = slotOf(line);
+        if (slots[i].line == line)
+            return slots[i];
+        if ((used + 1) * 2 > slots.size()) {
+            grow();
+            i = slotOf(line);
+        }
+        ++used;
+        slots[i].line = line;
+        return slots[i];
+    }
+
+    /** Drop @p line's record; no-op when absent. */
+    void
+    erase(std::uint64_t line)
+    {
+        const std::size_t mask = slots.size() - 1;
+        std::size_t hole = slotOf(line);
+        if (slots[hole].line != line)
+            return;
+        reset(slots[hole]);
+        --used;
+        // Pull back every later record of the cluster whose home
+        // slot does not lie cyclically in (hole, j].
+        for (std::size_t j = (hole + 1) & mask; slots[j].line != none;
+             j = (j + 1) & mask) {
+            const std::size_t home = mixKey(slots[j].line) & mask;
+            if (((j - home) & mask) >= ((j - hole) & mask)) {
+                std::swap(slots[hole], slots[j]);
+                hole = j;
+            }
+        }
+    }
+
+    /** Visit every record. */
     template <typename Fn>
     void
-    forEachWord(Fn &&fn) const
+    forEach(Fn &&fn) const
     {
-        for (const Bucket &b : buckets) {
-            for (unsigned i = 0; i < b.n; ++i)
-                fn(b.addr[i], b.val[i]);
-            for (const auto &sp : b.spill)
-                fn(sp.first, sp.second);
-        }
+        for (const Line &l : slots)
+            if (l.line != none)
+                fn(l);
     }
 
     void
     clear()
     {
-        buckets.clear();
-        index.assign(kMinCap, empty);
+        for (Line &l : slots)
+            reset(l);
+        used = 0;
     }
 
   private:
-    static constexpr unsigned kInline = 8;
-    static constexpr std::size_t kMinCap = 64;
-    static constexpr std::uint32_t empty = 0xffffffffu;
-    static constexpr std::uint32_t dead = 0xfffffffeu;
+    /** Never a line key: line keys are 64-byte aligned. */
+    static constexpr std::uint64_t none = ~0ULL;
+    static constexpr std::size_t minSlots = 16;
 
-    struct Bucket
+    static void
+    reset(Line &l)
     {
-        std::uint64_t line = 0;
-        std::uint8_t n = 0;
-        std::uint64_t addr[kInline]{};
-        std::uint64_t val[kInline]{};
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> spill;
-    };
-
-    /** MemImage's finalizer-style scramble of the line key. */
-    static std::size_t
-    mix(std::uint64_t k)
-    {
-        k ^= k >> 33;
-        k *= 0xff51afd7ed558ccdULL;
-        k ^= k >> 33;
-        k *= 0xc4ceb9fe1a85ec53ULL;
-        k ^= k >> 33;
-        return static_cast<std::size_t>(k);
+        l.line = none;
+        l.dirty = l.pending = false;
+        l.words.clear();
     }
 
-    /**
-     * Probe for @p line: returns the slot holding it, or the first
-     * reusable (empty/dead) slot of its probe chain.
-     */
+    /** The slot holding @p line, or the empty slot ending its chain. */
     std::size_t
-    findSlot(std::uint64_t line) const
+    slotOf(std::uint64_t line) const
     {
-        const std::size_t mask = index.size() - 1;
-        std::size_t slot = mix(line) & mask;
-        std::size_t firstFree = index.size(); // none yet
-        for (;;) {
-            const std::uint32_t v = index[slot];
-            if (v == empty)
-                return firstFree != index.size() ? firstFree : slot;
-            if (v == dead) {
-                if (firstFree == index.size())
-                    firstFree = slot;
-            } else if (buckets[v].line == line) {
-                return slot;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    Bucket &
-    bucketFor(std::uint64_t line)
-    {
-        std::size_t slot = findSlot(line);
-        std::uint32_t v = index[slot];
-        if (v != empty && v != dead)
-            return buckets[v];
-        // Grow when live + tombstones pass 0.7 load (rehash drops the
-        // tombstones), then re-probe for the fresh slot.
-        if ((used + 1) * 10 > index.size() * 7) {
-            rehash(index.size() * 2);
-            slot = findSlot(line);
-            v = empty;
-        }
-        if (v == empty)
-            ++used;
-        Bucket b;
-        b.line = line;
-        buckets.push_back(std::move(b));
-        index[slot] =
-            static_cast<std::uint32_t>(buckets.size() - 1);
-        return buckets.back();
+        const std::size_t mask = slots.size() - 1;
+        std::size_t i = mixKey(line) & mask;
+        while (slots[i].line != line && slots[i].line != none)
+            i = (i + 1) & mask;
+        return i;
     }
 
     void
-    rehash(std::size_t cap)
+    grow()
     {
-        index.assign(cap, empty);
-        used = buckets.size();
-        const std::size_t mask = cap - 1;
-        for (std::size_t i = 0; i < buckets.size(); ++i) {
-            std::size_t slot = mix(buckets[i].line) & mask;
-            while (index[slot] != empty)
-                slot = (slot + 1) & mask;
-            index[slot] = static_cast<std::uint32_t>(i);
-        }
+        std::vector<Line> old = std::move(slots);
+        slots = std::vector<Line>(old.size() * 2);
+        for (Line &l : old)
+            if (l.line != none)
+                slots[slotOf(l.line)] = std::move(l);
     }
 
-    std::vector<Bucket> buckets;       //!< dense, insertion order
-    std::vector<std::uint32_t> index;  //!< open-addressed line index
-    std::size_t used = 0; //!< occupied index slots incl. tombstones
+    std::vector<Line> slots; //!< power-of-two count, at most half used
+    std::size_t used = 0;
 };
 
 /**
@@ -305,20 +262,14 @@ class PersistController
                          std::uint64_t value);
 
     /**
-     * Power failure: the volatile view is reset to the persisted
-     * one; scheduled-but-unfenced write-backs are lost.
+     * Power failure: every word in the side table gets its durable
+     * value back in the volatile image; scheduled-but-unfenced
+     * write-backs are lost.
      */
     void crash();
 
-    /** Dirty (stored, not yet written back) lines. */
-    std::size_t dirtyLines() const { return dirty.size(); }
-    /** Lines written back but not yet fenced durable. */
-    std::size_t pendingLines() const { return pending.size(); }
-
     std::uint64_t clwbCount() const { return nClwb; }
     std::uint64_t fenceCount() const { return nFence; }
-
-    MemImage &volatileImage() { return vol; }
 
     // ---- fault plan ---------------------------------------------------
 
@@ -338,12 +289,10 @@ class PersistController
     void noteBoundary(PersistBoundary k);
 
   private:
-    MemImage vol;  //!< what loads see
-    MemImage dur;  //!< what survives a crash
-    //! words written since the last write-back of their line.
-    LineTable dirty;
-    //! write-backs issued but not yet fenced.
-    LineTable pending;
+    MemImage vol;      //!< what loads see
+    SideTable side;    //!< lines not yet durable
+    //! lines with a write-back issued but not yet fenced.
+    std::vector<std::uint64_t> pendingList;
     std::uint64_t nClwb = 0;
     std::uint64_t nFence = 0;
     std::uint64_t nBoundary = 0; //!< persist-boundary events seen

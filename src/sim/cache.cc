@@ -1,6 +1,5 @@
 #include "sim/cache.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -122,17 +121,6 @@ Cache::dropSlot(std::size_t i)
     tags[i] = 0;
     clearValid(i);
     --nValid;
-}
-
-void
-Cache::invalidateAll()
-{
-    // Every way becomes empty, so any recency order is valid and the
-    // order words are left as they are.
-    std::fill(tags.begin(), tags.end(), 0);
-    std::fill(validBits.begin(), validBits.end(), 0);
-    nValid = 0;
-    mruLineAddr = ~0ULL;
 }
 
 void

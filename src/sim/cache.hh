@@ -78,9 +78,6 @@ class Cache
         return accessSlow(line_addr);
     }
 
-    /** Drop every line. */
-    void invalidateAll();
-
     /**
      * Drop lines whose physical address falls in [lo, hi). Both
      * bounds must be line-aligned.

@@ -13,13 +13,6 @@ TlbHierarchy::TlbHierarchy()
 }
 
 void
-TlbHierarchy::shootdownAll()
-{
-    l1.invalidateAll();
-    l2.invalidateAll();
-}
-
-void
 TlbHierarchy::shootdownRange(std::uint64_t lo, std::uint64_t hi)
 {
     l1.invalidateRange(pageKey(lo), pageKey(hi - 1) + lineSize);

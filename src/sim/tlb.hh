@@ -46,9 +46,6 @@ class TlbHierarchy
                 latency::tlbL2 + latency::tlbMiss};
     }
 
-    /** Invalidate every entry (full shootdown). */
-    void shootdownAll();
-
     /** Invalidate translations for virtual range [lo, hi). */
     void shootdownRange(std::uint64_t lo, std::uint64_t hi);
 

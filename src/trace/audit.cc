@@ -35,7 +35,7 @@ describe(const Event &e)
 
 void
 compareTally(AuditReport &r, const char *what, std::uint64_t pmo,
-             const WindowTally &got, const metrics::Summary *want)
+             const metrics::Summary &got, const metrics::Summary *want)
 {
     std::uint64_t wc = want ? want->count() : 0;
     std::uint64_t ws = want ? want->sum() : 0;
@@ -240,10 +240,10 @@ auditEvents(const std::vector<Event> &events, bool complete,
         auto eit = r.ew.find(pmo);
         auto tit = r.tew.find(pmo);
         compareTally(r, "EW", pmo,
-                     eit != r.ew.end() ? eit->second : WindowTally{},
+                     eit != r.ew.end() ? eit->second : metrics::Summary{},
                      expected.ewSummaryFor(id));
         compareTally(r, "TEW", pmo,
-                     tit != r.tew.end() ? tit->second : WindowTally{},
+                     tit != r.tew.end() ? tit->second : metrics::Summary{},
                      expected.tewSummaryFor(id));
 
         // Blame attribution: the recomputed per-cause totals must

@@ -29,16 +29,6 @@
 namespace terp {
 namespace trace {
 
-/**
- * Recomputed window statistics for one PMO. The replay accumulates
- * the same canonical summary type the EwTracker and the metrics
- * registry use, so the three observability paths compare counts,
- * sums, minima and maxima cycle-for-cycle with no convention skew
- * (the old hand-rolled tally reported min as ~0ULL when empty; the
- * shared type pins empty min to 0).
- */
-using WindowTally = metrics::Summary;
-
 /** Outcome of one audit. */
 struct AuditReport
 {
@@ -46,8 +36,11 @@ struct AuditReport
     bool complete = true;  //!< the trace lost no events to wrap
     std::vector<std::string> mismatches;
 
-    std::map<std::uint64_t, WindowTally> ew;  //!< recomputed, per PMO
-    std::map<std::uint64_t, WindowTally> tew; //!< recomputed, per PMO
+    // Recomputed window statistics, per PMO, in the summary type the
+    // EwTracker and the metrics registry use, so the three paths
+    // compare counts, sums, minima and maxima cycle for cycle.
+    std::map<std::uint64_t, metrics::Summary> ew;
+    std::map<std::uint64_t, metrics::Summary> tew;
 
     /**
      * Recomputed blame attribution, per PMO: total cycles per

@@ -485,7 +485,7 @@ TEST(MetricsEndToEnd, AgreesWithEwTrackerOnWhisperRun)
     const struct
     {
         const char *base;
-        const std::map<std::uint64_t, trace::WindowTally> &want;
+        const std::map<std::uint64_t, metrics::Summary> &want;
     } sides[] = {
         {"exposure.ew_cycles", r.traceAudit->ew},
         {"exposure.tew_cycles", r.traceAudit->tew},

@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests for the crash-consistency substrate: persistence ordering
- * (store -> CLWB -> SFENCE), crash/recovery behaviour, the undo-log
+ * Tests for the crash-consistency substrate: the side table of
+ * not-yet-durable lines, persistence ordering (store -> CLWB ->
+ * SFENCE) checked directly and against a textbook model of the
+ * persist path, crash/recovery behaviour, the undo-log
  * transaction protocol, the watch-register alternative hardware
  * design, and a property test crashing transactions at random points
  * and requiring atomicity after recovery.
@@ -9,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <vector>
 
 #include "arch/watch_regs.hh"
 #include "common/rng.hh"
@@ -29,120 +33,103 @@ makeTc()
 
 } // namespace
 
-// ------------------------------------------------ persist controller
+// ------------------------------------------------------- SideTable
 
-// ------------------------------------------------------- LineTable
-
-namespace {
-
-/** Collect a LineTable's words into a map for order-free compare. */
-std::map<std::uint64_t, std::uint64_t>
-wordsOf(const LineTable &t)
+TEST(SideTable, GetFindsOrInsertsAndCountsLines)
 {
-    std::map<std::uint64_t, std::uint64_t> out;
-    t.forEachWord([&](std::uint64_t addr, std::uint64_t val) {
-        out[addr] = val;
-    });
-    return out;
-}
-
-} // namespace
-
-TEST(LineTable, UpsertDedupesAddrsAndCountsLines)
-{
-    LineTable t;
+    SideTable t;
     EXPECT_EQ(t.size(), 0u);
-    t.upsert(lineKeyOf(0x100), 0x100, 1);
-    t.upsert(lineKeyOf(0x108), 0x108, 2); // same line
-    t.upsert(lineKeyOf(0x100), 0x100, 3); // overwrite, last wins
-    t.upsert(lineKeyOf(0x200), 0x200, 4); // second line
+    EXPECT_EQ(t.find(0x100), nullptr);
+    SideTable::Line &a = t.get(0x100);
+    EXPECT_EQ(a.line, 0x100u);
+    EXPECT_FALSE(a.dirty);
+    EXPECT_FALSE(a.pending);
+    EXPECT_TRUE(a.words.empty());
+    a.dirty = true;
+    a.words.push_back({0x108, 1, 1, false});
+    EXPECT_EQ(&t.get(0x100), &a) << "a second get finds the record";
+    t.get(0x0); // line 0 is an ordinary key
     EXPECT_EQ(t.size(), 2u);
-    auto w = wordsOf(t);
-    ASSERT_EQ(w.size(), 3u);
-    EXPECT_EQ(w[0x100], 3u);
-    EXPECT_EQ(w[0x108], 2u);
-    EXPECT_EQ(w[0x200], 4u);
+    ASSERT_NE(t.find(0x0), nullptr);
+    const SideTable &ct = t;
+    ASSERT_NE(ct.find(0x100), nullptr);
+    EXPECT_TRUE(ct.find(0x100)->dirty);
+    EXPECT_EQ(ct.find(0x100)->words.at(0).addr, 0x108u);
+    EXPECT_EQ(ct.find(0x140), nullptr);
 }
 
-TEST(LineTable, FullLinePlusSpillSlots)
+TEST(SideTable, EraseKeepsProbeChainsReachable)
 {
-    // 8 aligned words fill the inline slots; further distinct addrs
-    // (unaligned keys) must spill without losing anything.
-    LineTable t;
-    const std::uint64_t line = 0x1000;
-    for (unsigned i = 0; i < 8; ++i)
-        t.upsert(line, line + 8 * i, i);
-    t.upsert(line, line + 1, 100); // spill
-    t.upsert(line, line + 2, 101); // spill
-    t.upsert(line, line + 1, 102); // overwrite inside spill
-    EXPECT_EQ(t.size(), 1u);
-    auto w = wordsOf(t);
-    ASSERT_EQ(w.size(), 10u);
-    for (unsigned i = 0; i < 8; ++i)
-        EXPECT_EQ(w[line + 8 * i], i);
-    EXPECT_EQ(w[line + 1], 102u);
-    EXPECT_EQ(w[line + 2], 101u);
+    // Eight lines in the sixteen starting slots form clusters; erase
+    // each one in turn from a fresh table, so the backward shift runs
+    // from every position, and require every other record intact.
+    const unsigned n = 8;
+    for (unsigned gone = 0; gone < n; ++gone) {
+        SideTable t;
+        for (unsigned i = 0; i < n; ++i)
+            t.get(64ULL * i).words.push_back({64ULL * i, i, 0, false});
+        t.erase(64ULL * gone);
+        t.erase(64ULL * gone); // absent: no-op
+        EXPECT_EQ(t.size(), n - 1);
+        EXPECT_EQ(t.find(64ULL * gone), nullptr);
+        for (unsigned i = 0; i < n; ++i) {
+            if (i == gone)
+                continue;
+            const SideTable::Line *l = t.find(64ULL * i);
+            ASSERT_NE(l, nullptr) << "line " << i << " lost after erasing "
+                                  << gone;
+            ASSERT_EQ(l->words.size(), 1u);
+            EXPECT_EQ(l->words[0].old, i);
+        }
+        // The erased line comes back clean.
+        SideTable::Line &again = t.get(64ULL * gone);
+        EXPECT_TRUE(again.words.empty());
+        EXPECT_FALSE(again.dirty || again.pending);
+    }
 }
 
-TEST(LineTable, MoveLineTransfersAndRepoints)
+TEST(SideTable, GrowthAndEraseChurnMatchesMap)
 {
-    LineTable src, dst;
-    // Three lines; move the middle one so the swap-pop removal must
-    // repoint the index entry of the last bucket.
-    src.upsert(0x000, 0x000, 1);
-    src.upsert(0x040, 0x040, 2);
-    src.upsert(0x040, 0x048, 3);
-    src.upsert(0x080, 0x080, 4);
-    src.moveLine(0x040, dst);
-    EXPECT_EQ(src.size(), 2u);
-    EXPECT_EQ(dst.size(), 1u);
-    auto s = wordsOf(src);
-    EXPECT_EQ(s.count(0x040), 0u);
-    EXPECT_EQ(s.at(0x000), 1u);
-    EXPECT_EQ(s.at(0x080), 4u);
-    auto d = wordsOf(dst);
-    EXPECT_EQ(d.at(0x040), 2u);
-    EXPECT_EQ(d.at(0x048), 3u);
-
-    // Moving a line absent from the table is a no-op.
-    src.moveLine(0x040, dst);
-    EXPECT_EQ(src.size(), 2u);
-    EXPECT_EQ(dst.size(), 1u);
-
-    // The moved-from line can be repopulated cleanly.
-    src.upsert(0x040, 0x040, 9);
-    EXPECT_EQ(src.size(), 3u);
-    EXPECT_EQ(wordsOf(src).at(0x040), 9u);
-}
-
-TEST(LineTable, GrowthAndTombstoneChurnStayConsistent)
-{
-    // Enough lines to force several index growths, then churn
-    // (move-out = tombstone, re-insert) to exercise slot reuse and
-    // the tombstone-dropping rehash.
-    LineTable t, sink;
-    const unsigned n = 500;
-    for (unsigned i = 0; i < n; ++i)
-        t.upsert(i * 64, i * 64, i);
-    EXPECT_EQ(t.size(), n);
-    for (unsigned i = 0; i < n; i += 2)
-        t.moveLine(i * 64, sink);
-    EXPECT_EQ(t.size(), n / 2);
-    EXPECT_EQ(sink.size(), n / 2);
-    for (unsigned i = 0; i < n; i += 2)
-        t.upsert(i * 64, i * 64, i + 1000);
-    EXPECT_EQ(t.size(), n);
-    auto w = wordsOf(t);
-    ASSERT_EQ(w.size(), n);
-    for (unsigned i = 0; i < n; ++i)
-        EXPECT_EQ(w[i * 64], i % 2 ? i : i + 1000) << "line " << i;
+    // Random inserts and erases against a std::map, growing the table
+    // several times over and draining it again, then clear().
+    SideTable t;
+    std::map<std::uint64_t, std::uint64_t> model;
+    Rng rng(7);
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t line = 64 * rng.nextBelow(900);
+        if (op < 12000 && rng.nextBelow(3) != 0) {
+            SideTable::Line &l = t.get(line);
+            l.words.clear();
+            l.words.push_back({line, std::uint64_t(op), 0, false});
+            model[line] = std::uint64_t(op);
+        } else {
+            t.erase(line);
+            model.erase(line);
+        }
+        ASSERT_EQ(t.size(), model.size()) << "op " << op;
+    }
+    for (std::uint64_t i = 0; i < 900; ++i) {
+        const SideTable::Line *l = t.find(64 * i);
+        auto it = model.find(64 * i);
+        ASSERT_EQ(l != nullptr, it != model.end()) << "line " << i;
+        if (l) {
+            EXPECT_EQ(l->words.at(0).old, it->second);
+        }
+    }
+    std::map<std::uint64_t, std::uint64_t> seen;
+    t.forEach([&](const SideTable::Line &l) {
+        seen[l.line] = l.words.at(0).old;
+    });
+    EXPECT_EQ(seen, model);
 
     t.clear();
     EXPECT_EQ(t.size(), 0u);
-    EXPECT_TRUE(wordsOf(t).empty());
-    t.upsert(0x40, 0x40, 7); // usable after clear
+    EXPECT_EQ(t.find(64 * 5), nullptr);
+    t.get(64 * 5); // usable after clear
     EXPECT_EQ(t.size(), 1u);
 }
+
+// ------------------------------------------------ persist controller
 
 TEST(Persist, StoreVisibleButNotDurable)
 {
@@ -438,6 +425,223 @@ TEST(Persist, FaultPlanFiresBeforeTheArmedBoundary)
     ctl.store(a, 43); // disarmed: the substrate keeps working
     EXPECT_EQ(ctl.load(a), 43u);
 }
+
+TEST(Persist, MoreThanEightWordsInOneLine)
+{
+    // Unaligned keys give one 64-byte line more than eight distinct
+    // words; each keeps its own durable value through a fence and a
+    // crash.
+    PersistController ctl;
+    auto tc = makeTc();
+    const std::uint64_t base = Oid(1, 0x1000).raw;
+    for (unsigned i = 0; i < 12; ++i)
+        ctl.store(Oid::fromRaw(base + 5 * i), 100 + i);
+    ctl.clwb(tc, Oid::fromRaw(base));
+    ctl.store(Oid::fromRaw(base + 5), 999); // after the write-back
+    ctl.store(Oid::fromRaw(base + 61), 7);  // a thirteenth word
+    ctl.sfence(tc);
+    for (unsigned i = 0; i < 12; ++i)
+        EXPECT_EQ(ctl.persistedLoad(Oid::fromRaw(base + 5 * i)), 100 + i);
+    EXPECT_EQ(ctl.persistedLoad(Oid::fromRaw(base + 61)), 0u);
+    ctl.crash();
+    EXPECT_EQ(ctl.load(Oid::fromRaw(base + 5)), 101u);
+    EXPECT_EQ(ctl.load(Oid::fromRaw(base + 61)), 0u);
+    EXPECT_EQ(ctl.load(Oid::fromRaw(base + 55)), 111u);
+}
+
+namespace {
+
+/**
+ * The textbook persistence model: full volatile and durable images,
+ * and per-line maps of the dirty words (stored since the line's last
+ * CLWB) and of the pending ones (written back, not yet fenced), each
+ * holding the value the store or the write-back carried.
+ */
+struct TextbookPersist
+{
+    using Words = std::map<std::uint64_t, std::uint64_t>;
+    Words vol, dur;
+    std::map<std::uint64_t, Words> dirty, pending;
+    std::uint64_t clwbs = 0, fences = 0, boundaries = 0, faultAt = 0;
+    Cycles clock = 0;
+
+    static std::uint64_t
+    get(const Words &w, std::uint64_t addr)
+    {
+        auto it = w.find(addr);
+        return it == w.end() ? 0 : it->second;
+    }
+
+    /** Count a boundary; false if the armed fault fired instead. */
+    bool
+    boundary()
+    {
+        ++boundaries;
+        if (faultAt == 0 || boundaries != faultAt)
+            return true;
+        faultAt = 0;
+        crash();
+        return false;
+    }
+
+    void
+    store(std::uint64_t addr, std::uint64_t v)
+    {
+        vol[addr] = v;
+        dirty[lineKeyOf(addr)][addr] = v;
+    }
+
+    void
+    clwb(std::uint64_t addr)
+    {
+        clock += PersistController::clwbCost;
+        ++clwbs;
+        auto it = dirty.find(lineKeyOf(addr));
+        if (it == dirty.end())
+            return;
+        for (const auto &[a, v] : it->second)
+            pending[it->first][a] = v;
+        dirty.erase(it);
+    }
+
+    void
+    sfence()
+    {
+        ++fences;
+        clock += PersistController::drainCostPerLine * pending.size();
+        for (const auto &[line, words] : pending)
+            for (const auto &[a, v] : words)
+                dur[a] = v;
+        pending.clear();
+    }
+
+    void
+    crash()
+    {
+        vol = dur;
+        dirty.clear();
+        pending.clear();
+    }
+};
+
+} // namespace
+
+class PersistModelTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(PersistModelTest, MatchesTextbookModel)
+{
+    // A few lines of two PMOs plus address 0; each line has its eight
+    // aligned words and four unaligned ones, so a line can hold more
+    // than eight distinct words.
+    std::vector<std::uint64_t> addrs{0};
+    for (std::uint64_t line : {Oid(1, 0x0).raw, Oid(1, 0x40).raw,
+                               Oid(1, 0x1000).raw, Oid(2, 0x40).raw}) {
+        for (unsigned w = 0; w < 8; ++w)
+            addrs.push_back(line + 8 * w);
+        for (unsigned u : {3u, 17u, 42u, 63u})
+            addrs.push_back(line + u);
+    }
+
+    Rng rng(GetParam());
+    PersistController ctl;
+    TextbookPersist m;
+    sim::ThreadContext tc = makeTc();
+    // Coverage of the cases the model exists for, over the whole run.
+    unsigned storeToPending = 0, reClwbPending = 0, clwbClean = 0,
+             crowdedLines = 0, crashes = 0, faults = 0;
+    // Now and then a burst stores all twelve words of one line in a
+    // row, so the line holds more than eight dirty words.
+    std::size_t burst = 0, burstLeft = 0;
+    for (int op = 0; op < 3000; ++op) {
+        if (burstLeft == 0 && rng.nextBelow(100) == 0) {
+            burst = 1 + 12 * rng.nextBelow(4);
+            burstLeft = 12;
+        }
+        const bool inBurst = burstLeft > 0;
+        const std::uint64_t addr =
+            inBurst ? addrs[burst + 12 - burstLeft--]
+                    : addrs[rng.nextBelow(addrs.size())];
+        const std::uint64_t line = lineKeyOf(addr);
+        const std::uint64_t value =
+            rng.nextBelow(4) == 0 ? 0 : rng.nextBelow(1000);
+        const std::uint64_t kind = inBurst ? 44 : rng.nextBelow(100);
+        if (kind < 3 && !ctl.faultArmed()) {
+            const std::uint64_t at =
+                ctl.boundaryCount() + 1 + rng.nextBelow(12);
+            ctl.armFault(at);
+            m.faultAt = at;
+            continue;
+        }
+        // The model steps first; the controller must raise a
+        // PowerFailure exactly when the model's fault fired.
+        const Oid oid = Oid::fromRaw(addr);
+        std::function<void()> step;
+        bool fired = false;
+        if (kind < 45) {
+            storeToPending += m.pending.count(line);
+            fired = !m.boundary();
+            if (!fired)
+                m.store(addr, value);
+            step = [&] { ctl.store(oid, value); };
+        } else if (kind < 65) {
+            reClwbPending += m.pending.count(line) && m.dirty.count(line);
+            clwbClean += !m.dirty.count(line);
+            fired = !m.boundary();
+            if (!fired)
+                m.clwb(addr);
+            step = [&] { ctl.clwb(tc, oid); };
+        } else if (kind < 77) {
+            fired = !m.boundary();
+            if (!fired) {
+                m.store(addr, value);
+                fired = !m.boundary();
+                if (!fired)
+                    m.clwb(addr);
+            }
+            step = [&] { ctl.persistentStore(tc, oid, value); };
+        } else if (kind < 98) {
+            fired = !m.boundary();
+            if (!fired)
+                m.sfence();
+            step = [&] { ctl.sfence(tc); };
+        } else {
+            m.crash();
+            ++crashes;
+            step = [&] { ctl.crash(); };
+        }
+        bool threw = false;
+        try {
+            step();
+        } catch (const PowerFailure &) {
+            threw = true;
+        }
+        ASSERT_EQ(threw, fired) << "op " << op;
+        faults += fired;
+        for (const auto &[l, words] : m.dirty)
+            crowdedLines += words.size() > 8;
+        ASSERT_EQ(ctl.boundaryCount(), m.boundaries) << "op " << op;
+        ASSERT_EQ(tc.now(), m.clock) << "op " << op;
+        ASSERT_EQ(ctl.clwbCount(), m.clwbs) << "op " << op;
+        ASSERT_EQ(ctl.fenceCount(), m.fences) << "op " << op;
+        for (std::uint64_t a : addrs) {
+            ASSERT_EQ(ctl.load(Oid::fromRaw(a)), m.get(m.vol, a))
+                << "op " << op << " addr " << std::hex << a;
+            ASSERT_EQ(ctl.persistedLoad(Oid::fromRaw(a)), m.get(m.dur, a))
+                << "op " << op << " addr " << std::hex << a;
+        }
+    }
+    EXPECT_GT(storeToPending, 20u);
+    EXPECT_GT(reClwbPending, 5u);
+    EXPECT_GT(clwbClean, 20u);
+    EXPECT_GT(crowdedLines, 0u);
+    EXPECT_GT(crashes, 10u);
+    EXPECT_GT(faults, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PersistModelTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 class UndoLogCrashPointTest
     : public ::testing::TestWithParam<std::uint64_t>

@@ -57,10 +57,11 @@ TEST(Cache, LruRefreshOnHit)
 
 TEST(Cache, InvalidateAll)
 {
+    // The whole address space as one range drops every line.
     Cache c(4 * KiB, 4);
     c.access(0x0);
     c.access(0x40);
-    c.invalidateAll();
+    c.invalidateRange(0, ~0ULL << lineShift);
     EXPECT_FALSE(c.access(0x0));
     EXPECT_FALSE(c.access(0x40));
 }
@@ -78,7 +79,7 @@ TEST(Cache, InvalidateRangeIsSelective)
 TEST(Cache, InvalidationClearsMruHint)
 {
     // The fast path hits on the last line accessed without looking
-    // at the set. Both invalidation entry points must drop that hint
+    // at the set. Narrow and wide invalidations must drop that hint
     // when they drop its line: after invalidating the hinted line,
     // the very next access to it must miss.
     Cache c(64 * KiB, 8);
@@ -90,9 +91,9 @@ TEST(Cache, InvalidationClearsMruHint)
 
     c.access(0x2000);
     EXPECT_TRUE(c.access(0x2000));
-    c.invalidateAll();
+    c.invalidateRange(0, ~0ULL << lineShift);
     EXPECT_FALSE(c.access(0x2000))
-        << "stale MRU hint survived invalidateAll";
+        << "stale MRU hint survived a whole-space invalidation";
 
     // An empty-range invalidation takes the early return; the hint
     // is still required to be consistent afterwards.
@@ -177,13 +178,6 @@ class RecencyListModel
                 return line >= first && line <= last;
             });
         }
-    }
-
-    void
-    invalidateAll()
-    {
-        for (auto &set : setsOf)
-            set.clear();
     }
 
     std::uint64_t hits = 0;
@@ -273,8 +267,9 @@ TEST_P(CacheModelTest, MatchesRecencyListModel)
                 c.invalidateRange(first * lineSize,
                                   (first + span) * lineSize);
             } else {
-                m.invalidateAll();
-                c.invalidateAll();
+                // The whole address space.
+                m.invalidateLines(0, (~0ULL >> lineShift) - 1);
+                c.invalidateRange(0, ~0ULL << lineShift);
             }
         }
         EXPECT_EQ(c.hits(), m.hits);
@@ -430,7 +425,7 @@ TEST(Tlb, ShootdownAll)
 {
     TlbHierarchy t;
     t.lookup(0x4000);
-    t.shootdownAll();
+    t.shootdownRange(0, ~0ULL); // every page
     EXPECT_EQ(t.lookup(0x4000).where, TlbResult::Where::Walk);
 }
 

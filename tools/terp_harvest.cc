@@ -20,7 +20,9 @@
  *   --scheme S        all (default) or one of: mm tm tt ttnc basic
  *   --workload W      bank (default) or txmix
  *   --caps LIST       comma-separated capacitor sizes in energy
- *                     units, each 1..1000000 (default
+ *                     units, each 101..1000000: above the
+ *                     capacitor's fail threshold (100 units) and
+ *                     small enough to finish (default
  *                     600,1000,2000,4000)
  *   --cycles N        power cycles per cell (default 200)
  *   --seed N          workload seed (default 0)
@@ -72,6 +74,12 @@ const char kUsage[] =
     "                    [--write-golden=FILE] [--history=PATH]\n";
 
 /**
+ * Smallest accepted capacitor: one that holds more than the backup
+ * reserve the device power-fails at.
+ */
+constexpr std::uint64_t kMinCapUnits =
+    energy::CapacitorConfig{}.failThresholdUnits + 1;
+/**
  * Largest accepted capacitor: a power cycle's length grows with the
  * charge, so this bounds one cell to minutes, not days.
  */
@@ -87,8 +95,8 @@ parseCaps(const std::string &list)
         if (comma == std::string::npos)
             comma = list.size();
         caps.push_back(cli::count("terp-harvest", "--caps",
-                                  list.substr(pos, comma - pos), 1,
-                                  kMaxCapUnits));
+                                  list.substr(pos, comma - pos),
+                                  kMinCapUnits, kMaxCapUnits));
         pos = comma + 1;
     }
     return caps;

@@ -622,7 +622,7 @@ crossCheck(const workloads::RunResult &r)
     const struct
     {
         const char *base;
-        const std::map<std::uint64_t, trace::WindowTally> &want;
+        const std::map<std::uint64_t, metrics::Summary> &want;
     } kSides[] = {
         {"exposure.ew_cycles", r.traceAudit->ew},
         {"exposure.tew_cycles", r.traceAudit->tew},
