@@ -1,12 +1,12 @@
 #include "check/crash.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "check/differ.hh"
-#include "check/fuzzer.hh"
 #include "check/recovery_oracle.hh"
 #include "check/schedule.hh"
 #include "common/rng.hh"
@@ -417,6 +417,11 @@ enumerateCrashPoints(const CrashOptions &opt)
     // generator may raise above the requested one (the executor
     // refuses a world that does not match). A hand-written workload
     // has an empty schedule at the requested target.
+    std::optional<core::RuntimeConfig> cfg =
+        core::configForScheme(opt.scheme, opt.ewTarget);
+    if (!cfg || cfg->scheme == core::Scheme::Unprotected)
+        throw std::invalid_argument("not a checked scheme: " +
+                                    opt.scheme);
     Cell cell{opt, {}};
     cell.sched.ewTarget = opt.ewTarget;
     if (wl.generated) {
@@ -427,13 +432,12 @@ enumerateCrashPoints(const CrashOptions &opt)
         gp.events = opt.events;
         gp.ewTarget = opt.ewTarget;
         gp.pmoSize = pmoSize;
-        cell.sched = generate(
-            opt.seed, schemeConfig(opt.scheme, opt.ewTarget), gp);
+        cell.sched = generate(opt.seed, *cfg, gp);
     }
+    cfg->ewTarget = cell.sched.ewTarget;
     auto makeWorld = [&] {
-        return World(
-            schemeConfig(opt.scheme, cell.sched.ewTarget).withTrace(),
-            wl.pmos, wl.threads, pmoSize, pm::TxManager::undoLogOff);
+        return World(cfg->withTrace(), wl.pmos, wl.threads, pmoSize,
+                     pm::TxManager::undoLogOff);
     };
 
     CrashResult res;

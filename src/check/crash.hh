@@ -39,7 +39,7 @@ namespace check {
 
 struct CrashOptions
 {
-    std::string scheme = "mm"; //!< mm | tm | tt | ttnc | basic
+    std::string scheme = "mm"; //!< one of core::checkedSchemeTags()
     /**
      * bank:     single-PMO transfer ledger with a sum invariant;
      * hashmap:  WHISPER-style chained-bucket inserts (record fields

@@ -173,6 +173,7 @@ class Replay
     Ledger &led;
     std::vector<std::string> &out;
     const core::RuntimeConfig &cfg = w.cfg;
+    const bool basic = cfg.scheme == core::Scheme::Basic;
     sim::Machine &mach = w.machine();
     core::Runtime &rt = w.runtime();
     pm::PersistDomain &dom = *w.persistence();
@@ -248,7 +249,7 @@ class Replay
         // The CB applies actions in entry order; the software timer
         // (and the oracle) in ascending PMO id.
         std::vector<PlannedSweep> ordered;
-        if (cfg.windowCombining) {
+        if (cfg.scheme == core::Scheme::TT) {
             for (pm::PmoId pmo : rt.circularBuffer().residentPmos())
                 for (const PlannedSweep &a : plan)
                     if (a.pmo == pmo)
@@ -335,13 +336,12 @@ class Replay
             break;
 
           case OpKind::Begin: {
-            if (cfg.insertion != core::Insertion::Auto)
+            if (!cfg.autoInsertion())
                 break;
-            if (cfg.basicBlocking && oracle.ownsBasic(op.tid, op.pmo))
+            if (basic && oracle.ownsBasic(op.tid, op.pmo))
                 break; // nested basic attach is invalid: skip
             Probe pr = preOp(tc);
-            bool expectBlock =
-                cfg.basicBlocking && oracle.willBlock(op.tid, op.pmo);
+            bool expectBlock = basic && oracle.willBlock(op.tid, op.pmo);
             core::GuardResult g = rt.regionBegin(tc, op.pmo, op.mode);
             if (expectBlock) {
                 if (g != core::GuardResult::Blocked)
@@ -361,7 +361,7 @@ class Replay
           }
 
           case OpKind::End: {
-            if (cfg.insertion != core::Insertion::Auto)
+            if (!cfg.autoInsertion())
                 break;
             if (!oracle.canEnd(op.tid, op.pmo))
                 break; // unmatched end: skip
@@ -374,7 +374,7 @@ class Replay
           }
 
           case OpKind::ManualBegin: {
-            if (cfg.insertion != core::Insertion::Manual)
+            if (cfg.scheme != core::Scheme::MM)
                 break;
             if (!oracle.canManualBegin(op.pmo))
                 break;
@@ -386,7 +386,7 @@ class Replay
           }
 
           case OpKind::ManualEnd: {
-            if (cfg.insertion != core::Insertion::Manual)
+            if (cfg.scheme != core::Scheme::MM)
                 break;
             if (!oracle.canManualEnd(op.pmo))
                 break;
@@ -432,12 +432,11 @@ class Replay
           }
 
           case OpKind::Guarded: {
-            if (cfg.insertion != core::Insertion::Auto)
+            if (!cfg.autoInsertion())
                 break;
-            if (cfg.basicBlocking && oracle.ownsBasic(op.tid, op.pmo))
+            if (basic && oracle.ownsBasic(op.tid, op.pmo))
                 break;
-            bool expectBlock =
-                cfg.basicBlocking && oracle.willBlock(op.tid, op.pmo);
+            bool expectBlock = basic && oracle.willBlock(op.tid, op.pmo);
             Probe pr = preOp(tc);
             Probe endPr{};
             // On the heap so a guard that wrongly claims to have
@@ -800,7 +799,7 @@ class Replay
                << oracle.mappedView(op.pmo);
             complain(os.str());
         }
-        if (cfg.threadPerms &&
+        if (cfg.threadPerms() &&
             rt.threadHolds(op.tid, op.pmo) !=
                 oracle.holdsView(op.tid, op.pmo)) {
             std::ostringstream os;
@@ -809,7 +808,7 @@ class Replay
                << oracle.holdsView(op.tid, op.pmo);
             complain(os.str());
         }
-        if (cfg.windowCombining &&
+        if (cfg.scheme == core::Scheme::TT &&
             rt.circularBuffer().counter(op.pmo) !=
                 oracle.holderCountView(op.pmo)) {
             std::ostringstream os;

@@ -1,40 +1,20 @@
 #include "check/fuzzer.hh"
 
-#include <optional>
-#include <stdexcept>
-
 #include "check/shrink.hh"
 
 namespace terp {
 namespace check {
-
-std::vector<std::string>
-allSchemes()
-{
-    return {"mm", "tm", "tt", "ttnc", "basic"};
-}
-
-core::RuntimeConfig
-schemeConfig(const std::string &name, Cycles ew)
-{
-    std::optional<core::RuntimeConfig> cfg;
-    if (name != "unprotected")
-        cfg = core::configForScheme(name, ew);
-    if (!cfg)
-        throw std::invalid_argument("unknown scheme: " + name);
-    return *cfg;
-}
 
 FuzzResult
 fuzz(const FuzzOptions &opt)
 {
     FuzzResult res;
     std::vector<std::string> schemes =
-        opt.schemes.empty() ? allSchemes() : opt.schemes;
+        opt.schemes.empty() ? core::checkedSchemeTags() : opt.schemes;
 
     for (const std::string &scheme : schemes) {
         core::RuntimeConfig cfg =
-            schemeConfig(scheme, opt.gen.ewTarget);
+            core::configForScheme(scheme, opt.gen.ewTarget).value();
         for (unsigned i = 0; i < opt.seeds; ++i) {
             std::uint64_t seed = opt.firstSeed + i;
             Schedule s = generate(seed, cfg, opt.gen);

@@ -18,25 +18,13 @@
 namespace terp {
 namespace check {
 
-/** CLI scheme names accepted by schemeConfig / terp-fuzz. */
-std::vector<std::string> allSchemes();
-
-/**
- * Runtime configuration for a scheme name: "mm", "tm", "tt",
- * "ttnc" (TT without the circular buffer) or "basic" (blocking
- * Basic-semantics ablation), as core::configForScheme builds it.
- * Throws std::invalid_argument on an unknown name and on
- * "unprotected", which has nothing to check.
- */
-core::RuntimeConfig schemeConfig(const std::string &name, Cycles ew);
-
 struct FuzzOptions
 {
     unsigned seeds = 64;
     std::uint64_t firstSeed = 0;
     bool shrink = true;
     GenParams gen;
-    std::vector<std::string> schemes; //!< empty = allSchemes()
+    std::vector<std::string> schemes; //!< empty = core::checkedSchemeTags()
 };
 
 /** One minimized divergence. */

@@ -25,11 +25,22 @@ fmt(const char *what, std::uint64_t expect, std::uint64_t got)
 SemanticsKind
 specKindFor(const core::RuntimeConfig &cfg)
 {
-    if (cfg.basicBlocking || cfg.insertion == core::Insertion::Manual)
+    switch (cfg.scheme) {
+      case core::Scheme::MM:
+      case core::Scheme::Basic:
         return SemanticsKind::Basic;
-    if (cfg.condInstructions && !cfg.windowCombining)
+      case core::Scheme::TTNC:
         return SemanticsKind::Outermost;
-    return SemanticsKind::EwConscious;
+      default:
+        return SemanticsKind::EwConscious;
+    }
+}
+
+double
+ratio(std::uint64_t part, std::uint64_t whole)
+{
+    return whole ? static_cast<double>(part) / static_cast<double>(whole)
+                 : 0.0;
 }
 
 } // namespace
@@ -46,7 +57,7 @@ Cycles
 SpecOracle::realAttachCost() const
 {
     Cycles c = latency::attachSyscall;
-    if (cfg.randomizeOnAttach)
+    if (cfg.randomizeOnAttach())
         c += latency::randomize;
     if (usesCond())
         c += latency::silentCond;
@@ -58,7 +69,7 @@ SpecOracle::realAttachCost() const
 bool
 SpecOracle::canEnd(unsigned tid, pm::PmoId pmo) const
 {
-    if (cfg.basicBlocking)
+    if (cfg.scheme == core::Scheme::Basic)
         return ownsBasic(tid, pmo);
     auto it = depth.find({tid, pmo});
     return it != depth.end() && it->second > 0;
@@ -90,9 +101,9 @@ SpecOracle::endSafeAt(unsigned tid, pm::PmoId pmo, Cycles now) const
     // The thread's clock is behind the window's opening edge.  Only
     // ends that the runtime would lower to a real detach close the
     // window; silent/delayed ends never touch the tracker.
-    if (cfg.insertion == core::Insertion::Manual)
+    if (cfg.scheme == core::Scheme::MM)
         return false; // manualEnd always unmaps
-    if (cfg.basicBlocking)
+    if (cfg.scheme == core::Scheme::Basic)
         return false; // basic ends always lower to a real detach,
                       // and a sweeper randomize may have advanced
                       // the window edge past the owner's clock
@@ -137,7 +148,7 @@ void
 SpecOracle::openEw(PmoState &s, Cycles tCb, Cycles tPost)
 {
     s.mapped = true;
-    s.swLast = cfg.windowCombining ? tCb : tPost;
+    s.swLast = cfg.scheme == core::Scheme::TT ? tCb : tPost;
     s.ewOpen = tPost;
     s.everSeen = true;
     blameOpen(s, tPost);
@@ -251,7 +262,7 @@ SpecOracle::checkBegin(unsigned tid, pm::PmoId pmo, pm::Mode mode,
     PmoState &s = ps[pmo];
     Cycles delta = o.tPost - o.tPre;
 
-    if (cfg.basicBlocking) {
+    if (cfg.scheme == core::Scheme::Basic) {
         // The replayer only routes non-blocking begins here.
         Verdict v = spec->onAttach(tid, pmo, o.tPost, mode);
         if (v != Verdict::Performed)
@@ -326,7 +337,7 @@ SpecOracle::checkEnd(unsigned tid, pm::PmoId pmo, const Observed &o,
     Cycles realCost = latency::detachSyscall + latency::tlbInvalidate +
                       (usesCond() ? latency::silentCond : 0);
 
-    if (cfg.basicBlocking) {
+    if (cfg.scheme == core::Scheme::Basic) {
         Verdict v = spec->onDetach(tid, pmo, o.tPre);
         if (v != Verdict::Performed)
             out.push_back(std::string("spec rejects basic detach: ") +
@@ -440,7 +451,7 @@ void
 SpecOracle::noteBlocked(unsigned tid, pm::PmoId pmo,
                         std::vector<std::string> &out)
 {
-    if (!cfg.basicBlocking) {
+    if (cfg.scheme != core::Scheme::Basic) {
         out.push_back("non-basic scheme blocked a region begin");
         return;
     }
@@ -459,7 +470,7 @@ SpecOracle::expectedAccess(unsigned tid, pm::PmoId pmo,
     const PmoState &s = it->second;
     if (!pm::modeAllows(s.procMode, write))
         return core::AccessOutcome::NoProcessPerm;
-    if (cfg.threadPerms) {
+    if (cfg.threadPerms()) {
         auto h = s.holders.find(tid);
         if (h == s.holders.end() || !pm::modeAllows(h->second, write))
             return core::AccessOutcome::NoThreadPerm;
@@ -513,7 +524,7 @@ SpecOracle::planSweep(Cycles now, std::vector<std::string> &out)
         // basic counts its exclusive owner, MM its manual span, the
         // lowered schemes their thread-permission holders. Idle and
         // expired means full detach regardless of insertion mode.
-        bool held = cfg.basicBlocking
+        bool held = cfg.scheme == core::Scheme::Basic
                         ? s.basicOwner != -1
                         : !s.holders.empty() || s.manualHeld;
         plan.push_back({pmo, !held});
@@ -686,32 +697,22 @@ SpecOracle::expectedSilentFraction() const
     switch (cfg.scheme) {
       case core::Scheme::TT: {
         // With the CB: cases 2,3 (silent attach) + 4,6 (partial /
-        // delayed detach) over every CB-visited outermost op. The
-        // "+Cond" ablation counts its software ratio on the attach
-        // side only (cond_silent_nocb / cond_*_nocb).
-        std::uint64_t silent = cfg.windowCombining
-                                   ? silentBegins + silentEnds
-                                   : silentBegins;
-        std::uint64_t total = cfg.windowCombining
-                                  ? silent + fullBegins + fullEnds
-                                  : silentBegins + fullBegins;
-        return total ? static_cast<double>(silent) /
-                           static_cast<double>(total)
-                     : 0.0;
+        // delayed detach) over every CB-visited outermost op.
+        std::uint64_t silent = silentBegins + silentEnds;
+        return ratio(silent, silent + fullBegins + fullEnds);
       }
+      case core::Scheme::TTNC:
+        // The "+Cond" ablation counts its software ratio on the
+        // attach side only (cond_silent_nocb / cond_*_nocb).
+        return ratio(silentBegins, silentBegins + fullBegins);
       case core::Scheme::TM: {
-        if (cfg.basicBlocking || cfg.insertion != core::Insertion::Auto)
-            return 0.0;
         // perm_syscalls (silent + nested lowered calls) over every
         // kernel entry that touches permissions or mappings; the
         // sweeper's delayed detaches enter the denominator too.
         std::uint64_t silent =
             silentBegins + silentEnds + nestedOps;
-        std::uint64_t total =
-            silent + fullBegins + fullEnds + sweepDetaches;
-        return total ? static_cast<double>(silent) /
-                           static_cast<double>(total)
-                     : 0.0;
+        return ratio(silent,
+                     silent + fullBegins + fullEnds + sweepDetaches);
       }
       default:
         return 0.0;

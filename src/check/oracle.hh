@@ -215,7 +215,7 @@ class SpecOracle
     std::uint64_t nestedOps = 0;
     std::uint64_t sweepDetaches = 0;
 
-    bool usesCond() const { return cfg.condInstructions; }
+    bool usesCond() const { return cfg.condInstructions(); }
     Cycles realAttachCost() const;
     void openEw(PmoState &s, Cycles tCb, Cycles tPost);
     void closeEw(PmoState &s, Cycles t);

@@ -158,22 +158,20 @@ settleFlight(Ledger &led, unsigned tid, bool committed)
     led.flight.erase(tid);
 }
 
+// The manual bookends are no-ops unless the scheme is MM and the
+// region ones are no-ops under MM, so both pairs serve every scheme.
 void
 protOpen(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo)
 {
-    if (w.cfg.insertion == core::Insertion::Manual)
-        w.runtime().manualBegin(tc, pmo, pm::Mode::ReadWrite);
-    else if (w.cfg.insertion == core::Insertion::Auto)
-        w.runtime().regionBegin(tc, pmo, pm::Mode::ReadWrite);
+    w.runtime().manualBegin(tc, pmo, pm::Mode::ReadWrite);
+    w.runtime().regionBegin(tc, pmo, pm::Mode::ReadWrite);
 }
 
 void
 protClose(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo)
 {
-    if (w.cfg.insertion == core::Insertion::Manual)
-        w.runtime().manualEnd(tc, pmo);
-    else if (w.cfg.insertion == core::Insertion::Auto)
-        w.runtime().regionEnd(tc, pmo);
+    w.runtime().regionEnd(tc, pmo);
+    w.runtime().manualEnd(tc, pmo);
 }
 
 void

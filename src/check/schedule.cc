@@ -124,8 +124,8 @@ generate(std::uint64_t seed, const core::RuntimeConfig &cfg,
         s.ewTarget,
         2 * s.pmos * (latency::randomize + latency::tlbInvalidate));
 
-    const bool manual = cfg.insertion == core::Insertion::Manual;
-    const bool basic = cfg.basicBlocking;
+    const bool manual = cfg.scheme == core::Scheme::MM;
+    const bool basic = cfg.scheme == core::Scheme::Basic;
     GenState st(s.threads);
 
     auto emitWork = [&](unsigned tid) {
@@ -473,11 +473,6 @@ reproducerSnippet(const Schedule &s, const std::string &scheme,
     os << "// terp-fuzz reproducer: scheme=" << scheme << " seed="
        << seed << " (replay: terp-fuzz --scheme " << scheme
        << " --first-seed " << seed << " --seeds 1)\n";
-    std::string factory = scheme;
-    if (scheme == "ttnc")
-        factory = "ttNoCombining";
-    else if (scheme == "basic")
-        factory = "basicSemantics";
     bool persist = std::any_of(
         s.ops.begin(), s.ops.end(), [](const Op &op) {
             return op.kind == OpKind::TxPut ||
@@ -488,7 +483,7 @@ reproducerSnippet(const Schedule &s, const std::string &scheme,
                    op.kind == OpKind::TxAbort;
         });
     os << "core::DomainConfig dc;\n";
-    os << "dc.runtime = core::RuntimeConfig::" << factory << "("
+    os << "dc.runtime = *core::configForScheme(\"" << scheme << "\", "
        << s.ewTarget << ");\n";
     if (persist)
         os << "dc.persistence = true;\n";

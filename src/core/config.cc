@@ -5,120 +5,115 @@
 namespace terp {
 namespace core {
 
+namespace {
+
+struct SchemeRow
+{
+    Scheme scheme;
+    const char *tag;   //!< --scheme spelling and metrics label
+    const char *label; //!< the paper's name for it
+};
+
+/** The one scheme table, indexed by Scheme. */
+const SchemeRow kSchemes[] = {
+    {Scheme::Unprotected, "unprotected", "Unprotected"},
+    {Scheme::MM, "mm", "MM"},
+    {Scheme::TM, "tm", "TM"},
+    {Scheme::TT, "tt", "TT"},
+    {Scheme::TTNC, "ttnc", "TT"},
+    {Scheme::Basic, "basic", "TM"},
+};
+
+/**
+ * Scheme @p s with EW target @p ew and TEW target @p tew. Unprotected
+ * has no window to target, and only the schemes that lower thread
+ * permissions have a thread window, so those keep the defaults.
+ */
+RuntimeConfig
+configFor(Scheme s, Cycles ew, Cycles tew = target::defaultTew)
+{
+    RuntimeConfig c;
+    c.scheme = s;
+    if (s != Scheme::Unprotected)
+        c.ewTarget = ew;
+    if (c.threadPerms())
+        c.tewTarget = tew;
+    return c;
+}
+
+} // namespace
+
 const char *
 schemeName(Scheme s)
 {
-    switch (s) {
-      case Scheme::Unprotected: return "Unprotected";
-      case Scheme::MM: return "MM";
-      case Scheme::TM: return "TM";
-      case Scheme::TT: return "TT";
-      default: return "?";
-    }
+    return kSchemes[static_cast<std::size_t>(s)].label;
 }
 
 const char *
-schemeTag(const RuntimeConfig &cfg)
+schemeTag(Scheme s)
 {
-    switch (cfg.scheme) {
-      case Scheme::Unprotected:
-        return "unprotected";
-      case Scheme::MM:
-        return "mm";
-      case Scheme::TM:
-        return cfg.basicBlocking ? "basic" : "tm";
-      case Scheme::TT:
-        return cfg.windowCombining ? "tt" : "ttnc";
-      default:
-        return "?";
-    }
+    return kSchemes[static_cast<std::size_t>(s)].tag;
+}
+
+std::vector<std::string>
+schemeTags()
+{
+    std::vector<std::string> tags;
+    for (const SchemeRow &r : kSchemes)
+        tags.push_back(r.tag);
+    return tags;
+}
+
+std::vector<std::string>
+checkedSchemeTags()
+{
+    std::vector<std::string> tags = schemeTags();
+    tags.erase(tags.begin()); // Unprotected
+    return tags;
 }
 
 RuntimeConfig
 RuntimeConfig::unprotected()
 {
-    RuntimeConfig c;
-    c.scheme = Scheme::Unprotected;
-    c.insertion = Insertion::None;
-    c.randomizeOnAttach = false;
-    return c;
+    return {};
 }
 
 RuntimeConfig
 RuntimeConfig::mm(Cycles ew)
 {
-    RuntimeConfig c;
-    c.scheme = Scheme::MM;
-    c.insertion = Insertion::Manual;
-    c.ewTarget = ew;
-    return c;
+    return configFor(Scheme::MM, ew);
 }
 
 RuntimeConfig
 RuntimeConfig::tm(Cycles ew, Cycles tew)
 {
-    RuntimeConfig c;
-    c.scheme = Scheme::TM;
-    c.insertion = Insertion::Auto;
-    c.ewTarget = ew;
-    c.tewTarget = tew;
-    c.threadPerms = true; // maintained via system calls
-    return c;
+    return configFor(Scheme::TM, ew, tew);
 }
 
 RuntimeConfig
 RuntimeConfig::tt(Cycles ew, Cycles tew)
 {
-    RuntimeConfig c;
-    c.scheme = Scheme::TT;
-    c.insertion = Insertion::Auto;
-    c.ewTarget = ew;
-    c.tewTarget = tew;
-    c.condInstructions = true;
-    c.windowCombining = true;
-    c.threadPerms = true;
-    // TERP's attach performs placement inside the (already costed)
-    // system call; the separate randomization cost only arises for
-    // sweep-triggered in-place re-randomization.
-    c.randomizeOnAttach = false;
-    return c;
+    return configFor(Scheme::TT, ew, tew);
 }
 
 RuntimeConfig
 RuntimeConfig::ttNoCombining(Cycles ew, Cycles tew)
 {
-    RuntimeConfig c = tt(ew, tew);
-    c.windowCombining = false;
-    return c;
+    return configFor(Scheme::TTNC, ew, tew);
 }
 
 RuntimeConfig
 RuntimeConfig::basicSemantics(Cycles ew)
 {
-    RuntimeConfig c;
-    c.scheme = Scheme::TM;
-    c.insertion = Insertion::Auto;
-    c.ewTarget = ew;
-    c.threadPerms = false;
-    c.basicBlocking = true;
-    return c;
+    return configFor(Scheme::Basic, ew);
 }
 
 std::optional<RuntimeConfig>
 configForScheme(const std::string &tag, Cycles ew, Cycles tew)
 {
-    if (tag == "unprotected")
-        return RuntimeConfig::unprotected();
-    if (tag == "mm")
-        return RuntimeConfig::mm(ew);
-    if (tag == "tm")
-        return RuntimeConfig::tm(ew, tew);
-    if (tag == "tt")
-        return RuntimeConfig::tt(ew, tew);
-    if (tag == "ttnc")
-        return RuntimeConfig::ttNoCombining(ew, tew);
-    if (tag == "basic")
-        return RuntimeConfig::basicSemantics(ew);
+    for (const SchemeRow &r : kSchemes)
+        if (tag == r.tag)
+            return configFor(r.scheme, ew, tew);
     return std::nullopt;
 }
 
@@ -128,9 +123,9 @@ RuntimeConfig::describe() const
     std::ostringstream os;
     os << schemeName(scheme) << "(ew=" << cyclesToUs(ewTarget)
        << "us, tew=" << cyclesToUs(tewTarget) << "us"
-       << (condInstructions ? ", cond" : "")
-       << (windowCombining ? ", cb" : "")
-       << (basicBlocking ? ", basic" : "")
+       << (condInstructions() ? ", cond" : "")
+       << (scheme == Scheme::TT ? ", cb" : "")
+       << (scheme == Scheme::Basic ? ", basic" : "")
        << (traceEnabled ? ", trace" : "") << ")";
     return os.str();
 }

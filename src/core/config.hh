@@ -1,17 +1,23 @@
 /**
  * @file
- * Scheme configurations for the evaluation (Section VI):
+ * Scheme configurations for the evaluation (Section VI). A scheme is
+ * one of six values:
  *
+ *  - Unprotected: no protection; the overhead baseline.
  *  - MM: MERR insertion + MERR architecture. Manually inserted
- *    attach/detach executed fully as system calls, EW target 40 us.
+ *    attach/detach executed fully as system calls.
  *  - TM: TERP insertion + MERR architecture. Compiler-inserted
  *    conditional attach/detach, but every call is a full system call.
  *  - TT: TERP insertion + TERP architecture. Conditional
  *    attach/detach instructions + circular-buffer window combining.
+ *  - TTNC: the Fig 11 "+Cond" ablation, TT without the circular
+ *    buffer.
+ *  - Basic: the Fig 11 "Basic semantics" ablation, TERP insertion
+ *    where threads serialize on a process-wide attach.
  *
- * Ablations for Fig 11: Basic semantics (threads serialize on a
- * process-wide attach) and "+Cond" (conditional instructions without
- * the circular buffer).
+ * Every protection property is a function of the scheme, derived
+ * here and nowhere else; one table in config.cc maps each scheme to
+ * its tag and paper label.
  */
 
 #ifndef TERP_CORE_CONFIG_HH
@@ -20,48 +26,51 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/units.hh"
 
 namespace terp {
 namespace core {
 
-/** Top-level protection scheme. */
+/** Protection scheme: the three evaluated and the two ablations. */
 enum class Scheme
 {
     Unprotected, //!< no protection; the overhead baseline
     MM,          //!< MERR insertion on MERR architecture
     TM,          //!< TERP insertion on MERR architecture
     TT,          //!< TERP insertion on TERP architecture
+    TTNC,        //!< TT without the circular buffer ("+Cond")
+    Basic,       //!< TERP insertion under Basic semantics
 };
-
-const char *schemeName(Scheme s);
-
-struct RuntimeConfig;
 
 /**
- * Short lowercase tag naming the *configured* scheme, including the
- * Fig-11 ablations the Scheme enum alone cannot distinguish:
- * "unprotected", "mm", "tm", "tt", "ttnc" (TT without the circular
- * buffer) or "basic" (blocking ablation). These are the tools'
- * --scheme spellings (configForScheme() is the inverse) and the
- * `scheme` metrics label.
+ * The paper's label for @p s: "Unprotected", "MM", "TM" or "TT". The
+ * ablations print as the scheme they ablate ("TT" for TTNC, "TM" for
+ * Basic).
  */
-const char *schemeTag(const RuntimeConfig &cfg);
+const char *schemeName(Scheme s);
 
-/** Which insertion points drive attach/detach. */
-enum class Insertion
-{
-    None,   //!< no constructs at all
-    Manual, //!< coarse, manually placed bookends (MERR style)
-    Auto,   //!< compiler/region-granularity conditional constructs
-};
+/**
+ * Short lowercase tag naming @p s: "unprotected", "mm", "tm", "tt",
+ * "ttnc" or "basic". These are the tools' --scheme spellings
+ * (configForScheme() is the inverse) and the `scheme` metrics label.
+ */
+const char *schemeTag(Scheme s);
+
+/** Every scheme tag, in Scheme order. */
+std::vector<std::string> schemeTags();
+
+/**
+ * The tags of the schemes there is something to check: every one
+ * but "unprotected", in Scheme order.
+ */
+std::vector<std::string> checkedSchemeTags();
 
 /** Full runtime configuration. */
 struct RuntimeConfig
 {
     Scheme scheme = Scheme::Unprotected;
-    Insertion insertion = Insertion::None;
 
     /** Process-level exposure-window target (L in the semantics). */
     Cycles ewTarget = target::defaultEw;
@@ -78,20 +87,6 @@ struct RuntimeConfig
      */
     Cycles ewSlo = 0;
     Cycles tewSlo = 0;
-
-    /** Conditional instructions available (27-cycle silent path). */
-    bool condInstructions = false;
-    /** Circular-buffer window combining + sweeper. */
-    bool windowCombining = false;
-    /** MPK-style per-thread permission lowering (EW-conscious). */
-    bool threadPerms = false;
-    /**
-     * Basic-semantics ablation: a thread attaching an attached PMO
-     * must wait for the detach (Fig 11 "Basic semantics" bars).
-     */
-    bool basicBlocking = false;
-    /** Randomize PMO placement at every real attach. */
-    bool randomizeOnAttach = true;
 
     /**
      * Event tracing (src/trace). Off by default: with the switch off
@@ -146,6 +141,47 @@ struct RuntimeConfig
         return c;
     }
 
+    /**
+     * Compiler-inserted regions drive attach/detach (regionBegin /
+     * regionEnd); MM's manual bookends are `scheme == Scheme::MM`.
+     */
+    bool
+    autoInsertion() const
+    {
+        return scheme != Scheme::Unprotected && scheme != Scheme::MM;
+    }
+    /**
+     * Conditional instructions available (27-cycle silent path).
+     * Circular-buffer window combining is `scheme == Scheme::TT`.
+     */
+    bool
+    condInstructions() const
+    {
+        return scheme == Scheme::TT || scheme == Scheme::TTNC;
+    }
+    /**
+     * MPK-style per-thread permission lowering (EW-conscious). Basic
+     * blocking, where a thread attaching an attached PMO waits for
+     * the detach, is `scheme == Scheme::Basic`.
+     */
+    bool
+    threadPerms() const
+    {
+        return scheme == Scheme::TM || condInstructions();
+    }
+    /**
+     * Randomize PMO placement at every real attach. TERP's attach
+     * performs placement inside the (already costed) system call;
+     * its separate randomization cost only arises for sweep-
+     * triggered in-place re-randomization.
+     */
+    bool
+    randomizeOnAttach() const
+    {
+        return scheme == Scheme::MM || scheme == Scheme::TM ||
+               scheme == Scheme::Basic;
+    }
+
     static RuntimeConfig unprotected();
     static RuntimeConfig mm(Cycles ew = target::defaultEw);
     static RuntimeConfig tm(Cycles ew = target::defaultEw,
@@ -163,9 +199,8 @@ struct RuntimeConfig
 
 /**
  * The inverse of schemeTag(): the configuration a scheme tag names,
- * built with EW target @p ew and TEW target @p tew (each used only
- * by the schemes that take it), or nullopt for an unknown tag. The
- * one table behind every tool's --scheme flag.
+ * built with EW target @p ew and TEW target @p tew, or nullopt for
+ * an unknown tag. The one table behind every tool's --scheme flag.
  */
 std::optional<RuntimeConfig>
 configForScheme(const std::string &tag, Cycles ew = target::defaultEw,

@@ -65,14 +65,14 @@ Runtime::Runtime(sim::Machine &machine, pm::PmoManager &pmos,
     }
     if (cfg.metricsEnabled && metrics::enabledByEnv()) {
         reg = std::make_shared<metrics::Registry>();
-        reg->setLabel("scheme", schemeTag(cfg));
+        reg->setLabel("scheme", schemeTag(cfg.scheme));
         ew.enableMetrics(reg.get());
         mSweepTicks = &reg->counter("sweeper.ticks");
         mSweepForceDetach = &reg->counter("sweeper.force_detach");
         mSweepRandomize = &reg->counter("sweeper.randomize");
         mSweepPmoScans = &reg->counter("host.sweep_pmo_scans");
         mSweepTickNs = &reg->histogram("host.sweep_tick_ns");
-        if (cfg.windowCombining)
+        if (cfg.scheme == Scheme::TT)
             mCbOccupancy = &reg->gauge("cb.occupancy");
     }
 }
@@ -153,7 +153,7 @@ Runtime::doRealAttach(sim::ThreadContext &tc, pm::PmoId pmo,
 {
     tc.charge(sim::Charge::Attach, latency::attachSyscall);
     ++ctr[ctrAttachSyscalls];
-    if (cfg.randomizeOnAttach) {
+    if (cfg.randomizeOnAttach()) {
         // MERR-style randomized placement at every real attach.
         tc.charge(sim::Charge::Rand, latency::randomize);
         ++ctr[ctrRandomizations];
@@ -255,7 +255,7 @@ void
 Runtime::manualBegin(sim::ThreadContext &tc, pm::PmoId pmo,
                      pm::Mode mode)
 {
-    if (cfg.insertion != Insertion::Manual)
+    if (cfg.scheme != Scheme::MM)
         return;
     auto &m = mapState(pmo);
     TERP_ASSERT(!m.mapped, "MM: nested manual attach on PMO ", pmo);
@@ -271,7 +271,7 @@ Runtime::manualBegin(sim::ThreadContext &tc, pm::PmoId pmo,
 void
 Runtime::manualEnd(sim::ThreadContext &tc, pm::PmoId pmo)
 {
-    if (cfg.insertion != Insertion::Manual)
+    if (cfg.scheme != Scheme::MM)
         return;
     auto &m = mapState(pmo);
     TERP_ASSERT(m.mapped, "MM: manual detach of unattached PMO ", pmo);
@@ -289,32 +289,24 @@ GuardResult
 Runtime::regionBegin(sim::ThreadContext &tc, pm::PmoId pmo,
                      pm::Mode mode)
 {
-    if (cfg.insertion != Insertion::Auto)
-        return GuardResult::Ok;
-    if (cfg.basicBlocking)
+    if (cfg.scheme == Scheme::Basic)
         return basicRegionBegin(tc, pmo, mode);
-    if (cfg.condInstructions) {
+    if (cfg.condInstructions())
         ttRegionBegin(tc, pmo, mode);
-        return GuardResult::Ok;
-    }
-    tmRegionBegin(tc, pmo, mode);
+    else if (cfg.scheme == Scheme::TM)
+        tmRegionBegin(tc, pmo, mode);
     return GuardResult::Ok;
 }
 
 void
 Runtime::regionEnd(sim::ThreadContext &tc, pm::PmoId pmo)
 {
-    if (cfg.insertion != Insertion::Auto)
-        return;
-    if (cfg.basicBlocking) {
+    if (cfg.scheme == Scheme::Basic)
         basicRegionEnd(tc, pmo);
-        return;
-    }
-    if (cfg.condInstructions) {
+    else if (cfg.condInstructions())
         ttRegionEnd(tc, pmo);
-        return;
-    }
-    tmRegionEnd(tc, pmo);
+    else if (cfg.scheme == Scheme::TM)
+        tmRegionEnd(tc, pmo);
 }
 
 // TT: conditional instructions, optionally with window combining.
@@ -339,7 +331,7 @@ Runtime::ttRegionBegin(sim::ThreadContext &tc, pm::PmoId pmo,
         return;
     }
 
-    if (cfg.windowCombining) {
+    if (cfg.scheme == Scheme::TT) {
         arch::CondAttachCase c = cb.condAttach(pmo, tc.now());
         if (mCbOccupancy)
             mCbOccupancy->set(cb.liveEntries());
@@ -383,7 +375,7 @@ Runtime::ttRegionEnd(sim::ThreadContext &tc, pm::PmoId pmo)
         return;
     }
 
-    if (cfg.windowCombining) {
+    if (cfg.scheme == Scheme::TT) {
         revokeThread(tc, pmo);
         arch::CondDetachCase c =
             cb.condDetach(pmo, tc.now(), cfg.ewTarget);
@@ -537,27 +529,9 @@ Runtime::tryAccess(sim::ThreadContext &tc, const pm::Oid &oid,
 
     // ld/st checks the permission matrix alongside the TLB.
     tc.charge(sim::Charge::Other, latency::permMatrix);
-
-    AccessOutcome out = AccessOutcome::Ok;
-    if (!p.attached()) {
-        out = AccessOutcome::NoMapping;
-    } else {
-        arch::MatrixHit hit =
-            matrix.check(p.vaddrOf(oid.offset()), write);
-        if (!hit.present)
-            out = AccessOutcome::NoMapping;
-        else if (!hit.permitted)
-            out = AccessOutcome::NoProcessPerm;
-        else if (cfg.threadPerms &&
-                 !domains.allows(tc.tid(), oid.pool(), write)) {
-            out = AccessOutcome::NoThreadPerm;
-        }
-    }
-    if (out != AccessOutcome::Ok) {
-        emit(tc, trace::EventKind::AccessFault, oid.pool(),
-             static_cast<std::uint64_t>(out));
+    AccessOutcome out = checkAccess(tc, p, oid.offset(), write);
+    if (out != AccessOutcome::Ok)
         return out;
-    }
 
     mach.access(tc, pm_.accessFor(oid, write));
     return AccessOutcome::Ok;
@@ -578,28 +552,39 @@ Runtime::tryAccessVaddr(sim::ThreadContext &tc, std::uint64_t vaddr,
         return AccessOutcome::NoMapping;
     }
 
+    std::uint64_t off = vaddr - p->vaddrBase();
     if (cfg.scheme != Scheme::Unprotected) {
-        AccessOutcome out = AccessOutcome::Ok;
-        arch::MatrixHit hit = matrix.check(vaddr, write);
+        AccessOutcome out = checkAccess(tc, *p, off, write);
+        if (out != AccessOutcome::Ok)
+            return out;
+    }
+
+    mach.access(tc, sim::MemAccess{vaddr, p->paddrOf(off), write,
+                                   sim::MemKind::Nvm});
+    return AccessOutcome::Ok;
+}
+
+AccessOutcome
+Runtime::checkAccess(sim::ThreadContext &tc, const pm::Pmo &p,
+                     std::uint64_t off, bool write)
+{
+    AccessOutcome out = AccessOutcome::Ok;
+    if (!p.attached()) {
+        out = AccessOutcome::NoMapping;
+    } else {
+        arch::MatrixHit hit = matrix.check(p.vaddrOf(off), write);
         if (!hit.present)
             out = AccessOutcome::NoMapping;
         else if (!hit.permitted)
             out = AccessOutcome::NoProcessPerm;
-        else if (cfg.threadPerms &&
-                 !domains.allows(tc.tid(), p->id(), write)) {
+        else if (cfg.threadPerms() &&
+                 !domains.allows(tc.tid(), p.id(), write))
             out = AccessOutcome::NoThreadPerm;
-        }
-        if (out != AccessOutcome::Ok) {
-            emit(tc, trace::EventKind::AccessFault, p->id(),
-                 static_cast<std::uint64_t>(out));
-            return out;
-        }
     }
-
-    std::uint64_t off = vaddr - p->vaddrBase();
-    mach.access(tc, sim::MemAccess{vaddr, p->paddrOf(off), write,
-                                   sim::MemKind::Nvm});
-    return AccessOutcome::Ok;
+    if (out != AccessOutcome::Ok)
+        emit(tc, trace::EventKind::AccessFault, p.id(),
+             static_cast<std::uint64_t>(out));
+    return out;
 }
 
 void
@@ -665,7 +650,7 @@ Runtime::onSweep(Cycles now)
     if (mSweepTicks)
         mSweepTicks->inc();
 
-    if (cfg.windowCombining) {
+    if (cfg.scheme == Scheme::TT) {
         for (const arch::SweepAction &a : cb.sweep(now, cfg.ewTarget)) {
             if (a.detach) {
                 if (mSweepForceDetach)
@@ -731,8 +716,8 @@ Runtime::onSweep(Cycles now)
                 if (mSweepForceDetach)
                     mSweepForceDetach->inc();
                 // Idle and expired: full detach, regardless of who
-                // inserted the protection points. The old
-                // Insertion::Auto qualifier here left a
+                // inserted the protection points. An automatic-
+                // insertion-only qualifier here once left a
                 // manually-bookended PMO that went idle (e.g. one
                 // re-attached by crash recovery) mapped — and
                 // re-randomized on every sweep — forever.
@@ -794,7 +779,7 @@ Runtime::publishMetrics()
     reg->counter("runtime.cycles_cond").inc(rep.cond);
     reg->counter("runtime.cycles_other").inc(rep.other);
 
-    if (cfg.windowCombining) {
+    if (cfg.scheme == Scheme::TT) {
         const arch::CircularBuffer::Stats &cs = cb.stats();
         reg->counter("cb.condat_case1").inc(cs.case1);
         reg->counter("cb.condat_case2").inc(cs.case2);
@@ -975,7 +960,7 @@ Runtime::recover(sim::ThreadContext &tc)
         // the normal delayed path — so the second must reuse that
         // window rather than re-attach over it.
         const bool alreadyMapped = mapState(pmo).mapped;
-        if (cfg.windowCombining) {
+        if (cfg.scheme == Scheme::TT) {
             // Recovery replays every pending log in one burst with
             // no sweep ticks in between, so each replayed PMO is
             // still delayed-resident when the next one attaches. A
@@ -998,7 +983,7 @@ Runtime::recover(sim::ThreadContext &tc)
             doRealAttach(tc, pmo, pm::Mode::ReadWrite);
         std::uint64_t n = log.recover(tc);
         emit(tc, trace::EventKind::Recover, pmo, n);
-        if (cfg.windowCombining) {
+        if (cfg.scheme == Scheme::TT) {
             // Release through the CONDDT path: the rollback was
             // almost certainly shorter than the window target, so
             // this sets the delayed-detach bit and the sweeper later
@@ -1034,19 +1019,18 @@ Runtime::SilentSplit
 Runtime::silentSplit() const
 {
     SilentSplit sp;
-    if (cfg.windowCombining) {
+    if (cfg.scheme == Scheme::TT) {
         // Silent = conditional calls that did not become a system
         // call: cases 2,3 (attach) and 4,6 (detach).
         const arch::CircularBuffer::Stats &cs = cb.stats();
         sp.silent = cs.case2 + cs.case3 + cs.case4 + cs.case6;
         sp.full = cs.case1 + cs.case5;
-    } else if (cfg.condInstructions) {
+    } else if (cfg.scheme == Scheme::TTNC) {
         // Without the CB, "silent" = conditional ops that avoided a
         // mapping-changing system call.
         sp.silent = ctr[ctrCondSilentNocb];
         sp.full = ctr[ctrCondFullNocb];
-    } else if (cfg.scheme == Scheme::TM &&
-               cfg.insertion == Insertion::Auto) {
+    } else if (cfg.scheme == Scheme::TM || cfg.scheme == Scheme::Basic) {
         // TM elides mapping syscalls too (the EW-conscious rule in
         // software): a lowered op that only touched the thread
         // permission is a silent call for Table 3's purposes.

@@ -95,13 +95,13 @@ class Runtime
 
     // ---- protection constructs -------------------------------------
 
-    /** Manual (MERR-style) bookends; no-ops unless insertion=Manual. */
+    /** Manual (MERR-style) bookends; no-ops unless the scheme is MM. */
     void manualBegin(sim::ThreadContext &tc, pm::PmoId pmo,
                      pm::Mode mode);
     void manualEnd(sim::ThreadContext &tc, pm::PmoId pmo);
 
     /**
-     * Compiler-inserted region entry; no-op unless insertion=Auto.
+     * Compiler-inserted region entry; no-op unless autoInsertion().
      * May return Blocked under the basic-semantics ablation, in
      * which case the thread has been blocked and the caller must
      * retry after being woken.
@@ -369,6 +369,13 @@ class Runtime
     void doRealDetachAt(sim::ThreadContext *tc, pm::PmoId pmo,
                         Cycles at);
     void doRandomize(pm::PmoId pmo, Cycles at);
+    /**
+     * The protected-access fault ladder for offset @p off of @p p:
+     * mapping, then matrix process permission, then thread
+     * permission. Emits AccessFault on the first rung that fails.
+     */
+    AccessOutcome checkAccess(sim::ThreadContext &tc, const pm::Pmo &p,
+                              std::uint64_t off, bool write);
     void grantThread(sim::ThreadContext &tc, pm::PmoId pmo,
                      pm::Mode mode);
     void revokeThread(sim::ThreadContext &tc, pm::PmoId pmo);

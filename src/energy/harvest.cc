@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "check/fuzzer.hh"
 #include "check/recovery_oracle.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -66,7 +65,8 @@ struct Harness
 
     explicit Harness(const HarvestOptions &o)
         : opt(o),
-          w(check::schemeConfig(o.scheme, o.ewTarget)
+          w(core::configForScheme(o.scheme, o.ewTarget)
+                .value()
                 .withTrace(o.traceCapacity),
             o.workload == "txmix" ? 2u : 1u, /*threads=*/1u, pmoBytes,
             logOff),

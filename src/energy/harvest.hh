@@ -31,7 +31,7 @@ namespace energy {
 
 struct HarvestOptions
 {
-    std::string scheme = "tt";
+    std::string scheme = "tt"; //!< one of core::checkedSchemeTags()
     /**
      * "bank": single-PMO undo-log transfers (plus an unfenced scratch
      * counter the checkpoint watermark protects). "txmix": nested

@@ -1,6 +1,8 @@
 #include "metrics/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace terp {
@@ -15,15 +17,24 @@ JsonValue::get(const std::string &key) const
     return it == object.end() ? nullptr : &it->second;
 }
 
-std::uint64_t
+std::optional<std::uint64_t>
 JsonValue::asU64() const
 {
     if (type != Type::Number)
-        return 0;
+        return std::nullopt;
     // Prefer the raw text: a 64-bit count round-trips exactly where
     // the double may have lost low bits.
-    if (!raw.empty() && raw.find_first_of(".eE") == std::string::npos)
-        return std::strtoull(raw.c_str(), nullptr, 10);
+    if (!raw.empty() && raw.find_first_of(".eE-") == std::string::npos) {
+        errno = 0;
+        std::uint64_t v = std::strtoull(raw.c_str(), nullptr, 10);
+        if (errno == ERANGE)
+            return std::nullopt;
+        return v;
+    }
+    // 2^64; every whole double below it converts exactly.
+    constexpr double limit = 18446744073709551616.0;
+    if (!(number >= 0 && number < limit) || number != std::floor(number))
+        return std::nullopt;
     return static_cast<std::uint64_t>(number);
 }
 

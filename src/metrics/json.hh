@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,12 @@ class JsonValue
     /** Object member, or null when absent / not an object. */
     const JsonValue *get(const std::string &key) const;
 
-    /** Number as uint64 (exact for integer source text). */
-    std::uint64_t asU64() const;
+    /**
+     * Number as a uint64 count (exact for integer source text), or
+     * nullopt when this is not a number or not a whole number in
+     * [0, 2^64): negative, fractional, non-finite or too large.
+     */
+    std::optional<std::uint64_t> asU64() const;
 };
 
 /**

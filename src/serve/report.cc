@@ -75,7 +75,7 @@ postureReport(const FleetResult &res)
                   "config: scheme=%s shards=%u workers/shard=%u "
                   "pmos/shard=%u sessions=%u reqs/session=%u "
                   "seed=%llu\n",
-                  core::schemeTag(cfg.runtime), cfg.shards,
+                  core::schemeTag(cfg.runtime.scheme), cfg.shards,
                   cfg.workersPerShard, cfg.pmosPerShard,
                   cfg.sessions, cfg.requestsPerSession,
                   static_cast<unsigned long long>(cfg.seed));
@@ -147,7 +147,7 @@ toJson(const FleetResult &res, unsigned hostWorkers)
     os << "{\n";
     os << "  \"tool\": \"terp-serve\",\n";
     os << "  \"config\": {\n";
-    os << "    \"scheme\": \"" << core::schemeTag(cfg.runtime)
+    os << "    \"scheme\": \"" << core::schemeTag(cfg.runtime.scheme)
        << "\",\n";
     os << "    \"seed\": " << cfg.seed << ",\n";
     os << "    \"shards\": " << cfg.shards << ",\n";

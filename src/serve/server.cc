@@ -180,7 +180,7 @@ runFleet(const ServeConfig &cfg, unsigned hostWorkers)
     // fixing it makes the run bit-reproducible by inspection).
     res.fleet = std::make_shared<metrics::Registry>();
     res.fleet->setLabel("scheme",
-                        core::schemeTag(cfg.runtime));
+                        core::schemeTag(cfg.runtime.scheme));
     res.fleet->setLabel("shard", "fleet");
     for (auto &s : shards) {
         res.shards.push_back(s->summary());

@@ -56,7 +56,7 @@ ServeShard::ServeShard(const ServeConfig &cfg_, unsigned shard,
     workers.resize(cfg.workersPerShard);
     for (auto &w : workers)
         w.tid = dom.machine().spawnThread().tid();
-    if (cfg.runtime.insertion == core::Insertion::Manual)
+    if (cfg.runtime.scheme == core::Scheme::MM)
         manualHeld.assign(cfg.pmosPerShard, 0);
 
     if (auto reg = dom.runtime().metricsRegistry()) {
@@ -162,8 +162,8 @@ ServeShard::stepWorker(Worker &w)
     switch (w.phase) {
       case Phase::Begin: {
         // Both bookends, whisper-style: manualBegin is a no-op
-        // unless the scheme uses Manual insertion (MM), regionBegin
-        // unless Auto (TM/TT/ablations) — so one request shape
+        // unless the scheme is MM, regionBegin unless it inserts
+        // automatically (TM/TT/ablations) — so one request shape
         // serves every scheme. Under basic blocking the begin may
         // park the thread; the event loop skips blocked workers
         // until the holder's end wakes this one, and we retry from

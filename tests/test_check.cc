@@ -153,7 +153,7 @@ TEST(CheckRegression, LoweredAttachWidensProcessPermission)
 TEST(CheckHarness, GenerationIsDeterministic)
 {
     check::GenParams p;
-    core::RuntimeConfig cfg = check::schemeConfig("tt", p.ewTarget);
+    core::RuntimeConfig cfg = *core::configForScheme("tt", p.ewTarget);
     check::Schedule a = check::generate(42, cfg, p);
     check::Schedule b = check::generate(42, cfg, p);
     ASSERT_EQ(a.ops.size(), b.ops.size());
@@ -170,15 +170,14 @@ TEST(CheckHarness, GenerationIsDeterministic)
 
 TEST(CheckHarness, EverySchemeHasAConfig)
 {
-    for (const std::string &name : check::allSchemes()) {
-        core::RuntimeConfig cfg =
-            check::schemeConfig(name, 5 * cyclesPerUs);
-        EXPECT_EQ(cfg.ewTarget, 5 * cyclesPerUs) << name;
+    for (const std::string &name : core::checkedSchemeTags()) {
+        std::optional<core::RuntimeConfig> cfg =
+            core::configForScheme(name, 5 * cyclesPerUs);
+        ASSERT_TRUE(cfg.has_value()) << name;
+        EXPECT_EQ(cfg->ewTarget, 5 * cyclesPerUs) << name;
+        EXPECT_NE(cfg->scheme, core::Scheme::Unprotected) << name;
     }
-    EXPECT_THROW(check::schemeConfig("bogus", 1),
-                 std::invalid_argument);
-    EXPECT_THROW(check::schemeConfig("unprotected", 1),
-                 std::invalid_argument);
+    EXPECT_FALSE(core::configForScheme("bogus", 1).has_value());
 }
 
 TEST(CheckHarness, OracleMapsSchemesToSpecModels)
@@ -187,9 +186,9 @@ TEST(CheckHarness, OracleMapsSchemesToSpecModels)
     // indirectly visible through a single clean replay per scheme.
     check::GenParams p;
     p.events = 30;
-    for (const std::string &name : check::allSchemes()) {
+    for (const std::string &name : core::checkedSchemeTags()) {
         core::RuntimeConfig cfg =
-            check::schemeConfig(name, p.ewTarget);
+            *core::configForScheme(name, p.ewTarget);
         check::Schedule s = check::generate(7, cfg, p);
         check::DiffResult d = check::runSchedule(s, cfg);
         EXPECT_TRUE(d.ok) << name << ": " << (d.complaints.empty()
@@ -202,7 +201,7 @@ TEST(CheckHarness, ShrinkReturnsCleanScheduleUnchanged)
 {
     check::GenParams p;
     p.events = 20;
-    core::RuntimeConfig cfg = check::schemeConfig("tm", p.ewTarget);
+    core::RuntimeConfig cfg = *core::configForScheme("tm", p.ewTarget);
     check::Schedule s = check::generate(3, cfg, p);
     ASSERT_TRUE(check::runSchedule(s, cfg).ok);
     check::Schedule m = check::shrink(s, cfg);

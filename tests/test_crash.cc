@@ -14,7 +14,6 @@
 
 #include "check/crash.hh"
 #include "check/differ.hh"
-#include "check/fuzzer.hh"
 #include "check/recovery_oracle.hh"
 #include "core/runtime.hh"
 #include "pm/persist.hh"
@@ -38,7 +37,7 @@ struct Fixture
     std::unique_ptr<core::Runtime> rt;
 
     explicit Fixture(const std::string &scheme)
-        : cfg(check::schemeConfig(scheme, ewTarget).withTrace())
+        : cfg(core::configForScheme(scheme, ewTarget)->withTrace())
     {
         pmos.create("crash-test", 64 * KiB);
         rt = std::make_unique<core::Runtime>(mach, pmos, cfg);
@@ -262,13 +261,13 @@ TEST(ScheduleExecutor, RejectsWorldThatDoesNotMatchSchedule)
     gp.pmos = 2;
     gp.threads = 3;
     gp.persistOps = true;
-    core::RuntimeConfig cfg = check::schemeConfig("tt", ewTarget);
+    core::RuntimeConfig cfg = *core::configForScheme("tt", ewTarget);
     check::Schedule s = check::generate(1, cfg, gp);
     ASSERT_GT(s.ewTarget, ewTarget);
 
     auto replayOn = [&](Cycles ew, unsigned pmos, unsigned threads,
                         std::uint64_t pmoBytes) {
-        check::CrashWorld w(check::schemeConfig("tt", ew).withTrace(),
+        check::CrashWorld w(core::configForScheme("tt", ew)->withTrace(),
                             pmos, threads, pmoBytes, logOff);
         check::Ledger led;
         std::vector<std::string> complaints;

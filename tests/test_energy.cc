@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/circular_buffer.hh"
-#include "check/fuzzer.hh"
 #include "core/domain.hh"
 #include "check/recovery_oracle.hh"
 #include "energy/capacitor.hh"
@@ -32,7 +31,7 @@ check::CrashWorld
 makeWorld(const std::string &scheme, unsigned pmos, unsigned threads)
 {
     return check::CrashWorld(
-        check::schemeConfig(scheme, usToCycles(5)).withTrace(1u << 22),
+        core::configForScheme(scheme, usToCycles(5))->withTrace(1u << 22),
         pmos, threads, kPmoBytes, kLogOff);
 }
 
@@ -181,7 +180,7 @@ TEST(Harvest, ThousandCycleOracleEveryScheme)
     // cycle and the full-timeline trace audit at a stride (the audit
     // replays the whole trace, so per-cycle auditing would be
     // quadratic in run length).
-    for (const std::string &scheme : check::allSchemes()) {
+    for (const std::string &scheme : core::checkedSchemeTags()) {
         energy::HarvestOptions opt;
         opt.scheme = scheme;
         opt.workload = "bank";

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -319,6 +320,38 @@ TEST(Export, JsonRoundTripsThroughParser)
     EXPECT_EQ(h->get("min")->asU64(), 500u);
     EXPECT_EQ(h->get("max")->asU64(), 1500u);
 
+}
+
+TEST(Export, JsonCountAccessorRejectsNonCounts)
+{
+    // A count is a whole number in [0, 2^64); anything else is
+    // nullopt, never a wrapped or saturated cast.
+    const struct
+    {
+        const char *text;
+        std::optional<std::uint64_t> want;
+    } cases[] = {
+        {"0", 0},
+        {"-0", 0},
+        {"1e3", 1000},
+        {"18446744073709551615", UINT64_MAX},
+        {"-1", std::nullopt},
+        {"-5", std::nullopt},
+        {"1.5", std::nullopt},
+        {"1e300", std::nullopt},
+        {"1e999", std::nullopt},
+        {"18446744073709551616", std::nullopt},
+        {"1.8446744073709552e19", std::nullopt},
+        {"\"7\"", std::nullopt},
+        {"null", std::nullopt},
+    };
+    for (const auto &c : cases) {
+        std::string error;
+        auto doc =
+            parseJson(std::string("{\"v\": ") + c.text + "}", error);
+        ASSERT_NE(doc, nullptr) << c.text << ": " << error;
+        EXPECT_EQ(doc->get("v")->asU64(), c.want) << c.text;
+    }
 }
 
 TEST(Export, JsonParserRejectsMalformedInput)

@@ -381,8 +381,63 @@ TEST(SchemeTable, ConfigForSchemeInvertsSchemeTag)
          {"unprotected", "mm", "tm", "tt", "ttnc", "basic"}) {
         std::optional<RuntimeConfig> cfg = configForScheme(tag);
         ASSERT_TRUE(cfg.has_value()) << tag;
-        EXPECT_STREQ(schemeTag(*cfg), tag);
+        EXPECT_STREQ(schemeTag(cfg->scheme), tag);
     }
     EXPECT_FALSE(configForScheme("bogus").has_value());
     EXPECT_FALSE(configForScheme("TT").has_value());
+}
+
+// The scheme matrix, spelled out per tag: its protection properties,
+// its paper label and its description at the default targets.
+TEST(SchemeTable, EveryTagPinsItsProperties)
+{
+    struct Row
+    {
+        const char *tag;
+        bool manual, autoIns, cond, cb, threadPerms, basic, randomize;
+        const char *name;
+        const char *described;
+    };
+    const Row rows[] = {
+        {"unprotected", false, false, false, false, false, false, false,
+         "Unprotected", "Unprotected(ew=40us, tew=2us)"},
+        {"mm", true, false, false, false, false, false, true, "MM",
+         "MM(ew=40us, tew=2us)"},
+        {"tm", false, true, false, false, true, false, true, "TM",
+         "TM(ew=40us, tew=2us)"},
+        {"tt", false, true, true, true, true, false, false, "TT",
+         "TT(ew=40us, tew=2us, cond, cb)"},
+        {"ttnc", false, true, true, false, true, false, false, "TT",
+         "TT(ew=40us, tew=2us, cond)"},
+        {"basic", false, true, false, false, false, true, true, "TM",
+         "TM(ew=40us, tew=2us, basic)"},
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(r.tag);
+        std::optional<RuntimeConfig> cfg = configForScheme(r.tag);
+        ASSERT_TRUE(cfg.has_value());
+        EXPECT_EQ(cfg->scheme == Scheme::MM, r.manual);
+        EXPECT_EQ(cfg->autoInsertion(), r.autoIns);
+        EXPECT_EQ(cfg->condInstructions(), r.cond);
+        EXPECT_EQ(cfg->scheme == Scheme::TT, r.cb);
+        EXPECT_EQ(cfg->threadPerms(), r.threadPerms);
+        EXPECT_EQ(cfg->scheme == Scheme::Basic, r.basic);
+        EXPECT_EQ(cfg->randomizeOnAttach(), r.randomize);
+        EXPECT_STREQ(schemeName(cfg->scheme), r.name);
+        EXPECT_EQ(cfg->describe(), r.described);
+    }
+
+    // A default-constructed config is the unprotected one.
+    const RuntimeConfig d;
+    const RuntimeConfig u = RuntimeConfig::unprotected();
+    EXPECT_EQ(d.scheme, u.scheme);
+    EXPECT_EQ(d.ewTarget, u.ewTarget);
+    EXPECT_EQ(d.tewTarget, u.tewTarget);
+    EXPECT_EQ(d.ewSlo, u.ewSlo);
+    EXPECT_EQ(d.tewSlo, u.tewSlo);
+    EXPECT_EQ(d.traceEnabled, u.traceEnabled);
+    EXPECT_EQ(d.traceCapacity, u.traceCapacity);
+    EXPECT_EQ(d.metricsEnabled, u.metricsEnabled);
+    EXPECT_EQ(d.describe(), u.describe());
+    EXPECT_STREQ(schemeTag(d.scheme), "unprotected");
 }

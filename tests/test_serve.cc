@@ -302,7 +302,7 @@ TEST(ServeSlowClients, SweeperBoundsEwUnderEveryScheme)
     for (const auto &rc : schemes) {
         serve::ServeConfig cfg = slowConfig(rc);
         serve::FleetResult res = serve::runFleet(cfg, 1);
-        SCOPED_TRACE(core::schemeTag(rc));
+        SCOPED_TRACE(core::schemeTag(rc.scheme));
 
         ASSERT_EQ(res.shards.size(), 1u);
         EXPECT_GT(res.shards[0].completed, 0u);
@@ -320,7 +320,7 @@ TEST(ServeSlowClients, SweeperBoundsEwUnderEveryScheme)
         // Schemes with per-thread permissions (EW-conscious) see
         // the holds as TEW SLO violations — the slow-client signal
         // the posture report is for.
-        if (rc.threadPerms) {
+        if (rc.threadPerms()) {
             const metrics::Counter *tew = res.fleet->findCounter(
                 "exposure.slo_violations{win=\"tew\"}");
             ASSERT_TRUE(tew);

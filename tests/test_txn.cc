@@ -37,7 +37,7 @@ struct Fixture
     std::unique_ptr<core::Runtime> rt;
 
     explicit Fixture(const std::string &scheme = "tm")
-        : cfg(check::schemeConfig(scheme, ewTarget).withTrace())
+        : cfg(core::configForScheme(scheme, ewTarget)->withTrace())
     {
         pmos.create("txn-a", 64 * KiB);
         pmos.create("txn-b", 64 * KiB);

@@ -18,6 +18,7 @@
 #ifndef TERP_TOOLS_CLI_HH
 #define TERP_TOOLS_CLI_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -29,11 +30,22 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/config.hh"
 
 namespace terp {
 namespace cli {
+
+/** @p tags joined by single spaces, as the tools list them. */
+inline std::string
+joined(const std::vector<std::string> &tags)
+{
+    std::string out;
+    for (const std::string &t : tags)
+        out += (out.empty() ? "" : " ") + t;
+    return out;
+}
 
 /**
  * @p text as a decimal count in [@p lo, @p hi]: digits only, so
@@ -166,6 +178,26 @@ class Args
         return v;
     }
 
+    /**
+     * The value as the scheme tags a checking tool runs: every
+     * checked scheme for "all", else the one tag. Unknown tags and
+     * "unprotected", which has nothing to check, exit 2.
+     */
+    std::vector<std::string>
+    checkedSchemes()
+    {
+        const std::string text = str();
+        const std::vector<std::string> tags = core::checkedSchemeTags();
+        if (text == "all")
+            return tags;
+        if (std::find(tags.begin(), tags.end(), text) != tags.end())
+            return {text};
+        const std::string known = "all or one of: " + joined(tags);
+        bad(text, core::configForScheme(text)
+                      ? "a scheme with something to check (" + known + ")"
+                      : known);
+    }
+
     /** Reject the current token as an unknown option. */
     [[noreturn]] void
     unknown() const
@@ -238,10 +270,8 @@ scheme(const char *tool, const std::string &tag,
     std::optional<core::RuntimeConfig> cfg =
         core::configForScheme(tag, ew, tew);
     if (!cfg) {
-        std::fprintf(stderr,
-                     "%s: unknown scheme '%s' (try: unprotected mm tm tt "
-                     "ttnc basic)\n",
-                     tool, tag.c_str());
+        std::fprintf(stderr, "%s: unknown scheme '%s' (try: %s)\n", tool,
+                     tag.c_str(), joined(core::schemeTags()).c_str());
         std::exit(2);
     }
     return *cfg;

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "check/crash.hh"
-#include "check/fuzzer.hh"
 #include "cli.hh"
 
 using namespace terp;
@@ -58,7 +57,7 @@ int
 main(int argc, char **argv)
 {
     check::CrashOptions opt;
-    std::string scheme = "all";
+    std::vector<std::string> schemes = core::checkedSchemeTags();
     std::string workload = "all";
     unsigned seeds = 1;
     double ewUs = 5.0;
@@ -67,7 +66,7 @@ main(int argc, char **argv)
     cli::Args args("terp-crash", argc, argv, kUsage);
     while (args.next()) {
         if (args.is("--scheme"))
-            scheme = args.str();
+            schemes = args.checkedSchemes();
         else if (args.is("--workload"))
             workload = args.str();
         else if (args.is("--seed"))
@@ -87,9 +86,6 @@ main(int argc, char **argv)
     }
 
     opt.ewTarget = usToCycles(ewUs);
-    std::vector<std::string> schemes =
-        scheme == "all" ? check::allSchemes()
-                        : std::vector<std::string>{scheme};
     std::vector<std::string> workloads =
         workload == "all" ? check::crashWorkloads()
                           : std::vector<std::string>{workload};

@@ -70,13 +70,12 @@ main(int argc, char **argv)
 {
     check::FuzzOptions opt;
     opt.shrink = true;
-    std::string scheme = "all";
     double ewUs = 5.0;
 
     cli::Args args("terp-fuzz", argc, argv, kUsage);
     while (args.next()) {
         if (args.is("--scheme"))
-            scheme = args.str();
+            opt.schemes = args.checkedSchemes();
         else if (args.is("--seeds"))
             opt.seeds = static_cast<unsigned>(args.count(1, UINT_MAX));
         else if (args.is("--first-seed"))
@@ -103,16 +102,8 @@ main(int argc, char **argv)
     }
 
     opt.gen.ewTarget = usToCycles(ewUs);
-    if (scheme != "all")
-        opt.schemes.push_back(scheme);
 
-    check::FuzzResult res;
-    try {
-        res = check::fuzz(opt);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "terp-fuzz: %s\n", e.what());
-        return 2;
-    }
+    check::FuzzResult res = check::fuzz(opt);
 
     if (res.ok()) {
         std::printf("terp-fuzz: %u schedules replayed, no "

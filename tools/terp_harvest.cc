@@ -50,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "check/fuzzer.hh"
 #include "cli.hh"
 #include "energy/harvest.hh"
 #include "history.hh"
@@ -135,7 +134,7 @@ cellJson(const std::string &workload, const CellResult &c)
 int
 main(int argc, char **argv)
 {
-    std::string scheme = "all";
+    std::vector<std::string> schemes = core::checkedSchemeTags();
     std::string workload = "bank";
     std::string capsArg = "600,1000,2000,4000";
     unsigned cycles = 200;
@@ -148,7 +147,7 @@ main(int argc, char **argv)
     cli::Args args("terp-harvest", argc, argv, kUsage);
     while (args.next()) {
         if (args.is("--scheme"))
-            scheme = args.str();
+            schemes = args.checkedSchemes();
         else if (args.is("--workload"))
             workload = args.str();
         else if (args.is("--caps"))
@@ -176,9 +175,6 @@ main(int argc, char **argv)
     std::vector<std::uint64_t> caps = parseCaps(capsArg);
     if (caps.empty())
         args.usage();
-    std::vector<std::string> schemes =
-        scheme == "all" ? check::allSchemes()
-                        : std::vector<std::string>{scheme};
 
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<CellResult> cells;
@@ -199,14 +195,7 @@ main(int argc, char **argv)
             CellResult cell;
             cell.scheme = sc;
             cell.capUnits = cap;
-            try {
-                cell.res = energy::runHarvest(opt);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "terp-harvest: %s %llu: %s\n",
-                             sc.c_str(), (unsigned long long)cap,
-                             e.what());
-                return 2;
-            }
+            cell.res = energy::runHarvest(opt);
             totalPowerCycles += cell.res.powerCycles;
             if (cell.res.exposure.ewMaxUs > worstEwMaxUs)
                 worstEwMaxUs = cell.res.exposure.ewMaxUs;

@@ -50,7 +50,9 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -89,11 +91,20 @@ struct Doc
     std::map<std::string, DistStat> dists; //!< summaries + histograms
 };
 
+/**
+ * @p v as a count (0 when absent). Anything but a whole number in
+ * [0, 2^64) throws std::range_error naming the metric at @p where.
+ */
 std::uint64_t
-memberU64(const metrics::JsonValue &obj, const char *key)
+countOf(const metrics::JsonValue *v, const std::string &where)
 {
-    const metrics::JsonValue *v = obj.get(key);
-    return v ? v->asU64() : 0;
+    if (!v)
+        return 0;
+    std::optional<std::uint64_t> n = v->asU64();
+    if (!n)
+        throw std::range_error(where + ": not a count in [0, 2^64): " +
+                               (v->isNumber() ? v->raw : "not a number"));
+    return *n;
 }
 
 bool
@@ -115,7 +126,7 @@ docFromJson(const metrics::JsonValue &root, Doc &doc,
             doc.labels[k] = v.str;
     if (const metrics::JsonValue *cs = reg->get("counters"))
         for (const auto &[k, v] : cs->object)
-            doc.counters[k] = v.asU64();
+            doc.counters[k] = countOf(&v, "counters." + k);
     if (const metrics::JsonValue *gs = reg->get("gauges")) {
         for (const auto &[k, v] : gs->object) {
             const metrics::JsonValue *val = v.get("value");
@@ -129,18 +140,19 @@ docFromJson(const metrics::JsonValue &root, Doc &doc,
         if (!ss)
             continue;
         for (const auto &[k, v] : ss->object) {
+            const std::string at = std::string(section) + "." + k + ".";
             DistStat d;
-            d.count = memberU64(v, "count");
-            d.sum = memberU64(v, "sum");
-            d.min = memberU64(v, "min");
-            d.max = memberU64(v, "max");
+            d.count = countOf(v.get("count"), at + "count");
+            d.sum = countOf(v.get("sum"), at + "sum");
+            d.min = countOf(v.get("min"), at + "min");
+            d.max = countOf(v.get("max"), at + "max");
             if (const metrics::JsonValue *m = v.get("mean"))
                 d.mean = m->number;
             if (v.get("p50")) {
                 d.hasQuantiles = true;
-                d.p50 = memberU64(v, "p50");
-                d.p90 = memberU64(v, "p90");
-                d.p99 = memberU64(v, "p99");
+                d.p50 = countOf(v.get("p50"), at + "p50");
+                d.p90 = countOf(v.get("p90"), at + "p90");
+                d.p99 = countOf(v.get("p99"), at + "p99");
             }
             doc.dists[k] = d;
         }
@@ -184,11 +196,14 @@ docFromFile(const std::string &path, Doc &doc, std::string &error)
         return false;
     std::unique_ptr<metrics::JsonValue> root =
         metrics::parseJson(text, error);
-    if (!root) {
-        error = path + ": " + error;
-        return false;
+    try {
+        if (root && docFromJson(*root, doc, error))
+            return true;
+    } catch (const std::range_error &e) {
+        error = e.what();
     }
-    return docFromJson(*root, doc, error);
+    error = path + ": " + error;
+    return false;
 }
 
 // ------------------------------------------------------------- report
@@ -220,10 +235,12 @@ labelSuffix(const std::string &name)
 }
 
 double
-cyclesUs(std::uint64_t c)
+cyclesUs(double c)
 {
-    return cyclesToUs(c);
+    return c / static_cast<double>(cyclesPerUs);
 }
+
+
 
 void
 printReport(const Doc &doc)
@@ -257,7 +274,7 @@ printReport(const Doc &doc)
         std::printf(
             "  %-44s %8llu %8.2f %8.2f %8.2f %8.2f %8.2f\n",
             name.c_str(), (unsigned long long)d.count,
-            cyclesUs(static_cast<std::uint64_t>(d.mean + 0.5)),
+            cyclesUs(std::floor(d.mean + 0.5)),
             cyclesUs(d.p50), cyclesUs(d.p90), cyclesUs(d.p99),
             cyclesUs(d.max));
     }
@@ -427,7 +444,7 @@ blameText(const Doc &doc)
         std::snprintf(
             buf, sizeof(buf), "  %-64s %8llu %8.2f %8.2f %8.2f\n",
             name.c_str(), (unsigned long long)d.count,
-            cyclesUs(static_cast<std::uint64_t>(d.mean + 0.5)),
+            cyclesUs(std::floor(d.mean + 0.5)),
             cyclesUs(d.p99), cyclesUs(d.max));
         os << buf;
     }

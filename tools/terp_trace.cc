@@ -104,8 +104,8 @@ main(int argc, char **argv)
         std::printf("\nSPEC surrogates:  ");
         for (const std::string &n : workloads::specNames())
             std::printf(" %s", n.c_str());
-        std::printf("\nschemes:           unprotected mm tm tt ttnc "
-                    "basic\n");
+        std::printf("\nschemes:           %s\n",
+                    cli::joined(core::schemeTags()).c_str());
         return 0;
     }
     if (positional.size() != 2)
