@@ -39,64 +39,16 @@ struct Cell
 
 // ------------------------------------------------------- workloads
 
-/** Account i of the transfer ledger. */
-pm::Oid
-acct(unsigned i)
-{
-    return pm::Oid(1, 0x1000 + 64ULL * i);
-}
-
-/**
- * bank: 8 accounts initialized to 1000, then `txns` random
- * transfers. Each transaction also bumps a sequence word so no two
- * committed images are ever equal (keeps the atomicity oracle sharp
- * even for a transfer of an amount that round-trips).
- */
+/** bank: the init transaction, then `txns` transfers. */
 void
 bankWorkload(World &w, Ledger &led, const Cell &c,
              std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
-    const pm::Oid seq(1, 0x800);
-
-    std::vector<std::pair<pm::Oid, std::uint64_t>> init;
-    for (unsigned i = 0; i < 8; ++i)
-        init.push_back({acct(i), 1000});
-    init.push_back({seq, 1});
-    runTxn(w, led, tc, 1, init);
-
     Rng rng(99 + c.opt.seed);
-    const pm::PersistController &ctl = w.persistence()->controller();
-    for (unsigned t = 0; t < c.opt.txns; ++t) {
-        unsigned a = static_cast<unsigned>(rng.nextBelow(8));
-        unsigned b = static_cast<unsigned>(rng.nextBelow(7));
-        if (b >= a)
-            ++b;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        // Two's-complement arithmetic keeps the sum invariant even
-        // through a (harmless) negative balance.
-        std::uint64_t newA = ctl.load(acct(a)) - amt;
-        std::uint64_t newB = ctl.load(acct(b)) + amt;
-        runTxn(w, led, tc, 1,
-               {{acct(a), newA}, {acct(b), newB}, {seq, t + 2}});
-    }
-}
-
-/** bank's global invariant, checked on the recovered durable image. */
-void
-checkBankInvariant(World &w, std::vector<std::string> &out)
-{
-    const pm::PersistController &ctl = w.persistence()->controller();
-    std::uint64_t sum = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        sum += ctl.persistedLoad(acct(i));
-    // Before the init transaction commits, every account is 0.
-    if (sum != 0 && sum != 8 * 1000) {
-        std::ostringstream os;
-        os << "bank: recovered balances sum to " << sum
-           << ", expected 8000 (or 0 pre-init)";
-        out.push_back(os.str());
-    }
+    bankTxn(w, led, tc, rng, /*init=*/true);
+    for (unsigned t = 0; t < c.opt.txns; ++t)
+        bankTxn(w, led, tc, rng, /*init=*/false);
 }
 
 /**
@@ -167,77 +119,15 @@ checkHashmapInvariant(World &w, std::vector<std::string> &out)
     }
 }
 
-/**
- * txnest: nested TxManager transactions transferring between two
- * accounts that live in *different* PMOs — one flattened transaction
- * under two ordered locks, with the anchor PMO's log recording the
- * cross-PMO write-set. The outer level debits, a nested level
- * credits and bumps the sequence word, and ~20% of transfers abort
- * at the inner level, poisoning the outer commit, which must then
- * leave no trace. Transactions alternate seeded between the undo and
- * redo variants, so crash points land in both protocols' commit
- * sequences (including the redo ambiguity window).
- */
+/** txnest: `txns` transactions, the first of them the init. */
 void
 txnestWorkload(World &w, Ledger &led, const Cell &c,
                std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
-    pm::TxManager &txm = *w.runtime().tx();
-    const pm::PersistController &ctl = w.persistence()->controller();
-    const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000), seq(1, 0x800);
-
     Rng rng(41 + c.opt.seed);
-    for (unsigned t = 0; t < c.opt.txns; ++t) {
-        bool init = t == 0;
-        bool redo = !init && rng.nextBelow(2) == 1;
-        bool doAbort = !init && rng.nextBelow(100) < 20;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        // Values are computed before begin: a redo transaction's
-        // in-place image is stale until its commit applies.
-        std::uint64_t newA =
-            init ? 1000 : ctl.load(acctA) - amt;
-        std::uint64_t newB =
-            init ? 1000 : ctl.load(acctB) + amt;
-        std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
-            {acctA, newA}, {acctB, newB}, {seq, t + 1}};
-
-        armFlight(led, 0, redo && !doAbort, writes);
-        protOpen(w, tc, 1);
-        protOpen(w, tc, 2);
-        txm.begin(tc, 0, {1, 2},
-                  redo ? pm::TxKind::Redo : pm::TxKind::Undo);
-        w.runtime().access(tc, acctA, /*write=*/true);
-        txm.write(tc, 0, acctA, newA);
-        txm.begin(tc, 0, {2}); // nested level: locks already held
-        w.runtime().access(tc, acctB, /*write=*/true);
-        txm.write(tc, 0, acctB, newB);
-        txm.write(tc, 0, seq, t + 1);
-        if (doAbort)
-            txm.abort(tc, 0);
-        txm.commit(tc, 0); // inner: unwind only
-        bool ok = txm.commit(tc, 0); // outermost: the durable point
-        protClose(w, tc, 2);
-        protClose(w, tc, 1);
-        settleFlight(led, 0, ok);
-        w.advanceSweeps(tc.now());
-    }
-}
-
-/** txnest's invariant: the cross-PMO balance sum is conserved. */
-void
-checkTxnestInvariant(World &w, std::vector<std::string> &out)
-{
-    const pm::PersistController &ctl = w.persistence()->controller();
-    std::uint64_t sum = ctl.persistedLoad(pm::Oid(1, 0x1000)) +
-                        ctl.persistedLoad(pm::Oid(2, 0x1000));
-    // Before the init transaction commits, both accounts are 0.
-    if (sum != 0 && sum != 2000) {
-        std::ostringstream os;
-        os << "txnest: recovered cross-PMO balances sum to " << sum
-           << ", expected 2000 (or 0 pre-init)";
-        out.push_back(os.str());
-    }
+    for (unsigned t = 0; t < c.opt.txns; ++t)
+        txnestTxn(w, led, tc, rng, /*init=*/t == 0);
 }
 
 /**
@@ -398,7 +288,115 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+// ------------------------------------------- bank and txnest steps
+
+/** Account i of the bank ledger. */
+pm::Oid
+acct(unsigned i)
+{
+    return pm::Oid(1, 0x1000 + 64ULL * i);
+}
+
+/** The sequence word both transfer workloads bump. */
+const pm::Oid seqWord(1, 0x800);
+
+/** txnest's two accounts, one per PMO. */
+const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000);
+
 } // namespace
+
+void
+bankTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc, Rng &rng,
+        bool init)
+{
+    const pm::PersistController &ctl = w.persistence()->controller();
+    std::vector<std::pair<pm::Oid, std::uint64_t>> writes;
+    if (init) {
+        for (unsigned i = 0; i < 8; ++i)
+            writes.push_back({acct(i), 1000});
+        writes.push_back({seqWord, 1});
+    } else {
+        auto a = static_cast<unsigned>(rng.nextBelow(8));
+        auto b = static_cast<unsigned>(rng.nextBelow(7));
+        if (b >= a)
+            ++b;
+        std::uint64_t amt = 1 + rng.nextBelow(200);
+        // Two's-complement arithmetic keeps the sum invariant even
+        // through a (harmless) negative balance.
+        writes = {{acct(a), ctl.load(acct(a)) - amt},
+                  {acct(b), ctl.load(acct(b)) + amt},
+                  {seqWord, ctl.load(seqWord) + 1}};
+    }
+    runTxn(w, led, tc, 1, writes);
+}
+
+void
+checkBankInvariant(CrashWorld &w, std::vector<std::string> &out)
+{
+    const pm::PersistController &ctl = w.persistence()->controller();
+    std::uint64_t sum = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        sum += ctl.persistedLoad(acct(i));
+    // Before the init transaction commits, every account is 0.
+    if (sum != 0 && sum != 8 * 1000) {
+        std::ostringstream os;
+        os << "bank: recovered balances sum to " << sum
+           << ", expected 8000 (or 0 pre-init)";
+        out.push_back(os.str());
+    }
+}
+
+bool
+txnestTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc, Rng &rng,
+          bool init)
+{
+    pm::TxManager &txm = *w.runtime().tx();
+    const pm::PersistController &ctl = w.persistence()->controller();
+    bool redo = !init && rng.nextBelow(2) == 1;
+    bool doAbort = !init && rng.nextBelow(100) < 20;
+    std::uint64_t amt = 1 + rng.nextBelow(200);
+    // Values are computed before begin: a redo transaction's
+    // in-place image is stale until its commit applies.
+    std::uint64_t newA = init ? 1000 : ctl.load(acctA) - amt;
+    std::uint64_t newB = init ? 1000 : ctl.load(acctB) + amt;
+    std::uint64_t seq = ctl.load(seqWord) + 1;
+    std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
+        {acctA, newA}, {acctB, newB}, {seqWord, seq}};
+
+    armFlight(led, 0, redo && !doAbort, writes);
+    protOpen(w, tc, 1);
+    protOpen(w, tc, 2);
+    txm.begin(tc, 0, {1, 2}, redo ? pm::TxKind::Redo : pm::TxKind::Undo);
+    w.runtime().access(tc, acctA, /*write=*/true);
+    txm.write(tc, 0, acctA, newA);
+    txm.begin(tc, 0, {2}); // nested level: locks already held
+    w.runtime().access(tc, acctB, /*write=*/true);
+    txm.write(tc, 0, acctB, newB);
+    txm.write(tc, 0, seqWord, seq);
+    if (doAbort)
+        txm.abort(tc, 0);
+    txm.commit(tc, 0); // inner: unwind only
+    bool ok = txm.commit(tc, 0); // outermost: the durable point
+    protClose(w, tc, 2);
+    protClose(w, tc, 1);
+    settleFlight(led, 0, ok);
+    w.advanceSweeps(tc.now());
+    return ok;
+}
+
+void
+checkTxnestInvariant(CrashWorld &w, std::vector<std::string> &out)
+{
+    const pm::PersistController &ctl = w.persistence()->controller();
+    std::uint64_t sum = ctl.persistedLoad(acctA) + ctl.persistedLoad(acctB);
+    // Before the init transaction commits, both accounts are 0.
+    if (sum != 0 && sum != 2000) {
+        std::ostringstream os;
+        os << "txnest: recovered cross-PMO balances sum to " << sum
+           << ", expected 2000 (or 0 pre-init)";
+        out.push_back(os.str());
+    }
+}
 
 std::vector<std::string>
 crashWorkloads()

@@ -31,22 +31,28 @@
 #include <string>
 #include <vector>
 
+#include "check/recovery_oracle.hh"
 #include "common/units.hh"
 #include "pm/persist.hh"
 
 namespace terp {
+
+class Rng;
+
 namespace check {
 
 struct CrashOptions
 {
     std::string scheme = "mm"; //!< one of core::checkedSchemeTags()
     /**
-     * bank:     single-PMO transfer ledger with a sum invariant;
+     * bank:     single-PMO transfer ledger with a sum invariant
+     *           (bankTxn: one init, then `txns` transfers);
      * hashmap:  WHISPER-style chained-bucket inserts (record fields
      *           plus the bucket-head pointer in one transaction);
      * txnest:   nested TxManager transactions transferring across
      *           two PMOs under one flattened lock set, mixed
-     *           undo/redo kinds, ~20% inner aborts;
+     *           undo/redo kinds, ~20% inner aborts (txnestTxn:
+     *           `txns` transactions, the first the init);
      * txpair:   two threads, disjoint-PMO transactions with
      *           interleaved writes and staggered commits;
      * schedule: a generated fuzz schedule (persistOps on) run on the
@@ -79,6 +85,46 @@ struct CrashResult
 
     bool ok() const { return violations.empty(); }
 };
+
+// ------------------------------------------------------------------
+// The bank and txnest transactions, one step each. The enumerator
+// loops over them; the energy-harvesting harness (src/energy) runs
+// them across power cycles. Both write the sequence word (PMO 1,
+// offset 0x800) as its current value + 1, so no two committed images
+// are ever equal — the atomicity oracle stays sharp even for a
+// transfer of an amount that round-trips. A caller owns the Rng, so
+// each driver keeps its own random stream.
+
+/**
+ * One bank transaction on PMO 1 through the undo log: with @p init,
+ * 8 accounts set to 1000 and the sequence word to 1; else a transfer
+ * of 1..200 between two distinct random accounts.
+ */
+void bankTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
+             Rng &rng, bool init);
+
+/** bank's invariant on the recovered durable image: the sum is kept. */
+void checkBankInvariant(CrashWorld &w, std::vector<std::string> &out);
+
+/**
+ * One txnest transaction (thread 0's TxManager slot): a nested
+ * transfer between two accounts that live in *different* PMOs — one
+ * flattened transaction under two ordered locks, with the anchor
+ * PMO's log recording the cross-PMO write-set. The outer level
+ * debits, a nested level credits and bumps the sequence word. Past
+ * @p init (both accounts set to 1000), transactions alternate seeded
+ * between the undo and redo variants, so crash points land in both
+ * protocols' commit sequences (including the redo ambiguity window),
+ * and ~20% abort at the inner level, poisoning the outer commit,
+ * which must then leave no trace. The oracle flight stays armed if a
+ * power failure unwinds the transaction (resolveFlights settles it).
+ * Returns whether the outermost commit committed.
+ */
+bool txnestTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
+               Rng &rng, bool init);
+
+/** txnest's invariant: the cross-PMO balance sum is conserved. */
+void checkTxnestInvariant(CrashWorld &w, std::vector<std::string> &out);
 
 /** The workload names CrashOptions::workload accepts. */
 std::vector<std::string> crashWorkloads();

@@ -158,6 +158,30 @@ settleFlight(Ledger &led, unsigned tid, bool committed)
     led.flight.erase(tid);
 }
 
+void
+resolveFlights(CrashWorld &w, Ledger &led)
+{
+    const pm::PersistController &ctl = w.persistence()->controller();
+    for (const auto &[tid, fl] : led.flight) {
+        (void)tid;
+        bool allNew = fl.ambiguous && !fl.keys.empty();
+        for (std::uint64_t raw : fl.keys) {
+            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
+                fl.newv.at(raw)) {
+                allNew = false;
+                break;
+            }
+        }
+        if (allNew) {
+            for (const auto &[raw, v] : fl.newv)
+                led.image[raw] = v;
+            ++led.done;
+        }
+    }
+    led.flight.clear();
+    led.inFlight.clear();
+}
+
 // The manual bookends are no-ops unless the scheme is MM and the
 // region ones are no-ops under MM, so both pairs serve every scheme.
 void
@@ -215,6 +239,24 @@ checkLogsRetired(CrashWorld &w, std::vector<std::string> &out)
 }
 
 void
+probeTxn(CrashWorld &w, Ledger &led, std::uint64_t value,
+         std::vector<std::string> &out)
+{
+    // Sync the probe thread past the fired hooks first so its window
+    // opens after any the sweeper just closed.
+    sim::ThreadContext &tc = w.machine().thread(0);
+    Cycles drained =
+        w.nextSweepTick() - w.machine().config().hookPeriod;
+    if (tc.now() < drained)
+        tc.syncTo(drained, sim::Charge::Other);
+    runTxn(w, led, tc, 1, {{pm::Oid(1, w.pmoBytes - 8), value}});
+    checkDurable(w, led, out);
+
+    // The probe's own window must drain the same way.
+    drainIdleWindows(w, "the probe transaction", out);
+}
+
+void
 probeAndDrain(CrashWorld &w, Ledger &led,
               std::vector<std::string> &out)
 {
@@ -223,21 +265,7 @@ probeAndDrain(CrashWorld &w, Ledger &led,
     // This runs before the probe transaction — recovery's mapping is
     // idle, not a span the application may nest inside.
     drainIdleWindows(w, "recovery", out);
-
-    // Liveness: the recovered image must accept a new transaction.
-    // Sync the probe thread past the fired hooks first so its window
-    // opens after any the sweeper just closed.
-    sim::ThreadContext &tc = w.machine().thread(0);
-    Cycles drained =
-        w.nextSweepTick() - w.machine().config().hookPeriod;
-    if (tc.now() < drained)
-        tc.syncTo(drained, sim::Charge::Other);
-    runTxn(w, led, tc, 1,
-           {{pm::Oid(1, w.pmoBytes - 8), 0x900d900dULL}});
-    checkDurable(w, led, out);
-
-    // The probe's own window must drain the same way.
-    drainIdleWindows(w, "the probe transaction", out);
+    probeTxn(w, led, 0x900d900dULL, out);
 
     Cycles tEnd = w.machine().maxClock();
     w.runtime().finalize();

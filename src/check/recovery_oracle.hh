@@ -129,6 +129,16 @@ void armFlight(Ledger &led, unsigned tid, bool ambiguous,
 /** Commit returned: settle tid's flight into the committed image. */
 void settleFlight(Ledger &led, unsigned tid, bool committed);
 
+/**
+ * After a recovery, for a driver that keeps its ledger across power
+ * cycles: settle every flight a power failure left open. A flight
+ * whose keys all read their new value in the durable image landed
+ * past its durable point and joins the committed image; any other
+ * is dropped, so checkDurable() then holds its keys to their old
+ * values. Also forgets runTxn's in-flight keys.
+ */
+void resolveFlights(CrashWorld &w, Ledger &led);
+
 /** Scheme-appropriate protection bookends for TxManager workloads. */
 void protOpen(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo);
 void protClose(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo);
@@ -148,11 +158,20 @@ void drainIdleWindows(CrashWorld &w, const char *when,
 void checkLogsRetired(CrashWorld &w, std::vector<std::string> &out);
 
 /**
- * Post-recovery liveness + exposure-hygiene checks: drain, run a
- * probe transaction against PMO 1, re-check atomicity, drain again,
- * finalize and audit the trace. Single-crash drivers call this once
- * at the end of a run; multi-cycle drivers compose the pieces above
- * instead (finalize/audit only once per world).
+ * Liveness: the recovered image must accept a new transaction. Syncs
+ * thread 0 past the fired hooks, writes @p value to PMO 1's last
+ * word in one transaction, re-checks atomicity, and drains the
+ * probe's own window.
+ */
+void probeTxn(CrashWorld &w, Ledger &led, std::uint64_t value,
+              std::vector<std::string> &out);
+
+/**
+ * Post-recovery liveness + exposure-hygiene checks: drain, the probe
+ * transaction, then finalize and audit the trace. Single-crash
+ * drivers call this once at the end of a run; multi-cycle drivers
+ * compose the pieces above instead (finalize/audit only once per
+ * world).
  */
 void probeAndDrain(CrashWorld &w, Ledger &led,
                    std::vector<std::string> &out);

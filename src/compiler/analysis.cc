@@ -346,15 +346,6 @@ Analysis::regionBlocks(BlockId h) const
     return out;
 }
 
-std::uint64_t
-Analysis::regionPmoMask(BlockId h) const
-{
-    std::uint64_t m = 0;
-    for (BlockId b : regionBlocks(h))
-        m |= pmoMask[b];
-    return m;
-}
-
 bool
 Analysis::regionHasCall(BlockId h) const
 {

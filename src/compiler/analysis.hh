@@ -107,9 +107,6 @@ class Analysis
      */
     std::vector<BlockId> regionBlocks(BlockId h) const;
 
-    /** PMO-access mask of the whole region headed by h. */
-    std::uint64_t regionPmoMask(BlockId h) const;
-
     /** Does the region headed by h contain any Call instruction? */
     bool regionHasCall(BlockId h) const;
 

@@ -282,26 +282,5 @@ FunctionBuilder::forLoop(std::uint64_t trips, const LoopBodyFn &body,
     setBlock(exit_b);
 }
 
-void
-FunctionBuilder::whileLoop(const std::function<Reg()> &cond_fn,
-                           const BodyFn &body)
-{
-    BlockId header = newBlock("while.header");
-    BlockId body_b = newBlock("while.body");
-    BlockId exit_b = newBlock("while.exit");
-
-    jump(header);
-    setBlock(header);
-    Reg c = cond_fn();
-    branch(c, body_b, exit_b);
-
-    setBlock(body_b);
-    body();
-    if (!func().block(cur).terminated())
-        jump(header);
-
-    setBlock(exit_b);
-}
-
 } // namespace compiler
 } // namespace terp

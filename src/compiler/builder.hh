@@ -97,10 +97,6 @@ class FunctionBuilder
     void forLoop(std::uint64_t trips, const LoopBodyFn &body,
                  bool known_bound = true);
 
-    /** while (cond_fn()) body(); trip count statically unknown. */
-    void whileLoop(const std::function<Reg()> &cond_fn,
-                   const BodyFn &body);
-
     Function &func() { return mod.functions[fidx]; }
     const Function &func() const { return mod.functions[fidx]; }
 

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "check/crash.hh"
 #include "check/recovery_oracle.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -16,15 +17,7 @@ namespace energy {
 
 namespace {
 
-constexpr std::uint64_t logOff = 1ULL << 32;
 constexpr std::uint64_t pmoBytes = 64 * KiB;
-
-/** Account i of the bank workload's transfer ledger. */
-pm::Oid
-acct(unsigned i)
-{
-    return pm::Oid(1, 0x1000 + 64ULL * i);
-}
 
 /**
  * One harvest run. Owns the world, the capacitor, and the oracle
@@ -41,7 +34,7 @@ struct Harness
     Capacitor cap;
     check::Ledger led;
     Rng rng;
-    bool txmix;
+    bool txnest;
 
     /** Machine time already charged to the capacitor. */
     Cycles energyClock = 0;
@@ -68,12 +61,12 @@ struct Harness
           w(core::configForScheme(o.scheme, o.ewTarget)
                 .value()
                 .withTrace(o.traceCapacity),
-            o.workload == "txmix" ? 2u : 1u, /*threads=*/1u, pmoBytes,
-            logOff),
+            o.workload == "txnest" ? 2u : 1u, /*threads=*/1u, pmoBytes,
+            pm::TxManager::undoLogOff),
           cap(o.cap), rng(0x9e3779b97f4a7c15ULL ^ o.seed),
-          txmix(o.workload == "txmix")
+          txnest(o.workload == "txnest")
     {
-        TERP_ASSERT(o.workload == "bank" || o.workload == "txmix",
+        TERP_ASSERT(o.workload == "bank" || txnest,
                     "harvest: unknown workload ", o.workload);
         // Sweeper energy budgeting: a tick the backup reserve cannot
         // afford is skipped — the hook grid advances, windows stay
@@ -128,84 +121,6 @@ struct Harness
         }
     }
 
-    std::vector<std::pair<pm::Oid, std::uint64_t>>
-    nextBankWrites()
-    {
-        const pm::Oid seq(1, 0x800);
-        const pm::PersistController &ctl = w.persistence()->controller();
-        if (!inited) {
-            std::vector<std::pair<pm::Oid, std::uint64_t>> init;
-            for (unsigned i = 0; i < 8; ++i)
-                init.push_back({acct(i), 1000});
-            init.push_back({seq, 1});
-            return init;
-        }
-        auto a = static_cast<unsigned>(rng.nextBelow(8));
-        auto b = static_cast<unsigned>(rng.nextBelow(7));
-        if (b >= a)
-            ++b;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        // Two's-complement arithmetic keeps the sum invariant even
-        // through a (harmless) negative balance.
-        std::uint64_t newA = ctl.load(acct(a)) - amt;
-        std::uint64_t newB = ctl.load(acct(b)) + amt;
-        return {{acct(a), newA},
-                {acct(b), newB},
-                {seq, ctl.load(seq) + 1}};
-    }
-
-    /**
-     * One nested TxManager transfer across two PMOs, txnest-style:
-     * alternating undo/redo kinds, ~20% inner aborts poisoning the
-     * outer commit. The oracle flight stays armed if a power failure
-     * unwinds the transaction; resolveFlights() settles it after
-     * recovery.
-     */
-    void
-    runTxmixTxn(sim::ThreadContext &tc)
-    {
-        pm::TxManager &txm = *w.runtime().tx();
-        const pm::PersistController &ctl = w.persistence()->controller();
-        const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000),
-            seq(1, 0x800);
-        bool init = !inited;
-        bool redo = !init && rng.nextBelow(2) == 1;
-        bool doAbort = !init && rng.nextBelow(100) < 20;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        std::uint64_t newA = init ? 1000 : ctl.load(acctA) - amt;
-        std::uint64_t newB = init ? 1000 : ctl.load(acctB) + amt;
-        std::uint64_t s = ctl.load(seq) + 1;
-        std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
-            {acctA, newA}, {acctB, newB}, {seq, s}};
-
-        check::armFlight(led, 0, redo && !doAbort, writes);
-        check::protOpen(w, tc, 1);
-        check::protOpen(w, tc, 2);
-        txm.begin(tc, 0, {1, 2},
-                  redo ? pm::TxKind::Redo : pm::TxKind::Undo);
-        w.runtime().access(tc, acctA, /*write=*/true);
-        txm.write(tc, 0, acctA, newA);
-        txm.begin(tc, 0, {2}); // nested level: locks already held
-        w.runtime().access(tc, acctB, /*write=*/true);
-        txm.write(tc, 0, acctB, newB);
-        txm.write(tc, 0, seq, s);
-        if (doAbort)
-            txm.abort(tc, 0);
-        txm.commit(tc, 0); // inner: unwind only
-        bool ok = txm.commit(tc, 0); // outermost: the durable point
-        check::protClose(w, tc, 2);
-        check::protClose(w, tc, 1);
-        check::settleFlight(led, 0, ok);
-        if (ok) {
-            ++res.committed;
-            if (init)
-                inited = true;
-        } else {
-            ++res.aborted;
-        }
-        w.advanceSweeps(tc.now());
-    }
-
     /**
      * One transaction under the energy regime: checkpoint below the
      * watermark, arm the race-to-expiry fault when the runway no
@@ -250,14 +165,16 @@ struct Harness
             Cycles c0 = w.machine().maxClock();
             std::uint64_t b0 = ctl.boundaryCount();
             ++attempts;
-            if (txmix) {
-                runTxmixTxn(tc);
-            } else {
-                bool wasInit = !inited;
-                check::runTxn(w, led, tc, 1, nextBankWrites());
-                if (wasInit)
-                    inited = true;
+            bool committed = true;
+            if (txnest)
+                committed = check::txnestTxn(w, led, tc, rng, !inited);
+            else
+                check::bankTxn(w, led, tc, rng, !inited);
+            if (committed) {
+                inited = true;
                 ++res.committed;
+            } else {
+                ++res.aborted;
             }
             // Unfenced scratch update: store + clwb but no fence —
             // durable at the next fence, wherever that lands. The
@@ -286,63 +203,6 @@ struct Harness
     }
 
     /**
-     * Settle oracle flights left open by a mid-transaction power
-     * failure: the durable image tells which side of the durable
-     * point the crash landed on (checkDurable() already verified it
-     * is not torn).
-     */
-    void
-    resolveFlights()
-    {
-        const pm::PersistController &ctl = w.persistence()->controller();
-        for (auto it = led.flight.begin(); it != led.flight.end();) {
-            const check::TxFlight &fl = it->second;
-            bool allNew = fl.ambiguous && !fl.keys.empty();
-            for (std::uint64_t raw : fl.keys) {
-                if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
-                    fl.newv.at(raw)) {
-                    allNew = false;
-                    break;
-                }
-            }
-            if (allNew) {
-                for (const auto &[raw, v] : fl.newv)
-                    led.image[raw] = v;
-                ++led.done;
-            }
-            it = led.flight.erase(it);
-        }
-        led.inFlight.clear();
-    }
-
-    void
-    checkWorkloadInvariant(std::vector<std::string> &v)
-    {
-        const pm::PersistController &ctl = w.persistence()->controller();
-        if (txmix) {
-            std::uint64_t sum =
-                ctl.persistedLoad(pm::Oid(1, 0x1000)) +
-                ctl.persistedLoad(pm::Oid(2, 0x1000));
-            if (sum != 0 && sum != 2000) {
-                std::ostringstream os;
-                os << "txmix: recovered cross-PMO balances sum to "
-                   << sum << ", expected 2000 (or 0 pre-init)";
-                v.push_back(os.str());
-            }
-            return;
-        }
-        std::uint64_t sum = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            sum += ctl.persistedLoad(acct(i));
-        if (sum != 0 && sum != 8 * 1000) {
-            std::ostringstream os;
-            os << "bank: recovered balances sum to " << sum
-               << ", expected 8000 (or 0 pre-init)";
-            v.push_back(os.str());
-        }
-    }
-
-    /**
      * The unfenced scratch counter may lose its tail to a power
      * failure, but its durable value can never regress (writes only
      * increase it and no log ever rolls it back) nor run ahead of
@@ -366,36 +226,6 @@ struct Harness
             v.push_back(os.str());
         }
         lastDurableScratch = cur;
-    }
-
-    /** Post-recovery liveness probe; feeds the atomicity ledger. */
-    void
-    probe(std::vector<std::string> &v)
-    {
-        sim::ThreadContext &tc = w.machine().thread(0);
-        Cycles drained = w.nextSweepTick() -
-                         w.machine().config().hookPeriod;
-        if (tc.now() < drained)
-            tc.syncTo(drained, sim::Charge::Other);
-        check::runTxn(w, led, tc, 1,
-                      {{pm::Oid(1, pmoBytes - 8),
-                        0x900d0000ULL + res.powerCycles}});
-        check::checkDurable(w, led, v);
-        check::drainIdleWindows(w, "the probe transaction", v);
-    }
-
-    void
-    audit(std::vector<std::string> &v)
-    {
-        auto sink = w.runtime().traceSink();
-        if (!sink)
-            return;
-        if (!sink->complete()) {
-            v.push_back("trace ring wrapped before the audit; raise "
-                        "traceCapacity or auditEvery");
-            return;
-        }
-        check::auditTrace(w, w.machine().maxClock(), v);
     }
 
     /**
@@ -462,22 +292,23 @@ struct Harness
             for (unsigned i = 0; i < n; ++i)
                 hRecoveryEw->record(closed - resume);
         }
+        check::resolveFlights(w, led);
         if (opt.oracle) {
             check::checkLogsRetired(w, v);
-            resolveFlights();
             check::checkDurable(w, led, v);
-            checkWorkloadInvariant(v);
+            if (txnest)
+                check::checkTxnestInvariant(w, v);
+            else
+                check::checkBankInvariant(w, v);
             checkScratch(v);
-            probe(v);
-        } else {
-            resolveFlights();
+            check::probeTxn(w, led, 0x900d0000ULL + res.powerCycles, v);
         }
         ++res.powerCycles;
         if (cPowerCycles)
             cPowerCycles->inc();
         if (opt.oracle && opt.auditEvery &&
             res.powerCycles % opt.auditEvery == 0) {
-            audit(v);
+            check::auditTrace(w, w.machine().maxClock(), v);
         }
         for (const std::string &m : v)
             addViolation(m);
@@ -506,7 +337,7 @@ struct Harness
         w.runtime().finalize();
         if (opt.oracle && opt.auditEvery) {
             std::vector<std::string> v;
-            audit(v);
+            check::auditTrace(w, w.machine().maxClock(), v);
             for (const std::string &m : v)
                 addViolation(m);
         }

@@ -33,11 +33,14 @@ struct HarvestOptions
 {
     std::string scheme = "tt"; //!< one of core::checkedSchemeTags()
     /**
-     * "bank": single-PMO undo-log transfers (plus an unfenced scratch
-     * counter the checkpoint watermark protects). "txmix": nested
-     * TxManager transactions across two PMOs, alternating undo/redo
-     * kinds with occasional aborts — power failures land inside
-     * commit sequences, including the redo ambiguity window.
+     * The crash enumerator's transactions (check/crash.hh), run
+     * across power cycles: "bank", single-PMO undo-log transfers
+     * (check::bankTxn), or "txnest", nested TxManager transfers
+     * across two PMOs with undo/redo kinds and inner aborts mixed
+     * (check::txnestTxn) — power failures land inside commit
+     * sequences, including the redo ambiguity window. Either runs
+     * beside an unfenced scratch counter the checkpoint watermark
+     * protects.
      */
     std::string workload = "bank";
     std::uint64_t seed = 0;
@@ -60,7 +63,7 @@ struct HarvestResult
     unsigned powerCycles = 0;        //!< completed fail/recover cycles
     std::uint64_t committed = 0;     //!< durable transaction commits
     std::uint64_t interrupted = 0;   //!< transactions killed mid-flight
-    std::uint64_t aborted = 0;       //!< txmix voluntary aborts
+    std::uint64_t aborted = 0;       //!< txnest voluntary aborts
     std::uint64_t checkpoints = 0;   //!< watermark-triggered flushes
     std::uint64_t sweepsRun = 0;     //!< sweeper ticks that fit the budget
     std::uint64_t sweepsSkipped = 0; //!< ticks gated by the reserve

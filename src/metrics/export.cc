@@ -148,28 +148,6 @@ promName(const std::string &name)
     return out;
 }
 
-/**
- * Label-value escaping per the Prometheus exposition format:
- * backslash, double quote and newline must be escaped inside quoted
- * label values. Tenant labels come from PMO names, which callers
- * control — a hostile name must not corrupt the exposition.
- */
-std::string
-promEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 /** Render the merged label set, optionally with one extra label. */
 std::string
 promLabels(const Registry &reg, const std::string &name,
@@ -189,7 +167,7 @@ promLabels(const Registry &reg, const std::string &name,
         if (!first)
             out += ",";
         first = false;
-        out += k + "=\"" + promEscape(v) + "\"";
+        out += k + "=\"" + labelEscape(v) + "\"";
     }
     return out + "}";
 }

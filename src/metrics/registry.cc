@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -21,15 +22,6 @@ kindName(Kind k)
     }
 }
 
-namespace {
-
-/**
- * Escaping for label values inside serialized metric names: the
- * same scheme the Prometheus exposition format uses for quoted
- * strings (backslash, double quote, newline). Values come from PMO
- * / tenant names, which callers control — a hostile value must not
- * break the name's {k="v",...} structure.
- */
 std::string
 labelEscape(const std::string &s)
 {
@@ -45,8 +37,6 @@ labelEscape(const std::string &s)
     }
     return out;
 }
-
-} // namespace
 
 std::string
 labeled(const std::string &name, const std::string &key,
@@ -83,9 +73,10 @@ nameLabels(const std::string &name)
     std::size_t i = brace + 1;
     while (i < name.size() && name[i] != '}') {
         std::size_t eq = name.find('=', i);
-        TERP_ASSERT(eq != std::string::npos && eq + 1 < name.size() &&
-                        name[eq + 1] == '"',
-                    "malformed metric labels: ", name);
+        if (eq == std::string::npos || eq + 1 >= name.size() ||
+            name[eq + 1] != '"')
+            throw std::invalid_argument("malformed metric labels: " +
+                                        name);
         std::string key = name.substr(i, eq - i);
         // Undo labelEscape: the closing quote is the first
         // *unescaped* double quote.
@@ -99,8 +90,9 @@ nameLabels(const std::string &name)
                 val += name[j];
             }
         }
-        TERP_ASSERT(j < name.size(),
-                    "malformed metric labels: ", name);
+        if (j >= name.size())
+            throw std::invalid_argument("malformed metric labels: " +
+                                        name);
         ls[key] = val;
         i = j + 1;
         if (i < name.size() && name[i] == ',')
@@ -185,13 +177,6 @@ Registry::findGauge(const std::string &name) const
 {
     const Entry *e = find(name, Kind::Gauge);
     return e ? &e->gauge : nullptr;
-}
-
-const Summary *
-Registry::findSummary(const std::string &name) const
-{
-    const Entry *e = find(name, Kind::Summary);
-    return e ? &e->summary : nullptr;
 }
 
 const LogHistogram *

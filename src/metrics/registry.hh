@@ -47,6 +47,15 @@ enum class Kind
 const char *kindName(Kind k);
 
 /**
+ * Escape a label value for a quoted `k="v"` pair: backslash, double
+ * quote and newline, the scheme of the Prometheus exposition format,
+ * used both inside serialized metric names and in the exposition.
+ * Values come from PMO / tenant names, which callers control — a
+ * hostile value must not break the `{k="v",...}` structure.
+ */
+std::string labelEscape(const std::string &s);
+
+/**
  * Insert `key="value"` into @p name's label set, keeping label keys
  * sorted so equal label sets always produce the same string.
  * `labeled("a.b", "pmo", "3")` -> `a.b{pmo="3"}`;
@@ -59,7 +68,10 @@ std::string labeled(const std::string &name, const std::string &key,
 /** The base part of @p name (everything before '{'). */
 std::string baseName(const std::string &name);
 
-/** The parsed label set of @p name (empty if unlabeled). */
+/**
+ * The parsed label set of @p name (empty if unlabeled). Throws
+ * std::invalid_argument when the `{k="v",...}` part does not parse.
+ */
 std::map<std::string, std::string> nameLabels(const std::string &name);
 
 /**
@@ -99,7 +111,6 @@ class Registry
 
     const Counter *findCounter(const std::string &name) const;
     const Gauge *findGauge(const std::string &name) const;
-    const Summary *findSummary(const std::string &name) const;
     const LogHistogram *findHistogram(const std::string &name) const;
 
     /** All entries, ascending by name (deterministic export order). */

@@ -512,13 +512,6 @@ PersistDomain::openRedoLog(PmoId pmo, std::uint64_t log_off)
     return *pos->second;
 }
 
-RedoLog *
-PersistDomain::findRedoLog(PmoId pmo)
-{
-    auto it = redoLogs_.find(pmo);
-    return it == redoLogs_.end() ? nullptr : it->second.get();
-}
-
 void
 PersistDomain::crash()
 {

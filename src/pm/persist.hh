@@ -544,9 +544,6 @@ class PersistDomain
      */
     RedoLog &openRedoLog(PmoId pmo, std::uint64_t log_off);
 
-    /** The registered redo log of @p pmo, or null. */
-    RedoLog *findRedoLog(PmoId pmo);
-
     /** Registered redo logs, ascending PmoId. */
     const std::map<PmoId, std::unique_ptr<RedoLog>> &redoLogs() const
     {

@@ -1,7 +1,6 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -101,16 +100,6 @@ Machine::maxClock() const
     for (const auto &t : threads)
         m = std::max(m, t->now());
     return m;
-}
-
-Cycles
-Machine::minClock() const
-{
-    Cycles m = std::numeric_limits<Cycles>::max();
-    for (const auto &t : threads)
-        if (!t->done)
-            m = std::min(m, t->now());
-    return m == std::numeric_limits<Cycles>::max() ? maxClock() : m;
 }
 
 void

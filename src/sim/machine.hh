@@ -130,9 +130,6 @@ class Machine
     /** Latest clock across all threads (total runtime when done). */
     Cycles maxClock() const;
 
-    /** Earliest clock across runnable threads. */
-    Cycles minClock() const;
-
     /** Suspend every thread up to time @p t, charging category @p c. */
     void suspendAllUntil(Cycles t, Charge c);
 

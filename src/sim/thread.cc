@@ -5,20 +5,6 @@
 namespace terp {
 namespace sim {
 
-const char *
-chargeName(Charge c)
-{
-    switch (c) {
-      case Charge::Work: return "Work";
-      case Charge::Attach: return "Attach";
-      case Charge::Detach: return "Detach";
-      case Charge::Rand: return "Rand";
-      case Charge::Cond: return "Cond";
-      case Charge::Other: return "Other";
-      default: return "?";
-    }
-}
-
 Cycles
 ThreadContext::overheadTotal() const
 {

@@ -33,9 +33,6 @@ enum class Charge : unsigned
     NumCharges
 };
 
-/** Printable name of a charge category. */
-const char *chargeName(Charge c);
-
 /** One simulated thread of execution. */
 class ThreadContext
 {

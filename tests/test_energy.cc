@@ -35,35 +35,6 @@ makeWorld(const std::string &scheme, unsigned pmos, unsigned threads)
         pmos, threads, kPmoBytes, kLogOff);
 }
 
-/**
- * Settle oracle flights after a crash: checkDurable() verified the
- * transaction is not torn, so the durable image of its keys says
- * which side of the durable point the crash landed on.
- */
-void
-resolveFlights(check::CrashWorld &w, check::Ledger &led)
-{
-    const pm::PersistController &ctl = w.persistence()->controller();
-    for (auto it = led.flight.begin(); it != led.flight.end();) {
-        const check::TxFlight &fl = it->second;
-        bool allNew = fl.ambiguous && !fl.keys.empty();
-        for (std::uint64_t raw : fl.keys) {
-            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
-                fl.newv.at(raw)) {
-                allNew = false;
-                break;
-            }
-        }
-        if (allNew) {
-            for (const auto &[raw, v] : fl.newv)
-                led.image[raw] = v;
-            ++led.done;
-        }
-        it = led.flight.erase(it);
-    }
-    led.inFlight.clear();
-}
-
 /** Post-crash recovery plus the full invariants + liveness probe. */
 void
 recoverAndCheck(check::CrashWorld &w, check::Ledger &led,
@@ -74,16 +45,9 @@ recoverAndCheck(check::CrashWorld &w, check::Ledger &led,
     std::vector<std::string> v;
     check::checkLogsRetired(w, v);
     check::drainIdleWindows(w, "recovery", v);
-    resolveFlights(w, led);
+    check::resolveFlights(w, led);
     check::checkDurable(w, led, v);
-    Cycles drained = w.nextSweepTick() -
-                     w.machine().config().hookPeriod;
-    if (tc.now() < drained)
-        tc.syncTo(drained, sim::Charge::Other);
-    check::runTxn(w, led, tc, 1,
-                  {{pm::Oid(1, kPmoBytes - 8), 0xabc00000 + probeTag}});
-    check::checkDurable(w, led, v);
-    check::drainIdleWindows(w, "the probe transaction", v);
+    check::probeTxn(w, led, 0xabc00000 + probeTag, v);
     for (const std::string &m : v)
         ADD_FAILURE() << m;
 }
@@ -196,7 +160,7 @@ TEST(Harvest, ThousandCycleOracleEveryScheme)
     }
 }
 
-TEST(Harvest, TxmixOracleUnderPowerFail)
+TEST(Harvest, TxnestOracleUnderPowerFail)
 {
     // Nested TxManager transactions across two PMOs with power
     // failures landing inside commit sequences (undo and redo kinds,
@@ -204,7 +168,7 @@ TEST(Harvest, TxmixOracleUnderPowerFail)
     // one world.
     energy::HarvestOptions opt;
     opt.scheme = "tt";
-    opt.workload = "txmix";
+    opt.workload = "txnest";
     opt.powerCycles = 300;
     opt.cap.capacityUnits = 700;
     opt.auditEvery = 100;

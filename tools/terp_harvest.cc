@@ -18,7 +18,8 @@
  *
  * Options:
  *   --scheme S        all (default) or one of: mm tm tt ttnc basic
- *   --workload W      bank (default) or txmix
+ *   --workload W      bank (default) or txnest: terp-crash's
+ *                     transactions of that name
  *   --caps LIST       comma-separated capacitor sizes in energy
  *                     units, each 101..1000000: above the
  *                     capacitor's fail threshold (100 units) and
@@ -67,7 +68,7 @@ struct CellResult
 
 const char kUsage[] =
     "usage: terp-harvest [--scheme all|mm|tm|tt|ttnc|basic]\n"
-    "                    [--workload bank|txmix] [--caps LIST]\n"
+    "                    [--workload bank|txnest] [--caps LIST]\n"
     "                    [--cycles N] [--seed N] [--ew US]\n"
     "                    [--audit N] [--json] [--golden=FILE]\n"
     "                    [--write-golden=FILE] [--history=PATH]\n";
@@ -148,8 +149,12 @@ main(int argc, char **argv)
     while (args.next()) {
         if (args.is("--scheme"))
             schemes = args.checkedSchemes();
-        else if (args.is("--workload"))
+        else if (args.is("--workload")) {
             workload = args.str();
+            if (workload != "bank" && workload != "txnest")
+                args.fail("unknown workload '" + workload +
+                          "' (try: bank txnest)");
+        }
         else if (args.is("--caps"))
             capsArg = args.str();
         else if (args.is("--cycles"))

@@ -107,6 +107,22 @@ countOf(const metrics::JsonValue *v, const std::string &where)
     return *n;
 }
 
+/**
+ * @p name, a metric of @p section; throws std::runtime_error unless
+ * its label set parses, so the report never meets a malformed one.
+ */
+const std::string &
+checkedName(const char *section, const std::string &name)
+{
+    try {
+        (void)metrics::nameLabels(name);
+    } catch (const std::invalid_argument &) {
+        throw std::runtime_error(std::string(section) + "." + name +
+                                 ": malformed labels");
+    }
+    return name;
+}
+
 bool
 docFromJson(const metrics::JsonValue &root, Doc &doc,
             std::string &error)
@@ -126,13 +142,14 @@ docFromJson(const metrics::JsonValue &root, Doc &doc,
             doc.labels[k] = v.str;
     if (const metrics::JsonValue *cs = reg->get("counters"))
         for (const auto &[k, v] : cs->object)
-            doc.counters[k] = countOf(&v, "counters." + k);
+            doc.counters[checkedName("counters", k)] =
+                countOf(&v, "counters." + k);
     if (const metrics::JsonValue *gs = reg->get("gauges")) {
         for (const auto &[k, v] : gs->object) {
             const metrics::JsonValue *val = v.get("value");
             const metrics::JsonValue *hwm = v.get("hwm");
-            doc.gauges[k] = {val ? val->number : 0.0,
-                             hwm ? hwm->number : 0.0};
+            doc.gauges[checkedName("gauges", k)] = {
+                val ? val->number : 0.0, hwm ? hwm->number : 0.0};
         }
     }
     for (const char *section : {"summaries", "histograms"}) {
@@ -140,7 +157,8 @@ docFromJson(const metrics::JsonValue &root, Doc &doc,
         if (!ss)
             continue;
         for (const auto &[k, v] : ss->object) {
-            const std::string at = std::string(section) + "." + k + ".";
+            const std::string at =
+                std::string(section) + "." + checkedName(section, k) + ".";
             DistStat d;
             d.count = countOf(v.get("count"), at + "count");
             d.sum = countOf(v.get("sum"), at + "sum");
@@ -199,7 +217,7 @@ docFromFile(const std::string &path, Doc &doc, std::string &error)
     try {
         if (root && docFromJson(*root, doc, error))
             return true;
-    } catch (const std::range_error &e) {
+    } catch (const std::runtime_error &e) {
         error = e.what();
     }
     error = path + ": " + error;
