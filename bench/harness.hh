@@ -87,7 +87,8 @@ void noteSim(std::uint64_t cycles);
  * baked into each name so runs of different schemes stay distinct.
  * Per-PMO exposure histograms are dropped at the merge — PMO ids are
  * only meaningful within one run — keeping the pmo="all" rollups.
- * Empty when metrics are disabled (TERP_METRICS=off).
+ * Empty when the counted runs disabled metrics
+ * (RuntimeConfig::withoutMetrics()).
  */
 metrics::Registry &globalMetrics();
 

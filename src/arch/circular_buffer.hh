@@ -130,7 +130,6 @@ class CircularBuffer
     };
 
     const Stats &stats() const { return st; }
-    void resetStats() { st = Stats{}; }
 
   private:
     struct Entry

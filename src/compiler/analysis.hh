@@ -66,10 +66,6 @@ class Analysis
 
     // ---- CFG facts ----------------------------------------------------
 
-    const std::vector<std::vector<BlockId>> &preds() const
-    {
-        return predecessors;
-    }
     bool reachable(BlockId b) const { return reach.test(b); }
 
     // ---- dominance ------------------------------------------------------

@@ -46,7 +46,6 @@ class FunctionBuilder
     Reg mul(Reg a, Reg b) { return arith(Op::Mul, a, b); }
     Reg cmpLt(Reg a, Reg b) { return arith(Op::CmpLt, a, b); }
     Reg cmpEq(Reg a, Reg b) { return arith(Op::CmpEq, a, b); }
-    Reg cmpNe(Reg a, Reg b) { return arith(Op::CmpNe, a, b); }
 
     /** Burn @p n arithmetic instructions (models plain compute). */
     void compute(std::uint64_t n);
@@ -76,7 +75,6 @@ class FunctionBuilder
     // ---- raw control flow --------------------------------------------
 
     BlockId newBlock(const std::string &label = "");
-    BlockId currentBlock() const { return cur; }
     void setBlock(BlockId b) { cur = b; }
     void jump(BlockId target);
     void branch(Reg cond, BlockId if_true, BlockId if_false);

@@ -106,9 +106,9 @@ struct RuntimeConfig
      * Metrics registry (src/metrics). On by default: recording never
      * charges simulated cycles and never prints, so cycle totals and
      * harness stdout are bit-for-bit identical either way (held down
-     * by tests/test_bench_harness.cc). Set false — or export
-     * TERP_METRICS=off — for a hot path where every instrument
-     * pointer is null and each site costs one predictable branch.
+     * by tests/test_bench_harness.cc). Set false (withoutMetrics())
+     * for a hot path where every instrument pointer is null and each
+     * site costs one predictable branch.
      */
     bool metricsEnabled = true;
 

@@ -63,7 +63,7 @@ Runtime::Runtime(sim::Machine &machine, pm::PmoManager &pmos,
                      static_cast<std::uint64_t>(c));
         });
     }
-    if (cfg.metricsEnabled && metrics::enabledByEnv()) {
+    if (cfg.metricsEnabled) {
         reg = std::make_shared<metrics::Registry>();
         reg->setLabel("scheme", schemeTag(cfg.scheme));
         ew.enableMetrics(reg.get());

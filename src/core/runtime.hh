@@ -211,9 +211,9 @@ class Runtime
     /**
      * The run's metrics registry, shared so run results can keep it
      * past the runtime's lifetime. Null when metrics are disabled
-     * (config.metricsEnabled=false or TERP_METRICS=off). Exposure
-     * histograms stream in live; the counter/gauge roll-up
-     * (runtime/cb/pm/sim groups) lands at finalize().
+     * (config.metricsEnabled=false). Exposure histograms stream in
+     * live; the counter/gauge roll-up (runtime/cb/pm/sim groups) lands
+     * at finalize().
      */
     std::shared_ptr<metrics::Registry> metricsRegistry() const
     {

@@ -1,8 +1,6 @@
 #include "metrics/registry.hh"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -99,20 +97,6 @@ nameLabels(const std::string &name)
             ++i;
     }
     return ls;
-}
-
-bool
-enabledByEnv()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("TERP_METRICS");
-        if (!v)
-            return true;
-        return std::strcmp(v, "0") != 0 &&
-               std::strcmp(v, "off") != 0 &&
-               std::strcmp(v, "false") != 0;
-    }();
-    return enabled;
 }
 
 Registry::Entry &

@@ -74,14 +74,6 @@ std::string baseName(const std::string &name);
  */
 std::map<std::string, std::string> nameLabels(const std::string &name);
 
-/**
- * Is metrics collection enabled for this process? Reads the
- * TERP_METRICS environment variable once (first call): "0", "off" or
- * "false" disable every registry the runtime would create, turning
- * all instrument pointers into nulls on the hot paths.
- */
-bool enabledByEnv();
-
 /** A single-writer metrics registry. */
 class Registry
 {

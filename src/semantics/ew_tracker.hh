@@ -122,10 +122,10 @@ class EwTracker
      * `exposure.tew_cycles{pmo="N"}` per PMO plus a `pmo="all"`
      * aggregate. The histograms' exact count/sum/min/max equal the
      * per-PMO Summaries cycle-for-cycle (only quantiles are
-     * approximate), which is what lets terp-stats and the metrics
-     * cross-check test validate the registry against this tracker.
-     * Pass null to detach. Windows closed before the call are not
-     * backfilled, so enable before the first event.
+     * approximate), which is what lets the trace auditor hold the
+     * registry to its replay (see metricsRegistry()). Pass null to
+     * detach. Windows closed before the call are not backfilled, so
+     * enable before the first event.
      *
      * Instruments are resolved on first use and cached as pointers
      * (the registry keeps them at stable addresses), so a window
@@ -134,6 +134,9 @@ class EwTracker
      * this drops every cached pointer.
      */
     void enableMetrics(metrics::Registry *r);
+
+    /** The registry enableMetrics() publishes into; null if none. */
+    const metrics::Registry *metricsRegistry() const { return reg; }
 
     /**
      * Exposure SLOs: count every closed window longer than the

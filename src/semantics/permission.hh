@@ -29,7 +29,6 @@ class Rights
     static Rights none() { return Rights(0); }
     static Rights r() { return Rights(1); }
     static Rights rw() { return Rights(3); }
-    static Rights rwx() { return Rights(7); }
 
     bool has(Right r) const
     {

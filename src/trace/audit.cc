@@ -33,24 +33,45 @@ describe(const Event &e)
     return os.str();
 }
 
-void
-compareTally(AuditReport &r, const char *what, std::uint64_t pmo,
-             const metrics::Summary &got, const metrics::Summary *want)
+/** The replayed tally of @p pmo in @p m (empty when never closed). */
+metrics::Summary
+tallyOf(const std::map<std::uint64_t, metrics::Summary> &m,
+        std::uint64_t pmo)
 {
-    std::uint64_t wc = want ? want->count() : 0;
-    std::uint64_t ws = want ? want->sum() : 0;
-    std::uint64_t wlo = want ? want->min() : 0;
-    std::uint64_t wm = want ? want->max() : 0;
-    if (got.count() == wc && got.sum() == ws && got.min() == wlo &&
-        got.max() == wm) {
+    auto it = m.find(pmo);
+    return it != m.end() ? it->second : metrics::Summary{};
+}
+
+/** @p got (the replay) against @p against's @p want (null = empty). */
+void
+compareTally(AuditReport &r, const std::string &series,
+             const char *against, const metrics::Summary &got,
+             const metrics::Summary *want)
+{
+    const metrics::Summary w = want ? *want : metrics::Summary{};
+    if (got.count() == w.count() && got.sum() == w.sum() &&
+        got.min() == w.min() && got.max() == w.max())
         return;
-    }
     std::ostringstream os;
-    os << what << " pmo " << pmo << ": trace replay {n=" << got.count()
-       << " sum=" << got.sum() << " min=" << got.min() << " max="
-       << got.max() << "} vs EwTracker {n=" << wc << " sum="
-       << ws << " min=" << wlo << " max=" << wm << "}";
+    os << series << ": trace replay {n=" << got.count() << " sum="
+       << got.sum() << " min=" << got.min() << " max=" << got.max()
+       << "} vs " << against << " {n=" << w.count() << " sum="
+       << w.sum() << " min=" << w.min() << " max=" << w.max() << "}";
     mismatch(r, os.str());
+}
+
+/**
+ * @p got against the registry's @p series histogram, through its
+ * exact summary(). A missing histogram reads as empty, so it matches
+ * only an empty replay.
+ */
+void
+compareHistogram(AuditReport &r, const metrics::Registry &reg,
+                 const std::string &series, const metrics::Summary &got)
+{
+    const metrics::LogHistogram *h = reg.findHistogram(series);
+    compareTally(r, series, "registry", got,
+                 h ? &h->summary() : nullptr);
 }
 
 /**
@@ -222,29 +243,35 @@ auditEvents(const std::vector<Event> &events, bool complete,
                     "cannot audit");
     }
 
-    // Every PMO either side saw must agree on both window kinds.
+    // Every PMO either side saw must agree on both window kinds,
+    // with the tracker and with the registry it publishes into, if any.
     std::set<std::uint64_t> pmos;
-    for (const auto &[pmo, t] : r.ew) {
-        (void)t;
-        pmos.insert(pmo);
-    }
-    for (const auto &[pmo, t] : r.tew) {
-        (void)t;
-        pmos.insert(pmo);
-    }
+    for (const auto *side : {&r.ew, &r.tew})
+        for (const auto &kv : *side)
+            pmos.insert(kv.first);
     for (pm::PmoId pmo : expected.pmosSeen())
         pmos.insert(pmo);
 
+    const metrics::Registry *reg = expected.metricsRegistry();
+    metrics::Summary ewAll, tewAll;
     for (std::uint64_t pmo : pmos) {
         auto id = static_cast<pm::PmoId>(pmo);
-        auto eit = r.ew.find(pmo);
-        auto tit = r.tew.find(pmo);
-        compareTally(r, "EW", pmo,
-                     eit != r.ew.end() ? eit->second : metrics::Summary{},
+        const std::string n = std::to_string(pmo);
+        metrics::Summary ew = tallyOf(r.ew, pmo), tew = tallyOf(r.tew, pmo);
+        compareTally(r, "EW pmo " + n, "EwTracker", ew,
                      expected.ewSummaryFor(id));
-        compareTally(r, "TEW", pmo,
-                     tit != r.tew.end() ? tit->second : metrics::Summary{},
+        compareTally(r, "TEW pmo " + n, "EwTracker", tew,
                      expected.tewSummaryFor(id));
+        if (reg) {
+            // labeled(base, "pmo", n) spelled out: labeled() parses
+            // and rebuilds the label set, and this runs for every PMO
+            // of every audit (each enumerated crash point has one).
+            const std::string label = "{pmo=\"" + n + "\"}";
+            compareHistogram(r, *reg, "exposure.ew_cycles" + label, ew);
+            compareHistogram(r, *reg, "exposure.tew_cycles" + label, tew);
+        }
+        ewAll.merge(ew);
+        tewAll.merge(tew);
 
         // Blame attribution: the recomputed per-cause totals must
         // equal the tracker's bit-exactly (third independent copy of
@@ -264,6 +291,14 @@ auditEvents(const std::vector<Event> &events, bool complete,
                << want;
             mismatch(r, os.str());
         }
+    }
+
+    // The rollups against the merged replay.
+    if (reg) {
+        compareHistogram(r, *reg, "exposure.ew_cycles{pmo=\"all\"}",
+                         ewAll);
+        compareHistogram(r, *reg, "exposure.tew_cycles{pmo=\"all\"}",
+                         tewAll);
     }
 
     r.ok = r.mismatches.empty();

@@ -7,11 +7,16 @@
  * and closes process exposure windows (EW), sweeper randomization
  * splits them, thread grant/revoke opens and closes thread exposure
  * windows (TEW) — and cross-checks the recomputed window counts,
- * sums and maxima cycle-for-cycle against the runtime's live
- * `semantics::EwTracker`. A disagreement means either the trace or
- * the tracker (or the runtime wiring between them) is wrong, which
- * turns the trace into a differential validator rather than a
- * second opinion derived from the same code path.
+ * sums, minima and maxima cycle-for-cycle against the runtime's live
+ * `semantics::EwTracker`, and against the metrics registry the
+ * tracker publishes into, when it has one: every PMO's
+ * `exposure.{ew,tew}_cycles{pmo="N"}` histogram and the `pmo="all"`
+ * rollup. A disagreement means either the trace, the tracker, the
+ * registry or the runtime wiring between them is wrong, which turns
+ * the trace into a differential validator rather than a second
+ * opinion derived from the same code path. Every traced run
+ * (runWhisper, runSpec, crash worlds, terp-harvest, terp-trace,
+ * terp-stats) audits through here.
  */
 
 #ifndef TERP_TRACE_AUDIT_HH
@@ -66,10 +71,11 @@ AuditReport replayTimeline(const std::vector<Event> &events,
                            Cycles t_end);
 
 /**
- * Replay @p events and cross-check against @p expected. @p complete
- * marks whether the stream retained every emitted event; an
- * incomplete stream cannot be audited and fails with an explanatory
- * mismatch.
+ * Replay @p events and cross-check against @p expected and, when
+ * expected.metricsRegistry() is set, its window histograms.
+ * @p complete marks whether the stream retained every emitted event;
+ * an incomplete stream cannot be audited and fails with an
+ * explanatory mismatch.
  */
 AuditReport auditEvents(const std::vector<Event> &events,
                         bool complete, Cycles t_end,

@@ -198,9 +198,6 @@ class TraceSink
     /** The trace retains every emitted event (nothing wrapped). */
     bool complete() const { return totalDropped() == 0; }
 
-    /** Latest timestamp emitted so far. */
-    Cycles lastTimestamp() const { return lastTs; }
-
     std::size_t perThreadCapacity() const { return cap; }
 
   private:

@@ -511,7 +511,7 @@ TEST(MetricsEndToEnd, AgreesWithEwTrackerOnWhisperRun)
         "hashmap", core::RuntimeConfig::tt().withTrace(), p);
 
     ASSERT_NE(r.metrics, nullptr)
-        << "metrics disabled (TERP_METRICS set?)";
+        << "run published no metrics registry";
     ASSERT_NE(r.traceAudit, nullptr);
     ASSERT_TRUE(r.traceAudit->ok) << r.traceAudit->summary();
 
@@ -689,7 +689,7 @@ TEST(EwTrackerHandles, RunThatClosesNoWindowExportsNoExposure)
     dom.finalize();
 
     std::shared_ptr<Registry> r = dom.runtime().metricsRegistry();
-    ASSERT_NE(r, nullptr) << "metrics disabled (TERP_METRICS set?)";
+    ASSERT_NE(r, nullptr) << "run published no metrics registry";
     ASSERT_NE(r->findCounter("sweeper.ticks"), nullptr);
     for (const auto &[name, e] : r->entries())
         EXPECT_NE(baseName(name).rfind("exposure.", 0), 0u) << name;

@@ -274,7 +274,7 @@ TEST(TraceMetrics, DroppedEventsExported)
         "hashmap", RuntimeConfig::tt().withTrace(8), p);
     ASSERT_NE(r.trace, nullptr);
     ASSERT_NE(r.metrics, nullptr)
-        << "metrics disabled (TERP_METRICS set?)";
+        << "run published no metrics registry";
     std::uint64_t retained = 0;
     for (const auto &[tid, buf] : r.trace->buffers()) {
         (void)tid;
@@ -295,7 +295,7 @@ TEST(TraceMetrics, UntracedRunPublishesNoDropCounter)
     workloads::RunResult r =
         workloads::runWhisper("echo", RuntimeConfig::tt(), p);
     ASSERT_NE(r.metrics, nullptr)
-        << "metrics disabled (TERP_METRICS set?)";
+        << "run published no metrics registry";
     EXPECT_EQ(r.metrics->findCounter("trace.dropped_events"), nullptr);
 }
 
@@ -625,6 +625,33 @@ TEST(TraceAudit, TamperedStreamIsCaught)
         es, false, r.mach.maxClock(), r.rt->exposure());
     EXPECT_FALSE(inc.ok);
     EXPECT_FALSE(inc.complete);
+
+    // The registry's window histograms are held to the same replay:
+    // one stray sample in a rollup or a per-PMO series is caught and
+    // named.
+    std::shared_ptr<metrics::Registry> reg = r.rt->metricsRegistry();
+    ASSERT_NE(reg, nullptr);
+    auto namesSeries = [](const trace::AuditReport &a,
+                          const std::string &series) {
+        for (const std::string &m : a.mismatches)
+            if (m.rfind(series + ": ", 0) == 0)
+                return true;
+        return false;
+    };
+    const std::string ewAll = "exposure.ew_cycles{pmo=\"all\"}";
+    reg->histogram(ewAll).record(1);
+    trace::AuditReport strayEw = trace::auditEvents(
+        es, true, r.mach.maxClock(), r.rt->exposure());
+    EXPECT_FALSE(strayEw.ok);
+    EXPECT_TRUE(namesSeries(strayEw, ewAll)) << strayEw.summary();
+
+    const std::string tewPmo = metrics::labeled(
+        "exposure.tew_cycles", "pmo", std::to_string(r.pmo));
+    reg->histogram(tewPmo).record(1);
+    trace::AuditReport strayTew = trace::auditEvents(
+        es, true, r.mach.maxClock(), r.rt->exposure());
+    EXPECT_FALSE(strayTew.ok);
+    EXPECT_TRUE(namesSeries(strayTew, tewPmo)) << strayTew.summary();
 }
 
 // ------------------------------------------------------- exporters

@@ -47,7 +47,6 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -123,6 +122,38 @@ checkedName(const char *section, const std::string &name)
     return name;
 }
 
+/** @p v, the entry at @p where; throws unless it is an object. */
+const metrics::JsonValue &
+objectAt(const metrics::JsonValue &v, const std::string &where)
+{
+    if (!v.isObject())
+        throw std::runtime_error(where + ": not an object");
+    return v;
+}
+
+/** The entries of @p reg's @p section (none when it is absent). */
+const std::map<std::string, metrics::JsonValue> &
+entriesOf(const metrics::JsonValue &reg, const char *section)
+{
+    static const std::map<std::string, metrics::JsonValue> none;
+    const metrics::JsonValue *s = reg.get(section);
+    return s ? objectAt(*s, section).object : none;
+}
+
+/** @p v as a real (0 when absent); throws unless it is a number. */
+double
+numberOf(const metrics::JsonValue *v, const std::string &where)
+{
+    if (v && !v->isNumber())
+        throw std::runtime_error(where + ": not a number");
+    return v ? v->number : 0.0;
+}
+
+/**
+ * Fill @p doc from a registry document. A section or entry of the
+ * wrong JSON type throws std::runtime_error naming it
+ * (`<section>.<name>: ...`), never reads as zero.
+ */
 bool
 docFromJson(const metrics::JsonValue &root, Doc &doc,
             std::string &error)
@@ -137,40 +168,36 @@ docFromJson(const metrics::JsonValue &root, Doc &doc,
         return false;
     }
 
-    if (const metrics::JsonValue *ls = reg->get("labels"))
-        for (const auto &[k, v] : ls->object)
-            doc.labels[k] = v.str;
-    if (const metrics::JsonValue *cs = reg->get("counters"))
-        for (const auto &[k, v] : cs->object)
-            doc.counters[checkedName("counters", k)] =
-                countOf(&v, "counters." + k);
-    if (const metrics::JsonValue *gs = reg->get("gauges")) {
-        for (const auto &[k, v] : gs->object) {
-            const metrics::JsonValue *val = v.get("value");
-            const metrics::JsonValue *hwm = v.get("hwm");
-            doc.gauges[checkedName("gauges", k)] = {
-                val ? val->number : 0.0, hwm ? hwm->number : 0.0};
-        }
+    for (const auto &[k, v] : entriesOf(*reg, "labels")) {
+        if (v.type != metrics::JsonValue::Type::String)
+            throw std::runtime_error("labels." + k + ": not a string");
+        doc.labels[k] = v.str;
+    }
+    for (const auto &[k, v] : entriesOf(*reg, "counters"))
+        doc.counters[checkedName("counters", k)] =
+            countOf(&v, "counters." + k);
+    for (const auto &[k, v] : entriesOf(*reg, "gauges")) {
+        const std::string at = "gauges." + checkedName("gauges", k);
+        objectAt(v, at);
+        doc.gauges[k] = {numberOf(v.get("value"), at + ".value"),
+                         numberOf(v.get("hwm"), at + ".hwm")};
     }
     for (const char *section : {"summaries", "histograms"}) {
-        const metrics::JsonValue *ss = reg->get(section);
-        if (!ss)
-            continue;
-        for (const auto &[k, v] : ss->object) {
+        for (const auto &[k, v] : entriesOf(*reg, section)) {
             const std::string at =
-                std::string(section) + "." + checkedName(section, k) + ".";
+                std::string(section) + "." + checkedName(section, k);
+            objectAt(v, at);
             DistStat d;
-            d.count = countOf(v.get("count"), at + "count");
-            d.sum = countOf(v.get("sum"), at + "sum");
-            d.min = countOf(v.get("min"), at + "min");
-            d.max = countOf(v.get("max"), at + "max");
-            if (const metrics::JsonValue *m = v.get("mean"))
-                d.mean = m->number;
+            d.count = countOf(v.get("count"), at + ".count");
+            d.sum = countOf(v.get("sum"), at + ".sum");
+            d.min = countOf(v.get("min"), at + ".min");
+            d.max = countOf(v.get("max"), at + ".max");
+            d.mean = numberOf(v.get("mean"), at + ".mean");
             if (v.get("p50")) {
                 d.hasQuantiles = true;
-                d.p50 = countOf(v.get("p50"), at + "p50");
-                d.p90 = countOf(v.get("p90"), at + "p90");
-                d.p99 = countOf(v.get("p99"), at + "p99");
+                d.p50 = countOf(v.get("p50"), at + ".p50");
+                d.p90 = countOf(v.get("p90"), at + ".p90");
+                d.p99 = countOf(v.get("p99"), at + ".p99");
             }
             doc.dists[k] = d;
         }
@@ -242,6 +269,13 @@ bool
 isBlameMetric(const std::string &name)
 {
     return metrics::baseName(name).rfind("exposure.blame", 0) == 0;
+}
+
+/** In the posture golden and diff: neither host.* nor blame. */
+bool
+isPostureMetric(const std::string &name)
+{
+    return !isHostMetric(name) && !isBlameMetric(name);
 }
 
 /** The `{...}` label suffix of @p name ("" when unlabeled). */
@@ -487,16 +521,16 @@ goldenText(const Doc &doc)
           "H name count sum min max\n";
     char buf[64];
     for (const auto &[name, v] : doc.counters)
-        if (!isHostMetric(name) && !isBlameMetric(name))
+        if (isPostureMetric(name))
             os << "C " << name << " " << v << "\n";
     for (const auto &[name, v] : doc.gauges) {
-        if (isHostMetric(name) || isBlameMetric(name))
+        if (!isPostureMetric(name))
             continue;
         std::snprintf(buf, sizeof(buf), "%.6g", v.first);
         os << "G " << name << " " << buf << "\n";
     }
     for (const auto &[name, d] : doc.dists) {
-        if (isHostMetric(name) || isBlameMetric(name))
+        if (!isPostureMetric(name))
             continue;
         os << "H " << name << " " << d.count << " " << d.sum << " "
            << d.min << " " << d.max << "\n";
@@ -505,6 +539,32 @@ goldenText(const Doc &doc)
 }
 
 // --------------------------------------------------------------- diff
+
+/**
+ * Report through @p note every name @p keep admits whose value,
+ * rendered by @p str, differs between @p a and @p b: first the names
+ * of @p a in order (absent from @p b or changed), then the names
+ * only @p b has.
+ */
+template <typename V, typename Str, typename Note>
+void
+diffMaps(const std::map<std::string, V> &a,
+         const std::map<std::string, V> &b,
+         bool (*keep)(const std::string &), Str str, Note note)
+{
+    for (const auto &[name, v] : a) {
+        if (!keep(name))
+            continue;
+        auto it = b.find(name);
+        if (it == b.end())
+            note(name, str(v), "(absent)");
+        else if (str(it->second) != str(v))
+            note(name, str(v), str(it->second));
+    }
+    for (const auto &[name, v] : b)
+        if (keep(name) && !a.count(name))
+            note(name, "(absent)", str(v));
+}
 
 int
 diffDocs(const Doc &a, const Doc &b)
@@ -517,64 +577,19 @@ diffDocs(const Doc &a, const Doc &b)
         ++changes;
     };
     auto u64s = [](std::uint64_t v) { return std::to_string(v); };
-
-    for (const auto &[name, v] : a.counters) {
-        if (isHostMetric(name) || isBlameMetric(name))
-            continue;
-        auto it = b.counters.find(name);
-        if (it == b.counters.end())
-            note(name, u64s(v), "(absent)");
-        else if (it->second != v)
-            note(name, u64s(v), u64s(it->second));
-    }
-    for (const auto &[name, v] : b.counters)
-        if (!isHostMetric(name) && !isBlameMetric(name) &&
-            !a.counters.count(name))
-            note(name, "(absent)", u64s(v));
-
-    for (const auto &[name, v] : a.gauges) {
-        if (isHostMetric(name))
-            continue;
-        auto it = b.gauges.find(name);
-        char va[64], vb[64];
-        std::snprintf(va, sizeof(va), "%.6g", v.first);
-        if (it == b.gauges.end()) {
-            note(name, va, "(absent)");
-            continue;
-        }
-        std::snprintf(vb, sizeof(vb), "%.6g", it->second.first);
-        if (std::strcmp(va, vb) != 0)
-            note(name, va, vb);
-    }
-    for (const auto &[name, v] : b.gauges) {
-        if (!isHostMetric(name) && !a.gauges.count(name)) {
-            char vb[64];
-            std::snprintf(vb, sizeof(vb), "%.6g", v.first);
-            note(name, "(absent)", vb);
-        }
-    }
-
+    auto gaugeStr = [](const std::pair<double, double> &v) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.6g", v.first);
+        return std::string(buf);
+    };
     auto distStr = [&](const DistStat &d) {
         return "count=" + u64s(d.count) + " sum=" + u64s(d.sum) +
                " min=" + u64s(d.min) + " max=" + u64s(d.max);
     };
-    for (const auto &[name, d] : a.dists) {
-        if (isHostMetric(name) || isBlameMetric(name))
-            continue;
-        auto it = b.dists.find(name);
-        if (it == b.dists.end()) {
-            note(name, distStr(d), "(absent)");
-        } else if (it->second.count != d.count ||
-                   it->second.sum != d.sum ||
-                   it->second.min != d.min ||
-                   it->second.max != d.max) {
-            note(name, distStr(d), distStr(it->second));
-        }
-    }
-    for (const auto &[name, d] : b.dists)
-        if (!isHostMetric(name) && !isBlameMetric(name) &&
-            !a.dists.count(name))
-            note(name, "(absent)", distStr(d));
+
+    diffMaps(a.counters, b.counters, isPostureMetric, u64s, note);
+    diffMaps(a.gauges, b.gauges, isPostureMetric, gaugeStr, note);
+    diffMaps(a.dists, b.dists, isPostureMetric, distStr, note);
 
     // Blame attribution last, under its own header, in sorted name
     // order (= sorted cause order within each label group) so two
@@ -591,34 +606,9 @@ diffDocs(const Doc &a, const Doc &b)
                     vb.c_str());
         ++changes;
     };
-    for (const auto &[name, v] : a.counters) {
-        if (!isBlameMetric(name))
-            continue;
-        auto it = b.counters.find(name);
-        if (it == b.counters.end())
-            noteBlame(name, u64s(v), "(absent)");
-        else if (it->second != v)
-            noteBlame(name, u64s(v), u64s(it->second));
-    }
-    for (const auto &[name, v] : b.counters)
-        if (isBlameMetric(name) && !a.counters.count(name))
-            noteBlame(name, "(absent)", u64s(v));
-    for (const auto &[name, d] : a.dists) {
-        if (!isBlameMetric(name))
-            continue;
-        auto it = b.dists.find(name);
-        if (it == b.dists.end()) {
-            noteBlame(name, distStr(d), "(absent)");
-        } else if (it->second.count != d.count ||
-                   it->second.sum != d.sum ||
-                   it->second.min != d.min ||
-                   it->second.max != d.max) {
-            noteBlame(name, distStr(d), distStr(it->second));
-        }
-    }
-    for (const auto &[name, d] : b.dists)
-        if (isBlameMetric(name) && !a.dists.count(name))
-            noteBlame(name, "(absent)", distStr(d));
+    diffMaps(a.counters, b.counters, isBlameMetric, u64s, noteBlame);
+    diffMaps(a.gauges, b.gauges, isBlameMetric, gaugeStr, noteBlame);
+    diffMaps(a.dists, b.dists, isBlameMetric, distStr, noteBlame);
 
     if (changes == 0) {
         std::printf("no differences\n");
@@ -631,11 +621,11 @@ diffDocs(const Doc &a, const Doc &b)
 // ---------------------------------------------------------- run mode
 
 /**
- * Cross-check the three observability paths on a finished run: the
- * metrics histograms must agree cycle-for-cycle (count, sum, min,
- * max) with the trace auditor's independent replay for every PMO,
- * and the silent fraction recomputed from the published integer
- * counters must reproduce the runtime report's double bit-for-bit.
+ * Cross-check a finished run: the trace audit (which holds the
+ * EwTracker and the metrics registry's window histograms to its
+ * independent replay) must be clean, and the silent fraction
+ * recomputed from the published integer counters must reproduce the
+ * runtime report's double bit-for-bit.
  */
 unsigned
 crossCheck(const workloads::RunResult &r)
@@ -651,57 +641,8 @@ crossCheck(const workloads::RunResult &r)
         fail("no trace audit available");
         return failures;
     }
-    if (!r.traceAudit->ok)
-        fail("trace audit: " + r.traceAudit->summary());
-
-    const struct
-    {
-        const char *base;
-        const std::map<std::uint64_t, metrics::Summary> &want;
-    } kSides[] = {
-        {"exposure.ew_cycles", r.traceAudit->ew},
-        {"exposure.tew_cycles", r.traceAudit->tew},
-    };
-    for (const auto &side : kSides) {
-        metrics::Summary all;
-        for (const auto &[pmo, tally] : side.want) {
-            std::string name = metrics::labeled(
-                side.base, "pmo", std::to_string(pmo));
-            const metrics::LogHistogram *h =
-                r.metrics->findHistogram(name);
-            if (!h) {
-                if (tally.count() > 0)
-                    fail(name + ": histogram missing");
-                continue;
-            }
-            if (h->count() != tally.count() ||
-                h->sum() != tally.sum() ||
-                h->min() != tally.min() ||
-                h->max() != tally.max()) {
-                std::ostringstream os;
-                os << name << ": metrics count/sum/min/max "
-                   << h->count() << "/" << h->sum() << "/"
-                   << h->min() << "/" << h->max()
-                   << " != audit " << tally.count() << "/"
-                   << tally.sum() << "/" << tally.min() << "/"
-                   << tally.max();
-                fail(os.str());
-            }
-            all.merge(tally);
-        }
-        std::string allName =
-            metrics::labeled(side.base, "pmo", "all");
-        const metrics::LogHistogram *h =
-            r.metrics->findHistogram(allName);
-        if (!h) {
-            if (all.count() > 0)
-                fail(allName + ": histogram missing");
-        } else if (h->count() != all.count() ||
-                   h->sum() != all.sum() || h->min() != all.min() ||
-                   h->max() != all.max()) {
-            fail(allName + ": rollup disagrees with per-PMO merge");
-        }
-    }
+    for (const std::string &m : r.traceAudit->mismatches)
+        fail("trace audit: " + m);
 
     const metrics::Counter *silent =
         r.metrics->findCounter("runtime.silent_ops");
@@ -821,12 +762,6 @@ main(int argc, char **argv)
                      workload.c_str(), positional[2].c_str());
         workloads::RunResult r =
             workloads::runWhisper(workload, cfg.withTrace(), p);
-        if (!r.metrics) {
-            std::fprintf(stderr,
-                         "terp-stats: metrics are disabled "
-                         "(TERP_METRICS=off?)\n");
-            return 2;
-        }
         liveReg = r.metrics;
         failures = crossCheck(r);
         if (!docFromRegistry(*liveReg, doc, error)) {
