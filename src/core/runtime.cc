@@ -523,18 +523,19 @@ Runtime::tryAccess(sim::ThreadContext &tc, const pm::Oid &oid,
     if (cfg.scheme == Scheme::Unprotected) {
         if (!p.attached())
             pm_.mapRandomized(p); // mapped once, for the whole run
-        mach.access(tc, pm_.accessFor(oid, write));
+        mach.access(tc, p.accessAt(oid.offset(), write));
         return AccessOutcome::Ok;
     }
 
     // ld/st checks the permission matrix alongside the TLB.
     tc.charge(sim::Charge::Other, latency::permMatrix);
-    AccessOutcome out = checkAccess(tc, p, oid.offset(), write);
-    if (out != AccessOutcome::Ok)
-        return out;
-
-    mach.access(tc, pm_.accessFor(oid, write));
-    return AccessOutcome::Ok;
+    if (!p.attached())
+        return accessFault(tc, p.id(), AccessOutcome::NoMapping);
+    const sim::MemAccess a = p.accessAt(oid.offset(), write);
+    const AccessOutcome out = checkAccess(tc, p, a.vaddr, write);
+    if (out == AccessOutcome::Ok)
+        mach.access(tc, a);
+    return out;
 }
 
 AccessOutcome
@@ -547,43 +548,42 @@ Runtime::tryAccessVaddr(sim::ThreadContext &tc, std::uint64_t vaddr,
     const pm::Pmo *p = pm_.findByVaddr(vaddr);
     if (!p) {
         // Segmentation fault (e.g. a stale pre-randomization address).
-        emit(tc, trace::EventKind::AccessFault, pm::invalidPmoId,
-             static_cast<std::uint64_t>(AccessOutcome::NoMapping));
-        return AccessOutcome::NoMapping;
+        return accessFault(tc, pm::invalidPmoId,
+                           AccessOutcome::NoMapping);
     }
 
-    std::uint64_t off = vaddr - p->vaddrBase();
     if (cfg.scheme != Scheme::Unprotected) {
-        AccessOutcome out = checkAccess(tc, *p, off, write);
+        AccessOutcome out = checkAccess(tc, *p, vaddr, write);
         if (out != AccessOutcome::Ok)
             return out;
     }
 
-    mach.access(tc, sim::MemAccess{vaddr, p->paddrOf(off), write,
-                                   sim::MemKind::Nvm});
+    mach.access(tc, sim::MemAccess{vaddr,
+                                   p->paddrOf(vaddr - p->vaddrBase()),
+                                   write, sim::MemKind::Nvm});
     return AccessOutcome::Ok;
 }
 
 AccessOutcome
 Runtime::checkAccess(sim::ThreadContext &tc, const pm::Pmo &p,
-                     std::uint64_t off, bool write)
+                     std::uint64_t vaddr, bool write)
 {
-    AccessOutcome out = AccessOutcome::Ok;
-    if (!p.attached()) {
-        out = AccessOutcome::NoMapping;
-    } else {
-        arch::MatrixHit hit = matrix.check(p.vaddrOf(off), write);
-        if (!hit.present)
-            out = AccessOutcome::NoMapping;
-        else if (!hit.permitted)
-            out = AccessOutcome::NoProcessPerm;
-        else if (cfg.threadPerms() &&
-                 !domains.allows(tc.tid(), p.id(), write))
-            out = AccessOutcome::NoThreadPerm;
-    }
-    if (out != AccessOutcome::Ok)
-        emit(tc, trace::EventKind::AccessFault, p.id(),
-             static_cast<std::uint64_t>(out));
+    arch::MatrixHit hit = matrix.check(vaddr, write);
+    if (!hit.present)
+        return accessFault(tc, p.id(), AccessOutcome::NoMapping);
+    if (!hit.permitted)
+        return accessFault(tc, p.id(), AccessOutcome::NoProcessPerm);
+    if (cfg.threadPerms() && !domains.allows(tc.tid(), p.id(), write))
+        return accessFault(tc, p.id(), AccessOutcome::NoThreadPerm);
+    return AccessOutcome::Ok;
+}
+
+AccessOutcome
+Runtime::accessFault(sim::ThreadContext &tc, pm::PmoId pmo,
+                     AccessOutcome out)
+{
+    emit(tc, trace::EventKind::AccessFault, pmo,
+         static_cast<std::uint64_t>(out));
     return out;
 }
 
@@ -623,13 +623,12 @@ Runtime::accessRange(sim::ThreadContext &tc, const pm::Oid &oid,
     if (first == last)
         return;
 
+    const pm::Pmo &p = pm_.pmo(oid.pool());
     const bool checked = cfg.scheme != Scheme::Unprotected;
     for (std::uint64_t l = first + 1; l <= last; ++l) {
         if (checked)
             tc.charge(sim::Charge::Other, latency::permMatrix);
-        mach.access(tc,
-                    pm_.accessFor(pm::Oid(oid.pool(), l * lineSize),
-                                  write));
+        mach.access(tc, p.accessAt(l * lineSize, write));
     }
 }
 

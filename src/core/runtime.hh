@@ -370,12 +370,16 @@ class Runtime
                         Cycles at);
     void doRandomize(pm::PmoId pmo, Cycles at);
     /**
-     * The protected-access fault ladder for offset @p off of @p p:
-     * mapping, then matrix process permission, then thread
-     * permission. Emits AccessFault on the first rung that fails.
+     * The protected-access fault ladder for @p vaddr in the attached
+     * PMO @p p: matrix mapping, then matrix process permission, then
+     * thread permission. Emits AccessFault on the first rung that
+     * fails.
      */
     AccessOutcome checkAccess(sim::ThreadContext &tc, const pm::Pmo &p,
-                              std::uint64_t off, bool write);
+                              std::uint64_t vaddr, bool write);
+    /** Emit AccessFault(@p out) for @p pmo; @return @p out. */
+    AccessOutcome accessFault(sim::ThreadContext &tc, pm::PmoId pmo,
+                              AccessOutcome out);
     void grantThread(sim::ThreadContext &tc, pm::PmoId pmo,
                      pm::Mode mode);
     void revokeThread(sim::ThreadContext &tc, pm::PmoId pmo);

@@ -10,21 +10,40 @@
  * applications. Persistence across "runs" is modeled by reusing the
  * same image in a new simulation.
  *
- * The store is a linear-probing open-addressing table (peek/poke sit
- * directly on the interpreter's Load/Store path, where the previous
- * std::unordered_map's bucket chasing and prime rehashing showed up
- * in profiles). Each slot holds its {key, value} pair in 16 bytes,
- * so a probe touches one cache line. Key 0 marks an empty slot;
- * address 0 is an ordinary word kept beside the table, so no 64-bit
- * address is reserved. Slots never move between grows and values
- * don't depend on insertion order, so the substitution is
- * observationally identical.
+ * The store is block-local: the words of one 512-byte-aligned block
+ * share host memory, so a scan over neighbouring words reads
+ * neighbouring host lines instead of taking one host cache miss per
+ * word (peek/poke sit directly on the interpreter's Load/Store path).
+ * Two tiers hold a block's words:
+ *
+ * - *Sparse.* A block with fewer than denseAt words keeps each one in
+ *   a 16-byte {key, value} slot of a linear-probing table. Slots are
+ *   homed by a hash of the block, not of the word, so all of a
+ *   block's words sit in one probe run.
+ * - *Dense.* The insert that gives a block its denseAt-th word moves
+ *   the block into a 64-word array in an arena that never moves, and
+ *   the table keeps one slot for it, keyed by the block's tag.
+ *
+ * So scattered single words (serve's transaction writes, crash
+ * worlds) stay compact, and packed structures (SPEC cells, WHISPER
+ * pool nodes) read as arrays. Promotion is one way: MemImage has no
+ * erase, so a dense block never goes back, and neither growth nor
+ * promotion moves a dense array, whose address the table slot holds.
+ *
+ * Table keys are 8-byte aligned word addresses; a dense block's tag
+ * is its base address | 1 and an empty slot is ~0, both unaligned, so
+ * neither can collide with a word. Unaligned addresses are ordinary
+ * words kept in a side map, so every 64-bit address is storable.
+ * Values don't depend on insertion order or geometry (peek of an
+ * unused word is 0 at any capacity), so the layout is host-side only.
  */
 
 #ifndef TERP_PM_MEM_IMAGE_HH
 #define TERP_PM_MEM_IMAGE_HH
 
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,14 +71,15 @@ class MemImage
     /** Virtual base of the simulated DRAM arena. */
     static constexpr std::uint64_t dramVirtBase = 0x7f0000000000ULL;
 
-    // Host memory grows with use, not with a guessed footprint: the
-    // table starts at smallSlots (16 KB, enough for crash worlds and
-    // oracle images of a few hundred words), its first growth jumps
-    // straight to fullSlots, and later ones double. Any image past
-    // ~700 words therefore sees the same capacity sequence and 0.7
-    // load factor as a table that started at fullSlots. Geometry is
-    // host-side only (peek of an unused slot is 0 at any capacity).
-    MemImage() { grow(smallSlots); }
+    // Host memory grows with use: the table starts at 1 Ki slots
+    // (16 KB, enough for crash worlds and oracle images of a few
+    // hundred words) and doubles at load 0.7, counting sparse words
+    // and dense tags. Dense arrays are never rehashed.
+    MemImage() : slots(minSlots, Slot{none, 0}) {}
+
+    // Table slots point into the arena, so a copy would alias it.
+    MemImage(const MemImage &) = delete;
+    MemImage &operator=(const MemImage &) = delete;
 
     void
     poke(std::uint64_t addr, std::uint64_t value)
@@ -71,35 +91,45 @@ class MemImage
     std::uint64_t
     exchange(std::uint64_t addr, std::uint64_t value)
     {
-        if (addr == 0) {
-            if (!hasZero) {
-                reserveWord();
-                hasZero = true;
+        if (addr & 7)
+            return exchangeUnaligned(addr, value);
+        const std::uint64_t tag = tagOf(addr);
+        for (std::size_t i = homeOf(addr); slots[i].key != none;
+             i = (i + 1) & mask()) {
+            Slot &s = slots[i];
+            if (s.key == tag) {
+                Dense &d = denseOf(s);
+                nWords += !d.has(addr);
+                return d.exchange(addr, value);
             }
-            return std::exchange(zeroVal, value);
+            if (s.key == addr)
+                return std::exchange(s.val, value);
         }
-        std::size_t i = slotOf(addr);
-        if (slots[i].key == 0) {
-            if (reserveWord())
-                i = slotOf(addr);
-            slots[i].key = addr;
-        }
-        return std::exchange(slots[i].val, value);
+        insert(addr, value);
+        return 0;
     }
 
     std::uint64_t
     peek(std::uint64_t addr) const
     {
-        if (addr == 0)
-            return zeroVal;
-        // An empty slot's value is 0, so a miss needs no branch.
-        return slots[slotOf(addr)].val;
+        if (addr & 7)
+            return peekUnaligned(addr);
+        const std::uint64_t tag = tagOf(addr);
+        for (std::size_t i = homeOf(addr);; i = (i + 1) & mask()) {
+            const Slot &s = slots[i];
+            if (s.key == tag)
+                return denseOf(s).word[wordIn(addr)];
+            if (s.key == addr)
+                return s.val;
+            if (s.key == none)
+                return 0;
+        }
     }
 
-    std::size_t wordCount() const { return nUsed; }
+    std::size_t wordCount() const { return nWords; }
 
     /** Table slots: host-side geometry, never visible to peek(). */
-    std::size_t slotCount() const { return cap; }
+    std::size_t slotCount() const { return slots.size(); }
 
     /** Is this pointer value a PMO ObjectID (pool id != 0)? */
     static bool
@@ -109,56 +139,85 @@ class MemImage
     }
 
   private:
-    static constexpr std::size_t smallSlots = 1u << 10;
-    static constexpr std::size_t fullSlots = 1u << 16;
+    static constexpr unsigned blockShift = 9; //!< 512-byte blocks
+    static constexpr unsigned blockWords = 64;
+    /** Sparse words that make a block dense. */
+    static constexpr unsigned denseAt = 8;
+    static constexpr std::size_t minSlots = 1u << 10;
+    /** Dense blocks per arena chunk (about 33 KB). */
+    static constexpr std::size_t chunkBlocks = 64;
+    /** Empty-slot key: unaligned and not a tag. */
+    static constexpr std::uint64_t none = ~0ULL;
 
     struct Slot
     {
-        std::uint64_t key; //!< 0: empty
-        std::uint64_t val;
+        std::uint64_t key; //!< word address, dense tag or none
+        std::uint64_t val; //!< word value, or the Dense's address
     };
 
-    /** First slot holding @p addr (nonzero), or the empty slot to claim. */
+    /** One block's words; a word is present once stored. */
+    struct Dense
+    {
+        std::uint64_t word[blockWords];
+        std::uint64_t present; //!< bit i: word i stored
+
+        bool
+        has(std::uint64_t addr) const
+        {
+            return (present >> wordIn(addr)) & 1;
+        }
+
+        std::uint64_t
+        exchange(std::uint64_t addr, std::uint64_t value)
+        {
+            present |= 1ULL << wordIn(addr);
+            return std::exchange(word[wordIn(addr)], value);
+        }
+    };
+
+    static std::uint64_t
+    tagOf(std::uint64_t addr)
+    {
+        return (addr >> blockShift << blockShift) | 1;
+    }
+
+    static unsigned
+    wordIn(std::uint64_t addr)
+    {
+        return (addr >> 3) & (blockWords - 1);
+    }
+
+    static Dense &
+    denseOf(const Slot &s)
+    {
+        return *reinterpret_cast<Dense *>(s.val);
+    }
+
+    std::size_t mask() const { return slots.size() - 1; }
+
+    /** Home slot of a word or tag key: a hash of its block. */
     std::size_t
-    slotOf(std::uint64_t addr) const
+    homeOf(std::uint64_t key) const
     {
-        std::size_t i = mixKey(addr) & (cap - 1);
-        while (slots[i].key != addr && slots[i].key != 0)
-            i = (i + 1) & (cap - 1);
-        return i;
+        return mixKey(key >> blockShift) & mask();
     }
 
-    /**
-     * Count one new word, growing first if it would push the load
-     * past 0.7. Address 0 counts too, so the capacity sequence is that
-     * of a table holding every word. @return true if the table grew.
-     */
-    bool
-    reserveWord()
-    {
-        bool grew = (nUsed + 1) * 10 > cap * 7;
-        if (grew)
-            grow(cap < fullSlots ? fullSlots : cap * 2);
-        ++nUsed;
-        return grew;
-    }
+    /** The empty slot ending the probe run from @p key's home. */
+    std::size_t freeSlotOf(std::uint64_t key) const;
+    /** Add the absent word @p addr, promoting its block if due. */
+    void insert(std::uint64_t addr, std::uint64_t value);
+    void promote(std::uint64_t addr, std::uint64_t value);
+    void grow();
+    std::uint64_t exchangeUnaligned(std::uint64_t addr,
+                                    std::uint64_t value);
+    std::uint64_t peekUnaligned(std::uint64_t addr) const;
 
-    void
-    grow(std::size_t new_cap)
-    {
-        std::vector<Slot> old = std::move(slots);
-        cap = new_cap;
-        slots.assign(cap, Slot{0, 0});
-        for (const Slot &s : old)
-            if (s.key != 0)
-                slots[slotOf(s.key)] = s;
-    }
-
-    std::size_t cap = 0;
-    std::size_t nUsed = 0;
-    std::vector<Slot> slots;
-    bool hasZero = false;
-    std::uint64_t zeroVal = 0; //!< the word at address 0
+    std::vector<Slot> slots; //!< power-of-two count, load <= 0.7
+    std::size_t nSlots = 0;  //!< sparse words plus dense tags
+    std::size_t nWords = 0;
+    std::vector<std::unique_ptr<Dense[]>> chunks; //!< never moved
+    std::size_t chunkUsed = chunkBlocks;
+    std::unordered_map<std::uint64_t, std::uint64_t> unaligned;
 };
 
 } // namespace pm

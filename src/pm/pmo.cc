@@ -1,6 +1,7 @@
 #include "pm/pmo.hh"
 
 #include "common/logging.hh"
+#include "sim/machine.hh"
 
 namespace terp {
 namespace pm {
@@ -18,6 +19,13 @@ Pmo::vaddrOf(std::uint64_t offset) const
     TERP_ASSERT(attached(), "vaddrOf on detached PMO ", pmoName);
     TERP_ASSERT(offset < pmoSize, "offset out of PMO bounds");
     return base + offset;
+}
+
+sim::MemAccess
+Pmo::accessAt(std::uint64_t offset, bool write) const
+{
+    return sim::MemAccess{vaddrOf(offset), paddrOf(offset), write,
+                          sim::MemKind::Nvm};
 }
 
 } // namespace pm

@@ -20,6 +20,10 @@
 #include "pm/page_table.hh"
 
 namespace terp {
+namespace sim {
+struct MemAccess;
+} // namespace sim
+
 namespace pm {
 
 /** Requested access mode for create/open/attach. */
@@ -73,6 +77,9 @@ class Pmo
     {
         return phys + offset;
     }
+
+    /** The simulator access record for an offset; PMO must be attached. */
+    sim::MemAccess accessAt(std::uint64_t offset, bool write) const;
 
     const EmbeddedSubtree &subtree() const { return pageSubtree; }
 

@@ -188,14 +188,5 @@ PmoManager::oidDirect(const Oid &oid) const
     return p.vaddrOf(oid.offset());
 }
 
-sim::MemAccess
-PmoManager::accessFor(const Oid &oid, bool write) const
-{
-    const Pmo &p = pmo(oid.pool());
-    return sim::MemAccess{p.vaddrOf(oid.offset()),
-                          p.paddrOf(oid.offset()), write,
-                          sim::MemKind::Nvm};
-}
-
 } // namespace pm
 } // namespace terp

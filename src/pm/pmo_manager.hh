@@ -98,9 +98,6 @@ class PmoManager
      */
     const Pmo *findByVaddr(std::uint64_t vaddr) const;
 
-    /** Build the simulator access record for a data reference. */
-    sim::MemAccess accessFor(const Oid &oid, bool write) const;
-
     /** Entropy bits of the placement randomization. */
     static constexpr unsigned entropyBits = 18;
 

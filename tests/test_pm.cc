@@ -80,16 +80,21 @@ TEST(MemImage, RoundTripsAcrossEveryGrowth)
     };
 
     MemImage img;
-    // Starts small; the 717th word (load 0.7 of 1 Ki slots) jumps
-    // straight to 64 Ki, then the table doubles at the same load.
+    // The DRAM words (16 bytes apart) fill their blocks and turn
+    // dense; each pool's words lie 80 bytes apart, at most 7 to a
+    // block, and stay sparse. The table starts at 1 Ki slots and
+    // doubles at load 0.7 of sparse words plus dense tags, about
+    // every 1390 words per 1 Ki slots.
     const struct
     {
         std::uint64_t words;
         std::size_t slots;
     } steps[] = {
-        {0, 1u << 10},      {1, 1u << 10},       {716, 1u << 10},
-        {717, 1u << 16},    {45875, 1u << 16},   {45876, 1u << 17},
-        {91750, 1u << 17},  {91751, 1u << 18},   {100000, 1u << 18},
+        {0, 1u << 10},      {1, 1u << 10},      {1389, 1u << 10},
+        {1390, 1u << 11},   {2780, 1u << 12},   {5562, 1u << 13},
+        {11122, 1u << 14},  {22242, 1u << 15},  {44482, 1u << 15},
+        {44483, 1u << 16},  {88965, 1u << 16},  {88966, 1u << 17},
+        {100000, 1u << 17},
     };
     std::uint64_t n = 0;
     for (const auto &st : steps) {
@@ -108,7 +113,7 @@ TEST(MemImage, RoundTripsAcrossEveryGrowth)
     for (std::uint64_t i = 0; i < n; i += 7)
         img.poke(key(i), value(i, 1));
     EXPECT_EQ(img.wordCount(), n);
-    EXPECT_EQ(img.slotCount(), 1u << 18);
+    EXPECT_EQ(img.slotCount(), 1u << 17);
     for (std::uint64_t i = 0; i < n; ++i)
         ASSERT_EQ(img.peek(key(i)), value(i, i % 7 == 0 ? 1 : 0));
 }
@@ -128,11 +133,13 @@ TEST(MemImage, ExtremeKeysAndZeroValuesAreOrdinaryWords)
     img.poke(~0ULL, 9);
     EXPECT_EQ(img.wordCount(), 3u);
     EXPECT_EQ(img.peek(~0ULL - 8), 0u);
-    // Both survive growth to the full table and beyond.
+    // Both survive growth, and the words at 0 and 0x40 survive their
+    // block turning dense: the words below are 16 bytes apart, so
+    // every block they touch is promoted, block 0 included.
     for (std::uint64_t i = 1; i <= 50000; ++i)
         img.poke(16 * i + 8, i);
     EXPECT_EQ(img.wordCount(), 50003u);
-    EXPECT_EQ(img.slotCount(), 1u << 17);
+    EXPECT_EQ(img.slotCount(), 1u << 12);
     EXPECT_EQ(img.peek(0), 7u);
     EXPECT_EQ(img.peek(~0ULL), 9u);
     EXPECT_EQ(img.peek(0x40), 0u);
@@ -143,10 +150,11 @@ TEST(MemImage, ExtremeKeysAndZeroValuesAreOrdinaryWords)
 
 TEST(MemImage, KeysSharingAHomeSlotSurviveGrowth)
 {
-    // MemImage's slot hash, so the keys below share one home slot at
+    // MemImage's slot hash of a word's 512-byte block, so the keys
+    // below (one word in each of 64 blocks) share one home slot at
     // every capacity up to 128 Ki and build the longest probe runs a
-    // table can have. (Were the table's hash to change, the test would
-    // still check every value, only on shorter runs.)
+    // table can have. (Were the table's hash to change, the test
+    // would still check every value, only on shorter runs.)
     auto mix = [](std::uint64_t x) {
         x ^= x >> 33;
         x *= 0xff51afd7ed558ccdULL;
@@ -157,13 +165,15 @@ TEST(MemImage, KeysSharingAHomeSlotSurviveGrowth)
     };
     const std::uint64_t mask = (1u << 17) - 1;
     std::vector<std::uint64_t> shared;
-    for (std::uint64_t k = 8; shared.size() < 64; k += 8)
-        if ((mix(k) & mask) == (mix(8) & mask))
-            shared.push_back(k);
+    for (std::uint64_t b = 1; shared.size() < 64; ++b)
+        if ((mix(b) & mask) == (mix(1) & mask))
+            shared.push_back(b << 9 | 8 * (b % 64));
     // The first 48 are poked, the last 16 never are.
     const std::size_t poked = 48;
 
     MemImage img;
+    // Fillers take one block each, so every word is one sparse slot
+    // and the table doubles from 1 Ki at load 0.7.
     std::uint64_t filler = 1ULL << 40;
     std::size_t next = 0;
     auto check = [&](std::size_t slots) {
@@ -178,15 +188,103 @@ TEST(MemImage, KeysSharingAHomeSlotSurviveGrowth)
         for (std::size_t j = 0; j < 16; ++j, ++next)
             img.poke(shared[next], shared[next] ^ 0x5a);
         while (img.wordCount() < words)
-            img.poke(filler += 8, 1);
+            img.poke(filler += 512, 1);
         check(words < 717 ? 1u << 10 : words < 45876 ? 1u << 16 : 1u << 17);
-        img.poke(filler += 8, 1);
-        img.poke(filler += 8, 1);
+        img.poke(filler += 512, 1);
+        img.poke(filler += 512, 1);
     }
     while (img.wordCount() < 91751)
-        img.poke(filler += 8, 1);
+        img.poke(filler += 512, 1);
     check(1u << 18);
 }
+
+class MemImageModelTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(MemImageModelTest, MatchesMap)
+{
+    Rng rng(GetParam());
+    const auto aligned = [&] { return rng.next() & ~7ULL; };
+    // The pool the ops draw keys from.
+    std::vector<std::uint64_t> keys{0, ~0ULL, ~7ULL, 8};
+    // Sparse: single words of random blocks.
+    for (int i = 0; i < 2500; ++i)
+        keys.push_back(aligned());
+    // Strided cells: 8- to 64-byte strides fill their blocks, 72
+    // leaves seven or eight words to a block, 520 one.
+    for (std::uint64_t stride : {8u, 24u, 64u, 72u, 520u}) {
+        const auto pool = static_cast<PmoId>(1 + stride % 7);
+        const std::uint64_t base = Oid(pool, 8 * rng.nextBelow(1 << 20)).raw;
+        for (std::uint64_t k = 0; k < 200; ++k)
+            keys.push_back(base + k * stride);
+    }
+    // Dense: every word of a few blocks, plus unaligned words there,
+    // one at the block base | 1 that tags a dense block in the table.
+    for (int b = 0; b < 6; ++b) {
+        const std::uint64_t base = aligned() >> 9 << 9;
+        for (std::uint64_t w = 0; w < 64; ++w)
+            keys.push_back(base + 8 * w);
+        for (std::uint64_t u : {1u, 3u, 7u, 511u})
+            keys.push_back(base + u);
+    }
+    for (int i = 0; i < 100; ++i)
+        keys.push_back(aligned() | (1 + rng.nextBelow(7)));
+
+    MemImage img;
+    std::map<std::uint64_t, std::uint64_t> model;
+    std::map<std::uint64_t, unsigned> blockWords; // aligned words
+    unsigned growths = 0, promotions = 0;
+    std::size_t slots = img.slotCount();
+    const auto checkAll = [&] {
+        for (const auto &[k, v] : model) {
+            ASSERT_EQ(img.peek(k), v) << std::hex << k;
+            if (!model.count(k + 8)) {
+                ASSERT_EQ(img.peek(k + 8), 0u) << std::hex << k + 8;
+            }
+        }
+    };
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t k = rng.nextBelow(10) == 0
+                                    ? aligned()
+                                    : keys[rng.nextBelow(keys.size())];
+        const std::uint64_t v = rng.nextBelow(4) == 0 ? 0 : rng.next();
+        const auto it = model.find(k);
+        const std::uint64_t want = it == model.end() ? 0 : it->second;
+        const std::uint64_t kind = rng.nextBelow(10);
+        if (kind < 3) {
+            ASSERT_EQ(img.peek(k), want) << std::hex << k;
+            continue;
+        }
+        if (kind < 8)
+            ASSERT_EQ(img.exchange(k, v), want) << std::hex << k;
+        else
+            img.poke(k, v);
+        const bool fresh = it == model.end();
+        model[k] = v;
+        ASSERT_EQ(img.wordCount(), model.size());
+        const bool promoted =
+            fresh && (k & 7) == 0 && ++blockWords[k >> 9] == 8;
+        promotions += promoted;
+        if (img.slotCount() != slots) {
+            slots = img.slotCount();
+            ++growths;
+        } else if (!promoted) {
+            continue;
+        }
+        checkAll();
+        if (HasFatalFailure())
+            return;
+    }
+    checkAll();
+    // Every seed grows the table three times and promotes dozens of
+    // blocks, so the checks above ran on each.
+    EXPECT_GE(growths, 3u);
+    EXPECT_GE(promotions, 30u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemImageModelTest,
+                         ::testing::Range<std::uint64_t>(0, 16));
 
 TEST(MemImage, PmoPointerDiscrimination)
 {
@@ -640,7 +738,7 @@ TEST(PmoManager, OidDirectTranslation)
     m.mapRandomized(p);
     Oid o(p.id(), 0x480);
     EXPECT_EQ(m.oidDirect(o), p.vaddrBase() + 0x480);
-    sim::MemAccess a = m.accessFor(o, true);
+    sim::MemAccess a = p.accessAt(o.offset(), true);
     EXPECT_EQ(a.vaddr, p.vaddrBase() + 0x480);
     EXPECT_EQ(a.paddr, p.physBase() + 0x480);
     EXPECT_TRUE(a.write);
