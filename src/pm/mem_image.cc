@@ -25,7 +25,7 @@ MemImage::insert(std::uint64_t addr, std::uint64_t value)
     for (; slots[i].key != none; i = (i + 1) & mask())
         kin += (slots[i].key >> blockShift) == (addr >> blockShift);
     if (kin + 1 == denseAt) {
-        promote(addr, value);
+        densify(addr >> blockShift << blockShift).exchange(addr, value);
         return;
     }
     if ((nSlots + 1) * 10 > slots.size() * 7) {
@@ -36,8 +36,19 @@ MemImage::insert(std::uint64_t addr, std::uint64_t value)
     slots[i] = Slot{addr, value};
 }
 
-void
-MemImage::promote(std::uint64_t addr, std::uint64_t value)
+bool
+MemImage::isDense(std::uint64_t base) const
+{
+    const std::uint64_t tag = base | 1;
+    for (std::size_t i = homeOf(base); slots[i].key != none;
+         i = (i + 1) & mask())
+        if (slots[i].key == tag)
+            return true;
+    return false;
+}
+
+MemImage::Dense &
+MemImage::densify(std::uint64_t base)
 {
     if (chunkUsed == chunkBlocks) {
         // Left uninitialized: each array is zeroed when claimed, so
@@ -47,17 +58,16 @@ MemImage::promote(std::uint64_t addr, std::uint64_t value)
     }
     Dense &d = chunks.back()[chunkUsed++];
     d = Dense{};
-    d.exchange(addr, value);
 
     // One backward-shift sweep over the run from the block's home
     // erases all of its words: each becomes a hole, and every other
     // slot moves back into the earliest hole that lies cyclically in
     // [its home, its slot), leaving a hole behind. Holes always trail
     // the sweep, so the first empty slot it meets ends the run.
-    const std::uint64_t block = addr >> blockShift;
+    const std::uint64_t block = base >> blockShift;
     std::size_t holes[denseAt] = {};
     unsigned nHoles = 0;
-    for (std::size_t j = homeOf(addr); slots[j].key != none;
+    for (std::size_t j = homeOf(base); slots[j].key != none;
          j = (j + 1) & mask()) {
         Slot &s = slots[j];
         if ((s.key >> blockShift) == block) {
@@ -79,9 +89,30 @@ MemImage::promote(std::uint64_t addr, std::uint64_t value)
             }
         }
     }
-    slots[freeSlotOf(addr)] =
-        Slot{tagOf(addr), reinterpret_cast<std::uintptr_t>(&d)};
+    // The tag replaces the block's words; only a block that had none
+    // (a reserved one) can push the load past the limit.
+    if ((nSlots + 1) * 10 > slots.size() * 7)
+        grow();
+    slots[freeSlotOf(base)] =
+        Slot{tagOf(base), reinterpret_cast<std::uintptr_t>(&d)};
     ++nSlots;
+    return d;
+}
+
+void
+MemImage::reserveDense(std::uint64_t addr, std::uint64_t bytes)
+{
+    if (bytes == 0)
+        return;
+    const std::uint64_t last =
+        bytes - 1 > ~addr ? ~0ULL : addr + (bytes - 1);
+    for (std::uint64_t base = addr >> blockShift << blockShift;;
+         base += 1ULL << blockShift) {
+        if (!isDense(base))
+            densify(base);
+        if (base >> blockShift == last >> blockShift)
+            break;
+    }
 }
 
 void

@@ -22,7 +22,11 @@
  *   block's words sit in one probe run.
  * - *Dense.* The insert that gives a block its denseAt-th word moves
  *   the block into a 64-word array in an arena that never moves, and
- *   the table keeps one slot for it, keyed by the block's tag.
+ *   the table keeps one slot for it, keyed by the block's tag. A bulk
+ *   fill calls reserveDense first, which makes every block of its
+ *   range dense at once, so its words skip the sparse tier; such a
+ *   block may hold fewer than denseAt words (even none), which only
+ *   the host-side layout can tell.
  *
  * So scattered single words (serve's transaction writes, crash
  * worlds) stay compact, and packed structures (SPEC cells, WHISPER
@@ -128,6 +132,13 @@ class MemImage
 
     std::size_t wordCount() const { return nWords; }
 
+    /**
+     * Make every block that [addr, addr + bytes) touches dense now,
+     * moving any sparse words it already holds, so a bulk fill writes
+     * straight into arrays. Values and wordCount() do not change.
+     */
+    void reserveDense(std::uint64_t addr, std::uint64_t bytes);
+
     /** Table slots: host-side geometry, never visible to peek(). */
     std::size_t slotCount() const { return slots.size(); }
 
@@ -206,7 +217,10 @@ class MemImage
     std::size_t freeSlotOf(std::uint64_t key) const;
     /** Add the absent word @p addr, promoting its block if due. */
     void insert(std::uint64_t addr, std::uint64_t value);
-    void promote(std::uint64_t addr, std::uint64_t value);
+    /** Does the block at @p base have a dense array? */
+    bool isDense(std::uint64_t base) const;
+    /** Move the sparse block at @p base into a fresh dense array. */
+    Dense &densify(std::uint64_t base);
     void grow();
     std::uint64_t exchangeUnaligned(std::uint64_t addr,
                                     std::uint64_t value);

@@ -37,7 +37,10 @@ PoolAllocator::slotOf(std::uint64_t off) const
 void
 PoolAllocator::addBlock(std::uint64_t off, std::uint64_t len)
 {
-    if ((nLive + 1) * 2 > blocks.size()) { // keep load at most 0.5
+    // Keep load at most 0.5, counting only the table's own blocks: a
+    // run of 50k prefilled records must not make the next pmalloc
+    // size the table for them.
+    if ((nTable + 1) * 2 > blocks.size()) {
         std::vector<Block> old(blocks.size() * 2);
         old.swap(blocks);
         for (const Block &b : old)
@@ -45,6 +48,7 @@ PoolAllocator::addBlock(std::uint64_t off, std::uint64_t len)
                 blocks[slotOf(b.off)] = b;
     }
     blocks[slotOf(off)] = Block{off, len};
+    ++nTable;
     ++nLive;
     live += len;
     ++nAllocs;
@@ -78,17 +82,60 @@ PoolAllocator::pmalloc(std::uint64_t size)
     return Oid(pool, off);
 }
 
-void
-PoolAllocator::pfree(Oid oid)
+Oid
+PoolAllocator::pmallocRun(std::uint64_t n, std::uint64_t size)
 {
-    TERP_ASSERT(oid.pool() == pool, "pfree: wrong pool");
-    std::size_t i = slotOf(oid.offset());
-    TERP_ASSERT(blocks[i].len != 0, "pfree: not a live block");
-    std::uint64_t off = blocks[i].off;
+    TERP_ASSERT(n > 0, "pmallocRun: empty run");
+    TERP_ASSERT(holes.empty(), "pmallocRun: holes below the tail");
+    if (size > capacity)
+        return nullOid;
+    size = align(std::max<std::uint64_t>(size, 1));
+    if ((capacity - tail) / size < n)
+        return nullOid; // the run does not fit whole
+    std::uint64_t off = tail;
+    tail += n * size;
+    runs.emplace_hint(runs.end(), off, Run{size, n});
+    nLive += n;
+    live += n * size;
+    nAllocs += n;
+    return Oid(pool, off);
+}
+
+std::map<std::uint64_t, PoolAllocator::Run>::const_iterator
+PoolAllocator::runOf(std::uint64_t off) const
+{
+    auto it = runs.upper_bound(off);
+    if (it == runs.begin())
+        return runs.end();
+    --it;
+    const std::uint64_t rel = off - it->first;
+    const Run &r = it->second;
+    if (rel % r.len != 0 || rel / r.len >= r.count)
+        return runs.end();
+    return it;
+}
+
+std::uint64_t
+PoolAllocator::removeBlock(std::uint64_t off)
+{
+    std::size_t i = slotOf(off);
+    if (blocks[i].len == 0) {
+        // A run member: keep the members on either side as runs.
+        auto it = runOf(off);
+        TERP_ASSERT(it != runs.end(), "pfree: not a live block");
+        const std::uint64_t first = it->first;
+        const Run r = it->second;
+        const std::uint64_t k = (off - first) / r.len;
+        auto next = runs.erase(it);
+        if (k > 0)
+            runs.emplace_hint(next, first, Run{r.len, k});
+        if (k + 1 < r.count)
+            runs.emplace_hint(next, off + r.len,
+                              Run{r.len, r.count - k - 1});
+        return r.len;
+    }
     std::uint64_t len = blocks[i].len;
-    --nLive;
-    live -= len;
-    ++nFrees;
+    --nTable;
 
     // Backward-shift delete: pull later entries of the probe run into
     // the gap unless the gap lies before their home slot.
@@ -101,6 +148,18 @@ PoolAllocator::pfree(Oid oid)
         }
     }
     blocks[i] = Block{};
+    return len;
+}
+
+void
+PoolAllocator::pfree(Oid oid)
+{
+    TERP_ASSERT(oid.pool() == pool, "pfree: wrong pool");
+    std::uint64_t off = oid.offset();
+    std::uint64_t len = removeBlock(off);
+    --nLive;
+    live -= len;
+    ++nFrees;
 
     // Coalesce with the hole above, then with the hole below.
     auto next = holes.lower_bound(off);
@@ -133,7 +192,10 @@ PoolAllocator::reservePrefix(std::uint64_t up_to)
 std::uint64_t
 PoolAllocator::blockSize(Oid oid) const
 {
-    return blocks[slotOf(oid.offset())].len;
+    if (std::uint64_t len = blocks[slotOf(oid.offset())].len)
+        return len;
+    auto it = runOf(oid.offset());
+    return it == runs.end() ? 0 : it->second.len;
 }
 
 } // namespace pm

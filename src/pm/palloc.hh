@@ -11,6 +11,17 @@
  * first-fit free list, and an allocator that never frees never
  * touches the hole map. Live blocks sit in a flat open-addressing
  * table keyed by offset.
+ *
+ * A bulk build (a PMO prefilled with thousands of equal records)
+ * takes its blocks with pmallocRun, which carves n equal blocks from
+ * the tail and records them as one run {first, size, n} in an ordered
+ * map instead of n table slots. While there are no holes the run's
+ * blocks sit exactly where n pmalloc(size) calls would put them. A
+ * run member is a live block like any other: blockSize answers for
+ * it, and pfree of member k splits its run into the members before k
+ * and those after it (either side may be empty), then frees the block
+ * as usual. The table counts only its own slots, so a run never grows
+ * it.
  */
 
 #ifndef TERP_PM_PALLOC_HH
@@ -45,7 +56,18 @@ class PoolAllocator
      */
     Oid pmalloc(std::uint64_t size);
 
-    /** Free a block previously returned by pmalloc. */
+    /**
+     * Allocate @p n > 0 blocks of @p size bytes each from the tail, as
+     * one run. Must be called while the allocator has no holes (before
+     * any pfree that left one), so block i sits at the first block's
+     * offset plus i * (size rounded up to 16), exactly where n
+     * pmalloc(size) calls would put it.
+     * @return ObjectID of the first block, or nullOid (allocating
+     *         nothing) if the n blocks do not all fit.
+     */
+    Oid pmallocRun(std::uint64_t n, std::uint64_t size);
+
+    /** Free a block previously returned by pmalloc or pmallocRun. */
     void pfree(Oid oid);
 
     /**
@@ -71,12 +93,21 @@ class PoolAllocator
         std::uint64_t len = 0;
     };
 
+    /** Live blocks of len bytes at first + i * len, i < count. */
+    struct Run
+    {
+        std::uint64_t len;
+        std::uint64_t count;
+    };
+
     PmoId pool;
     std::uint64_t capacity;
     std::uint64_t tail;                          //!< free from here up
     std::map<std::uint64_t, std::uint64_t> holes; //!< below tail: off -> len
     std::vector<Block> blocks; //!< linear probing, power-of-two size
-    std::uint64_t nLive = 0;
+    std::uint64_t nTable = 0;  //!< live blocks held in the table
+    std::map<std::uint64_t, Run> runs; //!< first offset -> run
+    std::uint64_t nLive = 0;   //!< table blocks plus run members
     std::uint64_t live = 0;
     std::uint64_t nAllocs = 0;
     std::uint64_t nFrees = 0;
@@ -87,6 +118,11 @@ class PoolAllocator
     /** Slot holding @p off, or the empty slot where it would go. */
     std::size_t slotOf(std::uint64_t off) const;
     void addBlock(std::uint64_t off, std::uint64_t len);
+    /** The run holding a block that starts at @p off, or runs.end(). */
+    std::map<std::uint64_t, Run>::const_iterator
+    runOf(std::uint64_t off) const;
+    /** Take the live block at @p off out of the table or its run. */
+    std::uint64_t removeBlock(std::uint64_t off);
 };
 
 } // namespace pm

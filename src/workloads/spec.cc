@@ -216,6 +216,7 @@ buildMcf(pm::PmoManager &pm, const SpecParams &params)
     prog.setup = [arc_count, arcs, n_nodes](pm::MemImage &img,
                                             Rng &rng) {
         // arcs[i].head = random node index.
+        img.reserveDense(pm::Oid(arcs, 0).raw, arc_count * 32);
         for (std::uint64_t i = 0; i < arc_count; ++i) {
             img.poke(pm::Oid(arcs, i * 32 + 8).raw,
                      rng.nextBelow(n_nodes));
@@ -373,6 +374,7 @@ buildNab(pm::PmoManager &pm, const SpecParams &params)
     prog.setup = [count, pos, n_particles](pm::MemImage &img,
                                            Rng &rng) {
         // pos[i].neighbour = random particle index.
+        img.reserveDense(pm::Oid(pos, 0).raw, count * 64);
         for (std::uint64_t i = 0; i < count; ++i) {
             img.poke(pm::Oid(pos, i * 64 + 8).raw,
                      rng.nextBelow(n_particles));
@@ -486,6 +488,7 @@ buildXz(pm::PmoManager &pm, const SpecParams &params)
     std::uint64_t dict_entries = (1 * MiB) / 64;
     prog.setup = [count, in, dict_entries](pm::MemImage &img,
                                            Rng &rng) {
+        img.reserveDense(pm::Oid(in, 0).raw, count * 64);
         for (std::uint64_t i = 0; i < count; ++i) {
             img.poke(pm::Oid(in, i * 64).raw, rng.next() & 0xff);
             img.poke(pm::Oid(in, i * 64 + 8).raw,

@@ -188,14 +188,19 @@ class HashmapJob : public WhisperJob
         alloc().reservePrefix(bucketsOff + nBuckets * 8);
         // The PMO already holds the map from previous runs: populate
         // without charging simulated time. Chains build in host-side
-        // heads; each bucket word is written once at the end.
+        // heads; each bucket word is written once at the end. The
+        // records are one run of dense blocks, at the offsets 50k
+        // pmalloc calls would give.
+        constexpr std::uint64_t nRecords = 50000;
+        const pm::Oid first = alloc().pmallocRun(nRecords, recordSize);
+        TERP_ASSERT(!first.isNull(), "hashmap pool exhausted");
+        img.reserveDense(first.raw, nRecords * recordSize);
         std::vector<std::uint64_t> heads(nBuckets, 0);
-        for (std::uint64_t i = 0; i < 50000; ++i) {
+        for (std::uint64_t i = 0; i < nRecords; ++i) {
             // Value before key: the draw order the recorded outputs use.
             std::uint64_t val = rng.next();
             std::uint64_t key = rng.nextBelow(keyspace);
-            pm::Oid rec = alloc().pmalloc(recordSize);
-            TERP_ASSERT(!rec.isNull(), "hashmap pool exhausted");
+            pm::Oid rec = first.plus(i * recordSize);
             std::uint64_t &head = heads[bucketOf(key)];
             poke(rec, key);
             poke(rec.plus(8), head);
@@ -293,20 +298,23 @@ class CtreeJob : public WhisperJob
         for (std::uint64_t &k : keys)
             k = rng.nextBelow(keyspace);
         InsertionBst t = buildInsertionBst(keys);
-        std::vector<pm::Oid> node(t.keys.size());
-        for (std::size_t i = 0; i < node.size(); ++i) {
-            node[i] = alloc().pmalloc(nodeSize);
-            TERP_ASSERT(!node[i].isNull());
-            poke(node[i], t.keys[i]);
-        }
-        for (std::size_t i = 0; i < node.size(); ++i) {
+        // Node i is member i of one run of dense blocks.
+        const std::size_t n = t.keys.size();
+        const pm::Oid first = alloc().pmallocRun(n, nodeSize);
+        TERP_ASSERT(!first.isNull());
+        img.reserveDense(first.raw, n * nodeSize);
+        const auto node = [&](std::size_t i) {
+            return first.plus(i * nodeSize);
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            poke(node(i), t.keys[i]);
             if (t.left[i] != InsertionBst::none)
-                poke(node[i].plus(8), node[t.left[i]].raw);
+                poke(node(i).plus(8), node(t.left[i]).raw);
             if (t.right[i] != InsertionBst::none)
-                poke(node[i].plus(16), node[t.right[i]].raw);
+                poke(node(i).plus(16), node(t.right[i]).raw);
         }
         if (t.root != InsertionBst::none)
-            poke(pm::Oid(pmo, rootOff), node[t.root].raw);
+            poke(pm::Oid(pmo, rootOff), node(t.root).raw);
     }
 
   protected:
@@ -511,11 +519,15 @@ class RedisJob : public WhisperJob
     {
         alloc().reservePrefix(dictOff + dictSlots * 8);
         // Prefilled dict, chained in host-side heads like hashmap's.
+        constexpr std::uint64_t nEntries = 20000;
+        constexpr std::uint64_t entrySize = 48;
+        const pm::Oid first = alloc().pmallocRun(nEntries, entrySize);
+        TERP_ASSERT(!first.isNull());
+        img.reserveDense(first.raw, nEntries * entrySize);
         std::vector<std::uint64_t> heads(dictSlots, 0);
-        for (std::uint64_t i = 0; i < 20000; ++i) {
+        for (std::uint64_t i = 0; i < nEntries; ++i) {
             std::uint64_t key = rng.nextBelow(100000);
-            pm::Oid e = alloc().pmalloc(48);
-            TERP_ASSERT(!e.isNull());
+            pm::Oid e = first.plus(i * entrySize);
             std::uint64_t &head = heads[slotOf(key)];
             poke(e, key);
             poke(e.plus(8), head);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -234,7 +235,11 @@ TEST_P(MemImageModelTest, MatchesMap)
     MemImage img;
     std::map<std::uint64_t, std::uint64_t> model;
     std::map<std::uint64_t, unsigned> blockWords; // aligned words
+    std::set<std::uint64_t> reserved;             // reserveDense blocks
     unsigned growths = 0, promotions = 0;
+    // reserveDense calls by the blocks they touched (empty, sparse or
+    // already dense) and by ranges not starting or ending on a block.
+    unsigned touched[3] = {}, ragged[2] = {};
     std::size_t slots = img.slotCount();
     const auto checkAll = [&] {
         for (const auto &[k, v] : model) {
@@ -244,7 +249,37 @@ TEST_P(MemImageModelTest, MatchesMap)
             }
         }
     };
+    // Reserves draw from their own stream, so the word ops are the
+    // same with and without them.
+    Rng rrng(GetParam() + 1000);
     for (int op = 0; op < 20000; ++op) {
+        if (rrng.nextBelow(500) == 0) {
+            // Reserve up to four blocks around a pool key, or at a
+            // fresh address, below the top 4 KB of the space.
+            const std::uint64_t at =
+                rrng.nextBool(0.2) ? rrng.next() & ~7ULL
+                                   : keys[rrng.nextBelow(keys.size())];
+            const std::uint64_t lo = std::min<std::uint64_t>(
+                at - std::min(at, rrng.nextBelow(768)), ~0ULL << 12);
+            const std::uint64_t bytes = 1 + rrng.nextBelow(1536);
+            for (std::uint64_t b = lo >> 9; b <= (lo + bytes - 1) >> 9;
+                 ++b) {
+                const unsigned n = blockWords.count(b) ? blockWords[b] : 0;
+                ++touched[reserved.count(b) || n >= 8 ? 2 : n > 0];
+                reserved.insert(b);
+            }
+            ragged[0] += lo % 512 != 0;
+            ragged[1] += (lo + bytes) % 512 != 0;
+            img.reserveDense(lo, bytes);
+            ASSERT_EQ(img.wordCount(), model.size());
+            for (const auto &[key, v] : model)
+                ASSERT_EQ(img.exchange(key, v), v) << std::hex << key;
+            ASSERT_EQ(img.wordCount(), model.size());
+            checkAll();
+            if (HasFatalFailure())
+                return;
+            slots = img.slotCount();
+        }
         const std::uint64_t k = rng.nextBelow(10) == 0
                                     ? aligned()
                                     : keys[rng.nextBelow(keys.size())];
@@ -263,8 +298,9 @@ TEST_P(MemImageModelTest, MatchesMap)
         const bool fresh = it == model.end();
         model[k] = v;
         ASSERT_EQ(img.wordCount(), model.size());
-        const bool promoted =
-            fresh && (k & 7) == 0 && ++blockWords[k >> 9] == 8;
+        const bool promoted = fresh && (k & 7) == 0 &&
+                              ++blockWords[k >> 9] == 8 &&
+                              !reserved.count(k >> 9);
         promotions += promoted;
         if (img.slotCount() != slots) {
             slots = img.slotCount();
@@ -281,10 +317,33 @@ TEST_P(MemImageModelTest, MatchesMap)
     // blocks, so the checks above ran on each.
     EXPECT_GE(growths, 3u);
     EXPECT_GE(promotions, 30u);
+    for (unsigned c : touched)
+        EXPECT_GT(c, 0u);
+    for (unsigned c : ragged)
+        EXPECT_GT(c, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemImageModelTest,
                          ::testing::Range<std::uint64_t>(0, 16));
+
+TEST(MemImage, ReserveDenseClampsAtTheTopOfTheSpace)
+{
+    MemImage img;
+    const std::uint64_t top = ~7ULL; // the last aligned word
+    img.poke(top, 5);
+    img.poke(top - 512, 6);
+    // The range runs past 2^64: it ends at the last block.
+    img.reserveDense(top - 600, 4096);
+    EXPECT_EQ(img.wordCount(), 2u);
+    EXPECT_EQ(img.peek(top), 5u);
+    EXPECT_EQ(img.peek(top - 512), 6u);
+    EXPECT_EQ(img.peek(top - 8), 0u);
+    EXPECT_EQ(img.exchange(top - 8, 7), 0u);
+    EXPECT_EQ(img.wordCount(), 3u);
+    EXPECT_EQ(img.peek(top - 8), 7u);
+    img.reserveDense(top, 0); // empty: no effect
+    EXPECT_EQ(img.wordCount(), 3u);
+}
 
 TEST(MemImage, PmoPointerDiscrimination)
 {
@@ -500,6 +559,21 @@ class FirstFitModel
         return none;
     }
 
+    /** n mallocs of @p size, all or none: their offsets, or none. */
+    std::vector<std::uint64_t>
+    mallocRun(std::uint64_t n, std::uint64_t size)
+    {
+        FirstFitModel trial = *this;
+        std::vector<std::uint64_t> offs;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            offs.push_back(trial.malloc(size));
+            if (offs.back() == none)
+                return {};
+        }
+        *this = trial;
+        return offs;
+    }
+
     void
     release(std::uint64_t off)
     {
@@ -589,6 +663,57 @@ TEST_P(AllocatorModelTest, MatchesFirstFitModel)
     }
 
     std::vector<std::uint64_t> held; // live offsets in model order
+    // Two of three seeds start with one to three runs. A run's live
+    // members map to its index, so each pfree of one is classed by
+    // which of its neighbours in the run are still live.
+    std::map<std::uint64_t, unsigned> runMember;
+    unsigned runFrees[4] = {}; // only, first, last, middle member
+    const auto noteFree = [&](std::uint64_t off) {
+        auto it = runMember.find(off);
+        if (it == runMember.end())
+            return;
+        const std::uint64_t len = m.blocks.at(off);
+        const auto inRun = [&](std::uint64_t o) {
+            auto n = runMember.find(o);
+            return n != runMember.end() && n->second == it->second;
+        };
+        ++runFrees[2 * inRun(off - len) + inRun(off + len)];
+        runMember.erase(it);
+    };
+    // An offset inside a live run member is no block.
+    const auto checkInterior = [&](std::uint64_t off) {
+        const std::uint64_t len = m.blocks.at(off);
+        const std::uint64_t in =
+            off + (len > 16 ? 16 * rng.nextRange(1, len / 16 - 1) : 8);
+        ASSERT_EQ(a.blockSize(Oid(3, in)), 0u) << std::hex << in;
+        ASSERT_THROW(a.pfree(Oid(3, in)), std::logic_error);
+    };
+    const bool withRuns = GetParam() % 3 != 0;
+    unsigned runsMade = 0;
+    for (unsigned r = 0, nRuns = withRuns ? 1 + rng.nextBelow(3) : 0;
+         r < nRuns; ++r) {
+        // Each run takes up to a third of the pool (more than is left
+        // once a prefix is reserved), so the mix has room beside it.
+        const std::uint64_t n = rng.nextRange(1, 48);
+        const std::uint64_t size = rng.nextRange(1, cap / (3 * n));
+        Oid o = a.pmallocRun(n, size);
+        std::vector<std::uint64_t> want = m.mallocRun(n, size);
+        if (want.empty()) {
+            ASSERT_TRUE(o.isNull()) << "run " << r;
+        } else {
+            ASSERT_EQ(o, Oid(3, want[0])) << "run " << r;
+            for (std::uint64_t off : want) {
+                ASSERT_EQ(a.blockSize(Oid(3, off)), m.blocks.at(off));
+                runMember[off] = r;
+                held.push_back(off);
+            }
+            checkInterior(want[rng.nextBelow(want.size())]);
+            ++runsMade;
+        }
+        ASSERT_EQ(a.liveBytes(), m.liveBytes()) << "run " << r;
+        ASSERT_EQ(a.liveBlocks(), m.blocks.size()) << "run " << r;
+    }
+
     std::uint64_t lastFreed = FirstFitModel::none;
     for (int step = 0; step < 3000; ++step) {
         double roll = rng.nextDouble();
@@ -618,6 +743,7 @@ TEST_P(AllocatorModelTest, MatchesFirstFitModel)
                     held.begin());
             lastFreed = held[i];
             a.pfree(Oid(3, lastFreed));
+            noteFree(lastFreed);
             m.release(lastFreed);
             held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
             ASSERT_EQ(a.blockSize(Oid(3, lastFreed)), 0u);
@@ -628,6 +754,11 @@ TEST_P(AllocatorModelTest, MatchesFirstFitModel)
     for (auto [off, len] : m.blocks)
         EXPECT_EQ(a.blockSize(Oid(3, off)), len);
     EXPECT_EQ(a.allocCount() - a.freeCount(), held.size());
+    for (auto [off, r] : runMember) {
+        checkInterior(off);
+        if (HasFatalFailure())
+            return;
+    }
 
     if (lastFreed != FirstFitModel::none &&
         !m.blocks.count(lastFreed)) {
@@ -640,7 +771,14 @@ TEST_P(AllocatorModelTest, MatchesFirstFitModel)
     // the reserved prefix is again one block.
     for (std::uint64_t off : held) {
         a.pfree(Oid(3, off));
+        noteFree(off);
         m.release(off);
+    }
+    // Each seed that made a run freed an only, a first, a last and a
+    // middle member of one.
+    if (runsMade > 0) {
+        for (unsigned c = 0; c < 4; ++c)
+            EXPECT_GT(runFrees[c], 0u) << "case " << c;
     }
     EXPECT_LE(m.free.size(), 1u);
     std::uint64_t whole = m.free.empty() ? 0 : m.free.begin()->second;
