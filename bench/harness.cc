@@ -1,11 +1,8 @@
 #include "harness.hh"
 
-#include <algorithm>
 #include <atomic>
-#include <exception>
 #include <mutex>
 #include <string>
-#include <thread>
 
 namespace terp {
 namespace bench {
@@ -87,62 +84,6 @@ runSpecCounted(const std::string &name,
     noteSim(r.totalCycles);
     noteRunMetrics(r);
     return r;
-}
-
-void
-ParallelRunner::add(std::function<void()> fn)
-{
-    tasks.push_back(std::move(fn));
-}
-
-void
-ParallelRunner::run()
-{
-    if (nJobs <= 1 || tasks.size() <= 1) {
-        for (auto &t : tasks)
-            t();
-        tasks.clear();
-        return;
-    }
-
-    // Work queue: each worker claims the next unclaimed index. Task
-    // results land in pre-indexed slots owned by the caller, so the
-    // claim order cannot influence what gets printed later.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr firstError;
-    std::mutex errLock;
-
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks.size() ||
-                failed.load(std::memory_order_relaxed))
-                return;
-            try {
-                tasks[i]();
-            } catch (...) {
-                std::lock_guard<std::mutex> g(errLock);
-                if (!firstError)
-                    firstError = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
-                return;
-            }
-        }
-    };
-
-    const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(nJobs, tasks.size()));
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-    tasks.clear();
-    if (firstError)
-        std::rethrow_exception(firstError);
 }
 
 } // namespace bench

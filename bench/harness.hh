@@ -1,15 +1,16 @@
 /**
  * @file
- * The paper's figure/table suite (kFigures) and the parallel
- * work-queue runner its figures share.
+ * The paper's figure/table suite (kFigures) and the simulation tally
+ * its figures share.
  *
  * Every cell of a figure (one workload under one scheme) is an
  * independent Machine + Runtime simulation with no shared mutable
  * state, so the harnesses split into two phases:
  *
- *  1. compute — every simulation is enqueued on a ParallelRunner and
- *     writes its RunResult into a pre-indexed slot; a --jobs=N pool
- *     of std::threads drains the queue in arbitrary order;
+ *  1. compute — every simulation is enqueued on a ParallelRunner
+ *     (common/parallel.hh) and writes its RunResult into a
+ *     pre-indexed slot; a --jobs=N pool drains the queue in
+ *     arbitrary order;
  *  2. print — serial loops read the slots and write the table.
  *
  * Because each simulation is internally seeded and deterministic and
@@ -28,10 +29,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <vector>
 
+#include "common/parallel.hh"
 #include "metrics/registry.hh"
 #include "workloads/spec.hh"
 #include "workloads/whisper.hh"
@@ -106,31 +106,6 @@ workloads::RunResult
 runSpecCounted(const std::string &name,
                const core::RuntimeConfig &cfg,
                const workloads::SpecParams &params);
-
-/**
- * Queue of independent tasks drained by a fixed-size thread pool.
- *
- * Tasks must not touch shared mutable state except their own result
- * slot. run() blocks until every task finished; a task that throws
- * stops the queue and run() rethrows the first exception after the
- * pool joined.
- */
-class ParallelRunner
-{
-  public:
-    /** @param jobs Worker threads; 1 (or 0) runs inline, in order. */
-    explicit ParallelRunner(unsigned jobs) : nJobs(jobs) {}
-
-    /** Enqueue one task. Only valid before run(). */
-    void add(std::function<void()> fn);
-
-    /** Execute every queued task; returns when all completed. */
-    void run();
-
-  private:
-    unsigned nJobs;
-    std::vector<std::function<void()>> tasks;
-};
 
 } // namespace bench
 } // namespace terp

@@ -32,7 +32,7 @@ terp::bench::table5(bool quick, unsigned jobs, std::FILE *out)
     // the fraction of a window the attacker can use (3.4% there).
     const std::vector<std::string> &names = workloads::whisperNames();
     std::vector<workloads::RunResult> ttRuns(names.size());
-    bench::ParallelRunner pool(jobs);
+    ParallelRunner pool(jobs);
     for (std::size_t i = 0; i < names.size(); ++i) {
         pool.add([&, i] {
             ttRuns[i] = bench::runWhisperCounted(

@@ -47,7 +47,7 @@ terp::bench::table6(bool quick, unsigned jobs, std::FILE *out)
         core::RuntimeConfig::tt()};
     DopResult dop[3];
 
-    bench::ParallelRunner pool(jobs);
+    ParallelRunner pool(jobs);
     for (std::size_t i = 0; i < sNames.size(); ++i) {
         pool.add([&, i] {
             pm::PmoManager pmos(7);

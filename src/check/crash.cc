@@ -1,6 +1,7 @@
 #include "check/crash.hh"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include "check/differ.hh"
 #include "check/recovery_oracle.hh"
 #include "check/schedule.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "pm/tx_manager.hh"
 
@@ -460,33 +462,45 @@ enumerateCrashPoints(const CrashOptions &opt)
             return res;
     }
 
-    for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
+    // Points 1..B share no mutable state: each task builds its own
+    // world from the read-only cell and writes only its slot, and
+    // nothing leaves a task but through the slot (an escaped
+    // exception included). The pool drains the points in any order
+    // on every host CPU; the walk below reads the slots in point
+    // order, so the result, and the exception rethrown for the
+    // lowest failing point, are those of running the points one at
+    // a time.
+    struct Point
+    {
+        pm::PersistBoundary kind = pm::PersistBoundary::Store;
+        std::vector<std::string> replay, v;
+        std::exception_ptr error;
+    };
+    std::vector<Point> points(res.boundaries);
+    auto crashAt = [&](std::uint64_t n, Point &p) {
         World w = makeWorld();
         Ledger led;
-        std::vector<std::string> replay, v;
         bool crashed = false;
-        pm::PersistBoundary kind = pm::PersistBoundary::Store;
 
         w.persistence()->controller().armFault(n);
         try {
-            wl.run(w, led, cell, replay);
+            wl.run(w, led, cell, p.replay);
         } catch (const pm::PowerFailure &pf) {
             crashed = true;
-            kind = pf.kind;
+            p.kind = pf.kind;
         } catch (const std::exception &e) {
-            v.push_back(std::string("workload died: ") + e.what());
+            p.v.push_back(std::string("workload died: ") + e.what());
         }
-        ++res.pointsRun;
 
-        if (v.empty() && !crashed) {
+        if (p.v.empty() && !crashed) {
             // A scheduled CrashRecover op can disarm nothing — the
             // plan stays armed across it — so reaching the end means
             // the boundary count regressed between runs.
-            v.push_back("armed fault never fired (non-deterministic "
-                        "boundary count?)");
+            p.v.push_back("armed fault never fired (non-deterministic "
+                          "boundary count?)");
         }
 
-        if (v.empty()) {
+        if (p.v.empty()) {
             try {
                 Cycles at = w.machine().maxClock();
                 w.runtime().crash(at);
@@ -495,16 +509,35 @@ enumerateCrashPoints(const CrashOptions &opt)
                 if (rtc.now() < at)
                     rtc.syncTo(at, sim::Charge::Other);
                 (void)w.runtime().recover(rtc);
-                checkDurable(w, led, v);
+                checkDurable(w, led, p.v);
                 if (wl.check)
-                    wl.check(w, v);
-                probeAndDrain(w, led, v);
+                    wl.check(w, p.v);
+                probeAndDrain(w, led, p.v);
             } catch (const std::exception &e) {
-                v.push_back(std::string("recovery died: ") +
-                            e.what());
+                p.v.push_back(std::string("recovery died: ") +
+                              e.what());
             }
         }
-        record(res, n, kind, replay, v);
+    };
+    ParallelRunner pool(hostCpus());
+    for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
+        pool.add([&, n] {
+            Point &p = points[n - 1];
+            try {
+                crashAt(n, p);
+            } catch (...) {
+                p.error = std::current_exception();
+            }
+        });
+    }
+    pool.run();
+
+    for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
+        const Point &p = points[n - 1];
+        if (p.error)
+            std::rethrow_exception(p.error);
+        ++res.pointsRun;
+        record(res, n, p.kind, p.replay, p.v);
     }
     return res;
 }

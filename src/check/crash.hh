@@ -20,8 +20,12 @@
  *     normal idle path (the sweeper) within the window target, no
  *     PMO stays mapped, and the trace audit balances.
  *
- * Enumeration ascends, so the first violation reported is already
- * the earliest failing crash point (the shrunken reproducer).
+ * The B crash worlds are independent, so they run on every CPU the
+ * process may use (common/parallel.hh); each writes its verdict into
+ * its own slot, and the slots are recorded in point order. The
+ * violations therefore ascend by point whatever the worker count, and
+ * the first one reported is the earliest failing crash point (the
+ * shrunken reproducer).
  */
 
 #ifndef TERP_CHECK_CRASH_HH
@@ -131,7 +135,9 @@ std::vector<std::string> crashWorkloads();
 
 /**
  * Crash at every persist boundary of the workload and validate.
- * Throws std::invalid_argument on an unknown workload or scheme.
+ * Throws std::invalid_argument on an unknown workload or scheme. An
+ * exception that escapes a crash point is rethrown for the lowest
+ * such point, after every point has run.
  */
 CrashResult enumerateCrashPoints(const CrashOptions &opt);
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the parallel benchmark harness (bench/harness.*):
+ * Tests for the parallel benchmark harness (bench/harness.*, on the
+ * pool in common/parallel.*):
  *
  *  - the invariant behind every figure: the quick Fig 11 matrix at
  *    8 jobs prints byte-identical text (and therefore identical
@@ -66,7 +67,7 @@ TEST(BenchHarness, RunnerExecutesEveryTaskIntoItsSlot)
 {
     const std::size_t n = 100;
     std::vector<int> out(n, 0);
-    bench::ParallelRunner pool(8);
+    ParallelRunner pool(8);
     for (std::size_t i = 0; i < n; ++i)
         pool.add([&out, i] { out[i] = static_cast<int>(i) + 1; });
     pool.run();
@@ -77,7 +78,7 @@ TEST(BenchHarness, RunnerExecutesEveryTaskIntoItsSlot)
 TEST(BenchHarness, RunnerSerialRunsInOrder)
 {
     std::vector<int> order;
-    bench::ParallelRunner pool(1);
+    ParallelRunner pool(1);
     for (int i = 0; i < 5; ++i)
         pool.add([&order, i] { order.push_back(i); });
     pool.run();
@@ -88,7 +89,7 @@ TEST(BenchHarness, RunnerSerialRunsInOrder)
 
 TEST(BenchHarness, RunnerRethrowsTaskException)
 {
-    bench::ParallelRunner pool(4);
+    ParallelRunner pool(4);
     std::atomic<int> ran{0};
     for (int i = 0; i < 8; ++i)
         pool.add([&ran] { ran.fetch_add(1); });

@@ -5,16 +5,19 @@
  * handing the recovery mapping to the EW-conscious sweeper, the
  * regression for the sweeper ignoring idle manually-inserted PMOs,
  * smoke coverage of the crash-point enumeration harness behind
- * tools/terp-crash, and the schedule executor's world check.
+ * tools/terp-crash (its verdicts on one CPU and on all of them), and
+ * the schedule executor's world check.
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 
 #include "check/crash.hh"
 #include "check/differ.hh"
 #include "check/recovery_oracle.hh"
+#include "common/parallel.hh"
 #include "core/runtime.hh"
 #include "pm/persist.hh"
 #include "pm/pmo_manager.hh"
@@ -222,6 +225,71 @@ TEST(CrashEnumeration, EveryListedWorkloadEnumerates)
         EXPECT_TRUE(r.ok()) << wl;
         EXPECT_EQ(r.pointsRun, r.boundaries) << wl;
     }
+}
+
+/** Puts the thread's CPU mask back when it leaves scope. */
+class AffinityRestorer
+{
+  public:
+    explicit AffinityRestorer(const cpu_set_t &mask) : saved(mask) {}
+    AffinityRestorer(const AffinityRestorer &) = delete;
+    AffinityRestorer &operator=(const AffinityRestorer &) = delete;
+    ~AffinityRestorer() { sched_setaffinity(0, sizeof saved, &saved); }
+
+  private:
+    cpu_set_t saved;
+};
+
+/**
+ * The crash points run on every CPU the process may use, so their
+ * scheduling differs from run to run; the verdicts must not. Every
+ * workload x checked scheme enumerates once pinned to one CPU (the
+ * pool runs inline, in point order) and once on the full mask, and
+ * the JSON summaries must be byte-identical.
+ */
+TEST(CrashEnumeration, VerdictsMatchOnOneCpuAndOnAll)
+{
+    auto enumerateAll = [] {
+        std::vector<std::string> out;
+        for (const std::string &wl : check::crashWorkloads()) {
+            for (const std::string &sc : core::checkedSchemeTags()) {
+                check::CrashOptions opt;
+                opt.scheme = sc;
+                opt.workload = wl;
+                opt.txns = 2;
+                opt.events = 16;
+                out.push_back(check::crashResultJson(
+                    opt, check::enumerateCrashPoints(opt)));
+            }
+        }
+        return out;
+    };
+
+    cpu_set_t all;
+    ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);
+    std::vector<std::string> one;
+    {
+        AffinityRestorer restore(all);
+        cpu_set_t first;
+        CPU_ZERO(&first);
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+            if (CPU_ISSET(c, &all)) {
+                CPU_SET(c, &first);
+                break;
+            }
+        }
+        ASSERT_EQ(sched_setaffinity(0, sizeof first, &first), 0);
+        ASSERT_EQ(hostCpus(), 1u);
+        one = enumerateAll();
+    }
+    ASSERT_FALSE(one.empty());
+    if (CPU_COUNT(&all) < 2)
+        GTEST_SKIP() << "one CPU: no parallel run to compare";
+    ASSERT_EQ(hostCpus(), static_cast<unsigned>(CPU_COUNT(&all)));
+    std::vector<std::string> many = enumerateAll();
+    ASSERT_EQ(many.size(), one.size());
+    for (std::size_t i = 0; i < one.size(); ++i)
+        EXPECT_EQ(one[i], many[i]);
 }
 
 /**
