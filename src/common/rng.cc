@@ -55,7 +55,10 @@ std::uint64_t
 Rng::nextBelow(std::uint64_t bound)
 {
     TERP_ASSERT(bound > 0);
-    // Lemire-style unbiased bounded generation (64x64 -> 128).
+    // Lemire's multiply-shift (64x64 -> 128) without his rejection
+    // step, so not exactly uniform: a value's probability differs
+    // from 1/bound by a relative error below bound/2^64. Every
+    // recorded output depends on this draw, so it stays as it is.
     __uint128_t m = static_cast<__uint128_t>(next()) * bound;
     return static_cast<std::uint64_t>(m >> 64);
 }

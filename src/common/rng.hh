@@ -28,7 +28,11 @@ class Rng
     /** Next raw 64-bit value. */
     std::uint64_t next();
 
-    /** Uniform value in [0, bound). bound must be nonzero. */
+    /**
+     * Value in [0, bound), by multiply-shift with no rejection step:
+     * each value's probability differs from 1/bound by a relative
+     * error below bound/2^64. bound must be nonzero.
+     */
     std::uint64_t nextBelow(std::uint64_t bound);
 
     /** Uniform value in [lo, hi] inclusive. */

@@ -25,39 +25,47 @@ MemImage::insert(std::uint64_t addr, std::uint64_t value)
     for (; slots[i].key != none; i = (i + 1) & mask())
         kin += (slots[i].key >> blockShift) == (addr >> blockShift);
     if (kin + 1 == denseAt) {
-        densify(addr >> blockShift << blockShift).exchange(addr, value);
+        densify(addr >> blockShift << blockShift, claim())
+            .exchange(addr, value);
         return;
     }
     if ((nSlots + 1) * 10 > slots.size() * 7) {
-        grow();
+        grow(slots.size() * 2);
         i = freeSlotOf(addr);
     }
     ++nSlots;
     slots[i] = Slot{addr, value};
 }
 
-bool
-MemImage::isDense(std::uint64_t base) const
+MemImage::Dense *
+MemImage::denseBlock(std::uint64_t base) const
 {
     const std::uint64_t tag = base | 1;
     for (std::size_t i = homeOf(base); slots[i].key != none;
          i = (i + 1) & mask())
         if (slots[i].key == tag)
-            return true;
-    return false;
+            return &denseOf(slots[i]);
+    return nullptr;
 }
 
 MemImage::Dense &
-MemImage::densify(std::uint64_t base)
+MemImage::claim()
 {
     if (chunkUsed == chunkBlocks) {
-        // Left uninitialized: each array is zeroed when claimed, so
+        // Left uninitialized: each array is zeroed when densified, so
         // the chunk's unclaimed pages cost no resident memory.
-        chunks.push_back(std::make_unique_for_overwrite<Dense[]>(chunkBlocks));
+        arenas.push_back(std::make_unique_for_overwrite<Dense[]>(chunkBlocks));
+        chunk = arenas.back().get();
         chunkUsed = 0;
     }
-    Dense &d = chunks.back()[chunkUsed++];
+    return chunk[chunkUsed++];
+}
+
+MemImage::Dense &
+MemImage::densify(std::uint64_t base, Dense &d)
+{
     d = Dense{};
+    ++nDense;
 
     // One backward-shift sweep over the run from the block's home
     // erases all of its words: each becomes a hole, and every other
@@ -89,10 +97,9 @@ MemImage::densify(std::uint64_t base)
             }
         }
     }
-    // The tag replaces the block's words; only a block that had none
-    // (a reserved one) can push the load past the limit.
-    if ((nSlots + 1) * 10 > slots.size() * 7)
-        grow();
+    // The tag replaces the block's words. A promoted block drops
+    // denseAt - 1 of them and reserveDense sized the table first, so
+    // the load stays within its limit.
     slots[freeSlotOf(base)] =
         Slot{tagOf(base), reinterpret_cast<std::uintptr_t>(&d)};
     ++nSlots;
@@ -106,23 +113,52 @@ MemImage::reserveDense(std::uint64_t addr, std::uint64_t bytes)
         return;
     const std::uint64_t last =
         bytes - 1 > ~addr ? ~0ULL : addr + (bytes - 1);
+    std::vector<std::uint64_t> fresh; // bases of blocks not yet dense
     for (std::uint64_t base = addr >> blockShift << blockShift;;
          base += 1ULL << blockShift) {
-        if (!isDense(base))
-            densify(base);
+        if (!denseBlock(base))
+            fresh.push_back(base);
         if (base >> blockShift == last >> blockShift)
             break;
     }
+    if (fresh.empty())
+        return;
+    // Each new tag can add a slot (a sparse block's words leave), so
+    // one rehash sized for all of them keeps every densify below the
+    // load limit.
+    std::size_t size = slots.size();
+    while ((nSlots + fresh.size()) * 10 > size * 7)
+        size *= 2;
+    if (size != slots.size())
+        grow(size);
+    arenas.push_back(std::make_unique_for_overwrite<Dense[]>(fresh.size()));
+    Dense *d = arenas.back().get();
+    for (std::uint64_t base : fresh)
+        densify(base, *d++);
 }
 
 void
-MemImage::grow()
+MemImage::grow(std::size_t size)
 {
     std::vector<Slot> old = std::move(slots);
-    slots.assign(old.size() * 2, Slot{none, 0});
+    slots.assign(size, Slot{none, 0});
     for (const Slot &s : old)
         if (s.key != none)
             slots[freeSlotOf(s.key)] = s;
+}
+
+void
+MemImage::fillSlow(std::uint64_t addr, std::uint64_t value)
+{
+    Dense *d = (addr & 7) == 0 ? denseBlock(addr >> blockShift << blockShift)
+                               : nullptr;
+    if (!d) {
+        poke(addr, value);
+        return;
+    }
+    fillTag = tagOf(addr);
+    fillBlock = d;
+    fill(addr, value);
 }
 
 std::uint64_t

@@ -26,7 +26,9 @@
  *   fill calls reserveDense first, which makes every block of its
  *   range dense at once, so its words skip the sparse tier; such a
  *   block may hold fewer than denseAt words (even none), which only
- *   the host-side layout can tell.
+ *   the host-side layout can tell. It then stores through fill(),
+ *   which writes a word of the block it last found dense straight
+ *   into that block's array, with no table probe.
  *
  * So scattered single words (serve's transaction writes, crash
  * worlds) stay compact, and packed structures (SPEC cells, WHISPER
@@ -130,17 +132,40 @@ class MemImage
         }
     }
 
+    /**
+     * poke() for bulk fills. A word of the dense block the last fill
+     * found goes straight into its array; any other word looks its
+     * block up once, and one whose block is not dense, or whose
+     * address is unaligned, is poked. Filling a range that
+     * reserveDense made dense in address order therefore probes the
+     * table once per block, not once per word.
+     */
+    void
+    fill(std::uint64_t addr, std::uint64_t value)
+    {
+        if ((addr & 7) == 0 && tagOf(addr) == fillTag) {
+            nWords += !fillBlock->has(addr);
+            fillBlock->exchange(addr, value);
+            return;
+        }
+        fillSlow(addr, value);
+    }
+
     std::size_t wordCount() const { return nWords; }
 
     /**
      * Make every block that [addr, addr + bytes) touches dense now,
      * moving any sparse words it already holds, so a bulk fill writes
-     * straight into arrays. Values and wordCount() do not change.
+     * straight into arrays. The table grows at most once, to fit every
+     * new tag, and the new arrays come from one arena allocation.
+     * Values and wordCount() do not change.
      */
     void reserveDense(std::uint64_t addr, std::uint64_t bytes);
 
     /** Table slots: host-side geometry, never visible to peek(). */
     std::size_t slotCount() const { return slots.size(); }
+    /** Dense blocks: host-side geometry, never visible to peek(). */
+    std::size_t denseBlocks() const { return nDense; }
 
     /** Is this pointer value a PMO ObjectID (pool id != 0)? */
     static bool
@@ -155,7 +180,7 @@ class MemImage
     /** Sparse words that make a block dense. */
     static constexpr unsigned denseAt = 8;
     static constexpr std::size_t minSlots = 1u << 10;
-    /** Dense blocks per arena chunk (about 33 KB). */
+    /** Dense blocks per promotion chunk (about 33 KB). */
     static constexpr std::size_t chunkBlocks = 64;
     /** Empty-slot key: unaligned and not a tag. */
     static constexpr std::uint64_t none = ~0ULL;
@@ -217,11 +242,15 @@ class MemImage
     std::size_t freeSlotOf(std::uint64_t key) const;
     /** Add the absent word @p addr, promoting its block if due. */
     void insert(std::uint64_t addr, std::uint64_t value);
-    /** Does the block at @p base have a dense array? */
-    bool isDense(std::uint64_t base) const;
-    /** Move the sparse block at @p base into a fresh dense array. */
-    Dense &densify(std::uint64_t base);
-    void grow();
+    /** The dense array of the block at @p base, or null. */
+    Dense *denseBlock(std::uint64_t base) const;
+    /** Move the sparse block at @p base into the fresh array @p d. */
+    Dense &densify(std::uint64_t base, Dense &d);
+    /** An uninitialized array from the promotion chunk. */
+    Dense &claim();
+    /** Rehash into @p size slots. */
+    void grow(std::size_t size);
+    void fillSlow(std::uint64_t addr, std::uint64_t value);
     std::uint64_t exchangeUnaligned(std::uint64_t addr,
                                     std::uint64_t value);
     std::uint64_t peekUnaligned(std::uint64_t addr) const;
@@ -229,8 +258,15 @@ class MemImage
     std::vector<Slot> slots; //!< power-of-two count, load <= 0.7
     std::size_t nSlots = 0;  //!< sparse words plus dense tags
     std::size_t nWords = 0;
-    std::vector<std::unique_ptr<Dense[]>> chunks; //!< never moved
+    std::size_t nDense = 0;
+    /** Promotion chunks and reserved ranges' arenas; never moved. */
+    std::vector<std::unique_ptr<Dense[]>> arenas;
+    Dense *chunk = nullptr; //!< the current promotion chunk
     std::size_t chunkUsed = chunkBlocks;
+    /** The block fill() last found dense: a cache that holds no data,
+     *  valid for the image's life since dense arrays never move. */
+    std::uint64_t fillTag = none;
+    Dense *fillBlock = nullptr;
     std::unordered_map<std::uint64_t, std::uint64_t> unaligned;
 };
 

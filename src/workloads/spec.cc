@@ -218,7 +218,7 @@ buildMcf(pm::PmoManager &pm, const SpecParams &params)
         // arcs[i].head = random node index.
         img.reserveDense(pm::Oid(arcs, 0).raw, arc_count * 32);
         for (std::uint64_t i = 0; i < arc_count; ++i) {
-            img.poke(pm::Oid(arcs, i * 32 + 8).raw,
+            img.fill(pm::Oid(arcs, i * 32 + 8).raw,
                      rng.nextBelow(n_nodes));
         }
     };
@@ -376,7 +376,7 @@ buildNab(pm::PmoManager &pm, const SpecParams &params)
         // pos[i].neighbour = random particle index.
         img.reserveDense(pm::Oid(pos, 0).raw, count * 64);
         for (std::uint64_t i = 0; i < count; ++i) {
-            img.poke(pm::Oid(pos, i * 64 + 8).raw,
+            img.fill(pm::Oid(pos, i * 64 + 8).raw,
                      rng.nextBelow(n_particles));
         }
     };
@@ -490,8 +490,8 @@ buildXz(pm::PmoManager &pm, const SpecParams &params)
                                            Rng &rng) {
         img.reserveDense(pm::Oid(in, 0).raw, count * 64);
         for (std::uint64_t i = 0; i < count; ++i) {
-            img.poke(pm::Oid(in, i * 64).raw, rng.next() & 0xff);
-            img.poke(pm::Oid(in, i * 64 + 8).raw,
+            img.fill(pm::Oid(in, i * 64).raw, rng.next() & 0xff);
+            img.fill(pm::Oid(in, i * 64 + 8).raw,
                      rng.nextBelow(dict_entries));
         }
     };

@@ -1,6 +1,7 @@
 #include "workloads/whisper.hh"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <utility>
 
@@ -112,6 +113,8 @@ class WhisperJob : public sim::Job
 
     std::uint64_t peek(pm::Oid oid) const { return img.peek(oid.raw); }
     void poke(pm::Oid oid, std::uint64_t v) { img.poke(oid.raw, v); }
+    /** poke() for prefills into a range reserveDense made dense. */
+    void fill(pm::Oid oid, std::uint64_t v) { img.fill(oid.raw, v); }
 
     /** A few DRAM touches (request buffers etc.). */
     void
@@ -131,9 +134,10 @@ class WhisperJob : public sim::Job
     void
     pokeHeads(std::uint64_t off, const std::vector<std::uint64_t> &heads)
     {
+        img.reserveDense(pm::Oid(pmo, off).raw, heads.size() * 8);
         for (std::size_t i = 0; i < heads.size(); ++i)
             if (heads[i] != 0)
-                poke(pm::Oid(pmo, off + i * 8), heads[i]);
+                fill(pm::Oid(pmo, off + i * 8), heads[i]);
     }
 
     pm::PoolAllocator &alloc() { return pmos.allocator(pmo); }
@@ -202,9 +206,9 @@ class HashmapJob : public WhisperJob
             std::uint64_t key = rng.nextBelow(keyspace);
             pm::Oid rec = first.plus(i * recordSize);
             std::uint64_t &head = heads[bucketOf(key)];
-            poke(rec, key);
-            poke(rec.plus(8), head);
-            poke(rec.plus(16), val);
+            fill(rec, key);
+            fill(rec.plus(8), head);
+            fill(rec.plus(16), val);
             head = rec.raw;
         }
         pokeHeads(bucketsOff, heads);
@@ -301,17 +305,17 @@ class CtreeJob : public WhisperJob
         // Node i is member i of one run of dense blocks.
         const std::size_t n = t.keys.size();
         const pm::Oid first = alloc().pmallocRun(n, nodeSize);
-        TERP_ASSERT(!first.isNull());
+        TERP_ASSERT(!first.isNull(), "ctree pool exhausted");
         img.reserveDense(first.raw, n * nodeSize);
         const auto node = [&](std::size_t i) {
             return first.plus(i * nodeSize);
         };
         for (std::size_t i = 0; i < n; ++i) {
-            poke(node(i), t.keys[i]);
+            fill(node(i), t.keys[i]);
             if (t.left[i] != InsertionBst::none)
-                poke(node(i).plus(8), node(t.left[i]).raw);
+                fill(node(i).plus(8), node(t.left[i]).raw);
             if (t.right[i] != InsertionBst::none)
-                poke(node(i).plus(16), node(t.right[i]).raw);
+                fill(node(i).plus(16), node(t.right[i]).raw);
         }
         if (t.root != InsertionBst::none)
             poke(pm::Oid(pmo, rootOff), node(t.root).raw);
@@ -522,15 +526,15 @@ class RedisJob : public WhisperJob
         constexpr std::uint64_t nEntries = 20000;
         constexpr std::uint64_t entrySize = 48;
         const pm::Oid first = alloc().pmallocRun(nEntries, entrySize);
-        TERP_ASSERT(!first.isNull());
+        TERP_ASSERT(!first.isNull(), "redis pool exhausted");
         img.reserveDense(first.raw, nEntries * entrySize);
         std::vector<std::uint64_t> heads(dictSlots, 0);
         for (std::uint64_t i = 0; i < nEntries; ++i) {
             std::uint64_t key = rng.nextBelow(100000);
             pm::Oid e = first.plus(i * entrySize);
             std::uint64_t &head = heads[slotOf(key)];
-            poke(e, key);
-            poke(e.plus(8), head);
+            fill(e, key);
+            fill(e.plus(8), head);
             head = e.raw;
         }
         pokeHeads(dictOff, heads);
@@ -652,12 +656,37 @@ InsertionBst
 buildInsertionBst(const std::vector<std::uint64_t> &keys)
 {
     TERP_ASSERT(keys.size() < InsertionBst::none);
-    // Sorting (key, draw index) puts each key's first draw at the head
-    // of its run of equal keys.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> byKey(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
+    // A stable LSD radix sort of (key, draw index) pairs taken in draw
+    // order: each key's first draw heads its run of equal keys, as a
+    // sort by (key, index) would put it. Passes cover only the digits
+    // the largest key has, and a digit every key shares is skipped.
+    constexpr unsigned digitBits = 11;
+    constexpr std::size_t radix = std::size_t{1} << digitBits;
+    const std::size_t n = keys.size();
+    std::uint64_t any = 0; // as wide as the largest key
+    for (std::uint64_t k : keys)
+        any |= k;
+    const unsigned passes =
+        (std::bit_width(any) + digitBits - 1) / digitBits;
+    std::vector<std::uint32_t> counts(passes * radix, 0);
+    for (std::uint64_t k : keys)
+        for (unsigned p = 0; p < passes; ++p)
+            ++counts[p * radix + ((k >> (p * digitBits)) & (radix - 1))];
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> byKey(n), spare(n);
+    for (std::size_t i = 0; i < n; ++i)
         byKey[i] = {keys[i], static_cast<std::uint32_t>(i)};
-    std::sort(byKey.begin(), byKey.end());
+    for (unsigned p = 0; p < passes; ++p) {
+        std::uint32_t *count = &counts[p * radix];
+        const unsigned shift = p * digitBits;
+        if (count[(keys[0] >> shift) & (radix - 1)] == n)
+            continue;
+        std::uint32_t at = 0; // counts become each digit's first slot
+        for (std::size_t d = 0; d < radix; ++d)
+            at += std::exchange(count[d], at);
+        for (const auto &kd : byKey)
+            spare[count[(kd.first >> shift) & (radix - 1)]++] = kd;
+        byKey.swap(spare);
+    }
     std::vector<std::uint32_t> nodeOfDraw(keys.size(), InsertionBst::none);
     std::size_t distinct = 0;
     for (std::size_t i = 0; i < byKey.size(); ++i)

@@ -240,7 +240,27 @@ TEST_P(MemImageModelTest, MatchesMap)
     // reserveDense calls by the blocks they touched (empty, sparse or
     // already dense) and by ranges not starting or ending on a block.
     unsigned touched[3] = {}, ragged[2] = {};
+    // fill() calls by the path they must take (a dense block's array,
+    // poke for a sparse block, poke for an unaligned address), and
+    // fills that straddle a table growth in their block.
+    unsigned fills[3] = {}, fillGrowths = 0;
     std::size_t slots = img.slotCount();
+    const auto isDense = [&](std::uint64_t block) {
+        const auto it = blockWords.find(block);
+        return reserved.count(block) ||
+               (it != blockWords.end() && it->second >= 8);
+    };
+    // Models a store; @return whether it promotes the word's block.
+    const auto store = [&](std::uint64_t k, std::uint64_t v) {
+        const bool fresh = model.insert_or_assign(k, v).second;
+        return fresh && (k & 7) == 0 && ++blockWords[k >> 9] == 8 &&
+               !reserved.count(k >> 9);
+    };
+    const auto fill = [&](std::uint64_t k, std::uint64_t v) {
+        ++fills[(k & 7) ? 2 : isDense(k >> 9) ? 0 : 1];
+        img.fill(k, v);
+        return store(k, v);
+    };
     const auto checkAll = [&] {
         for (const auto &[k, v] : model) {
             ASSERT_EQ(img.peek(k), v) << std::hex << k;
@@ -248,6 +268,12 @@ TEST_P(MemImageModelTest, MatchesMap)
                 ASSERT_EQ(img.peek(k + 8), 0u) << std::hex << k + 8;
             }
         }
+        // One array per dense block: a reserve over a block that is
+        // already dense must not give it a second.
+        std::size_t dense = reserved.size();
+        for (const auto &[b, n] : blockWords)
+            dense += n >= 8 && !reserved.count(b);
+        ASSERT_EQ(img.denseBlocks(), dense);
     };
     // Reserves draw from their own stream, so the word ops are the
     // same with and without them.
@@ -275,6 +301,41 @@ TEST_P(MemImageModelTest, MatchesMap)
             for (const auto &[key, v] : model)
                 ASSERT_EQ(img.exchange(key, v), v) << std::hex << key;
             ASSERT_EQ(img.wordCount(), model.size());
+            // Fill about half the range's words in address order, with
+            // sparse pokes and unaligned fills between them. While the
+            // table is small, fresh words poked after one fill grow it
+            // before the next fill of the same block, so the block
+            // fill() remembers must outlive the rehash.
+            const std::uint64_t end = lo + bytes;
+            const std::uint64_t mid = (lo + end) / 2;
+            bool grown = img.slotCount() > 1u << 12;
+            for (std::uint64_t w = (lo + 7) & ~7ULL; w < end; w += 8) {
+                const std::uint64_t v = rrng.next();
+                if (!grown && w >= mid) {
+                    fill(w, v);
+                    for (const std::size_t s = img.slotCount();
+                         img.slotCount() == s;) {
+                        const std::uint64_t f = rrng.next() & ~7ULL;
+                        img.poke(f, f);
+                        store(f, f);
+                    }
+                    fill(w, ~v);
+                    ++fillGrowths;
+                    ++growths;
+                    grown = true;
+                }
+                const std::uint64_t r = rrng.nextBelow(16);
+                if (r < 8)
+                    fill(w, v);
+                else if (r < 10)
+                    fill(w | (1 + rrng.nextBelow(7)), v);
+                else if (r < 12) {
+                    const std::uint64_t f = rrng.next() & ~7ULL;
+                    img.poke(f, v);
+                    store(f, v);
+                }
+                ASSERT_EQ(img.wordCount(), model.size());
+            }
             checkAll();
             if (HasFatalFailure())
                 return;
@@ -291,16 +352,17 @@ TEST_P(MemImageModelTest, MatchesMap)
             ASSERT_EQ(img.peek(k), want) << std::hex << k;
             continue;
         }
-        if (kind < 8)
-            ASSERT_EQ(img.exchange(k, v), want) << std::hex << k;
-        else
-            img.poke(k, v);
-        const bool fresh = it == model.end();
-        model[k] = v;
+        bool promoted;
+        if (kind == 9) {
+            promoted = fill(k, v);
+        } else {
+            if (kind < 8)
+                ASSERT_EQ(img.exchange(k, v), want) << std::hex << k;
+            else
+                img.poke(k, v);
+            promoted = store(k, v);
+        }
         ASSERT_EQ(img.wordCount(), model.size());
-        const bool promoted = fresh && (k & 7) == 0 &&
-                              ++blockWords[k >> 9] == 8 &&
-                              !reserved.count(k >> 9);
         promotions += promoted;
         if (img.slotCount() != slots) {
             slots = img.slotCount();
@@ -321,6 +383,9 @@ TEST_P(MemImageModelTest, MatchesMap)
         EXPECT_GT(c, 0u);
     for (unsigned c : ragged)
         EXPECT_GT(c, 0u);
+    for (unsigned c : fills)
+        EXPECT_GT(c, 0u);
+    EXPECT_GT(fillGrowths, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemImageModelTest,

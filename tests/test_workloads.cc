@@ -197,6 +197,37 @@ TEST(CtreePrefill, BulkBuildMatchesInsertionOnDegenerateInputs)
     EXPECT_EQ(buildInsertionBst({}).root, InsertionBst::none);
 }
 
+TEST(CtreePrefill, BulkBuildMatchesInsertionOnWideKeys)
+{
+    // The sort makes a pass per 11-bit digit the widest key has and
+    // skips a digit every key shares; these sets take every pass.
+    Rng rng(99);
+    std::vector<std::uint64_t> full(3000), high(3000), top(2000), dups;
+    for (std::uint64_t &k : full)
+        k = rng.next();
+    for (std::uint64_t &k : high) // at and above 2^32
+        k = (1ULL << 32) + rng.nextBelow(1ULL << 40);
+    high.push_back(1ULL << 32);
+    // Equal below their top digit (bits 55..63), so only its pass runs.
+    const std::uint64_t low = rng.next() >> 9;
+    for (std::uint64_t &k : top)
+        k = rng.nextBelow(512) << 55 | low;
+    // Many repeats of a few large keys, three quarters of them the
+    // first key drawn, so most keys share every digit with it.
+    std::vector<std::uint64_t> big(40);
+    for (std::uint64_t &k : big)
+        k = rng.next() | 1ULL << 63;
+    for (int i = 0; i < 4000; ++i)
+        dups.push_back(big[i && rng.nextBelow(4) == 0
+                               ? rng.nextBelow(big.size())
+                               : 0]);
+    for (const auto &keys : {full, high, top, dups}) {
+        SCOPED_TRACE(keys.size());
+        expectSameTree(keys);
+    }
+    EXPECT_EQ(buildInsertionBst(dups).keys.size(), big.size());
+}
+
 // --------------------------------------------------------------- spec
 
 TEST(Spec, PmoCountsMatchTableFour)
