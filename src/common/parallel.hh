@@ -1,8 +1,8 @@
 /**
  * @file
  * The host thread pool behind every embarrassingly parallel loop of
- * the simulator: terp-bench's figure cells and crash-point
- * enumeration's crash worlds.
+ * the simulator: terp-bench's figure cells, crash-point
+ * enumeration's crash worlds and terp-serve's shards.
  *
  * Each task is one independent simulation that writes only its own
  * pre-indexed result slot. The pool drains the tasks in arbitrary

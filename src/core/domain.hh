@@ -14,10 +14,10 @@
  *
  * Shards share no mutable state, so a fleet proceeds concurrently;
  * cross-shard coordination is limited to merging metrics registries
- * and whatever simulated-clock agreement the driver imposes
- * (terp-serve uses epoch barriers). A domain driven through runJobs
- * is cycle-identical to Machine::run with Runtime::onSweep as its
- * hook (held down by tests/test_serve.cc).
+ * (terp-serve runs each shard to the end as one host task, with no
+ * simulated-clock agreement between shards). A domain driven through
+ * runJobs is cycle-identical to Machine::run with Runtime::onSweep
+ * as its hook (held down by tests/test_serve.cc).
  */
 
 #ifndef TERP_CORE_DOMAIN_HH

@@ -32,6 +32,51 @@
 namespace terp {
 namespace serve {
 
+/**
+ * Zipfian skew of tenant popularity over the fleet's PMOs
+ * (0 = uniform, 0.99 = YCSB default). Hot tenants are spread
+ * round-robin across shards (global pmo g lives on shard
+ * g % shards), so skew concentrates load within shards, not on
+ * one shard.
+ */
+constexpr double kZipfTheta = 0.99;
+
+/** Mean of a session's off-gap and the chance of one per request. */
+constexpr Cycles kOffMean = 200 * cyclesPerUs;
+constexpr double kOffProb = 0.1;
+
+/** Bytes touched per op. */
+constexpr std::uint64_t kBytesPerOp = 256;
+/** Pure compute instructions between ops (jittered ±50%). */
+constexpr std::uint64_t kInstrPerOp = 400;
+
+/**
+ * Exposure SLOs judged per closed window (see
+ * RuntimeConfig::ewSlo): EW violated when a window outlives 2x the
+ * sweeper target (the sweeper should close everything within
+ * target + one period); TEW violated well past the insertion
+ * target — an ordinary request holds thread permission for a few
+ * microseconds of accesses, so only queue-tail requests and slow
+ * clients should alert.
+ */
+constexpr Cycles kEwSlo = 2 * target::defaultEw;
+constexpr Cycles kTewSlo = 10 * target::defaultTew;
+
+/**
+ * Fast/slow burn-rate windows (tumbling, aligned to t=0),
+ * following the classic multi-window burn-rate alerting recipe:
+ * the fast window catches short bursts quickly, the slow window
+ * confirms sustained burn. For each closed exposure window the
+ * tenant's bucket sums advance and
+ *   burn = (exposed cycles in window / window) / tenantEwBudget
+ * is published as serve.slo_burn{tenant=...,win="fast"|"slow"}
+ * gauges (the gauge high-water mark keeps the peak). A tenant
+ * whose fast AND slow burn both exceed 1.0 is over budget; the
+ * alerting rule lives with whoever scrapes the gauges.
+ */
+constexpr Cycles kBurnFast = 50 * cyclesPerUs;
+constexpr Cycles kBurnSlow = 400 * cyclesPerUs;
+
 /** Full terp-serve fleet configuration. */
 struct ServeConfig
 {
@@ -53,30 +98,16 @@ struct ServeConfig
     unsigned requestsPerSession = 16;
 
     /**
-     * Zipfian skew of tenant popularity over the fleet's PMOs
-     * (0 = uniform, 0.99 = YCSB default). Hot tenants are spread
-     * round-robin across shards (global pmo g lives on shard
-     * g % shards), so skew concentrates load within shards, not on
-     * one shard.
-     */
-    double zipfTheta = 0.99;
-
-    /**
      * Bursty on/off arrivals: within a burst, successive requests of
      * a session are separated by an exponential think time with this
-     * mean; with probability offProb the session instead goes quiet
-     * for an exponential off-gap with mean offMean (Poisson-ish
+     * mean; with probability kOffProb the session instead goes quiet
+     * for an exponential off-gap with mean kOffMean (Poisson-ish
      * bursts riding on a heavy-tailed envelope).
      */
     Cycles thinkMean = 8 * cyclesPerUs;
-    Cycles offMean = 200 * cyclesPerUs;
-    double offProb = 0.1;
 
-    /** Ops per request and bytes touched per op. */
+    /** Ops per request (each touches kBytesPerOp bytes). */
     unsigned opsPerRequest = 6;
-    std::uint64_t bytesPerOp = 256;
-    /** Pure compute instructions between ops (jittered ±50%). */
-    std::uint64_t instrPerOp = 400;
 
     /**
      * Fraction of sessions that are *slow clients*: every one of
@@ -96,26 +127,6 @@ struct ServeConfig
     unsigned queueCapacity = 64;
 
     /**
-     * Fleet epoch length: shards advance their simulated clocks in
-     * lockstep epochs (the only cross-shard coordination besides the
-     * final metrics merge). Purely a host-side pacing construct —
-     * per-shard results are independent of the epoch length.
-     */
-    Cycles epoch = 100 * cyclesPerUs;
-
-    /**
-     * Exposure SLOs judged per closed window (see
-     * RuntimeConfig::ewSlo). Defaults: EW violated when a window
-     * outlives 2x the sweeper target (the sweeper should close
-     * everything within target + one period); TEW violated well
-     * past the insertion target — an ordinary request holds thread
-     * permission for a few microseconds of accesses, so only
-     * queue-tail requests and slow clients should alert.
-     */
-    Cycles ewSlo = 2 * target::defaultEw;
-    Cycles tewSlo = 10 * target::defaultTew;
-
-    /**
      * Per-tenant exposure budget for SLO burn-rate alerting: the
      * fraction of wall-clock each tenant PMO is *allowed* to sit
      * exposed (mapped). 0 disables budgets and burn gauges entirely
@@ -123,20 +134,6 @@ struct ServeConfig
      * posture report is unchanged.
      */
     double tenantEwBudget = 0.0;
-    /**
-     * Fast/slow burn-rate windows (tumbling, aligned to t=0),
-     * following the classic multi-window burn-rate alerting recipe:
-     * the fast window catches short bursts quickly, the slow window
-     * confirms sustained burn. For each closed exposure window the
-     * tenant's bucket sums advance and
-     *   burn = (exposed cycles in window / window) / tenantEwBudget
-     * is published as serve.slo_burn{tenant=...,win="fast"|"slow"}
-     * gauges (the gauge high-water mark keeps the peak). A tenant
-     * whose fast AND slow burn both exceed 1.0 is over budget; the
-     * alerting rule lives with whoever scrapes the gauges.
-     */
-    Cycles burnFast = 50 * cyclesPerUs;
-    Cycles burnSlow = 400 * cyclesPerUs;
 
     /** Protection scheme + machine model of every shard. */
     core::RuntimeConfig runtime = core::RuntimeConfig::tt();

@@ -47,14 +47,14 @@ LoadGen::LoadGen(const ServeConfig &cfg)
         // One derived stream per session: the schedule of session s
         // never depends on how many other sessions exist.
         Rng rng(mix64(cfg.seed ^ mix64(s + 1)));
-        ZipfGenerator zipf(cfg.totalPmos(), cfg.zipfTheta, rng.next());
+        ZipfGenerator zipf(cfg.totalPmos(), kZipfTheta, rng.next());
         bool slow = rng.nextBool(cfg.slowFraction);
         if (slow)
             ++nSlow;
 
         // Sessions don't all arrive at once: stagger the first
         // request by one off-gap so the ramp-up is itself bursty.
-        Cycles t = exponential(rng, cfg.offMean);
+        Cycles t = exponential(rng, kOffMean);
         for (std::uint32_t r = 0; r < cfg.requestsPerSession; ++r) {
             Request req;
             req.arrival = t;
@@ -73,8 +73,8 @@ LoadGen::LoadGen(const ServeConfig &cfg)
                 lastArrival = t;
 
             t += exponential(rng, cfg.thinkMean);
-            if (rng.nextBool(cfg.offProb))
-                t += exponential(rng, cfg.offMean);
+            if (rng.nextBool(kOffProb))
+                t += exponential(rng, kOffMean);
         }
     }
 

@@ -83,9 +83,9 @@ postureReport(const FleetResult &res)
     std::snprintf(buf, sizeof(buf),
                   "load: zipf=%.2f slow=%.1f%% hold=%s queue-cap=%u "
                   "slo-ew=%s slo-tew=%s\n",
-                  cfg.zipfTheta, 100.0 * cfg.slowFraction,
+                  kZipfTheta, 100.0 * cfg.slowFraction,
                   us(cfg.slowHold).c_str(), cfg.queueCapacity,
-                  us(cfg.ewSlo).c_str(), us(cfg.tewSlo).c_str());
+                  us(kEwSlo).c_str(), us(kTewSlo).c_str());
     os << buf;
 
     std::uint64_t arrived = 0, completed = 0, shed = 0, slow = 0,
@@ -157,14 +157,14 @@ toJson(const FleetResult &res, unsigned hostWorkers)
     os << "    \"sessions\": " << cfg.sessions << ",\n";
     os << "    \"requests_per_session\": " << cfg.requestsPerSession
        << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.17g", cfg.zipfTheta);
+    std::snprintf(buf, sizeof(buf), "%.17g", kZipfTheta);
     os << "    \"zipf_theta\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.17g", cfg.slowFraction);
     os << "    \"slow_fraction\": " << buf << ",\n";
     os << "    \"slow_hold_cycles\": " << cfg.slowHold << ",\n";
     os << "    \"queue_capacity\": " << cfg.queueCapacity << ",\n";
-    os << "    \"ew_slo_cycles\": " << cfg.ewSlo << ",\n";
-    os << "    \"tew_slo_cycles\": " << cfg.tewSlo << "\n";
+    os << "    \"ew_slo_cycles\": " << kEwSlo << ",\n";
+    os << "    \"tew_slo_cycles\": " << kTewSlo << "\n";
     os << "  },\n";
     os << "  \"host\": {\n";
     os << "    \"workers\": " << hostWorkers << ",\n";

@@ -1,20 +1,18 @@
 /**
  * @file
- * The terp-serve fleet driver: shards on a host worker pool.
+ * The terp-serve fleet driver: one host task per shard.
  *
- * Host-side shape: a bounded work queue feeds N host worker threads;
- * every submitted task carries a promise the scheduler waits on
- * (the classic bounded-queue/promise pipeline). Simulated-side
- * shape: shards advance in lockstep *epochs* of simulated time — the
- * scheduler submits one processUntil(epochEnd) task per live shard,
- * waits for all of them (the barrier is the fleet's only
- * simulated-clock coordination), then opens the next epoch.
+ * Each shard is one task on the shared host pool
+ * (terp::ParallelRunner), and the task runs the shard's event loop
+ * to the end. Shards share no state and need no simulated-clock
+ * agreement, so there is no barrier between them: a shard's clock
+ * only bounds its own exposure windows.
  *
  * Determinism for any worker count: a shard is only ever touched by
- * one task at a time, each shard's evolution is a pure function of
- * its request stream (see shard.hh), and the fleet aggregate is a
- * commutative metrics merge collected in shard-id order on the
- * coordinating thread. Host threads decide *when* a shard's epoch
+ * one task, each shard's evolution is a pure function of its request
+ * stream (see shard.hh), and the fleet aggregate is a commutative
+ * metrics merge collected in shard-id order on the coordinating
+ * thread after the pool joined. Host threads decide *when* a shard
  * runs, never *what* it computes — so `--workers=N` changes wall
  * time only, and the posture report is byte-identical for fixed
  * (seed, shards).
@@ -34,6 +32,9 @@
 namespace terp {
 namespace serve {
 
+/** The unit FleetResult::epochs counts the fleet's run time in. */
+constexpr Cycles kEpoch = 100 * cyclesPerUs;
+
 /** End-of-run results, everything the report/exports need. */
 struct FleetResult
 {
@@ -42,7 +43,13 @@ struct FleetResult
     unsigned slowSessions = 0;
     Cycles horizon = 0;          //!< latest arrival
     Cycles endClock = 0;         //!< max shard clock at drain
-    std::uint64_t epochs = 0;    //!< lockstep epochs executed
+    /**
+     * kEpoch-long spans of simulated time up to the last shard's
+     * last event: max over shards of lastEvent / kEpoch + 1, so at
+     * least 1. It is the number of kEpoch steps a fleet advanced in
+     * lockstep would take to drain.
+     */
+    std::uint64_t epochs = 0;
     double wallSeconds = 0.0;    //!< host time (not in the report)
 
     std::vector<ShardSummary> shards;
@@ -57,9 +64,10 @@ struct FleetResult
 };
 
 /**
- * Run the configured fleet on @p hostWorkers host threads.
- * The result is independent of @p hostWorkers (enforced by tests
- * and the serve golden in CI).
+ * Run the configured fleet on min(@p hostWorkers, shards) host
+ * threads. The result is independent of @p hostWorkers (enforced by
+ * tests and the serve golden). A shard that throws is rethrown once
+ * the pool has joined.
  */
 FleetResult runFleet(const ServeConfig &cfg, unsigned hostWorkers);
 

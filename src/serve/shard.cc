@@ -18,7 +18,7 @@ core::DomainConfig
 domainConfig(const ServeConfig &cfg, unsigned shard)
 {
     core::DomainConfig dc;
-    dc.runtime = cfg.runtime.withExposureSlo(cfg.ewSlo, cfg.tewSlo);
+    dc.runtime = cfg.runtime.withExposureSlo(kEwSlo, kTewSlo);
     dc.machine = cfg.machine;
     // Workers are simulated threads of this shard's machine.
     dc.machine.cores = cfg.workersPerShard;
@@ -181,15 +181,15 @@ ServeShard::stepWorker(Worker &w)
         return;
       }
       case Phase::Op: {
-        std::uint64_t span = cfg.pmoSize > cfg.bytesPerOp
-                                 ? cfg.pmoSize - cfg.bytesPerOp
+        std::uint64_t span = cfg.pmoSize > kBytesPerOp
+                                 ? cfg.pmoSize - kBytesPerOp
                                  : 1;
         std::uint64_t off = w.ops.nextBelow(span) & ~std::uint64_t{7};
         bool write = w.ops.nextBool(0.5);
-        rt.accessRange(tc, pm::Oid(w.localPmo, off), cfg.bytesPerOp,
+        rt.accessRange(tc, pm::Oid(w.localPmo, off), kBytesPerOp,
                        write);
         dom.machine().execute(tc,
-                              w.ops.jitter(cfg.instrPerOp, 0.5));
+                              w.ops.jitter(kInstrPerOp, 0.5));
         if (++w.opIdx >= w.req.ops) {
             if (w.holdLeft > 0) {
                 w.phase = Phase::Hold;
@@ -285,8 +285,6 @@ ServeShard::onWindowClose(pm::PmoId pmo, Cycles closeAt, Cycles len)
     // budget being blown, not an accounting bug).
     auto bump = [&](std::uint64_t &bucket, Cycles &sumC, Cycles win,
                     metrics::Gauge *g) {
-        if (win == 0)
-            return;
         std::uint64_t now = closeAt / win;
         if (now != bucket) {
             bucket = now;
@@ -297,8 +295,8 @@ ServeShard::onWindowClose(pm::PmoId pmo, Cycles closeAt, Cycles len)
             g->set(static_cast<double>(sumC) / static_cast<double>(win) /
                    cfg.tenantEwBudget);
     };
-    bump(b.fastBucket, b.fastSum, cfg.burnFast, b.fast);
-    bump(b.slowBucket, b.slowSum, cfg.burnSlow, b.slow);
+    bump(b.fastBucket, b.fastSum, kBurnFast, b.fast);
+    bump(b.slowBucket, b.slowSum, kBurnSlow, b.slow);
 }
 
 void
@@ -321,8 +319,8 @@ ServeShard::complete(Worker &w)
     w.phase = Phase::Idle;
 }
 
-bool
-ServeShard::processUntil(Cycles limit)
+void
+ServeShard::run()
 {
     for (;;) {
         // Candidate event times. Priorities at equal times:
@@ -376,9 +374,8 @@ ServeShard::processUntil(Cycles limit)
             what = 2;
         }
         if (t == never)
-            return true; // drained
-        if (t >= limit)
-            return false; // epoch boundary; state carries over
+            break; // drained
+        sum.lastEvent = t;
 
         // Fire every sweep boundary up to the event's time first —
         // the same "sweeper never lags the minimum runnable clock"
@@ -397,13 +394,7 @@ ServeShard::processUntil(Cycles limit)
             break;
         }
     }
-}
 
-void
-ServeShard::finish()
-{
-    TERP_ASSERT(processUntil(never),
-                "ServeShard: finish() before the shard drained");
     sum.endClock = dom.machine().maxClock();
 
     // Post-run drain: with every worker marked done the sweeper's

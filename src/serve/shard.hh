@@ -51,6 +51,7 @@ struct ShardSummary
     std::uint64_t shed = 0;
     std::uint64_t slowCompleted = 0;
     std::uint64_t queueHwm = 0;
+    Cycles lastEvent = 0; //!< time of the last event processed
     Cycles endClock = 0;
 };
 
@@ -71,23 +72,16 @@ class ServeShard
     ServeShard &operator=(const ServeShard &) = delete;
 
     /**
-     * Advance the discrete-event loop, processing every event with
-     * timestamp < limit. Returns true when the shard is drained:
-     * stream exhausted, queue empty, all workers idle.
+     * Run the discrete-event loop until the shard is drained (stream
+     * exhausted, queue empty, all workers idle), then end the run:
+     * mark the simulated workers done, run the sweeper past the last
+     * exposure horizon so delayed detaches land (the chargeless
+     * post-run drain path), and finalize the runtime.
      */
-    bool processUntil(Cycles limit);
-
-    /**
-     * End of run: mark the simulated workers done, run the sweeper
-     * past the last exposure horizon so delayed detaches land (the
-     * chargeless post-run drain path), and finalize the runtime.
-     */
-    void finish();
+    void run();
 
     const ShardSummary &summary() const { return sum; }
     core::ShardDomain &domain() { return dom; }
-    const core::ShardDomain &domain() const { return dom; }
-    unsigned id() const { return dom.shardId(); }
 
   private:
     /** What a simulated worker is doing. */

@@ -109,22 +109,129 @@ TEST(ServeLoadGen, PartitionsByTenantAndSortsByArrival)
 
 TEST(ServeFleet, ResultIndependentOfHostWorkers)
 {
+    // Fewer host workers than shards, and more.
     serve::ServeConfig cfg = tinyConfig();
+    cfg.shards = 6;
     serve::FleetResult r1 = serve::runFleet(cfg, 1);
-    serve::FleetResult r4 = serve::runFleet(cfg, 4);
+    for (unsigned workers : {4u, 8u}) {
+        SCOPED_TRACE(workers);
+        serve::FleetResult rn = serve::runFleet(cfg, workers);
 
-    // The golden contract: byte-identical posture report.
-    EXPECT_EQ(serve::postureReport(r1), serve::postureReport(r4));
+        // The golden contract: byte-identical posture report.
+        EXPECT_EQ(serve::postureReport(r1), serve::postureReport(rn));
+        EXPECT_EQ(r1.epochs, rn.epochs);
+        EXPECT_EQ(r1.endClock, rn.endClock);
 
-    // And the underlying aggregates, not just their rendering.
-    ASSERT_EQ(r1.shards.size(), r4.shards.size());
-    for (std::size_t k = 0; k < r1.shards.size(); ++k) {
-        EXPECT_EQ(r1.shards[k].completed, r4.shards[k].completed);
-        EXPECT_EQ(r1.shards[k].shed, r4.shards[k].shed);
-        EXPECT_EQ(r1.shards[k].endClock, r4.shards[k].endClock);
+        // And the underlying aggregates, not just their rendering.
+        ASSERT_EQ(r1.shards.size(), rn.shards.size());
+        for (std::size_t k = 0; k < r1.shards.size(); ++k) {
+            const serve::ShardSummary &a = r1.shards[k];
+            const serve::ShardSummary &b = rn.shards[k];
+            EXPECT_EQ(a.arrived, b.arrived);
+            EXPECT_EQ(a.completed, b.completed);
+            EXPECT_EQ(a.shed, b.shed);
+            EXPECT_EQ(a.slowCompleted, b.slowCompleted);
+            EXPECT_EQ(a.queueHwm, b.queueHwm);
+            EXPECT_EQ(a.lastEvent, b.lastEvent);
+            EXPECT_EQ(a.endClock, b.endClock);
+        }
+        ASSERT_TRUE(r1.fleet && rn.fleet);
+        EXPECT_EQ(metrics::toJson(*r1.fleet),
+                  metrics::toJson(*rn.fleet));
     }
-    ASSERT_TRUE(r1.fleet && r4.fleet);
-    EXPECT_EQ(metrics::toJson(*r1.fleet), metrics::toJson(*r4.fleet));
+}
+
+// Values recorded from the fleet driver that stepped every shard in
+// lockstep 100 us epochs. epochs is now computed from each shard's
+// last event, and must still count the epochs that stepping took.
+
+TEST(ServeFleet, SparseFleetMatchesLockstepStepping)
+{
+    // Seven of the sixteen shards get no request at all.
+    serve::ServeConfig cfg = tinyConfig();
+    cfg.shards = 16;
+    cfg.sessions = 3;
+    serve::FleetResult res = serve::runFleet(cfg, 4);
+    EXPECT_EQ(res.epochs, 6u);
+    EXPECT_EQ(res.endClock, 1132372u);
+    EXPECT_EQ(serve::postureReport(res),
+              "terp-serve posture report\n"
+              "config: scheme=tt shards=16 workers/shard=4 pmos/shard=8 "
+              "sessions=3 reqs/session=6 seed=7\n"
+              "load: zipf=0.99 slow=2.0% hold=120.00us queue-cap=16 "
+              "slo-ew=80.00us slo-tew=20.00us\n"
+              "stream: generated=18 arrived=18 completed=18 shed=0 "
+              "slow-completed=0 slow-sessions=0\n"
+              "clock: horizon=511.76us end=514.71us epochs=6\n"
+              "fleet: latency p50=4.89us p95=9.43us p99=9.43us p999=9.43us\n"
+              "fleet: queue-wait p50=0.00us p95=0.00us p99=0.00us "
+              "p999=0.00us depth-hwm=1\n"
+              "fleet: EW  p50=39.10us p95=40.40us p99=40.40us p999=40.40us\n"
+              "fleet: TEW p50=3.96us p95=7.41us p99=7.41us p999=7.41us\n"
+              "fleet: slo-violations ew=0 tew=0\n"
+              "shard 0: completed=4 shed=0 qhwm=1 lat-p99=7.62us "
+              "ew-p99=40.00us tew-p99=5.60us slo-ew=0 slo-tew=0\n"
+              "shard 1: completed=2 shed=0 qhwm=1 lat-p99=9.32us "
+              "ew-p99=39.97us tew-p99=7.29us slo-ew=0 slo-tew=0\n"
+              "shard 2: completed=3 shed=0 qhwm=1 lat-p99=6.61us "
+              "ew-p99=39.74us tew-p99=4.59us slo-ew=0 slo-tew=0\n"
+              "shard 3: completed=2 shed=0 qhwm=1 lat-p99=4.82us "
+              "ew-p99=38.66us tew-p99=4.81us slo-ew=0 slo-tew=0\n"
+              "shard 4: completed=1 shed=0 qhwm=1 lat-p99=2.94us "
+              "ew-p99=38.62us tew-p99=0.92us slo-ew=0 slo-tew=0\n"
+              "shard 5: completed=3 shed=0 qhwm=1 lat-p99=9.43us "
+              "ew-p99=40.40us tew-p99=7.41us slo-ew=0 slo-tew=0\n"
+              "shard 6: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 7: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 8: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 9: completed=1 shed=0 qhwm=1 lat-p99=2.95us "
+              "ew-p99=38.22us tew-p99=0.93us slo-ew=0 slo-tew=0\n"
+              "shard 10: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 11: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 12: completed=1 shed=0 qhwm=1 lat-p99=6.57us "
+              "ew-p99=38.35us tew-p99=4.55us slo-ew=0 slo-tew=0\n"
+              "shard 13: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 14: completed=0 shed=0 qhwm=0 lat-p99=- ew-p99=- "
+              "tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 15: completed=1 shed=0 qhwm=1 lat-p99=4.86us "
+              "ew-p99=38.56us tew-p99=2.83us slo-ew=0 slo-tew=0\n");
+}
+
+TEST(ServeFleet, ManualTxnFleetMatchesLockstepStepping)
+{
+    serve::ServeConfig cfg = tinyConfig();
+    cfg.runtime = core::RuntimeConfig::mm();
+    cfg.txnWrites = 4;
+    cfg.persistence = true;
+    serve::FleetResult res = serve::runFleet(cfg, 2);
+    EXPECT_EQ(res.epochs, 14u);
+    EXPECT_EQ(res.endClock, 2936695u);
+    EXPECT_EQ(serve::postureReport(res),
+              "terp-serve posture report\n"
+              "config: scheme=mm shards=2 workers/shard=4 pmos/shard=8 "
+              "sessions=60 reqs/session=6 seed=7\n"
+              "load: zipf=0.99 slow=2.0% hold=120.00us queue-cap=16 "
+              "slo-ew=80.00us slo-tew=20.00us\n"
+              "stream: generated=360 arrived=360 completed=239 shed=121 "
+              "slow-completed=10 slow-sessions=3\n"
+              "clock: horizon=1192.49us end=1334.86us epochs=14\n"
+              "fleet: latency p50=50.27us p95=223.42us p99=275.55us "
+              "p999=298.19us\n"
+              "fleet: queue-wait p50=32.58us p95=197.35us p99=215.97us "
+              "p999=220.87us depth-hwm=16\n"
+              "fleet: EW  p50=6.98us p95=40.03us p99=40.81us p999=40.81us\n"
+              "fleet: TEW -\n"
+              "fleet: slo-violations ew=0 tew=0\n"
+              "shard 0: completed=110 shed=109 qhwm=16 lat-p99=275.55us "
+              "ew-p99=40.81us tew-p99=- slo-ew=0 slo-tew=0\n"
+              "shard 1: completed=129 shed=12 qhwm=16 lat-p99=141.50us "
+              "ew-p99=40.41us tew-p99=- slo-ew=0 slo-tew=0\n");
 }
 
 // -------------------------------------- 1-shard vs batch cycle parity

@@ -12,10 +12,11 @@
  * EW/TEW tails, SLO violations, request latency percentiles, queue
  * depth and shed counts, per shard and fleet-wide.
  *
- * Determinism contract (held down by tests and the CI golden):
- * for a fixed --seed and --shards, the posture report is
- * byte-identical for any --workers=N — host threads only decide
- * when a shard's epoch executes, never what it computes.
+ * Determinism contract (held down by tests and the golden): for a
+ * fixed --seed and --shards, the posture report is byte-identical
+ * for any --workers=N. Each shard is one task that runs to the end
+ * on a pool of min(N, shards) host threads; threads only decide
+ * when a shard runs, never what it computes.
  *
  * Usage:
  *   terp-serve [--quick] [--seed=S] [--shards=K] [--workers=N]
@@ -26,10 +27,12 @@
  *
  * Options:
  *   --quick              small CI configuration (2 shards, 200
- *                        sessions) — the serve golden's config
+ *                        sessions) — the serve golden's config;
+ *                        the other flags edit it, before or after
  *   --seed=S             master seed (default 1)
  *   --shards=K           runtime domains (default 2)
- *   --workers=N          host worker threads (default 1)
+ *   --workers=N          host worker threads, at most one per
+ *                        shard (default 1)
  *   --sessions=C         client sessions (default 200)
  *   --requests=R         requests per session (default 16)
  *   --scheme=NAME        tt | tm | mm | ttnc | basic | unprotected
@@ -60,6 +63,7 @@
  * Exit status: 0 on success, 1 on golden drift, 2 on usage errors.
  */
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -102,56 +106,67 @@ fleetP99(const serve::FleetResult &res, const char *name)
 int
 main(int argc, char **argv)
 {
-    serve::ServeConfig cfg;
     unsigned workers = 1;
-    bool quiet = false;
+    bool quiet = false, quick = false;
     std::string outPath = "SERVE_terp.json";
     std::string goldenPath, writeGoldenPath, promPath, historyPath;
 
-    cli::Args args("terp-serve", argc, argv, kUsage);
-    while (args.next()) {
-        if (args.is("--quick")) {
-            cfg = serve::ServeConfig::quick();
-        } else if (args.is("--seed")) {
-            cfg.seed = args.seed();
-        } else if (args.is("--shards")) {
-            cfg.shards = static_cast<unsigned>(args.count(1, 4096));
-        } else if (args.is("--workers")) {
-            workers = static_cast<unsigned>(args.count(1, 1024));
-        } else if (args.is("--sessions")) {
-            cfg.sessions = static_cast<unsigned>(args.count(0, 1000000));
-        } else if (args.is("--requests")) {
-            cfg.requestsPerSession =
-                static_cast<unsigned>(args.count(0, 1000000));
-        } else if (args.is("--scheme")) {
-            cfg.runtime = cli::scheme("terp-serve", args.str());
-        } else if (args.is("--slow")) {
-            cfg.slowFraction = args.real(0, 1);
-        } else if (args.is("--ew-budget")) {
-            cfg.tenantEwBudget = args.real(0, HUGE_VAL);
-        } else if (args.is("--txn-writes")) {
-            cfg.txnWrites = static_cast<unsigned>(args.count(0, UINT_MAX));
-            if (cfg.txnWrites > 0)
-                cfg.persistence = true;
-        } else if (args.is("--queue-cap")) {
-            cfg.queueCapacity =
-                static_cast<unsigned>(args.count(1, UINT_MAX));
-        } else if (args.is("--out")) {
-            outPath = args.str();
-        } else if (args.is("--golden")) {
-            goldenPath = args.str();
-        } else if (args.is("--write-golden")) {
-            writeGoldenPath = args.str();
-        } else if (args.is("--metrics-prom")) {
-            promPath = args.str();
-        } else if (args.is("--history")) {
-            historyPath = args.str();
-        } else if (args.is("--quiet")) {
-            quiet = true;
-        } else {
-            args.unknown();
+    auto parse = [&](serve::ServeConfig &cfg) {
+        cli::Args args("terp-serve", argc, argv, kUsage);
+        while (args.next()) {
+            if (args.is("--quick")) {
+                quick = true;
+            } else if (args.is("--seed")) {
+                cfg.seed = args.seed();
+            } else if (args.is("--shards")) {
+                cfg.shards = static_cast<unsigned>(args.count(1, 4096));
+            } else if (args.is("--workers")) {
+                workers = static_cast<unsigned>(args.count(1, 1024));
+            } else if (args.is("--sessions")) {
+                cfg.sessions = static_cast<unsigned>(args.count(0, 1000000));
+            } else if (args.is("--requests")) {
+                cfg.requestsPerSession =
+                    static_cast<unsigned>(args.count(0, 1000000));
+            } else if (args.is("--scheme")) {
+                cfg.runtime = cli::scheme("terp-serve", args.str());
+            } else if (args.is("--slow")) {
+                cfg.slowFraction = args.real(0, 1);
+            } else if (args.is("--ew-budget")) {
+                cfg.tenantEwBudget = args.real(0, HUGE_VAL);
+            } else if (args.is("--txn-writes")) {
+                cfg.txnWrites = static_cast<unsigned>(args.count(0, UINT_MAX));
+                if (cfg.txnWrites > 0)
+                    cfg.persistence = true;
+            } else if (args.is("--queue-cap")) {
+                cfg.queueCapacity =
+                    static_cast<unsigned>(args.count(1, UINT_MAX));
+            } else if (args.is("--out")) {
+                outPath = args.str();
+            } else if (args.is("--golden")) {
+                goldenPath = args.str();
+            } else if (args.is("--write-golden")) {
+                writeGoldenPath = args.str();
+            } else if (args.is("--metrics-prom")) {
+                promPath = args.str();
+            } else if (args.is("--history")) {
+                historyPath = args.str();
+            } else if (args.is("--quiet")) {
+                quiet = true;
+            } else {
+                args.unknown();
+            }
         }
+    };
+    // --quick replaces the whole configuration, so it goes first and
+    // a second walk applies the other flags on top of it.
+    serve::ServeConfig cfg;
+    parse(cfg);
+    if (quick) {
+        cfg = serve::ServeConfig::quick();
+        parse(cfg);
     }
+    // runFleet starts at most one thread per shard; report that count.
+    workers = std::min(workers, cfg.shards);
 
     std::fprintf(stderr,
                  "terp-serve: %u shard(s), %u session(s), %u host "
