@@ -35,22 +35,29 @@ runFleet(const ServeConfig &cfg, unsigned hostWorkers)
     auto wallStart = std::chrono::steady_clock::now();
 
     LoadGen load(cfg);
-    std::vector<std::unique_ptr<ServeShard>> shards;
-    for (unsigned k = 0; k < cfg.shards; ++k)
-        shards.push_back(std::make_unique<ServeShard>(
-            cfg, k, load.shardStream(k)));
-
     FleetResult res;
     res.cfg = cfg;
     res.generated = load.totalRequests();
     res.slowSessions = load.slowSessions();
     res.horizon = load.horizon();
+    res.shards.resize(cfg.shards);
+    res.shardMetrics.resize(cfg.shards);
 
     // One task per shard, each run to the end: shards share no
     // state, so no simulated-clock agreement is needed between them.
+    // A task builds its shard and keeps only the summary and the
+    // registry the report needs, so at most one ShardDomain per host
+    // worker is alive at a time.
     ParallelRunner pool(hostWorkers);
-    for (auto &s : shards)
-        pool.add([sp = s.get()] { sp->run(); });
+    for (unsigned k = 0; k < cfg.shards; ++k) {
+        pool.add([&cfg, &load, &res, k] {
+            ServeShard shard(cfg, k, load.shardStream(k));
+            shard.run();
+            res.shards[k] = shard.summary();
+            res.shardMetrics[k] =
+                shard.domain().runtime().metricsRegistry();
+        });
+    }
     pool.run();
 
     // Fleet aggregation on the coordinating thread, in shard-id
@@ -60,14 +67,11 @@ runFleet(const ServeConfig &cfg, unsigned hostWorkers)
     res.fleet->setLabel("scheme",
                         core::schemeTag(cfg.runtime.scheme));
     res.fleet->setLabel("shard", "fleet");
-    for (auto &s : shards) {
-        const ShardSummary &sum = s->summary();
-        res.shards.push_back(sum);
+    for (unsigned k = 0; k < cfg.shards; ++k) {
+        const ShardSummary &sum = res.shards[k];
         res.endClock = std::max(res.endClock, sum.endClock);
         res.epochs = std::max(res.epochs, sum.lastEvent / kEpoch + 1);
-        auto reg = s->domain().runtime().metricsRegistry();
-        res.shardMetrics.push_back(reg);
-        if (reg)
+        if (const auto &reg = res.shardMetrics[k])
             res.fleet->merge(*reg, keepInFleet);
     }
 

@@ -3,8 +3,10 @@
  * The terp-serve fleet driver: one host task per shard.
  *
  * Each shard is one task on the shared host pool
- * (terp::ParallelRunner), and the task runs the shard's event loop
- * to the end. Shards share no state and need no simulated-clock
+ * (terp::ParallelRunner): the task builds the shard, runs its event
+ * loop to the end and keeps only the shard's summary and metrics
+ * registry, so peak memory grows with the host workers, not with the
+ * shard count. Shards share no state and need no simulated-clock
  * agreement, so there is no barrier between them: a shard's clock
  * only bounds its own exposure windows.
  *

@@ -1,6 +1,8 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -50,6 +52,24 @@ toBack(std::uint64_t ord, unsigned r, unsigned last)
     return below | between | (((ord >> s) & 15) << e) | above;
 }
 
+/** Four 32-bit way slots: one SSE2 or NEON register. */
+using Slots4 = std::uint32_t __attribute__((vector_size(16)));
+
+/** Bit s is set iff slot s of the 16-slot block holds key. */
+unsigned
+matchBlock(const std::uint32_t *block, std::uint32_t key)
+{
+    Slots4 acc = {0, 0, 0, 0};
+    Slots4 bit = {1, 2, 4, 8};
+    for (unsigned q = 0; q < Cache::maxWays / 4; ++q) {
+        Slots4 t;
+        std::memcpy(&t, block + 4 * q, sizeof t);
+        acc |= reinterpret_cast<Slots4>(t == key) & bit;
+        bit <<= 4;
+    }
+    return acc[0] | acc[1] | acc[2] | acc[3];
+}
+
 } // namespace
 
 Cache::Cache(std::uint64_t size_bytes, unsigned ways,
@@ -69,10 +89,13 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways,
     setShiftBits = static_cast<unsigned>(std::countr_zero(nSets));
     strideShiftBits =
         static_cast<unsigned>(std::countr_zero(std::bit_ceil(ways)));
+    setSlotBits = (2u << ((1u << strideShiftBits) - 1)) - 1;
     const std::size_t n = nSets << strideShiftBits;
-    tags.assign(n, 0);
+    TERP_ASSERT(n <= 0xFFFFFFFFULL,
+                "cache has more way slots than 32-bit slot indices");
+    // Whole 16-slot blocks, so a lookup may read its set's block.
+    tags.assign(std::max<std::size_t>(n, maxWays), 0);
     order.assign(nSets, identityOrder);
-    validBits.assign((n + 63) / 64, 0);
 }
 
 bool
@@ -89,21 +112,23 @@ Cache::accessSlow(std::uint64_t line_addr)
     std::uint64_t &ord = order[set_idx];
     mruLineAddr = line_addr;
 
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (set_tags[w] == key) {
-            ord = toFront(ord, rankOf(ord, w));
-            ++nHits;
-            return true;
-        }
+    // Compare the key against the set's 16-slot block at once, then
+    // keep the set's own slots: one code path for every width.
+    const std::size_t off = base & (maxWays - 1);
+    const unsigned match =
+        (matchBlock(set_tags - off, key) >> off) & setSlotBits;
+    if (match) {
+        const auto w = static_cast<unsigned>(std::countr_zero(match));
+        ord = toFront(ord, rankOf(ord, w));
+        ++nHits;
+        return true;
     }
     // Empty ways sit behind every valid way, so the last rank is an
     // empty way if the set has one, else the least recently used.
     const unsigned last = nWays - 1;
     const unsigned victim = (ord >> (4 * last)) & 15;
-    if (set_tags[victim] == 0) {
-        ++nValid;
-        setValid(base + victim);
-    }
+    if (set_tags[victim] == 0 && listed)
+        live.push_back(static_cast<std::uint32_t>(base + victim));
     set_tags[victim] = key;
     ord = toFront(ord, last);
     ++nMisses;
@@ -119,8 +144,6 @@ Cache::dropSlot(std::size_t i)
     std::uint64_t &ord = order[set_idx];
     ord = toBack(ord, rankOf(ord, way), nWays - 1);
     tags[i] = 0;
-    clearValid(i);
-    --nValid;
 }
 
 void
@@ -130,51 +153,41 @@ Cache::invalidateRange(std::uint64_t lo, std::uint64_t hi)
     TERP_ASSERT((lo & (line_bytes - 1)) == 0 &&
                     (hi & (line_bytes - 1)) == 0,
                 "invalidateRange bounds must be line-aligned");
-    if (hi <= lo || nValid == 0)
+    if (hi <= lo)
         return;
+    if (!listed) {
+        listed = true;
+        // Only a miss fills a way, so an idle core's TLB has nothing
+        // to list. Crash worlds shoot down young TLBs, whose slots are
+        // mostly empty: test a block of 16 slots per compare.
+        for (std::size_t b = 0; nMisses != 0 && b < tags.size();
+             b += maxWays) {
+            for (unsigned full = ~matchBlock(&tags[b], 0) & 0xFFFF; full;
+                 full &= full - 1)
+                live.push_back(static_cast<std::uint32_t>(
+                    b + static_cast<unsigned>(std::countr_zero(full))));
+        }
+    }
 
     const std::uint64_t first_line = lo >> lineShiftBits;
     const std::uint64_t last_line = (hi - 1) >> lineShiftBits;
-    const std::uint64_t span = last_line - first_line + 1;
     if (mruLineAddr >= first_line && mruLineAddr <= last_line)
         mruLineAddr = ~0ULL;
 
-    if (span < nSets) {
-        // Narrow range: only the sets the range maps to can hold a
-        // matching line, so probe those directly by set index.
-        for (std::uint64_t la = first_line; la <= last_line; ++la) {
-            const std::uint64_t tag = la >> setShiftBits;
-            if (tag > maxTag)
-                break; // never resident, nor is any line above it
-            const auto key = static_cast<std::uint32_t>(tag + 1);
-            const std::size_t base = (la & (nSets - 1))
-                                     << strideShiftBits;
-            for (unsigned w = 0; w < nWays; ++w) {
-                if (tags[base + w] == key) {
-                    dropSlot(base + w);
-                    break;
-                }
-            }
+    // Walk the valid lines. A dropped slot's entry is overwritten by
+    // the last one, which is examined next.
+    for (std::size_t k = 0; k < live.size();) {
+        const std::uint32_t i = live[k];
+        const std::uint64_t line_addr =
+            ((std::uint64_t{tags[i]} - 1) << setShiftBits) |
+            (i >> strideShiftBits);
+        if (line_addr < first_line || line_addr > last_line) {
+            ++k;
+            continue;
         }
-        return;
-    }
-
-    // Wide range: every set is in play. Walk the validity bitmap so
-    // only live lines are visited — 64 empty slots cost one word
-    // test.
-    for (std::size_t wi = 0; wi < validBits.size(); ++wi) {
-        std::uint64_t word = validBits[wi];
-        while (word) {
-            const unsigned b =
-                static_cast<unsigned>(std::countr_zero(word));
-            word &= word - 1;
-            const std::size_t i = (wi << 6) | b;
-            const std::uint64_t set_idx = i >> strideShiftBits;
-            const std::uint64_t line_addr =
-                ((std::uint64_t{tags[i]} - 1) << setShiftBits) | set_idx;
-            if (line_addr >= first_line && line_addr <= last_line)
-                dropSlot(i);
-        }
+        dropSlot(i);
+        live[k] = live.back();
+        live.pop_back();
     }
 }
 

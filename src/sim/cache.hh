@@ -27,10 +27,16 @@
  *  - a one-line MRU hint: the line of the last access is at rank 0 of
  *    its set, so a repeat access is a compare and a hit count, with
  *    no recency write. Invalidating that line clears the hint;
- *  - a validity bitmap, one bit per way slot, so a wide invalidation
- *    visits only live lines, skipping 64 empty slots per word test;
- *  - invalidateRange probes only the sets a narrow range can map to,
- *    and returns at once when no line is valid.
+ *  - a whole-set compare: a lookup compares the key against the
+ *    16-slot, 64-byte-aligned block that holds its set in one vector
+ *    compare, then keeps the mask bits of the set's own slots, so a
+ *    set of any width takes the same branch-free code;
+ *  - a list of live slots, unordered: a slot is pushed when a miss
+ *    fills an empty way and swap-removed when an invalidation drops
+ *    it, so invalidateRange walks exactly the valid lines. The first
+ *    invalidateRange builds the list from the tags, a block at a
+ *    time and only if the cache ever missed, so a cache that is never
+ *    invalidated (the data caches) keeps none.
  */
 
 #ifndef TERP_SIM_CACHE_HH
@@ -111,27 +117,22 @@ class Cache
     unsigned setShiftBits;    //!< log2(nSets)
     unsigned nWays;
     unsigned strideShiftBits; //!< log2(bit_ceil(nWays)): slots per set
+    unsigned setSlotBits;     //!< one bit per slot of a set
 
     // Way slot i is way (i & (stride - 1)) of set (i >> strideShift).
-    // Slots past nWays in a set stay 0 and their bits stay clear.
+    // Slots past nWays in a set, and past the last set up to a whole
+    // 16-slot block, stay 0.
     std::vector<std::uint32_t, LineAligned<std::uint32_t>> tags;
     std::vector<std::uint64_t> order; //!< per set, rank r in bits 4r..
-    std::vector<std::uint64_t> validBits;
+    /** Slots holding a valid line, in no order; see `listed`. */
+    std::vector<std::uint32_t> live;
+    /** live is kept: set by the first invalidateRange. */
+    bool listed = false;
 
-    std::uint64_t nValid = 0; //!< currently valid lines
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
 
     std::uint64_t mruLineAddr = ~0ULL; //!< host-side hint only
-
-    void setValid(std::size_t i)
-    {
-        validBits[i >> 6] |= 1ULL << (i & 63);
-    }
-    void clearValid(std::size_t i)
-    {
-        validBits[i >> 6] &= ~(1ULL << (i & 63));
-    }
 
     bool accessSlow(std::uint64_t line_addr);
     void dropSlot(std::size_t i);
