@@ -1,6 +1,7 @@
 #include "check/crash.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <optional>
 #include <sstream>
@@ -29,27 +30,17 @@ constexpr std::uint64_t pmoSize = 64 * KiB;
  */
 using World = CrashWorld;
 
-/**
- * One enumeration cell: its options and, for the schedule workload,
- * the schedule every run of the cell replays.
- */
-struct Cell
-{
-    const CrashOptions &opt;
-    Schedule sched;
-};
-
 // ------------------------------------------------------- workloads
 
 /** bank: the init transaction, then `txns` transfers. */
 void
-bankWorkload(World &w, Ledger &led, const Cell &c,
+bankWorkload(World &w, Ledger &led, const CrashCell &c,
              std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
-    Rng rng(99 + c.opt.seed);
+    Rng rng(99 + c.options().seed);
     bankTxn(w, led, tc, rng, /*init=*/true);
-    for (unsigned t = 0; t < c.opt.txns; ++t)
+    for (unsigned t = 0; t < c.options().txns; ++t)
         bankTxn(w, led, tc, rng, /*init=*/false);
 }
 
@@ -60,7 +51,7 @@ bankWorkload(World &w, Ledger &led, const Cell &c,
  * inconsistent (a half-linked record) if torn by a crash.
  */
 void
-hashmapWorkload(World &w, Ledger &led, const Cell &c,
+hashmapWorkload(World &w, Ledger &led, const CrashCell &c,
                 std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
@@ -69,8 +60,8 @@ hashmapWorkload(World &w, Ledger &led, const Cell &c,
     constexpr std::uint64_t heapOff = 8192;
 
     const pm::PersistController &ctl = w.persistence()->controller();
-    Rng rng(7 + c.opt.seed);
-    for (unsigned t = 0; t < c.opt.txns; ++t) {
+    Rng rng(7 + c.options().seed);
+    for (unsigned t = 0; t < c.options().txns; ++t) {
         std::uint64_t key = 0x1000 + t;
         std::uint64_t rec = heapOff + 64ULL * t;
         pm::Oid head(1, bucketsOff +
@@ -123,12 +114,12 @@ checkHashmapInvariant(World &w, std::vector<std::string> &out)
 
 /** txnest: `txns` transactions, the first of them the init. */
 void
-txnestWorkload(World &w, Ledger &led, const Cell &c,
+txnestWorkload(World &w, Ledger &led, const CrashCell &c,
                std::vector<std::string> &)
 {
     sim::ThreadContext &tc = w.machine().thread(0);
-    Rng rng(41 + c.opt.seed);
-    for (unsigned t = 0; t < c.opt.txns; ++t)
+    Rng rng(41 + c.options().seed);
+    for (unsigned t = 0; t < c.options().txns; ++t)
         txnestTxn(w, led, tc, rng, /*init=*/t == 0);
 }
 
@@ -142,7 +133,7 @@ txnestWorkload(World &w, Ledger &led, const Cell &c,
  * independently (each all-or-nothing on its own).
  */
 void
-txpairWorkload(World &w, Ledger &led, const Cell &c,
+txpairWorkload(World &w, Ledger &led, const CrashCell &c,
                std::vector<std::string> &)
 {
     sim::ThreadContext &tc0 = w.machine().thread(0);
@@ -153,8 +144,8 @@ txpairWorkload(World &w, Ledger &led, const Cell &c,
     auto yOf = [](pm::PmoId p) { return pm::Oid(p, 0x1040); };
     auto seqOf = [](pm::PmoId p) { return pm::Oid(p, 0x800); };
 
-    Rng rng(17 + c.opt.seed);
-    for (unsigned t = 0; t < c.opt.txns; ++t) {
+    Rng rng(17 + c.options().seed);
+    for (unsigned t = 0; t < c.options().txns; ++t) {
         bool init = t == 0;
         bool redo0 = !init && rng.nextBelow(2) == 1;
         bool redo1 = !init && rng.nextBelow(2) == 1;
@@ -221,31 +212,34 @@ checkTxpairInvariant(World &w, std::vector<std::string> &out)
 
 /** schedule: the cell's generated fuzz schedule, on the one executor. */
 void
-scheduleWorkload(World &w, Ledger &led, const Cell &c,
+scheduleWorkload(World &w, Ledger &led, const CrashCell &c,
                  std::vector<std::string> &replay)
 {
-    replaySchedule(c.sched, w, led, replay);
+    replaySchedule(c.schedule(), w, led, replay);
 }
 
+} // namespace
+
 /**
- * The crash workloads: the world each one runs in, the run the
- * enumerator repeats once per crash point, and the invariant checked
- * on the recovered durable image (null: the atomicity oracle alone).
- * The schedule workload's shape is also the shape its schedule is
- * generated for.
+ * A crash workload: the world it runs in, its run from the start,
+ * and the invariant checked on the recovered durable image (null:
+ * the atomicity oracle alone). The schedule workload's shape is also
+ * the shape its schedule is generated for.
  */
-struct Workload
+struct CrashWorkload
 {
     const char *name;
     unsigned pmos;
     unsigned threads;
     bool generated; //!< runs a schedule generated per seed
-    void (*run)(World &, Ledger &, const Cell &,
+    void (*run)(World &, Ledger &, const CrashCell &,
                 std::vector<std::string> &replay);
     void (*check)(World &, std::vector<std::string> &);
 };
 
-const Workload workloads[] = {
+namespace {
+
+const CrashWorkload workloads[] = {
     {"bank", 1, 1, false, bankWorkload, checkBankInvariant},
     {"hashmap", 1, 1, false, hashmapWorkload, checkHashmapInvariant},
     {"txnest", 2, 1, false, txnestWorkload, checkTxnestInvariant},
@@ -253,10 +247,10 @@ const Workload workloads[] = {
     {"schedule", 2, 3, true, scheduleWorkload, nullptr},
 };
 
-const Workload &
+const CrashWorkload &
 findWorkload(const std::string &name)
 {
-    for (const Workload &wl : workloads)
+    for (const CrashWorkload &wl : workloads)
         if (name == wl.name)
             return wl;
     throw std::invalid_argument("unknown workload: " + name);
@@ -404,55 +398,95 @@ std::vector<std::string>
 crashWorkloads()
 {
     std::vector<std::string> names;
-    for (const Workload &wl : workloads)
+    for (const CrashWorkload &wl : workloads)
         names.push_back(wl.name);
     return names;
+}
+
+CrashCell::CrashCell(const CrashOptions &options)
+    : opt(options), wl(&findWorkload(options.workload))
+{
+    // Every world runs at its schedule's EW target, which the
+    // generator may raise above the requested one (the executor
+    // refuses a world that does not match). A hand-written workload
+    // has an empty schedule at the requested target.
+    std::optional<core::RuntimeConfig> c =
+        core::configForScheme(opt.scheme, opt.ewTarget);
+    if (!c || c->scheme == core::Scheme::Unprotected)
+        throw std::invalid_argument("not a checked scheme: " +
+                                    opt.scheme);
+    cfg = c->withTrace();
+    sched.ewTarget = opt.ewTarget;
+    if (wl->generated) {
+        GenParams gp;
+        gp.threads = wl->threads;
+        gp.pmos = wl->pmos;
+        gp.persistOps = true;
+        gp.events = opt.events;
+        gp.ewTarget = opt.ewTarget;
+        gp.pmoSize = pmoSize;
+        sched = generate(opt.seed, *c, gp);
+    }
+    cfg.ewTarget = sched.ewTarget;
+}
+
+CrashWorld
+CrashCell::world() const
+{
+    return CrashWorld(cfg, wl->pmos, wl->threads, pmoSize,
+                      pm::TxManager::undoLogOff);
+}
+
+void
+CrashCell::run(CrashWorld &w, Ledger &led,
+               std::vector<std::string> &replay) const
+{
+    wl->run(w, led, *this, replay);
+}
+
+void
+CrashCell::checkImage(CrashWorld &w, const Ledger &led,
+                      std::vector<std::string> &out) const
+{
+    checkDurable(w, led, out);
+    if (wl->check)
+        wl->check(w, out);
+}
+
+void
+CrashCell::recoverAndCheck(CrashWorld &w, Ledger &led,
+                           std::vector<std::string> &out) const
+{
+    try {
+        Cycles at = w.machine().maxClock();
+        w.runtime().crash(at);
+        // Recovery runs after the failure instant.
+        sim::ThreadContext &rtc = w.machine().thread(0);
+        if (rtc.now() < at)
+            rtc.syncTo(at, sim::Charge::Other);
+        (void)w.runtime().recover(rtc);
+        checkImage(w, led, out);
+        probeAndDrain(w, led, out);
+    } catch (const std::exception &e) {
+        out.push_back(std::string("recovery died: ") + e.what());
+    }
 }
 
 CrashResult
 enumerateCrashPoints(const CrashOptions &opt)
 {
-    const Workload &wl = findWorkload(opt.workload);
-    // Every world runs at its schedule's EW target, which the
-    // generator may raise above the requested one (the executor
-    // refuses a world that does not match). A hand-written workload
-    // has an empty schedule at the requested target.
-    std::optional<core::RuntimeConfig> cfg =
-        core::configForScheme(opt.scheme, opt.ewTarget);
-    if (!cfg || cfg->scheme == core::Scheme::Unprotected)
-        throw std::invalid_argument("not a checked scheme: " +
-                                    opt.scheme);
-    Cell cell{opt, {}};
-    cell.sched.ewTarget = opt.ewTarget;
-    if (wl.generated) {
-        GenParams gp;
-        gp.threads = wl.threads;
-        gp.pmos = wl.pmos;
-        gp.persistOps = true;
-        gp.events = opt.events;
-        gp.ewTarget = opt.ewTarget;
-        gp.pmoSize = pmoSize;
-        cell.sched = generate(opt.seed, *cfg, gp);
-    }
-    cfg->ewTarget = cell.sched.ewTarget;
-    auto makeWorld = [&] {
-        return World(cfg->withTrace(), wl.pmos, wl.threads, pmoSize,
-                     pm::TxManager::undoLogOff);
-    };
-
+    const CrashCell cell(opt);
     CrashResult res;
     // Baseline: no fault. Counts the boundaries and sanity-checks
     // the oracle machinery against an uninterrupted run.
     {
-        World w = makeWorld();
+        World w = cell.world();
         Ledger led;
         std::vector<std::string> replay, v;
         try {
-            wl.run(w, led, cell, replay);
+            cell.run(w, led, replay);
             res.boundaries = w.persistence()->controller().boundaryCount();
-            checkDurable(w, led, v);
-            if (wl.check)
-                wl.check(w, v);
+            cell.checkImage(w, led, v);
         } catch (const std::exception &e) {
             v.push_back(std::string("baseline run died: ") +
                         e.what());
@@ -462,77 +496,86 @@ enumerateCrashPoints(const CrashOptions &opt)
             return res;
     }
 
-    // Points 1..B share no mutable state: each task builds its own
-    // world from the read-only cell and writes only its slot, and
-    // nothing leaves a task but through the slot (an escaped
-    // exception included). The pool drains the points in any order
-    // on every host CPU; the walk below reads the slots in point
-    // order, so the result, and the exception rethrown for the
-    // lowest failing point, are those of running the points one at
-    // a time.
+    // Points 1..B. Each of K drivers (one per host CPU) runs the
+    // workload once and taps every boundary. The first driver to
+    // reach point n claims it, copies itself, its ledger and its
+    // complaints so far, and the copy crashes there and checks
+    // recovery; a driver busy with a copy falls behind and the
+    // others claim the points it passes, so the points spread over
+    // the CPUs as they come. Every driver is the same deterministic
+    // world, so a point's verdict does not depend on which one
+    // claims it. Drivers share only the read-only cell and the claim
+    // counter, and each point's slot is written by its claimer alone;
+    // nothing leaves a task but through a slot (an escaped exception
+    // included). The walk below reads the slots in point order, so
+    // the result, and the exception rethrown for the lowest failing
+    // point, are those of running the points one at a time.
     struct Point
     {
         pm::PersistBoundary kind = pm::PersistBoundary::Store;
         std::vector<std::string> replay, v;
         std::exception_ptr error;
     };
-    std::vector<Point> points(res.boundaries);
-    auto crashAt = [&](std::uint64_t n, Point &p) {
-        World w = makeWorld();
-        Ledger led;
-        bool crashed = false;
-
-        w.persistence()->controller().armFault(n);
+    /** How a driver's run ended. */
+    struct Driver
+    {
+        std::vector<std::string> replay;
+        std::string died;
+        std::exception_ptr error;
+    };
+    const std::uint64_t B = res.boundaries;
+    std::vector<Point> points(B);
+    std::vector<Driver> drivers(std::min<std::uint64_t>(hostCpus(), B));
+    std::atomic<std::uint64_t> unclaimed{1}; // lowest unclaimed point
+    auto drive = [&](Driver &dr) {
         try {
-            wl.run(w, led, cell, p.replay);
-        } catch (const pm::PowerFailure &pf) {
-            crashed = true;
-            p.kind = pf.kind;
+            World d = cell.world();
+            Ledger led;
+            auto tap = [&](std::uint64_t n, pm::PersistBoundary kind) {
+                std::uint64_t want = n;
+                if (n > B ||
+                    !unclaimed.compare_exchange_strong(want, n + 1))
+                    return;
+                Point &p = points[n - 1];
+                p.kind = kind;
+                p.replay = dr.replay;
+                try {
+                    World w(d);
+                    Ledger l = led;
+                    w.persistence()->controller().crash();
+                    cell.recoverAndCheck(w, l, p.v);
+                } catch (...) {
+                    p.error = std::current_exception();
+                }
+            };
+            d.persistence()->controller().tapFaults(tap);
+            cell.run(d, led, dr.replay);
         } catch (const std::exception &e) {
-            p.v.push_back(std::string("workload died: ") + e.what());
-        }
-
-        if (p.v.empty() && !crashed) {
-            // A scheduled CrashRecover op can disarm nothing — the
-            // plan stays armed across it — so reaching the end means
-            // the boundary count regressed between runs.
-            p.v.push_back("armed fault never fired (non-deterministic "
-                          "boundary count?)");
-        }
-
-        if (p.v.empty()) {
-            try {
-                Cycles at = w.machine().maxClock();
-                w.runtime().crash(at);
-                // Recovery runs after the failure instant.
-                sim::ThreadContext &rtc = w.machine().thread(0);
-                if (rtc.now() < at)
-                    rtc.syncTo(at, sim::Charge::Other);
-                (void)w.runtime().recover(rtc);
-                checkDurable(w, led, p.v);
-                if (wl.check)
-                    wl.check(w, p.v);
-                probeAndDrain(w, led, p.v);
-            } catch (const std::exception &e) {
-                p.v.push_back(std::string("recovery died: ") +
-                              e.what());
-            }
+            dr.died = std::string("workload died: ") + e.what();
+        } catch (...) {
+            dr.error = std::current_exception();
         }
     };
-    ParallelRunner pool(hostCpus());
-    for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
-        pool.add([&, n] {
-            Point &p = points[n - 1];
-            try {
-                crashAt(n, p);
-            } catch (...) {
-                p.error = std::current_exception();
-            }
-        });
-    }
+    ParallelRunner pool(static_cast<unsigned>(drivers.size()));
+    for (Driver &dr : drivers)
+        pool.add([&drive, &dr] { drive(dr); });
     pool.run();
+    // Every driver ends alike. A point no driver reached was past
+    // where the workload died, or past the end of a run whose
+    // boundary count regressed: a scheduled CrashRecover op disarms
+    // nothing, so the plan stays armed across it.
+    const Driver &end = drivers.front();
+    for (std::uint64_t n = unclaimed.load(); n <= B; ++n) {
+        Point &p = points[n - 1];
+        p.replay = end.replay;
+        p.error = end.error;
+        p.v.push_back(end.died.empty()
+                          ? "armed fault never fired "
+                            "(non-deterministic boundary count?)"
+                          : end.died);
+    }
 
-    for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
+    for (std::uint64_t n = 1; n <= B; ++n) {
         const Point &p = points[n - 1];
         if (p.error)
             std::rethrow_exception(p.error);

@@ -6,11 +6,13 @@
  *
  * A baseline run of a workload counts its persist-boundary events
  * (B = every store / clwb / sfence / log-header update). The driver
- * then re-runs the workload B times, arming the controller's fault
- * plan to crash before boundary n for every n in 1..B — covering
- * every distinguishable crash window exactly once — and after each
- * modeled power failure performs Runtime::crash + Runtime::recover
- * and asserts the recovery oracle:
+ * then crashes before boundary n for every n in 1..B — covering every
+ * distinguishable crash window exactly once — without running the
+ * workload again per point: a driver world runs the workload once,
+ * and its controller's fault plan taps each boundary n, where the
+ * world is copied and the copy crashes while the driver carries on.
+ * After each modeled power failure the copy performs Runtime::crash +
+ * Runtime::recover and asserts the recovery oracle:
  *
  *   - atomicity: the durable image equals the image after exactly
  *     the transactions whose commit completed (each transaction is
@@ -20,12 +22,18 @@
  *     normal idle path (the sweeper) within the window target, no
  *     PMO stays mapped, and the trace audit balances.
  *
- * The B crash worlds are independent, so they run on every CPU the
- * process may use (common/parallel.hh); each writes its verdict into
- * its own slot, and the slots are recorded in point order. The
- * violations therefore ascend by point whatever the worker count, and
- * the first one reported is the earliest failing crash point (the
- * shrunken reproducer).
+ * The copy holds what a world replayed to boundary n and crashed
+ * there holds: nothing unwinds between the crash and the recovery
+ * (no destructor or handler on the workload's stack touches the
+ * world), so an unwound stack and a tapped one leave the same state.
+ *
+ * The work runs on every CPU the process may use
+ * (common/parallel.hh): each CPU runs a driver world, and the first
+ * driver to reach a point claims it. Each point writes its verdict
+ * into its own slot, and the slots are recorded in point order. The violations
+ * therefore ascend by point whatever the worker count, and the first
+ * one reported is the earliest failing crash point (the shrunken
+ * reproducer).
  */
 
 #ifndef TERP_CHECK_CRASH_HH
@@ -36,6 +44,7 @@
 #include <vector>
 
 #include "check/recovery_oracle.hh"
+#include "check/schedule.hh"
 #include "common/units.hh"
 #include "pm/persist.hh"
 
@@ -132,6 +141,54 @@ void checkTxnestInvariant(CrashWorld &w, std::vector<std::string> &out);
 
 /** The workload names CrashOptions::workload accepts. */
 std::vector<std::string> crashWorkloads();
+
+struct CrashWorkload;
+
+/**
+ * One enumeration cell: a crash workload under one checked scheme,
+ * with, for the schedule workload, the schedule generated for the
+ * seed. Every world of a cell starts alike and runs the same work.
+ */
+class CrashCell
+{
+  public:
+    /** Throws std::invalid_argument on an unknown workload or scheme. */
+    explicit CrashCell(const CrashOptions &opt);
+
+    const CrashOptions &options() const { return opt; }
+    const Schedule &schedule() const { return sched; }
+
+    /** A fresh world of the workload's shape at the cell's config. */
+    CrashWorld world() const;
+
+    /**
+     * Run the workload on @p w from its start, entering its
+     * transactions in @p led; the schedule executor's complaints go
+     * to @p replay.
+     */
+    void run(CrashWorld &w, Ledger &led,
+             std::vector<std::string> &replay) const;
+
+    /** Atomicity and the workload's invariant on @p w's durable image. */
+    void checkImage(CrashWorld &w, const Ledger &led,
+                    std::vector<std::string> &out) const;
+
+    /**
+     * The crash path of a world whose controller has just crashed:
+     * Runtime::crash at the latest thread clock, recovery on thread
+     * 0, checkImage, then liveness and exposure hygiene
+     * (probeAndDrain). An exception on the way is reported as
+     * "recovery died: ...".
+     */
+    void recoverAndCheck(CrashWorld &w, Ledger &led,
+                         std::vector<std::string> &out) const;
+
+  private:
+    CrashOptions opt;
+    const CrashWorkload *wl;
+    core::RuntimeConfig cfg;
+    Schedule sched;
+};
 
 /**
  * Crash at every persist boundary of the workload and validate.

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/logging.hh"
 #include "trace/audit.hh"
 
 namespace terp {
@@ -37,6 +38,13 @@ CrashWorld::CrashWorld(const core::RuntimeConfig &config,
         persistence()->openLog(p, log_off);
     for (unsigned t = 0; t < threads; ++t)
         machine().spawnThread();
+}
+
+CrashWorld::CrashWorld(const CrashWorld &o)
+    : core::ShardDomain(o), cfg(o.cfg), nPmos(o.nPmos),
+      pmoBytes(o.pmoBytes)
+{
+    TERP_ASSERT(!o.sweepGate, "CrashWorld: copy of a gated world");
 }
 
 void

@@ -64,6 +64,12 @@ struct CrashWorld : core::ShardDomain
                unsigned threads, std::uint64_t pmo_bytes,
                std::uint64_t log_off);
 
+    /**
+     * A deep copy (see ShardDomain's). A world with a sweep gate is
+     * not copied: the gate belongs to its driver.
+     */
+    CrashWorld(const CrashWorld &o);
+
     /** Fire the free-running sweeper up to time @p t, gated. */
     void advanceSweeps(Cycles t) { sweepTo(t, sweepGate); }
 };

@@ -20,6 +20,17 @@ ShardDomain::ShardDomain(const DomainConfig &cfg)
         rt->attachPersistence(dom.get());
 }
 
+ShardDomain::ShardDomain(const ShardDomain &o)
+    : id(o.id), mach(std::make_unique<sim::Machine>(*o.mach)),
+      pm(std::make_unique<pm::PmoManager>(*o.pm)),
+      dom(o.dom ? std::make_unique<pm::PersistDomain>(*o.dom) : nullptr),
+      rt(std::make_unique<Runtime>(*o.rt, *mach, *pm, dom.get())),
+      nextHook(o.nextHook), hookPeriod(o.hookPeriod)
+{
+    TERP_ASSERT(!dom || !dom->controller().tapped(),
+                "ShardDomain: copy of a domain whose fault plan is tapped");
+}
+
 void
 ShardDomain::sweepTo(Cycles t, const SweepGate &gate)
 {

@@ -69,7 +69,16 @@ class ShardDomain
   public:
     explicit ShardDomain(const DomainConfig &cfg);
 
-    ShardDomain(const ShardDomain &) = delete;
+    /**
+     * A deep copy that shares nothing with @p o: from here on both
+     * run as if each had run alone from the start. Every pointer
+     * inside the stack (the runtime's machine, PMO manager and
+     * persistence domain, the trace sink and metrics registry the
+     * parts emit into, the transaction logs' controller) is bound to
+     * the copy's own. A domain whose fault plan has a tap is not
+     * copied: the tap belongs to its driver.
+     */
+    ShardDomain(const ShardDomain &o);
     ShardDomain &operator=(const ShardDomain &) = delete;
 
     unsigned shardId() const { return id; }

@@ -1,6 +1,7 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "pm/persist.hh"
@@ -45,36 +46,55 @@ Runtime::Runtime(sim::Machine &machine, pm::PmoManager &pmos,
                  const RuntimeConfig &config)
     : mach(machine), pm_(pmos), cfg(config)
 {
-    if (cfg.traceEnabled) {
+    if (cfg.traceEnabled)
         sink = std::make_shared<trace::TraceSink>(cfg.traceCapacity);
-        mach.setTraceSink(sink.get());
-        pm_.setTraceSink(sink.get());
-    }
     ew.setSlo(cfg.ewSlo, cfg.tewSlo);
     // Idle-past-deadline spans are the sweeper's fault: blame keys on
     // the same target the sweep rules use. Always on (charge-free).
     ew.setBlameTarget(cfg.ewTarget);
-    if (sink) {
-        trace::TraceSink *bs = sink.get();
-        ew.setSegmentHook([bs](pm::PmoId pmo, Cycles end,
-                               semantics::BlameCause c) {
-            bs->emit(trace::TraceSink::sweeperTid,
-                     trace::EventKind::BlameSegment, end, pmo,
-                     static_cast<std::uint64_t>(c));
-        });
-    }
+    ew.setTraceSink(sink.get());
     if (cfg.metricsEnabled) {
         reg = std::make_shared<metrics::Registry>();
         reg->setLabel("scheme", schemeTag(cfg.scheme));
         ew.enableMetrics(reg.get());
-        mSweepTicks = &reg->counter("sweeper.ticks");
-        mSweepForceDetach = &reg->counter("sweeper.force_detach");
-        mSweepRandomize = &reg->counter("sweeper.randomize");
-        mSweepPmoScans = &reg->counter("host.sweep_pmo_scans");
-        mSweepTickNs = &reg->histogram("host.sweep_tick_ns");
-        if (cfg.scheme == Scheme::TT)
-            mCbOccupancy = &reg->gauge("cb.occupancy");
     }
+    bindSinkAndInstruments();
+}
+
+Runtime::Runtime(const Runtime &o, sim::Machine &machine,
+                 pm::PmoManager &pmos, pm::PersistDomain *domain)
+    : mach(machine), pm_(pmos), cfg(o.cfg),
+      sink(o.sink ? std::make_shared<trace::TraceSink>(*o.sink)
+                  : nullptr),
+      reg(o.reg ? std::make_shared<metrics::Registry>(*o.reg) : nullptr),
+      cb(o.cb), domains(o.domains), matrix(o.matrix),
+      ew(o.ew, reg.get(), sink.get()), dom(domain),
+      txm(o.txm ? std::make_unique<pm::TxManager>(*o.txm, *domain, &ew)
+                : nullptr),
+      sweepTickSeq(o.sweepTickSeq), maps(o.maps),
+      mappedBits(o.mappedBits), regionDepth(o.regionDepth),
+      finalized(o.finalized)
+{
+    std::copy(std::begin(o.ctr), std::end(o.ctr), ctr);
+    bindSinkAndInstruments();
+}
+
+void
+Runtime::bindSinkAndInstruments()
+{
+    if (sink) {
+        mach.setTraceSink(sink.get());
+        pm_.setTraceSink(sink.get());
+    }
+    if (!reg)
+        return;
+    mSweepTicks = &reg->counter("sweeper.ticks");
+    mSweepForceDetach = &reg->counter("sweeper.force_detach");
+    mSweepRandomize = &reg->counter("sweeper.randomize");
+    mSweepPmoScans = &reg->counter("host.sweep_pmo_scans");
+    mSweepTickNs = &reg->histogram("host.sweep_tick_ns");
+    if (cfg.scheme == Scheme::TT)
+        mCbOccupancy = &reg->gauge("cb.occupancy");
 }
 
 Runtime::~Runtime()
@@ -91,21 +111,10 @@ void
 Runtime::attachPersistence(pm::PersistDomain *domain)
 {
     dom = domain;
-    txm = domain ? std::make_unique<pm::TxManager>(*domain)
+    // Lock-contention spans re-attribute the holder's window: the
+    // cycles are the same, the cause is the waiter.
+    txm = domain ? std::make_unique<pm::TxManager>(*domain, &ew)
                  : nullptr;
-    if (txm) {
-        // Lock-contention spans re-attribute the holder's window:
-        // the cycles are the same, the cause is the waiter.
-        txm->setContentionHook(
-            [this](pm::PmoId pmo, Cycles t, bool on) {
-                if (on) {
-                    ew.setHoldCause(
-                        pmo, semantics::BlameCause::TxnLockWait, t);
-                } else {
-                    ew.clearHoldCause(pmo, t);
-                }
-            });
-    }
 }
 
 Runtime::MapState &

@@ -86,6 +86,15 @@ class Runtime
   public:
     Runtime(sim::Machine &machine, pm::PmoManager &pmos,
             const RuntimeConfig &config);
+
+    /**
+     * A deep copy of @p o over @p machine, @p pmos and @p domain,
+     * copies of o's: the trace sink, the metrics registry and the
+     * transaction manager are copied too, and every pointer among
+     * them is bound to the copy's own.
+     */
+    Runtime(const Runtime &o, sim::Machine &machine, pm::PmoManager &pmos,
+            pm::PersistDomain *domain);
     ~Runtime();
 
     Runtime(const Runtime &) = delete;
@@ -235,14 +244,7 @@ class Runtime
     pm::PmoManager &pm_;
     RuntimeConfig cfg;
 
-    arch::CircularBuffer cb;
-    arch::ThreadDomains domains;
-    arch::PermissionMatrix matrix;
-    semantics::EwTracker ew;
     std::shared_ptr<trace::TraceSink> sink; //!< null = tracing off
-    pm::PersistDomain *dom = nullptr; //!< null = no crash/recovery
-    std::unique_ptr<pm::TxManager> txm; //!< created with dom
-
     /**
      * Metrics registry and cached hot-path instruments (null when
      * metrics are off, mirroring the trace sink's null-check
@@ -251,6 +253,14 @@ class Runtime
      * perturb simulation results.
      */
     std::shared_ptr<metrics::Registry> reg;
+
+    arch::CircularBuffer cb;
+    arch::ThreadDomains domains;
+    arch::PermissionMatrix matrix;
+    semantics::EwTracker ew;
+    pm::PersistDomain *dom = nullptr; //!< null = no crash/recovery
+    std::unique_ptr<pm::TxManager> txm; //!< created with dom
+
     metrics::Counter *mSweepTicks = nullptr;
     metrics::Counter *mSweepForceDetach = nullptr;
     metrics::Counter *mSweepRandomize = nullptr;
@@ -264,6 +274,12 @@ class Runtime
     metrics::Gauge *mCbOccupancy = nullptr;
     metrics::LogHistogram *mSweepTickNs = nullptr;
     std::uint64_t sweepTickSeq = 0;
+
+    /**
+     * Hand the sink to the machine and the PMO manager, and resolve
+     * the cached instruments in the registry.
+     */
+    void bindSinkAndInstruments();
 
     /** Final counter/gauge roll-up into the registry (finalize()). */
     void publishMetrics();

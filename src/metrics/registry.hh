@@ -86,9 +86,20 @@ class Registry
         Gauge gauge;
         Summary summary;
         std::unique_ptr<LogHistogram> hist; //!< only for Histogram
+
+        Entry() = default;
+        Entry(const Entry &o)
+            : kind(o.kind), counter(o.counter), gauge(o.gauge),
+              summary(o.summary),
+              hist(o.hist ? std::make_unique<LogHistogram>(*o.hist)
+                          : nullptr)
+        {
+        }
     };
 
     Registry() = default;
+    /** A deep copy: the same instruments, at addresses of its own. */
+    Registry(const Registry &) = default;
 
     // ---- registration (get-or-create; panics on a kind clash) ------
 

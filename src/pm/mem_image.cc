@@ -6,6 +6,22 @@
 namespace terp {
 namespace pm {
 
+MemImage::MemImage(const MemImage &o)
+    : slots(o.slots), nSlots(o.nSlots), nWords(o.nWords),
+      nDense(o.nDense), unaligned(o.unaligned)
+{
+    if (nDense == 0)
+        return;
+    arenas.push_back(std::make_unique_for_overwrite<Dense[]>(nDense));
+    Dense *d = arenas.back().get();
+    for (Slot &s : slots) {
+        if (s.key != none && (s.key & 1)) {
+            *d = denseOf(s);
+            s.val = reinterpret_cast<std::uintptr_t>(d++);
+        }
+    }
+}
+
 std::size_t
 MemImage::freeSlotOf(std::uint64_t key) const
 {

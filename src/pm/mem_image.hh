@@ -83,8 +83,12 @@ class MemImage
     // and dense tags. Dense arrays are never rehashed.
     MemImage() : slots(minSlots, Slot{none, 0}) {}
 
-    // Table slots point into the arena, so a copy would alias it.
-    MemImage(const MemImage &) = delete;
+    /**
+     * A deep copy: the same slots, with every dense block moved into
+     * one arena of the copy's own (table slots point into the arena,
+     * so a plain copy would alias it).
+     */
+    MemImage(const MemImage &o);
     MemImage &operator=(const MemImage &) = delete;
 
     void

@@ -1,6 +1,7 @@
 #include "pm/persist.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -51,17 +52,35 @@ PersistController::armFault(std::uint64_t nth)
 }
 
 void
+PersistController::tapFaults(FaultTap t)
+{
+    armFault(nBoundary + 1);
+    tap = std::move(t);
+}
+
+void
 PersistController::noteBoundary(PersistBoundary k)
 {
     ++nBoundary;
-    if (faultAt != 0 && nBoundary == faultAt) {
-        std::uint64_t at = nBoundary;
-        faultAt = 0;
-        // Power fails before the boundary takes effect: whatever it
-        // would have made visible/durable never happens.
-        crash();
-        throw PowerFailure(at, k);
+    if (faultAt != 0 && nBoundary == faultAt)
+        fireFault(k);
+}
+
+void
+PersistController::fireFault(PersistBoundary k)
+{
+    faultAt = 0;
+    if (tap) {
+        FaultTap t = std::exchange(tap, nullptr);
+        t(nBoundary, k);
+        tap = std::move(t);
+        faultAt = nBoundary + 1;
+        return;
     }
+    // Power fails before the boundary takes effect: whatever it
+    // would have made visible/durable never happens.
+    crash();
+    throw PowerFailure(nBoundary, k);
 }
 
 void
@@ -177,7 +196,7 @@ PersistController::crash()
 
 UndoLog::UndoLog(PersistController &pc, PmoId pmo_,
                  std::uint64_t log_off)
-    : ctl(pc), pmo(pmo_), logOff(log_off)
+    : ctl(&pc), pmo(pmo_), logOff(log_off)
 {
 }
 
@@ -189,9 +208,9 @@ UndoLog::begin(sim::ThreadContext &tc)
     entries = 0;
     writeSet.clear();
     logged.clear();
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), 0);
-    ctl.sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), 0);
+    ctl->sfence(tc);
 }
 
 void
@@ -204,21 +223,21 @@ UndoLog::write(sim::ThreadContext &tc, Oid oid, std::uint64_t value)
     // the SFENCE drain pay for) the same line once per write.
     if (!logged.find(oid.raw)) {
         // 1. Persist the undo record.
-        ctl.persistentStore(tc, entryOid(entries, 0), oid.raw);
-        ctl.persistentStore(tc, entryOid(entries, 1), ctl.load(oid));
-        ctl.sfence(tc);
+        ctl->persistentStore(tc, entryOid(entries, 0), oid.raw);
+        ctl->persistentStore(tc, entryOid(entries, 1), ctl->load(oid));
+        ctl->sfence(tc);
         // 2. Publish the record durably before touching the data.
         ++entries;
         ++nEntriesLogged;
         nBytesLogged += 16; // (address, old value) pair
-        ctl.noteBoundary(PersistBoundary::LogHeader);
-        ctl.persistentStore(tc, headerOid(), entries);
-        ctl.sfence(tc);
+        ctl->noteBoundary(PersistBoundary::LogHeader);
+        ctl->persistentStore(tc, headerOid(), entries);
+        ctl->sfence(tc);
         writeSet.push_back(oid.raw);
         logged.insert(oid.raw, 0);
     }
     // 3. Now the data update may proceed (durable at commit).
-    ctl.store(oid, value);
+    ctl->store(oid, value);
 }
 
 void
@@ -234,13 +253,13 @@ UndoLog::commit(sim::ThreadContext &tc)
     for (std::uint64_t raw : writeSet) {
         const std::uint64_t line = lineKeyOf(raw);
         if (logged.insert(line, 0))
-            ctl.clwb(tc, Oid::fromRaw(line));
+            ctl->clwb(tc, Oid::fromRaw(line));
     }
-    ctl.sfence(tc);
+    ctl->sfence(tc);
     // Invalidate the log durably: the transaction is committed.
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), 0);
-    ctl.sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), 0);
+    ctl->sfence(tc);
     active = false;
     entries = 0;
     writeSet.clear();
@@ -259,13 +278,13 @@ UndoLog::abort(sim::ThreadContext &tc)
     // (data write-backs only happen at commit), and skipping
     // already-equal locations would make the charge data-dependent.
     for (std::uint64_t i = entries; i-- > 0;) {
-        Oid target = Oid::fromRaw(ctl.load(entryOid(i, 0)));
-        ctl.store(target, ctl.load(entryOid(i, 1)));
+        Oid target = Oid::fromRaw(ctl->load(entryOid(i, 0)));
+        ctl->store(target, ctl->load(entryOid(i, 1)));
     }
     // Durably invalidate the log: nothing in flight any more.
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), 0);
-    ctl.sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), 0);
+    ctl->sfence(tc);
     ++nAborts;
     active = false;
     entries = 0;
@@ -277,7 +296,7 @@ std::uint64_t
 UndoLog::recover(sim::ThreadContext &tc)
 {
     abortVolatile();
-    std::uint64_t valid = ctl.persistedLoad(headerOid());
+    std::uint64_t valid = ctl->persistedLoad(headerOid());
     if (valid == 0)
         return 0; // nothing in flight at the crash
     ++nRollbacks;
@@ -292,25 +311,25 @@ UndoLog::recover(sim::ThreadContext &tc)
     // is no-ops).
     for (std::uint64_t i = valid; i-- > 0;) {
         Oid target =
-            Oid::fromRaw(ctl.persistedLoad(entryOid(i, 0)));
-        std::uint64_t old = ctl.persistedLoad(entryOid(i, 1));
-        if (ctl.persistedLoad(target) == old &&
-            ctl.load(target) == old) {
+            Oid::fromRaw(ctl->persistedLoad(entryOid(i, 0)));
+        std::uint64_t old = ctl->persistedLoad(entryOid(i, 1));
+        if (ctl->persistedLoad(target) == old &&
+            ctl->load(target) == old) {
             continue;
         }
-        ctl.persistentStore(tc, target, old);
+        ctl->persistentStore(tc, target, old);
     }
-    ctl.sfence(tc);
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), 0);
-    ctl.sfence(tc);
+    ctl->sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), 0);
+    ctl->sfence(tc);
     return valid;
 }
 
 bool
 UndoLog::recoveryPending() const
 {
-    return ctl.persistedLoad(headerOid()) != 0;
+    return ctl->persistedLoad(headerOid()) != 0;
 }
 
 void
@@ -326,7 +345,7 @@ UndoLog::abortVolatile()
 
 RedoLog::RedoLog(PersistController &pc, PmoId pmo_,
                  std::uint64_t log_off)
-    : ctl(pc), pmo(pmo_), logOff(log_off)
+    : ctl(&pc), pmo(pmo_), logOff(log_off)
 {
 }
 
@@ -354,12 +373,12 @@ RedoLog::write(sim::ThreadContext &tc, Oid oid, std::uint64_t value)
     // harmless but would waste log space and commit drain).
     if (const std::uint32_t *at = positions.find(oid.raw)) {
         buf[*at].second = value;
-        ctl.persistentStore(tc, entryOid(*at, 1), value);
+        ctl->persistentStore(tc, entryOid(*at, 1), value);
         return;
     }
     const auto i = static_cast<std::uint32_t>(buf.size());
-    ctl.persistentStore(tc, entryOid(i, 0), oid.raw);
-    ctl.persistentStore(tc, entryOid(i, 1), value);
+    ctl->persistentStore(tc, entryOid(i, 0), oid.raw);
+    ctl->persistentStore(tc, entryOid(i, 1), value);
     buf.emplace_back(oid.raw, value);
     positions.insert(oid.raw, i);
     ++nEntriesLogged;
@@ -388,29 +407,29 @@ RedoLog::commit(sim::ThreadContext &tc)
         return;
     }
     // 1. Drain the buffered redo records durable.
-    ctl.sfence(tc);
+    ctl->sfence(tc);
     // 2. Durable commit record — THE durable point. A crash before
     //    this fence discards the transaction; after it, recovery
     //    rolls forward.
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), buf.size());
-    ctl.sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), buf.size());
+    ctl->sfence(tc);
     // 3. Apply in place, then write back each distinct data line in
     //    first-write order. `positions` is not read again before the
     //    transaction ends, so it dedupes the lines.
     for (const auto &[raw, val] : buf)
-        ctl.store(Oid::fromRaw(raw), val);
+        ctl->store(Oid::fromRaw(raw), val);
     positions.clear();
     for (const auto &[raw, val] : buf) {
         const std::uint64_t line = lineKeyOf(raw);
         if (positions.insert(line, 0))
-            ctl.clwb(tc, Oid::fromRaw(line));
+            ctl->clwb(tc, Oid::fromRaw(line));
     }
-    ctl.sfence(tc);
+    ctl->sfence(tc);
     // 4. Retire the log durably.
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), 0);
-    ctl.sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), 0);
+    ctl->sfence(tc);
     active = false;
     buf.clear();
     positions.clear();
@@ -426,7 +445,7 @@ RedoLog::abort(sim::ThreadContext &tc)
     // rule is structural — fence iff any record was written — never
     // value-dependent.
     if (!buf.empty())
-        ctl.sfence(tc);
+        ctl->sfence(tc);
     ++nAborts;
     active = false;
     buf.clear();
@@ -437,7 +456,7 @@ std::uint64_t
 RedoLog::recover(sim::ThreadContext &tc)
 {
     abortVolatile();
-    std::uint64_t valid = ctl.persistedLoad(headerOid());
+    std::uint64_t valid = ctl->persistedLoad(headerOid());
     if (valid == 0)
         return 0; // no durable commit record: nothing to apply
     ++nRollForwards;
@@ -448,25 +467,25 @@ RedoLog::recover(sim::ThreadContext &tc)
     // own crash).
     for (std::uint64_t i = 0; i < valid; ++i) {
         Oid target =
-            Oid::fromRaw(ctl.persistedLoad(entryOid(i, 0)));
-        std::uint64_t val = ctl.persistedLoad(entryOid(i, 1));
-        if (ctl.persistedLoad(target) == val &&
-            ctl.load(target) == val) {
+            Oid::fromRaw(ctl->persistedLoad(entryOid(i, 0)));
+        std::uint64_t val = ctl->persistedLoad(entryOid(i, 1));
+        if (ctl->persistedLoad(target) == val &&
+            ctl->load(target) == val) {
             continue;
         }
-        ctl.persistentStore(tc, target, val);
+        ctl->persistentStore(tc, target, val);
     }
-    ctl.sfence(tc);
-    ctl.noteBoundary(PersistBoundary::LogHeader);
-    ctl.persistentStore(tc, headerOid(), 0);
-    ctl.sfence(tc);
+    ctl->sfence(tc);
+    ctl->noteBoundary(PersistBoundary::LogHeader);
+    ctl->persistentStore(tc, headerOid(), 0);
+    ctl->sfence(tc);
     return valid;
 }
 
 bool
 RedoLog::recoveryPending() const
 {
-    return ctl.persistedLoad(headerOid()) != 0;
+    return ctl->persistedLoad(headerOid()) != 0;
 }
 
 void
@@ -478,6 +497,14 @@ RedoLog::abortVolatile()
 }
 
 // ---------------------------------------------------- PersistDomain
+
+PersistDomain::PersistDomain(const PersistDomain &o) : ctl(o.ctl)
+{
+    for (const auto &[pmo, log] : o.logs_)
+        logs_.emplace(pmo, std::make_unique<UndoLog>(*log, ctl));
+    for (const auto &[pmo, log] : o.redoLogs_)
+        redoLogs_.emplace(pmo, std::make_unique<RedoLog>(*log, ctl));
+}
 
 UndoLog &
 PersistDomain::openLog(PmoId pmo, std::uint64_t log_off)

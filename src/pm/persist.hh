@@ -23,6 +23,7 @@
 #define TERP_PM_PERSIST_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -232,7 +233,9 @@ class SideTable
  * happens *before* it — so "crash after boundary k" is the same
  * point as "crash before boundary k+1" and enumerating n = 1..B
  * (B = boundaryCount() of an uninterrupted run) covers every crash
- * window exactly once.
+ * window exactly once. A plan with a tap (tapFaults) does not crash:
+ * it hands each armed boundary to the tap, which may copy the world
+ * there and crash the copy, and the run carries on.
  */
 class PersistController
 {
@@ -278,6 +281,19 @@ class PersistController
     /** Cancel a pending fault plan (e.g. before recovery persists). */
     void disarmFault() { faultAt = 0; }
     bool faultArmed() const { return faultAt != 0; }
+
+    /** Called with a tapped boundary's index and kind. */
+    using FaultTap = std::function<void(std::uint64_t, PersistBoundary)>;
+
+    /**
+     * Instead of crashing, call @p tap before every boundary from the
+     * next one on. For the call the plan is disarmed and untapped, as
+     * crash() would find it, so a copy of the controller made in the
+     * tap crashes like the original would have; the boundary then
+     * takes effect as usual.
+     */
+    void tapFaults(FaultTap tap);
+    bool tapped() const { return static_cast<bool>(tap); }
     /** Boundaries counted so far (B of a finished baseline run). */
     std::uint64_t boundaryCount() const { return nBoundary; }
 
@@ -297,6 +313,10 @@ class PersistController
     std::uint64_t nFence = 0;
     std::uint64_t nBoundary = 0; //!< persist-boundary events seen
     std::uint64_t faultAt = 0;   //!< fatal boundary; 0 = disarmed
+    FaultTap tap;                //!< null: the plan crashes
+
+    /** The armed boundary is here: tap, or crash and throw. */
+    void fireFault(PersistBoundary k);
 };
 
 /**
@@ -401,6 +421,12 @@ class UndoLog
     UndoLog(PersistController &pc, PmoId pmo,
             std::uint64_t log_off);
 
+    /** A copy of @p o that logs through @p pc (a copied domain's). */
+    UndoLog(const UndoLog &o, PersistController &pc) : UndoLog(o)
+    {
+        ctl = &pc;
+    }
+
     /** Begin a transaction (must not be nested). */
     void begin(sim::ThreadContext &tc);
 
@@ -465,7 +491,9 @@ class UndoLog
     std::uint64_t aborts() const { return nAborts; }
 
   private:
-    PersistController &ctl;
+    UndoLog(const UndoLog &) = default;
+
+    PersistController *ctl;
     PmoId pmo;
     std::uint64_t logOff;
     bool active = false;
@@ -527,6 +555,12 @@ class RedoLog
     RedoLog(PersistController &pc, PmoId pmo,
             std::uint64_t log_off);
 
+    /** A copy of @p o that logs through @p pc (a copied domain's). */
+    RedoLog(const RedoLog &o, PersistController &pc) : RedoLog(o)
+    {
+        ctl = &pc;
+    }
+
     /** Begin a transaction (must not be nested). Zero charge. */
     void begin(sim::ThreadContext &tc);
 
@@ -577,7 +611,9 @@ class RedoLog
     std::uint64_t aborts() const { return nAborts; }
 
   private:
-    PersistController &ctl;
+    RedoLog(const RedoLog &) = default;
+
+    PersistController *ctl;
     PmoId pmo;
     std::uint64_t logOff;
     bool active = false;
@@ -607,6 +643,11 @@ class RedoLog
 class PersistDomain
 {
   public:
+    PersistDomain() = default;
+    /** A deep copy whose logs write through the copy's controller. */
+    PersistDomain(const PersistDomain &o);
+    PersistDomain &operator=(const PersistDomain &) = delete;
+
     PersistController &controller() { return ctl; }
     const PersistController &controller() const { return ctl; }
 

@@ -12,6 +12,17 @@ PmoManager::PmoManager(std::uint64_t seed) : rng(seed)
     allocs.push_back(nullptr);
 }
 
+PmoManager::PmoManager(const PmoManager &o)
+    : rng(o.rng), names(o.names), nextPhys(o.nextPhys)
+{
+    // Slot 0 (the reserved id) stays null.
+    for (const auto &p : o.pmos)
+        pmos.push_back(p ? std::make_unique<Pmo>(*p) : nullptr);
+    for (const auto &a : o.allocs)
+        allocs.push_back(a ? std::make_unique<PoolAllocator>(*a)
+                           : nullptr);
+}
+
 Pmo &
 PmoManager::create(const std::string &name, std::uint64_t size,
                    Mode mode)

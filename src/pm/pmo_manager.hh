@@ -52,6 +52,13 @@ class PmoManager
 
     explicit PmoManager(std::uint64_t seed = 42);
 
+    /**
+     * A deep copy: the same PMOs, allocators and placement stream,
+     * with no trace sink (the copy's owner attaches its own).
+     */
+    PmoManager(const PmoManager &o);
+    PmoManager &operator=(const PmoManager &) = delete;
+
     /** PMO_create: new PMO; the caller becomes the owner. */
     Pmo &create(const std::string &name, std::uint64_t size,
                 Mode mode = Mode::ReadWrite);

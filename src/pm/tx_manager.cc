@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "semantics/ew_tracker.hh"
 
 namespace terp {
 namespace pm {
@@ -17,12 +18,25 @@ txKindName(TxKind k)
     }
 }
 
-TxManager::TxManager(PersistDomain &domain, std::uint64_t undo_off,
-                     std::uint64_t redo_off)
-    : dom(domain), undoOff(undo_off), redoOff(redo_off)
+TxManager::TxManager(PersistDomain &domain,
+                     semantics::EwTracker *exposure)
+    : dom(&domain), ew(exposure)
 {
-    TERP_ASSERT(undo_off != redo_off,
-                "TxManager: undo and redo log regions overlap");
+}
+
+TxManager::TxManager(const TxManager &o, PersistDomain &domain,
+                     semantics::EwTracker *exposure)
+    : TxManager(o)
+{
+    dom = &domain;
+    ew = exposure;
+    for (auto &[tid, tx] : txs) {
+        (void)tid;
+        if (tx.ulog)
+            tx.ulog = domain.findLog(tx.ulog->pmoId());
+        if (tx.rlog)
+            tx.rlog = domain.redoLogs().at(tx.rlog->pmoId()).get();
+    }
 }
 
 bool
@@ -40,8 +54,9 @@ TxManager::acquire(unsigned tid, Tx &tx, std::vector<PmoId> want,
         auto it = owner_.find(pmo);
         if (it != owner_.end() && it->second != tid) {
             conflict = true;
-            if (contention)
-                contention(pmo, now, true);
+            if (ew)
+                ew->setHoldCause(pmo, semantics::BlameCause::TxnLockWait,
+                                 now);
         }
     }
     if (conflict)
@@ -65,8 +80,8 @@ TxManager::releaseAll(unsigned tid, Tx &tx, Cycles now)
                     "TxManager: releasing a lock not held by tid ",
                     tid);
         owner_.erase(it);
-        if (contention)
-            contention(pmo, now, false);
+        if (ew)
+            ew->clearHoldCause(pmo, now);
     }
     tx.locks.clear();
 }
@@ -101,10 +116,10 @@ TxManager::begin(sim::ThreadContext &tc, unsigned tid,
     tx.depth = 1;
     PmoId anchor = tx.locks.front();
     if (kind == TxKind::Undo) {
-        tx.ulog = &dom.openLog(anchor, undoOff);
+        tx.ulog = &dom->openLog(anchor, undoLogOff);
         tx.ulog->begin(tc);
     } else {
-        tx.rlog = &dom.openRedoLog(anchor, redoOff);
+        tx.rlog = &dom->openRedoLog(anchor, redoLogOff);
         tx.rlog->begin(tc);
     }
     ++nOutermost;
@@ -144,7 +159,7 @@ TxManager::read(unsigned tid, Oid oid) const
         if (it->second.rlog->lookup(oid, buffered))
             return buffered;
     }
-    return dom.controller().load(oid);
+    return dom->controller().load(oid);
 }
 
 bool

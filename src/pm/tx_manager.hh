@@ -40,13 +40,15 @@
 #define TERP_PM_TX_MANAGER_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "pm/persist.hh"
 
 namespace terp {
+namespace semantics {
+class EwTracker;
+} // namespace semantics
 namespace pm {
 
 /** Which log protocol a transaction runs under. */
@@ -74,16 +76,30 @@ const char *txKindName(TxKind k);
 class TxManager
 {
   public:
-    /** Default undo-log region offset (matches the crash harness). */
+    /** Undo-log region offset in every PMO (the crash harness's). */
     static constexpr std::uint64_t undoLogOff = 1ULL << 32;
-    /** Default redo-log region offset (disjoint from undo). */
+    /** Redo-log region offset in every PMO (disjoint from undo). */
     static constexpr std::uint64_t redoLogOff = 1ULL << 33;
 
+    /**
+     * @param exposure The tracker that lock contention re-attributes
+     *                 windows in (null: nobody is told). A Busy begin
+     *                 marks each conflicting lock's PMO held for
+     *                 txn_lock_wait, and the outermost commit clears
+     *                 the mark on each lock it releases. Never done
+     *                 from onCrash (the crash path resets attribution
+     *                 wholesale). Purely observational: no charges.
+     */
     explicit TxManager(PersistDomain &domain,
-                       std::uint64_t undo_off = undoLogOff,
-                       std::uint64_t redo_off = redoLogOff);
+                       semantics::EwTracker *exposure = nullptr);
 
-    TxManager(const TxManager &) = delete;
+    /**
+     * A copy of @p o over @p domain, a copy of o's domain: each open
+     * transaction's anchor log is the copy's log of the same PMO.
+     */
+    TxManager(const TxManager &o, PersistDomain &domain,
+              semantics::EwTracker *exposure);
+
     TxManager &operator=(const TxManager &) = delete;
 
     /**
@@ -176,21 +192,6 @@ class TxManager
     std::uint64_t abortedCommits() const { return nAbortedCommits; }
     std::uint64_t aborts() const { return nAborts; }
 
-    /**
-     * Lock-contention observer: (pmo, time, onset). Fired with
-     * onset=true for each lock a Busy begin conflicted on, and with
-     * onset=false for each lock the outermost commit releases, so
-     * the exposure tracker can attribute contended spans to
-     * txn_lock_wait. Never fired from onCrash (the crash path resets
-     * attribution wholesale). Purely observational — no charges.
-     */
-    using ContentionHook =
-        std::function<void(PmoId, Cycles, bool)>;
-    void setContentionHook(ContentionHook h)
-    {
-        contention = std::move(h);
-    }
-
   private:
     struct Tx
     {
@@ -202,9 +203,10 @@ class TxManager
         RedoLog *rlog = nullptr;  //!< anchor (kind == Redo)
     };
 
-    PersistDomain &dom;
-    std::uint64_t undoOff;
-    std::uint64_t redoOff;
+    TxManager(const TxManager &) = default;
+
+    PersistDomain *dom;
+    semantics::EwTracker *ew; //!< null = nobody listening
     std::map<unsigned, Tx> txs;       //!< tid -> open transaction
     std::map<PmoId, unsigned> owner_; //!< pmo -> locking tid
 
@@ -215,13 +217,11 @@ class TxManager
     std::uint64_t nAbortedCommits = 0;
     std::uint64_t nAborts = 0;
 
-    ContentionHook contention; //!< null = nobody listening
-
     /**
      * Try to acquire every PMO in @p want (sorted, deduped) for
      * @p tid that it doesn't already hold. All-or-nothing; returns
      * false on any conflict with nothing acquired (reporting each
-     * conflicting lock to the contention hook at @p now).
+     * conflicting lock as held for txn_lock_wait at @p now).
      */
     bool acquire(unsigned tid, Tx &tx, std::vector<PmoId> want,
                  Cycles now);

@@ -31,6 +31,16 @@ blameCauseName(BlameCause c)
     return "?";
 }
 
+EwTracker::EwTracker(const EwTracker &o, metrics::Registry *r,
+                     trace::TraceSink *s)
+    : EwTracker(o)
+{
+    TERP_ASSERT(!closeHook,
+                "EwTracker: copy of a tracker with a close hook");
+    enableMetrics(r);
+    sink = s;
+}
+
 EwTracker::PerPmo &
 EwTracker::state(pm::PmoId pmo)
 {
@@ -209,9 +219,11 @@ EwTracker::closeBlame(PerPmo &s, pm::PmoId pmo, Cycles t)
     TERP_ASSERT(sum == t - s.openSince,
                 "blame segments don't tile window of PMO ", pmo);
 
-    if (segHook)
+    if (sink)
         for (const BlameSeg &seg : s.segs)
-            segHook(pmo, seg.end, seg.cause);
+            sink->emit(trace::TraceSink::sweeperTid,
+                       trace::EventKind::BlameSegment, seg.end, pmo,
+                       static_cast<std::uint64_t>(seg.cause));
     for (unsigned c = 0; c < numBlameCauses; ++c) {
         if (!causeLen[c])
             continue;

@@ -23,6 +23,7 @@
 #include "metrics/metric.hh"
 #include "metrics/registry.hh"
 #include "pm/oid.hh"
+#include "trace/trace_buffer.hh"
 
 namespace terp {
 namespace semantics {
@@ -68,6 +69,18 @@ struct ExposureMetrics
 class EwTracker
 {
   public:
+    EwTracker() = default;
+
+    /**
+     * A copy of @p o that publishes into @p r and emits into @p s (a
+     * copied world's registry and sink). A close hook belongs to its
+     * installer, so a tracker that has one is not copied.
+     */
+    EwTracker(const EwTracker &o, metrics::Registry *r,
+              trace::TraceSink *s);
+
+    EwTracker &operator=(const EwTracker &) = delete;
+
     /** The PMO became mapped (real attach) at time @p t. */
     void processOpen(pm::PmoId pmo, Cycles t);
 
@@ -223,14 +236,13 @@ class EwTracker
     void setTenant(pm::PmoId pmo, const std::string &tenant);
 
     /**
-     * Per-close segment hook, fired once per final (truncated)
-     * segment in window order: (pmo, segment end, cause). The
-     * runtime wires this to BlameSegment trace events so the audit
-     * can recompute the attribution independently.
+     * Emit each closed window's final (truncated) segments, in
+     * window order, into @p s: one BlameSegment event per segment on
+     * the sweeper track, at the segment's end, with the cause as its
+     * argument, so the trace audit can recompute the attribution
+     * independently. Null: none.
      */
-    using SegmentHook =
-        std::function<void(pm::PmoId, Cycles, BlameCause)>;
-    void setSegmentHook(SegmentHook h) { segHook = std::move(h); }
+    void setTraceSink(trace::TraceSink *s) { sink = s; }
 
     /**
      * Per-close window hook: (pmo, close time, window length). The
@@ -245,6 +257,8 @@ class EwTracker
     Cycles blameTotalAll(BlameCause c) const;
 
   private:
+    EwTracker(const EwTracker &) = default;
+
     /** Sentinel for "thread window not open". */
     static constexpr Cycles notOpen = ~Cycles(0);
 
@@ -331,7 +345,7 @@ class EwTracker
     bool dark = false;      //!< sweeper energy-gated right now
     bool recovering = false; //!< inside the recovery pass
     std::vector<std::string> tenantOf; //!< per-PMO tenant label
-    SegmentHook segHook;
+    trace::TraceSink *sink = nullptr; //!< null = no segment events
     CloseHook closeHook;
 };
 

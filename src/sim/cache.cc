@@ -98,6 +98,19 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways,
     order.assign(nSets, identityOrder);
 }
 
+Cache::Cache(const Cache &o)
+    : lineShiftBits(o.lineShiftBits), nSets(o.nSets),
+      setShiftBits(o.setShiftBits), nWays(o.nWays),
+      strideShiftBits(o.strideShiftBits), setSlotBits(o.setSlotBits),
+      order(o.order), live(o.live), listed(o.listed), nHits(o.nHits),
+      nMisses(o.nMisses), mruLineAddr(o.mruLineAddr)
+{
+    // A vector copy through the aligned allocator would construct the
+    // tags one at a time; sized without a fill, they copy in bulk.
+    tags.resize(o.tags.size());
+    std::copy(o.tags.begin(), o.tags.end(), tags.begin());
+}
+
 bool
 Cache::accessSlow(std::uint64_t line_addr)
 {

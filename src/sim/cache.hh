@@ -67,6 +67,10 @@ class Cache
     Cache(std::uint64_t size_bytes, unsigned ways,
           std::uint64_t line_bytes = lineSize);
 
+    Cache(const Cache &o);
+    Cache(Cache &&) noexcept = default;
+    Cache &operator=(const Cache &) = delete;
+
     /**
      * Access one line by physical address.
      * @return true on hit; on miss the line is filled.
@@ -103,6 +107,13 @@ class Cache
         static constexpr std::align_val_t align{64};
         LineAligned() = default;
         template <class U> LineAligned(const LineAligned<U> &) {}
+        /** Default-initialize, so a copy can fill the array in bulk. */
+        template <class U>
+        void
+        construct(U *p)
+        {
+            ::new (static_cast<void *>(p)) U;
+        }
         T *
         allocate(std::size_t n)
         {

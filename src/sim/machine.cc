@@ -17,6 +17,14 @@ Machine::Machine(const MachineConfig &cfg_)
     }
 }
 
+Machine::Machine(const Machine &o)
+    : cfg(o.cfg), l1d(o.l1d), tlbs(o.tlbs), l2(o.l2)
+{
+    threads.reserve(o.threads.size());
+    for (const auto &t : o.threads)
+        threads.push_back(std::make_unique<ThreadContext>(*t));
+}
+
 ThreadContext &
 Machine::spawnThread()
 {

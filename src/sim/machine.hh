@@ -73,6 +73,13 @@ class Machine
   public:
     explicit Machine(const MachineConfig &cfg = MachineConfig{});
 
+    /**
+     * A deep copy: the same threads, caches and TLBs, with no trace
+     * sink (the copy's owner attaches its own).
+     */
+    Machine(const Machine &o);
+    Machine &operator=(const Machine &) = delete;
+
     /** Create a thread pinned to core (tid % cores). */
     ThreadContext &spawnThread();
 

@@ -47,6 +47,18 @@ class TraceBuffer
     {
     }
 
+    /**
+     * A copy with the original's room to grow, so the events a
+     * copied world emits next do not move the ones it inherited.
+     */
+    TraceBuffer(const TraceBuffer &o) : cap(o.cap), writes(o.writes)
+    {
+        slots.reserve(o.slots.capacity());
+        slots.assign(o.slots.begin(), o.slots.end());
+    }
+    TraceBuffer(TraceBuffer &&) noexcept = default;
+    TraceBuffer &operator=(const TraceBuffer &) = delete;
+
     /** Append; overwrites the oldest retained event when full. */
     void
     push(const Event &e)
@@ -84,10 +96,19 @@ class TraceBuffer
     {
         std::vector<Event> out;
         out.reserve(size());
-        std::uint64_t first = dropped();
-        for (std::uint64_t i = first; i < writes; ++i)
-            out.push_back(slots[static_cast<std::size_t>(i % cap)]);
+        appendTo(out);
         return out;
+    }
+
+    /** Append the retained events, oldest first, to @p out. */
+    void
+    appendTo(std::vector<Event> &out) const
+    {
+        // Once wrapped, the oldest event sits where the next goes.
+        const auto oldest = static_cast<std::ptrdiff_t>(
+            writes > cap ? writes % cap : 0);
+        out.insert(out.end(), slots.begin() + oldest, slots.end());
+        out.insert(out.end(), slots.begin(), slots.begin() + oldest);
     }
 
   private:
@@ -160,16 +181,24 @@ class TraceSink
     std::vector<Event>
     merged() const
     {
-        std::vector<Event> out;
+        std::size_t n = 0;
         for (const auto &[tid, buf] : perThread) {
             (void)tid;
-            std::vector<Event> es = buf.events();
-            out.insert(out.end(), es.begin(), es.end());
+            n += buf.size();
         }
-        std::sort(out.begin(), out.end(),
-                  [](const Event &a, const Event &b) {
-                      return a.seq < b.seq;
-                  });
+        std::vector<Event> out;
+        out.reserve(n);
+        // A buffer holds its events in emission order, so merging
+        // each buffer's run into the runs before it keeps seq order.
+        for (const auto &[tid, buf] : perThread) {
+            (void)tid;
+            const auto mid = static_cast<std::ptrdiff_t>(out.size());
+            buf.appendTo(out);
+            std::inplace_merge(out.begin(), out.begin() + mid, out.end(),
+                               [](const Event &a, const Event &b) {
+                                   return a.seq < b.seq;
+                               });
+        }
         return out;
     }
 

@@ -5,22 +5,31 @@
  * handing the recovery mapping to the EW-conscious sweeper, the
  * regression for the sweeper ignoring idle manually-inserted PMOs,
  * smoke coverage of the crash-point enumeration harness behind
- * tools/terp-crash (its verdicts on one CPU and on all of them), and
- * the schedule executor's world check.
+ * tools/terp-crash (its verdicts on one CPU and on all of them), the
+ * schedule executor's world check, and the world copy the enumerator
+ * forks its crash points from (a copy runs like its original, outlives
+ * it, and crashes like a world replayed to the same point).
  */
 
 #include <gtest/gtest.h>
 #include <sched.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "check/crash.hh"
 #include "check/differ.hh"
 #include "check/recovery_oracle.hh"
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "core/runtime.hh"
+#include "metrics/export.hh"
 #include "pm/persist.hh"
 #include "pm/pmo_manager.hh"
+#include "pm/tx_manager.hh"
 #include "sim/machine.hh"
 #include "trace/trace_buffer.hh"
 
@@ -367,4 +376,350 @@ TEST(CrashEnumeration, JsonSummaryRoundTrip)
     EXPECT_NE(js.find("\"scheme\":\"tm\""), std::string::npos);
     EXPECT_NE(js.find("\"ok\":true"), std::string::npos);
     EXPECT_NE(js.find("\"violations\":[]"), std::string::npos);
+}
+
+// ------------------------------------------------------ forked worlds
+
+namespace {
+
+using Step = std::function<void(check::CrashWorld &, check::Ledger &,
+                                Rng &)>;
+
+/**
+ * A two-thread, two-PMO script over every part a world copy must
+ * carry: nested undo/redo TxManager transactions (some aborted), two
+ * transactions open at once on different anchor logs, raw undo-log
+ * transactions, sweeps, and a crash with its recovery. A fork after
+ * step k copies the world while k steps have run.
+ */
+std::vector<Step>
+forkScript()
+{
+    std::vector<Step> steps;
+    for (unsigned t = 0; t < 4; ++t) {
+        steps.push_back([t](check::CrashWorld &w, check::Ledger &led,
+                            Rng &rng) {
+            check::txnestTxn(w, led, w.machine().thread(0), rng, t == 0);
+        });
+    }
+    // Thread 1 opens a redo transaction on PMO 2 and thread 0 an
+    // undo one on PMO 1; a fork between these steps copies both.
+    steps.push_back([](check::CrashWorld &w, check::Ledger &, Rng &rng) {
+        sim::ThreadContext &tc = w.machine().thread(1);
+        check::protOpen(w, tc, 2);
+        w.runtime().tx()->begin(tc, 1, {2}, pm::TxKind::Redo);
+        w.runtime().access(tc, pm::Oid(2, 0x1000), /*write=*/true);
+        w.runtime().tx()->write(tc, 1, pm::Oid(2, 0x1000), rng.next());
+    });
+    steps.push_back([](check::CrashWorld &w, check::Ledger &, Rng &rng) {
+        sim::ThreadContext &tc = w.machine().thread(0);
+        check::protOpen(w, tc, 1);
+        w.runtime().tx()->begin(tc, 0, {1}, pm::TxKind::Undo);
+        w.runtime().access(tc, pm::Oid(1, 0x1040), /*write=*/true);
+        w.runtime().tx()->write(tc, 0, pm::Oid(1, 0x1040), rng.next());
+        // Busy: thread 1 holds PMO 2's lock (a lock-wait blame span).
+        EXPECT_FALSE(w.runtime().tx()->begin(
+            w.machine().thread(0), 0, {2}, pm::TxKind::Undo));
+    });
+    steps.push_back([](check::CrashWorld &w, check::Ledger &, Rng &) {
+        sim::ThreadContext &tc0 = w.machine().thread(0);
+        sim::ThreadContext &tc1 = w.machine().thread(1);
+        w.runtime().tx()->write(tc1, 1, pm::Oid(2, 0x1040), 7);
+        EXPECT_TRUE(w.runtime().tx()->commit(tc1, 1));
+        EXPECT_TRUE(w.runtime().tx()->commit(tc0, 0));
+        check::protClose(w, tc1, 2);
+        check::protClose(w, tc0, 1);
+        w.advanceSweeps(std::max(tc0.now(), tc1.now()));
+    });
+    for (unsigned t = 0; t < 2; ++t) {
+        steps.push_back([](check::CrashWorld &w, check::Ledger &led,
+                           Rng &rng) {
+            check::bankTxn(w, led, w.machine().thread(0), rng, false);
+        });
+    }
+    // A transaction left open across a power failure and recovery.
+    steps.push_back([](check::CrashWorld &w, check::Ledger &, Rng &rng) {
+        sim::ThreadContext &tc = w.machine().thread(0);
+        check::protOpen(w, tc, 1);
+        w.runtime().tx()->begin(tc, 0, {1}, pm::TxKind::Undo);
+        w.runtime().access(tc, pm::Oid(1, 0x1080), /*write=*/true);
+        w.runtime().tx()->write(tc, 0, pm::Oid(1, 0x1080), rng.next());
+        Cycles at = w.machine().maxClock();
+        w.crash(at);
+        w.recover(tc, at);
+    });
+    steps.push_back([](check::CrashWorld &w, check::Ledger &led,
+                       Rng &rng) {
+        check::txnestTxn(w, led, w.machine().thread(0), rng, false);
+        w.advanceSweeps(w.machine().maxClock() + 20 * cyclesPerUs);
+    });
+    return steps;
+}
+
+check::CrashWorld
+forkWorld()
+{
+    return check::CrashWorld(
+        core::configForScheme("tt", ewTarget)->withTrace(), 2, 2,
+        64 * KiB, pm::TxManager::undoLogOff);
+}
+
+/** Everything a run leaves that a copy must reproduce. */
+struct Observed
+{
+    std::vector<Cycles> clocks;          //!< per thread: now, buckets
+    std::vector<std::uint64_t> vol, dur; //!< watched words
+    std::vector<std::uint64_t> exposure; //!< per PMO: EW, TEW, blame
+    std::vector<std::uint64_t> events;   //!< every field, seq order
+    std::string registry;                //!< JSON, host timings out
+
+    bool operator==(const Observed &) const = default;
+};
+
+/** Finalize @p w and read what it left. */
+Observed
+observe(check::CrashWorld &w)
+{
+    w.finalize();
+    Observed o;
+    for (unsigned t = 0; t < w.machine().threadCount(); ++t) {
+        const sim::ThreadContext &tc = w.machine().thread(t);
+        o.clocks.push_back(tc.now());
+        for (unsigned c = 0;
+             c < static_cast<unsigned>(sim::Charge::NumCharges); ++c)
+            o.clocks.push_back(tc.charged(static_cast<sim::Charge>(c)));
+    }
+    const pm::PersistController &ctl = w.persistence()->controller();
+    for (pm::PmoId p = 1; p <= 2; ++p) {
+        auto watch = [&](std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t off = lo; off < hi; off += 8) {
+                o.vol.push_back(ctl.load(pm::Oid(p, off)));
+                o.dur.push_back(ctl.persistedLoad(pm::Oid(p, off)));
+            }
+        };
+        watch(0, 0x2000);
+        watch(w.pmoBytes - 64, w.pmoBytes);
+        watch(pm::TxManager::undoLogOff, pm::TxManager::undoLogOff + 0x200);
+        watch(pm::TxManager::redoLogOff, pm::TxManager::redoLogOff + 0x200);
+        const semantics::EwTracker &ew = w.runtime().exposure();
+        for (const metrics::Summary *sm :
+             {ew.ewSummaryFor(p), ew.tewSummaryFor(p)}) {
+            if (sm) {
+                o.exposure.insert(o.exposure.end(),
+                                  {sm->count(), sm->sum(), sm->min(),
+                                   sm->max()});
+            }
+        }
+        for (unsigned c = 0; c < semantics::numBlameCauses; ++c)
+            o.exposure.push_back(
+                ew.blameTotal(p, static_cast<semantics::BlameCause>(c)));
+    }
+    for (const trace::Event &e : w.runtime().traceSink()->merged()) {
+        o.events.insert(o.events.end(),
+                        {e.ts, e.seq, e.pmo, e.arg, e.tid,
+                         static_cast<std::uint64_t>(e.kind)});
+    }
+    metrics::Registry simulated;
+    simulated.merge(*w.runtime().metricsRegistry(),
+                    [](const std::string &name) {
+                        return name.rfind("host.", 0) != 0;
+                    });
+    o.registry = metrics::toJson(simulated);
+    return o;
+}
+
+/** Run steps [from, to) of @p steps on @p w. */
+void
+runSteps(const std::vector<Step> &steps, std::size_t from, std::size_t to,
+         check::CrashWorld &w, check::Ledger &led, Rng &rng)
+{
+    for (std::size_t i = from; i < to; ++i)
+        steps[i](w, led, rng);
+}
+
+void
+expectSame(const Observed &got, const Observed &want, const char *who,
+           std::size_t k)
+{
+    EXPECT_EQ(got.clocks, want.clocks) << who << ", fork after " << k;
+    EXPECT_EQ(got.vol, want.vol) << who << ", fork after " << k;
+    EXPECT_EQ(got.dur, want.dur) << who << ", fork after " << k;
+    EXPECT_EQ(got.exposure, want.exposure) << who << ", fork after " << k;
+    EXPECT_EQ(got.events, want.events) << who << ", fork after " << k;
+    EXPECT_EQ(got.registry, want.registry) << who << ", fork after " << k;
+}
+
+} // namespace
+
+/**
+ * Fork after every step of the script, then run the original and the
+ * copy to the end: each must end exactly as a run never forked.
+ */
+TEST(WorldFork, OriginalAndCopyEachRunLikeAnUnforkedRun)
+{
+    const std::vector<Step> steps = forkScript();
+    Observed want;
+    {
+        check::CrashWorld w = forkWorld();
+        check::Ledger led;
+        Rng rng(5);
+        runSteps(steps, 0, steps.size(), w, led, rng);
+        want = observe(w);
+    }
+    ASSERT_FALSE(want.events.empty());
+    for (std::size_t k = 0; k <= steps.size(); ++k) {
+        check::CrashWorld a = forkWorld();
+        check::Ledger ledA;
+        Rng rngA(5);
+        runSteps(steps, 0, k, a, ledA, rngA);
+        check::CrashWorld b(a);
+        check::Ledger ledB = ledA;
+        Rng rngB = rngA;
+        runSteps(steps, k, steps.size(), a, ledA, rngA);
+        runSteps(steps, k, steps.size(), b, ledB, rngB);
+        expectSame(observe(a), want, "original", k);
+        expectSame(observe(b), want, "copy", k);
+    }
+}
+
+/**
+ * A copy shares nothing with its original: destroy the original right
+ * after the fork, and the copy still runs to the same end. Under
+ * AddressSanitizer, a pointer left into the original is a
+ * use-after-free.
+ */
+TEST(WorldFork, CopyOutlivesItsOriginal)
+{
+    const std::vector<Step> steps = forkScript();
+    Observed want;
+    {
+        check::CrashWorld w = forkWorld();
+        check::Ledger led;
+        Rng rng(9);
+        runSteps(steps, 0, steps.size(), w, led, rng);
+        want = observe(w);
+    }
+    for (std::size_t k = 0; k <= steps.size(); ++k) {
+        auto a = std::make_unique<check::CrashWorld>(forkWorld());
+        check::Ledger led;
+        Rng rng(9);
+        runSteps(steps, 0, k, *a, led, rng);
+        check::CrashWorld b(*a);
+        a.reset();
+        runSteps(steps, k, steps.size(), b, led, rng);
+        expectSame(observe(b), want, "copy", k);
+    }
+}
+
+/** A sweep gate or a fault tap belongs to its driver: no copy. */
+TEST(WorldFork, RefusesWorldsWithDriverHooks)
+{
+    check::CrashWorld gated = forkWorld();
+    gated.sweepGate = [](Cycles) { return true; };
+    EXPECT_ANY_THROW(check::CrashWorld copy(gated));
+
+    check::CrashWorld tapped = forkWorld();
+    tapped.persistence()->controller().tapFaults(
+        [](std::uint64_t, pm::PersistBoundary) {});
+    EXPECT_ANY_THROW(check::CrashWorld copy(tapped));
+}
+
+namespace {
+
+/**
+ * The enumeration as it ran before crash worlds were forked: for
+ * every point n, a fresh world replays the workload with a fault
+ * armed at n, and the PowerFailure's unwound world takes the crash
+ * path.
+ */
+check::CrashResult
+replayEnumeration(const check::CrashOptions &opt)
+{
+    const check::CrashCell cell(opt);
+    check::CrashResult res;
+    auto record = [&](std::uint64_t point, pm::PersistBoundary kind,
+                      const std::vector<std::string> &replay,
+                      const std::vector<std::string> &v) {
+        for (const std::string &m : replay)
+            res.violations.push_back({point, kind, "replay: " + m});
+        for (const std::string &m : v)
+            res.violations.push_back({point, kind, m});
+    };
+    {
+        check::CrashWorld w = cell.world();
+        check::Ledger led;
+        std::vector<std::string> replay, v;
+        try {
+            cell.run(w, led, replay);
+            res.boundaries = w.persistence()->controller().boundaryCount();
+            cell.checkImage(w, led, v);
+        } catch (const std::exception &e) {
+            v.push_back(std::string("baseline run died: ") + e.what());
+        }
+        record(0, pm::PersistBoundary::Store, replay, v);
+        if (!res.violations.empty() || res.boundaries == 0)
+            return res;
+    }
+    for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
+        check::CrashWorld w = cell.world();
+        check::Ledger led;
+        std::vector<std::string> replay, v;
+        pm::PersistBoundary kind = pm::PersistBoundary::Store;
+        bool crashed = false;
+        w.persistence()->controller().armFault(n);
+        try {
+            cell.run(w, led, replay);
+        } catch (const pm::PowerFailure &pf) {
+            crashed = true;
+            kind = pf.kind;
+        } catch (const std::exception &e) {
+            v.push_back(std::string("workload died: ") + e.what());
+        }
+        if (v.empty() && !crashed)
+            v.push_back("armed fault never fired (non-deterministic "
+                        "boundary count?)");
+        if (v.empty())
+            cell.recoverAndCheck(w, led, v);
+        ++res.pointsRun;
+        record(n, kind, replay, v);
+    }
+    return res;
+}
+
+} // namespace
+
+/**
+ * A point's forked world crashes exactly like a world replayed to the
+ * point and unwound by the PowerFailure: the summaries are
+ * byte-identical for every workload and checked scheme.
+ */
+TEST(CrashEnumeration, ForkMatchesReplay)
+{
+    std::uint64_t points = 0;
+    for (const std::string &sc : core::checkedSchemeTags()) {
+        for (const std::string &wl : check::crashWorkloads()) {
+            const bool generated = wl == "schedule";
+            const std::vector<std::uint64_t> sizes =
+                generated ? std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5,
+                                                       6, 7}
+                          : std::vector<std::uint64_t>{1, 4, 16};
+            for (std::uint64_t size : sizes) {
+                check::CrashOptions opt;
+                opt.scheme = sc;
+                opt.workload = wl;
+                if (generated)
+                    opt.seed = size;
+                else
+                    opt.txns = static_cast<unsigned>(size);
+                const check::CrashResult fork =
+                    check::enumerateCrashPoints(opt);
+                points += fork.pointsRun;
+                EXPECT_EQ(check::crashResultJson(opt, fork),
+                          check::crashResultJson(opt,
+                                                 replayEnumeration(opt)))
+                    << sc << " " << wl << " " << size;
+            }
+        }
+    }
+    EXPECT_GT(points, 0u);
 }

@@ -14,6 +14,7 @@
 #include "semantics/permission.hh"
 #include "semantics/poset.hh"
 #include "semantics/theorem.hh"
+#include "trace/trace_buffer.hh"
 
 using namespace terp;
 using namespace terp::semantics;
@@ -309,16 +310,21 @@ TEST(EwTrackerBlame, SegmentHookSeesTruncatedSegments)
 {
     EwTracker t;
     t.setBlameTarget(100);
-    std::vector<std::pair<Cycles, BlameCause>> got;
-    t.setSegmentHook([&](pm::PmoId, Cycles end, BlameCause c) {
-        got.push_back({end, c});
-    });
+    trace::TraceSink sink;
+    t.setTraceSink(&sink);
     t.processOpen(1, 0);
     t.threadOpen(0, 1, 0);
     // The thread's clock ran ahead of the sweeper's close time: the
     // flush extends to 500, but the close at 400 must truncate.
     t.threadClose(0, 1, 500);
     t.processClose(1, 400);
+    std::vector<std::pair<Cycles, BlameCause>> got;
+    for (const trace::Event &e : sink.merged()) {
+        EXPECT_EQ(e.kind, trace::EventKind::BlameSegment);
+        EXPECT_EQ(e.tid, trace::TraceSink::sweeperTid);
+        EXPECT_EQ(e.pmo, 1u);
+        got.push_back({e.ts, static_cast<BlameCause>(e.arg)});
+    }
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].first, 400u);
     EXPECT_EQ(got[0].second, BlameCause::AppHold);
