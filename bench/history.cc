@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "metrics/json.hh"
+
 namespace terp {
 namespace bench {
 
@@ -34,43 +36,6 @@ gitRev()
 }
 
 namespace {
-
-/** Backslash-escape a string for embedding in a JSON literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /**
  * Fixed two-decimal rendering, locale-independent: printf("%.2f")
@@ -104,11 +69,13 @@ appendHistory(const std::string &path, const HistoryRecord &rec)
         return false;
     int n = std::fprintf(
         f,
-        "{\"v\": 2, \"git_rev\": \"%s\", \"tool\": \"%s\", "
-        "\"metric\": \"%s\", \"sims_per_s\": %s, "
-        "\"p99_ew_cycles\": %llu, \"p99_latency_cycles\": %llu}\n",
-        jsonEscape(gitRev()).c_str(), jsonEscape(rec.tool).c_str(),
-        jsonEscape(rec.metric).c_str(), fixed2(rec.simsPerS).c_str(),
+        "{\"v\": 2, \"git_rev\": %s, \"tool\": %s, \"metric\": %s, "
+        "\"sims_per_s\": %s, \"p99_ew_cycles\": %llu, "
+        "\"p99_latency_cycles\": %llu}\n",
+        metrics::jsonQuoted(gitRev()).c_str(),
+        metrics::jsonQuoted(rec.tool).c_str(),
+        metrics::jsonQuoted(rec.metric).c_str(),
+        fixed2(rec.simsPerS).c_str(),
         static_cast<unsigned long long>(rec.p99EwCycles),
         static_cast<unsigned long long>(rec.p99LatencyCycles));
     bool ok = n > 0;

@@ -13,6 +13,7 @@
 #include "check/schedule.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "metrics/json.hh"
 #include "pm/tx_manager.hh"
 
 namespace terp {
@@ -266,22 +267,6 @@ record(CrashResult &res, std::uint64_t point, pm::PersistBoundary kind,
         res.violations.push_back({point, kind, "replay: " + m});
     for (const std::string &m : v)
         res.violations.push_back({point, kind, m});
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
 }
 
 // ------------------------------------------- bank and txnest steps
@@ -602,8 +587,8 @@ crashResultJson(const CrashOptions &opt, const CrashResult &r)
         if (i)
             os << ",";
         os << "{\"point\":" << cv.point << ",\"kind\":\""
-           << pm::persistBoundaryName(cv.kind) << "\",\"detail\":\""
-           << jsonEscape(cv.detail) << "\"}";
+           << pm::persistBoundaryName(cv.kind) << "\",\"detail\":"
+           << metrics::jsonQuoted(cv.detail) << "}";
     }
     os << "]}";
     return os.str();

@@ -34,8 +34,6 @@ fuzz(const FuzzOptions &opt)
                 div.shrunk = s;
                 div.complaints = d.complaints;
             }
-            div.reproducer =
-                reproducerSnippet(div.shrunk, scheme, seed);
             res.divergences.push_back(std::move(div));
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The differential fuzzer driver: seed loop x scheme matrix over
- * generate -> replay -> (on divergence) shrink -> reproduce.
+ * generate -> replay -> (on divergence) shrink.
  */
 
 #ifndef TERP_CHECK_FUZZER_HH
@@ -34,7 +34,6 @@ struct Divergence
     std::uint64_t seed = 0;
     std::vector<std::string> complaints; //!< from the shrunken run
     Schedule shrunk;
-    std::string reproducer; //!< paste-ready C++ for the shrunken run
 };
 
 struct FuzzResult

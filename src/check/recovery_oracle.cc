@@ -1,5 +1,6 @@
 #include "check/recovery_oracle.hh"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -12,11 +13,17 @@ namespace check {
 
 namespace {
 
+/**
+ * No more cores than threads: thread t runs on core t % cores either
+ * way, so the cores no thread touches would only be caches and TLBs
+ * that every forked world copies.
+ */
 core::DomainConfig
-worldConfig(const core::RuntimeConfig &cfg)
+worldConfig(const core::RuntimeConfig &cfg, unsigned threads)
 {
     core::DomainConfig dc;
     dc.runtime = cfg;
+    dc.machine.cores = std::clamp(threads, 1u, dc.machine.cores);
     dc.persistence = true;
     return dc;
 }
@@ -26,7 +33,7 @@ worldConfig(const core::RuntimeConfig &cfg)
 CrashWorld::CrashWorld(const core::RuntimeConfig &config,
                        unsigned pmoCount, unsigned threads,
                        std::uint64_t pmo_bytes, std::uint64_t log_off)
-    : core::ShardDomain(worldConfig(config)), cfg(config),
+    : core::ShardDomain(worldConfig(config, threads)), cfg(config),
       nPmos(pmoCount), pmoBytes(pmo_bytes)
 {
     for (unsigned p = 0; p < nPmos; ++p) {

@@ -465,121 +465,5 @@ describeOp(const Op &op)
     return os.str();
 }
 
-std::string
-reproducerSnippet(const Schedule &s, const std::string &scheme,
-                  std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "// terp-fuzz reproducer: scheme=" << scheme << " seed="
-       << seed << " (replay: terp-fuzz --scheme " << scheme
-       << " --first-seed " << seed << " --seeds 1)\n";
-    bool persist = std::any_of(
-        s.ops.begin(), s.ops.end(), [](const Op &op) {
-            return op.kind == OpKind::TxPut ||
-                   op.kind == OpKind::CrashRecover ||
-                   op.kind == OpKind::TxBegin ||
-                   op.kind == OpKind::TxWrite ||
-                   op.kind == OpKind::TxCommit ||
-                   op.kind == OpKind::TxAbort;
-        });
-    os << "core::DomainConfig dc;\n";
-    os << "dc.runtime = *core::configForScheme(\"" << scheme << "\", "
-       << s.ewTarget << ");\n";
-    if (persist)
-        os << "dc.persistence = true;\n";
-    os << "core::ShardDomain d(dc);\n";
-    os << "sim::Machine &mach = d.machine();\n";
-    os << "core::Runtime &rt = d.runtime();\n";
-    if (persist)
-        os << "pm::PersistDomain &dom = *d.persistence();\n";
-    for (unsigned p = 0; p < s.pmos; ++p)
-        os << "d.pmos().create(\"p" << p + 1 << "\", " << s.pmoSize
-           << ");\n"; // create() hands out ids 1..N in order
-    for (unsigned t = 0; t < s.threads; ++t)
-        os << "auto &t" << t << " = mach.spawnThread();\n";
-    os << "// before each op: d.sweepTo(<acting thread>.now());\n";
-    for (const Op &op : s.ops) {
-        switch (op.kind) {
-          case OpKind::Work:
-            os << "t" << op.tid << ".work(" << op.work << ");\n";
-            break;
-          case OpKind::Begin:
-            os << "rt.regionBegin(t" << op.tid << ", " << op.pmo
-               << ", pm::Mode::"
-               << (op.mode == pm::Mode::Read ? "Read" : "ReadWrite")
-               << ");\n";
-            break;
-          case OpKind::End:
-            os << "rt.regionEnd(t" << op.tid << ", " << op.pmo
-               << ");\n";
-            break;
-          case OpKind::ManualBegin:
-            os << "rt.manualBegin(t" << op.tid << ", " << op.pmo
-               << ", pm::Mode::"
-               << (op.mode == pm::Mode::Read ? "Read" : "ReadWrite")
-               << ");\n";
-            break;
-          case OpKind::ManualEnd:
-            os << "rt.manualEnd(t" << op.tid << ", " << op.pmo
-               << ");\n";
-            break;
-          case OpKind::Access:
-            os << "rt.tryAccess(t" << op.tid << ", pm::Oid(" << op.pmo
-               << ", " << op.offset << "), "
-               << (op.write ? "true" : "false") << ");\n";
-            break;
-          case OpKind::Range:
-            os << "rt.accessRange(t" << op.tid << ", pm::Oid("
-               << op.pmo << ", " << op.offset << "), " << op.bytes
-               << ", " << (op.write ? "true" : "false") << ");\n";
-            break;
-          case OpKind::Guarded:
-            os << "{ core::RegionGuard g(rt, t" << op.tid << ", "
-               << op.pmo << ", pm::Mode::"
-               << (op.mode == pm::Mode::Read ? "Read" : "ReadWrite")
-               << "); /* " << op.accesses << " accesses */ }\n";
-            break;
-          case OpKind::TxPut:
-            os << "{ auto &log = dom.openLog(" << op.pmo
-               << ", 1ULL << 32); log.begin(t" << op.tid << "); "
-               << "for (unsigned i = 0; i < " << op.accesses
-               << "; ++i) log.write(t" << op.tid << ", pm::Oid("
-               << op.pmo << ", " << op.offset << " + i * " << op.bytes
-               << "), i); log.commit(t" << op.tid << "); }\n";
-            break;
-          case OpKind::CrashRecover:
-            os << "rt.crash(mach.maxClock()); rt.recover(t" << op.tid
-               << ");\n";
-            break;
-          case OpKind::Sweep:
-            os << "d.sweepTo(d.nextSweepTick());\n";
-            break;
-          case OpKind::TxBegin:
-            os << "rt.tx()->begin(t" << op.tid << ", " << op.tid
-               << ", {" << op.pmo;
-            if (op.pmo2)
-               os << ", " << op.pmo2;
-            os << "}, pm::TxKind::" << (op.redo ? "Redo" : "Undo")
-               << ");\n";
-            break;
-          case OpKind::TxWrite:
-            os << "rt.tx()->write(t" << op.tid << ", " << op.tid
-               << ", pm::Oid(" << op.pmo << ", " << op.offset
-               << "), /* value */ 0);\n";
-            break;
-          case OpKind::TxCommit:
-            os << "rt.tx()->commit(t" << op.tid << ", " << op.tid
-               << ");\n";
-            break;
-          case OpKind::TxAbort:
-            os << "rt.tx()->abort(t" << op.tid << ", " << op.tid
-               << ");\n";
-            break;
-        }
-    }
-    os << "d.finalize();\n";
-    return os.str();
-}
-
 } // namespace check
 } // namespace terp

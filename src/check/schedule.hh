@@ -117,15 +117,6 @@ Schedule generate(std::uint64_t seed, const core::RuntimeConfig &cfg,
 /** One-line rendering of an op, for divergence reports. */
 std::string describeOp(const Op &op);
 
-/**
- * A paste-ready C++ snippet that replays the schedule against a
- * runtime with the given scheme — the fuzzer prints this for the
- * shrunken schedule of every divergence.
- */
-std::string reproducerSnippet(const Schedule &s,
-                              const std::string &scheme,
-                              std::uint64_t seed);
-
 } // namespace check
 } // namespace terp
 

@@ -44,15 +44,6 @@ Interpreter::fusionKindName(unsigned k)
     return k < kFusionKinds ? names[k] : "?";
 }
 
-std::uint64_t
-Interpreter::fusedDispatches() const
-{
-    std::uint64_t n = 0;
-    for (unsigned k = 0; k < kFusionKinds; ++k)
-        n += fuseHits[k];
-    return n;
-}
-
 Interpreter::Interpreter(const Module &m, core::Runtime &rt_,
                          sim::Machine &mach_, MemoryImage &mem_,
                          std::uint32_t entry,
@@ -371,14 +362,11 @@ Interpreter::step(sim::ThreadContext &tc)
         ++budget;                                                      \
     } while (0)
 
-#if defined(__GNUC__)
-    // Threaded dispatch (GNU labels-as-values): each handler jumps
-    // straight to the next handler through a per-site indirect
-    // branch, which predicts far better on the long ALU runs of the
-    // synthetic kernels than one shared switch branch. The #else
-    // branch keeps a portable switch with the exact same handler
-    // bodies (shared via the TERP_CASE / TERP_NEXT / TERP_DISPATCH
-    // macros).
+    // Threaded dispatch (GNU labels-as-values, which GCC and Clang
+    // both support): each handler jumps straight to the next handler
+    // through a per-site indirect branch, which predicts far better
+    // on the long ALU runs of the synthetic kernels than one shared
+    // switch branch.
     static const void *const jt[] = {
         &&op_Const, &&op_Mov, &&op_Add, &&op_Sub, &&op_Mul,
         &&op_Div, &&op_Rem, &&op_And, &&op_Or, &&op_Xor,
@@ -411,22 +399,6 @@ Interpreter::step(sim::ThreadContext &tc)
     } while (0)
 
     TERP_DISPATCH();
-#else
-#define TERP_CASE(name) case Op::name:
-#define TERP_DISPATCH() continue
-#define TERP_NEXT()                                                    \
-    do {                                                               \
-        ++idx;                                                         \
-        continue;                                                      \
-    } while (0)
-
-    for (;;) {
-        if (budget == quantum)
-            goto quantum_end;
-        ++budget;
-        inp = &code[idx];
-        switch (inp->op) {
-#endif
 
     // Decode rewrote noReg operands to the phantom zero register, so
     // operand reads index regs[] unconditionally.
@@ -657,11 +629,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_AddRun:
-#else
-          case opAddRun:
-#endif
+    TERP_CASE(AddRun)
     {
         // Head of a fused self-add run (see opAddRun): k doublings of
         // regs[dst] are one shift. The dispatch already counted one
@@ -686,11 +654,7 @@ Interpreter::step(sim::ThreadContext &tc)
     // register writes, identical `pending` charges, identical flush
     // points, identical quantum/fault behaviour — only the dispatch
     // overhead between constituents is gone.
-#if defined(__GNUC__)
-    op_FuseAddr4: // PmoBase; Const; Mul; Add (pmoAddr chain)
-#else
-          case opFuseAddr4:
-#endif
+    TERP_CASE(FuseAddr4) // PmoBase; Const; Mul; Add (pmoAddr chain)
     {
         ++fuseHits[1];
         regs[inp->dst] =
@@ -708,11 +672,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseIncJump: // Const; Add; Jump (loop latch)
-#else
-          case opFuseIncJump:
-#endif
+    TERP_CASE(FuseIncJump) // Const; Add; Jump (loop latch)
     {
         ++fuseHits[2];
         regs[inp->dst] = static_cast<std::uint64_t>(inp->aux);
@@ -728,11 +688,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_DISPATCH();
     }
-#if defined(__GNUC__)
-    op_FuseConstMul:
-#else
-          case opFuseConstMul:
-#endif
+    TERP_CASE(FuseConstMul)
     {
         ++fuseHits[3];
         regs[inp->dst] = static_cast<std::uint64_t>(inp->aux);
@@ -742,11 +698,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 3;
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseMulAdd:
-#else
-          case opFuseMulAdd:
-#endif
+    TERP_CASE(FuseMulAdd)
     {
         ++fuseHits[4];
         regs[inp->dst] = regs[inp->ra] * regs[inp->rb];
@@ -756,11 +708,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseConstAdd:
-#else
-          case opFuseConstAdd:
-#endif
+    TERP_CASE(FuseConstAdd)
     {
         ++fuseHits[5];
         regs[inp->dst] = static_cast<std::uint64_t>(inp->aux);
@@ -770,11 +718,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseAddLoad:
-#else
-          case opFuseAddLoad:
-#endif
+    TERP_CASE(FuseAddLoad)
     {
         ++fuseHits[6];
         regs[inp->dst] = regs[inp->ra] + regs[inp->rb];
@@ -789,11 +733,7 @@ Interpreter::step(sim::ThreadContext &tc)
         }
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseAddStore:
-#else
-          case opFuseAddStore:
-#endif
+    TERP_CASE(FuseAddStore)
     {
         ++fuseHits[7];
         regs[inp->dst] = regs[inp->ra] + regs[inp->rb];
@@ -809,11 +749,7 @@ Interpreter::step(sim::ThreadContext &tc)
         }
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseDramAdd:
-#else
-          case opFuseDramAdd:
-#endif
+    TERP_CASE(FuseDramAdd)
     {
         ++fuseHits[8];
         regs[inp->dst] = static_cast<std::uint64_t>(inp->aux);
@@ -823,11 +759,7 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_NEXT();
     }
-#if defined(__GNUC__)
-    op_FuseCmpltBr: // CmpLt; Branch (loop header)
-#else
-          case opFuseCmpltBr:
-#endif
+    TERP_CASE(FuseCmpltBr) // CmpLt; Branch (loop header)
     {
         ++fuseHits[9];
         regs[inp->dst] = regs[inp->ra] < regs[inp->rb];
@@ -845,13 +777,6 @@ Interpreter::step(sim::ThreadContext &tc)
         pending += 1;
         TERP_DISPATCH();
     }
-
-#if !defined(__GNUC__)
-          default:
-            TERP_PANIC("unhandled opcode in interpreter");
-        }
-    }
-#endif
 
 quantum_end:
     frp->idx = idx;

@@ -82,9 +82,6 @@ class Interpreter : public sim::Job
         return fuseHits[k];
     }
 
-    /** Total fused dispatches across all kinds. */
-    std::uint64_t fusedDispatches() const;
-
     /**
      * Decode-time sites matched by a fusion rule (counted only when
      * fusion is enabled; each run of self-adds counts once).

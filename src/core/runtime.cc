@@ -1,6 +1,7 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 
 #include "common/logging.hh"
@@ -9,26 +10,6 @@
 
 namespace terp {
 namespace core {
-
-namespace {
-
-/** Index of the lowest set bit; @p v must be non-zero. */
-inline unsigned
-countTrailingZeros(std::uint64_t v)
-{
-#if defined(__GNUC__)
-    return static_cast<unsigned>(__builtin_ctzll(v));
-#else
-    unsigned n = 0;
-    while (!(v & 1)) {
-        v >>= 1;
-        ++n;
-    }
-    return n;
-#endif
-}
-
-} // namespace
 
 const char *
 accessOutcomeName(AccessOutcome o)
@@ -709,7 +690,7 @@ Runtime::onSweep(Cycles now)
         std::uint64_t bits = mappedBits[w];
         while (bits) {
             const auto pmo = static_cast<pm::PmoId>(
-                (w << 6) + countTrailingZeros(bits));
+                (w << 6) + std::countr_zero(bits));
             bits &= bits - 1;
             MapState &m = maps[pmo];
             if (mSweepPmoScans)
@@ -898,7 +879,7 @@ Runtime::crash(Cycles at)
         std::uint64_t bits = mappedBits[w];
         while (bits) {
             const auto pmo = static_cast<pm::PmoId>(
-                (w << 6) + countTrailingZeros(bits));
+                (w << 6) + std::countr_zero(bits));
             bits &= bits - 1;
             std::uint64_t base = pm_.pmo(pmo).vaddrBase();
             matrix.remove(pmo);

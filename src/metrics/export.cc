@@ -3,33 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "metrics/json.hh"
+
 namespace terp {
 namespace metrics {
 
 namespace {
-
-/**
- * @p s as a JSON string literal, quotes included (names are tame,
- * but be correct anyway).
- */
-std::string
-jsonQuoted(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
 
 std::string
 fmtDouble(double v)
@@ -82,7 +61,7 @@ toJson(const Registry &reg, const std::string &indent)
         emitSection(os, ind, "labels", items, firstSection);
     }
 
-    std::vector<std::string> counters, gauges, summaries, histograms;
+    std::vector<std::string> counters, gauges, histograms;
     for (const auto &[name, e] : reg.entries()) {
         std::string key = jsonQuoted(name) + ": ";
         switch (e.kind) {
@@ -96,16 +75,6 @@ toJson(const Registry &reg, const std::string &indent)
                              ", \"hwm\": " +
                              fmtDouble(e.gauge.hwm()) + "}");
             break;
-          case Kind::Summary: {
-            const Summary &s = e.summary;
-            summaries.push_back(
-                key + "{\"count\": " + std::to_string(s.count()) +
-                ", \"sum\": " + std::to_string(s.sum()) +
-                ", \"min\": " + std::to_string(s.min()) +
-                ", \"max\": " + std::to_string(s.max()) +
-                ", \"mean\": " + fmtDouble(s.mean()) + "}");
-            break;
-          }
           case Kind::Histogram: {
             if (!e.hist)
                 break;
@@ -128,7 +97,6 @@ toJson(const Registry &reg, const std::string &indent)
     }
     emitSection(os, ind, "counters", counters, firstSection);
     emitSection(os, ind, "gauges", gauges, firstSection);
-    emitSection(os, ind, "summaries", summaries, firstSection);
     emitSection(os, ind, "histograms", histograms, firstSection);
 
     os << "\n" << ind << "}";
@@ -204,16 +172,6 @@ toPrometheus(const Registry &reg)
                << fmtDouble(e.gauge.value()) << "\n";
             os << pn << "_hwm" << promLabels(reg, name) << " "
                << fmtDouble(e.gauge.hwm()) << "\n";
-            break;
-          }
-          case Kind::Summary: {
-            std::string pn = typeLine(name, "summary");
-            const Summary &s = e.summary;
-            std::string ls = promLabels(reg, name);
-            os << pn << "_count" << ls << " " << s.count() << "\n";
-            os << pn << "_sum" << ls << " " << s.sum() << "\n";
-            os << pn << "_min" << ls << " " << s.min() << "\n";
-            os << pn << "_max" << ls << " " << s.max() << "\n";
             break;
           }
           case Kind::Histogram: {

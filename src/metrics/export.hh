@@ -21,7 +21,6 @@ namespace metrics {
  *   "labels": {"scheme": "tt", ...},
  *   "counters": {"runtime.attach_syscalls": 12, ...},
  *   "gauges": {"cb.occupancy": {"value": 2, "hwm": 7}, ...},
- *   "summaries": {name: {"count","sum","min","max","mean"}, ...},
  *   "histograms": {name: {"count","sum","min","max","mean",
  *                         "p50","p90","p99"}, ...}
  * }
@@ -36,8 +35,8 @@ std::string toJson(const Registry &reg,
  * Prometheus text format. Metric names become
  * `terp_<base with . -> _>`; per-metric labels and registry labels
  * are merged (per-metric wins on a key clash). Histograms export
- * quantile series plus _count/_sum; gauges export the value and a
- * `_hwm` companion; summaries export _count/_sum/_min/_max.
+ * quantile series plus _count/_sum/_max; gauges export the value
+ * and a `_hwm` companion.
  */
 std::string toPrometheus(const Registry &reg);
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace terp {
@@ -108,17 +109,31 @@ struct Parser
                   case 'r': out += '\r'; break;
                   case 'b': out += '\b'; break;
                   case 'f': out += '\f'; break;
-                  case 'u':
-                    // The repo's own exports never emit \u; check
-                    // the four hex digits and keep the escape
-                    // verbatim.
+                  case 'u': {
+                    // One UTF-16 unit as UTF-8. jsonQuoted() emits
+                    // \u only for control characters; a surrogate
+                    // is not paired, only encoded.
                     for (std::size_t k = 0; k < 4; ++k)
                         if (i + k >= s.size() ||
                             !std::isxdigit(
                                 static_cast<unsigned char>(s[i + k])))
                             return fail("bad \\u escape");
-                    out += "\\u";
+                    const auto cp = static_cast<unsigned>(
+                        std::stoul(s.substr(i, 4), nullptr, 16));
+                    i += 4;
+                    if (cp < 0x80) {
+                        out += static_cast<char>(cp);
+                    } else if (cp < 0x800) {
+                        out += static_cast<char>(0xC0 | cp >> 6);
+                        out += static_cast<char>(0x80 | (cp & 0x3F));
+                    } else {
+                        out += static_cast<char>(0xE0 | cp >> 12);
+                        out += static_cast<char>(0x80 |
+                                                 (cp >> 6 & 0x3F));
+                        out += static_cast<char>(0x80 | (cp & 0x3F));
+                    }
                     break;
+                  }
                   default: return fail("bad escape");
                 }
             } else {
@@ -283,6 +298,34 @@ parseJson(const std::string &text, std::string &error)
     }
     error.clear();
     return v;
+}
+
+std::string
+jsonQuoted(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
 }
 
 } // namespace metrics

@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON reader for terp-stats: enough of RFC 8259 to parse
  * the documents this repo itself emits (metrics exports and
- * BENCH_terp.json). Objects keep insertion order irrelevant — keys
+ * BENCH_terp.json), and the one string quoter those documents use. Objects keep insertion order irrelevant — keys
  * land in a sorted map — and numbers are held as double plus the
  * raw text so exact integers survive.
  */
@@ -63,6 +63,13 @@ class JsonValue
  */
 std::unique_ptr<JsonValue> parseJson(const std::string &text,
                                      std::string &error);
+
+/**
+ * @p s as a JSON string literal, quotes included: `"` and `\`
+ * escaped, `\n`, `\r` and `\t` by name, every other control
+ * character as `\u00XX`. parseJson() reads it back unchanged.
+ */
+std::string jsonQuoted(const std::string &s);
 
 } // namespace metrics
 } // namespace terp

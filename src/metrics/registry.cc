@@ -14,7 +14,6 @@ kindName(Kind k)
     switch (k) {
       case Kind::Counter: return "counter";
       case Kind::Gauge: return "gauge";
-      case Kind::Summary: return "summary";
       case Kind::Histogram: return "histogram";
       default: return "?";
     }
@@ -134,12 +133,6 @@ Registry::gauge(const std::string &name)
     return getOrCreate(name, Kind::Gauge).gauge;
 }
 
-Summary &
-Registry::summary(const std::string &name)
-{
-    return getOrCreate(name, Kind::Summary).summary;
-}
-
 LogHistogram &
 Registry::histogram(const std::string &name, unsigned sub_bits)
 {
@@ -196,9 +189,6 @@ Registry::merge(const Registry &other,
             break;
           case Kind::Gauge:
             gauge(dst).merge(e.gauge);
-            break;
-          case Kind::Summary:
-            summary(dst).merge(e.summary);
             break;
           case Kind::Histogram:
             if (e.hist)

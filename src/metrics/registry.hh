@@ -1,15 +1,14 @@
 /**
  * @file
  * The metrics registry: a named collection of Counter / Gauge /
- * Summary / LogHistogram instruments with label support and
- * cross-run merging.
+ * LogHistogram instruments with label support and cross-run merging.
  *
  * Ownership and threading model: each Runtime owns one Registry and
  * is driven by one host thread, so registration and recording are
  * unsynchronized. The benchmark harness aggregates finished runs by
  * merging whole registries into a process-global one under its own
  * lock (bench::globalMetrics()); every merge operation is
- * commutative — counters/summaries/histograms add, gauges take the
+ * commutative — counters and histograms add, gauges take the
  * max — so the aggregate is identical for every --jobs=N work-steal
  * order, preserving the suite's determinism invariant.
  *
@@ -40,7 +39,6 @@ enum class Kind
 {
     Counter,
     Gauge,
-    Summary,
     Histogram,
 };
 
@@ -84,13 +82,11 @@ class Registry
         Kind kind = Kind::Counter;
         Counter counter;
         Gauge gauge;
-        Summary summary;
         std::unique_ptr<LogHistogram> hist; //!< only for Histogram
 
         Entry() = default;
         Entry(const Entry &o)
             : kind(o.kind), counter(o.counter), gauge(o.gauge),
-              summary(o.summary),
               hist(o.hist ? std::make_unique<LogHistogram>(*o.hist)
                           : nullptr)
         {
@@ -105,7 +101,6 @@ class Registry
 
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Summary &summary(const std::string &name);
     LogHistogram &
     histogram(const std::string &name,
               unsigned sub_bits = LogHistogram::defaultSubBits);

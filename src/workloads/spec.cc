@@ -1,7 +1,6 @@
 #include "workloads/spec.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "common/logging.hh"
@@ -602,34 +601,27 @@ runSpec(const std::string &name, const core::RuntimeConfig &cfg,
         for (const auto &in : interps)
             instrs += in->instructionsExecuted();
         r.metrics->counter("interp.instructions").inc(instrs);
-        // Fusion effectiveness, opt-in (TERP_FUSE_STATS=1): the
-        // counters land in the terp-stats posture report's interp
-        // group, and gating them keeps the default posture goldens
-        // byte-identical.
-        const char *fs = std::getenv("TERP_FUSE_STATS");
-        if (fs && *fs && std::string(fs) != "0") {
-            std::uint64_t fused = 0, sites = 0;
-            std::uint64_t kinds[compiler::Interpreter::kFusionKinds] =
-                {};
-            for (const auto &in : interps) {
-                fused += in->fusedDispatches();
-                sites += in->fusionCandidates();
-                for (unsigned k = 0;
-                     k < compiler::Interpreter::kFusionKinds; ++k)
-                    kinds[k] += in->fusedDispatches(k);
-            }
-            r.metrics->counter("interp.fused_dispatches").inc(fused);
-            r.metrics->counter("interp.fusion_candidates").inc(sites);
-            for (unsigned k = 0;
-                 k < compiler::Interpreter::kFusionKinds; ++k) {
-                if (!kinds[k])
-                    continue;
-                r.metrics
-                    ->counter(metrics::labeled(
-                        "interp.fused_dispatches", "kind",
-                        compiler::Interpreter::fusionKindName(k)))
-                    .inc(kinds[k]);
-            }
+        // Fusion effectiveness: a host dispatch choice, not simulated
+        // work, so the counters are host.* and stay out of the
+        // posture goldens, fleet merges and bench-metric comparisons.
+        std::uint64_t sites = 0;
+        std::uint64_t kinds[compiler::Interpreter::kFusionKinds] = {};
+        for (const auto &in : interps) {
+            sites += in->fusionCandidates();
+            for (unsigned k = 0; k < compiler::Interpreter::kFusionKinds;
+                 ++k)
+                kinds[k] += in->fusedDispatches(k);
+        }
+        r.metrics->counter("host.interp.fusion_candidates").inc(sites);
+        for (unsigned k = 0; k < compiler::Interpreter::kFusionKinds;
+             ++k) {
+            if (!kinds[k])
+                continue;
+            r.metrics
+                ->counter(metrics::labeled(
+                    "host.interp.fused_dispatches", "kind",
+                    compiler::Interpreter::fusionKindName(k)))
+                .inc(kinds[k]);
         }
     }
     return r;

@@ -27,6 +27,7 @@
 #include "common/rng.hh"
 #include "core/runtime.hh"
 #include "metrics/export.hh"
+#include "metrics/json.hh"
 #include "pm/persist.hh"
 #include "pm/pmo_manager.hh"
 #include "pm/tx_manager.hh"
@@ -376,6 +377,43 @@ TEST(CrashEnumeration, JsonSummaryRoundTrip)
     EXPECT_NE(js.find("\"scheme\":\"tm\""), std::string::npos);
     EXPECT_NE(js.find("\"ok\":true"), std::string::npos);
     EXPECT_NE(js.find("\"violations\":[]"), std::string::npos);
+}
+
+TEST(CrashEnumeration, JsonDetailRoundTripsControlCharacters)
+{
+    check::CrashOptions opt;
+    check::CrashResult r;
+    const std::string detail = "tab\t cr\r ctl\x01 quote\" bs\\";
+    r.violations.push_back({3, pm::PersistBoundary::Sfence, detail});
+    const std::string js = check::crashResultJson(opt, r);
+    for (char c : js)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << js;
+    std::string error;
+    std::unique_ptr<metrics::JsonValue> doc = metrics::parseJson(js, error);
+    ASSERT_NE(doc, nullptr) << error;
+    const metrics::JsonValue *v = doc->get("violations");
+    ASSERT_TRUE(v && v->array.size() == 1u);
+    ASSERT_NE(v->array[0].get("detail"), nullptr);
+    EXPECT_EQ(v->array[0].get("detail")->str, detail);
+}
+
+TEST(CrashEnumeration, WorldsHaveNoMoreCoresThanThreads)
+{
+    // Thread t runs on core t % cores, so a core beyond the thread
+    // count is only caches every fork would copy.
+    check::CrashWorld one(*core::configForScheme("tt", ewTarget), 1, 1,
+                          64 * KiB, pm::TxManager::undoLogOff);
+    EXPECT_EQ(one.machine().config().cores, 1u);
+    for (const std::string &wl : check::crashWorkloads()) {
+        check::CrashOptions opt;
+        opt.scheme = "tt";
+        opt.workload = wl;
+        check::CrashWorld w = check::CrashCell(opt).world();
+        EXPECT_EQ(w.machine().config().cores,
+                  std::min(w.machine().threadCount(),
+                           sim::MachineConfig{}.cores))
+            << wl;
+    }
 }
 
 // ------------------------------------------------------ forked worlds

@@ -128,12 +128,10 @@ TEST(FusionDifferential, SpecKernelsBitIdenticalAcrossModes)
 
 TEST(FusionDifferential, FusionActuallyFires)
 {
-    // Guard against the equivalence test passing vacuously: with
-    // TERP_FUSE_STATS on, a fused run must report peephole fused
-    // dispatches, and an unfused run must report none. Kind 0
-    // (addrun) predates peephole fusion and executes in both modes,
-    // so only kinds 1.. are compared.
-    setenv("TERP_FUSE_STATS", "1", 1);
+    // Guard against the equivalence test passing vacuously: a fused
+    // run must report peephole fused dispatches, and an unfused run
+    // must report none. Kind 0 (addrun) predates peephole fusion and
+    // executes in both modes, so only kinds 1.. are compared.
     for (bool fuse : {true, false}) {
         FuseEnv env(fuse);
         workloads::SpecParams p;
@@ -145,7 +143,7 @@ TEST(FusionDifferential, FusionActuallyFires)
         for (unsigned k = 1; k < compiler::Interpreter::kFusionKinds;
              ++k) {
             const metrics::Counter *c = r.metrics->findCounter(
-                metrics::labeled("interp.fused_dispatches", "kind",
+                metrics::labeled("host.interp.fused_dispatches", "kind",
                                  compiler::Interpreter::fusionKindName(
                                      k)));
             peephole += c ? c->value() : 0;
@@ -154,7 +152,7 @@ TEST(FusionDifferential, FusionActuallyFires)
             EXPECT_GT(peephole, 0u)
                 << "fused run dispatched no peephole superinstruction";
             const metrics::Counter *s =
-                r.metrics->findCounter("interp.fusion_candidates");
+                r.metrics->findCounter("host.interp.fusion_candidates");
             ASSERT_NE(s, nullptr);
             EXPECT_GT(s->value(), 0u);
         } else {
@@ -162,7 +160,6 @@ TEST(FusionDifferential, FusionActuallyFires)
                 << "unfused run dispatched a fused superinstruction";
         }
     }
-    unsetenv("TERP_FUSE_STATS");
 }
 
 TEST(FusionDifferential, FuzzMatrixCleanUnderBothModes)

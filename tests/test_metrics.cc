@@ -256,7 +256,6 @@ TEST(Registry, MergeIsCommutative)
         r.counter("ops").inc(10 * k);
         r.gauge("occ").set(static_cast<double>(k));
         r.histogram("lat").record(100 * k);
-        r.summary("s").add(k);
         return r;
     };
     Registry a = build(1, "tt");
@@ -295,7 +294,6 @@ TEST(Export, JsonRoundTripsThroughParser)
     r.setLabel("scheme", "tt");
     r.counter("runtime.ops").inc(12345678901234ULL);
     r.gauge("cb.occupancy").set(7);
-    r.summary("s.windows").add(10);
     r.histogram("h.lat").record(500);
     r.histogram("h.lat").record(1500);
 
@@ -320,6 +318,20 @@ TEST(Export, JsonRoundTripsThroughParser)
     EXPECT_EQ(h->get("min")->asU64(), 500u);
     EXPECT_EQ(h->get("max")->asU64(), 1500u);
 
+}
+
+TEST(Export, JsonQuotedRoundTripsEveryControlCharacter)
+{
+    std::string s = "\"\\/";
+    for (char c = 0; c < 0x20; ++c)
+        s += c;
+    const std::string quoted = jsonQuoted(s);
+    for (char c : quoted)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    std::string error;
+    std::unique_ptr<JsonValue> v = parseJson(quoted, error);
+    ASSERT_NE(v, nullptr) << error;
+    EXPECT_EQ(v->str, s);
 }
 
 TEST(Export, JsonCountAccessorRejectsNonCounts)
@@ -381,7 +393,9 @@ TEST(Export, JsonParserRejectsMalformedInput)
         EXPECT_EQ(parseJson(bad, error), nullptr) << bad;
         EXPECT_FALSE(error.empty()) << bad;
     }
-    EXPECT_NE(parseJson("\"\\u00e9\"", error), nullptr) << error;
+    std::unique_ptr<JsonValue> e9 = parseJson("\"\\u00e9\"", error);
+    ASSERT_NE(e9, nullptr) << error;
+    EXPECT_EQ(e9->str, "\xc3\xa9"); // U+00E9 in UTF-8
 
     // Nesting is capped at 256 levels instead of recursing until the
     // stack runs out.
@@ -412,7 +426,6 @@ TEST(Export, JsonParserSurvivesMutatedExports)
     r.setLabel("scheme", "tt");
     r.counter("runtime.full_ops").inc(6982);
     r.gauge("cb.occupancy").set(3);
-    r.summary("s.windows").add(10);
     for (std::uint64_t v = 1; v < 5000000; v = v * 3 + 7) {
         r.histogram(labeled("exposure.ew_cycles", "pmo", "all"))
             .record(v);

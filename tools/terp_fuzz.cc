@@ -6,8 +6,8 @@
  * Generates seed-deterministic multi-threaded schedules of
  * region/manual begin-end pairs, accesses and sweeper ticks, replays
  * each against core::Runtime and the spec oracle in lockstep, and
- * reports any divergence with a shrunken schedule plus a paste-ready
- * C++ reproducer.
+ * reports any divergence with a shrunken schedule plus the exact
+ * terp-fuzz command that regenerates it.
  *
  * Usage:
  *   terp-fuzz [options]
@@ -15,8 +15,7 @@
  * Options:
  *   --scheme S      all (default) or one of: mm tm tt ttnc basic
  *   --seeds N       seeds per scheme (default 64)
- *   --first-seed N  first seed (default 0; replay a report with
- *                   --first-seed <seed> --seeds 1)
+ *   --first-seed N  first seed (default 0)
  *   --events N      events per schedule (default 40)
  *   --threads N     threads per schedule (default 3, at most 64)
  *   --pmos N        PMOs per schedule (default 2, at most 32)
@@ -103,6 +102,16 @@ main(int argc, char **argv)
 
     opt.gen.ewTarget = usToCycles(ewUs);
 
+    // Every flag that shapes a schedule or its shrinking, so a
+    // report's replay line regenerates exactly what it lists.
+    const std::string replayFlags =
+        cli::format(" --events %u --threads %u --pmos %u --ew %.17g",
+                    opt.gen.events, opt.gen.threads, opt.gen.pmos,
+                    ewUs) +
+        (opt.gen.persistOps ? " --crash" : "") +
+        (opt.gen.txnOps ? " --txn" : "") +
+        (opt.shrink ? "" : " --no-shrink");
+
     check::FuzzResult res = check::fuzz(opt);
 
     if (res.ok()) {
@@ -126,8 +135,11 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < d.shrunk.ops.size(); ++i)
             std::printf("  %2zu: %s\n", i,
                         check::describeOp(d.shrunk.ops[i]).c_str());
-        std::printf("--- reproducer ---\n%s\n",
-                    d.reproducer.c_str());
+        std::printf("replay: terp-fuzz --scheme %s --first-seed %llu "
+                    "--seeds 1%s\n\n",
+                    d.scheme.c_str(),
+                    static_cast<unsigned long long>(d.seed),
+                    replayFlags.c_str());
     }
     return 1;
 }

@@ -68,13 +68,12 @@ namespace {
 
 // ------------------------------------------------------- flat document
 
-/** The per-name statistics of a summary or histogram export. */
+/** The per-name statistics of a histogram export. */
 struct DistStat
 {
     std::uint64_t count = 0, sum = 0, min = 0, max = 0;
     std::uint64_t p50 = 0, p90 = 0, p99 = 0;
     double mean = 0.0;
-    bool hasQuantiles = false;
 };
 
 /**
@@ -87,7 +86,7 @@ struct Doc
     std::map<std::string, std::string> labels;
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::pair<double, double>> gauges;
-    std::map<std::string, DistStat> dists; //!< summaries + histograms
+    std::map<std::string, DistStat> dists; //!< histograms
 };
 
 /**
@@ -182,25 +181,20 @@ docFromJson(const metrics::JsonValue &root, Doc &doc,
         doc.gauges[k] = {numberOf(v.get("value"), at + ".value"),
                          numberOf(v.get("hwm"), at + ".hwm")};
     }
-    for (const char *section : {"summaries", "histograms"}) {
-        for (const auto &[k, v] : entriesOf(*reg, section)) {
-            const std::string at =
-                std::string(section) + "." + checkedName(section, k);
-            objectAt(v, at);
-            DistStat d;
-            d.count = countOf(v.get("count"), at + ".count");
-            d.sum = countOf(v.get("sum"), at + ".sum");
-            d.min = countOf(v.get("min"), at + ".min");
-            d.max = countOf(v.get("max"), at + ".max");
-            d.mean = numberOf(v.get("mean"), at + ".mean");
-            if (v.get("p50")) {
-                d.hasQuantiles = true;
-                d.p50 = countOf(v.get("p50"), at + ".p50");
-                d.p90 = countOf(v.get("p90"), at + ".p90");
-                d.p99 = countOf(v.get("p99"), at + ".p99");
-            }
-            doc.dists[k] = d;
-        }
+    for (const auto &[k, v] : entriesOf(*reg, "histograms")) {
+        const std::string at =
+            "histograms." + checkedName("histograms", k);
+        objectAt(v, at);
+        DistStat d;
+        d.count = countOf(v.get("count"), at + ".count");
+        d.sum = countOf(v.get("sum"), at + ".sum");
+        d.min = countOf(v.get("min"), at + ".min");
+        d.max = countOf(v.get("max"), at + ".max");
+        d.mean = numberOf(v.get("mean"), at + ".mean");
+        d.p50 = countOf(v.get("p50"), at + ".p50");
+        d.p90 = countOf(v.get("p90"), at + ".p90");
+        d.p99 = countOf(v.get("p99"), at + ".p99");
+        doc.dists[k] = d;
     }
     return true;
 }
@@ -509,7 +503,7 @@ blameText(const Doc &doc)
  * Golden format, one metric per line (host.* excluded):
  *   C <name> <value>                    counters
  *   G <name> <value %.6g>               gauges
- *   H <name> <count> <sum> <min> <max>  summaries/histograms
+ *   H <name> <count> <sum> <min> <max>  histograms
  * Only exact (deterministic) quantities plus %.6g-rounded gauges, so
  * the file is stable across hosts and --jobs values.
  */
