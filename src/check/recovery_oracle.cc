@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "trace/audit.hh"
 
 namespace terp {
 namespace check {
@@ -26,6 +25,16 @@ worldConfig(const core::RuntimeConfig &cfg, unsigned threads)
     dc.machine.cores = std::clamp(threads, 1u, dc.machine.cores);
     dc.persistence = true;
     return dc;
+}
+
+/** An audit's verdict as "trace audit: ..." violations. */
+void
+report(const trace::AuditReport &rep, std::vector<std::string> &out)
+{
+    for (const std::string &m : rep.mismatches)
+        out.push_back("trace audit: " + m);
+    if (!rep.ok && rep.mismatches.empty())
+        out.push_back("trace audit failed without detail");
 }
 
 } // namespace
@@ -272,8 +281,8 @@ probeTxn(CrashWorld &w, Ledger &led, std::uint64_t value,
 }
 
 void
-probeAndDrain(CrashWorld &w, Ledger &led,
-              std::vector<std::string> &out)
+probeAndDrain(CrashWorld &w, Ledger &led, std::vector<std::string> &out,
+              const trace::TimelineReplay &prefix)
 {
     checkLogsRetired(w, out);
 
@@ -283,22 +292,19 @@ probeAndDrain(CrashWorld &w, Ledger &led,
     probeTxn(w, led, 0x900d900dULL, out);
 
     Cycles tEnd = w.machine().maxClock();
-    w.runtime().finalize();
-    auditTrace(w, tEnd, out);
+    w.runtime().closeWindows();
+    if (auto sink = w.runtime().traceSink())
+        report(trace::auditTimelineFrom(prefix, *sink, tEnd,
+                                        w.runtime().exposure()),
+               out);
 }
 
 void
 auditTrace(CrashWorld &w, Cycles tEnd, std::vector<std::string> &out)
 {
-    auto sink = w.runtime().traceSink();
-    if (!sink)
-        return;
-    trace::AuditReport rep =
-        trace::auditTimeline(*sink, tEnd, w.runtime().exposure());
-    for (const std::string &m : rep.mismatches)
-        out.push_back("trace audit: " + m);
-    if (!rep.ok && rep.mismatches.empty())
-        out.push_back("trace audit failed without detail");
+    if (auto sink = w.runtime().traceSink())
+        report(trace::auditTimeline(*sink, tEnd, w.runtime().exposure()),
+               out);
 }
 
 } // namespace check

@@ -737,8 +737,14 @@ Runtime::finalize()
     if (finalized)
         return;
     finalized = true;
-    ew.finalize(mach.maxClock());
+    closeWindows();
     publishMetrics();
+}
+
+void
+Runtime::closeWindows()
+{
+    ew.finalize(mach.maxClock());
 }
 
 void

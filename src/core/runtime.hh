@@ -152,8 +152,18 @@ class Runtime
      */
     void onSweep(Cycles now);
 
-    /** Close any still-open windows at end of run. */
+    /**
+     * End of run: closeWindows(), then the one roll-up of the run's
+     * counters and gauges into the registry. Idempotent.
+     */
     void finalize();
+
+    /**
+     * Close any still-open exposure windows at the latest thread
+     * clock, publishing nothing else: all a crash point's audit reads
+     * (the tracker and its exposure.* histograms).
+     */
+    void closeWindows();
 
     // ---- crash / recovery --------------------------------------------
 

@@ -2,21 +2,12 @@
 
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace terp {
 namespace trace {
 
 namespace {
-
-/** Replay scratch state for one PMO. */
-struct PmoReplay
-{
-    bool open = false;
-    Cycles openSince = 0;
-    std::map<std::uint32_t, Cycles> threadOpenSince;
-    /** Start of the next blame segment of the current window. */
-    Cycles blameCursor = 0;
-};
 
 void
 mismatch(AuditReport &r, const std::string &msg)
@@ -76,18 +67,19 @@ compareHistogram(AuditReport &r, const metrics::Registry &reg,
 
 /**
  * Closed window of recomputed length @p len: its blame segments
- * (which advanced blameCursor from openSince) must tile it exactly.
+ * (which advanced @p blameCursor from @p openSince) must tile it
+ * exactly.
  */
 void
-checkBlameTiling(AuditReport &r, std::uint64_t pmo, PmoReplay &s,
-                 Cycles len)
+checkBlameTiling(AuditReport &r, std::uint64_t pmo, Cycles openSince,
+                 Cycles blameCursor, Cycles len)
 {
-    if (s.blameCursor == s.openSince + len)
+    if (blameCursor == openSince + len)
         return;
     std::ostringstream os;
     os << "blame segments don't tile window: pmo " << pmo
-       << " open " << s.openSince << " len " << len
-       << " segments cover " << (s.blameCursor - s.openSince);
+       << " open " << openSince << " len " << len
+       << " segments cover " << (blameCursor - openSince);
     mismatch(r, os.str());
 }
 
@@ -111,107 +103,115 @@ AuditReport::summary() const
     return os.str();
 }
 
-AuditReport
-replayTimeline(const std::vector<Event> &events, Cycles t_end)
+void
+TimelineReplay::feed(const Event &e)
 {
-    AuditReport r;
-    std::map<std::uint64_t, PmoReplay> state;
-
-    for (const Event &e : events) {
-        switch (e.kind) {
-          case EventKind::RealAttach: {
-            PmoReplay &s = state[e.pmo];
-            if (s.open) {
-                mismatch(r, "attach of already-open window: " +
+    nextSeq = e.seq + 1;
+    switch (e.kind) {
+      case EventKind::RealAttach: {
+        PmoState &s = state[e.pmo];
+        if (s.open) {
+            mismatch(sofar, "attach of already-open window: " +
                                 describe(e));
-                break;
-            }
-            s.open = true;
-            s.openSince = e.ts;
-            s.blameCursor = e.ts;
             break;
-          }
-          case EventKind::RealDetach: {
-            PmoReplay &s = state[e.pmo];
-            if (!s.open) {
-                mismatch(r, "detach without open window: " +
-                                describe(e));
-                break;
-            }
-            Cycles len =
-                e.ts >= s.openSince ? e.ts - s.openSince : 0;
-            r.ew[e.pmo].add(len);
-            checkBlameTiling(r, e.pmo, s, len);
-            s.open = false;
-            break;
-          }
-          case EventKind::Randomize: {
-            // Sweeper in-place re-randomization: the location dies,
-            // so the runtime closes the window and opens a new one
-            // at the same instant.
-            PmoReplay &s = state[e.pmo];
-            if (!s.open) {
-                mismatch(r, "randomize of unmapped PMO: " +
-                                describe(e));
-                break;
-            }
-            Cycles len =
-                e.ts >= s.openSince ? e.ts - s.openSince : 0;
-            r.ew[e.pmo].add(len);
-            checkBlameTiling(r, e.pmo, s, len);
-            s.openSince = e.ts;
-            s.blameCursor = e.ts;
-            break;
-          }
-          case EventKind::BlameSegment: {
-            // Emitted at window close, one per final segment; ts is
-            // the segment's end, the previous end (or the window
-            // open) its start.
-            PmoReplay &s = state[e.pmo];
-            if (!s.open) {
-                mismatch(r, "blame segment outside a window: " +
-                                describe(e));
-                break;
-            }
-            if (e.arg >= semantics::numBlameCauses ||
-                e.ts <= s.blameCursor) {
-                mismatch(r, "malformed blame segment: " +
-                                describe(e));
-                break;
-            }
-            auto &sums = r.blame[e.pmo];
-            sums[e.arg] += e.ts - s.blameCursor;
-            s.blameCursor = e.ts;
-            break;
-          }
-          case EventKind::ThreadGrant: {
-            PmoReplay &s = state[e.pmo];
-            if (s.threadOpenSince.count(e.tid)) {
-                mismatch(r, "double thread grant: " + describe(e));
-                break;
-            }
-            s.threadOpenSince[e.tid] = e.ts;
-            break;
-          }
-          case EventKind::ThreadRevoke: {
-            PmoReplay &s = state[e.pmo];
-            auto it = s.threadOpenSince.find(e.tid);
-            if (it == s.threadOpenSince.end()) {
-                mismatch(r, "revoke without grant: " + describe(e));
-                break;
-            }
-            r.tew[e.pmo].add(e.ts >= it->second ? e.ts - it->second
-                                                : 0);
-            s.threadOpenSince.erase(it);
-            break;
-          }
-          default:
-            break; // other kinds don't move exposure state
         }
+        s.open = true;
+        s.openSince = e.ts;
+        s.blameCursor = e.ts;
+        break;
+      }
+      case EventKind::RealDetach: {
+        PmoState &s = state[e.pmo];
+        if (!s.open) {
+            mismatch(sofar, "detach without open window: " +
+                                describe(e));
+            break;
+        }
+        Cycles len = e.ts >= s.openSince ? e.ts - s.openSince : 0;
+        sofar.ew[e.pmo].add(len);
+        checkBlameTiling(sofar, e.pmo, s.openSince, s.blameCursor, len);
+        s.open = false;
+        break;
+      }
+      case EventKind::Randomize: {
+        // Sweeper in-place re-randomization: the location dies, so
+        // the runtime closes the window and opens a new one at the
+        // same instant.
+        PmoState &s = state[e.pmo];
+        if (!s.open) {
+            mismatch(sofar, "randomize of unmapped PMO: " +
+                                describe(e));
+            break;
+        }
+        Cycles len = e.ts >= s.openSince ? e.ts - s.openSince : 0;
+        sofar.ew[e.pmo].add(len);
+        checkBlameTiling(sofar, e.pmo, s.openSince, s.blameCursor, len);
+        s.openSince = e.ts;
+        s.blameCursor = e.ts;
+        break;
+      }
+      case EventKind::BlameSegment: {
+        // Emitted at window close, one per final segment; ts is the
+        // segment's end, the previous end (or the window open) its
+        // start.
+        PmoState &s = state[e.pmo];
+        if (!s.open) {
+            mismatch(sofar, "blame segment outside a window: " +
+                                describe(e));
+            break;
+        }
+        if (e.arg >= semantics::numBlameCauses ||
+            e.ts <= s.blameCursor) {
+            mismatch(sofar, "malformed blame segment: " +
+                                describe(e));
+            break;
+        }
+        auto &sums = sofar.blame[e.pmo];
+        sums[e.arg] += e.ts - s.blameCursor;
+        s.blameCursor = e.ts;
+        break;
+      }
+      case EventKind::ThreadGrant: {
+        PmoState &s = state[e.pmo];
+        if (s.threadOpenSince.count(e.tid)) {
+            mismatch(sofar, "double thread grant: " + describe(e));
+            break;
+        }
+        s.threadOpenSince[e.tid] = e.ts;
+        break;
+      }
+      case EventKind::ThreadRevoke: {
+        PmoState &s = state[e.pmo];
+        auto it = s.threadOpenSince.find(e.tid);
+        if (it == s.threadOpenSince.end()) {
+            mismatch(sofar, "revoke without grant: " + describe(e));
+            break;
+        }
+        sofar.tew[e.pmo].add(e.ts >= it->second ? e.ts - it->second
+                                                : 0);
+        s.threadOpenSince.erase(it);
+        break;
+      }
+      default:
+        break; // other kinds don't move exposure state
     }
+}
+
+void
+TimelineReplay::catchUp(const TraceSink &sink)
+{
+    for (const Event &e : sink.mergedSince(nextSeq))
+        feed(e);
+}
+
+AuditReport
+TimelineReplay::audit(bool complete, Cycles t_end,
+                      const semantics::EwTracker &expected) &&
+{
+    AuditReport r = std::move(sofar);
 
     // End of run: close every still-open window, as finalize() does.
-    for (auto &[pmo, s] : state) {
+    for (const auto &[pmo, s] : state) {
         if (s.open) {
             Cycles len =
                 t_end >= s.openSince ? t_end - s.openSince : 0;
@@ -220,7 +220,8 @@ replayTimeline(const std::vector<Event> &events, Cycles t_end)
             // cut before finalize legitimately has none, so only a
             // partial tiling is a replay error here.
             if (s.blameCursor != s.openSince)
-                checkBlameTiling(r, pmo, s, len);
+                checkBlameTiling(r, pmo, s.openSince, s.blameCursor,
+                                 len);
         }
         for (const auto &[tid, since] : s.threadOpenSince) {
             (void)tid;
@@ -228,15 +229,6 @@ replayTimeline(const std::vector<Event> &events, Cycles t_end)
         }
     }
 
-    r.ok = r.mismatches.empty();
-    return r;
-}
-
-AuditReport
-auditEvents(const std::vector<Event> &events, bool complete,
-            Cycles t_end, const semantics::EwTracker &expected)
-{
-    AuditReport r = replayTimeline(events, t_end);
     r.complete = complete;
     if (!complete) {
         mismatch(r, "trace incomplete: ring buffers dropped events, "
@@ -306,11 +298,32 @@ auditEvents(const std::vector<Event> &events, bool complete,
 }
 
 AuditReport
+auditEvents(const std::vector<Event> &events, bool complete,
+            Cycles t_end, const semantics::EwTracker &expected)
+{
+    TimelineReplay replay;
+    for (const Event &e : events)
+        replay.feed(e);
+    return std::move(replay).audit(complete, t_end, expected);
+}
+
+AuditReport
 auditTimeline(const TraceSink &sink, Cycles t_end,
               const semantics::EwTracker &expected)
 {
     return auditEvents(sink.merged(), sink.complete(), t_end,
                        expected);
+}
+
+AuditReport
+auditTimelineFrom(TimelineReplay prefix, const TraceSink &sink,
+                  Cycles t_end, const semantics::EwTracker &expected)
+{
+    // The prefix may have seen events a wrapped sink no longer holds.
+    if (!sink.complete())
+        return auditTimeline(sink, t_end, expected);
+    prefix.catchUp(sink);
+    return std::move(prefix).audit(true, t_end, expected);
 }
 
 } // namespace trace

@@ -62,21 +62,50 @@ struct AuditReport
 };
 
 /**
- * Replay @p events (must be in emission order) and recompute the
- * exposure windows, closing any still-open window at @p t_end. Replay
- * invariant violations (detach without attach, double grant, ...)
- * are reported as mismatches.
+ * The replay half of an audit, resumable: it takes a stream's events
+ * in emission order, any number at a time, and recomputes the
+ * exposure windows, blame and replay invariants (detach without
+ * attach, double grant, ...) as it goes. A copy carries on from where
+ * its original stopped, so a world copied mid-run copies its replay
+ * too and audits only the events it emits itself.
  */
-AuditReport replayTimeline(const std::vector<Event> &events,
-                           Cycles t_end);
+class TimelineReplay
+{
+  public:
+    /** Replay @p e, which must follow every event fed before it. */
+    void feed(const Event &e);
 
-/**
- * Replay @p events and cross-check against @p expected and, when
- * expected.metricsRegistry() is set, its window histograms.
- * @p complete marks whether the stream retained every emitted event;
- * an incomplete stream cannot be audited and fails with an
- * explanatory mismatch.
- */
+    /** Feed every event @p sink retains that this replay has not seen. */
+    void catchUp(const TraceSink &sink);
+
+    /**
+     * Close the stream fed so far at @p t_end (every still-open
+     * window ends there) and cross-check it against @p expected and,
+     * when expected.metricsRegistry() is set, its window histograms.
+     * @p complete marks whether the stream retained every emitted
+     * event; an incomplete stream cannot be audited and fails with
+     * an explanatory mismatch. Spends the replay.
+     */
+    AuditReport audit(bool complete, Cycles t_end,
+                      const semantics::EwTracker &expected) &&;
+
+  private:
+    /** Replay state of one PMO. */
+    struct PmoState
+    {
+        bool open = false;
+        Cycles openSince = 0;
+        std::map<std::uint32_t, Cycles> threadOpenSince;
+        /** Start of the next blame segment of the current window. */
+        Cycles blameCursor = 0;
+    };
+
+    std::map<std::uint64_t, PmoState> state;
+    AuditReport sofar; //!< tallies, blame and replay mismatches
+    std::uint64_t nextSeq = 0; //!< seq of the next event to feed
+};
+
+/** Replay @p events, in emission order, and audit them (see audit()). */
 AuditReport auditEvents(const std::vector<Event> &events,
                         bool complete, Cycles t_end,
                         const semantics::EwTracker &expected);
@@ -84,6 +113,16 @@ AuditReport auditEvents(const std::vector<Event> &events,
 /** Audit a whole sink (the common entry point). */
 AuditReport auditTimeline(const TraceSink &sink, Cycles t_end,
                           const semantics::EwTracker &expected);
+
+/**
+ * auditTimeline(@p sink) resumed from @p prefix, a replay of the
+ * sink's events up to some point: feeds it only the rest. A sink that
+ * lost events to wrap is audited from scratch instead, so the report
+ * always equals auditTimeline's.
+ */
+AuditReport auditTimelineFrom(TimelineReplay prefix, const TraceSink &sink,
+                              Cycles t_end,
+                              const semantics::EwTracker &expected);
 
 } // namespace trace
 } // namespace terp

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "pm/pmo_manager.hh"
 #include "pm/tx_manager.hh"
 #include "sim/machine.hh"
+#include "trace/audit.hh"
 #include "trace/trace_buffer.hh"
 
 using namespace terp;
@@ -495,11 +498,11 @@ forkScript()
 }
 
 check::CrashWorld
-forkWorld()
+forkWorld(std::size_t traceCapacity = trace::TraceSink::defaultCapacity)
 {
     return check::CrashWorld(
-        core::configForScheme("tt", ewTarget)->withTrace(), 2, 2,
-        64 * KiB, pm::TxManager::undoLogOff);
+        core::configForScheme("tt", ewTarget)->withTrace(traceCapacity),
+        2, 2, 64 * KiB, pm::TxManager::undoLogOff);
 }
 
 /** Everything a run leaves that a copy must reproduce. */
@@ -649,6 +652,105 @@ TEST(WorldFork, CopyOutlivesItsOriginal)
     }
 }
 
+namespace {
+
+/** Each trace buffer's counts and every field of its events. */
+std::vector<std::uint64_t>
+traceOf(const check::CrashWorld &w)
+{
+    std::vector<std::uint64_t> out;
+    for (const auto &[tid, buf] : w.runtime().traceSink()->buffers()) {
+        out.insert(out.end(),
+                   {tid, buf.written(), buf.dropped(), buf.size()});
+        for (const trace::Event &e : buf.events()) {
+            out.insert(out.end(),
+                       {e.ts, e.seq, e.pmo, e.arg, e.tid,
+                        static_cast<std::uint64_t>(e.kind)});
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * Fork a world whose trace rings are small, then step the original
+ * and the copy by turns: both emit into the events they share and
+ * wrap past them, the copy after a detour of its own, so the two
+ * emit different events. Each must hold, event for event, the trace
+ * of a run never forked (with the same detour), whichever of the two
+ * is destroyed first.
+ */
+TEST(WorldFork, WrappedTracesMatchAnUnforkedRun)
+{
+    constexpr std::size_t cap = 16;
+    std::vector<Step> steps = forkScript();
+    // A tail every fork point runs after the fork: transfers on both
+    // threads and long sweeps, so each ring wraps past what the fork
+    // shares.
+    for (unsigned t = 0; t < 8; ++t) {
+        steps.push_back([t](check::CrashWorld &w, check::Ledger &led,
+                            Rng &rng) {
+            check::bankTxn(w, led, w.machine().thread(t % 2), rng, false);
+            w.advanceSweeps(w.machine().maxClock() + 40 * cyclesPerUs);
+        });
+    }
+    // A draw skipped: every transfer after it picks other accounts.
+    const Step detour = [](check::CrashWorld &, check::Ledger &,
+                           Rng &rng) { rng.next(); };
+    // The trace of an unforked run, with the detour after step k;
+    // every ring of it wrapped.
+    auto unforked = [&](std::optional<std::size_t> k) {
+        check::CrashWorld w = forkWorld(cap);
+        check::Ledger led;
+        Rng rng(5);
+        for (std::size_t i = 0; i <= steps.size(); ++i) {
+            if (k == i)
+                detour(w, led, rng);
+            if (i < steps.size())
+                steps[i](w, led, rng);
+        }
+        for (const auto &[tid, buf] : w.runtime().traceSink()->buffers())
+            EXPECT_GT(buf.dropped(), 0u) << "tid " << tid;
+        return traceOf(w);
+    };
+    const std::vector<std::uint64_t> want = unforked(std::nullopt);
+    std::size_t diverged = 0;
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+        const std::vector<std::uint64_t> wantCopy = unforked(k);
+        diverged += wantCopy != want;
+        for (bool originalFirst : {true, false}) {
+            auto a = std::make_unique<check::CrashWorld>(forkWorld(cap));
+            check::Ledger ledA;
+            Rng rngA(5);
+            runSteps(steps, 0, k, *a, ledA, rngA);
+            auto b = std::make_unique<check::CrashWorld>(*a);
+            check::Ledger ledB = ledA;
+            Rng rngB = rngA;
+            const std::uint64_t forkedAt =
+                a->runtime().traceSink()->totalEmitted();
+            detour(*b, ledB, rngB);
+            for (std::size_t i = k; i < steps.size(); ++i) {
+                steps[i](*a, ledA, rngA);
+                steps[i](*b, ledB, rngB);
+            }
+            EXPECT_GT(b->runtime().traceSink()->totalEmitted(),
+                      forkedAt + cap);
+            if (originalFirst) {
+                EXPECT_EQ(traceOf(*a), want) << "fork after " << k;
+                a.reset();
+                EXPECT_EQ(traceOf(*b), wantCopy) << "fork after " << k;
+            } else {
+                EXPECT_EQ(traceOf(*b), wantCopy) << "fork after " << k;
+                b.reset();
+                EXPECT_EQ(traceOf(*a), want) << "fork after " << k;
+            }
+        }
+    }
+    // The detour shows in the retained events of most fork points.
+    EXPECT_GT(2 * diverged, steps.size());
+}
+
 /** A sweep gate or a fault tap belongs to its driver: no copy. */
 TEST(WorldFork, RefusesWorldsWithDriverHooks)
 {
@@ -760,4 +862,154 @@ TEST(CrashEnumeration, ForkMatchesReplay)
         }
     }
     EXPECT_GT(points, 0u);
+}
+
+namespace {
+
+/** Everything an AuditReport holds, as comparable text. */
+std::string
+reportText(const trace::AuditReport &r)
+{
+    std::ostringstream os;
+    os << "ok " << r.ok << " complete " << r.complete << "\n";
+    for (const std::string &m : r.mismatches)
+        os << "mismatch " << m << "\n";
+    for (const auto *side : {&r.ew, &r.tew}) {
+        for (const auto &[pmo, sm] : *side) {
+            os << (side == &r.ew ? "ew " : "tew ") << pmo << ": "
+               << sm.count() << " " << sm.sum() << " " << sm.min()
+               << " " << sm.max() << "\n";
+        }
+    }
+    for (const auto &[pmo, sums] : r.blame) {
+        os << "blame " << pmo << ":";
+        for (Cycles c : sums)
+            os << " " << c;
+        os << "\n";
+    }
+    return os.str();
+}
+
+/**
+ * Walk every crash point of @p opt's cell the way the enumerator
+ * does, on one driver: catch the driver's replay up and fork; show
+ * the copy to @p before (if set); crash and check the copy with its
+ * audit resumed from that replay; then hand the copy, the replay and
+ * the crash path's violations to @p atPoint.
+ */
+void
+forEachForkedPoint(
+    const check::CrashOptions &opt,
+    const std::function<void(check::CrashWorld &)> &before,
+    const std::function<void(std::uint64_t, check::CrashWorld &,
+                             const trace::TimelineReplay &,
+                             const std::vector<std::string> &)> &atPoint)
+{
+    const check::CrashCell cell(opt);
+    check::CrashWorld d = cell.world();
+    check::Ledger led;
+    trace::TimelineReplay audited;
+    d.persistence()->controller().tapFaults(
+        [&](std::uint64_t n, pm::PersistBoundary) {
+            audited.catchUp(*d.runtime().traceSink());
+            check::CrashWorld w(d);
+            check::Ledger l = led;
+            if (before)
+                before(w);
+            w.persistence()->controller().crash();
+            std::vector<std::string> v;
+            cell.recoverAndCheck(w, l, v, audited);
+            atPoint(n, w, audited, v);
+        });
+    std::vector<std::string> replay;
+    try {
+        cell.run(d, led, replay);
+    } catch (const std::exception &) {
+        // A workload that dies has no points past where it died.
+    }
+}
+
+} // namespace
+
+/**
+ * At every point of every workload and checked scheme, the audit the
+ * fork resumes from its driver's replay reports exactly what a replay
+ * of the fork's whole trace reports: mismatches, tallies and blame.
+ */
+TEST(CrashEnumeration, ResumedAuditMatchesBatch)
+{
+    std::uint64_t points = 0;
+    for (const std::string &sc : core::checkedSchemeTags()) {
+        for (const std::string &wl : check::crashWorkloads()) {
+            const bool generated = wl == "schedule";
+            const std::vector<std::uint64_t> sizes =
+                generated ? std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5,
+                                                       6, 7}
+                          : std::vector<std::uint64_t>{1, 4, 16};
+            for (std::uint64_t size : sizes) {
+                check::CrashOptions opt;
+                opt.scheme = sc;
+                opt.workload = wl;
+                if (generated)
+                    opt.seed = size;
+                else
+                    opt.txns = static_cast<unsigned>(size);
+                forEachForkedPoint(
+                    opt, nullptr,
+                    [&](std::uint64_t n, check::CrashWorld &w,
+                        const trace::TimelineReplay &audited,
+                        const std::vector<std::string> &) {
+                        ++points;
+                        const trace::TraceSink &sink =
+                            *w.runtime().traceSink();
+                        const Cycles tEnd = w.machine().maxClock();
+                        EXPECT_EQ(reportText(trace::auditTimelineFrom(
+                                      audited, sink, tEnd,
+                                      w.runtime().exposure())),
+                                  reportText(trace::auditTimeline(
+                                      sink, tEnd, w.runtime().exposure())))
+                            << sc << " " << wl << " " << size
+                            << " point " << n;
+                    });
+            }
+        }
+    }
+    EXPECT_GT(points, 0u);
+}
+
+/**
+ * A fork publishes no counters, but its audit still holds the
+ * registry's exposure histograms to the replay: one stray sample in
+ * exposure.ew_cycles{pmo="1"} is a violation at every point.
+ */
+TEST(CrashEnumeration, ResumedAuditReadsTheRegistry)
+{
+    check::CrashOptions opt;
+    opt.scheme = "tt";
+    opt.workload = "bank";
+    opt.txns = 2;
+    const std::string stray = "exposure.ew_cycles{pmo=\"1\"}";
+    for (bool inject : {false, true}) {
+        std::uint64_t points = 0;
+        forEachForkedPoint(
+            opt,
+            [&](check::CrashWorld &w) {
+                if (inject)
+                    w.runtime().metricsRegistry()->histogram(stray).record(7);
+            },
+            [&](std::uint64_t n, check::CrashWorld &,
+                const trace::TimelineReplay &,
+                const std::vector<std::string> &v) {
+                ++points;
+                if (!inject) {
+                    EXPECT_TRUE(v.empty()) << "point " << n << ": "
+                                           << v.front();
+                    return;
+                }
+                ASSERT_EQ(v.size(), 1u) << "point " << n;
+                EXPECT_EQ(v.front().rfind("trace audit: " + stray, 0), 0u)
+                    << "point " << n << ": " << v.front();
+            });
+        EXPECT_GT(points, 0u);
+    }
 }

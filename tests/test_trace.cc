@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/runtime.hh"
@@ -259,6 +260,67 @@ TEST(TraceBuffer, LazyRingMatchesFixedArrayModel)
             for (const auto &[t, buf] : s.buffers()) {
                 EXPECT_EQ(buf.capacity(), cap) << "tid " << t;
                 EXPECT_EQ(buf.size(), std::min(n, cap)) << "tid " << t;
+            }
+        }
+    }
+}
+
+/**
+ * A copy shares the events its original holds and each goes on alone:
+ * both keep exactly the fixed-array ring's events, wrap included,
+ * and the copy's survive the original. forEachSince(s) visits the
+ * retained events from seq s on.
+ */
+TEST(TraceBuffer, CopiesDivergeLikeTwoRings)
+{
+    auto pushTo = [](trace::TraceBuffer &b, RefRing &ref,
+                     std::uint64_t seq, std::uint64_t arg) {
+        Event e;
+        e.seq = seq;
+        e.arg = arg;
+        b.push(e);
+        ref.push(e);
+    };
+    auto fields = [](const std::vector<Event> &es) {
+        std::vector<std::uint64_t> out;
+        for (const Event &e : es)
+            out.insert(out.end(), {e.seq, e.arg});
+        return out;
+    };
+    for (std::size_t cap : {1, 2, 3, 7, 64, 1000}) {
+        const std::size_t n = 2 * cap + 70;
+        for (std::size_t m :
+             {std::size_t{0}, std::size_t{1}, cap / 2, cap, cap + 1,
+              n / 2}) {
+            SCOPED_TRACE("capacity " + std::to_string(cap) +
+                         ", fork after " + std::to_string(m));
+            auto a = std::make_unique<trace::TraceBuffer>(cap);
+            RefRing refA(cap);
+            for (std::uint64_t i = 0; i < m; ++i)
+                pushTo(*a, refA, i, 0);
+            trace::TraceBuffer b(*a);
+            RefRing refB = refA;
+            for (std::uint64_t i = m; i < n; ++i) {
+                pushTo(*a, refA, i, 1);
+                pushTo(b, refB, i, 2);
+            }
+            EXPECT_EQ(fields(a->events()), fields(refA.events()));
+            EXPECT_EQ(a->dropped(), refA.dropped());
+            a.reset();
+            EXPECT_EQ(fields(b.events()), fields(refB.events()));
+            EXPECT_EQ(b.written(), n);
+            EXPECT_EQ(b.size(), std::min(n, cap));
+            for (std::uint64_t from : {std::uint64_t{0}, std::uint64_t{m},
+                                       std::uint64_t{n - 1},
+                                       std::uint64_t{n + 5}}) {
+                std::vector<Event> want;
+                for (const Event &e : refB.events())
+                    if (e.seq >= from)
+                        want.push_back(e);
+                std::vector<Event> got;
+                b.forEachSince(from,
+                               [&got](const Event &e) { got.push_back(e); });
+                EXPECT_EQ(fields(got), fields(want)) << "from " << from;
             }
         }
     }
