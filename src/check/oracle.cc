@@ -150,7 +150,6 @@ SpecOracle::openEw(PmoState &s, Cycles tCb, Cycles tPost)
     s.mapped = true;
     s.swLast = cfg.scheme == core::Scheme::TT ? tCb : tPost;
     s.ewOpen = tPost;
-    s.everSeen = true;
     blameOpen(s, tPost);
 }
 
@@ -323,7 +322,6 @@ SpecOracle::checkBegin(unsigned tid, pm::PmoId pmo, pm::Mode mode,
         ++fullBegins;
     } else {
         ++silentBegins;
-        s.everSeen = true;
     }
     grantMirror(s, tid, mode, o.tPost);
 }
@@ -656,16 +654,6 @@ SpecOracle::blameTotal(pm::PmoId pmo, semantics::BlameCause c) const
     return it == ps.end()
                ? 0
                : it->second.blame[static_cast<unsigned>(c)];
-}
-
-std::vector<pm::PmoId>
-SpecOracle::pmosSeen() const
-{
-    std::vector<pm::PmoId> out;
-    for (const auto &[pmo, s] : ps)
-        if (s.everSeen)
-            out.push_back(pmo);
-    return out;
 }
 
 // ----------------------------------------------------- state probes

@@ -140,8 +140,6 @@ class SpecOracle
     /** Expected window summaries for the whole run. */
     const metrics::Summary *ewSummary(pm::PmoId pmo) const;
     const metrics::Summary *tewSummary(pm::PmoId pmo) const;
-    /** PMOs the oracle ever saw a window for. */
-    std::vector<pm::PmoId> pmosSeen() const;
 
     /**
      * Predicted blame attribution: total cycles per cause for the
@@ -188,7 +186,6 @@ class SpecOracle
         std::map<unsigned, Cycles> tewOpen;
         metrics::Summary ew;
         metrics::Summary tew;
-        bool everSeen = false;
 
         // -- blame mirror: independent copy of the tracker's segment
         //    algorithm over this mirror state (end, cause) --

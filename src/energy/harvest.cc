@@ -18,6 +18,8 @@ namespace energy {
 namespace {
 
 constexpr std::uint64_t pmoBytes = 64 * KiB;
+/** Violations collected before the rest are suppressed. */
+constexpr std::size_t maxViolations = 8;
 
 /**
  * One harvest run. Owns the world, the capacitor, and the oracle
@@ -111,11 +113,11 @@ struct Harness
     void
     addViolation(const std::string &msg)
     {
-        if (res.violations.size() < opt.maxViolations) {
+        if (res.violations.size() < maxViolations) {
             std::ostringstream os;
             os << "cycle " << res.powerCycles << ": " << msg;
             res.violations.push_back(os.str());
-        } else if (res.violations.size() == opt.maxViolations) {
+        } else if (res.violations.size() == maxViolations) {
             res.violations.push_back("... further violations "
                                      "suppressed");
         }
@@ -293,21 +295,18 @@ struct Harness
                 hRecoveryEw->record(closed - resume);
         }
         check::resolveFlights(w, led);
-        if (opt.oracle) {
-            check::checkLogsRetired(w, v);
-            check::checkDurable(w, led, v);
-            if (txnest)
-                check::checkTxnestInvariant(w, v);
-            else
-                check::checkBankInvariant(w, v);
-            checkScratch(v);
-            check::probeTxn(w, led, 0x900d0000ULL + res.powerCycles, v);
-        }
+        check::checkLogsRetired(w, v);
+        check::checkDurable(w, led, v);
+        if (txnest)
+            check::checkTxnestInvariant(w, v);
+        else
+            check::checkBankInvariant(w, v);
+        checkScratch(v);
+        check::probeTxn(w, led, 0x900d0000ULL + res.powerCycles, v);
         ++res.powerCycles;
         if (cPowerCycles)
             cPowerCycles->inc();
-        if (opt.oracle && opt.auditEvery &&
-            res.powerCycles % opt.auditEvery == 0) {
+        if (opt.auditEvery && res.powerCycles % opt.auditEvery == 0) {
             check::auditTrace(w, w.machine().maxClock(), v);
         }
         for (const std::string &m : v)
@@ -321,7 +320,7 @@ struct Harness
     {
         sim::ThreadContext &tc = w.machine().thread(0);
         while (res.powerCycles < opt.powerCycles &&
-               res.violations.size() <= opt.maxViolations) {
+               res.violations.size() <= maxViolations) {
             if (cap.failed() || cap.runway() == 0) {
                 powerFail();
                 continue;
@@ -335,7 +334,7 @@ struct Harness
         }
 
         w.runtime().finalize();
-        if (opt.oracle && opt.auditEvery) {
+        if (opt.auditEvery) {
             std::vector<std::string> v;
             check::auditTrace(w, w.machine().maxClock(), v);
             for (const std::string &m : v)

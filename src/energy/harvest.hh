@@ -47,7 +47,6 @@ struct HarvestOptions
     unsigned powerCycles = 1000; //!< fail/recover cycles to run
     Cycles ewTarget = usToCycles(5);
     CapacitorConfig cap;
-    bool oracle = true; //!< per-cycle invariant checks
     /**
      * Trace-audit stride: audit the full timeline every N power
      * cycles (and at the end). 0 disables the audit — required for
@@ -55,7 +54,6 @@ struct HarvestOptions
      */
     unsigned auditEvery = 0;
     std::size_t traceCapacity = 1u << 20;
-    unsigned maxViolations = 8; //!< stop collecting past this many
 };
 
 struct HarvestResult

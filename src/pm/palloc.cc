@@ -11,44 +11,15 @@ namespace pm {
 PoolAllocator::PoolAllocator(PmoId pmo_id, std::uint64_t pool_size,
                              std::uint64_t reserve)
     : pool(pmo_id), capacity(pool_size),
-      tail(std::min(align(reserve), pool_size)), blocks(16)
+      tail(std::min(align(reserve), pool_size))
 {
     TERP_ASSERT(pool_size > reserve);
-}
-
-std::size_t
-PoolAllocator::home(std::uint64_t off) const
-{
-    // Offsets are multiples of 16: Fibonacci-hash the block index.
-    std::uint64_t h = (off >> 4) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(h >> 32) & (blocks.size() - 1);
-}
-
-std::size_t
-PoolAllocator::slotOf(std::uint64_t off) const
-{
-    std::size_t mask = blocks.size() - 1;
-    std::size_t i = home(off);
-    while (blocks[i].len != 0 && blocks[i].off != off)
-        i = (i + 1) & mask;
-    return i;
 }
 
 void
 PoolAllocator::addBlock(std::uint64_t off, std::uint64_t len)
 {
-    // Keep load at most 0.5, counting only the table's own blocks: a
-    // run of 50k prefilled records must not make the next pmalloc
-    // size the table for them.
-    if ((nTable + 1) * 2 > blocks.size()) {
-        std::vector<Block> old(blocks.size() * 2);
-        old.swap(blocks);
-        for (const Block &b : old)
-            if (b.len != 0)
-                blocks[slotOf(b.off)] = b;
-    }
-    blocks[slotOf(off)] = Block{off, len};
-    ++nTable;
+    blocks.insert(off).first = len;
     ++nLive;
     live += len;
     ++nAllocs;
@@ -118,37 +89,20 @@ PoolAllocator::runOf(std::uint64_t off) const
 std::uint64_t
 PoolAllocator::removeBlock(std::uint64_t off)
 {
-    std::size_t i = slotOf(off);
-    if (blocks[i].len == 0) {
-        // A run member: keep the members on either side as runs.
-        auto it = runOf(off);
-        TERP_ASSERT(it != runs.end(), "pfree: not a live block");
-        const std::uint64_t first = it->first;
-        const Run r = it->second;
-        const std::uint64_t k = (off - first) / r.len;
-        auto next = runs.erase(it);
-        if (k > 0)
-            runs.emplace_hint(next, first, Run{r.len, k});
-        if (k + 1 < r.count)
-            runs.emplace_hint(next, off + r.len,
-                              Run{r.len, r.count - k - 1});
-        return r.len;
-    }
-    std::uint64_t len = blocks[i].len;
-    --nTable;
-
-    // Backward-shift delete: pull later entries of the probe run into
-    // the gap unless the gap lies before their home slot.
-    std::size_t mask = blocks.size() - 1;
-    for (std::size_t j = (i + 1) & mask; blocks[j].len != 0;
-         j = (j + 1) & mask) {
-        if (((j - home(blocks[j].off)) & mask) >= ((j - i) & mask)) {
-            blocks[i] = blocks[j];
-            i = j;
-        }
-    }
-    blocks[i] = Block{};
-    return len;
+    if (const std::uint64_t *len = blocks.erase(off))
+        return *len;
+    // A run member: keep the members on either side as runs.
+    auto it = runOf(off);
+    TERP_ASSERT(it != runs.end(), "pfree: not a live block");
+    const std::uint64_t first = it->first;
+    const Run r = it->second;
+    const std::uint64_t k = (off - first) / r.len;
+    auto next = runs.erase(it);
+    if (k > 0)
+        runs.emplace_hint(next, first, Run{r.len, k});
+    if (k + 1 < r.count)
+        runs.emplace_hint(next, off + r.len, Run{r.len, r.count - k - 1});
+    return r.len;
 }
 
 void
@@ -192,8 +146,8 @@ PoolAllocator::reservePrefix(std::uint64_t up_to)
 std::uint64_t
 PoolAllocator::blockSize(Oid oid) const
 {
-    if (std::uint64_t len = blocks[slotOf(oid.offset())].len)
-        return len;
+    if (const std::uint64_t *len = blocks.find(oid.offset()))
+        return *len;
     auto it = runOf(oid.offset());
     return it == runs.end() ? 0 : it->second.len;
 }

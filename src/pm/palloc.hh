@@ -9,8 +9,8 @@
  * it. A hole that reaches the tail merges back into it, so the holes
  * in address order followed by the tail are exactly the coalesced
  * first-fit free list, and an allocator that never frees never
- * touches the hole map. Live blocks sit in a flat open-addressing
- * table keyed by offset.
+ * touches the hole map. Live blocks sit in a ProbeTable from offset
+ * to length.
  *
  * A bulk build (a PMO prefilled with thousands of equal records)
  * takes its blocks with pmallocRun, which carves n equal blocks from
@@ -20,8 +20,8 @@
  * run member is a live block like any other: blockSize answers for
  * it, and pfree of member k splits its run into the members before k
  * and those after it (either side may be empty), then frees the block
- * as usual. The table counts only its own slots, so a run never grows
- * it.
+ * as usual. The table holds only pmalloc's blocks, so a run never
+ * grows it.
  */
 
 #ifndef TERP_PM_PALLOC_HH
@@ -29,9 +29,9 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "pm/oid.hh"
+#include "pm/probe_table.hh"
 
 namespace terp {
 namespace pm {
@@ -86,13 +86,6 @@ class PoolAllocator
     std::uint64_t freeCount() const { return nFrees; }
 
   private:
-    /** A live block; len 0 marks an empty slot (blocks are >= 16). */
-    struct Block
-    {
-        std::uint64_t off = 0;
-        std::uint64_t len = 0;
-    };
-
     /** Live blocks of len bytes at first + i * len, i < count. */
     struct Run
     {
@@ -104,8 +97,7 @@ class PoolAllocator
     std::uint64_t capacity;
     std::uint64_t tail;                          //!< free from here up
     std::map<std::uint64_t, std::uint64_t> holes; //!< below tail: off -> len
-    std::vector<Block> blocks; //!< linear probing, power-of-two size
-    std::uint64_t nTable = 0;  //!< live blocks held in the table
+    ProbeTable<std::uint64_t> blocks; //!< live blocks: off -> len
     std::map<std::uint64_t, Run> runs; //!< first offset -> run
     std::uint64_t nLive = 0;   //!< table blocks plus run members
     std::uint64_t live = 0;
@@ -114,9 +106,6 @@ class PoolAllocator
 
     static std::uint64_t align(std::uint64_t v) { return (v + 15) & ~15ULL; }
 
-    std::size_t home(std::uint64_t off) const;
-    /** Slot holding @p off, or the empty slot where it would go. */
-    std::size_t slotOf(std::uint64_t off) const;
     void addBlock(std::uint64_t off, std::uint64_t len);
     /** The run holding a block that starts at @p off, or runs.end(). */
     std::map<std::uint64_t, Run>::const_iterator

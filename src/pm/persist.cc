@@ -88,9 +88,14 @@ PersistController::store(Oid oid, std::uint64_t value)
 {
     noteBoundary(PersistBoundary::Store);
     const std::uint64_t prev = vol.exchange(oid.raw, value);
-    SideTable::Line &l = side.get(lineKeyOf(oid.raw));
+    auto [l, fresh] = side.insert(lineKeyOf(oid.raw));
+    if (fresh) {
+        // The slot may hold an erased line's record: start it clean.
+        l.pending = false;
+        l.words.clear();
+    }
     l.dirty = true;
-    for (SideTable::Word &w : l.words) {
+    for (SideLine::Word &w : l.words) {
         if (w.addr == oid.raw) {
             // The word's first store since the line's CLWB: that
             // write-back holds the value this store replaces.
@@ -115,8 +120,8 @@ PersistController::load(Oid oid) const
 std::uint64_t
 PersistController::persistedLoad(Oid oid) const
 {
-    if (const SideTable::Line *l = side.find(lineKeyOf(oid.raw)))
-        for (const SideTable::Word &w : l->words)
+    if (const SideLine *l = side.find(lineKeyOf(oid.raw)))
+        for (const SideLine::Word &w : l->words)
             if (w.addr == oid.raw)
                 return w.old;
     return vol.peek(oid.raw);
@@ -129,16 +134,17 @@ PersistController::clwb(sim::ThreadContext &tc, Oid oid)
     tc.work(clwbCost);
     ++nClwb;
     // No-op when the line is already clean.
-    SideTable::Line *l = side.find(lineKeyOf(oid.raw));
+    const std::uint64_t line = lineKeyOf(oid.raw);
+    SideLine *l = side.find(line);
     if (!l || !l->dirty)
         return;
     // The write-back captures every word as it stands now.
     l->dirty = false;
-    for (SideTable::Word &w : l->words)
+    for (SideLine::Word &w : l->words)
         w.hasWb = false;
     if (!l->pending) {
         l->pending = true;
-        pendingList.push_back(l->line);
+        pendingList.push_back(line);
     }
 }
 
@@ -153,10 +159,10 @@ PersistController::sfence(sim::ThreadContext &tc)
         // Each word's write-back value becomes durable: a word stored
         // again since the CLWB keeps its record with wb as the new
         // durable value; every other word is durable as vol holds it.
-        SideTable::Line &l = *side.find(line);
+        SideLine &l = *side.find(line);
         l.pending = false;
         std::size_t kept = 0;
-        for (const SideTable::Word &w : l.words)
+        for (const SideLine::Word &w : l.words)
             if (w.hasWb)
                 l.words[kept++] = {w.addr, w.wb, w.wb, false};
         l.words.resize(kept);
@@ -178,8 +184,8 @@ void
 PersistController::crash()
 {
     // Unflushed and unfenced updates are lost with power.
-    side.forEach([this](const SideTable::Line &l) {
-        for (const SideTable::Word &w : l.words)
+    side.forEach([this](std::uint64_t, const SideLine &l) {
+        for (const SideLine::Word &w : l.words)
             vol.poke(w.addr, w.old);
     });
     side.clear();
@@ -234,7 +240,7 @@ UndoLog::write(sim::ThreadContext &tc, Oid oid, std::uint64_t value)
         ctl->persistentStore(tc, headerOid(), entries);
         ctl->sfence(tc);
         writeSet.push_back(oid.raw);
-        logged.insert(oid.raw, 0);
+        logged.insert(oid.raw);
     }
     // 3. Now the data update may proceed (durable at commit).
     ctl->store(oid, value);
@@ -252,7 +258,7 @@ UndoLog::commit(sim::ThreadContext &tc)
     logged.clear();
     for (std::uint64_t raw : writeSet) {
         const std::uint64_t line = lineKeyOf(raw);
-        if (logged.insert(line, 0))
+        if (logged.insert(line).second)
             ctl->clwb(tc, Oid::fromRaw(line));
     }
     ctl->sfence(tc);
@@ -380,7 +386,7 @@ RedoLog::write(sim::ThreadContext &tc, Oid oid, std::uint64_t value)
     ctl->persistentStore(tc, entryOid(i, 0), oid.raw);
     ctl->persistentStore(tc, entryOid(i, 1), value);
     buf.emplace_back(oid.raw, value);
-    positions.insert(oid.raw, i);
+    positions.insert(oid.raw).first = i;
     ++nEntriesLogged;
     nBytesLogged += 16;
 }
@@ -422,7 +428,7 @@ RedoLog::commit(sim::ThreadContext &tc)
     positions.clear();
     for (const auto &[raw, val] : buf) {
         const std::uint64_t line = lineKeyOf(raw);
-        if (positions.insert(line, 0))
+        if (positions.insert(line).second)
             ctl->clwb(tc, Oid::fromRaw(line));
     }
     ctl->sfence(tc);

@@ -11,12 +11,13 @@
  * layer on top.
  *
  * The PersistController keeps one image, the volatile view every
- * access sees, plus a side table of the lines that are not yet
- * durable, which holds the durable value of each word stored in
- * them. The persisted view, what survives a crash(), is the image
- * overlaid with the table.
+ * access sees, plus a side table (a ProbeTable of SideLine, keyed by
+ * line) of the lines that are not yet durable, which holds the
+ * durable value of each word stored in them. The persisted view,
+ * what survives a crash(), is the image overlaid with the table.
  * Recovery rolls incomplete transactions back from the persisted
- * undo log.
+ * undo log. The undo and redo logs index an open transaction's write
+ * set with the same table, and empty it whole with its O(1) clear().
  */
 
 #ifndef TERP_PM_PERSIST_HH
@@ -33,6 +34,7 @@
 #include "common/units.hh"
 #include "pm/mem_image.hh"
 #include "pm/oid.hh"
+#include "pm/probe_table.hh"
 #include "sim/thread.hh"
 
 namespace terp {
@@ -77,21 +79,16 @@ class PowerFailure : public std::runtime_error
 };
 
 /**
- * The lines that are not yet durable, keyed by line. A record holds,
- * for every word stored since the line was last durable, the word's
- * durable value (old) and, while the line is pending, the value its
- * CLWB captured for a word stored again afterwards (wb). Together
- * with the volatile image this is the whole persistence state: a
- * word without a record is durable as it stands.
- *
- * Linear probing over in-place records with backward-shift erase,
- * so there are no tombstones. Erased records keep their word
- * vectors' capacity and swap through the probe chain, so steady
- * store/fence churn allocates nothing.
+ * A line that is not yet durable, the value of the controller's side
+ * table under the line's key. It holds, for every word stored since
+ * the line was last durable, the word's durable value (old) and,
+ * while the line is pending, the value its CLWB captured for a word
+ * stored again afterwards (wb). Together with the volatile image the
+ * side table is the whole persistence state: a word without a record
+ * is durable as it stands.
  */
-class SideTable
+struct SideLine
 {
-  public:
     /** One word stored since its line was last durable. */
     struct Word
     {
@@ -101,126 +98,9 @@ class SideTable
         bool hasWb;        //!< stored again after the line's CLWB
     };
 
-    /** One not-yet-durable line. */
-    struct Line
-    {
-        std::uint64_t line = none;
-        bool dirty = false;   //!< stored since its last CLWB
-        bool pending = false; //!< CLWB issued, not yet fenced
-        std::vector<Word> words;
-    };
-
-    SideTable() : slots(minSlots) {}
-
-    /** Lines held. */
-    std::size_t size() const { return used; }
-
-    /** The record of @p line, or null. */
-    Line *
-    find(std::uint64_t line)
-    {
-        Line &l = slots[slotOf(line)];
-        return l.line == line ? &l : nullptr;
-    }
-
-    const Line *
-    find(std::uint64_t line) const
-    {
-        return const_cast<SideTable *>(this)->find(line);
-    }
-
-    /** The record of @p line, inserted clean and empty if absent. */
-    Line &
-    get(std::uint64_t line)
-    {
-        std::size_t i = slotOf(line);
-        if (slots[i].line == line)
-            return slots[i];
-        if ((used + 1) * 2 > slots.size()) {
-            grow();
-            i = slotOf(line);
-        }
-        ++used;
-        slots[i].line = line;
-        return slots[i];
-    }
-
-    /** Drop @p line's record; no-op when absent. */
-    void
-    erase(std::uint64_t line)
-    {
-        const std::size_t mask = slots.size() - 1;
-        std::size_t hole = slotOf(line);
-        if (slots[hole].line != line)
-            return;
-        reset(slots[hole]);
-        --used;
-        // Pull back every later record of the cluster whose home
-        // slot does not lie cyclically in (hole, j].
-        for (std::size_t j = (hole + 1) & mask; slots[j].line != none;
-             j = (j + 1) & mask) {
-            const std::size_t home = mixKey(slots[j].line) & mask;
-            if (((j - home) & mask) >= ((j - hole) & mask)) {
-                std::swap(slots[hole], slots[j]);
-                hole = j;
-            }
-        }
-    }
-
-    /** Visit every record. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const Line &l : slots)
-            if (l.line != none)
-                fn(l);
-    }
-
-    void
-    clear()
-    {
-        for (Line &l : slots)
-            reset(l);
-        used = 0;
-    }
-
-  private:
-    /** Never a line key: line keys are 64-byte aligned. */
-    static constexpr std::uint64_t none = ~0ULL;
-    static constexpr std::size_t minSlots = 16;
-
-    static void
-    reset(Line &l)
-    {
-        l.line = none;
-        l.dirty = l.pending = false;
-        l.words.clear();
-    }
-
-    /** The slot holding @p line, or the empty slot ending its chain. */
-    std::size_t
-    slotOf(std::uint64_t line) const
-    {
-        const std::size_t mask = slots.size() - 1;
-        std::size_t i = mixKey(line) & mask;
-        while (slots[i].line != line && slots[i].line != none)
-            i = (i + 1) & mask;
-        return i;
-    }
-
-    void
-    grow()
-    {
-        std::vector<Line> old = std::move(slots);
-        slots = std::vector<Line>(old.size() * 2);
-        for (Line &l : old)
-            if (l.line != none)
-                slots[slotOf(l.line)] = std::move(l);
-    }
-
-    std::vector<Line> slots; //!< power-of-two count, at most half used
-    std::size_t used = 0;
+    bool dirty = false;   //!< stored since its last CLWB
+    bool pending = false; //!< CLWB issued, not yet fenced
+    std::vector<Word> words;
 };
 
 /**
@@ -305,8 +185,8 @@ class PersistController
     void noteBoundary(PersistBoundary k);
 
   private:
-    MemImage vol;      //!< what loads see
-    SideTable side;    //!< lines not yet durable
+    MemImage vol;                //!< what loads see
+    ProbeTable<SideLine> side;   //!< lines not yet durable
     //! lines with a write-back issued but not yet fenced.
     std::vector<std::uint64_t> pendingList;
     std::uint64_t nClwb = 0;
@@ -317,91 +197,6 @@ class PersistController
 
     /** The armed boundary is here: tap, or crash and throw. */
     void fireFault(PersistBoundary k);
-};
-
-/**
- * Index of an open transaction's write set: a flat hash map from a
- * word or line key to a 32-bit value (a record's position), so a
- * write finds its location's earlier record in O(1) expected time.
- * Linear probing with no erase. clear() bumps a generation stamp
- * instead of touching the slots, so a table grown by one large
- * transaction costs the small ones after it nothing to reset.
- * SideTable's records own word vectors and leave one at a time
- * (backward-shift erase); a write index only ever empties whole, at
- * each transaction's end, and allocates nothing per key, unlike a
- * node-based std::unordered_map.
- */
-class WriteIndex
-{
-  public:
-    /** The value held for @p key, or null. */
-    const std::uint32_t *
-    find(std::uint64_t key) const
-    {
-        const Slot &s = slots[slotOf(key)];
-        return s.gen == gen ? &s.value : nullptr;
-    }
-
-    /** Hold @p value for @p key; false if the key was present. */
-    bool
-    insert(std::uint64_t key, std::uint32_t value)
-    {
-        std::size_t i = slotOf(key);
-        if (slots[i].gen == gen)
-            return false;
-        if ((used + 1) * 2 > slots.size()) {
-            grow();
-            i = slotOf(key);
-        }
-        slots[i] = {key, value, gen};
-        ++used;
-        return true;
-    }
-
-    void
-    clear()
-    {
-        used = 0;
-        if (++gen == 0) { // stamps wrapped: retire every slot
-            for (Slot &s : slots)
-                s.gen = 0;
-            gen = 1;
-        }
-    }
-
-  private:
-    /** A slot is live iff its stamp equals the table's. */
-    struct Slot
-    {
-        std::uint64_t key = 0;
-        std::uint32_t value = 0;
-        std::uint32_t gen = 0;
-    };
-
-    /** The slot holding @p key, or the free slot ending its chain. */
-    std::size_t
-    slotOf(std::uint64_t key) const
-    {
-        const std::size_t mask = slots.size() - 1;
-        std::size_t i = mixKey(key) & mask;
-        while (slots[i].gen == gen && slots[i].key != key)
-            i = (i + 1) & mask;
-        return i;
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old(slots.size() * 2);
-        old.swap(slots);
-        for (const Slot &s : old)
-            if (s.gen == gen)
-                slots[slotOf(s.key)] = s;
-    }
-
-    std::vector<Slot> slots = std::vector<Slot>(16); //!< power of two
-    std::size_t used = 0;
-    std::uint32_t gen = 1;
 };
 
 /**
@@ -512,7 +307,8 @@ class UndoLog
      * through volatile loads.
      */
     std::vector<std::uint64_t> writeSet;
-    WriteIndex logged; //!< writeSet's locations; at commit, its lines
+    //! writeSet's locations; at commit, its lines
+    ProbeTable<std::uint32_t> logged;
 
     Oid headerOid() const { return Oid(pmo, logOff); }
     Oid entryOid(std::uint64_t i, unsigned word) const
@@ -620,7 +416,7 @@ class RedoLog
     //! (raw Oid, new value) in log order; one slot per location.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> buf;
     //! raw Oid -> its index in buf; at commit, buf's distinct lines
-    WriteIndex positions;
+    ProbeTable<std::uint32_t> positions;
     std::uint64_t nBytesLogged = 0;
     std::uint64_t nEntriesLogged = 0;
     std::uint64_t nRollForwards = 0;

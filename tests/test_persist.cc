@@ -1,16 +1,17 @@
 /**
  * @file
- * Tests for the crash-consistency substrate: the side table of
- * not-yet-durable lines, persistence ordering (store -> CLWB ->
- * SFENCE) checked directly and against a textbook model of the
- * persist path, crash/recovery behaviour, the undo-log
- * transaction protocol, the watch-register alternative hardware
+ * Tests for the crash-consistency substrate: the probing table behind
+ * the side table of not-yet-durable lines, persistence ordering
+ * (store -> CLWB -> SFENCE) checked directly and against a textbook
+ * model of the persist path, crash/recovery behaviour (a line stored
+ * again after its record went), the undo-log transaction protocol, the watch-register alternative hardware
  * design, and a property test crashing transactions at random points
  * and requiring atomicity after recovery.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <vector>
@@ -33,103 +34,234 @@ makeTc()
 
 } // namespace
 
-// ------------------------------------------------------- SideTable
+// ------------------------------------------------------ ProbeTable
 
-TEST(SideTable, GetFindsOrInsertsAndCountsLines)
+TEST(ProbeTable, InsertFindsOrAddsAndCountsKeys)
 {
-    SideTable t;
+    ProbeTable<SideLine> t;
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.find(0x100), nullptr);
-    SideTable::Line &a = t.get(0x100);
-    EXPECT_EQ(a.line, 0x100u);
+    auto [a, fresh] = t.insert(0x100);
+    EXPECT_TRUE(fresh);
+    // A slot never used holds a default value.
     EXPECT_FALSE(a.dirty);
     EXPECT_FALSE(a.pending);
     EXPECT_TRUE(a.words.empty());
     a.dirty = true;
     a.words.push_back({0x108, 1, 1, false});
-    EXPECT_EQ(&t.get(0x100), &a) << "a second get finds the record";
-    t.get(0x0); // line 0 is an ordinary key
+    auto again = t.insert(0x100);
+    EXPECT_FALSE(again.second);
+    EXPECT_EQ(&again.first, &a) << "a second insert finds the value";
+    EXPECT_TRUE(t.insert(0x0).second); // key 0 is an ordinary key
     EXPECT_EQ(t.size(), 2u);
     ASSERT_NE(t.find(0x0), nullptr);
-    const SideTable &ct = t;
+    const ProbeTable<SideLine> &ct = t;
     ASSERT_NE(ct.find(0x100), nullptr);
     EXPECT_TRUE(ct.find(0x100)->dirty);
     EXPECT_EQ(ct.find(0x100)->words.at(0).addr, 0x108u);
     EXPECT_EQ(ct.find(0x140), nullptr);
 }
 
-TEST(SideTable, EraseKeepsProbeChainsReachable)
+TEST(ProbeTable, EraseKeepsProbeChainsReachable)
 {
-    // Eight lines in the sixteen starting slots form clusters; erase
-    // each one in turn from a fresh table, so the backward shift runs
-    // from every position, and require every other record intact.
+    // Eight keys in the sixteen starting slots form clusters, some
+    // wrapping round the array's end. Erase each one in turn from a
+    // fresh table, so the backward shift runs from every position of
+    // every cluster, and require every other key intact.
     const unsigned n = 8;
-    for (unsigned gone = 0; gone < n; ++gone) {
-        SideTable t;
-        for (unsigned i = 0; i < n; ++i)
-            t.get(64ULL * i).words.push_back({64ULL * i, i, 0, false});
-        t.erase(64ULL * gone);
-        t.erase(64ULL * gone); // absent: no-op
-        EXPECT_EQ(t.size(), n - 1);
-        EXPECT_EQ(t.find(64ULL * gone), nullptr);
-        for (unsigned i = 0; i < n; ++i) {
-            if (i == gone)
-                continue;
-            const SideTable::Line *l = t.find(64ULL * i);
-            ASSERT_NE(l, nullptr) << "line " << i << " lost after erasing "
-                                  << gone;
-            ASSERT_EQ(l->words.size(), 1u);
-            EXPECT_EQ(l->words[0].old, i);
+    Rng rng(11);
+    for (int set = 0; set < 64; ++set) {
+        std::vector<std::uint64_t> keys;
+        while (keys.size() < n) {
+            const std::uint64_t k = 64 * rng.nextBelow(1u << 20);
+            if (std::find(keys.begin(), keys.end(), k) == keys.end())
+                keys.push_back(k);
         }
-        // The erased line comes back clean.
-        SideTable::Line &again = t.get(64ULL * gone);
-        EXPECT_TRUE(again.words.empty());
-        EXPECT_FALSE(again.dirty || again.pending);
+        for (unsigned gone = 0; gone < n; ++gone) {
+            ProbeTable<std::uint64_t> t;
+            for (unsigned i = 0; i < n; ++i)
+                t.insert(keys[i]).first = i;
+            const std::uint64_t *erased = t.erase(keys[gone]);
+            ASSERT_NE(erased, nullptr);
+            EXPECT_EQ(*erased, gone) << "erase hands back the value";
+            EXPECT_EQ(t.erase(keys[gone]), nullptr); // absent: no-op
+            EXPECT_EQ(t.size(), n - 1);
+            EXPECT_EQ(t.find(keys[gone]), nullptr);
+            for (unsigned i = 0; i < n; ++i) {
+                if (i == gone)
+                    continue;
+                const std::uint64_t *v = t.find(keys[i]);
+                ASSERT_NE(v, nullptr) << "key " << i << " of set " << set
+                                      << " lost after erasing " << gone;
+                EXPECT_EQ(*v, i);
+            }
+            EXPECT_TRUE(t.insert(keys[gone]).second);
+            EXPECT_EQ(t.size(), n);
+        }
     }
 }
 
-TEST(SideTable, GrowthAndEraseChurnMatchesMap)
+TEST(ProbeTable, GrowthAndEraseChurnMatchesMap)
 {
     // Random inserts and erases against a std::map, growing the table
     // several times over and draining it again, then clear().
-    SideTable t;
+    ProbeTable<std::uint64_t> t;
     std::map<std::uint64_t, std::uint64_t> model;
     Rng rng(7);
     for (int op = 0; op < 20000; ++op) {
         const std::uint64_t line = 64 * rng.nextBelow(900);
         if (op < 12000 && rng.nextBelow(3) != 0) {
-            SideTable::Line &l = t.get(line);
-            l.words.clear();
-            l.words.push_back({line, std::uint64_t(op), 0, false});
+            t.insert(line).first = std::uint64_t(op);
             model[line] = std::uint64_t(op);
         } else {
-            t.erase(line);
-            model.erase(line);
+            const std::uint64_t *v = t.erase(line);
+            auto it = model.find(line);
+            ASSERT_EQ(v != nullptr, it != model.end()) << "op " << op;
+            if (v) {
+                EXPECT_EQ(*v, it->second);
+                model.erase(it);
+            }
         }
         ASSERT_EQ(t.size(), model.size()) << "op " << op;
     }
     for (std::uint64_t i = 0; i < 900; ++i) {
-        const SideTable::Line *l = t.find(64 * i);
+        const std::uint64_t *v = t.find(64 * i);
         auto it = model.find(64 * i);
-        ASSERT_EQ(l != nullptr, it != model.end()) << "line " << i;
-        if (l) {
-            EXPECT_EQ(l->words.at(0).old, it->second);
+        ASSERT_EQ(v != nullptr, it != model.end()) << "line " << i;
+        if (v) {
+            EXPECT_EQ(*v, it->second);
         }
     }
     std::map<std::uint64_t, std::uint64_t> seen;
-    t.forEach([&](const SideTable::Line &l) {
-        seen[l.line] = l.words.at(0).old;
-    });
+    t.forEach([&](std::uint64_t k, std::uint64_t v) { seen[k] = v; });
     EXPECT_EQ(seen, model);
 
+    // Refill, then clear.
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        t.insert(64 * i);
+        model[64 * i];
+    }
+    EXPECT_EQ(t.size(), model.size());
     t.clear();
     EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.find(64 * 5), nullptr);
-    t.get(64 * 5); // usable after clear
+    for (std::uint64_t i = 0; i < 300; ++i)
+        EXPECT_EQ(t.find(64 * i), nullptr) << "line " << i << " outlived clear";
+    seen.clear();
+    t.forEach([&](std::uint64_t k, std::uint64_t v) { seen[k] = v; });
+    EXPECT_TRUE(seen.empty());
+    EXPECT_TRUE(t.insert(64 * 5).second); // usable after clear
     EXPECT_EQ(t.size(), 1u);
 }
 
+TEST(ProbeTable, CopiesAreIndependent)
+{
+    ProbeTable<SideLine> t;
+    for (std::uint64_t i = 0; i < 20; ++i)
+        t.insert(64 * i).first.words.push_back({64 * i, i, 0, false});
+    const auto contents = [](const ProbeTable<SideLine> &x) {
+        std::map<std::uint64_t, std::vector<std::uint64_t>> m;
+        x.forEach([&](std::uint64_t k, const SideLine &l) {
+            for (const SideLine::Word &w : l.words)
+                m[k].push_back(w.old);
+        });
+        return m;
+    };
+    const auto before = contents(t);
+
+    // Changes to the copy leave the original as it was ...
+    ProbeTable<SideLine> u = t;
+    EXPECT_EQ(contents(u), before);
+    u.insert(64 * 3).first.words.push_back({64 * 3, 99, 0, false});
+    u.insert(64 * 100);
+    u.erase(64 * 7);
+    EXPECT_EQ(contents(t), before);
+    u.clear();
+    EXPECT_EQ(contents(t), before);
+    EXPECT_EQ(t.size(), 20u);
+
+    // ... and changes to the original leave a copy as it was.
+    ProbeTable<SideLine> v = t;
+    t.insert(64 * 4).first.words.clear();
+    t.erase(64 * 8);
+    EXPECT_EQ(contents(v), before);
+    t.clear();
+    EXPECT_EQ(contents(v), before);
+    EXPECT_EQ(v.size(), 20u);
+    EXPECT_EQ(u.size(), 0u);
+}
+
 // ------------------------------------------------ persist controller
+
+TEST(Persist, ErasedLineIsStoredAgainAsAFreshLine)
+{
+    auto tc = makeTc();
+    const Oid a(1, 0x100), b(1, 0x108); // one line
+
+    // Record erased at a fence.
+    {
+        PersistController ctl;
+        ctl.persistentStore(tc, a, 1);
+        ctl.sfence(tc);
+        ctl.store(a, 2);
+        EXPECT_EQ(ctl.persistedLoad(a), 1u);
+        ctl.crash();
+        EXPECT_EQ(ctl.load(a), 1u);
+    }
+    // Record cleared by crash() while dirty.
+    {
+        PersistController ctl;
+        ctl.store(a, 1);
+        ctl.store(b, 1);
+        ctl.crash();
+        ctl.persistentStore(tc, a, 2);
+        ctl.sfence(tc);
+        EXPECT_EQ(ctl.persistedLoad(a), 2u);
+        EXPECT_EQ(ctl.persistedLoad(b), 0u);
+        ctl.store(b, 3);
+        ctl.crash();
+        EXPECT_EQ(ctl.load(a), 2u);
+        EXPECT_EQ(ctl.load(b), 0u);
+    }
+    // Record cleared by crash() while pending: the next CLWB queues
+    // the line again, so the fence makes it durable.
+    {
+        PersistController ctl;
+        ctl.persistentStore(tc, a, 1);
+        ctl.crash();
+        ctl.persistentStore(tc, a, 3);
+        Cycles before = tc.now();
+        ctl.sfence(tc);
+        EXPECT_EQ(tc.now() - before, PersistController::drainCostPerLine);
+        EXPECT_EQ(ctl.persistedLoad(a), 3u);
+        ctl.crash();
+        EXPECT_EQ(ctl.load(a), 3u);
+    }
+    // Records cleared by crash() go to whichever lines take their
+    // slots next; none of their words may follow. 64 lines are lost,
+    // 64 others are stored, then the lost lines are made durable
+    // anew: a crash must roll back only the second set.
+    {
+        PersistController ctl;
+        const auto lost = [](std::uint64_t i) { return Oid(1, 64 * i); };
+        const auto other = [](std::uint64_t i) {
+            return Oid(1, 0x10000 + 64 * i);
+        };
+        for (std::uint64_t i = 0; i < 64; ++i)
+            ctl.store(lost(i), 1);
+        ctl.crash();
+        for (std::uint64_t i = 0; i < 64; ++i)
+            ctl.store(other(i), 2);
+        for (std::uint64_t i = 0; i < 64; ++i)
+            ctl.persistentStore(tc, lost(i), 9);
+        ctl.sfence(tc);
+        ctl.crash();
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            EXPECT_EQ(ctl.load(lost(i)), 9u) << "line " << i;
+            EXPECT_EQ(ctl.load(other(i)), 0u) << "line " << i;
+        }
+    }
+}
+
 
 TEST(Persist, StoreVisibleButNotDurable)
 {
