@@ -108,10 +108,10 @@ CircularBuffer::condDetach(pm::PmoId pmo, Cycles now, Cycles max_ew)
     return CondDetachCase::DelayedDetach;
 }
 
-std::vector<SweepAction>
+CircularBuffer::SweepActions
 CircularBuffer::sweep(Cycles now, Cycles max_ew)
 {
-    std::vector<SweepAction> actions;
+    SweepActions actions;
     // Quiescent fast path: nothing resident, or even the oldest
     // window is younger than the target. Either way a full scan
     // would decide no action, so skip it.
@@ -173,10 +173,10 @@ CircularBuffer::timestamp(pm::PmoId pmo) const
     return e->ts;
 }
 
-std::vector<pm::PmoId>
+InlineList<pm::PmoId, CircularBuffer::capacity>
 CircularBuffer::residentPmos() const
 {
-    std::vector<pm::PmoId> out;
+    InlineList<pm::PmoId, capacity> out;
     for (const auto &e : entries)
         if (e.valid)
             out.push_back(e.pmo);

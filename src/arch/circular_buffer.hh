@@ -18,8 +18,8 @@
 
 #include <array>
 #include <cstdint>
+#include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "common/units.hh"
 #include "pm/oid.hh"
@@ -48,6 +48,26 @@ struct SweepAction
 {
     pm::PmoId pmo;
     bool detach;    //!< true: fully detach; false: re-randomize
+};
+
+/**
+ * At most @p N items, held in place: what a sweep or a resident scan
+ * of the buffer returns, so neither allocates.
+ */
+template <class T, unsigned N>
+class InlineList
+{
+  public:
+    void push_back(const T &x) { items[n++] = x; }
+    const T *begin() const { return items.data(); }
+    const T *end() const { return items.data() + n; }
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+    const T &operator[](std::size_t i) const { return items[i]; }
+
+  private:
+    std::array<T, N> items;
+    unsigned n = 0;
 };
 
 /** The 32-entry hardware circular buffer. */
@@ -88,7 +108,8 @@ class CircularBuffer
      * Randomize (Ctr>0). Detached PMOs are evicted; randomized PMOs
      * get a fresh timestamp.
      */
-    std::vector<SweepAction> sweep(Cycles now, Cycles max_ew);
+    using SweepActions = InlineList<SweepAction, capacity>;
+    SweepActions sweep(Cycles now, Cycles max_ew);
 
     /** Is a PMO resident in the buffer (attached or delayed)? */
     bool resident(pm::PmoId pmo) const;
@@ -106,7 +127,7 @@ class CircularBuffer
     unsigned liveEntries() const { return nLive; }
 
     /** Ids of all resident PMOs, in entry order (sweep visit order). */
-    std::vector<pm::PmoId> residentPmos() const;
+    InlineList<pm::PmoId, capacity> residentPmos() const;
 
     /** Forced eviction (used when a PMO is detached externally). */
     void evict(pm::PmoId pmo);

@@ -504,10 +504,11 @@ enumerateCrashPoints(const CrashOptions &opt)
 
     // Points 1..B. Each of K drivers (one per host CPU) runs the
     // workload once and taps every boundary. The first driver to
-    // reach point n claims it, copies itself, its ledger, its
-    // complaints so far and its trace audit (caught up to the point,
-    // so the copy audits only the events it emits), and the copy
-    // crashes there and checks recovery; a driver busy with a copy
+    // reach point n claims it, assigns itself and its ledger into
+    // its scratch world and ledger, copies its complaints so far and
+    // hands over its trace audit (caught up to the point, so the copy
+    // audits only the events it emits), and the copy crashes there
+    // and checks recovery; a driver busy with a copy
     // falls behind and the others claim the points it passes, so the
     // points spread over the CPUs as they come. Every driver is the
     // same deterministic world, so a point's verdict does not depend
@@ -540,6 +541,10 @@ enumerateCrashPoints(const CrashOptions &opt)
             World d = cell.world();
             Ledger led;
             trace::TimelineReplay audited; // d's trace, up to a point
+            // The copy a point crashes: assigned from d at each point,
+            // into the storage the last point left.
+            World w = cell.world();
+            Ledger l;
             auto tap = [&](std::uint64_t n, pm::PersistBoundary kind) {
                 std::uint64_t want = n;
                 if (n > B ||
@@ -551,8 +556,8 @@ enumerateCrashPoints(const CrashOptions &opt)
                 try {
                     if (auto sink = d.runtime().traceSink())
                         audited.catchUp(*sink);
-                    World w(d);
-                    Ledger l = led;
+                    w = d;
+                    l = led;
                     w.persistence()->controller().crash();
                     cell.recoverAndCheck(w, l, p.v, audited);
                 } catch (...) {

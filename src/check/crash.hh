@@ -10,7 +10,8 @@
  * distinguishable crash window exactly once — without running the
  * workload again per point: a driver world runs the workload once,
  * and its controller's fault plan taps each boundary n, where the
- * world is copied and the copy crashes while the driver carries on.
+ * world is copied (assigned into the driver's one scratch world) and
+ * the copy crashes while the driver carries on.
  * After each modeled power failure the copy performs Runtime::crash +
  * Runtime::recover and asserts the recovery oracle:
  *

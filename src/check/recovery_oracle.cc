@@ -63,6 +63,17 @@ CrashWorld::CrashWorld(const CrashWorld &o)
     TERP_ASSERT(!o.sweepGate, "CrashWorld: copy of a gated world");
 }
 
+CrashWorld &
+CrashWorld::operator=(const CrashWorld &o)
+{
+    TERP_ASSERT(!o.sweepGate, "CrashWorld: copy of a gated world");
+    core::ShardDomain::operator=(o);
+    cfg = o.cfg;
+    nPmos = o.nPmos;
+    pmoBytes = o.pmoBytes;
+    return *this;
+}
+
 void
 runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
        pm::PmoId pmo,

@@ -66,10 +66,12 @@ struct CrashWorld : core::ShardDomain
                std::uint64_t log_off);
 
     /**
-     * A deep copy (see ShardDomain's). A world with a sweep gate is
-     * not copied: the gate belongs to its driver.
+     * A copy, or an assignment into this world's own storage (see
+     * ShardDomain's). A world with a sweep gate is not copied: the
+     * gate belongs to its driver, and this world keeps its own.
      */
     CrashWorld(const CrashWorld &o);
+    CrashWorld &operator=(const CrashWorld &o);
 
     /** Fire the free-running sweeper up to time @p t, gated. */
     void advanceSweeps(Cycles t) { sweepTo(t, sweepGate); }

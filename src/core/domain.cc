@@ -21,14 +21,35 @@ ShardDomain::ShardDomain(const DomainConfig &cfg)
 }
 
 ShardDomain::ShardDomain(const ShardDomain &o)
-    : id(o.id), mach(std::make_unique<sim::Machine>(*o.mach)),
-      pm(std::make_unique<pm::PmoManager>(*o.pm)),
-      dom(o.dom ? std::make_unique<pm::PersistDomain>(*o.dom) : nullptr),
-      rt(std::make_unique<Runtime>(*o.rt, *mach, *pm, dom.get())),
-      nextHook(o.nextHook), hookPeriod(o.hookPeriod)
+    : ShardDomain(DomainConfig{o.rt->config(), o.mach->config(), 0, o.id,
+                               o.dom != nullptr})
 {
-    TERP_ASSERT(!dom || !dom->controller().tapped(),
+    *this = o;
+}
+
+ShardDomain &
+ShardDomain::operator=(const ShardDomain &o)
+{
+    TERP_ASSERT(!o.dom || !o.dom->controller().tapped(),
                 "ShardDomain: copy of a domain whose fault plan is tapped");
+    if (this == &o)
+        return *this;
+    id = o.id;
+    *mach = *o.mach;
+    *pm = *o.pm;
+    if (o.dom && !dom) {
+        dom = std::make_unique<pm::PersistDomain>();
+        rt->attachPersistence(dom.get());
+    } else if (!o.dom && dom) {
+        rt->attachPersistence(nullptr);
+        dom.reset();
+    }
+    if (dom)
+        *dom = *o.dom;
+    *rt = *o.rt;
+    nextHook = o.nextHook;
+    hookPeriod = o.hookPeriod;
+    return *this;
 }
 
 void

@@ -69,17 +69,22 @@ class ShardDomain
   public:
     explicit ShardDomain(const DomainConfig &cfg);
 
-    /**
-     * A deep copy that shares nothing with @p o: from here on both
-     * run as if each had run alone from the start. Every pointer
-     * inside the stack (the runtime's machine, PMO manager and
-     * persistence domain, the trace sink and metrics registry the
-     * parts emit into, the transaction logs' controller) is bound to
-     * the copy's own. A domain whose fault plan has a tap is not
-     * copied: the tap belongs to its driver.
-     */
+    /** A domain of @p o's shape, then assigned from @p o. */
     ShardDomain(const ShardDomain &o);
-    ShardDomain &operator=(const ShardDomain &) = delete;
+
+    /**
+     * Take @p o's whole state, sharing nothing with it: from here on
+     * both run as if each had run alone from the start. Each part is
+     * assigned into the one this domain holds, so containers keep
+     * the storage they have (a scratch domain assigned at every crash
+     * point reuses its own), and every pointer inside the stack (the
+     * runtime's machine, PMO manager and persistence domain, the
+     * trace sink and metrics registry the parts emit into, the
+     * transaction logs' controller) stays bound to this domain's
+     * own. A domain whose fault plan has a tap is not copied: the tap
+     * belongs to its driver.
+     */
+    ShardDomain &operator=(const ShardDomain &o);
 
     unsigned shardId() const { return id; }
 

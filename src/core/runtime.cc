@@ -38,44 +38,77 @@ Runtime::Runtime(sim::Machine &machine, pm::PmoManager &pmos,
         reg = std::make_shared<metrics::Registry>();
         reg->setLabel("scheme", schemeTag(cfg.scheme));
         ew.enableMetrics(reg.get());
+        mSweepTicks = reg->counterId("sweeper.ticks");
+        mSweepForceDetach = reg->counterId("sweeper.force_detach");
+        mSweepRandomize = reg->counterId("sweeper.randomize");
+        mSweepPmoScans = reg->counterId("host.sweep_pmo_scans");
+        mSweepTickNs = reg->histogramId("host.sweep_tick_ns");
+        if (cfg.scheme == Scheme::TT)
+            mCbOccupancy = reg->gaugeId("cb.occupancy");
     }
-    bindSinkAndInstruments();
-}
-
-Runtime::Runtime(const Runtime &o, sim::Machine &machine,
-                 pm::PmoManager &pmos, pm::PersistDomain *domain)
-    : mach(machine), pm_(pmos), cfg(o.cfg),
-      sink(o.sink ? std::make_shared<trace::TraceSink>(*o.sink)
-                  : nullptr),
-      reg(o.reg ? std::make_shared<metrics::Registry>(*o.reg) : nullptr),
-      cb(o.cb), domains(o.domains), matrix(o.matrix),
-      ew(o.ew, reg.get(), sink.get()), dom(domain),
-      txm(o.txm ? std::make_unique<pm::TxManager>(*o.txm, *domain, &ew)
-                : nullptr),
-      sweepTickSeq(o.sweepTickSeq), maps(o.maps),
-      mappedBits(o.mappedBits), regionDepth(o.regionDepth),
-      finalized(o.finalized)
-{
-    std::copy(std::begin(o.ctr), std::end(o.ctr), ctr);
-    bindSinkAndInstruments();
-}
-
-void
-Runtime::bindSinkAndInstruments()
-{
     if (sink) {
         mach.setTraceSink(sink.get());
         pm_.setTraceSink(sink.get());
     }
-    if (!reg)
-        return;
-    mSweepTicks = &reg->counter("sweeper.ticks");
-    mSweepForceDetach = &reg->counter("sweeper.force_detach");
-    mSweepRandomize = &reg->counter("sweeper.randomize");
-    mSweepPmoScans = &reg->counter("host.sweep_pmo_scans");
-    mSweepTickNs = &reg->histogram("host.sweep_tick_ns");
-    if (cfg.scheme == Scheme::TT)
-        mCbOccupancy = &reg->gauge("cb.occupancy");
+}
+
+namespace {
+
+/** Make @p to a copy of @p from, into the object @p to holds. */
+template <class T>
+void
+assignShared(std::shared_ptr<T> &to, const std::shared_ptr<T> &from)
+{
+    if (!from)
+        to.reset();
+    else if (to)
+        *to = *from;
+    else
+        to = std::make_shared<T>(*from);
+}
+
+} // namespace
+
+Runtime &
+Runtime::operator=(const Runtime &o)
+{
+    TERP_ASSERT(!o.ew.hasCloseHook(),
+                "Runtime: copy of a tracker with a close hook");
+    TERP_ASSERT(!o.txm || dom,
+                "Runtime: transactions copied into a runtime with no "
+                "persistence domain");
+    cfg = o.cfg;
+    assignShared(sink, o.sink);
+    assignShared(reg, o.reg);
+    cb = o.cb;
+    domains = o.domains;
+    matrix = o.matrix;
+    ew = o.ew;
+    ew.rebind(reg.get(), sink.get());
+    if (!o.txm) {
+        txm.reset();
+    } else {
+        if (txm)
+            *txm = *o.txm;
+        else
+            txm = std::make_unique<pm::TxManager>(*o.txm);
+        txm->rebind(*dom, &ew);
+    }
+    mSweepTicks = o.mSweepTicks;
+    mSweepForceDetach = o.mSweepForceDetach;
+    mSweepRandomize = o.mSweepRandomize;
+    mSweepPmoScans = o.mSweepPmoScans;
+    mCbOccupancy = o.mCbOccupancy;
+    mSweepTickNs = o.mSweepTickNs;
+    sweepTickSeq = o.sweepTickSeq;
+    std::copy(std::begin(o.ctr), std::end(o.ctr), ctr);
+    maps = o.maps;
+    mappedBits = o.mappedBits;
+    regionDepth = o.regionDepth;
+    finalized = o.finalized;
+    mach.setTraceSink(sink.get());
+    pm_.setTraceSink(sink.get());
+    return *this;
 }
 
 Runtime::~Runtime()
@@ -323,8 +356,8 @@ Runtime::ttRegionBegin(sim::ThreadContext &tc, pm::PmoId pmo,
 
     if (cfg.scheme == Scheme::TT) {
         arch::CondAttachCase c = cb.condAttach(pmo, tc.now());
-        if (mCbOccupancy)
-            mCbOccupancy->set(cb.liveEntries());
+        if (reg)
+            reg->gaugeAt(mCbOccupancy).set(cb.liveEntries());
         if (c == arch::CondAttachCase::FirstAttach) {
             doRealAttach(tc, pmo, mode);
         } else {
@@ -633,17 +666,15 @@ Runtime::onSweep(Cycles now)
     // Host-side tick latency, sampled every 64th tick: the clock
     // read costs more than an uneventful sweep, so timing every tick
     // would mostly profile the profiler.
-    metrics::ScopedTimer tickTimer(
-        mSweepTickNs && (sweepTickSeq++ & 63) == 0 ? mSweepTickNs
-                                                   : nullptr);
-    if (mSweepTicks)
-        mSweepTicks->inc();
+    metrics::ScopedTimer tickTimer(reg && (sweepTickSeq++ & 63) == 0
+                                       ? &reg->histogramAt(mSweepTickNs)
+                                       : nullptr);
+    bump(mSweepTicks);
 
     if (cfg.scheme == Scheme::TT) {
         for (const arch::SweepAction &a : cb.sweep(now, cfg.ewTarget)) {
             if (a.detach) {
-                if (mSweepForceDetach)
-                    mSweepForceDetach->inc();
+                bump(mSweepForceDetach);
                 // The hardware-triggered detach interrupts the
                 // earliest-running thread.
                 emitSweeper(trace::EventKind::DelayedDetach, now,
@@ -658,8 +689,7 @@ Runtime::onSweep(Cycles now)
                     doRealDetachAt(nullptr, a.pmo, now);
                 }
             } else {
-                if (mSweepRandomize)
-                    mSweepRandomize->inc();
+                bump(mSweepRandomize);
                 // Threads still hold the PMO: randomize in place so
                 // the location never outlives the max EW (partial
                 // combining, Fig 6c).
@@ -673,8 +703,8 @@ Runtime::onSweep(Cycles now)
                 ++m.gen;
             }
         }
-        if (mCbOccupancy)
-            mCbOccupancy->set(cb.liveEntries());
+        if (reg)
+            reg->gaugeAt(mCbOccupancy).set(cb.liveEntries());
         return;
     }
 
@@ -693,8 +723,7 @@ Runtime::onSweep(Cycles now)
                 (w << 6) + std::countr_zero(bits));
             bits &= bits - 1;
             MapState &m = maps[pmo];
-            if (mSweepPmoScans)
-                mSweepPmoScans->inc();
+            bump(mSweepPmoScans);
             if (m.scanGen != m.gen) {
                 m.sweepDeadline = m.lastRealAttach + cfg.ewTarget;
                 m.scanGen = m.gen;
@@ -702,8 +731,7 @@ Runtime::onSweep(Cycles now)
             if (now < m.sweepDeadline)
                 continue;
             if (m.holders == 0) {
-                if (mSweepForceDetach)
-                    mSweepForceDetach->inc();
+                bump(mSweepForceDetach);
                 // Idle and expired: full detach, regardless of who
                 // inserted the protection points. An automatic-
                 // insertion-only qualifier here once left a
@@ -719,8 +747,7 @@ Runtime::onSweep(Cycles now)
                     doRealDetachAt(nullptr, pmo, now);
                 }
             } else {
-                if (mSweepRandomize)
-                    mSweepRandomize->inc();
+                bump(mSweepRandomize);
                 ew.processClose(pmo, now);
                 doRandomize(pmo, now);
                 ew.processOpen(pmo, now);
@@ -912,7 +939,8 @@ Runtime::crash(Cycles at)
     ew.resetTransientCauses();
     for (pm::PmoId pmo : cb.residentPmos())
         cb.evict(pmo);
-    regionDepth.clear();
+    for (std::vector<unsigned> &row : regionDepth)
+        std::fill(row.begin(), row.end(), 0);
     // Unmap everything, including mappings the protected paths never
     // tracked (the Unprotected scheme's lazy map).
     pm_.resetMappings();

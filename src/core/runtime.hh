@@ -87,18 +87,20 @@ class Runtime
     Runtime(sim::Machine &machine, pm::PmoManager &pmos,
             const RuntimeConfig &config);
 
-    /**
-     * A deep copy of @p o over @p machine, @p pmos and @p domain,
-     * copies of o's: the trace sink, the metrics registry and the
-     * transaction manager are copied too, and every pointer among
-     * them is bound to the copy's own.
-     */
-    Runtime(const Runtime &o, sim::Machine &machine, pm::PmoManager &pmos,
-            pm::PersistDomain *domain);
     ~Runtime();
 
     Runtime(const Runtime &) = delete;
-    Runtime &operator=(const Runtime &) = delete;
+
+    /**
+     * Take @p o's state: its config, protection hardware, exposure
+     * tracker, and copies of its trace sink, metrics registry and
+     * transaction manager, written into the ones this runtime holds.
+     * This runtime keeps its machine, PMO manager and persistence
+     * domain (its owner assigns those from o's), and every pointer
+     * among its parts stays bound to its own. A tracker with a close
+     * hook is not copied.
+     */
+    Runtime &operator=(const Runtime &o);
 
     const RuntimeConfig &config() const { return cfg; }
 
@@ -271,25 +273,29 @@ class Runtime
     pm::PersistDomain *dom = nullptr; //!< null = no crash/recovery
     std::unique_ptr<pm::TxManager> txm; //!< created with dom
 
-    metrics::Counter *mSweepTicks = nullptr;
-    metrics::Counter *mSweepForceDetach = nullptr;
-    metrics::Counter *mSweepRandomize = nullptr;
+    // Hot-path instruments, by registry Id (valid while reg is set;
+    // a copied registry keeps them).
+    metrics::Registry::Id mSweepTicks = metrics::Registry::noId;
+    metrics::Registry::Id mSweepForceDetach = metrics::Registry::noId;
+    metrics::Registry::Id mSweepRandomize = metrics::Registry::noId;
     /**
      * Mapped PMOs examined by MERR sweeper ticks. host.* namespace:
      * it measures simulator work (the O(active) tick guarantee the
      * scan-count test asserts), not simulated behaviour, and host
      * instruments stay out of the posture goldens.
      */
-    metrics::Counter *mSweepPmoScans = nullptr;
-    metrics::Gauge *mCbOccupancy = nullptr;
-    metrics::LogHistogram *mSweepTickNs = nullptr;
+    metrics::Registry::Id mSweepPmoScans = metrics::Registry::noId;
+    metrics::Registry::Id mCbOccupancy = metrics::Registry::noId; //!< TT
+    metrics::Registry::Id mSweepTickNs = metrics::Registry::noId;
     std::uint64_t sweepTickSeq = 0;
 
-    /**
-     * Hand the sink to the machine and the PMO manager, and resolve
-     * the cached instruments in the registry.
-     */
-    void bindSinkAndInstruments();
+    /** Bump counter @p id (no-op when metrics are off). */
+    void
+    bump(metrics::Registry::Id id)
+    {
+        if (reg)
+            reg->counterAt(id).inc();
+    }
 
     /** Final counter/gauge roll-up into the registry (finalize()). */
     void publishMetrics();

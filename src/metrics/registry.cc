@@ -1,5 +1,6 @@
 #include "metrics/registry.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -98,48 +99,96 @@ nameLabels(const std::string &name)
     return ls;
 }
 
-Registry::Entry &
-Registry::getOrCreate(const std::string &name, Kind kind)
+Registry &
+Registry::operator=(const Registry &o)
 {
-    auto [it, inserted] = map.try_emplace(name);
-    if (inserted) {
-        it->second.kind = kind;
-    } else {
-        TERP_ASSERT(it->second.kind == kind, "metric '", name,
-                    "' registered as ", kindName(it->second.kind),
-                    ", requested as ", kindName(kind));
+    for (; items.size() > o.items.size(); items.pop_back())
+        spares.push_back(std::move(items.back()));
+    for (std::size_t i = 0; i < o.items.size(); ++i) {
+        if (i == items.size())
+            items.push_back(takeSpare());
+        *items[i] = *o.items[i];
     }
-    return it->second;
+    order = o.order;
+    tags = o.tags;
+    return *this;
+}
+
+std::unique_ptr<Registry::Item>
+Registry::takeSpare()
+{
+    if (spares.empty())
+        return std::make_unique<Item>();
+    // A spare keeps its storage: the name's and the histogram's.
+    std::unique_ptr<Item> item = std::move(spares.back());
+    spares.pop_back();
+    return item;
+}
+
+std::vector<Registry::Id>::const_iterator
+Registry::lowerBound(const std::string &name) const
+{
+    return std::lower_bound(order.begin(), order.end(), name,
+                            [this](Id id, const std::string &n) {
+                                return items[id]->first < n;
+                            });
+}
+
+Registry::Id
+Registry::getOrCreate(const std::string &name, Kind kind, unsigned sub_bits)
+{
+    auto it = lowerBound(name);
+    if (it != order.end() && items[*it]->first == name) {
+        TERP_ASSERT(items[*it]->second.kind == kind, "metric '", name,
+                    "' registered as ", kindName(items[*it]->second.kind),
+                    ", requested as ", kindName(kind));
+        return *it;
+    }
+    const auto id = static_cast<Id>(items.size());
+    TERP_ASSERT(id != noId, "metrics registry is full");
+    items.push_back(takeSpare());
+    Item &item = *items.back();
+    item.first = name;
+    Entry &e = item.second;
+    e.kind = kind;
+    e.counter = Counter{};
+    e.gauge = Gauge{};
+    if (kind != Kind::Histogram)
+        e.hist.reset();
+    else if (e.hist && e.hist->subBucketBits() == sub_bits)
+        e.hist->reset();
+    else
+        e.hist.emplace(sub_bits);
+    order.insert(it, id);
+    return id;
 }
 
 const Registry::Entry *
 Registry::find(const std::string &name, Kind kind) const
 {
-    auto it = map.find(name);
-    if (it == map.end() || it->second.kind != kind)
+    auto it = lowerBound(name);
+    if (it == order.end() || items[*it]->first != name ||
+        items[*it]->second.kind != kind)
         return nullptr;
-    return &it->second;
+    return &items[*it]->second;
 }
 
-Counter &
-Registry::counter(const std::string &name)
+Registry::Id
+Registry::counterId(const std::string &name)
 {
-    return getOrCreate(name, Kind::Counter).counter;
+    return getOrCreate(name, Kind::Counter);
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
+Registry::Id
+Registry::gaugeId(const std::string &name)
 {
-    return getOrCreate(name, Kind::Gauge).gauge;
+    return getOrCreate(name, Kind::Gauge);
 }
 
-LogHistogram &
-Registry::histogram(const std::string &name, unsigned sub_bits)
+Registry::Id
+Registry::histogramId(const std::string &name, unsigned sub_bits)
 {
-    Entry &e = getOrCreate(name, Kind::Histogram);
-    if (!e.hist)
-        e.hist = std::make_unique<LogHistogram>(sub_bits);
-    return *e.hist;
+    return getOrCreate(name, Kind::Histogram, sub_bits);
 }
 
 const Counter *
@@ -160,7 +209,7 @@ const LogHistogram *
 Registry::findHistogram(const std::string &name) const
 {
     const Entry *e = find(name, Kind::Histogram);
-    return e && e->hist ? e->hist.get() : nullptr;
+    return e && e->hist ? &*e->hist : nullptr;
 }
 
 void
@@ -174,7 +223,7 @@ Registry::merge(const Registry &other,
                 const std::function<bool(const std::string &)> &keep,
                 const std::vector<std::string> &inject_labels)
 {
-    for (const auto &[name, e] : other.map) {
+    for (const auto &[name, e] : other.entries()) {
         if (keep && !keep(name))
             continue;
         std::string dst = name;

@@ -23,10 +23,14 @@
 #ifndef TERP_METRICS_REGISTRY_HH
 #define TERP_METRICS_REGISTRY_HH
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <ranges>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/metric.hh"
@@ -82,28 +86,57 @@ class Registry
         Kind kind = Kind::Counter;
         Counter counter;
         Gauge gauge;
-        std::unique_ptr<LogHistogram> hist; //!< only for Histogram
-
-        Entry() = default;
-        Entry(const Entry &o)
-            : kind(o.kind), counter(o.counter), gauge(o.gauge),
-              hist(o.hist ? std::make_unique<LogHistogram>(*o.hist)
-                          : nullptr)
-        {
-        }
+        std::optional<LogHistogram> hist; //!< only for Histogram
     };
 
+    /** An entry with its name. */
+    using Item = std::pair<std::string, Entry>;
+
+    /**
+     * A handle on an entry: its index in creation order. A copy of a
+     * registry, and a registry assigned from another, holds every
+     * entry at the index it had there, so a handle taken in one
+     * registry names the same instrument in each copy (an EwTracker
+     * copied with its world keeps its handles).
+     */
+    using Id = std::uint32_t;
+    static constexpr Id noId = ~Id(0);
+
     Registry() = default;
-    /** A deep copy: the same instruments, at addresses of its own. */
-    Registry(const Registry &) = default;
+    /** A copy: the same entries, at the same Ids. */
+    Registry(const Registry &o) { *this = o; }
+    Registry(Registry &&) noexcept = default;
+    /**
+     * Take @p o's entries at @p o's Ids, writing into the entries
+     * this registry already holds (an entry keeps its address while
+     * it keeps its Id). Entries past o's stay as spares, which the
+     * next entries created here are written into.
+     */
+    Registry &operator=(const Registry &o);
+    Registry &operator=(Registry &&) noexcept = default;
 
     // ---- registration (get-or-create; panics on a kind clash) ------
 
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
+    Id counterId(const std::string &name);
+    Id gaugeId(const std::string &name);
+    Id histogramId(const std::string &name,
+                   unsigned sub_bits = LogHistogram::defaultSubBits);
+
+    Counter &counterAt(Id id) { return items[id]->second.counter; }
+    Gauge &gaugeAt(Id id) { return items[id]->second.gauge; }
+    LogHistogram &histogramAt(Id id) { return *items[id]->second.hist; }
+
+    Counter &counter(const std::string &name)
+    {
+        return counterAt(counterId(name));
+    }
+    Gauge &gauge(const std::string &name) { return gaugeAt(gaugeId(name)); }
     LogHistogram &
     histogram(const std::string &name,
-              unsigned sub_bits = LogHistogram::defaultSubBits);
+              unsigned sub_bits = LogHistogram::defaultSubBits)
+    {
+        return histogramAt(histogramId(name, sub_bits));
+    }
 
     // ---- lookup (null when absent or of another kind) ---------------
 
@@ -112,9 +145,14 @@ class Registry
     const LogHistogram *findHistogram(const std::string &name) const;
 
     /** All entries, ascending by name (deterministic export order). */
-    const std::map<std::string, Entry> &entries() const { return map; }
+    auto
+    entries() const
+    {
+        return std::views::transform(
+            order, [this](Id id) -> const Item & { return *items[id]; });
+    }
 
-    std::size_t size() const { return map.size(); }
+    std::size_t size() const { return items.size(); }
 
     // ---- registry-wide labels ---------------------------------------
 
@@ -140,10 +178,20 @@ class Registry
                const std::vector<std::string> &inject_labels = {});
 
   private:
-    Entry &getOrCreate(const std::string &name, Kind kind);
+    /** @p sub_bits: a new histogram's resolution. */
+    Id getOrCreate(const std::string &name, Kind kind,
+                   unsigned sub_bits = LogHistogram::defaultSubBits);
     const Entry *find(const std::string &name, Kind kind) const;
+    /** An entry to write into: a spare, or a new one. */
+    std::unique_ptr<Item> takeSpare();
+    /** The first position of `order` whose name is not below @p name. */
+    std::vector<Id>::const_iterator lowerBound(const std::string &name) const;
 
-    std::map<std::string, Entry> map;
+    /** By Id; each on its own, so an instrument never moves. */
+    std::vector<std::unique_ptr<Item>> items;
+    /** Entries an assignment dropped, kept for the next ones created. */
+    std::vector<std::unique_ptr<Item>> spares;
+    std::vector<Id> order; //!< Ids ascending by name
     std::map<std::string, std::string> tags;
 };
 

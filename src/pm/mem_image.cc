@@ -1,25 +1,65 @@
 #include "pm/mem_image.hh"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 namespace terp {
 namespace pm {
 
-MemImage::MemImage(const MemImage &o)
-    : slots(o.slots), nSlots(o.nSlots), nWords(o.nWords),
-      nDense(o.nDense), unaligned(o.unaligned)
+MemImage &
+MemImage::operator=(const MemImage &o)
 {
+    if (this == &o)
+        return *this;
+    if (slots.size() == o.slots.size()) {
+        for (std::size_t w = 0; w < occupied.size(); ++w) {
+            for (std::uint64_t bits = occupied[w] | o.occupied[w]; bits;
+                 bits &= bits - 1) {
+                const std::size_t first =
+                    (64 * w + static_cast<std::size_t>(
+                                  std::countr_zero(bits))) *
+                    groupSlots;
+                std::copy_n(&o.slots[first], groupSlots, &slots[first]);
+            }
+        }
+    } else {
+        slots = o.slots;
+    }
+    occupied = o.occupied;
+    nSlots = o.nSlots;
+    nWords = o.nWords;
+    nDense = o.nDense;
+    unaligned = o.unaligned;
+    chunk = nullptr;
+    chunkUsed = chunkBlocks;
+    fillTag = none;
+    fillBlock = nullptr;
+    if (nDense > copyBlocks) {
+        arenas.clear();
+        arenas.push_back(std::make_unique_for_overwrite<Dense[]>(nDense));
+        copyBlocks = nDense;
+    } else {
+        arenas.resize(copyBlocks ? 1 : 0);
+    }
     if (nDense == 0)
-        return;
-    arenas.push_back(std::make_unique_for_overwrite<Dense[]>(nDense));
-    Dense *d = arenas.back().get();
-    for (Slot &s : slots) {
-        if (s.key != none && (s.key & 1)) {
-            *d = denseOf(s);
-            s.val = reinterpret_cast<std::uintptr_t>(d++);
+        return *this;
+    Dense *d = arenas.front().get();
+    for (std::size_t w = 0; w < occupied.size(); ++w) {
+        for (std::uint64_t bits = occupied[w]; bits; bits &= bits - 1) {
+            const std::size_t first =
+                (64 * w + static_cast<std::size_t>(std::countr_zero(bits))) *
+                groupSlots;
+            for (std::size_t i = first; i < first + groupSlots; ++i) {
+                Slot &s = slots[i];
+                if (s.key != none && (s.key & 1)) {
+                    *d = denseOf(s);
+                    s.val = reinterpret_cast<std::uintptr_t>(d++);
+                }
+            }
         }
     }
+    return *this;
 }
 
 std::size_t
@@ -50,7 +90,7 @@ MemImage::insert(std::uint64_t addr, std::uint64_t value)
         i = freeSlotOf(addr);
     }
     ++nSlots;
-    slots[i] = Slot{addr, value};
+    occupy(i, Slot{addr, value});
 }
 
 MemImage::Dense *
@@ -116,8 +156,8 @@ MemImage::densify(std::uint64_t base, Dense &d)
     // The tag replaces the block's words. A promoted block drops
     // denseAt - 1 of them and reserveDense sized the table first, so
     // the load stays within its limit.
-    slots[freeSlotOf(base)] =
-        Slot{tagOf(base), reinterpret_cast<std::uintptr_t>(&d)};
+    occupy(freeSlotOf(base),
+           Slot{tagOf(base), reinterpret_cast<std::uintptr_t>(&d)});
     ++nSlots;
     return d;
 }
@@ -158,9 +198,10 @@ MemImage::grow(std::size_t size)
 {
     std::vector<Slot> old = std::move(slots);
     slots.assign(size, Slot{none, 0});
+    occupied.assign(size / groupSlots / 64, 0);
     for (const Slot &s : old)
         if (s.key != none)
-            slots[freeSlotOf(s.key)] = s;
+            occupy(freeSlotOf(s.key), s);
 }
 
 void

@@ -81,15 +81,23 @@ class MemImage
     // (16 KB, enough for crash worlds and oracle images of a few
     // hundred words) and doubles at load 0.7, counting sparse words
     // and dense tags. Dense arrays are never rehashed.
-    MemImage() : slots(minSlots, Slot{none, 0}) {}
+    MemImage()
+        : slots(minSlots, Slot{none, 0}),
+          occupied(minSlots / groupSlots / 64, 0)
+    {
+    }
+
+    MemImage(const MemImage &o) : MemImage() { *this = o; }
 
     /**
-     * A deep copy: the same slots, with every dense block moved into
-     * one arena of the copy's own (table slots point into the arena,
-     * so a plain copy would alias it).
+     * Take @p o's words: the same slots, with every dense block moved
+     * into one arena of this image's own (table slots point into the
+     * arena, so a plain copy would alias it). The arena an earlier
+     * assignment made is reused when it holds enough blocks, and
+     * between tables of one size only the slot groups that either
+     * image ever filled are copied: the rest are empty in both.
      */
-    MemImage(const MemImage &o);
-    MemImage &operator=(const MemImage &) = delete;
+    MemImage &operator=(const MemImage &o);
 
     void
     poke(std::uint64_t addr, std::uint64_t value)
@@ -184,6 +192,8 @@ class MemImage
     /** Sparse words that make a block dense. */
     static constexpr unsigned denseAt = 8;
     static constexpr std::size_t minSlots = 1u << 10;
+    /** Slots per bit of `occupied`: 128 bytes of table. */
+    static constexpr std::size_t groupSlots = 8;
     /** Dense blocks per promotion chunk (about 33 KB). */
     static constexpr std::size_t chunkBlocks = 64;
     /** Empty-slot key: unaligned and not a tag. */
@@ -260,11 +270,26 @@ class MemImage
     std::uint64_t peekUnaligned(std::uint64_t addr) const;
 
     std::vector<Slot> slots; //!< power-of-two count, load <= 0.7
+    /**
+     * Bit g: a key was stored in slots [8g, 8g + 8) since the table
+     * was sized (host-side; a group without it is all empty).
+     */
+    std::vector<std::uint64_t> occupied;
+
+    /** Store @p s in slot @p i, marking its group occupied. */
+    void
+    occupy(std::size_t i, const Slot &s)
+    {
+        slots[i] = s;
+        occupied[i / groupSlots / 64] |= 1ULL << (i / groupSlots % 64);
+    }
     std::size_t nSlots = 0;  //!< sparse words plus dense tags
     std::size_t nWords = 0;
     std::size_t nDense = 0;
     /** Promotion chunks and reserved ranges' arenas; never moved. */
     std::vector<std::unique_ptr<Dense[]>> arenas;
+    /** Blocks in arenas.front() if an assignment made it, else 0. */
+    std::size_t copyBlocks = 0;
     Dense *chunk = nullptr; //!< the current promotion chunk
     std::size_t chunkUsed = chunkBlocks;
     /** The block fill() last found dense: a cache that holds no data,

@@ -504,12 +504,31 @@ RedoLog::abortVolatile()
 
 // ---------------------------------------------------- PersistDomain
 
-PersistDomain::PersistDomain(const PersistDomain &o) : ctl(o.ctl)
+template <class Log>
+void
+PersistDomain::assignLogs(std::map<PmoId, std::unique_ptr<Log>> &to,
+                          const std::map<PmoId, std::unique_ptr<Log>> &from)
 {
-    for (const auto &[pmo, log] : o.logs_)
-        logs_.emplace(pmo, std::make_unique<UndoLog>(*log, ctl));
-    for (const auto &[pmo, log] : o.redoLogs_)
-        redoLogs_.emplace(pmo, std::make_unique<RedoLog>(*log, ctl));
+    std::erase_if(to, [&from](const auto &kv) {
+        return !from.count(kv.first);
+    });
+    for (const auto &[pmo, log] : from) {
+        std::unique_ptr<Log> &mine = to[pmo];
+        if (mine)
+            *mine = *log;
+        else
+            mine.reset(new Log(*log));
+        mine->ctl = &ctl;
+    }
+}
+
+PersistDomain &
+PersistDomain::operator=(const PersistDomain &o)
+{
+    ctl = o.ctl;
+    assignLogs(logs_, o.logs_);
+    assignLogs(redoLogs_, o.redoLogs_);
+    return *this;
 }
 
 UndoLog &

@@ -151,6 +151,9 @@ class PersistController
      */
     void crash();
 
+    /** The lines not yet durable, keyed by line address. */
+    const ProbeTable<SideLine> &sideTable() const { return side; }
+
     std::uint64_t clwbCount() const { return nClwb; }
     std::uint64_t fenceCount() const { return nFence; }
 
@@ -216,11 +219,6 @@ class UndoLog
     UndoLog(PersistController &pc, PmoId pmo,
             std::uint64_t log_off);
 
-    /** A copy of @p o that logs through @p pc (a copied domain's). */
-    UndoLog(const UndoLog &o, PersistController &pc) : UndoLog(o)
-    {
-        ctl = &pc;
-    }
 
     /** Begin a transaction (must not be nested). */
     void begin(sim::ThreadContext &tc);
@@ -286,7 +284,11 @@ class UndoLog
     std::uint64_t aborts() const { return nAborts; }
 
   private:
+    // Copied only by a PersistDomain, which binds the copy to its own
+    // controller.
+    friend class PersistDomain;
     UndoLog(const UndoLog &) = default;
+    UndoLog &operator=(const UndoLog &) = default;
 
     PersistController *ctl;
     PmoId pmo;
@@ -351,11 +353,6 @@ class RedoLog
     RedoLog(PersistController &pc, PmoId pmo,
             std::uint64_t log_off);
 
-    /** A copy of @p o that logs through @p pc (a copied domain's). */
-    RedoLog(const RedoLog &o, PersistController &pc) : RedoLog(o)
-    {
-        ctl = &pc;
-    }
 
     /** Begin a transaction (must not be nested). Zero charge. */
     void begin(sim::ThreadContext &tc);
@@ -407,7 +404,11 @@ class RedoLog
     std::uint64_t aborts() const { return nAborts; }
 
   private:
+    // Copied only by a PersistDomain, which binds the copy to its own
+    // controller.
+    friend class PersistDomain;
     RedoLog(const RedoLog &) = default;
+    RedoLog &operator=(const RedoLog &) = default;
 
     PersistController *ctl;
     PmoId pmo;
@@ -440,9 +441,12 @@ class PersistDomain
 {
   public:
     PersistDomain() = default;
-    /** A deep copy whose logs write through the copy's controller. */
-    PersistDomain(const PersistDomain &o);
-    PersistDomain &operator=(const PersistDomain &) = delete;
+    PersistDomain(const PersistDomain &) = delete;
+    /**
+     * Take @p o's controller and logs, written into the ones this
+     * domain holds; every log writes through this domain's controller.
+     */
+    PersistDomain &operator=(const PersistDomain &o);
 
     PersistController &controller() { return ctl; }
     const PersistController &controller() const { return ctl; }
@@ -483,6 +487,11 @@ class PersistDomain
     void crash();
 
   private:
+    /** Make @p to a copy of @p from, every log bound to ctl. */
+    template <class Log>
+    void assignLogs(std::map<PmoId, std::unique_ptr<Log>> &to,
+                    const std::map<PmoId, std::unique_ptr<Log>> &from);
+
     PersistController ctl;
     std::map<PmoId, std::unique_ptr<UndoLog>> logs_;
     std::map<PmoId, std::unique_ptr<RedoLog>> redoLogs_;

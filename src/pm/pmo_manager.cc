@@ -1,5 +1,6 @@
 #include "pm/pmo_manager.hh"
 
+#include "common/deep_assign.hh"
 #include "common/logging.hh"
 
 namespace terp {
@@ -12,15 +13,16 @@ PmoManager::PmoManager(std::uint64_t seed) : rng(seed)
     allocs.push_back(nullptr);
 }
 
-PmoManager::PmoManager(const PmoManager &o)
-    : rng(o.rng), names(o.names), nextPhys(o.nextPhys)
+PmoManager &
+PmoManager::operator=(const PmoManager &o)
 {
+    rng = o.rng;
     // Slot 0 (the reserved id) stays null.
-    for (const auto &p : o.pmos)
-        pmos.push_back(p ? std::make_unique<Pmo>(*p) : nullptr);
-    for (const auto &a : o.allocs)
-        allocs.push_back(a ? std::make_unique<PoolAllocator>(*a)
-                           : nullptr);
+    assignDeep(pmos, o.pmos);
+    assignDeep(allocs, o.allocs);
+    names = o.names;
+    nextPhys = o.nextPhys;
+    return *this;
 }
 
 Pmo &

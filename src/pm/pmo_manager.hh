@@ -52,12 +52,14 @@ class PmoManager
 
     explicit PmoManager(std::uint64_t seed = 42);
 
+    PmoManager(const PmoManager &) = delete;
+
     /**
-     * A deep copy: the same PMOs, allocators and placement stream,
-     * with no trace sink (the copy's owner attaches its own).
+     * Take @p o's PMOs, allocators and placement stream, written into
+     * the ones this manager holds. The trace sink stays this
+     * manager's own (its owner attaches it).
      */
-    PmoManager(const PmoManager &o);
-    PmoManager &operator=(const PmoManager &) = delete;
+    PmoManager &operator=(const PmoManager &o);
 
     /** PMO_create: new PMO; the caller becomes the owner. */
     Pmo &create(const std::string &name, std::uint64_t size,

@@ -24,9 +24,8 @@ TxManager::TxManager(PersistDomain &domain,
 {
 }
 
-TxManager::TxManager(const TxManager &o, PersistDomain &domain,
-                     semantics::EwTracker *exposure)
-    : TxManager(o)
+void
+TxManager::rebind(PersistDomain &domain, semantics::EwTracker *exposure)
 {
     dom = &domain;
     ew = exposure;

@@ -94,13 +94,19 @@ class TxManager
                        semantics::EwTracker *exposure = nullptr);
 
     /**
-     * A copy of @p o over @p domain, a copy of o's domain: each open
-     * transaction's anchor log is the copy's log of the same PMO.
+     * A copy, or an assignment, takes every member, the domain, the
+     * tracker and each open transaction's anchor log included;
+     * rebind() moves them to the copy's own.
      */
-    TxManager(const TxManager &o, PersistDomain &domain,
-              semantics::EwTracker *exposure);
+    TxManager(const TxManager &) = default;
+    TxManager &operator=(const TxManager &) = default;
 
-    TxManager &operator=(const TxManager &) = delete;
+    /**
+     * Run over @p domain, a copy of the domain this manager ran over,
+     * and report to @p exposure: each open transaction's anchor log
+     * becomes @p domain's log of the same PMO.
+     */
+    void rebind(PersistDomain &domain, semantics::EwTracker *exposure);
 
     /**
      * Open a transaction level on @p tid.
@@ -202,8 +208,6 @@ class TxManager
         UndoLog *ulog = nullptr;  //!< anchor (kind == Undo)
         RedoLog *rlog = nullptr;  //!< anchor (kind == Redo)
     };
-
-    TxManager(const TxManager &) = default;
 
     PersistDomain *dom;
     semantics::EwTracker *ew; //!< null = nobody listening

@@ -1,6 +1,7 @@
 #include "semantics/ew_tracker.hh"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -31,15 +32,32 @@ blameCauseName(BlameCause c)
     return "?";
 }
 
-EwTracker::EwTracker(const EwTracker &o, metrics::Registry *r,
-                     trace::TraceSink *s)
-    : EwTracker(o)
+namespace {
+
+/**
+ * `exposure.blame_<what>{cause="..."}` for cause @p c, @p what one of
+ * "cycles" and "total": built once, since each crash point's world
+ * takes the handles of the causes its driver has not recorded yet.
+ */
+const std::string &
+blameName(std::string_view what, unsigned c)
 {
-    TERP_ASSERT(!closeHook,
-                "EwTracker: copy of a tracker with a close hook");
-    enableMetrics(r);
-    sink = s;
+    using Names = std::array<std::string, numBlameCauses>;
+    static const std::array<Names, 2> names = [] {
+        std::array<Names, 2> n;
+        for (unsigned i = 0; i < numBlameCauses; ++i) {
+            const char *cause = blameCauseName(static_cast<BlameCause>(i));
+            n[0][i] = metrics::labeled("exposure.blame_cycles", "cause",
+                                       cause);
+            n[1][i] = metrics::labeled("exposure.blame_total", "cause",
+                                       cause);
+        }
+        return n;
+    }();
+    return names[what == "total"][c];
 }
+
+} // namespace
 
 EwTracker::PerPmo &
 EwTracker::state(pm::PmoId pmo)
@@ -230,24 +248,17 @@ EwTracker::closeBlame(PerPmo &s, pm::PmoId pmo, Cycles t)
         s.blame[c] += causeLen[c];
         if (!reg)
             continue;
-        if (!hBlame[c]) {
-            const char *cause =
-                blameCauseName(static_cast<BlameCause>(c));
-            hBlame[c] = &reg->histogram(metrics::labeled(
-                "exposure.blame_cycles", "cause", cause));
-            cBlame[c] = &reg->counter(metrics::labeled(
-                "exposure.blame_total", "cause", cause));
+        if (hBlame[c] == noId) {
+            hBlame[c] = reg->histogramId(blameName("cycles", c));
+            cBlame[c] = reg->counterId(blameName("total", c));
         }
-        hBlame[c]->record(causeLen[c]);
-        cBlame[c]->inc(causeLen[c]);
+        reg->histogramAt(hBlame[c]).record(causeLen[c]);
+        reg->counterAt(cBlame[c]).inc(causeLen[c]);
         if (pmo < tenantOf.size() && !tenantOf[pmo].empty()) {
-            if (!s.tenantBlame[c])
-                s.tenantBlame[c] = &reg->counter(metrics::labeled(
-                    metrics::labeled(
-                        "exposure.blame_total", "cause",
-                        blameCauseName(static_cast<BlameCause>(c))),
-                    "tenant", tenantOf[pmo]));
-            s.tenantBlame[c]->inc(causeLen[c]);
+            if (s.tenantBlame[c] == noId)
+                s.tenantBlame[c] = reg->counterId(metrics::labeled(
+                    blameName("total", c), "tenant", tenantOf[pmo]));
+            reg->counterAt(s.tenantBlame[c]).inc(causeLen[c]);
         }
     }
     s.segs.clear();
@@ -332,24 +343,18 @@ EwTracker::setTenant(pm::PmoId pmo, const std::string &tenant)
         tenantOf.resize(pmo + 1);
     tenantOf[pmo] = tenant;
     if (pmo < perPmo.size())
-        for (metrics::Counter *&c : perPmo[pmo].tenantBlame)
-            c = nullptr;
+        perPmo[pmo].tenantBlame = noHandles();
 }
 
 void
 EwTracker::enableMetrics(metrics::Registry *r)
 {
     reg = r;
-    hEwAll = hTewAll = nullptr;
-    cSloEw = cSloTew = nullptr;
-    for (unsigned c = 0; c < numBlameCauses; ++c) {
-        hBlame[c] = nullptr;
-        cBlame[c] = nullptr;
-    }
+    hEwAll = hTewAll = cSloEw = cSloTew = noId;
+    hBlame = cBlame = noHandles();
     for (PerPmo &s : perPmo) {
-        s.hEw = s.hTew = nullptr;
-        for (metrics::Counter *&c : s.tenantBlame)
-            c = nullptr;
+        s.hEw = s.hTew = noId;
+        s.tenantBlame = noHandles();
     }
 }
 
@@ -377,19 +382,20 @@ EwTracker::recordEw(PerPmo &s, pm::PmoId pmo, Cycles len)
     if (sloEw > 0 && len > sloEw) {
         ++ewViolations;
         if (reg) {
-            if (!cSloEw)
-                cSloEw = &reg->counter("exposure.slo_violations{win=\"ew\"}");
-            cSloEw->inc();
+            if (cSloEw == noId)
+                cSloEw = reg->counterId(
+                    "exposure.slo_violations{win=\"ew\"}");
+            reg->counterAt(cSloEw).inc();
         }
     }
     if (reg) {
-        if (!s.hEw)
-            s.hEw = &reg->histogram(metrics::labeled(
+        if (s.hEw == noId)
+            s.hEw = reg->histogramId(metrics::labeled(
                 "exposure.ew_cycles", "pmo", std::to_string(pmo)));
-        if (!hEwAll)
-            hEwAll = &reg->histogram("exposure.ew_cycles{pmo=\"all\"}");
-        s.hEw->record(len);
-        hEwAll->record(len);
+        if (hEwAll == noId)
+            hEwAll = reg->histogramId("exposure.ew_cycles{pmo=\"all\"}");
+        reg->histogramAt(s.hEw).record(len);
+        reg->histogramAt(hEwAll).record(len);
     }
 }
 
@@ -400,20 +406,20 @@ EwTracker::recordTew(PerPmo &s, pm::PmoId pmo, Cycles len)
     if (sloTew > 0 && len > sloTew) {
         ++tewViolations;
         if (reg) {
-            if (!cSloTew)
-                cSloTew =
-                    &reg->counter("exposure.slo_violations{win=\"tew\"}");
-            cSloTew->inc();
+            if (cSloTew == noId)
+                cSloTew = reg->counterId(
+                    "exposure.slo_violations{win=\"tew\"}");
+            reg->counterAt(cSloTew).inc();
         }
     }
     if (reg) {
-        if (!s.hTew)
-            s.hTew = &reg->histogram(metrics::labeled(
+        if (s.hTew == noId)
+            s.hTew = reg->histogramId(metrics::labeled(
                 "exposure.tew_cycles", "pmo", std::to_string(pmo)));
-        if (!hTewAll)
-            hTewAll = &reg->histogram("exposure.tew_cycles{pmo=\"all\"}");
-        s.hTew->record(len);
-        hTewAll->record(len);
+        if (hTewAll == noId)
+            hTewAll = reg->histogramId("exposure.tew_cycles{pmo=\"all\"}");
+        reg->histogramAt(s.hTew).record(len);
+        reg->histogramAt(hTewAll).record(len);
     }
 }
 

@@ -13,6 +13,7 @@
 #ifndef TERP_SEMANTICS_EW_TRACKER_HH
 #define TERP_SEMANTICS_EW_TRACKER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -72,14 +73,15 @@ class EwTracker
     EwTracker() = default;
 
     /**
-     * A copy of @p o that publishes into @p r and emits into @p s (a
-     * copied world's registry and sink). A close hook belongs to its
-     * installer, so a tracker that has one is not copied.
+     * A copy, or an assignment, takes every member, instrument
+     * handles and bindings included. The handles are registry Ids, so
+     * they stay good in a copy of the registry; rebind() points the
+     * copy at that registry and its own sink. A close hook belongs to
+     * its installer, so a tracker that has one is not copied (the
+     * Runtime that copies trackers checks hasCloseHook()).
      */
-    EwTracker(const EwTracker &o, metrics::Registry *r,
-              trace::TraceSink *s);
-
-    EwTracker &operator=(const EwTracker &) = delete;
+    EwTracker(const EwTracker &) = default;
+    EwTracker &operator=(const EwTracker &) = default;
 
     /** The PMO became mapped (real attach) at time @p t. */
     void processOpen(pm::PmoId pmo, Cycles t);
@@ -140,13 +142,24 @@ class EwTracker
      * detach. Windows closed before the call are not backfilled, so
      * enable before the first event.
      *
-     * Instruments are resolved on first use and cached as pointers
-     * (the registry keeps them at stable addresses), so a window
-     * close builds no name string; an instrument still appears in
-     * the registry only once something is recorded into it. Calling
-     * this drops every cached pointer.
+     * Instruments are resolved on first use and kept as registry Ids,
+     * so a window close builds no name string; an instrument still
+     * appears in the registry only once something is recorded into
+     * it. Calling this drops every kept handle.
      */
     void enableMetrics(metrics::Registry *r);
+
+    /**
+     * Publish into @p r and emit into @p s from here on, keeping
+     * every instrument handle: @p r must hold, at each Id, the entry
+     * the old registry held there (a copy of it, or itself).
+     */
+    void
+    rebind(metrics::Registry *r, trace::TraceSink *s)
+    {
+        reg = r;
+        sink = s;
+    }
 
     /** The registry enableMetrics() publishes into; null if none. */
     const metrics::Registry *metricsRegistry() const { return reg; }
@@ -250,6 +263,7 @@ class EwTracker
      */
     using CloseHook = std::function<void(pm::PmoId, Cycles, Cycles)>;
     void setCloseHook(CloseHook h) { closeHook = std::move(h); }
+    bool hasCloseHook() const { return static_cast<bool>(closeHook); }
 
     /** Total cycles blamed on @p c for @p pmo (closed windows). */
     Cycles blameTotal(pm::PmoId pmo, BlameCause c) const;
@@ -257,8 +271,6 @@ class EwTracker
     Cycles blameTotalAll(BlameCause c) const;
 
   private:
-    EwTracker(const EwTracker &) = default;
-
     /** Sentinel for "thread window not open". */
     static constexpr Cycles notOpen = ~Cycles(0);
 
@@ -268,6 +280,19 @@ class EwTracker
         Cycles end;
         BlameCause cause;
     };
+
+    /** A registry instrument; noId until its first record. */
+    using Handle = metrics::Registry::Id;
+    static constexpr Handle noId = metrics::Registry::noId;
+    /** One handle per BlameCause. */
+    using Handles = std::array<Handle, numBlameCauses>;
+    static constexpr Handles
+    noHandles()
+    {
+        Handles h{};
+        h.fill(noId);
+        return h;
+    }
 
     /** Sentinel for "no cause override installed". */
     static constexpr std::uint8_t noCause = 0xFF;
@@ -296,11 +321,11 @@ class EwTracker
         /** Closed-window blame totals, indexed by BlameCause. */
         Cycles blame[numBlameCauses] = {};
 
-        // -- instrument handles, filled on first record (null = not yet)
-        metrics::LogHistogram *hEw = nullptr;  //!< ew_cycles{pmo=N}
-        metrics::LogHistogram *hTew = nullptr; //!< tew_cycles{pmo=N}
+        // -- instrument handles, taken on first record (noId = not yet)
+        Handle hEw = noId;  //!< ew_cycles{pmo=N}
+        Handle hTew = noId; //!< tew_cycles{pmo=N}
         /** blame_total{cause=,tenant=}, indexed by BlameCause. */
-        metrics::Counter *tenantBlame[numBlameCauses] = {};
+        Handles tenantBlame = noHandles();
     };
 
     /** Dense per-PMO state (PmoIds are small sequential ints). */
@@ -328,14 +353,14 @@ class EwTracker
     std::vector<PerPmo> perPmo; //!< indexed by PmoId; .seen gates use
     metrics::Registry *reg = nullptr; //!< null = no metrics
 
-    // Tracker-wide instrument handles, filled on first record.
-    metrics::LogHistogram *hEwAll = nullptr;  //!< ew_cycles{pmo="all"}
-    metrics::LogHistogram *hTewAll = nullptr; //!< tew_cycles{pmo="all"}
-    metrics::Counter *cSloEw = nullptr;  //!< slo_violations{win="ew"}
-    metrics::Counter *cSloTew = nullptr; //!< slo_violations{win="tew"}
+    // Tracker-wide instrument handles, taken on first record.
+    Handle hEwAll = noId;  //!< ew_cycles{pmo="all"}
+    Handle hTewAll = noId; //!< tew_cycles{pmo="all"}
+    Handle cSloEw = noId;  //!< slo_violations{win="ew"}
+    Handle cSloTew = noId; //!< slo_violations{win="tew"}
     /** blame_cycles{cause=} / blame_total{cause=}, by BlameCause. */
-    metrics::LogHistogram *hBlame[numBlameCauses] = {};
-    metrics::Counter *cBlame[numBlameCauses] = {};
+    Handles hBlame = noHandles();
+    Handles cBlame = noHandles();
     Cycles sloEw = 0;   //!< EW SLO threshold; 0 = off
     Cycles sloTew = 0;  //!< TEW SLO threshold; 0 = off
     std::uint64_t ewViolations = 0;

@@ -96,19 +96,51 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways,
     // Whole 16-slot blocks, so a lookup may read its set's block.
     tags.assign(std::max<std::size_t>(n, maxWays), 0);
     order.assign(nSets, identityOrder);
+    filled.assign((nSets + 63) / 64, 0);
 }
 
-Cache::Cache(const Cache &o)
-    : lineShiftBits(o.lineShiftBits), nSets(o.nSets),
-      setShiftBits(o.setShiftBits), nWays(o.nWays),
-      strideShiftBits(o.strideShiftBits), setSlotBits(o.setSlotBits),
-      order(o.order), live(o.live), listed(o.listed), nHits(o.nHits),
-      nMisses(o.nMisses), mruLineAddr(o.mruLineAddr)
+Cache &
+Cache::operator=(const Cache &o)
 {
-    // A vector copy through the aligned allocator would construct the
-    // tags one at a time; sized without a fill, they copy in bulk.
-    tags.resize(o.tags.size());
-    std::copy(o.tags.begin(), o.tags.end(), tags.begin());
+    if (this == &o)
+        return *this;
+    if (nSets == o.nSets && nWays == o.nWays &&
+        tags.size() == o.tags.size()) {
+        // One geometry: only the sets either side filled differ from
+        // a cold set.
+        const std::size_t stride = std::size_t{1} << strideShiftBits;
+        for (std::size_t w = 0; w < filled.size(); ++w) {
+            for (std::uint64_t bits = filled[w] | o.filled[w]; bits;
+                 bits &= bits - 1) {
+                const std::size_t set =
+                    64 * w +
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                std::copy_n(&o.tags[set << strideShiftBits], stride,
+                            &tags[set << strideShiftBits]);
+                order[set] = o.order[set];
+            }
+        }
+    } else {
+        // A vector copy through the aligned allocator would construct
+        // the tags one at a time; sized without a fill, they copy in
+        // bulk.
+        tags.resize(o.tags.size());
+        std::copy(o.tags.begin(), o.tags.end(), tags.begin());
+        order = o.order;
+    }
+    filled = o.filled;
+    lineShiftBits = o.lineShiftBits;
+    nSets = o.nSets;
+    setShiftBits = o.setShiftBits;
+    nWays = o.nWays;
+    strideShiftBits = o.strideShiftBits;
+    setSlotBits = o.setSlotBits;
+    live = o.live;
+    listed = o.listed;
+    nHits = o.nHits;
+    nMisses = o.nMisses;
+    mruLineAddr = o.mruLineAddr;
+    return *this;
 }
 
 bool
@@ -140,8 +172,13 @@ Cache::accessSlow(std::uint64_t line_addr)
     // empty way if the set has one, else the least recently used.
     const unsigned last = nWays - 1;
     const unsigned victim = (ord >> (4 * last)) & 15;
-    if (set_tags[victim] == 0 && listed)
-        live.push_back(static_cast<std::uint32_t>(base + victim));
+    if (set_tags[victim] == 0) {
+        // A set's first fill is into an empty way; later ones find it
+        // marked.
+        filled[set_idx >> 6] |= 1ULL << (set_idx & 63);
+        if (listed)
+            live.push_back(static_cast<std::uint32_t>(base + victim));
+    }
     set_tags[victim] = key;
     ord = toFront(ord, last);
     ++nMisses;

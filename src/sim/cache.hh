@@ -36,7 +36,12 @@
  *    it, so invalidateRange walks exactly the valid lines. The first
  *    invalidateRange builds the list from the tags, a block at a
  *    time and only if the cache ever missed, so a cache that is never
- *    invalidated (the data caches) keeps none.
+ *    invalidated (the data caches) keeps none;
+ *  - a bit per set that a miss ever filled. A set without it is as
+ *    the constructor left it (no tags, ranks in way order), so an
+ *    assignment between caches of one geometry copies only the sets
+ *    either side ever filled: a crash point's scratch machine takes
+ *    the few sets its driver's workload touched, not the whole L2.
  */
 
 #ifndef TERP_SIM_CACHE_HH
@@ -67,9 +72,10 @@ class Cache
     Cache(std::uint64_t size_bytes, unsigned ways,
           std::uint64_t line_bytes = lineSize);
 
-    Cache(const Cache &o);
+    Cache(const Cache &o) { *this = o; }
     Cache(Cache &&) noexcept = default;
-    Cache &operator=(const Cache &) = delete;
+    /** Take @p o's geometry and lines, into the tag array held. */
+    Cache &operator=(const Cache &o);
 
     /**
      * Access one line by physical address.
@@ -123,18 +129,20 @@ class Cache
         bool operator==(const LineAligned &) const { return true; }
     };
 
-    std::uint64_t lineShiftBits;
-    std::uint64_t nSets;
-    unsigned setShiftBits;    //!< log2(nSets)
-    unsigned nWays;
-    unsigned strideShiftBits; //!< log2(bit_ceil(nWays)): slots per set
-    unsigned setSlotBits;     //!< one bit per slot of a set
+    std::uint64_t lineShiftBits = 0;
+    std::uint64_t nSets = 0;
+    unsigned setShiftBits = 0;    //!< log2(nSets)
+    unsigned nWays = 0;
+    unsigned strideShiftBits = 0; //!< log2(bit_ceil(nWays)): slots per set
+    unsigned setSlotBits = 0;     //!< one bit per slot of a set
 
     // Way slot i is way (i & (stride - 1)) of set (i >> strideShift).
     // Slots past nWays in a set, and past the last set up to a whole
     // 16-slot block, stay 0.
     std::vector<std::uint32_t, LineAligned<std::uint32_t>> tags;
     std::vector<std::uint64_t> order; //!< per set, rank r in bits 4r..
+    /** Bit s: a miss filled set s (host-side; see the file comment). */
+    std::vector<std::uint64_t> filled;
     /** Slots holding a valid line, in no order; see `listed`. */
     std::vector<std::uint32_t> live;
     /** live is kept: set by the first invalidateRange. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/deep_assign.hh"
 #include "common/logging.hh"
 
 namespace terp {
@@ -17,12 +18,15 @@ Machine::Machine(const MachineConfig &cfg_)
     }
 }
 
-Machine::Machine(const Machine &o)
-    : cfg(o.cfg), l1d(o.l1d), tlbs(o.tlbs), l2(o.l2)
+Machine &
+Machine::operator=(const Machine &o)
 {
-    threads.reserve(o.threads.size());
-    for (const auto &t : o.threads)
-        threads.push_back(std::make_unique<ThreadContext>(*t));
+    cfg = o.cfg;
+    assignDeep(threads, o.threads);
+    l1d = o.l1d;
+    tlbs = o.tlbs;
+    l2 = o.l2;
+    return *this;
 }
 
 ThreadContext &

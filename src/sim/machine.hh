@@ -73,12 +73,14 @@ class Machine
   public:
     explicit Machine(const MachineConfig &cfg = MachineConfig{});
 
+    Machine(const Machine &) = delete;
+
     /**
-     * A deep copy: the same threads, caches and TLBs, with no trace
-     * sink (the copy's owner attaches its own).
+     * Take @p o's config, threads, caches and TLBs, written into the
+     * ones this machine holds. The trace sink stays this machine's
+     * own (its owner attaches it).
      */
-    Machine(const Machine &o);
-    Machine &operator=(const Machine &) = delete;
+    Machine &operator=(const Machine &o);
 
     /** Create a thread pinned to core (tid % cores). */
     ThreadContext &spawnThread();
@@ -145,6 +147,10 @@ class Machine
 
     /** Sum of TLB page walks across cores. */
     std::uint64_t totalWalks() const;
+
+    /** Core @p c's L1D, and the shared L2 (for their hit counts). */
+    const Cache &l1Cache(unsigned c) const { return l1d.at(c); }
+    const Cache &l2Cache() const { return l2; }
 
     const MachineConfig &config() const { return cfg; }
 

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -57,12 +56,32 @@ class TraceBuffer
     {
     }
 
-    TraceBuffer(const TraceBuffer &o)
-        : cap(o.cap), runs(o.runs), writes(o.writes)
-    {
-    }
+    TraceBuffer(const TraceBuffer &o) : cap(o.cap) { *this = o; }
     TraceBuffer(TraceBuffer &&) noexcept = default;
-    TraceBuffer &operator=(const TraceBuffer &) = delete;
+    TraceBuffer &operator=(TraceBuffer &&) noexcept = default;
+
+    /**
+     * Take @p o's events, sharing its runs; this buffer's next push
+     * opens a chunk of its own.
+     */
+    TraceBuffer &
+    operator=(const TraceBuffer &o)
+    {
+        if (this == &o)
+            return *this;
+        // A chunk of this buffer's own that nothing shares is kept for
+        // the next one it opens.
+        if (own && runs.back().chunk.use_count() == 1) {
+            spare = std::move(runs.back().chunk);
+            spareSize = ownSize;
+        }
+        cap = o.cap;
+        runs = o.runs;
+        own = nullptr;
+        ownSize = 0;
+        writes = o.writes;
+        return *this;
+    }
 
     /** Append; drops the oldest retained event when full. */
     void
@@ -153,12 +172,21 @@ class TraceBuffer
         const Event *last() const { return chunk.get() + end; }
     };
 
-    /** Open a chunk of this buffer's own, twice its last one. */
+    /**
+     * Open a chunk of this buffer's own, twice its last one; the
+     * first one is the spare, if there is one.
+     */
     void
     startChunk()
     {
-        ownSize = std::min({cap, maxChunk, own ? 2 * ownSize : minChunk});
-        runs.push_back({std::make_shared<Event[]>(ownSize), 0, 0});
+        if (!own && spare && spareSize <= cap) {
+            ownSize = spareSize;
+            runs.push_back({std::move(spare), 0, 0});
+        } else {
+            ownSize =
+                std::min({cap, maxChunk, own ? 2 * ownSize : minChunk});
+            runs.push_back({std::make_shared<Event[]>(ownSize), 0, 0});
+        }
         own = runs.back().chunk.get();
     }
 
@@ -167,6 +195,9 @@ class TraceBuffer
     /** The chunk this buffer writes into (null in a fresh copy). */
     Event *own = nullptr;
     std::size_t ownSize = 0;
+    /** A chunk written before an assignment, held for reuse. */
+    std::shared_ptr<Event[]> spare;
+    std::size_t spareSize = 0;
     std::uint64_t writes = 0;
 };
 
@@ -220,27 +251,18 @@ class TraceSink
         emit(kernelTid, kind, lastTs, pmo, arg);
     }
 
-    /** Per-thread buffers, keyed by (pseudo-)tid. */
-    const std::map<std::uint32_t, TraceBuffer> &
+    /** Per-thread buffers, ascending by (pseudo-)tid. */
+    using Buffers = std::vector<std::pair<std::uint32_t, TraceBuffer>>;
+
+    /** Per-thread buffers, ascending by (pseudo-)tid. */
+    const Buffers &
     buffers() const
     {
         return perThread;
     }
 
     /** All retained events merged into emission (seq) order. */
-    std::vector<Event>
-    merged() const
-    {
-        std::size_t n = 0;
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            n += buf.size();
-        }
-        std::vector<Event> out;
-        out.reserve(n);
-        appendMergedSince(0, out);
-        return out;
-    }
+    std::vector<Event> merged() const { return mergedSince(0); }
 
     /**
      * The retained events whose seq is at least @p seq, merged into
@@ -286,6 +308,15 @@ class TraceSink
     void
     appendMergedSince(std::uint64_t seq, std::vector<Event> &out) const
     {
+        // At most the events emitted since seq, and the retained ones.
+        std::size_t n = 0;
+        for (const auto &[tid, buf] : perThread) {
+            (void)tid;
+            n += buf.size();
+        }
+        if (seq < nextSeq)
+            out.reserve(out.size() +
+                        std::min<std::uint64_t>(n, nextSeq - seq));
         // A buffer holds its events in emission order, so merging
         // each buffer's run into the runs before it keeps seq order.
         for (const auto &[tid, buf] : perThread) {
@@ -302,14 +333,18 @@ class TraceSink
     TraceBuffer &
     bufferFor(std::uint32_t tid)
     {
-        auto it = perThread.find(tid);
-        if (it == perThread.end())
-            it = perThread.emplace(tid, TraceBuffer(cap)).first;
+        auto it = std::lower_bound(
+            perThread.begin(), perThread.end(), tid,
+            [](const auto &b, std::uint32_t t) { return b.first < t; });
+        if (it == perThread.end() || it->first != tid)
+            it = perThread.emplace(it, tid, TraceBuffer(cap));
         return it->second;
     }
 
     std::size_t cap;
-    std::map<std::uint32_t, TraceBuffer> perThread;
+    /** A few threads and pseudo-threads: a flat table, whose
+     *  assignment writes into the buffers it already has. */
+    Buffers perThread;
     std::uint64_t nextSeq = 0;
     Cycles lastTs = 0;
 };

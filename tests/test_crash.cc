@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -509,7 +510,9 @@ forkWorld(std::size_t traceCapacity = trace::TraceSink::defaultCapacity)
 struct Observed
 {
     std::vector<Cycles> clocks;          //!< per thread: now, buckets
+    std::vector<std::uint64_t> caches;   //!< L1s', L2's hits, misses
     std::vector<std::uint64_t> vol, dur; //!< watched words
+    std::vector<std::uint64_t> side;     //!< side table, by line
     std::vector<std::uint64_t> exposure; //!< per PMO: EW, TEW, blame
     std::vector<std::uint64_t> events;   //!< every field, seq order
     std::string registry;                //!< JSON, host timings out
@@ -530,7 +533,25 @@ observe(check::CrashWorld &w)
              c < static_cast<unsigned>(sim::Charge::NumCharges); ++c)
             o.clocks.push_back(tc.charged(static_cast<sim::Charge>(c)));
     }
+    const sim::Machine &m = w.machine();
+    for (unsigned c = 0; c < m.config().cores; ++c)
+        o.caches.insert(o.caches.end(),
+                        {m.l1Cache(c).hits(), m.l1Cache(c).misses()});
+    o.caches.insert(o.caches.end(),
+                    {m.l2Cache().hits(), m.l2Cache().misses(),
+                     m.totalWalks()});
     const pm::PersistController &ctl = w.persistence()->controller();
+    std::map<std::uint64_t, std::vector<std::uint64_t>> lines;
+    ctl.sideTable().forEach([&](std::uint64_t key, const pm::SideLine &l) {
+        std::vector<std::uint64_t> &out = lines[key];
+        out = {l.dirty, l.pending};
+        for (const pm::SideLine::Word &wd : l.words)
+            out.insert(out.end(), {wd.addr, wd.old, wd.wb, wd.hasWb});
+    });
+    for (const auto &[key, fields] : lines) {
+        o.side.push_back(key);
+        o.side.insert(o.side.end(), fields.begin(), fields.end());
+    }
     for (pm::PmoId p = 1; p <= 2; ++p) {
         auto watch = [&](std::uint64_t lo, std::uint64_t hi) {
             for (std::uint64_t off = lo; off < hi; off += 8) {
@@ -583,8 +604,10 @@ expectSame(const Observed &got, const Observed &want, const char *who,
            std::size_t k)
 {
     EXPECT_EQ(got.clocks, want.clocks) << who << ", fork after " << k;
+    EXPECT_EQ(got.caches, want.caches) << who << ", fork after " << k;
     EXPECT_EQ(got.vol, want.vol) << who << ", fork after " << k;
     EXPECT_EQ(got.dur, want.dur) << who << ", fork after " << k;
+    EXPECT_EQ(got.side, want.side) << who << ", fork after " << k;
     EXPECT_EQ(got.exposure, want.exposure) << who << ", fork after " << k;
     EXPECT_EQ(got.events, want.events) << who << ", fork after " << k;
     EXPECT_EQ(got.registry, want.registry) << who << ", fork after " << k;
@@ -749,6 +772,130 @@ TEST(WorldFork, WrappedTracesMatchAnUnforkedRun)
     }
     // The detour shows in the retained events of most fork points.
     EXPECT_GT(2 * diverged, steps.size());
+}
+
+namespace {
+
+/** A driver's world, ledger and trace replay at one crash point. */
+struct Snapshot
+{
+    std::optional<check::CrashWorld> world;
+    check::Ledger led;
+    trace::TimelineReplay audited;
+};
+
+/** Persist boundaries of one uninterrupted run of @p cell. */
+std::uint64_t
+boundariesOf(const check::CrashCell &cell)
+{
+    check::CrashWorld w = cell.world();
+    check::Ledger led;
+    std::vector<std::string> replay;
+    cell.run(w, led, replay);
+    return w.persistence()->controller().boundaryCount();
+}
+
+/** Run @p cell's driver and copy it at crash point @p point. */
+Snapshot
+snapshotAt(const check::CrashCell &cell, std::uint64_t point)
+{
+    check::CrashWorld d = cell.world();
+    Snapshot s;
+    check::Ledger led;
+    trace::TimelineReplay audited;
+    d.persistence()->controller().tapFaults(
+        [&](std::uint64_t n, pm::PersistBoundary) {
+            audited.catchUp(*d.runtime().traceSink());
+            if (n != point)
+                return;
+            s.world.emplace(d);
+            s.led = led;
+            s.audited = audited;
+        });
+    std::vector<std::string> replay;
+    cell.run(d, led, replay);
+    EXPECT_TRUE(s.world) << "point " << point << " never reached";
+    return s;
+}
+
+/**
+ * Assign @p s into the scratch world @p w and ledger @p led, crash it
+ * and check its recovery as the enumerator does (@p sabotage, if
+ * set, runs before the crash); return the violations.
+ */
+std::vector<std::string>
+crashInto(const check::CrashCell &cell, const Snapshot &s,
+          check::CrashWorld &w, check::Ledger &led,
+          const std::function<void(check::CrashWorld &)> &sabotage = {})
+{
+    w = *s.world;
+    led = s.led;
+    if (sabotage)
+        sabotage(w);
+    w.persistence()->controller().crash();
+    std::vector<std::string> v;
+    cell.recoverAndCheck(w, led, v, s.audited);
+    return v;
+}
+
+} // namespace
+
+/**
+ * The enumerator writes each point into one scratch world per driver,
+ * over whatever the last point left there. Hold a scratch world
+ * through a point of another cell (another scheme and shape), then a
+ * later point of this cell whose recovery throws half-way; point n
+ * assigned into it must then crash, recover and check exactly like a
+ * fresh copy of the driver at n: verdicts, clocks, caches, image,
+ * side table, every trace event and the registry.
+ */
+TEST(WorldFork, ReassignedScratchMatchesFreshCopy)
+{
+    check::CrashOptions a;
+    a.scheme = "tt";
+    a.workload = "txpair";
+    a.txns = 4;
+    check::CrashOptions b;
+    b.scheme = "mm";
+    b.workload = "hashmap";
+    b.txns = 6;
+    const check::CrashCell cellA(a), cellB(b);
+    const std::uint64_t boundsA = boundariesOf(cellA);
+    const std::uint64_t boundsB = boundariesOf(cellB);
+    ASSERT_GT(boundsA, 6u);
+
+    check::CrashWorld scratch = cellB.world();
+    check::Ledger led;
+    EXPECT_EQ(crashInto(cellB, snapshotAt(cellB, boundsB / 2), scratch,
+                        led),
+              std::vector<std::string>{});
+
+    // A window the runtime never mapped: the crash path's reset of
+    // transient causes panics after the thread and mapping teardown.
+    const std::vector<std::string> died = crashInto(
+        cellA, snapshotAt(cellA, 2 * boundsA / 3), scratch, led,
+        [](check::CrashWorld &w) {
+            w.runtime().exposureMut().processOpen(w.nPmos + 1,
+                                                  w.machine().maxClock());
+        });
+    ASSERT_EQ(died.size(), 1u);
+    EXPECT_EQ(died.front().rfind("recovery died: ", 0), 0u)
+        << died.front();
+
+    for (std::uint64_t n : {boundsA / 3, std::uint64_t{1}}) {
+        const Snapshot s = snapshotAt(cellA, n);
+        // Copied first: a binding the assignment left pointing into
+        // the snapshot would otherwise reach the fresh copy too.
+        check::CrashWorld fresh(*s.world);
+        check::Ledger freshLed = s.led;
+        const std::vector<std::string> got =
+            crashInto(cellA, s, scratch, led);
+        fresh.persistence()->controller().crash();
+        std::vector<std::string> want;
+        cellA.recoverAndCheck(fresh, freshLed, want, s.audited);
+        EXPECT_EQ(got, want) << "point " << n;
+        expectSame(observe(scratch), observe(fresh), "scratch", n);
+    }
 }
 
 /** A sweep gate or a fault tap belongs to its driver: no copy. */

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/runtime.hh"
@@ -321,6 +322,58 @@ TEST(TraceBuffer, CopiesDivergeLikeTwoRings)
                 b.forEachSince(from,
                                [&got](const Event &e) { got.push_back(e); });
                 EXPECT_EQ(fields(got), fields(want)) << "from " << from;
+            }
+        }
+    }
+}
+
+/**
+ * An assigned buffer takes the source's events and keeps the chunk it
+ * wrote before for its next one, but only if nothing shares that
+ * chunk: a copy taken before the assignment must still read its own
+ * events after the assigned buffer writes on.
+ */
+TEST(TraceBuffer, AssignmentReusesOnlyAnUnsharedChunk)
+{
+    auto pushTo = [](trace::TraceBuffer &b, RefRing &ref,
+                     std::uint64_t seq, std::uint64_t arg) {
+        Event e;
+        e.seq = seq;
+        e.arg = arg;
+        b.push(e);
+        ref.push(e);
+    };
+    auto fields = [](const std::vector<Event> &es) {
+        std::vector<std::uint64_t> out;
+        for (const Event &e : es)
+            out.insert(out.end(), {e.seq, e.arg});
+        return out;
+    };
+    for (std::size_t cap : {1, 3, 64, 1000}) {
+        for (bool shared : {false, true}) {
+            SCOPED_TRACE("capacity " + std::to_string(cap) +
+                         (shared ? ", chunk shared" : ", chunk own"));
+            trace::TraceBuffer a(cap), c(cap);
+            RefRing refA(cap), refC(cap);
+            for (std::uint64_t i = 0; i < 5; ++i)
+                pushTo(a, refA, i, 0);
+            for (std::uint64_t i = 0; i < 3; ++i)
+                pushTo(c, refC, 100 + i, 3);
+            std::optional<trace::TraceBuffer> b;
+            RefRing refB = refA;
+            if (shared)
+                b.emplace(a);
+            a = c;
+            refA = refC;
+            EXPECT_EQ(fields(a.events()), fields(refA.events()));
+            for (std::uint64_t i = 0; i < 2 * cap + 9; ++i) {
+                pushTo(a, refA, 200 + i, 1);
+                pushTo(c, refC, 200 + i, 4);
+            }
+            EXPECT_EQ(fields(a.events()), fields(refA.events()));
+            EXPECT_EQ(fields(c.events()), fields(refC.events()));
+            if (b) {
+                EXPECT_EQ(fields(b->events()), fields(refB.events()));
             }
         }
     }
