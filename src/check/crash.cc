@@ -461,7 +461,8 @@ CrashCell::checkImage(CrashWorld &w, const Ledger &led,
 void
 CrashCell::recoverAndCheck(CrashWorld &w, Ledger &led,
                            std::vector<std::string> &out,
-                           const trace::TimelineReplay &prefix) const
+                           const trace::TimelineReplay &prefix,
+                           trace::TimelineReplay *audit) const
 {
     try {
         Cycles at = w.machine().maxClock();
@@ -472,7 +473,7 @@ CrashCell::recoverAndCheck(CrashWorld &w, Ledger &led,
             rtc.syncTo(at, sim::Charge::Other);
         (void)w.runtime().recover(rtc);
         checkImage(w, led, out);
-        probeAndDrain(w, led, out, prefix);
+        probeAndDrain(w, led, out, prefix, audit);
     } catch (const std::exception &e) {
         out.push_back(std::string("recovery died: ") + e.what());
     }
@@ -542,9 +543,11 @@ enumerateCrashPoints(const CrashOptions &opt)
             Ledger led;
             trace::TimelineReplay audited; // d's trace, up to a point
             // The copy a point crashes: assigned from d at each point,
-            // into the storage the last point left.
+            // into the storage the last point left, and likewise the
+            // replay its audit resumes.
             World w = cell.world();
             Ledger l;
+            trace::TimelineReplay resumed;
             auto tap = [&](std::uint64_t n, pm::PersistBoundary kind) {
                 std::uint64_t want = n;
                 if (n > B ||
@@ -559,7 +562,7 @@ enumerateCrashPoints(const CrashOptions &opt)
                     w = d;
                     l = led;
                     w.persistence()->controller().crash();
-                    cell.recoverAndCheck(w, l, p.v, audited);
+                    cell.recoverAndCheck(w, l, p.v, audited, &resumed);
                 } catch (...) {
                     p.error = std::current_exception();
                 }

@@ -190,12 +190,14 @@ class CrashCell
      * The crash path of a world whose controller has just crashed:
      * Runtime::crash at the latest thread clock, recovery on thread
      * 0, checkImage, then liveness and exposure hygiene
-     * (probeAndDrain, its trace audit resumed from @p prefix). An
-     * exception on the way is reported as "recovery died: ...".
+     * (probeAndDrain, its trace audit resumed from @p prefix into
+     * @p audit when set). An exception on the way is reported as
+     * "recovery died: ...".
      */
     void recoverAndCheck(CrashWorld &w, Ledger &led,
                          std::vector<std::string> &out,
-                         const trace::TimelineReplay &prefix = {}) const;
+                         const trace::TimelineReplay &prefix = {},
+                         trace::TimelineReplay *audit = nullptr) const;
 
   private:
     CrashOptions opt;

@@ -293,7 +293,8 @@ probeTxn(CrashWorld &w, Ledger &led, std::uint64_t value,
 
 void
 probeAndDrain(CrashWorld &w, Ledger &led, std::vector<std::string> &out,
-              const trace::TimelineReplay &prefix)
+              const trace::TimelineReplay &prefix,
+              trace::TimelineReplay *audit)
 {
     checkLogsRetired(w, out);
 
@@ -304,10 +305,13 @@ probeAndDrain(CrashWorld &w, Ledger &led, std::vector<std::string> &out,
 
     Cycles tEnd = w.machine().maxClock();
     w.runtime().closeWindows();
-    if (auto sink = w.runtime().traceSink())
+    if (auto sink = w.runtime().traceSink()) {
+        trace::TimelineReplay own;
         report(trace::auditTimelineFrom(prefix, *sink, tEnd,
-                                        w.runtime().exposure()),
+                                        w.runtime().exposure(),
+                                        audit ? *audit : own),
                out);
+    }
 }
 
 void

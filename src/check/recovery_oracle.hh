@@ -179,7 +179,8 @@ void probeTxn(CrashWorld &w, Ledger &led, std::uint64_t value,
  * Post-recovery liveness + exposure-hygiene checks: drain, the probe
  * transaction, then close the exposure windows and audit the trace,
  * resuming from @p prefix, a replay of the world's trace up to some
- * point (auditTimelineFrom). Nothing is published into the registry:
+ * point (auditTimelineFrom, into @p audit when set, so a caller that
+ * keeps one reuses its storage). Nothing is published into the registry:
  * the world's run ends here, and the audit reads only the tracker
  * and its exposure histograms. Single-crash drivers call this once at
  * the end of a run; multi-cycle drivers compose the pieces above
@@ -187,7 +188,8 @@ void probeTxn(CrashWorld &w, Ledger &led, std::uint64_t value,
  */
 void probeAndDrain(CrashWorld &w, Ledger &led,
                    std::vector<std::string> &out,
-                   const trace::TimelineReplay &prefix);
+                   const trace::TimelineReplay &prefix,
+                   trace::TimelineReplay *audit = nullptr);
 
 /**
  * Recompute the world's exposure windows up to @p tEnd from its trace

@@ -200,8 +200,11 @@ TimelineReplay::feed(const Event &e)
 void
 TimelineReplay::catchUp(const TraceSink &sink)
 {
-    for (const Event &e : sink.mergedSince(nextSeq))
+    sink.mergeSince(nextSeq, merged, spare);
+    for (const Event &e : merged)
         feed(e);
+    merged.clear();
+    spare.clear();
 }
 
 AuditReport
@@ -316,14 +319,24 @@ auditTimeline(const TraceSink &sink, Cycles t_end,
 }
 
 AuditReport
-auditTimelineFrom(TimelineReplay prefix, const TraceSink &sink,
-                  Cycles t_end, const semantics::EwTracker &expected)
+auditTimelineFrom(const TimelineReplay &prefix, const TraceSink &sink,
+                  Cycles t_end, const semantics::EwTracker &expected,
+                  TimelineReplay &scratch)
 {
     // The prefix may have seen events a wrapped sink no longer holds.
     if (!sink.complete())
         return auditTimeline(sink, t_end, expected);
-    prefix.catchUp(sink);
-    return std::move(prefix).audit(true, t_end, expected);
+    scratch = prefix;
+    scratch.catchUp(sink);
+    return std::move(scratch).audit(true, t_end, expected);
+}
+
+AuditReport
+auditTimelineFrom(const TimelineReplay &prefix, const TraceSink &sink,
+                  Cycles t_end, const semantics::EwTracker &expected)
+{
+    TimelineReplay scratch;
+    return auditTimelineFrom(prefix, sink, t_end, expected, scratch);
 }
 
 } // namespace trace

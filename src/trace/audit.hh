@@ -103,6 +103,8 @@ class TimelineReplay
     std::map<std::uint64_t, PmoState> state;
     AuditReport sofar; //!< tallies, blame and replay mismatches
     std::uint64_t nextSeq = 0; //!< seq of the next event to feed
+    /** catchUp's merge space, empty between calls (host only). */
+    std::vector<Event> merged, spare;
 };
 
 /** Replay @p events, in emission order, and audit them (see audit()). */
@@ -116,12 +118,19 @@ AuditReport auditTimeline(const TraceSink &sink, Cycles t_end,
 
 /**
  * auditTimeline(@p sink) resumed from @p prefix, a replay of the
- * sink's events up to some point: feeds it only the rest. A sink that
- * lost events to wrap is audited from scratch instead, so the report
- * always equals auditTimeline's.
+ * sink's events up to some point: assigns it into @p scratch and feeds
+ * that only the rest. A caller that keeps @p scratch across audits
+ * reuses its storage. A sink that lost events to wrap is audited from
+ * scratch instead, so the report always equals auditTimeline's.
  */
-AuditReport auditTimelineFrom(TimelineReplay prefix, const TraceSink &sink,
-                              Cycles t_end,
+AuditReport auditTimelineFrom(const TimelineReplay &prefix,
+                              const TraceSink &sink, Cycles t_end,
+                              const semantics::EwTracker &expected,
+                              TimelineReplay &scratch);
+
+/** auditTimelineFrom with a scratch replay of its own. */
+AuditReport auditTimelineFrom(const TimelineReplay &prefix,
+                              const TraceSink &sink, Cycles t_end,
                               const semantics::EwTracker &expected);
 
 } // namespace trace

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -272,9 +273,48 @@ class TraceSink
     std::vector<Event>
     mergedSince(std::uint64_t seq) const
     {
-        std::vector<Event> out;
-        appendMergedSince(seq, out);
+        std::vector<Event> out, spare;
+        mergeSince(seq, out, spare);
         return out;
+    }
+
+    /**
+     * mergedSince(@p seq) into @p out, with @p spare as merge space.
+     * Both keep their capacity, so a caller that keeps them merges
+     * without allocating once they have grown to its events.
+     */
+    void
+    mergeSince(std::uint64_t seq, std::vector<Event> &out,
+               std::vector<Event> &spare) const
+    {
+        out.clear();
+        // At most the events emitted since seq, and the retained ones.
+        std::size_t n = 0;
+        for (const auto &[tid, buf] : perThread) {
+            (void)tid;
+            n += buf.size();
+        }
+        if (seq < nextSeq) {
+            n = std::min<std::uint64_t>(n, nextSeq - seq);
+            out.reserve(n);
+            spare.reserve(n);
+        }
+        // A buffer holds its events in emission order, so merging
+        // each buffer's run with the runs before it keeps seq order.
+        for (const auto &[tid, buf] : perThread) {
+            (void)tid;
+            const auto mid = static_cast<std::ptrdiff_t>(out.size());
+            buf.forEachSince(seq, [&out](const Event &e) { out.push_back(e); });
+            if (mid == 0 || out.begin() + mid == out.end())
+                continue;
+            spare.clear();
+            std::merge(out.begin(), out.begin() + mid, out.begin() + mid,
+                       out.end(), std::back_inserter(spare),
+                       [](const Event &a, const Event &b) {
+                           return a.seq < b.seq;
+                       });
+            out.swap(spare);
+        }
     }
 
     std::uint64_t
@@ -305,31 +345,6 @@ class TraceSink
     std::size_t perThreadCapacity() const { return cap; }
 
   private:
-    void
-    appendMergedSince(std::uint64_t seq, std::vector<Event> &out) const
-    {
-        // At most the events emitted since seq, and the retained ones.
-        std::size_t n = 0;
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            n += buf.size();
-        }
-        if (seq < nextSeq)
-            out.reserve(out.size() +
-                        std::min<std::uint64_t>(n, nextSeq - seq));
-        // A buffer holds its events in emission order, so merging
-        // each buffer's run into the runs before it keeps seq order.
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            const auto mid = static_cast<std::ptrdiff_t>(out.size());
-            buf.forEachSince(seq, [&out](const Event &e) { out.push_back(e); });
-            std::inplace_merge(out.begin(), out.begin() + mid, out.end(),
-                               [](const Event &a, const Event &b) {
-                                   return a.seq < b.seq;
-                               });
-        }
-    }
-
     TraceBuffer &
     bufferFor(std::uint32_t tid)
     {

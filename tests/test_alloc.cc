@@ -122,14 +122,15 @@ census(unsigned txns)
 /**
  * A steady-state bank/tt point from --txns 16 on allocates at most
  * `perPoint` times: the marginal cost of the points that 16 more
- * transactions add, driver run included. It measures 17.0; a fresh
- * world copied at each point measured 197. On one CPU there is one
+ * transactions add, driver run included. It measures 13.0 (17.0
+ * when the resumed audit copied its replay and merged through a
+ * temporary buffer); a fresh world copied at each point measured 197. On one CPU there is one
  * driver and the points run inline, in order, so the count does not
  * depend on scheduling.
  */
 TEST(AllocationBudget, SteadyStateCrashPointStaysSmall)
 {
-    constexpr double perPoint = 24;
+    constexpr double perPoint = 20;
 
     cpu_set_t all;
     ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);

@@ -14,11 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "check/fuzzer.hh"
@@ -95,6 +100,98 @@ TEST(BenchHarness, RunnerRethrowsTaskException)
         pool.add([&ran] { ran.fetch_add(1); });
     pool.add([] { throw std::runtime_error("boom"); });
     EXPECT_THROW(pool.run(), std::runtime_error);
+}
+
+// The pool's tasks run at once: n tasks that each wait for all n on
+// one latch all see it open (a pool that ran them one after another
+// would time out instead).
+TEST(BenchHarness, RunnerTasksRunConcurrently)
+{
+    const unsigned n = 4;
+    std::latch all(n);
+    std::atomic<unsigned> opened{0};
+    ParallelRunner pool(n);
+    for (unsigned i = 0; i < n; ++i)
+        pool.add([&] {
+            all.count_down();
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::seconds(10);
+            while (!all.try_wait() &&
+                   std::chrono::steady_clock::now() < until)
+                std::this_thread::yield();
+            if (all.try_wait())
+                opened.fetch_add(1);
+        });
+    pool.run();
+    EXPECT_EQ(opened.load(), n);
+}
+
+// Every task runs on a CPU of the caller's current mask.
+TEST(BenchHarness, RunnerStaysInCallersMask)
+{
+    cpu_set_t all;
+    ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);
+    if (CPU_COUNT(&all) < 2)
+        GTEST_SKIP() << "needs two CPUs";
+    cpu_set_t two;
+    CPU_ZERO(&two);
+    for (int c = 0, k = 0; c < CPU_SETSIZE && k < 2; ++c)
+        if (CPU_ISSET(c, &all)) {
+            CPU_SET(c, &two);
+            ++k;
+        }
+    ASSERT_EQ(sched_setaffinity(0, sizeof two, &two), 0);
+    std::vector<int> cpu(8, -1);
+    ParallelRunner pool(static_cast<unsigned>(cpu.size()));
+    for (std::size_t i = 0; i < cpu.size(); ++i)
+        pool.add([&cpu, i] { cpu[i] = sched_getcpu(); });
+    pool.run();
+    sched_setaffinity(0, sizeof all, &all);
+    for (int c : cpu)
+        EXPECT_TRUE(c >= 0 && CPU_ISSET(c, &two)) << "cpu " << c;
+}
+
+TEST(BenchHarness, RunnerBackToBackRunsFillEverySlot)
+{
+    for (int r = 0; r < 1000; ++r) {
+        std::vector<int> out(4, 0);
+        ParallelRunner pool(4);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            pool.add([&out, i] { out[i] = 1; });
+        pool.run();
+        ASSERT_EQ(out, std::vector<int>(4, 1)) << "run " << r;
+    }
+}
+
+TEST(BenchHarness, RunnerUsableAfterThrowingRun)
+{
+    {
+        ParallelRunner pool(4);
+        for (int i = 0; i < 8; ++i)
+            pool.add([] { throw std::runtime_error("boom"); });
+        EXPECT_THROW(pool.run(), std::runtime_error);
+    }
+    std::atomic<int> ran{0};
+    ParallelRunner pool(4);
+    for (int i = 0; i < 16; ++i)
+        pool.add([&ran] { ran.fetch_add(1); });
+    pool.run();
+    EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(BenchHarness, RunnerNestedRunCompletes)
+{
+    std::atomic<int> ran{0};
+    ParallelRunner outer(4);
+    for (int i = 0; i < 4; ++i)
+        outer.add([&ran] {
+            ParallelRunner inner(4);
+            for (int j = 0; j < 4; ++j)
+                inner.add([&ran] { ran.fetch_add(1); });
+            inner.run();
+        });
+    outer.run();
+    EXPECT_EQ(ran.load(), 16);
 }
 
 // Enabling metrics must not perturb the simulation: recording never
