@@ -164,8 +164,12 @@ txpairWorkload(World &w, Ledger &led, const CrashCell &c,
     Rng rng(17 + c.options().seed);
     for (unsigned t = 0; t < c.options().txns; ++t) {
         bool init = t == 0;
-        bool redo0 = !init && rng.nextBelow(2) == 1;
-        bool redo1 = !init && rng.nextBelow(2) == 1;
+        pm::TxKind kind0 = !init && rng.nextBelow(2) == 1
+                               ? pm::TxKind::Redo
+                               : pm::TxKind::Undo;
+        pm::TxKind kind1 = !init && rng.nextBelow(2) == 1
+                               ? pm::TxKind::Redo
+                               : pm::TxKind::Undo;
         bool abort0 = !init && rng.nextBelow(100) < 15;
         bool abort1 = !init && rng.nextBelow(100) < 15;
         std::uint64_t d0 = 1 + rng.nextBelow(500);
@@ -177,14 +181,12 @@ txpairWorkload(World &w, Ledger &led, const CrashCell &c,
         std::vector<std::pair<pm::Oid, std::uint64_t>> w1 = {
             {xOf(2), x1}, {yOf(2), 2000 - x1}, {seqOf(2), t + 1}};
 
-        armFlight(led, 0, redo0 && !abort0, w0);
-        armFlight(led, 1, redo1 && !abort1, w1);
+        armFlight(led, 0, kind0, w0);
+        armFlight(led, 1, kind1, w1);
         protOpen(w, tc0, 1);
         protOpen(w, tc1, 2);
-        txm.begin(tc0, 0, {1},
-                  redo0 ? pm::TxKind::Redo : pm::TxKind::Undo);
-        txm.begin(tc1, 1, {2},
-                  redo1 ? pm::TxKind::Redo : pm::TxKind::Undo);
+        txm.begin(tc0, 0, {1}, kind0);
+        txm.begin(tc1, 1, {2}, kind1);
         // Interleave the two write-sets boundary-by-boundary.
         for (unsigned j = 0; j < 3; ++j) {
             w.runtime().access(tc0, w0[j].first, /*write=*/true);
@@ -198,10 +200,12 @@ txpairWorkload(World &w, Ledger &led, const CrashCell &c,
             txm.abort(tc1, 1);
         // Staggered durable points: thread 0 settles first, so a
         // crash inside thread 1's commit sees thread 0 committed.
-        bool ok0 = txm.commit(tc0, 0);
-        settleFlight(led, 0, ok0);
-        bool ok1 = txm.commit(tc1, 1);
-        settleFlight(led, 1, ok1);
+        if (!abort0)
+            markCommitting(led, 0);
+        settleFlight(led, 0, txm.commit(tc0, 0));
+        if (!abort1)
+            markCommitting(led, 1);
+        settleFlight(led, 1, txm.commit(tc1, 1));
         protClose(w, tc0, 1);
         protClose(w, tc1, 2);
         w.advanceSweeps(std::max(tc0.now(), tc1.now()));
@@ -352,7 +356,8 @@ txnestTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc, Rng &rng,
 {
     pm::TxManager &txm = *w.runtime().tx();
     const pm::PersistController &ctl = w.persistence()->controller();
-    bool redo = !init && rng.nextBelow(2) == 1;
+    pm::TxKind kind = !init && rng.nextBelow(2) == 1 ? pm::TxKind::Redo
+                                                     : pm::TxKind::Undo;
     bool doAbort = !init && rng.nextBelow(100) < 20;
     std::uint64_t amt = 1 + rng.nextBelow(200);
     // Values are computed before begin: a redo transaction's
@@ -363,10 +368,10 @@ txnestTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc, Rng &rng,
     std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
         {acctA, newA}, {acctB, newB}, {seqWord, seq}};
 
-    armFlight(led, 0, redo && !doAbort, writes);
+    armFlight(led, 0, kind, writes);
     protOpen(w, tc, 1);
     protOpen(w, tc, 2);
-    txm.begin(tc, 0, {1, 2}, redo ? pm::TxKind::Redo : pm::TxKind::Undo);
+    txm.begin(tc, 0, {1, 2}, kind);
     w.runtime().access(tc, acctA, /*write=*/true);
     txm.write(tc, 0, acctA, newA);
     txm.begin(tc, 0, {2}); // nested level: locks already held
@@ -376,10 +381,12 @@ txnestTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc, Rng &rng,
     if (doAbort)
         txm.abort(tc, 0);
     txm.commit(tc, 0); // inner: unwind only
+    if (!doAbort)
+        markCommitting(led, 0);
     bool ok = txm.commit(tc, 0); // outermost: the durable point
+    settleFlight(led, 0, ok);
     protClose(w, tc, 2);
     protClose(w, tc, 1);
-    settleFlight(led, 0, ok);
     w.advanceSweeps(tc.now());
     return ok;
 }
@@ -450,10 +457,10 @@ CrashCell::run(CrashWorld &w, Ledger &led,
 }
 
 void
-CrashCell::checkImage(CrashWorld &w, const Ledger &led,
+CrashCell::checkImage(CrashWorld &w, Ledger &led,
                       std::vector<std::string> &out) const
 {
-    checkDurable(w, led, out);
+    resolveFlights(w, led, out);
     if (wl->check)
         wl->check(w, out);
 }

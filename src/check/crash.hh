@@ -140,10 +140,12 @@ void checkBankInvariant(CrashWorld &w, std::vector<std::string> &out);
  * debits, a nested level credits and bumps the sequence word. Past
  * @p init (both accounts set to 1000), transactions alternate seeded
  * between the undo and redo variants, so crash points land in both
- * protocols' commit sequences (including the redo ambiguity window),
- * and ~20% abort at the inner level, poisoning the outer commit,
- * which must then leave no trace. The oracle flight stays armed if a
- * power failure unwinds the transaction (resolveFlights settles it).
+ * protocols' commit sequences (including a redo commit, which may
+ * recover all-old or all-new), and ~20% abort at the inner level,
+ * poisoning the outer commit, which must then leave no trace and so
+ * is never marked committing. The flight stays open if a power
+ * failure unwinds the transaction, for resolveFlights to check and
+ * settle after the recovery.
  * Returns whether the outermost commit committed.
  */
 bool txnestTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
@@ -182,14 +184,19 @@ class CrashCell
     void run(CrashWorld &w, Ledger &led,
              std::vector<std::string> &replay) const;
 
-    /** Atomicity and the workload's invariant on @p w's durable image. */
-    void checkImage(CrashWorld &w, const Ledger &led,
+    /**
+     * Atomicity and the workload's invariant on @p w's durable image;
+     * the flights a crash left open are checked, then settled
+     * (resolveFlights).
+     */
+    void checkImage(CrashWorld &w, Ledger &led,
                     std::vector<std::string> &out) const;
 
     /**
      * The crash path of a world whose controller has just crashed:
      * Runtime::crash at the latest thread clock, recovery on thread
-     * 0, checkImage, then liveness and exposure hygiene
+     * 0, checkImage (which settles the flights the crash left
+     * open), then liveness and exposure hygiene
      * (probeAndDrain, its trace audit resumed from @p prefix into
      * @p audit when set). An exception on the way is reported as
      * "recovery died: ...".

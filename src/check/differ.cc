@@ -664,13 +664,12 @@ class Replay
         pm::UndoLog *log = dom.findLog(op.pmo);
         pm::PersistController &ctl = dom.controller();
 
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> writes;
+        std::vector<std::pair<pm::Oid, std::uint64_t>> writes;
         for (unsigned j = 0; j < op.accesses; ++j) {
-            std::uint64_t raw =
-                pm::Oid(op.pmo, op.offset + j * op.bytes).raw;
             std::uint64_t val =
                 (static_cast<std::uint64_t>(opIdx) << 8) | j;
-            writes.emplace_back(raw, val);
+            writes.emplace_back(pm::Oid(op.pmo, op.offset + j * op.bytes),
+                                val);
         }
 
         std::uint64_t clwb0 = ctl.clwbCount();
@@ -678,27 +677,21 @@ class Replay
         Probe pr = preOp(tc);
         TxEffects e = txo.onTxPut(op.pmo, writes);
 
-        led.inFlight.clear();
-        for (const auto &[raw, val] : writes)
-            led.inFlight.push_back(raw);
+        armFlight(led, op.tid, pm::TxKind::Undo, writes);
         log->begin(tc);
-        for (const auto &[raw, val] : writes)
-            log->write(tc, pm::Oid::fromRaw(raw), val);
+        for (const auto &[oid, val] : writes)
+            log->write(tc, oid, val);
+        markCommitting(led, op.tid);
         log->commit(tc);
-        // Only reached when the commit became durable.
-        for (const auto &[raw, val] : writes)
-            led.image[raw] = val;
-        led.inFlight.clear();
-        ++led.done;
+        settleFlight(led, op.tid, true);
 
         checkTxEffects("txn", e, true, postOp(tc, pr),
                        ctl.clwbCount() - clwb0,
                        ctl.fenceCount() - fence0);
         if (log->inTransaction() || log->recoveryPending())
             complain("txn left the log open");
-        for (const auto &[raw, val] : writes) {
-            pm::Oid oid = pm::Oid::fromRaw(raw);
-            std::uint64_t want = txo.committed().at(raw);
+        for (const auto &[oid, val] : writes) {
+            std::uint64_t want = txo.committed().at(oid.raw);
             (void)val;
             if (ctl.load(oid) != want ||
                 ctl.persistedLoad(oid) != want) {

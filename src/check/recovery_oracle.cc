@@ -1,7 +1,6 @@
 #include "check/recovery_oracle.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -75,16 +74,42 @@ CrashWorld::operator=(const CrashWorld &o)
 }
 
 void
+armFlight(Ledger &led, unsigned tid, pm::TxKind kind,
+          const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes)
+{
+    if (led.flights.size() <= tid)
+        led.flights.resize(tid + 1);
+    TxFlight &fl = led.flights[tid];
+    fl.kind = kind;
+    fl.committing = false;
+    fl.writes = writes;
+}
+
+void
+markCommitting(Ledger &led, unsigned tid)
+{
+    led.flights.at(tid).committing = true;
+}
+
+void
+settleFlight(Ledger &led, unsigned tid, bool committed)
+{
+    TxFlight &fl = led.flights.at(tid);
+    if (committed) {
+        for (const auto &[oid, v] : fl.writes)
+            led.image[oid.raw] = v;
+        ++led.done;
+    }
+    fl.committing = false;
+    fl.writes.clear();
+}
+
+void
 runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
        pm::PmoId pmo,
        const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes)
 {
-    led.inFlight.clear();
-    for (const auto &[oid, v] : writes) {
-        (void)v;
-        led.inFlight.push_back(oid.raw);
-    }
-
+    armFlight(led, tc.tid(), pm::TxKind::Undo, writes);
     protOpen(w, tc, pmo);
     pm::UndoLog *log = w.persistence()->findLog(pmo);
     log->begin(tc);
@@ -92,36 +117,73 @@ runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
         w.runtime().access(tc, oid, /*write=*/true);
         log->write(tc, oid, v);
     }
+    markCommitting(led, tc.tid());
     log->commit(tc);
+    settleFlight(led, tc.tid(), true);
     protClose(w, tc, pmo);
-
-    // Only reached when the commit became durable.
-    for (const auto &[oid, v] : writes)
-        led.image[oid.raw] = v;
-    led.inFlight.clear();
-    ++led.done;
     w.advanceSweeps(tc.now());
 }
 
+namespace {
+
+/**
+ * The flight rule: every flight may recover all-old, and a
+ * committing redo flight may also recover all-new.
+ */
+bool
+mayLandNew(const TxFlight &fl)
+{
+    return fl.kind == pm::TxKind::Redo && fl.committing;
+}
+
+/** How an open flight's keys read in the durable image. */
+enum class Landing
+{
+    Old,  //!< all-old
+    New,  //!< all-new, and mayLandNew()
+    Torn, //!< anything else
+};
+
+/** A key's old value is its committed one, or 0 when none is. */
+Landing
+landing(const TxFlight &fl, const Ledger &led,
+        const pm::PersistController &ctl)
+{
+    bool allOld = true;
+    bool allNew = mayLandNew(fl);
+    for (const auto &[oid, v] : fl.writes) {
+        auto it = led.image.find(oid.raw);
+        std::uint64_t oldv = it == led.image.end() ? 0 : it->second;
+        std::uint64_t got = ctl.persistedLoad(oid);
+        allOld = allOld && got == oldv;
+        allNew = allNew && got == v;
+    }
+    return allNew ? Landing::New : allOld ? Landing::Old : Landing::Torn;
+}
+
+bool
+inOpenFlight(const Ledger &led, std::uint64_t raw)
+{
+    for (const TxFlight &fl : led.flights)
+        for (const auto &[oid, v] : fl.writes)
+            if (oid.raw == raw)
+                return true;
+    return false;
+}
+
+/**
+ * The atomicity oracle's image scan: every committed value is
+ * durable, except where an open flight writes (resolveFlights judges
+ * those words).
+ */
 void
 checkDurable(CrashWorld &w, const Ledger &led,
              std::vector<std::string> &out)
 {
     const pm::PersistController &ctl = w.persistence()->controller();
-    // Keys of open TxManager transactions are judged by the flight
-    // rule below (which still pins them to the committed value for
-    // an undo transaction, but admits all-new for a redo one whose
-    // commit was in flight), not by the strict committed-image scan.
-    std::set<std::uint64_t> flightKeys;
-    for (const auto &[tid, fl] : led.flight) {
-        (void)tid;
-        flightKeys.insert(fl.keys.begin(), fl.keys.end());
-    }
     for (const auto &[raw, want] : led.image) {
-        if (flightKeys.count(raw))
-            continue;
         std::uint64_t got = ctl.persistedLoad(pm::Oid::fromRaw(raw));
-        if (got != want) {
+        if (got != want && !inOpenFlight(led, raw)) {
             std::ostringstream os;
             os << "atomicity: durable word at pmo "
                << pm::Oid::fromRaw(raw).pool() << " offset 0x"
@@ -132,89 +194,30 @@ checkDurable(CrashWorld &w, const Ledger &led,
             out.push_back(os.str());
         }
     }
-    for (std::uint64_t raw : led.inFlight) {
-        if (led.image.count(raw))
-            continue; // checked against the committed value above
-        std::uint64_t got = ctl.persistedLoad(pm::Oid::fromRaw(raw));
-        if (got != 0) {
-            std::ostringstream os;
-            os << "atomicity: in-flight write at offset 0x"
-               << std::hex << pm::Oid::fromRaw(raw).offset()
-               << " leaked into the durable image (0x" << got << ")";
-            out.push_back(os.str());
-        }
-    }
-    // TxManager transactions open at the crash: all-or-nothing. Undo
-    // must recover to all-old; a redo whose commit was in progress
-    // may land on either side of its durable point, but never mixed.
-    for (const auto &[tid, fl] : led.flight) {
-        bool allOld = true, allNew = true;
-        for (std::uint64_t raw : fl.keys) {
-            auto it = led.image.find(raw);
-            std::uint64_t oldv = it == led.image.end() ? 0 : it->second;
-            std::uint64_t got =
-                ctl.persistedLoad(pm::Oid::fromRaw(raw));
-            if (got != oldv)
-                allOld = false;
-            if (got != fl.newv.at(raw))
-                allNew = false;
-        }
-        if (!(allOld || (fl.ambiguous && allNew))) {
-            std::ostringstream os;
-            os << "atomicity: transaction of tid " << tid
-               << " recovered torn (not all-old"
-               << (fl.ambiguous ? ", not all-new" : "") << ")";
-            out.push_back(os.str());
-        }
-    }
 }
 
-void
-armFlight(Ledger &led, unsigned tid, bool ambiguous,
-          const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes)
-{
-    TxFlight fl;
-    fl.ambiguous = ambiguous;
-    for (const auto &[oid, v] : writes) {
-        fl.keys.push_back(oid.raw);
-        fl.newv[oid.raw] = v;
-    }
-    led.flight[tid] = std::move(fl);
-}
+} // namespace
 
 void
-settleFlight(Ledger &led, unsigned tid, bool committed)
+resolveFlights(CrashWorld &w, Ledger &led, std::vector<std::string> &out)
 {
-    if (committed) {
-        for (const auto &[raw, v] : led.flight.at(tid).newv)
-            led.image[raw] = v;
-        ++led.done;
-    }
-    led.flight.erase(tid);
-}
-
-void
-resolveFlights(CrashWorld &w, Ledger &led)
-{
+    checkDurable(w, led, out);
     const pm::PersistController &ctl = w.persistence()->controller();
-    for (const auto &[tid, fl] : led.flight) {
-        (void)tid;
-        bool allNew = fl.ambiguous && !fl.keys.empty();
-        for (std::uint64_t raw : fl.keys) {
-            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
-                fl.newv.at(raw)) {
-                allNew = false;
-                break;
-            }
+    for (unsigned tid = 0; tid < led.flights.size(); ++tid) {
+        const TxFlight &fl = led.flights[tid];
+        if (fl.writes.empty())
+            continue;
+        const Landing l = landing(fl, led, ctl);
+        if (l == Landing::Torn) {
+            std::ostringstream os;
+            os << "atomicity: open " << pm::txKindName(fl.kind)
+               << " transaction of tid " << tid << " recovered torn (not "
+               << (mayLandNew(fl) ? "all-old, not all-new" : "all-old")
+               << ")";
+            out.push_back(os.str());
         }
-        if (allNew) {
-            for (const auto &[raw, v] : fl.newv)
-                led.image[raw] = v;
-            ++led.done;
-        }
+        settleFlight(led, tid, l == Landing::New);
     }
-    led.flight.clear();
-    led.inFlight.clear();
 }
 
 // The manual bookends are no-ops unless the scheme is MM and the

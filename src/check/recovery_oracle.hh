@@ -28,6 +28,7 @@
 
 #include "common/units.hh"
 #include "core/domain.hh"
+#include "pm/tx_manager.hh"
 #include "trace/audit.hh"
 
 namespace terp {
@@ -78,75 +79,72 @@ struct CrashWorld : core::ShardDomain
 };
 
 /**
- * One open TxManager transaction's expected post-recovery outcome.
- *
- * Undo transactions must recover to all-old at every crash point:
- * recovery rolls the logged old values back. Redo transactions are
- * *ambiguous* while their outermost commit is the next thing the
- * workload does: the durable commit record is written mid-commit, so
- * a crash inside commit recovers to all-old (record not yet durable)
- * or all-new (record durable, recovery rolls forward) — but never a
- * mix. An aborted transaction of either kind never reaches its
- * durable point, so it pins `ambiguous` false (all-old only).
+ * One open transaction as the atomicity oracle sees it: its kind,
+ * its write-set, and whether its outermost commit() has been called
+ * (`committing`, set on the host side just before that call, never
+ * for an aborted transaction). What a crash may leave of it is
+ * decided in one place, mayLandNew() in recovery_oracle.cc: all-old
+ * always; all-new only for a committing redo transaction, whose
+ * commit record becomes durable mid-commit, so recovery may roll it
+ * forward; never a mix. An undo transaction must recover all-old:
+ * the fence that makes its header clear durable is the last boundary
+ * of commit(), and a crash lands before the boundary it fires at.
  */
 struct TxFlight
 {
-    bool ambiguous = false;
-    std::vector<std::uint64_t> keys;              //!< raw Oids
-    std::map<std::uint64_t, std::uint64_t> newv;  //!< raw -> new val
+    pm::TxKind kind = pm::TxKind::Undo;
+    bool committing = false;
+    /** (key, new value), one per key; empty when none is open. */
+    std::vector<std::pair<pm::Oid, std::uint64_t>> writes;
 };
 
 /**
  * The recovery oracle's committed-image ledger: what the durable
- * image must look like after the transactions whose commit returned,
- * plus the write-set of the (at most one per thread) in-flight
- * transaction. Commit durability coincides with commit() returning:
- * the last persist boundary inside commit is the fence that makes
- * the header update durable, so a crash can never land after the
- * transaction is durable but before the host-side ledger update.
+ * image must look like after the transactions that settled as
+ * committed, plus one flight slot per thread for its open
+ * transaction. A slot is assigned in place, so a ledger assigned
+ * into another reuses its storage.
  */
 struct Ledger
 {
     std::map<std::uint64_t, std::uint64_t> image; //!< raw Oid -> val
-    std::vector<std::uint64_t> inFlight;          //!< current txn keys
-    std::map<unsigned, TxFlight> flight;          //!< per-tid TxManager txn
-    unsigned done = 0;                            //!< commits returned
+    std::vector<TxFlight> flights;                //!< by tid
+    unsigned done = 0;                            //!< commits settled
 };
 
+/** Open tid's flight: a @p kind transaction writing @p writes. */
+void armFlight(Ledger &led, unsigned tid, pm::TxKind kind,
+               const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes);
+
+/** tid's outermost commit() is the next thing it calls. */
+void markCommitting(Ledger &led, unsigned tid);
+
 /**
- * One transaction: scheme-appropriate protection bookends around
- * begin / write* / commit. Explicit bookends only — a PowerFailure
- * unwinding through a RegionGuard destructor would lower a region
- * end on a dead machine.
+ * tid's commit() returned: a @p committed flight joins the committed
+ * image, and the slot closes either way.
+ */
+void settleFlight(Ledger &led, unsigned tid, bool committed);
+
+/**
+ * One undo-log transaction on @p pmo, in tc's flight slot:
+ * scheme-appropriate protection bookends around begin / write* /
+ * commit. Explicit bookends only — a PowerFailure unwinding through
+ * a RegionGuard destructor would lower a region end on a dead
+ * machine.
  */
 void runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
             pm::PmoId pmo,
             const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes);
 
 /**
- * The atomicity oracle: every committed transaction's effects are
- * durable, and the in-flight one (if any) left no partial effects —
- * the durable image is exactly the image after `led.done` commits.
+ * The one settle step after a recovery, atomicity check first: the
+ * durable image must hold every committed value, except where an
+ * open flight writes, and each open flight must have landed whole as
+ * its rule allows. Then each flight settles: one that landed all-new
+ * joins the committed image, and every slot closes.
  */
-void checkDurable(CrashWorld &w, const Ledger &led,
-                  std::vector<std::string> &out);
-
-/** Register tid's open transaction with the atomicity oracle. */
-void armFlight(Ledger &led, unsigned tid, bool ambiguous,
-               const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes);
-
-/** Commit returned: settle tid's flight into the committed image. */
-void settleFlight(Ledger &led, unsigned tid, bool committed);
-
-/**
- * After a recovery, for a driver that keeps its ledger across power
- * cycles: settle every flight a power failure left open. A flight
- * whose keys all read their new value in the durable image landed
- * past its durable point and joins the committed image; any other
- * is dropped, so checkDurable() then holds its keys to their old
- * values. Also forgets runTxn's in-flight keys.
- */
-void resolveFlights(CrashWorld &w, Ledger &led);
+void resolveFlights(CrashWorld &w, Ledger &led,
+                    std::vector<std::string> &out);
 
 /** Scheme-appropriate protection bookends for TxManager workloads. */
 void protOpen(CrashWorld &w, sim::ThreadContext &tc, pm::PmoId pmo);

@@ -214,8 +214,7 @@ TxOracle::onAbort(unsigned tid)
 TxEffects
 TxOracle::onTxPut(
     pm::PmoId pmo,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-        &writes)
+    const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes)
 {
     TxEffects e = measure(true, [&] {
         // UndoLog::begin.
@@ -223,8 +222,9 @@ TxOracle::onTxPut(
         mirror.sfence();
         // Writes, deduped per location.
         std::vector<std::uint64_t> oids;
-        for (const auto &[raw, val] : writes) {
+        for (const auto &[oid, val] : writes) {
             (void)val;
+            const std::uint64_t raw = oid.raw;
             if (std::find(oids.begin(), oids.end(), raw) ==
                 oids.end()) {
                 std::uint64_t i = oids.size();
@@ -251,8 +251,8 @@ TxOracle::onTxPut(
         mirror.persistentStore(pm::Oid(pmo, undoOff).raw);
         mirror.sfence();
     });
-    for (const auto &[raw, val] : writes)
-        committed_[raw] = val;
+    for (const auto &[oid, val] : writes)
+        committed_[oid.raw] = val;
     return e;
 }
 

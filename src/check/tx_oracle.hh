@@ -141,13 +141,12 @@ class TxOracle
 
     /**
      * The legacy TxPut op: a begin / N writes / commit burst on
-     * @p pmo's undo log, with @p writes the issued (raw, value)
+     * @p pmo's undo log, with @p writes the issued (key, value)
      * stores in order.
      */
-    TxEffects onTxPut(pm::PmoId pmo,
-                      const std::vector<
-                          std::pair<std::uint64_t, std::uint64_t>>
-                          &writes);
+    TxEffects onTxPut(
+        pm::PmoId pmo,
+        const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes);
 
     /** Power failure: open transactions and locks evaporate. */
     void onCrash();

@@ -294,9 +294,8 @@ struct Harness
             for (unsigned i = 0; i < n; ++i)
                 hRecoveryEw->record(closed - resume);
         }
-        check::resolveFlights(w, led);
         check::checkLogsRetired(w, v);
-        check::checkDurable(w, led, v);
+        check::resolveFlights(w, led, v);
         if (txnest)
             check::checkTxnestInvariant(w, v);
         else

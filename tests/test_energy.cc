@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "arch/circular_buffer.hh"
 #include "core/domain.hh"
 #include "check/recovery_oracle.hh"
@@ -45,8 +49,7 @@ recoverAndCheck(check::CrashWorld &w, check::Ledger &led,
     std::vector<std::string> v;
     check::checkLogsRetired(w, v);
     check::drainIdleWindows(w, "recovery", v);
-    check::resolveFlights(w, led);
-    check::checkDurable(w, led, v);
+    check::resolveFlights(w, led, v);
     check::probeTxn(w, led, 0xabc00000 + probeTag, v);
     for (const std::string &m : v)
         ADD_FAILURE() << m;
@@ -256,7 +259,7 @@ TEST_P(TxPowerFail, MidCommitEveryBoundary)
         std::uint64_t va = 0x1000 + round, vb = 0x2000 + round;
         std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
             {a, va}, {b, vb}};
-        check::armFlight(led, 0, kind == pm::TxKind::Redo, writes);
+        check::armFlight(led, 0, kind, writes);
         check::protOpen(w, tc, 1);
         check::protOpen(w, tc, 2);
         ASSERT_TRUE(txm.begin(tc, 0, {1, 2}, kind));
@@ -264,10 +267,11 @@ TEST_P(TxPowerFail, MidCommitEveryBoundary)
         txm.write(tc, 0, a, va);
         w.runtime().access(tc, b, /*write=*/true);
         txm.write(tc, 0, b, vb);
+        check::markCommitting(led, 0);
         bool ok = txm.commit(tc, 0);
+        check::settleFlight(led, 0, ok);
         check::protClose(w, tc, 2);
         check::protClose(w, tc, 1);
-        check::settleFlight(led, 0, ok);
         EXPECT_TRUE(ok);
         w.advanceSweeps(tc.now());
     };
@@ -312,6 +316,120 @@ INSTANTIATE_TEST_SUITE_P(Kinds, TxPowerFail,
                                  pm::txKindName(info.param));
                          });
 
+// ------------------------------------------------- the flight rule
+
+namespace {
+
+/**
+ * One case of the flight rule, as a literal row: an open
+ * transaction's kind, whether its outermost commit had been called,
+ * what its two keys read durably, and whether they already held
+ * committed values; then what resolveFlights, the one step after a
+ * recovery, must do with it: report a violation, and settle it into
+ * the committed image as committed or drop it.
+ */
+struct FlightCase
+{
+    pm::TxKind kind;
+    bool committing;
+    const char *durable; //!< "old", "new" or "torn" (first key new)
+    bool inImage;
+    bool reported;
+    bool settled;
+};
+
+constexpr pm::TxKind kUndo = pm::TxKind::Undo;
+constexpr pm::TxKind kRedo = pm::TxKind::Redo;
+
+const FlightCase flightCases[] = {
+    // kind committing durable inImage | reported settled
+    {kUndo, false, "old", false, false, false},
+    {kUndo, false, "old", true, false, false},
+    {kUndo, false, "new", false, true, false},
+    {kUndo, false, "new", true, true, false},
+    {kUndo, false, "torn", false, true, false},
+    {kUndo, false, "torn", true, true, false},
+    {kUndo, true, "old", false, false, false},
+    {kUndo, true, "old", true, false, false},
+    {kUndo, true, "new", false, true, false},
+    {kUndo, true, "new", true, true, false},
+    {kUndo, true, "torn", false, true, false},
+    {kUndo, true, "torn", true, true, false},
+    {kRedo, false, "old", false, false, false},
+    {kRedo, false, "old", true, false, false},
+    {kRedo, false, "new", false, true, false},
+    {kRedo, false, "new", true, true, false},
+    {kRedo, false, "torn", false, true, false},
+    {kRedo, false, "torn", true, true, false},
+    {kRedo, true, "old", false, false, false},
+    {kRedo, true, "old", true, false, false},
+    {kRedo, true, "new", false, false, true},
+    {kRedo, true, "new", true, false, true},
+    {kRedo, true, "torn", false, true, false},
+    {kRedo, true, "torn", true, true, false},
+};
+
+class FlightRule : public ::testing::TestWithParam<FlightCase>
+{
+};
+
+} // namespace
+
+TEST_P(FlightRule, CheckedThenSettled)
+{
+    const FlightCase &c = GetParam();
+    check::CrashWorld w = makeWorld("tt", 1, 1);
+    pm::PersistController &ctl = w.persistence()->controller();
+    sim::ThreadContext &tc = w.machine().thread(0);
+    // Two keys on two lines, so each persists on its own.
+    const pm::Oid a(1, 0x100), b(1, 0x140);
+    auto persist = [&](pm::Oid oid, std::uint64_t v) {
+        ctl.store(oid, v);
+        ctl.clwb(tc, oid);
+        ctl.sfence(tc);
+    };
+
+    check::Ledger led;
+    const std::uint64_t oldA = c.inImage ? 0xa0 : 0;
+    const std::uint64_t oldB = c.inImage ? 0xb0 : 0;
+    if (c.inImage) {
+        persist(a, oldA);
+        persist(b, oldB);
+        led.image = {{a.raw, oldA}, {b.raw, oldB}};
+        led.done = 1;
+    }
+    check::armFlight(led, 0, c.kind, {{a, 0xa1}, {b, 0xb1}});
+    if (c.committing)
+        check::markCommitting(led, 0);
+    if (std::string(c.durable) != "old")
+        persist(a, 0xa1);
+    if (std::string(c.durable) == "new")
+        persist(b, 0xb1);
+
+    std::vector<std::string> v;
+    check::resolveFlights(w, led, v);
+    EXPECT_EQ(!v.empty(), c.reported)
+        << (v.empty() ? std::string("no violation") : v.front());
+    const std::map<std::uint64_t, std::uint64_t> settled = {
+        {a.raw, 0xa1}, {b.raw, 0xb1}};
+    const std::map<std::uint64_t, std::uint64_t> kept =
+        c.inImage ? std::map<std::uint64_t, std::uint64_t>{
+                        {a.raw, oldA}, {b.raw, oldB}}
+                  : std::map<std::uint64_t, std::uint64_t>{};
+    EXPECT_EQ(led.image, c.settled ? settled : kept);
+    EXPECT_EQ(led.done, (c.inImage ? 1u : 0u) + (c.settled ? 1u : 0u));
+    EXPECT_TRUE(led.flights[0].writes.empty()) << "slot left open";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, FlightRule, ::testing::ValuesIn(flightCases),
+    [](const ::testing::TestParamInfo<FlightCase> &info) {
+        const FlightCase &c = info.param;
+        return std::string(pm::txKindName(c.kind)) +
+               (c.committing ? "_committing_" : "_open_") + c.durable +
+               (c.inImage ? "_inImage" : "_fresh");
+    });
+
 TEST(RepeatedCycles, DoubleCrashWithoutRecoverIsWellDefined)
 {
     // A capacitor brown-out during the off/recovery window means
@@ -327,7 +445,6 @@ TEST(RepeatedCycles, DoubleCrashWithoutRecoverIsWellDefined)
     // Leave an undo transaction durably in flight.
     check::runTxn(w, led, tc, 1, {{pm::Oid(1, 0x40), 0x11}});
     ctl.armFault(ctl.boundaryCount() + 6);
-    led.inFlight.clear();
     try {
         check::runTxn(w, led, tc, 1, {{pm::Oid(1, 0x40), 0x22},
                                       {pm::Oid(1, 0x80), 0x33}});
@@ -364,8 +481,7 @@ TEST(RepeatedCycles, BrownOutDuringRecovery)
     bool pending = false;
     for (std::uint64_t nth = 1; nth <= 64 && !pending; ++nth) {
         ctl.armFault(ctl.boundaryCount() + nth);
-        led.inFlight.clear();
-        try {
+            try {
             check::runTxn(w, led, tc, 1,
                           {{pm::Oid(1, 0x40), 0x5200 + nth},
                            {pm::Oid(1, 0x80), 0x5300 + nth}});
