@@ -156,7 +156,8 @@ class Replay
         }
 
         std::vector<std::string> tmp;
-        auditTrace(w, tEnd, tmp);
+        trace::TimelineReplay audited;
+        auditTrace(w, tEnd, audited, tmp);
         flush(tmp);
     }
 

@@ -318,11 +318,15 @@ probeAndDrain(CrashWorld &w, Ledger &led, std::vector<std::string> &out,
 }
 
 void
-auditTrace(CrashWorld &w, Cycles tEnd, std::vector<std::string> &out)
+auditTrace(CrashWorld &w, Cycles tEnd, trace::TimelineReplay &audited,
+           std::vector<std::string> &out)
 {
-    if (auto sink = w.runtime().traceSink())
-        report(trace::auditTimeline(*sink, tEnd, w.runtime().exposure()),
+    if (auto sink = w.runtime().traceSink()) {
+        audited.catchUp(*sink);
+        report(trace::auditTimelineFrom(audited, *sink, tEnd,
+                                        w.runtime().exposure()),
                out);
+    }
 }
 
 } // namespace check

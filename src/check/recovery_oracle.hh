@@ -190,11 +190,14 @@ void probeAndDrain(CrashWorld &w, Ledger &led,
                    trace::TimelineReplay *audit = nullptr);
 
 /**
- * Recompute the world's exposure windows up to @p tEnd from its trace
+ * Catch @p audited, a replay of the world's trace, up to the trace's
+ * end, recompute the exposure windows up to @p tEnd from a copy of it
  * and report every disagreement with the EwTracker as "trace audit:
- * ..." (a no-op when tracing is off).
+ * ..." (a no-op when tracing is off). A caller that audits the same
+ * world again keeps @p audited, so each audit reads only the events
+ * emitted since the last.
  */
-void auditTrace(CrashWorld &w, Cycles tEnd,
+void auditTrace(CrashWorld &w, Cycles tEnd, trace::TimelineReplay &audited,
                 std::vector<std::string> &out);
 
 } // namespace check

@@ -22,12 +22,6 @@ BlockSet::set(std::uint32_t i)
     w[i / 64] |= 1ULL << (i % 64);
 }
 
-void
-BlockSet::reset(std::uint32_t i)
-{
-    w[i / 64] &= ~(1ULL << (i % 64));
-}
-
 bool
 BlockSet::test(std::uint32_t i) const
 {
@@ -39,13 +33,6 @@ BlockSet::intersectWith(const BlockSet &o)
 {
     for (std::size_t i = 0; i < w.size(); ++i)
         w[i] &= o.w[i];
-}
-
-void
-BlockSet::unionWith(const BlockSet &o)
-{
-    for (std::size_t i = 0; i < w.size(); ++i)
-        w[i] |= o.w[i];
 }
 
 std::uint32_t

@@ -28,10 +28,8 @@ class BlockSet
     explicit BlockSet(std::uint32_t n = 0, bool ones = false);
 
     void set(std::uint32_t i);
-    void reset(std::uint32_t i);
     bool test(std::uint32_t i) const;
     void intersectWith(const BlockSet &o);
-    void unionWith(const BlockSet &o);
     bool operator==(const BlockSet &o) const { return w == o.w; }
     std::uint32_t count() const;
     std::uint32_t size() const { return n; }

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "trace/trace_buffer.hh"
 
 namespace terp {
 namespace core {
@@ -97,10 +98,12 @@ struct RuntimeConfig
      */
     bool traceEnabled = false;
     /**
-     * Per-thread trace ring capacity, in events: a cap, not an
-     * up-front allocation (rings grow to it as events arrive).
+     * Trace capacity, in events per emitting thread: the sink's one
+     * ring holds this many for each thread and pseudo-thread that has
+     * emitted. A cap, not an up-front allocation (the ring grows to
+     * it as events arrive).
      */
-    std::size_t traceCapacity = 1u << 16;
+    std::size_t traceCapacity = trace::TraceSink::defaultCapacity;
 
     /**
      * Metrics registry (src/metrics). On by default: recording never
@@ -114,7 +117,7 @@ struct RuntimeConfig
 
     /** Fluent helper: same config with tracing switched on. */
     RuntimeConfig
-    withTrace(std::size_t capacity = 1u << 16) const
+    withTrace(std::size_t capacity = trace::TraceSink::defaultCapacity) const
     {
         RuntimeConfig c = *this;
         c.traceEnabled = true;

@@ -35,6 +35,8 @@ struct Harness
     check::CrashWorld w;
     Capacitor cap;
     check::Ledger led;
+    /** The world's trace, replayed up to the last audit. */
+    trace::TimelineReplay audited;
     Rng rng;
     bool txnest;
 
@@ -305,9 +307,8 @@ struct Harness
         ++res.powerCycles;
         if (cPowerCycles)
             cPowerCycles->inc();
-        if (opt.auditEvery && res.powerCycles % opt.auditEvery == 0) {
-            check::auditTrace(w, w.machine().maxClock(), v);
-        }
+        if (opt.auditEvery && res.powerCycles % opt.auditEvery == 0)
+            check::auditTrace(w, w.machine().maxClock(), audited, v);
         for (const std::string &m : v)
             addViolation(m);
         // Verification cycles are free.
@@ -335,11 +336,14 @@ struct Harness
         w.runtime().finalize();
         if (opt.auditEvery) {
             std::vector<std::string> v;
-            check::auditTrace(w, w.machine().maxClock(), v);
+            check::auditTrace(w, w.machine().maxClock(), audited, v);
             for (const std::string &m : v)
                 addViolation(m);
         }
         res.simCycles = w.machine().maxClock();
+        if (const metrics::Counter *c =
+                reg ? reg->findCounter("trace.dropped_events") : nullptr)
+            res.droppedEvents = c->value();
         res.exposure = w.runtime().exposure().metricsAll(
             res.simCycles, w.machine().threadCount());
         for (unsigned c = 0; c < semantics::numBlameCauses; ++c)

@@ -48,11 +48,14 @@ struct HarvestOptions
     Cycles ewTarget = usToCycles(5);
     CapacitorConfig cap;
     /**
-     * Trace-audit stride: audit the full timeline every N power
-     * cycles (and at the end). 0 disables the audit — required for
-     * soaks long enough to wrap the trace ring.
+     * Trace-audit stride: audit the timeline every N power cycles
+     * (and at the end), resuming one replay, so each audit reads
+     * only the events since the last. The ring must hold a stride's
+     * events: a wider one reports the trace incomplete. 0 disables
+     * the audit.
      */
     unsigned auditEvery = 0;
+    /** Trace capacity, in events per emitting thread. */
     std::size_t traceCapacity = 1u << 20;
 };
 
@@ -68,6 +71,7 @@ struct HarvestResult
     std::uint64_t recoveredLogs = 0; //!< per-PMO log replays
     Cycles simCycles = 0;            //!< final machine clock
     Cycles offCycles = 0;            //!< total dark recharge time
+    std::uint64_t droppedEvents = 0; //!< trace.dropped_events: ring wrap
     semantics::ExposureMetrics exposure; //!< full-run EW/TEW metrics
     /** Full-run blame totals per cause, across every PMO. */
     Cycles blame[semantics::numBlameCauses] = {};

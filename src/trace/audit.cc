@@ -200,16 +200,14 @@ TimelineReplay::feed(const Event &e)
 void
 TimelineReplay::catchUp(const TraceSink &sink)
 {
-    sink.mergeSince(nextSeq, merged, spare);
-    for (const Event &e : merged)
-        feed(e);
-    merged.clear();
-    spare.clear();
+    // The ring drops the oldest events first: seqs [0, totalDropped()).
+    if (sink.totalDropped() > nextSeq)
+        sofar.complete = false;
+    sink.forEachSince(nextSeq, [this](const Event &e) { feed(e); });
 }
 
 AuditReport
-TimelineReplay::audit(bool complete, Cycles t_end,
-                      const semantics::EwTracker &expected) &&
+TimelineReplay::audit(Cycles t_end, const semantics::EwTracker &expected) &&
 {
     AuditReport r = std::move(sofar);
 
@@ -232,10 +230,9 @@ TimelineReplay::audit(bool complete, Cycles t_end,
         }
     }
 
-    r.complete = complete;
-    if (!complete) {
-        mismatch(r, "trace incomplete: ring buffers dropped events, "
-                    "cannot audit");
+    if (!r.complete) {
+        mismatch(r, "trace incomplete: the ring dropped events before "
+                    "the replay read them, cannot audit");
     }
 
     // Every PMO either side saw must agree on both window kinds,
@@ -301,21 +298,10 @@ TimelineReplay::audit(bool complete, Cycles t_end,
 }
 
 AuditReport
-auditEvents(const std::vector<Event> &events, bool complete,
-            Cycles t_end, const semantics::EwTracker &expected)
-{
-    TimelineReplay replay;
-    for (const Event &e : events)
-        replay.feed(e);
-    return std::move(replay).audit(complete, t_end, expected);
-}
-
-AuditReport
 auditTimeline(const TraceSink &sink, Cycles t_end,
               const semantics::EwTracker &expected)
 {
-    return auditEvents(sink.merged(), sink.complete(), t_end,
-                       expected);
+    return auditTimelineFrom({}, sink, t_end, expected);
 }
 
 AuditReport
@@ -323,12 +309,9 @@ auditTimelineFrom(const TimelineReplay &prefix, const TraceSink &sink,
                   Cycles t_end, const semantics::EwTracker &expected,
                   TimelineReplay &scratch)
 {
-    // The prefix may have seen events a wrapped sink no longer holds.
-    if (!sink.complete())
-        return auditTimeline(sink, t_end, expected);
     scratch = prefix;
     scratch.catchUp(sink);
-    return std::move(scratch).audit(true, t_end, expected);
+    return std::move(scratch).audit(t_end, expected);
 }
 
 AuditReport

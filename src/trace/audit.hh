@@ -17,6 +17,13 @@
  * opinion derived from the same code path. Every traced run
  * (runWhisper, runSpec, crash worlds, terp-harvest, terp-trace,
  * terp-stats) audits through here.
+ *
+ * A replay reads the sink's one ring in emission order and resumes
+ * where it stopped: the batch audit is an empty replay caught up
+ * once, a crash point resumes its driver's replay, and terp-harvest
+ * catches one replay up at each audit stride. Since the ring drops
+ * only the oldest events, a replay stays complete as long as it was
+ * caught up before the ring dropped any event it had not read.
  */
 
 #ifndef TERP_TRACE_AUDIT_HH
@@ -38,7 +45,8 @@ namespace trace {
 struct AuditReport
 {
     bool ok = false;       //!< replay clean and everything matched
-    bool complete = true;  //!< the trace lost no events to wrap
+    /** The replay read every event: none was dropped before it. */
+    bool complete = true;
     std::vector<std::string> mismatches;
 
     // Recomputed window statistics, per PMO, in the summary type the
@@ -62,7 +70,7 @@ struct AuditReport
 };
 
 /**
- * The replay half of an audit, resumable: it takes a stream's events
+ * The replay half of an audit, resumable: it reads a sink's events
  * in emission order, any number at a time, and recomputes the
  * exposure windows, blame and replay invariants (detach without
  * attach, double grant, ...) as it goes. A copy carries on from where
@@ -72,24 +80,26 @@ struct AuditReport
 class TimelineReplay
 {
   public:
-    /** Replay @p e, which must follow every event fed before it. */
-    void feed(const Event &e);
-
-    /** Feed every event @p sink retains that this replay has not seen. */
+    /**
+     * Feed every event @p sink retains that this replay has not seen.
+     * If the ring dropped one of them first, the replay is incomplete
+     * from here on.
+     */
     void catchUp(const TraceSink &sink);
 
     /**
      * Close the stream fed so far at @p t_end (every still-open
      * window ends there) and cross-check it against @p expected and,
      * when expected.metricsRegistry() is set, its window histograms.
-     * @p complete marks whether the stream retained every emitted
-     * event; an incomplete stream cannot be audited and fails with
-     * an explanatory mismatch. Spends the replay.
+     * An incomplete replay cannot be audited and fails with an
+     * explanatory mismatch. Spends the replay.
      */
-    AuditReport audit(bool complete, Cycles t_end,
-                      const semantics::EwTracker &expected) &&;
+    AuditReport audit(Cycles t_end, const semantics::EwTracker &expected) &&;
 
   private:
+    /** Replay @p e, which must follow every event fed before it. */
+    void feed(const Event &e);
+
     /** Replay state of one PMO. */
     struct PmoState
     {
@@ -101,27 +111,22 @@ class TimelineReplay
     };
 
     std::map<std::uint64_t, PmoState> state;
-    AuditReport sofar; //!< tallies, blame and replay mismatches
+    /** Tallies, blame, replay mismatches and completeness. */
+    AuditReport sofar;
     std::uint64_t nextSeq = 0; //!< seq of the next event to feed
-    /** catchUp's merge space, empty between calls (host only). */
-    std::vector<Event> merged, spare;
 };
 
-/** Replay @p events, in emission order, and audit them (see audit()). */
-AuditReport auditEvents(const std::vector<Event> &events,
-                        bool complete, Cycles t_end,
-                        const semantics::EwTracker &expected);
-
-/** Audit a whole sink (the common entry point). */
+/** Audit a whole sink: an empty replay caught up once. */
 AuditReport auditTimeline(const TraceSink &sink, Cycles t_end,
                           const semantics::EwTracker &expected);
 
 /**
  * auditTimeline(@p sink) resumed from @p prefix, a replay of the
- * sink's events up to some point: assigns it into @p scratch and feeds
- * that only the rest. A caller that keeps @p scratch across audits
- * reuses its storage. A sink that lost events to wrap is audited from
- * scratch instead, so the report always equals auditTimeline's.
+ * sink's events up to some point: assigns it into @p scratch and
+ * catches that up. A caller that keeps @p scratch across audits
+ * reuses its storage. The report equals auditTimeline's when the sink
+ * dropped no event; when it dropped only events the prefix had read,
+ * this audit is still complete where the batch one is not.
  */
 AuditReport auditTimelineFrom(const TimelineReplay &prefix,
                               const TraceSink &sink, Cycles t_end,

@@ -82,15 +82,14 @@ writeChromeTrace(const TraceSink &sink, std::ostream &os,
                  const std::string &process_name)
 {
     const int pid = 1;
-    std::vector<Event> events = sink.merged();
+    std::vector<Event> events = sink.events();
 
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
     os << "{\"ph\":\"M\",\"pid\":" << pid
        << ",\"name\":\"process_name\",\"args\":{\"name\":\""
        << process_name << "\"}}";
 
-    for (const auto &[tid, buf] : sink.buffers()) {
-        (void)buf;
+    for (std::uint32_t tid : sink.tids()) {
         os << ",\n{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":"
            << trackTid(tid)
            << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
@@ -160,7 +159,7 @@ writeChromeTrace(const TraceSink &sink, std::ostream &os,
 void
 writeJsonl(const TraceSink &sink, std::ostream &os)
 {
-    for (const Event &e : sink.merged()) {
+    for (const Event &e : sink.events()) {
         os << "{\"seq\":" << e.seq << ",\"ts\":" << e.ts
            << ",\"tid\":" << e.tid << ",\"kind\":\""
            << eventKindName(e.kind) << "\"";

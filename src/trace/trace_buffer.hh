@@ -1,20 +1,24 @@
 /**
  * @file
- * Per-thread fixed-capacity ring-buffer event log and the process
- * sink that owns one buffer per thread.
+ * The fixed-capacity ring-buffer event log, and the process sink that
+ * keeps every thread's events in one such ring, in emission order.
  *
  * Design constraints:
  *   - cheap enough to leave on: emit() is a bounds-checked array
- *     store plus two counter increments, fully inlined here so that
+ *     store plus a few counter increments, fully inlined here so that
  *     emitting modules (sim, pm) need no link dependency on the
  *     trace library;
  *   - memory grows with use up to a fixed cap: a buffer's events
  *     live in chunks allocated as events arrive, each at most twice
  *     the size of the one before, so a short run pays for the events
- *     it emits, not for the capacity; past capacity the oldest events
- *     are dropped and counted in an explicit drop counter — recent
- *     history survives, and consumers (the auditor) can tell a
- *     complete trace from a truncated one;
+ *     it emits, not for the capacity; the sink's cap is a per-thread
+ *     figure, so its ring may hold that many events for each thread
+ *     that has emitted;
+ *   - losses are always the oldest events: past capacity the ring
+ *     drops the oldest event of the whole stream and counts it, so
+ *     the retained events are a suffix of the stream, and a reader
+ *     that has fed every event before that suffix (the resumable
+ *     audit) is still complete;
  *   - cheap to copy: a copy shares the chunks it inherits (a chunk's
  *     events never change once written), so copying a world costs
  *     the number of chunks, not the number of events;
@@ -28,7 +32,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -39,8 +42,9 @@ namespace terp {
 namespace trace {
 
 /**
- * Fixed-capacity drop-oldest ring buffer of events: it retains the
- * last capacity() events pushed, oldest first.
+ * Drop-oldest ring buffer of events: it retains the newest events
+ * pushed, at most capacity() of them, oldest first. The capacity may
+ * grow (grow()), never shrink.
  *
  * The events sit in runs over shared chunks. A chunk is written once,
  * front to back, by the one buffer that allocated it; a copy shares
@@ -81,6 +85,7 @@ class TraceBuffer
         own = nullptr;
         ownSize = 0;
         writes = o.writes;
+        drops = o.drops;
         return *this;
     }
 
@@ -91,25 +96,30 @@ class TraceBuffer
         if (!own || runs.back().end == ownSize)
             startChunk();
         own[runs.back().end++] = e;
-        if (++writes > cap && ++runs.front().begin == runs.front().end)
-            runs.erase(runs.begin());
+        if (++writes - drops > cap) {
+            ++drops;
+            if (++runs.front().begin == runs.front().end)
+                runs.erase(runs.begin());
+        }
     }
+
+    /**
+     * Raise the capacity by @p n events. The events already dropped
+     * stay dropped: the ring keeps more from here on.
+     */
+    void grow(std::size_t n) { cap += n; }
 
     /** Total events ever pushed. */
     std::uint64_t written() const { return writes; }
 
-    /** Events lost to wrap-around (written - retained). */
-    std::uint64_t
-    dropped() const
-    {
-        return writes > cap ? writes - cap : 0;
-    }
+    /** Events lost to wrap-around, the oldest ones pushed. */
+    std::uint64_t dropped() const { return drops; }
 
     /** Events currently retained. */
     std::size_t
     size() const
     {
-        return static_cast<std::size_t>(std::min<std::uint64_t>(writes, cap));
+        return static_cast<std::size_t>(writes - drops);
     }
 
     std::size_t capacity() const { return cap; }
@@ -200,13 +210,18 @@ class TraceBuffer
     std::shared_ptr<Event[]> spare;
     std::size_t spareSize = 0;
     std::uint64_t writes = 0;
+    /** Events dropped: since capacity may grow, not writes - cap. */
+    std::uint64_t drops = 0;
 };
 
 /**
- * The process-wide sink: one ring buffer per emitting thread (plus
- * pseudo-threads for the hardware sweeper and the kernel's
- * address-space operations), a global sequence counter giving a
- * total emission order, and aggregate drop accounting.
+ * The process-wide sink: one ring of every thread's events (and those
+ * of the pseudo-threads for the hardware sweeper and the kernel's
+ * address-space operations) in emission order, numbered by a global
+ * sequence counter. The ring holds the per-thread capacity for each
+ * (pseudo-)thread that has emitted, so a run in which no thread emits
+ * more than that keeps every event, and a wrap drops the oldest
+ * events of the whole stream: the first dropped() seqs.
  */
 class TraceSink
 {
@@ -216,10 +231,11 @@ class TraceSink
     /** Pseudo-tid for kernel address-space (map/unmap) events. */
     static constexpr std::uint32_t kernelTid = 0xffffffffu;
 
+    /** Events per emitting thread (the RuntimeConfig default too). */
     static constexpr std::size_t defaultCapacity = 1u << 16;
 
     explicit TraceSink(std::size_t per_thread_capacity = defaultCapacity)
-        : cap(per_thread_capacity ? per_thread_capacity : 1)
+        : cap(per_thread_capacity ? per_thread_capacity : 1), ring(cap)
     {
     }
 
@@ -230,12 +246,13 @@ class TraceSink
     {
         Event e;
         e.ts = ts;
-        e.seq = nextSeq++;
+        e.seq = ring.written();
         e.pmo = pmo;
         e.arg = arg;
         e.tid = tid;
         e.kind = kind;
-        bufferFor(tid).push(e);
+        noteTid(tid);
+        ring.push(e);
         if (ts > lastTs)
             lastTs = ts;
     }
@@ -252,92 +269,27 @@ class TraceSink
         emit(kernelTid, kind, lastTs, pmo, arg);
     }
 
-    /** Per-thread buffers, ascending by (pseudo-)tid. */
-    using Buffers = std::vector<std::pair<std::uint32_t, TraceBuffer>>;
+    /** Every (pseudo-)tid that has emitted, ascending. */
+    const std::vector<std::uint32_t> &tids() const { return emitters; }
 
-    /** Per-thread buffers, ascending by (pseudo-)tid. */
-    const Buffers &
-    buffers() const
-    {
-        return perThread;
-    }
-
-    /** All retained events merged into emission (seq) order. */
-    std::vector<Event> merged() const { return mergedSince(0); }
+    /** The retained events, in emission (seq) order. */
+    std::vector<Event> events() const { return ring.events(); }
 
     /**
-     * The retained events whose seq is at least @p seq, merged into
-     * emission order: what a reader that has seen every event before
-     * @p seq has yet to see.
+     * Call @p f on each retained event whose seq is at least @p seq,
+     * in emission order.
      */
-    std::vector<Event>
-    mergedSince(std::uint64_t seq) const
-    {
-        std::vector<Event> out, spare;
-        mergeSince(seq, out, spare);
-        return out;
-    }
-
-    /**
-     * mergedSince(@p seq) into @p out, with @p spare as merge space.
-     * Both keep their capacity, so a caller that keeps them merges
-     * without allocating once they have grown to its events.
-     */
+    template <class F>
     void
-    mergeSince(std::uint64_t seq, std::vector<Event> &out,
-               std::vector<Event> &spare) const
+    forEachSince(std::uint64_t seq, F &&f) const
     {
-        out.clear();
-        // At most the events emitted since seq, and the retained ones.
-        std::size_t n = 0;
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            n += buf.size();
-        }
-        if (seq < nextSeq) {
-            n = std::min<std::uint64_t>(n, nextSeq - seq);
-            out.reserve(n);
-            spare.reserve(n);
-        }
-        // A buffer holds its events in emission order, so merging
-        // each buffer's run with the runs before it keeps seq order.
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            const auto mid = static_cast<std::ptrdiff_t>(out.size());
-            buf.forEachSince(seq, [&out](const Event &e) { out.push_back(e); });
-            if (mid == 0 || out.begin() + mid == out.end())
-                continue;
-            spare.clear();
-            std::merge(out.begin(), out.begin() + mid, out.begin() + mid,
-                       out.end(), std::back_inserter(spare),
-                       [](const Event &a, const Event &b) {
-                           return a.seq < b.seq;
-                       });
-            out.swap(spare);
-        }
+        ring.forEachSince(seq, std::forward<F>(f));
     }
 
-    std::uint64_t
-    totalEmitted() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            n += buf.written();
-        }
-        return n;
-    }
+    std::uint64_t totalEmitted() const { return ring.written(); }
 
-    std::uint64_t
-    totalDropped() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &[tid, buf] : perThread) {
-            (void)tid;
-            n += buf.dropped();
-        }
-        return n;
-    }
+    /** Events lost to wrap: seqs [0, totalDropped()). */
+    std::uint64_t totalDropped() const { return ring.dropped(); }
 
     /** The trace retains every emitted event (nothing wrapped). */
     bool complete() const { return totalDropped() == 0; }
@@ -345,22 +297,23 @@ class TraceSink
     std::size_t perThreadCapacity() const { return cap; }
 
   private:
-    TraceBuffer &
-    bufferFor(std::uint32_t tid)
+    /** Make room in the ring for a (pseudo-)thread's first event. */
+    void
+    noteTid(std::uint32_t tid)
     {
-        auto it = std::lower_bound(
-            perThread.begin(), perThread.end(), tid,
-            [](const auto &b, std::uint32_t t) { return b.first < t; });
-        if (it == perThread.end() || it->first != tid)
-            it = perThread.emplace(it, tid, TraceBuffer(cap));
-        return it->second;
+        auto it = std::lower_bound(emitters.begin(), emitters.end(), tid);
+        if (it != emitters.end() && *it == tid)
+            return;
+        if (!emitters.empty())
+            ring.grow(cap);
+        emitters.insert(it, tid);
     }
 
     std::size_t cap;
     /** A few threads and pseudo-threads: a flat table, whose
-     *  assignment writes into the buffers it already has. */
-    Buffers perThread;
-    std::uint64_t nextSeq = 0;
+     *  assignment writes into the storage it already has. */
+    std::vector<std::uint32_t> emitters;
+    TraceBuffer ring;
     Cycles lastTs = 0;
 };
 

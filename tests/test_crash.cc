@@ -98,7 +98,7 @@ TEST(RuntimeCrash, ClearsVolatileProtectionState)
     EXPECT_TRUE(f.dom.findLog(1)->recoveryPending());
 
     // The failure and its kernel-side unmap made it into the trace.
-    auto events = f.rt->traceSink()->merged();
+    auto events = f.rt->traceSink()->events();
     EXPECT_TRUE(std::any_of(events.begin(), events.end(),
                             [](const trace::Event &e) {
                                 return e.kind == trace::EventKind::Crash;
@@ -135,7 +135,7 @@ TEST(RuntimeCrash, RecoverRollsBackOnlyPendingLogs)
     EXPECT_EQ(ctl.persistedLoad(pm::Oid(2, 0x200)), 55u)
         << "committed neighbour must survive untouched";
 
-    auto events = f.rt->traceSink()->merged();
+    auto events = f.rt->traceSink()->events();
     EXPECT_TRUE(std::any_of(events.begin(), events.end(),
                             [](const trace::Event &e) {
                                 return e.kind ==
@@ -576,7 +576,7 @@ observe(check::CrashWorld &w)
             o.exposure.push_back(
                 ew.blameTotal(p, static_cast<semantics::BlameCause>(c)));
     }
-    for (const trace::Event &e : w.runtime().traceSink()->merged()) {
+    for (const trace::Event &e : w.runtime().traceSink()->events()) {
         o.events.insert(o.events.end(),
                         {e.ts, e.seq, e.pmo, e.arg, e.tid,
                          static_cast<std::uint64_t>(e.kind)});
@@ -677,19 +677,19 @@ TEST(WorldFork, CopyOutlivesItsOriginal)
 
 namespace {
 
-/** Each trace buffer's counts and every field of its events. */
+/** The trace ring's tids and counts, and every field of its events. */
 std::vector<std::uint64_t>
 traceOf(const check::CrashWorld &w)
 {
-    std::vector<std::uint64_t> out;
-    for (const auto &[tid, buf] : w.runtime().traceSink()->buffers()) {
+    const trace::TraceSink &sink = *w.runtime().traceSink();
+    std::vector<std::uint64_t> out(sink.tids().begin(), sink.tids().end());
+    const std::vector<trace::Event> events = sink.events();
+    out.insert(out.end(),
+               {sink.totalEmitted(), sink.totalDropped(), events.size()});
+    for (const trace::Event &e : events) {
         out.insert(out.end(),
-                   {tid, buf.written(), buf.dropped(), buf.size()});
-        for (const trace::Event &e : buf.events()) {
-            out.insert(out.end(),
-                       {e.ts, e.seq, e.pmo, e.arg, e.tid,
-                        static_cast<std::uint64_t>(e.kind)});
-        }
+                   {e.ts, e.seq, e.pmo, e.arg, e.tid,
+                    static_cast<std::uint64_t>(e.kind)});
     }
     return out;
 }
@@ -697,7 +697,7 @@ traceOf(const check::CrashWorld &w)
 } // namespace
 
 /**
- * Fork a world whose trace rings are small, then step the original
+ * Fork a world whose trace ring is small, then step the original
  * and the copy by turns: both emit into the events they share and
  * wrap past them, the copy after a detour of its own, so the two
  * emit different events. Each must hold, event for event, the trace
@@ -709,7 +709,7 @@ TEST(WorldFork, WrappedTracesMatchAnUnforkedRun)
     constexpr std::size_t cap = 16;
     std::vector<Step> steps = forkScript();
     // A tail every fork point runs after the fork: transfers on both
-    // threads and long sweeps, so each ring wraps past what the fork
+    // threads and long sweeps, so the ring wraps past what the fork
     // shares.
     for (unsigned t = 0; t < 8; ++t) {
         steps.push_back([t](check::CrashWorld &w, check::Ledger &led,
@@ -722,7 +722,7 @@ TEST(WorldFork, WrappedTracesMatchAnUnforkedRun)
     const Step detour = [](check::CrashWorld &, check::Ledger &,
                            Rng &rng) { rng.next(); };
     // The trace of an unforked run, with the detour after step k;
-    // every ring of it wrapped.
+    // its ring wrapped.
     auto unforked = [&](std::optional<std::size_t> k) {
         check::CrashWorld w = forkWorld(cap);
         check::Ledger led;
@@ -733,8 +733,7 @@ TEST(WorldFork, WrappedTracesMatchAnUnforkedRun)
             if (i < steps.size())
                 steps[i](w, led, rng);
         }
-        for (const auto &[tid, buf] : w.runtime().traceSink()->buffers())
-            EXPECT_GT(buf.dropped(), 0u) << "tid " << tid;
+        EXPECT_GT(w.runtime().traceSink()->totalDropped(), 0u);
         return traceOf(w);
     };
     const std::vector<std::uint64_t> want = unforked(std::nullopt);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -144,9 +145,7 @@ TEST(Harvest, ThousandCycleOracleEveryScheme)
     // The tentpole acceptance run: 1000 consecutive power cycles per
     // scheme with the crash-enumeration invariants (atomicity ledger,
     // probe-transaction liveness, exposure hygiene) checked at every
-    // cycle and the full-timeline trace audit at a stride (the audit
-    // replays the whole trace, so per-cycle auditing would be
-    // quadratic in run length).
+    // cycle and the full-timeline trace audit at a stride.
     for (const std::string &scheme : core::checkedSchemeTags()) {
         energy::HarvestOptions opt;
         opt.scheme = scheme;
@@ -182,6 +181,42 @@ TEST(Harvest, TxnestOracleUnderPowerFail)
     EXPECT_GT(res.interrupted, 0u);
     for (const std::string &v : res.violations)
         ADD_FAILURE() << v;
+}
+
+/**
+ * The audit resumes one replay across strides, so a ring far smaller
+ * than the run's trace still audits clean as long as it holds a
+ * stride's events: it wraps many times here and loses nothing the
+ * replay had not read. A stride wider than the ring holds must be
+ * reported incomplete, not audited on what is left.
+ */
+TEST(Harvest, ResumedAuditReadsAcrossRingWraps)
+{
+    for (const char *workload : {"bank", "txnest"}) {
+        energy::HarvestOptions opt;
+        opt.scheme = "tt";
+        opt.workload = workload;
+        opt.powerCycles = 300;
+        opt.cap.capacityUnits = 800;
+        opt.auditEvery = 2;
+        opt.traceCapacity = 256;
+        energy::HarvestResult res = energy::runHarvest(opt);
+        EXPECT_EQ(res.powerCycles, 300u) << workload;
+        EXPECT_GT(res.droppedEvents, 10 * 3 * opt.traceCapacity)
+            << workload;
+        for (const std::string &v : res.violations)
+            ADD_FAILURE() << workload << ": " << v;
+
+        opt.auditEvery = 100;
+        energy::HarvestResult wide = energy::runHarvest(opt);
+        EXPECT_TRUE(std::any_of(
+            wide.violations.begin(), wide.violations.end(),
+            [](const std::string &v) {
+                return v.find("trace audit: trace incomplete") !=
+                       std::string::npos;
+            }))
+            << workload;
+    }
 }
 
 TEST(Harvest, Deterministic)
@@ -698,7 +733,7 @@ std::vector<Cycles>
 firedTicks(const core::ShardDomain &d)
 {
     std::vector<Cycles> ts;
-    for (const trace::Event &e : d.runtime().traceSink()->merged())
+    for (const trace::Event &e : d.runtime().traceSink()->events())
         if (e.kind == trace::EventKind::SweepTick)
             ts.push_back(e.ts);
     return ts;

@@ -319,7 +319,7 @@ TEST(EwTrackerBlame, SegmentHookSeesTruncatedSegments)
     t.threadClose(0, 1, 500);
     t.processClose(1, 400);
     std::vector<std::pair<Cycles, BlameCause>> got;
-    for (const trace::Event &e : sink.merged()) {
+    for (const trace::Event &e : sink.events()) {
         EXPECT_EQ(e.kind, trace::EventKind::BlameSegment);
         EXPECT_EQ(e.tid, trace::TraceSink::sweeperTid);
         EXPECT_EQ(e.pmo, 1u);

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the src/trace subsystem: ring-buffer wrap/drop
- * semantics (against a fixed-array model of the lazily grown ring),
- * exported drop telemetry, the no-op guarantee when tracing is
- * disabled, the event taxonomy emitted by the runtime, sweeper-path
- * event ordering, event ordering under the multi-threaded SPEC
- * surrogate, and the timeline auditor's differential check against
- * EwTracker across every scheme and both attach-semantics styles.
+ * semantics (against a fixed-array model of the lazily grown ring,
+ * and the sink's one ring against a model of the whole stream), the
+ * replay's completeness rule, exported drop telemetry, the no-op
+ * guarantee when tracing is disabled, the event taxonomy emitted by
+ * the runtime, sweeper-path event ordering, event ordering under the
+ * multi-threaded SPEC surrogate, and the timeline auditor's
+ * differential check against EwTracker across every scheme and both
+ * attach-semantics styles.
  */
 
 #include <gtest/gtest.h>
@@ -50,7 +52,7 @@ struct Rig
         tc = &mach.thread(0);
     }
 
-    std::vector<Event> events() const { return rt->traceSink()->merged(); }
+    std::vector<Event> events() const { return rt->traceSink()->events(); }
 
     std::vector<Event>
     eventsOfKind(EventKind k) const
@@ -127,7 +129,7 @@ TEST(TraceSink, MergesAcrossThreadsInEmissionOrder)
     s.emit(1, EventKind::RegionBegin, 5, 2);
     s.emit(0, EventKind::RegionEnd, 20, 1);
     s.emitKernel(EventKind::PmoMap, 3, 0xabc);
-    std::vector<Event> es = s.merged();
+    std::vector<Event> es = s.events();
     ASSERT_EQ(es.size(), 4u);
     for (std::size_t i = 0; i < es.size(); ++i)
         EXPECT_EQ(es[i].seq, i);
@@ -226,41 +228,153 @@ TEST(TraceBuffer, LazyRingMatchesFixedArrayModel)
                 EXPECT_EQ(got[i].pmo, want[i].pmo);
                 EXPECT_EQ(got[i].arg, want[i].arg);
             }
+        }
+    }
+}
 
-            // The sink over three tids: each ring keeps its own newest
-            // min(n, cap) events, merged back into global seq order.
-            const std::uint32_t tids[] = {
-                0, 1, trace::TraceSink::sweeperTid};
+namespace {
+
+/**
+ * Reference for the sink's ring: the whole stream, of which it keeps
+ * the newest `capacity` events, capacity rising by the per-thread cap
+ * at each thread's first event.
+ */
+struct RefSink
+{
+    explicit RefSink(std::size_t cap) : cap(cap) {}
+
+    void
+    emit(std::uint32_t tid)
+    {
+        if (std::find(tids.begin(), tids.end(), tid) == tids.end())
+            tids.push_back(tid);
+        if (++written > cap * tids.size())
+            dropped = std::max(dropped, written - cap * tids.size());
+    }
+
+    /** Seqs of the events the ring must still hold. */
+    std::vector<std::uint64_t>
+    retained() const
+    {
+        std::vector<std::uint64_t> out;
+        for (std::uint64_t q = dropped; q < written; ++q)
+            out.push_back(q);
+        return out;
+    }
+
+    std::size_t cap;
+    std::vector<std::uint32_t> tids;
+    std::uint64_t written = 0, dropped = 0;
+};
+
+/** Emit on @p tid into the sink and its reference. */
+void
+emitBoth(trace::TraceSink &s, RefSink &ref, std::uint32_t tid)
+{
+    s.emit(tid, EventKind::SweepTick, ref.written);
+    ref.emit(tid);
+}
+
+void
+expectSinkMatches(const trace::TraceSink &s, const RefSink &ref)
+{
+    EXPECT_EQ(seqsOf(s.events()), ref.retained());
+    EXPECT_EQ(s.totalEmitted(), ref.written);
+    EXPECT_EQ(s.totalDropped(), ref.dropped);
+    EXPECT_EQ(s.complete(), ref.dropped == 0);
+}
+
+} // namespace
+
+/**
+ * The sink's one ring holds its per-thread capacity for each thread
+ * that has emitted: threads that each stay within it lose nothing,
+ * however their events interleave, and one that overflows costs the
+ * oldest events of the whole stream, which stay counted when a later
+ * thread's first event raises the capacity.
+ */
+TEST(TraceSink, OneRingDropsTheOldestOfTheStream)
+{
+    const std::uint32_t tids[] = {0, 1, trace::TraceSink::sweeperTid};
+    for (std::size_t cap : {1, 2, 3, 7, 64}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        {
+            // Interleaved, cap events a tid, and a tid that starts
+            // after the others.
             trace::TraceSink s(cap);
-            std::map<std::uint32_t, RefRing> refs;
-            for (std::uint32_t t : tids)
-                refs.emplace(t, RefRing(cap));
-            std::uint64_t seq = 0;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                for (std::uint32_t t : tids) {
-                    Event e;
-                    e.seq = seq++;
-                    refs.at(t).push(e);
-                    s.emit(t, EventKind::SweepTick, i);
+            RefSink ref(cap);
+            for (std::size_t i = 0; i < cap; ++i)
+                for (std::uint32_t t : tids)
+                    emitBoth(s, ref, t);
+            for (std::size_t i = 0; i < cap; ++i)
+                emitBoth(s, ref, trace::TraceSink::kernelTid);
+            expectSinkMatches(s, ref);
+            EXPECT_EQ(s.totalDropped(), 0u);
+            EXPECT_EQ(s.tids(), (std::vector<std::uint32_t>{
+                                    0, 1, trace::TraceSink::sweeperTid,
+                                    trace::TraceSink::kernelTid}));
+        }
+        for (std::size_t over : {std::size_t{1}, cap, 3 * cap + 2}) {
+            SCOPED_TRACE("tid 1 overflows by " + std::to_string(over));
+            trace::TraceSink s(cap);
+            RefSink ref(cap);
+            for (std::size_t i = 0; i < cap; ++i)
+                for (std::uint32_t t : tids)
+                    emitBoth(s, ref, t);
+            for (std::size_t i = 0; i < over; ++i)
+                emitBoth(s, ref, 1);
+            expectSinkMatches(s, ref);
+            // Exactly the first `over` seqs of the stream are gone.
+            EXPECT_EQ(s.totalDropped(), over);
+            EXPECT_EQ(s.events().front().seq, over);
+
+            // A new tid raises the capacity: what was dropped stays
+            // dropped, and the ring keeps every one of its events.
+            for (std::size_t i = 0; i < cap; ++i)
+                emitBoth(s, ref, trace::TraceSink::kernelTid);
+            expectSinkMatches(s, ref);
+            EXPECT_EQ(s.totalDropped(), over);
+            EXPECT_EQ(s.events().size(), 4 * cap);
+        }
+    }
+}
+
+/**
+ * A replay caught up before a wrap and again after it is complete
+ * exactly when every event the ring dropped had already been fed to
+ * it; one that was never caught up before the wrap is not.
+ */
+TEST(TimelineReplay, CompleteExactlyWhenEveryDroppedEventWasFed)
+{
+    const semantics::EwTracker none;
+    for (std::size_t cap : {1, 3, 64}) {
+        for (std::size_t fed : {std::size_t{0}, std::size_t{1}, cap}) {
+            for (std::size_t more :
+                 {std::size_t{0}, std::size_t{1}, cap - 1, cap, cap + 1,
+                  2 * cap + 5}) {
+                SCOPED_TRACE("capacity " + std::to_string(cap) + ", " +
+                             std::to_string(fed) + " fed, then " +
+                             std::to_string(more) + " more");
+                trace::TraceSink s(cap);
+                for (std::size_t i = 0; i < fed; ++i)
+                    s.emit(0, EventKind::SweepTick, i);
+                trace::TimelineReplay early;
+                early.catchUp(s);
+                for (std::size_t i = 0; i < more; ++i)
+                    s.emit(0, EventKind::SweepTick, fed + i);
+                const bool allFed = s.totalDropped() <= fed;
+                trace::AuditReport a =
+                    trace::auditTimelineFrom(early, s, fed + more, none);
+                EXPECT_EQ(a.complete, allFed);
+                EXPECT_EQ(a.ok, allFed) << a.summary();
+                if (!allFed) {
+                    EXPECT_EQ(a.mismatches.back().rfind(
+                                  "trace incomplete", 0),
+                              0u);
                 }
-            }
-            std::vector<Event> wantMerged;
-            for (const auto &[t, r] : refs) {
-                (void)t;
-                std::vector<Event> es = r.events();
-                wantMerged.insert(wantMerged.end(), es.begin(),
-                                  es.end());
-            }
-            std::sort(wantMerged.begin(), wantMerged.end(),
-                      [](const Event &a, const Event &b) {
-                          return a.seq < b.seq;
-                      });
-            EXPECT_EQ(seqsOf(s.merged()), seqsOf(wantMerged));
-            EXPECT_EQ(s.totalEmitted(), 3 * n);
-            EXPECT_EQ(s.totalDropped(), 3 * ref.dropped());
-            for (const auto &[t, buf] : s.buffers()) {
-                EXPECT_EQ(buf.capacity(), cap) << "tid " << t;
-                EXPECT_EQ(buf.size(), std::min(n, cap)) << "tid " << t;
+                // The batch audit is a replay caught up only now.
+                EXPECT_EQ(trace::auditTimeline(s, fed + more, none).complete,
+                          s.complete());
             }
         }
     }
@@ -382,7 +496,7 @@ TEST(TraceBuffer, AssignmentReusesOnlyAnUnsharedChunk)
 TEST(TraceMetrics, DroppedEventsExported)
 {
     // A ring of 8 events per thread wraps on any real run; the
-    // registry reports exactly what the rings lost.
+    // registry reports exactly what the ring lost.
     workloads::WhisperParams p;
     p.sections = 20;
     workloads::RunResult r = workloads::runWhisper(
@@ -390,11 +504,7 @@ TEST(TraceMetrics, DroppedEventsExported)
     ASSERT_NE(r.trace, nullptr);
     ASSERT_NE(r.metrics, nullptr)
         << "run published no metrics registry";
-    std::uint64_t retained = 0;
-    for (const auto &[tid, buf] : r.trace->buffers()) {
-        (void)tid;
-        retained += buf.size();
-    }
+    const std::uint64_t retained = r.trace->events().size();
     const metrics::Counter *dropped =
         r.metrics->findCounter("trace.dropped_events");
     ASSERT_NE(dropped, nullptr);
@@ -572,7 +682,7 @@ TEST(TraceSweeper, TtSweepEventsOnSweeperTrack)
     workloads::RunResult r = workloads::runWhisper(
         "ctree", RuntimeConfig::tt(usToCycles(10)).withTrace(), p);
     ASSERT_NE(r.trace, nullptr);
-    std::vector<Event> es = r.trace->merged();
+    std::vector<Event> es = r.trace->events();
     EXPECT_GT(countKind(es, EventKind::SweepTick), 0u);
     for (const Event &e : es) {
         if (e.kind == EventKind::SweepTick) {
@@ -595,7 +705,7 @@ TEST(TraceOrdering, FourThreadSpecSurrogate)
     ASSERT_NE(r.trace, nullptr);
     EXPECT_TRUE(r.trace->complete());
 
-    std::vector<Event> es = r.trace->merged();
+    std::vector<Event> es = r.trace->events();
     ASSERT_FALSE(es.empty());
 
     // seq is a strictly increasing total order.
@@ -703,6 +813,24 @@ TEST(TraceAudit, DifferentialSpecBothInsertionStyles)
     }
 }
 
+namespace {
+
+/**
+ * Audit @p es re-emitted, in order, into a sink of @p cap events per
+ * thread.
+ */
+trace::AuditReport
+auditReEmitted(const std::vector<Event> &es, std::size_t cap,
+               Cycles t_end, const semantics::EwTracker &expected)
+{
+    trace::TraceSink s(cap);
+    for (const Event &e : es)
+        s.emit(e.tid, e.kind, e.ts, e.pmo, e.arg);
+    return trace::auditTimeline(s, t_end, expected);
+}
+
+} // namespace
+
 TEST(TraceAudit, TamperedStreamIsCaught)
 {
     Rig r(RuntimeConfig::tm(usToCycles(5)).withTrace());
@@ -714,9 +842,10 @@ TEST(TraceAudit, TamperedStreamIsCaught)
     r.tc->work(usToCycles(10));
     r.rt->finalize();
 
+    const trace::TraceSink &sink = *r.rt->traceSink();
     std::vector<Event> es = r.events();
-    trace::AuditReport good = trace::auditEvents(
-        es, true, r.mach.maxClock(), r.rt->exposure());
+    trace::AuditReport good = trace::auditTimeline(
+        sink, r.mach.maxClock(), r.rt->exposure());
     EXPECT_TRUE(good.ok) << good.summary();
 
     // Drop the real detach: the recomputed EW must now disagree.
@@ -730,14 +859,14 @@ TEST(TraceAudit, TamperedStreamIsCaught)
         tampered.push_back(e);
     }
     ASSERT_TRUE(dropped);
-    trace::AuditReport bad = trace::auditEvents(
-        tampered, true, r.mach.maxClock(), r.rt->exposure());
+    trace::AuditReport bad = auditReEmitted(
+        tampered, es.size(), r.mach.maxClock(), r.rt->exposure());
     EXPECT_FALSE(bad.ok);
     EXPECT_FALSE(bad.mismatches.empty());
 
     // An incomplete (wrapped) trace must refuse to vouch.
-    trace::AuditReport inc = trace::auditEvents(
-        es, false, r.mach.maxClock(), r.rt->exposure());
+    trace::AuditReport inc =
+        auditReEmitted(es, 1, r.mach.maxClock(), r.rt->exposure());
     EXPECT_FALSE(inc.ok);
     EXPECT_FALSE(inc.complete);
 
@@ -755,16 +884,16 @@ TEST(TraceAudit, TamperedStreamIsCaught)
     };
     const std::string ewAll = "exposure.ew_cycles{pmo=\"all\"}";
     reg->histogram(ewAll).record(1);
-    trace::AuditReport strayEw = trace::auditEvents(
-        es, true, r.mach.maxClock(), r.rt->exposure());
+    trace::AuditReport strayEw = trace::auditTimeline(
+        sink, r.mach.maxClock(), r.rt->exposure());
     EXPECT_FALSE(strayEw.ok);
     EXPECT_TRUE(namesSeries(strayEw, ewAll)) << strayEw.summary();
 
     const std::string tewPmo = metrics::labeled(
         "exposure.tew_cycles", "pmo", std::to_string(r.pmo));
     reg->histogram(tewPmo).record(1);
-    trace::AuditReport strayTew = trace::auditEvents(
-        es, true, r.mach.maxClock(), r.rt->exposure());
+    trace::AuditReport strayTew = trace::auditTimeline(
+        sink, r.mach.maxClock(), r.rt->exposure());
     EXPECT_FALSE(strayTew.ok);
     EXPECT_TRUE(namesSeries(strayTew, tewPmo)) << strayTew.summary();
 }

@@ -19,8 +19,9 @@
  *   --scale F       SPEC iteration scale, > 0 (default 1.0)
  *   --ew US         EW target in microseconds (default 40)
  *   --tew US        TEW target in microseconds (default 2)
- *   --capacity N    per-thread ring capacity in events, >= 1
- *                   (default 64Ki; the ring grows to it on demand)
+ *   --capacity N    trace capacity in events per emitting thread,
+ *                   >= 1 (default 64Ki): the one ring holds N for
+ *                   each thread that emitted, growing on demand
  *
  * A flag's value may follow '=' or come as the next argument
  * (`--sections=4` or `--sections 4`); tools/cli.hh holds the value
@@ -140,15 +141,15 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.totalCycles),
                 cyclesToUs(r.totalCycles));
     std::printf("events: %llu emitted, %llu dropped (ring capacity "
-                "%zu/thread)\n",
+                "%zu events x %zu emitting threads)\n",
                 static_cast<unsigned long long>(
                     r.trace->totalEmitted()),
                 static_cast<unsigned long long>(
                     r.trace->totalDropped()),
-                r.trace->perThreadCapacity());
+                r.trace->perThreadCapacity(), r.trace->tids().size());
 
     std::map<std::string, std::uint64_t> byKind;
-    for (const trace::Event &e : r.trace->merged())
+    for (const trace::Event &e : r.trace->events())
         ++byKind[trace::eventKindName(e.kind)];
     for (const auto &[kind, n] : byKind) {
         std::printf("  %-16s %llu\n", kind.c_str(),
