@@ -111,6 +111,17 @@ class CircularBuffer
     using SweepActions = InlineList<SweepAction, capacity>;
     SweepActions sweep(Cycles now, Cycles max_ew);
 
+    /**
+     * The earliest time at which sweep(now, @p max_ew) could act:
+     * minTs + @p max_ew, or never (the largest Cycles) while the
+     * buffer is empty. A lower bound, as minTs is.
+     */
+    Cycles
+    nextExpiry(Cycles max_ew) const
+    {
+        return nLive ? minTs + max_ew : ~Cycles(0);
+    }
+
     /** Is a PMO resident in the buffer (attached or delayed)? */
     bool resident(pm::PmoId pmo) const;
 

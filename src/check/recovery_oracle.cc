@@ -323,9 +323,7 @@ auditTrace(CrashWorld &w, Cycles tEnd, trace::TimelineReplay &audited,
 {
     if (auto sink = w.runtime().traceSink()) {
         audited.catchUp(*sink);
-        report(trace::auditTimelineFrom(audited, *sink, tEnd,
-                                        w.runtime().exposure()),
-               out);
+        report(audited.audit(tEnd, w.runtime().exposure()), out);
     }
 }
 

@@ -191,9 +191,9 @@ void probeAndDrain(CrashWorld &w, Ledger &led,
 
 /**
  * Catch @p audited, a replay of the world's trace, up to the trace's
- * end, recompute the exposure windows up to @p tEnd from a copy of it
- * and report every disagreement with the EwTracker as "trace audit:
- * ..." (a no-op when tracing is off). A caller that audits the same
+ * end, audit it with every window closed at @p tEnd and report every
+ * disagreement with the EwTracker as "trace audit: ..." (a no-op when
+ * tracing is off). A caller that audits the same
  * world again keeps @p audited, so each audit reads only the events
  * emitted since the last.
  */

@@ -55,15 +55,31 @@ ShardDomain::operator=(const ShardDomain &o)
 void
 ShardDomain::sweepTo(Cycles t, const SweepGate &gate)
 {
+    if (nextHook > t)
+        return;
+    const std::shared_ptr<trace::TraceSink> &sink = rt->traceSink();
+    // The ticks before the sweeper's next possible action only count:
+    // they reach the runtime as one run, just before a tick that may
+    // act and at the end.
+    Cycles act = rt->nextSweepAction();
+    std::uint64_t idle = 0;
     for (; nextHook <= t; nextHook += hookPeriod) {
         if (gate && !gate(nextHook))
             continue;
-        if (auto sink = rt->traceSink()) {
+        if (sink) {
             sink->emit(trace::TraceSink::sweeperTid,
                        trace::EventKind::SweepTick, nextHook);
         }
+        if (nextHook < act) {
+            ++idle;
+            continue;
+        }
+        rt->idleSweeps(idle);
+        idle = 0;
         rt->onSweep(nextHook);
+        act = rt->nextSweepAction();
     }
+    rt->idleSweeps(idle);
 }
 
 void

@@ -101,14 +101,20 @@ class ShardDomain
      * skip that tick. The cursor still moves past a skipped boundary
      * — the timer fired, the sweeper could not act on it — which is
      * how the energy harness models a tick the backup reserve cannot
-     * afford.
+     * afford. It is asked at every boundary and may annotate the
+     * exposure tracker (energy-dark spans), but must not change what
+     * the sweeper could act on: sweepTo() reads that once per run of
+     * ticks that cannot act.
      */
     using SweepGate = std::function<bool(Cycles)>;
 
     /**
      * Fire the shard's hardware sweep timer at every hookPeriod
      * boundary <= @p t that has not fired yet, emitting one SweepTick
-     * trace event per tick that runs. Idempotent per boundary;
+     * trace event per tick that runs. The ticks before
+     * Runtime::nextSweepAction() reach the runtime as one
+     * Runtime::idleSweeps() run instead of one onSweep() each, which
+     * leaves the same state. Idempotent per boundary;
      * callers may invoke it as often as convenient (before each
      * request, between micro-ops, during a held window) and the tick
      * sequence stays identical — which is what makes the serve

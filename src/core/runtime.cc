@@ -758,6 +758,40 @@ Runtime::onSweep(Cycles now)
     }
 }
 
+Cycles
+Runtime::nextSweepAction() const
+{
+    if (cfg.scheme == Scheme::Unprotected)
+        return ~Cycles(0);
+    if (cfg.scheme == Scheme::TT)
+        return cb.nextExpiry(cfg.ewTarget);
+    Cycles next = ~Cycles(0);
+    for (std::size_t w = 0; w < mappedBits.size(); ++w) {
+        for (std::uint64_t bits = mappedBits[w]; bits; bits &= bits - 1) {
+            const MapState &m = maps[(w << 6) + std::countr_zero(bits)];
+            next = std::min(next, m.lastRealAttach + cfg.ewTarget);
+        }
+    }
+    return next;
+}
+
+void
+Runtime::idleSweeps(std::uint64_t k)
+{
+    if (cfg.scheme == Scheme::Unprotected || !reg || k == 0)
+        return;
+    sweepTickSeq += k;
+    reg->counterAt(mSweepTicks).inc(k);
+    if (cfg.scheme == Scheme::TT) {
+        reg->gaugeAt(mCbOccupancy).set(cb.liveEntries());
+        return;
+    }
+    std::uint64_t mapped = 0;
+    for (std::uint64_t w : mappedBits)
+        mapped += static_cast<std::uint64_t>(std::popcount(w));
+    reg->counterAt(mSweepPmoScans).inc(k * mapped);
+}
+
 void
 Runtime::finalize()
 {

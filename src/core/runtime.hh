@@ -155,6 +155,23 @@ class Runtime
     void onSweep(Cycles now);
 
     /**
+     * The earliest boundary at which onSweep() could detach or
+     * re-randomize a PMO (a lower bound: it may find nothing there).
+     * A tick before it only counts. For TT, the circular buffer's
+     * oldest live window plus the target; for the MERR-architecture
+     * schemes, the oldest mapped PMO's last real attach plus the
+     * target; never for the unprotected scheme or while nothing is
+     * live.
+     */
+    Cycles nextSweepAction() const;
+
+    /**
+     * @p k ticks before nextSweepAction(), as one: the counters and
+     * gauge that k onSweep() calls would leave, and nothing else.
+     */
+    void idleSweeps(std::uint64_t k);
+
+    /**
      * End of run: closeWindows(), then the one roll-up of the run's
      * counters and gauges into the registry. Idempotent.
      */
@@ -227,7 +244,10 @@ class Runtime
      * results keep it for export/audit). Null unless
      * config.traceEnabled.
      */
-    std::shared_ptr<trace::TraceSink> traceSink() const { return sink; }
+    const std::shared_ptr<trace::TraceSink> &traceSink() const
+    {
+        return sink;
+    }
 
     /**
      * The run's metrics registry, shared so run results can keep it

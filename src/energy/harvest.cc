@@ -21,6 +21,17 @@ constexpr std::uint64_t pmoBytes = 64 * KiB;
 /** Violations collected before the rest are suppressed. */
 constexpr std::size_t maxViolations = 8;
 
+/** @p o's ring, in events per emitting thread (HarvestOptions). */
+std::size_t
+ringCapacity(const HarvestOptions &o)
+{
+    if (o.traceCapacity)
+        return o.traceCapacity;
+    const std::uint64_t perCycle = o.cap.capacityUnits / 4 + 256;
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        std::max(o.auditEvery, 1u) * perCycle, 1u << 20));
+}
+
 /**
  * One harvest run. Owns the world, the capacitor, and the oracle
  * ledger for the whole multi-cycle lifetime — unlike the crash-point
@@ -64,7 +75,7 @@ struct Harness
         : opt(o),
           w(core::configForScheme(o.scheme, o.ewTarget)
                 .value()
-                .withTrace(o.traceCapacity),
+                .withTrace(ringCapacity(o)),
             o.workload == "txnest" ? 2u : 1u, /*threads=*/1u, pmoBytes,
             pm::TxManager::undoLogOff),
           cap(o.cap), rng(0x9e3779b97f4a7c15ULL ^ o.seed),
@@ -307,7 +318,8 @@ struct Harness
         ++res.powerCycles;
         if (cPowerCycles)
             cPowerCycles->inc();
-        if (opt.auditEvery && res.powerCycles % opt.auditEvery == 0)
+        if (opt.auditEvery && res.powerCycles % opt.auditEvery == 0 &&
+            audited.complete())
             check::auditTrace(w, w.machine().maxClock(), audited, v);
         for (const std::string &m : v)
             addViolation(m);
@@ -334,7 +346,8 @@ struct Harness
         }
 
         w.runtime().finalize();
-        if (opt.auditEvery) {
+        // An incomplete replay stays so: it was reported once.
+        if (opt.auditEvery && audited.complete()) {
             std::vector<std::string> v;
             check::auditTrace(w, w.machine().maxClock(), audited, v);
             for (const std::string &m : v)

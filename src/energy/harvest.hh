@@ -55,8 +55,15 @@ struct HarvestOptions
      * the audit.
      */
     unsigned auditEvery = 0;
-    /** Trace capacity, in events per emitting thread. */
-    std::size_t traceCapacity = 1u << 20;
+    /**
+     * Trace capacity, in events per emitting thread. 0 sizes the ring
+     * to a stride's events: max(auditEvery, 1) power cycles at twice
+     * the rate measured for bank and txnest under every scheme (about
+     * 0.12 events per capacitor unit per power cycle for each emitting
+     * thread), at most 2^20. A capacitor too large for that cap
+     * reports the trace incomplete.
+     */
+    std::size_t traceCapacity = 0;
 };
 
 struct HarvestResult

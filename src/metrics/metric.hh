@@ -160,8 +160,10 @@ class Summary
  * cross-checked cycle-for-cycle against semantics::EwTracker.
  *
  * record() costs a handful of ALU ops (bit_width + shift + add) and
- * touches one counter slot; the bucket array grows lazily to the
- * largest octave seen (~2 KiB for full 64-bit range at subBits = 5).
+ * touches one counter slot. Only the buckets from the lowest to the
+ * highest one used are kept (at most ~2 KiB for the full 64-bit range
+ * at subBits = 5), so a histogram of windows that all lie within a
+ * few octaves is tens of words, and so is its copy.
  */
 class LogHistogram
 {
@@ -179,10 +181,7 @@ class LogHistogram
     void
     record(std::uint64_t x)
     {
-        const std::size_t i = bucketIndex(x);
-        if (i >= counts.size())
-            counts.resize(i + 1, 0);
-        ++counts[i];
+        ++bucket(bucketIndex(x));
         stat.add(x);
     }
 
@@ -218,7 +217,7 @@ class LogHistogram
         for (std::size_t i = 0; i < counts.size(); ++i) {
             seen += counts[i];
             if (seen >= rank) {
-                std::uint64_t v = bucketUpperBound(i);
+                std::uint64_t v = bucketUpperBound(base + i);
                 if (v > stat.max())
                     v = stat.max();
                 if (v < stat.min())
@@ -233,6 +232,7 @@ class LogHistogram
     reset()
     {
         counts.clear();
+        base = 0;
         stat.reset();
     }
 
@@ -242,14 +242,27 @@ class LogHistogram
     {
         TERP_ASSERT(o.subBits == subBits,
                     "LogHistogram: merge with different resolution");
-        if (o.counts.size() > counts.size())
-            counts.resize(o.counts.size(), 0);
         for (std::size_t i = 0; i < o.counts.size(); ++i)
-            counts[i] += o.counts[i];
+            bucket(o.base + i) += o.counts[i];
         stat.merge(o.stat);
     }
 
   private:
+    /** Bucket @p i's count, widening the kept range to hold it. */
+    std::uint64_t &
+    bucket(std::size_t i)
+    {
+        if (counts.empty()) {
+            base = i;
+        } else if (i < base) {
+            counts.insert(counts.begin(), base - i, 0);
+            base = i;
+        }
+        if (i - base >= counts.size())
+            counts.resize(i - base + 1, 0);
+        return counts[i - base];
+    }
+
     std::size_t
     bucketIndex(std::uint64_t x) const
     {
@@ -280,7 +293,8 @@ class LogHistogram
 
     unsigned subBits;
     std::uint64_t subCount;
-    std::vector<std::uint64_t> counts;
+    std::size_t base = 0; //!< the bucket counts[0] holds
+    std::vector<std::uint64_t> counts; //!< buckets base, base + 1, ...
     Summary stat;
 };
 

@@ -126,10 +126,10 @@ Registry::takeSpare()
 }
 
 std::vector<Registry::Id>::const_iterator
-Registry::lowerBound(const std::string &name) const
+Registry::lowerBound(std::string_view name) const
 {
     return std::lower_bound(order.begin(), order.end(), name,
-                            [this](Id id, const std::string &n) {
+                            [this](Id id, std::string_view n) {
                                 return items[id]->first < n;
                             });
 }
@@ -164,7 +164,7 @@ Registry::getOrCreate(const std::string &name, Kind kind, unsigned sub_bits)
 }
 
 const Registry::Entry *
-Registry::find(const std::string &name, Kind kind) const
+Registry::find(std::string_view name, Kind kind) const
 {
     auto it = lowerBound(name);
     if (it == order.end() || items[*it]->first != name ||
@@ -192,24 +192,37 @@ Registry::histogramId(const std::string &name, unsigned sub_bits)
 }
 
 const Counter *
-Registry::findCounter(const std::string &name) const
+Registry::findCounter(std::string_view name) const
 {
     const Entry *e = find(name, Kind::Counter);
     return e ? &e->counter : nullptr;
 }
 
 const Gauge *
-Registry::findGauge(const std::string &name) const
+Registry::findGauge(std::string_view name) const
 {
     const Entry *e = find(name, Kind::Gauge);
     return e ? &e->gauge : nullptr;
 }
 
 const LogHistogram *
-Registry::findHistogram(const std::string &name) const
+Registry::findHistogram(std::string_view name) const
 {
     const Entry *e = find(name, Kind::Histogram);
     return e && e->hist ? &*e->hist : nullptr;
+}
+
+const LogHistogram *
+Registry::findHistogram(std::string_view name, Id &id) const
+{
+    if (id >= items.size() || items[id]->first != name) {
+        auto it = lowerBound(name);
+        id = it != order.end() && items[*it]->first == name ? *it : noId;
+        if (id == noId)
+            return nullptr;
+    }
+    const Entry &e = items[id]->second;
+    return e.kind == Kind::Histogram && e.hist ? &*e.hist : nullptr;
 }
 
 void

@@ -30,6 +30,7 @@
 #include <optional>
 #include <ranges>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -140,9 +141,19 @@ class Registry
 
     // ---- lookup (null when absent or of another kind) ---------------
 
-    const Counter *findCounter(const std::string &name) const;
-    const Gauge *findGauge(const std::string &name) const;
-    const LogHistogram *findHistogram(const std::string &name) const;
+    const Counter *findCounter(std::string_view name) const;
+    const Gauge *findGauge(std::string_view name) const;
+    const LogHistogram *findHistogram(std::string_view name) const;
+
+    /**
+     * findHistogram(@p name) through a handle @p id its caller keeps:
+     * read at @p id while the entry there carries @p name, else found
+     * by name, with @p id set to its Id (noId when absent, so a later
+     * call looks again). A copy of a registry may hold another
+     * instrument at an Id the copy created; the name check keeps a
+     * handle taken in one copy from reading that one.
+     */
+    const LogHistogram *findHistogram(std::string_view name, Id &id) const;
 
     /** All entries, ascending by name (deterministic export order). */
     auto
@@ -181,11 +192,11 @@ class Registry
     /** @p sub_bits: a new histogram's resolution. */
     Id getOrCreate(const std::string &name, Kind kind,
                    unsigned sub_bits = LogHistogram::defaultSubBits);
-    const Entry *find(const std::string &name, Kind kind) const;
+    const Entry *find(std::string_view name, Kind kind) const;
     /** An entry to write into: a spare, or a new one. */
     std::unique_ptr<Item> takeSpare();
     /** The first position of `order` whose name is not below @p name. */
-    std::vector<Id>::const_iterator lowerBound(const std::string &name) const;
+    std::vector<Id>::const_iterator lowerBound(std::string_view name) const;
 
     /** By Id; each on its own, so an instrument never moves. */
     std::vector<std::unique_ptr<Item>> items;

@@ -529,15 +529,5 @@ EwTracker::tewSummaryFor(pm::PmoId pmo) const
     return s ? &s->tew : nullptr;
 }
 
-std::vector<pm::PmoId>
-EwTracker::pmosSeen() const
-{
-    std::vector<pm::PmoId> out;
-    for (pm::PmoId pmo = 0; pmo < perPmo.size(); ++pmo)
-        if (perPmo[pmo].seen)
-            out.push_back(pmo);
-    return out;
-}
-
 } // namespace semantics
 } // namespace terp

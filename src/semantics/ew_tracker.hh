@@ -120,8 +120,11 @@ class EwTracker
     /** Metrics averaged over every PMO that had any window. */
     ExposureMetrics metricsAll(Cycles total, unsigned threads) const;
 
-    /** PMOs seen by the tracker. */
-    std::vector<pm::PmoId> pmosSeen() const;
+    /**
+     * One past the largest PMO id the tracker holds state for: every
+     * PMO it saw is below it (ewSummaryFor() is null for the others).
+     */
+    std::size_t pmoBound() const { return perPmo.size(); }
 
     /**
      * Raw closed-window summaries, in cycles, for exact differential

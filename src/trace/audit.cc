@@ -1,19 +1,15 @@
 #include "trace/audit.hh"
 
-#include <set>
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
 #include <sstream>
-#include <utility>
+#include <string_view>
 
 namespace terp {
 namespace trace {
 
 namespace {
-
-void
-mismatch(AuditReport &r, const std::string &msg)
-{
-    r.mismatches.push_back(msg);
-}
 
 std::string
 describe(const Event &e)
@@ -24,18 +20,28 @@ describe(const Event &e)
     return os.str();
 }
 
-/** The replayed tally of @p pmo in @p m (empty when never closed). */
-metrics::Summary
-tallyOf(const std::map<std::uint64_t, metrics::Summary> &m,
-        std::uint64_t pmo)
+/** @p v in decimal, written into @p buf. */
+std::string_view
+decimal(std::array<char, 20> &buf, std::uint64_t v)
 {
-    auto it = m.find(pmo);
-    return it != m.end() ? it->second : metrics::Summary{};
+    const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+    return {buf.data(), static_cast<std::size_t>(res.ptr - buf.data())};
+}
+
+/** @p parts joined in @p buf: a series name, with no allocation. */
+std::string_view
+joined(std::array<char, 64> &buf,
+       std::initializer_list<std::string_view> parts)
+{
+    std::size_t n = 0;
+    for (std::string_view part : parts)
+        n += part.copy(buf.data() + n, buf.size() - n);
+    return {buf.data(), n};
 }
 
 /** @p got (the replay) against @p against's @p want (null = empty). */
 void
-compareTally(AuditReport &r, const std::string &series,
+compareTally(std::vector<std::string> &out, std::string_view series,
              const char *against, const metrics::Summary &got,
              const metrics::Summary *want)
 {
@@ -48,21 +54,21 @@ compareTally(AuditReport &r, const std::string &series,
        << got.sum() << " min=" << got.min() << " max=" << got.max()
        << "} vs " << against << " {n=" << w.count() << " sum="
        << w.sum() << " min=" << w.min() << " max=" << w.max() << "}";
-    mismatch(r, os.str());
+    out.push_back(os.str());
 }
 
 /**
  * @p got against the registry's @p series histogram, through its
- * exact summary(). A missing histogram reads as empty, so it matches
- * only an empty replay.
+ * exact summary(), read through the handle @p id. A missing histogram
+ * reads as empty, so it matches only an empty replay.
  */
 void
-compareHistogram(AuditReport &r, const metrics::Registry &reg,
-                 const std::string &series, const metrics::Summary &got)
+compareHistogram(std::vector<std::string> &out, const metrics::Registry &reg,
+                 std::string_view series, metrics::Registry::Id &id,
+                 const metrics::Summary &got)
 {
-    const metrics::LogHistogram *h = reg.findHistogram(series);
-    compareTally(r, series, "registry", got,
-                 h ? &h->summary() : nullptr);
+    const metrics::LogHistogram *h = reg.findHistogram(series, id);
+    compareTally(out, series, "registry", got, h ? &h->summary() : nullptr);
 }
 
 /**
@@ -71,8 +77,8 @@ compareHistogram(AuditReport &r, const metrics::Registry &reg,
  * exactly.
  */
 void
-checkBlameTiling(AuditReport &r, std::uint64_t pmo, Cycles openSince,
-                 Cycles blameCursor, Cycles len)
+checkBlameTiling(std::vector<std::string> &out, std::uint64_t pmo,
+                 Cycles openSince, Cycles blameCursor, Cycles len)
 {
     if (blameCursor == openSince + len)
         return;
@@ -80,18 +86,30 @@ checkBlameTiling(AuditReport &r, std::uint64_t pmo, Cycles openSince,
     os << "blame segments don't tile window: pmo " << pmo
        << " open " << openSince << " len " << len
        << " segments cover " << (blameCursor - openSince);
-    mismatch(r, os.str());
+    out.push_back(os.str());
 }
 
+/** One past the largest PMO id: an Oid's pool field is 16 bits. */
+constexpr std::uint64_t pmoLimit = 1u << 16;
+
 } // namespace
+
+std::size_t
+AuditReport::pmosWith(metrics::Summary PmoTally::*side) const
+{
+    std::size_t n = 0;
+    for (const PmoTally &t : pmos)
+        n += (t.*side).count() != 0;
+    return n;
+}
 
 std::string
 AuditReport::summary() const
 {
     std::ostringstream os;
     if (ok) {
-        os << "audit OK: " << ew.size() << " PMO(s), EW/TEW match "
-           << "EwTracker exactly";
+        os << "audit OK: " << pmosWith(&PmoTally::ew)
+           << " PMO(s), EW/TEW match EwTracker exactly";
         return os.str();
     }
     os << "audit FAILED (" << mismatches.size() << " mismatch(es)";
@@ -103,93 +121,120 @@ AuditReport::summary() const
     return os.str();
 }
 
+TimelineReplay::PmoState *
+TimelineReplay::stateOf(const Event &e)
+{
+    if (e.pmo >= pmoLimit) {
+        mismatches.push_back("event names no PMO: " + describe(e));
+        return nullptr;
+    }
+    if (e.pmo >= state.size())
+        state.resize(e.pmo + 1);
+    return &state[e.pmo];
+}
+
 void
 TimelineReplay::feed(const Event &e)
 {
     nextSeq = e.seq + 1;
     switch (e.kind) {
       case EventKind::RealAttach: {
-        PmoState &s = state[e.pmo];
-        if (s.open) {
-            mismatch(sofar, "attach of already-open window: " +
-                                describe(e));
+        PmoState *s = stateOf(e);
+        if (!s)
+            break;
+        if (s->open) {
+            mismatches.push_back("attach of already-open window: " +
+                                 describe(e));
             break;
         }
-        s.open = true;
-        s.openSince = e.ts;
-        s.blameCursor = e.ts;
+        s->open = true;
+        s->openSince = e.ts;
+        s->blameCursor = e.ts;
         break;
       }
       case EventKind::RealDetach: {
-        PmoState &s = state[e.pmo];
-        if (!s.open) {
-            mismatch(sofar, "detach without open window: " +
-                                describe(e));
+        PmoState *s = stateOf(e);
+        if (!s)
+            break;
+        if (!s->open) {
+            mismatches.push_back("detach without open window: " +
+                                 describe(e));
             break;
         }
-        Cycles len = e.ts >= s.openSince ? e.ts - s.openSince : 0;
-        sofar.ew[e.pmo].add(len);
-        checkBlameTiling(sofar, e.pmo, s.openSince, s.blameCursor, len);
-        s.open = false;
+        Cycles len = e.ts >= s->openSince ? e.ts - s->openSince : 0;
+        s->tally.ew.add(len);
+        checkBlameTiling(mismatches, e.pmo, s->openSince, s->blameCursor,
+                         len);
+        s->open = false;
         break;
       }
       case EventKind::Randomize: {
         // Sweeper in-place re-randomization: the location dies, so
         // the runtime closes the window and opens a new one at the
         // same instant.
-        PmoState &s = state[e.pmo];
-        if (!s.open) {
-            mismatch(sofar, "randomize of unmapped PMO: " +
-                                describe(e));
+        PmoState *s = stateOf(e);
+        if (!s)
+            break;
+        if (!s->open) {
+            mismatches.push_back("randomize of unmapped PMO: " +
+                                 describe(e));
             break;
         }
-        Cycles len = e.ts >= s.openSince ? e.ts - s.openSince : 0;
-        sofar.ew[e.pmo].add(len);
-        checkBlameTiling(sofar, e.pmo, s.openSince, s.blameCursor, len);
-        s.openSince = e.ts;
-        s.blameCursor = e.ts;
+        Cycles len = e.ts >= s->openSince ? e.ts - s->openSince : 0;
+        s->tally.ew.add(len);
+        checkBlameTiling(mismatches, e.pmo, s->openSince, s->blameCursor,
+                         len);
+        s->openSince = e.ts;
+        s->blameCursor = e.ts;
         break;
       }
       case EventKind::BlameSegment: {
         // Emitted at window close, one per final segment; ts is the
         // segment's end, the previous end (or the window open) its
         // start.
-        PmoState &s = state[e.pmo];
-        if (!s.open) {
-            mismatch(sofar, "blame segment outside a window: " +
-                                describe(e));
+        PmoState *s = stateOf(e);
+        if (!s)
+            break;
+        if (!s->open) {
+            mismatches.push_back("blame segment outside a window: " +
+                                 describe(e));
             break;
         }
         if (e.arg >= semantics::numBlameCauses ||
-            e.ts <= s.blameCursor) {
-            mismatch(sofar, "malformed blame segment: " +
-                                describe(e));
+            e.ts <= s->blameCursor) {
+            mismatches.push_back("malformed blame segment: " +
+                                 describe(e));
             break;
         }
-        auto &sums = sofar.blame[e.pmo];
-        sums[e.arg] += e.ts - s.blameCursor;
-        s.blameCursor = e.ts;
+        s->tally.blame[e.arg] += e.ts - s->blameCursor;
+        s->blameCursor = e.ts;
         break;
       }
-      case EventKind::ThreadGrant: {
-        PmoState &s = state[e.pmo];
-        if (s.threadOpenSince.count(e.tid)) {
-            mismatch(sofar, "double thread grant: " + describe(e));
-            break;
-        }
-        s.threadOpenSince[e.tid] = e.ts;
-        break;
-      }
+      case EventKind::ThreadGrant:
       case EventKind::ThreadRevoke: {
-        PmoState &s = state[e.pmo];
-        auto it = s.threadOpenSince.find(e.tid);
-        if (it == s.threadOpenSince.end()) {
-            mismatch(sofar, "revoke without grant: " + describe(e));
+        PmoState *s = stateOf(e);
+        if (!s)
+            break;
+        auto it = std::find_if(s->threads.begin(), s->threads.end(),
+                               [&e](const auto &w) {
+                                   return w.first == e.tid;
+                               });
+        if (e.kind == EventKind::ThreadGrant) {
+            if (it != s->threads.end()) {
+                mismatches.push_back("double thread grant: " +
+                                     describe(e));
+                break;
+            }
+            s->threads.emplace_back(e.tid, e.ts);
             break;
         }
-        sofar.tew[e.pmo].add(e.ts >= it->second ? e.ts - it->second
-                                                : 0);
-        s.threadOpenSince.erase(it);
+        if (it == s->threads.end()) {
+            mismatches.push_back("revoke without grant: " + describe(e));
+            break;
+        }
+        s->tally.tew.add(e.ts >= it->second ? e.ts - it->second : 0);
+        *it = s->threads.back();
+        s->threads.pop_back();
         break;
       }
       default:
@@ -201,95 +246,110 @@ void
 TimelineReplay::catchUp(const TraceSink &sink)
 {
     // The ring drops the oldest events first: seqs [0, totalDropped()).
+    // Past a lost event the replay's state is wrong, so it reads no
+    // more: what it would add is noise ahead of the one verdict.
     if (sink.totalDropped() > nextSeq)
-        sofar.complete = false;
-    sink.forEachSince(nextSeq, [this](const Event &e) { feed(e); });
+        lost = true;
+    if (!lost)
+        sink.forEachSince(nextSeq, [this](const Event &e) { feed(e); });
 }
 
 AuditReport
-TimelineReplay::audit(Cycles t_end, const semantics::EwTracker &expected) &&
+TimelineReplay::audit(Cycles t_end,
+                      const semantics::EwTracker &expected) const
 {
-    AuditReport r = std::move(sofar);
+    AuditReport r;
+    r.complete = !lost;
+    r.mismatches = mismatches;
+    if (lost) {
+        r.mismatches.push_back("trace incomplete: the ring dropped "
+                               "events before the replay read them, "
+                               "cannot audit");
+        return r;
+    }
 
     // End of run: close every still-open window, as finalize() does.
-    for (const auto &[pmo, s] : state) {
+    r.pmos.resize(state.size());
+    for (std::size_t pmo = 0; pmo < state.size(); ++pmo) {
+        const PmoState &s = state[pmo];
+        AuditReport::PmoTally &t = r.pmos[pmo];
+        t = s.tally;
         if (s.open) {
             Cycles len =
                 t_end >= s.openSince ? t_end - s.openSince : 0;
-            r.ew[pmo].add(len);
+            t.ew.add(len);
             // finalize() emits the final window's segments; a trace
             // cut before finalize legitimately has none, so only a
             // partial tiling is a replay error here.
             if (s.blameCursor != s.openSince)
-                checkBlameTiling(r, pmo, s.openSince, s.blameCursor,
-                                 len);
+                checkBlameTiling(r.mismatches, pmo, s.openSince,
+                                 s.blameCursor, len);
         }
-        for (const auto &[tid, since] : s.threadOpenSince) {
+        for (const auto &[tid, since] : s.threads) {
             (void)tid;
-            r.tew[pmo].add(t_end >= since ? t_end - since : 0);
+            t.tew.add(t_end >= since ? t_end - since : 0);
         }
-    }
-
-    if (!r.complete) {
-        mismatch(r, "trace incomplete: the ring dropped events before "
-                    "the replay read them, cannot audit");
     }
 
     // Every PMO either side saw must agree on both window kinds,
     // with the tracker and with the registry it publishes into, if any.
-    std::set<std::uint64_t> pmos;
-    for (const auto *side : {&r.ew, &r.tew})
-        for (const auto &kv : *side)
-            pmos.insert(kv.first);
-    for (pm::PmoId pmo : expected.pmosSeen())
-        pmos.insert(pmo);
-
     const metrics::Registry *reg = expected.metricsRegistry();
+    const std::size_t n =
+        std::max<std::size_t>(r.pmos.size(), expected.pmoBound());
+    if (reg && ids.pmo.size() < n)
+        ids.pmo.resize(n, {metrics::Registry::noId, metrics::Registry::noId});
+    const AuditReport::PmoTally none;
     metrics::Summary ewAll, tewAll;
-    for (std::uint64_t pmo : pmos) {
-        auto id = static_cast<pm::PmoId>(pmo);
-        const std::string n = std::to_string(pmo);
-        metrics::Summary ew = tallyOf(r.ew, pmo), tew = tallyOf(r.tew, pmo);
-        compareTally(r, "EW pmo " + n, "EwTracker", ew,
-                     expected.ewSummaryFor(id));
-        compareTally(r, "TEW pmo " + n, "EwTracker", tew,
-                     expected.tewSummaryFor(id));
+    for (std::size_t pmo = 0; pmo < n; ++pmo) {
+        const auto id = static_cast<pm::PmoId>(pmo);
+        const AuditReport::PmoTally &t =
+            pmo < r.pmos.size() ? r.pmos[pmo] : none;
+        const metrics::Summary *wantEw = expected.ewSummaryFor(id);
+        if (!wantEw && t.ew.count() == 0 && t.tew.count() == 0)
+            continue; // neither side saw it
+        std::array<char, 20> num;
+        const std::string_view n = decimal(num, pmo);
+        std::array<char, 64> name;
+        compareTally(r.mismatches, joined(name, {"EW pmo ", n}),
+                     "EwTracker", t.ew, wantEw);
+        compareTally(r.mismatches, joined(name, {"TEW pmo ", n}),
+                     "EwTracker", t.tew, expected.tewSummaryFor(id));
         if (reg) {
-            // labeled(base, "pmo", n) spelled out: labeled() parses
-            // and rebuilds the label set, and this runs for every PMO
-            // of every audit (each enumerated crash point has one).
-            const std::string label = "{pmo=\"" + n + "\"}";
-            compareHistogram(r, *reg, "exposure.ew_cycles" + label, ew);
-            compareHistogram(r, *reg, "exposure.tew_cycles" + label, tew);
+            compareHistogram(
+                r.mismatches, *reg,
+                joined(name, {"exposure.ew_cycles{pmo=\"", n, "\"}"}),
+                ids.pmo[pmo][0], t.ew);
+            compareHistogram(
+                r.mismatches, *reg,
+                joined(name, {"exposure.tew_cycles{pmo=\"", n, "\"}"}),
+                ids.pmo[pmo][1], t.tew);
         }
-        ewAll.merge(ew);
-        tewAll.merge(tew);
+        ewAll.merge(t.ew);
+        tewAll.merge(t.tew);
 
         // Blame attribution: the recomputed per-cause totals must
         // equal the tracker's bit-exactly (third independent copy of
         // the blame-sum == EW invariant).
-        auto bit = r.blame.find(pmo);
         for (unsigned c = 0; c < semantics::numBlameCauses; ++c) {
-            Cycles got = bit != r.blame.end() ? bit->second[c] : 0;
-            Cycles want = expected.blameTotal(
-                id, static_cast<semantics::BlameCause>(c));
-            if (got == want)
+            const auto cause = static_cast<semantics::BlameCause>(c);
+            Cycles want = expected.blameTotal(id, cause);
+            if (t.blame[c] == want)
                 continue;
             std::ostringstream os;
             os << "blame pmo " << pmo << " cause "
-               << semantics::blameCauseName(
-                      static_cast<semantics::BlameCause>(c))
-               << ": trace replay " << got << " vs EwTracker "
-               << want;
-            mismatch(r, os.str());
+               << semantics::blameCauseName(cause) << ": trace replay "
+               << t.blame[c] << " vs EwTracker " << want;
+            r.mismatches.push_back(os.str());
         }
     }
 
     // The rollups against the merged replay.
     if (reg) {
-        compareHistogram(r, *reg, "exposure.ew_cycles{pmo=\"all\"}",
+        compareHistogram(r.mismatches, *reg,
+                         "exposure.ew_cycles{pmo=\"all\"}", ids.all[0],
                          ewAll);
-        compareHistogram(r, *reg, "exposure.tew_cycles{pmo=\"all\"}",
+        compareHistogram(r.mismatches, *reg,
+                         "exposure.tew_cycles{pmo=\"all\"}", ids.all[1],
                          tewAll);
     }
 
@@ -301,7 +361,9 @@ AuditReport
 auditTimeline(const TraceSink &sink, Cycles t_end,
               const semantics::EwTracker &expected)
 {
-    return auditTimelineFrom({}, sink, t_end, expected);
+    TimelineReplay replay;
+    replay.catchUp(sink);
+    return replay.audit(t_end, expected);
 }
 
 AuditReport
@@ -311,15 +373,7 @@ auditTimelineFrom(const TimelineReplay &prefix, const TraceSink &sink,
 {
     scratch = prefix;
     scratch.catchUp(sink);
-    return std::move(scratch).audit(t_end, expected);
-}
-
-AuditReport
-auditTimelineFrom(const TimelineReplay &prefix, const TraceSink &sink,
-                  Cycles t_end, const semantics::EwTracker &expected)
-{
-    TimelineReplay scratch;
-    return auditTimelineFrom(prefix, sink, t_end, expected, scratch);
+    return scratch.audit(t_end, expected);
 }
 
 } // namespace trace

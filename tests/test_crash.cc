@@ -1020,16 +1020,17 @@ reportText(const trace::AuditReport &r)
     os << "ok " << r.ok << " complete " << r.complete << "\n";
     for (const std::string &m : r.mismatches)
         os << "mismatch " << m << "\n";
-    for (const auto *side : {&r.ew, &r.tew}) {
-        for (const auto &[pmo, sm] : *side) {
-            os << (side == &r.ew ? "ew " : "tew ") << pmo << ": "
-               << sm.count() << " " << sm.sum() << " " << sm.min()
-               << " " << sm.max() << "\n";
+    for (std::size_t pmo = 0; pmo < r.pmos.size(); ++pmo) {
+        const trace::AuditReport::PmoTally &t = r.pmos[pmo];
+        for (const auto &[name, sm] :
+             {std::pair{"ew ", &t.ew}, std::pair{"tew ", &t.tew}}) {
+            if (sm->count())
+                os << name << pmo << ": " << sm->count() << " "
+                   << sm->sum() << " " << sm->min() << " " << sm->max()
+                   << "\n";
         }
-    }
-    for (const auto &[pmo, sums] : r.blame) {
         os << "blame " << pmo << ":";
-        for (Cycles c : sums)
+        for (Cycles c : t.blame)
             os << " " << c;
         os << "\n";
     }
@@ -1109,9 +1110,10 @@ TEST(CrashEnumeration, ResumedAuditMatchesBatch)
                         const trace::TraceSink &sink =
                             *w.runtime().traceSink();
                         const Cycles tEnd = w.machine().maxClock();
+                        trace::TimelineReplay resumed;
                         EXPECT_EQ(reportText(trace::auditTimelineFrom(
                                       audited, sink, tEnd,
-                                      w.runtime().exposure())),
+                                      w.runtime().exposure(), resumed)),
                                   reportText(trace::auditTimeline(
                                       sink, tEnd, w.runtime().exposure())))
                             << sc << " " << wl << " " << size

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "check/recovery_oracle.hh"
 #include "energy/capacitor.hh"
 #include "energy/harvest.hh"
+#include "metrics/registry.hh"
 #include "pm/persist.hh"
 #include "pm/tx_manager.hh"
 #include "trace/event.hh"
@@ -217,6 +219,29 @@ TEST(Harvest, ResumedAuditReadsAcrossRingWraps)
             }))
             << workload;
     }
+}
+
+/**
+ * A replay that lost events reads no more of them and is reported
+ * once: a stride wider than the ring yields the one "trace
+ * incomplete" verdict, not the replay noise of a stream with a hole
+ * in it, nor the same verdict again at each later stride.
+ */
+TEST(Harvest, WrappedAuditReportsOnlyIncomplete)
+{
+    energy::HarvestOptions opt;
+    opt.scheme = "tt";
+    opt.workload = "bank";
+    opt.powerCycles = 300;
+    opt.cap.capacityUnits = 800;
+    opt.auditEvery = 100;
+    opt.traceCapacity = 256;
+    energy::HarvestResult res = energy::runHarvest(opt);
+    EXPECT_EQ(res.powerCycles, 300u);
+    ASSERT_EQ(res.violations.size(), 1u);
+    EXPECT_NE(res.violations[0].find("trace audit: trace incomplete"),
+              std::string::npos)
+        << res.violations[0];
 }
 
 TEST(Harvest, Deterministic)
@@ -812,6 +837,170 @@ TEST(DomainCycles, RecoverLandsWhereTheHarvestLoopDid)
         EXPECT_GE(tc.now(), resume);
     }
 }
+
+namespace {
+
+/**
+ * sweepTo's contract, one boundary at a time: the gate asked, then a
+ * SweepTick and Runtime::onSweep at every boundary it lets through.
+ * @p next is the reference's own cursor (it starts at one period).
+ */
+void
+sweepEachBoundary(core::ShardDomain &d, Cycles &next, Cycles t,
+                  const core::ShardDomain::SweepGate &gate)
+{
+    const Cycles period = d.machine().config().hookPeriod;
+    for (; next <= t; next += period) {
+        if (gate && !gate(next))
+            continue;
+        if (const auto &sink = d.runtime().traceSink()) {
+            sink->emit(trace::TraceSink::sweeperTid,
+                       trace::EventKind::SweepTick, next);
+        }
+        d.runtime().onSweep(next);
+    }
+}
+
+/**
+ * Everything a sweep may touch, as text: the ring's events, every
+ * registry entry but host timings (host.sweep_pmo_scans, a count of
+ * simulator work, is kept), the thread clocks, the mapped set and the
+ * tracker's summaries and blame.
+ */
+std::string
+sweepState(core::ShardDomain &d, unsigned pmos)
+{
+    std::ostringstream os;
+    for (const trace::Event &e : d.runtime().traceSink()->events())
+        os << "event " << e.seq << " " << e.ts << " " << e.tid << " "
+           << static_cast<unsigned>(e.kind) << " " << e.pmo << " "
+           << e.arg << "\n";
+    for (const auto &[name, e] : d.runtime().metricsRegistry()->entries()) {
+        if (name.rfind("host.", 0) == 0 && name != "host.sweep_pmo_scans")
+            continue;
+        os << name << " " << metrics::kindName(e.kind) << " "
+           << e.counter.value() << " " << e.gauge.value() << " "
+           << e.gauge.hwm();
+        if (e.hist)
+            os << " " << e.hist->count() << " " << e.hist->sum() << " "
+               << e.hist->min() << " " << e.hist->max() << " "
+               << e.hist->quantile(0.5);
+        os << "\n";
+    }
+    for (unsigned i = 0; i < d.machine().threadCount(); ++i)
+        os << "clock " << i << " " << d.machine().thread(i).now() << "\n";
+    const semantics::EwTracker &ew = d.runtime().exposure();
+    for (pm::PmoId p = 1; p <= pmos; ++p) {
+        os << "pmo " << p << " mapped " << d.runtime().mapped(p);
+        for (const metrics::Summary *sm :
+             {ew.ewSummaryFor(p), ew.tewSummaryFor(p)}) {
+            if (sm)
+                os << " " << sm->count() << " " << sm->sum() << " "
+                   << sm->min() << " " << sm->max();
+        }
+        for (unsigned c = 0; c < semantics::numBlameCauses; ++c)
+            os << " " << ew.blameTotal(p, static_cast<semantics::BlameCause>(c));
+        os << "\n";
+    }
+    return os.str();
+}
+
+/**
+ * Three PMOs under @p cfg: one closed and left to expire, one held
+ * across every sweep (re-randomized at each window target), one
+ * opened and closed between sweeps, then reopened and held past the
+ * target before one last long sweep. @p sweep(t) sweeps to t.
+ */
+template <class Sweep>
+void
+sweepScript(core::ShardDomain &d, const Sweep &sweep)
+{
+    const Cycles ew = d.runtime().config().ewTarget;
+    const Cycles period = d.machine().config().hookPeriod;
+    pm::PmoId p[3];
+    for (unsigned i = 0; i < 3; ++i)
+        p[i] = d.pmos().create("s" + std::to_string(i), 64 * KiB).id();
+    sim::ThreadContext &tc = d.machine().spawnThread();
+    core::Runtime &rt = d.runtime();
+    auto open = [&](pm::PmoId pmo) {
+        rt.manualBegin(tc, pmo, pm::Mode::ReadWrite);
+        rt.regionBegin(tc, pmo, pm::Mode::ReadWrite);
+    };
+    auto close = [&](pm::PmoId pmo) {
+        rt.regionEnd(tc, pmo);
+        rt.manualEnd(tc, pmo);
+    };
+    open(p[0]);
+    tc.work(ew / 2);
+    close(p[0]);
+    open(p[1]);
+    tc.work(period / 3);
+    sweep(tc.now() + 3 * ew);
+    tc.work(ew);
+    open(p[2]);
+    tc.work(period / 3);
+    close(p[2]);
+    sweep(tc.now() + 2 * ew + 7);
+    open(p[0]);
+    tc.work(3 * ew);
+    sweep(tc.now());
+    close(p[0]);
+    close(p[1]);
+    sweep(tc.now() + 4 * ew + period / 2);
+}
+
+} // namespace
+
+TEST(DomainCycles, SweepToMatchesOneOnSweepPerBoundary)
+{
+    std::vector<std::string> tags = core::checkedSchemeTags();
+    tags.push_back("unprotected");
+    for (const std::string &tag : tags) {
+        for (bool gated : {false, true}) {
+            SCOPED_TRACE(tag + (gated ? " gated" : ""));
+            core::DomainConfig dc;
+            dc.runtime =
+                core::configForScheme(tag, usToCycles(5)).value().withTrace();
+            dc.machine.cores = 1;
+            const Cycles period = dc.machine.hookPeriod;
+            std::vector<Cycles> asked[2];
+            auto gateFor = [&](int side) -> core::ShardDomain::SweepGate {
+                if (!gated)
+                    return nullptr;
+                return [&asked, side, period](Cycles b) {
+                    asked[side].push_back(b);
+                    return (b / period) % 3 != 0;
+                };
+            };
+            const core::ShardDomain::SweepGate gates[2] = {gateFor(0),
+                                                           gateFor(1)};
+
+            core::ShardDomain fast(dc);
+            sweepScript(fast, [&](Cycles t) { fast.sweepTo(t, gates[0]); });
+            core::ShardDomain ref(dc);
+            Cycles next = period;
+            sweepScript(ref, [&](Cycles t) {
+                sweepEachBoundary(ref, next, t, gates[1]);
+            });
+
+            EXPECT_EQ(fast.nextSweepTick(), next);
+            EXPECT_EQ(asked[0], asked[1]);
+            const std::string want = sweepState(ref, 3);
+            EXPECT_EQ(sweepState(fast, 3), want);
+            // Windows expire mid-run: the sweeper re-randomizes the
+            // held PMO and, where a region's end leaves the PMO mapped
+            // (TM, TT), detaches the idle one.
+            std::size_t detaches = 0, randomizes = 0;
+            for (const trace::Event &e : ref.runtime().traceSink()->events()) {
+                detaches += e.kind == trace::EventKind::DelayedDetach;
+                randomizes += e.kind == trace::EventKind::Randomize;
+            }
+            EXPECT_EQ(randomizes > 0, tag != "unprotected");
+            EXPECT_EQ(detaches > 0, tag == "tm" || tag == "tt");
+        }
+    }
+}
+
 
 TEST(RepeatedCycles, CrashWakesBlockedWaiter)
 {

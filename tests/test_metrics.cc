@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -197,6 +199,184 @@ TEST(LogHistogram, MergeIsExactOnStats)
     EXPECT_EQ(a.max(), both.max());
     for (double q : {0.25, 0.5, 0.75, 0.95})
         EXPECT_EQ(a.quantile(q), both.quantile(q));
+}
+
+namespace {
+
+/**
+ * The histogram as it was first written: bucket counts kept dense
+ * from bucket 0. The model the trimmed LogHistogram must agree with
+ * on every public result.
+ */
+class DenseHistogram
+{
+  public:
+    explicit DenseHistogram(unsigned sub_bits) : subBits(sub_bits) {}
+
+    void
+    record(std::uint64_t x)
+    {
+        const std::size_t i = index(x);
+        if (i >= counts.size())
+            counts.resize(i + 1, 0);
+        ++counts[i];
+        stat.add(x);
+    }
+
+    void
+    merge(const DenseHistogram &o)
+    {
+        if (o.counts.size() > counts.size())
+            counts.resize(o.counts.size(), 0);
+        for (std::size_t i = 0; i < o.counts.size(); ++i)
+            counts[i] += o.counts[i];
+        stat.merge(o.stat);
+    }
+
+    std::uint64_t
+    quantile(double q) const
+    {
+        const std::uint64_t n = stat.count();
+        if (n == 0)
+            return 0;
+        std::uint64_t rank = static_cast<std::uint64_t>(
+            q * static_cast<double>(n) + 0.9999999);
+        rank = std::clamp<std::uint64_t>(rank, 1, n);
+        std::uint64_t seen = 0;
+        for (std::size_t i = 0;; ++i) {
+            seen += counts[i];
+            if (seen >= rank)
+                return std::clamp(upper(i), stat.min(), stat.max());
+        }
+    }
+
+    Summary stat;
+
+  private:
+    std::size_t
+    index(std::uint64_t x) const
+    {
+        const std::uint64_t sub = 1ULL << subBits;
+        if (x < sub)
+            return x;
+        const unsigned shift = std::bit_width(x) - 1 - subBits;
+        return (std::size_t{shift} << subBits) + (x >> shift);
+    }
+
+    std::uint64_t
+    upper(std::size_t i) const
+    {
+        const std::uint64_t sub = 1ULL << subBits;
+        if (i < sub)
+            return i;
+        const unsigned shift = static_cast<unsigned>(i >> subBits) - 1;
+        return ((sub + (i & (sub - 1)) + 1) << shift) - 1;
+    }
+
+    unsigned subBits;
+    std::vector<std::uint64_t> counts;
+};
+
+/** @p h against @p model: the summary and quantiles across [0, 1]. */
+void
+expectLike(const LogHistogram &h, const DenseHistogram &model)
+{
+    EXPECT_EQ(h.count(), model.stat.count());
+    EXPECT_EQ(h.sum(), model.stat.sum());
+    EXPECT_EQ(h.min(), model.stat.min());
+    EXPECT_EQ(h.max(), model.stat.max());
+    for (double q : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+                     0.999, 1.0})
+        EXPECT_EQ(h.quantile(q), model.quantile(q)) << "q " << q;
+}
+
+/** The histogram line toJson prints for @p model, named "h". */
+std::string
+jsonLine(const DenseHistogram &m)
+{
+    char mean[40];
+    std::snprintf(mean, sizeof mean, "%.17g", m.stat.mean());
+    std::ostringstream os;
+    os << "\"h\": {\"count\": " << m.stat.count() << ", \"sum\": "
+       << m.stat.sum() << ", \"min\": " << m.stat.min() << ", \"max\": "
+       << m.stat.max() << ", \"mean\": " << mean << ", \"p50\": "
+       << m.quantile(0.5) << ", \"p90\": " << m.quantile(0.9)
+       << ", \"p99\": " << m.quantile(0.99) << "}";
+    return os.str();
+}
+
+} // namespace
+
+/**
+ * A histogram keeps only the buckets from its lowest to its highest
+ * used one. Random records (clustered at random magnitudes, so the
+ * kept range both grows down and up), merges, copies, assignments
+ * and resets over a few histograms must leave every one equal to a
+ * dense model in count, sum, min, max, every quantile and its JSON
+ * export.
+ */
+TEST(LogHistogram, TrimmedBucketsMatchDenseModel)
+{
+    for (unsigned sub : {1u, 5u, 9u}) {
+        SCOPED_TRACE("sub_bits " + std::to_string(sub));
+        Rng rng(1000 + sub);
+        constexpr unsigned n = 4;
+        std::vector<LogHistogram> hs(n, LogHistogram(sub));
+        std::vector<DenseHistogram> ms(n, DenseHistogram(sub));
+        for (unsigned step = 0; step < 2000; ++step) {
+            const unsigned i = static_cast<unsigned>(rng.nextBelow(n));
+            const unsigned j = static_cast<unsigned>(rng.nextBelow(n));
+            switch (rng.nextBelow(8)) {
+              case 0:
+                hs[i].merge(hs[j]);
+                ms[i].merge(ms[j]);
+                break;
+              case 1:
+                hs[i] = hs[j];
+                ms[i] = ms[j];
+                break;
+              case 2:
+                hs[i] = LogHistogram(hs[j]);
+                ms[i] = ms[j];
+                break;
+              case 3:
+                if (rng.nextBelow(4) == 0) {
+                    hs[i].reset();
+                    ms[i] = DenseHistogram(sub);
+                }
+                break;
+              default: {
+                const std::uint64_t center =
+                    rng.next() >> rng.nextBelow(64);
+                const std::uint64_t spread =
+                    (center >> rng.nextBelow(8)) | 1;
+                for (unsigned k = 1 + static_cast<unsigned>(
+                                          rng.nextBelow(20));
+                     k; --k) {
+                    const std::uint64_t x =
+                        center - std::min(center, spread) +
+                        rng.nextBelow(spread);
+                    hs[i].record(x);
+                    ms[i].record(x);
+                }
+              }
+            }
+            expectLike(hs[i], ms[i]);
+            if (HasFailure())
+                ADD_FAILURE() << "step " << step;
+            if (step % 250 == 0 || HasFailure()) {
+                for (unsigned k = 0; k < n; ++k) {
+                    Registry reg;
+                    reg.histogram("h", sub) = hs[k];
+                    EXPECT_NE(toJson(reg).find(jsonLine(ms[k])),
+                              std::string::npos)
+                        << toJson(reg) << "\nwant " << jsonLine(ms[k]);
+                }
+            }
+            if (HasFailure())
+                return;
+        }
+    }
 }
 
 // ------------------------------------------------------------- registry
@@ -528,18 +708,22 @@ TEST(MetricsEndToEnd, AgreesWithEwTrackerOnWhisperRun)
     ASSERT_NE(r.traceAudit, nullptr);
     ASSERT_TRUE(r.traceAudit->ok) << r.traceAudit->summary();
 
+    using Tally = trace::AuditReport::PmoTally;
     const struct
     {
         const char *base;
-        const std::map<std::uint64_t, metrics::Summary> &want;
+        Summary Tally::*want;
     } sides[] = {
-        {"exposure.ew_cycles", r.traceAudit->ew},
-        {"exposure.tew_cycles", r.traceAudit->tew},
+        {"exposure.ew_cycles", &Tally::ew},
+        {"exposure.tew_cycles", &Tally::tew},
     };
     for (const auto &side : sides) {
-        ASSERT_FALSE(side.want.empty());
+        ASSERT_GT(r.traceAudit->pmosWith(side.want), 0u);
         Summary all;
-        for (const auto &[pmo, tally] : side.want) {
+        for (std::size_t pmo = 0; pmo < r.traceAudit->pmos.size(); ++pmo) {
+            const Summary &tally = r.traceAudit->pmos[pmo].*side.want;
+            if (tally.count() == 0)
+                continue;
             const LogHistogram *h = r.metrics->findHistogram(
                 labeled(side.base, "pmo", std::to_string(pmo)));
             ASSERT_NE(h, nullptr) << side.base << " pmo " << pmo;

@@ -363,8 +363,9 @@ TEST(TimelineReplay, CompleteExactlyWhenEveryDroppedEventWasFed)
                 for (std::size_t i = 0; i < more; ++i)
                     s.emit(0, EventKind::SweepTick, fed + i);
                 const bool allFed = s.totalDropped() <= fed;
-                trace::AuditReport a =
-                    trace::auditTimelineFrom(early, s, fed + more, none);
+                trace::TimelineReplay resumed;
+                trace::AuditReport a = trace::auditTimelineFrom(
+                    early, s, fed + more, none, resumed);
                 EXPECT_EQ(a.complete, allFed);
                 EXPECT_EQ(a.ok, allFed) << a.summary();
                 if (!allFed) {

@@ -661,8 +661,8 @@ crossCheck(const workloads::RunResult &r)
         std::fprintf(stderr,
                      "terp-stats: cross-check OK (%zu EW + %zu TEW "
                      "window sets, silent fraction exact)\n",
-                     r.traceAudit->ew.size(),
-                     r.traceAudit->tew.size());
+                     r.traceAudit->pmosWith(&trace::AuditReport::PmoTally::ew),
+                     r.traceAudit->pmosWith(&trace::AuditReport::PmoTally::tew));
     }
     return failures;
 }

@@ -20,7 +20,7 @@
  *   --ew US         EW target in microseconds (default 40)
  *   --tew US        TEW target in microseconds (default 2)
  *   --capacity N    trace capacity in events per emitting thread,
- *                   >= 1 (default 64Ki): the one ring holds N for
+ *                   >= 1 (default 256Ki): the one ring holds N for
  *                   each thread that emitted, growing on demand
  *
  * A flag's value may follow '=' or come as the next argument
@@ -72,7 +72,10 @@ main(int argc, char **argv)
     std::uint64_t sections = 200;
     double scale = 1.0;
     double ewUs = 40.0, tewUs = 2.0;
-    std::size_t capacity = trace::TraceSink::defaultCapacity;
+    // Four times RuntimeConfig's default: a four-thread SPEC run
+    // (mcf's 402,450 events) fits whole. The ring grows with the
+    // events written, so a smaller run costs no more.
+    std::size_t capacity = trace::TraceSink::defaultCapacity * 4;
 
     cli::Args args("terp-trace", argc, argv, kUsage);
     while (args.next()) {
